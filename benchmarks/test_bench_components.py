@@ -12,12 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import QFEConfig
-from repro.core.execution_backend import ProcessPoolBackend, SqlPushdownBackend
 from repro.core.modification import PairSetSimulator
 from repro.core.round_planner import RoundPlanner
 from repro.core.skyline import skyline_stc_dtc_pairs
 from repro.core.subset_selection import pick_stc_dtc_subset
 from repro.core.tuple_class import TupleClassSpace
+from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.experiments.runner import prepare_candidates
 from repro.qbo.config import QBOConfig
 from repro.qbo.generator import QueryGenerator
@@ -33,7 +33,6 @@ from repro.relational.evaluator import (
     result_fingerprint,
 )
 from repro.relational.join import JOIN_STATS, full_join
-from repro.sql.pushdown import PUSHDOWN_STATS
 from repro.workloads import build_pair
 
 _QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candidates=25)
@@ -192,18 +191,15 @@ def test_delta_derive_path_never_rebuilds_the_join(delta_setup):
     assert through_cache.fingerprints == cold.fingerprints
 
 
-# The ``round-planner`` group is the PR-3 tentpole comparison: one round's
-# candidate-modification search — a bounded prefix of Algorithm 3's (STC, DTC)
-# candidate space, each pair concretely materialized as a TupleDelta against
-# the shared base state and scored by its exact candidate-query partition —
-# run serially versus sharded over a 4-worker process pool seeded once with a
-# pickled BaseSnapshot. The ≥2x speedup target refers to
-# serial/process_pool at full workload scale *on a ≥4-core machine*: the
-# sweep is embarrassingly parallel and the measured single-core overhead of
-# the 4-worker pool is only ~4%, so the ratio reported in
-# BENCH_components.json tracks the available cores. Both paths produce
-# bit-identical outcomes (asserted by the fast guard below, which also pins
-# the delta-only worker protocol to zero full joins).
+# The ``round-planner`` group: one round's candidate-modification search — a
+# bounded prefix of Algorithm 3's (STC, DTC) candidate space, each pair
+# concretely materialized as a TupleDelta against the shared base state and
+# scored by its exact candidate-query partition — run serially versus sharded
+# over a 4-worker warm pool holding a BaseSnapshot. The sweep is
+# embarrassingly parallel, so the ratio reported in BENCH_components.json
+# tracks the available cores. Both paths produce bit-identical outcomes
+# (asserted by the fast guard below, which also pins the delta-only worker
+# protocol to zero full joins).
 _PLANNER_WORKERS = 4
 _PLANNER_SWEEP_PAIRS = 192
 
@@ -220,8 +216,8 @@ def round_planner_setup(scientific_setup):
 
 
 @pytest.fixture(scope="module")
-def process_backend():
-    backend = ProcessPoolBackend(_PLANNER_WORKERS)
+def warm_backend():
+    backend = WarmProcessPoolBackend(_PLANNER_WORKERS)
     yield backend
     backend.close()
 
@@ -239,16 +235,16 @@ def test_bench_round_planner_serial(benchmark, round_planner_setup):
 
 
 @pytest.mark.benchmark(group="round-planner")
-def test_bench_round_planner_process_pool(benchmark, round_planner_setup, process_backend):
+def test_bench_round_planner_warm_pool(benchmark, round_planner_setup, warm_backend):
     planner, plan, sweep = round_planner_setup
-    # Warm outside the measurement: pool spin-up + snapshot broadcast happen
-    # once per session, not once per round.
+    # Warm outside the measurement: pool spin-up + base install happen once
+    # per session, not once per round.
     planner.execute(plan, attempts=sweep[:_PLANNER_WORKERS], stop_at_first=False,
-                    backend=process_backend)
+                    backend=warm_backend)
 
     def run():
         return planner.execute(plan, attempts=sweep, stop_at_first=False,
-                               backend=process_backend)
+                               backend=warm_backend)
 
     outcomes = benchmark(run)
     assert len(outcomes) == len(sweep)
@@ -256,9 +252,9 @@ def test_bench_round_planner_process_pool(benchmark, round_planner_setup, proces
 
 
 def test_round_planner_parallel_matches_serial_with_zero_worker_joins(
-    round_planner_setup, process_backend
+    round_planner_setup, warm_backend
 ):
-    """Fast regression guard (not a benchmark): the process-pool backend must
+    """Fast regression guard (not a benchmark): the warm pool must
     return bit-identical outcomes to the serial oracle — for the fallback
     attempts and for a candidate-space sweep slice — and its workers must
     perform zero full join materializations (the delta-only worker protocol).
@@ -275,71 +271,16 @@ def test_round_planner_parallel_matches_serial_with_zero_worker_joins(
     for attempts in (plan.attempts, sweep[:32]):
         serial = planner.execute(plan, attempts=attempts, stop_at_first=False)
         parallel = planner.execute(plan, attempts=attempts, stop_at_first=False,
-                                   backend=process_backend)
+                                   backend=warm_backend)
         assert key(parallel) == key(serial)
         assert all(o.full_joins == 0 for o in parallel), "a worker fell back to a full join"
         assert all(o.full_joins == 0 for o in serial)
 
 
-@pytest.fixture(scope="module")
-def sql_backend():
-    backend = SqlPushdownBackend()
-    yield backend
-    backend.close()
-
-
-@pytest.mark.benchmark(group="round-planner")
-def test_bench_round_planner_sql_pushdown(benchmark, round_planner_setup, sql_backend):
-    planner, plan, sweep = round_planner_setup
-    # Warm outside the measurement: the base load into the mirror and the
-    # round compilation happen once per session/round, not once per attempt.
-    planner.execute(plan, attempts=sweep[:4], stop_at_first=False, backend=sql_backend)
-
-    def run():
-        return planner.execute(plan, attempts=sweep, stop_at_first=False,
-                               backend=sql_backend)
-
-    outcomes = benchmark(run)
-    assert len(outcomes) == len(sweep)
-    assert any(o.applied for o in outcomes)
-
-
-def test_sql_pushdown_matches_serial_with_one_base_load(round_planner_setup):
-    """Fast regression guard (not a benchmark): the SQL-pushdown backend must
-    return bit-identical outcomes to the serial oracle, never materialize a
-    Python-side full join, load the base into its mirror at most once across
-    consecutive rounds of one session, and never silently fall back to the
-    in-process path on a clean round.
-    """
-    planner, plan, sweep = round_planner_setup
-
-    def key(outcomes):
-        return [
-            (o.attempt_index, o.pairs, o.applied, o.distinguishes, o.signature,
-             o.group_sizes, o.modification_count, o.db_cost)
-            for o in outcomes
-        ]
-
-    PUSHDOWN_STATS.reset()
-    with SqlPushdownBackend() as backend:
-        for attempts in (plan.attempts, sweep[:32]):
-            serial = planner.execute(plan, attempts=attempts, stop_at_first=False)
-            pushed = planner.execute(plan, attempts=attempts, stop_at_first=False,
-                                     backend=backend)
-            assert key(pushed) == key(serial)
-            assert all(o.full_joins == 0 for o in pushed), (
-                "the pushdown path materialized a Python-side full join"
-            )
-        base_loads, attempt_batches, python_fallbacks = PUSHDOWN_STATS.snapshot()
-        assert base_loads == 1, "the mirror reloaded the base between attempts"
-        assert attempt_batches == len(plan.attempts) + 32
-        assert python_fallbacks == 0, "a clean round fell back to the Python path"
-
-
 # The ``service-round`` group is the session-service tentpole comparison:
 # full interactive sessions driven through the SessionManager — propose,
 # choose (simulated worst-case user), submit — with 1 versus 8 concurrent
-# users multiplexed over ONE shared process pool and one shared base
+# users multiplexed over ONE shared warm pool and one shared base
 # snapshot. The 8-user total divided by 8 approaches the 1-user total as
 # cores allow: per-round compute is serialized over the shared pool (each
 # round still fans out across its workers) while all cross-user concurrency
@@ -356,17 +297,17 @@ def service_round_setup(scientific_setup):
     from repro.service.manager import SessionManager
 
     database, result, _, candidates, _, _ = scientific_setup
-    backend = ProcessPoolBackend(_SERVICE_WORKERS)
+    backend = WarmProcessPoolBackend(_SERVICE_WORKERS)
     # ONE manager (and thus one shared snapshot cache + per-pair join cache)
-    # across every measured run: pool spin-up and the base-snapshot broadcast
-    # happen once per service lifetime, never inside the timed region. A
-    # fresh manager per run would capture a new snapshot identity and force
-    # a pool re-seed inside the measurement. Finished sessions are kept (not
+    # across every measured run: pool spin-up and the base install happen
+    # once per service lifetime, never inside the timed region. A fresh
+    # manager per run would capture a new snapshot identity and force a
+    # re-install inside the measurement. Finished sessions are kept (not
     # deleted) so the shared pair — and with it the warm snapshot — always
     # stays referenced.
     manager = SessionManager(backend=backend, max_live_sessions=1024)
     inputs = (database, result, tuple(candidates))
-    _drive_service_users(manager, inputs, 1)  # warm: pool + snapshot broadcast
+    _drive_service_users(manager, inputs, 1)  # warm: pool + base install
     yield manager, inputs
     manager.close()
     backend.close()

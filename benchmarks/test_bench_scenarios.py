@@ -10,8 +10,8 @@ and written to ``benchmarks/BENCH_scenarios.json``, which CI uploads as an
 artifact so the scaling trajectory is tracked across PRs.
 
 Two slow-marked scale-10 checks ride in the same file (CI runs them as a
-separate ``-m slow`` step): a ``mixed@10`` sweep smoke over the serial and
-SQL-pushdown backends whose storage/memory figures are merged into the
+separate ``-m slow`` step): a ``mixed@10`` sweep smoke over the serial
+backend whose storage/memory figures are merged into the
 ``BENCH_scenarios.json`` artifact, and the bench guard pinning that a
 selective ``term_mask`` on the typed layout (warm sorted-index path) beats
 the object-column full scan at scale 10.
@@ -115,10 +115,9 @@ def _merge_into_trajectory_file(key: str, entry: dict) -> None:
 @pytest.mark.slow
 @pytest.mark.benchmark(group="scenario-sweep-smoke")
 def test_bench_mixed_scale10_smoke(benchmark, record_group_memory):
-    """Full mixed@10 sweep point on the serial + SQL-pushdown backends.
+    """Full mixed@10 sweep point on the serial backend.
 
-    ``workers=0`` skips the pooled leg (the in-process engine and the
-    pushdown oracle are the two layouts this smoke compares); the point's
+    ``workers=0`` skips the pooled leg; the point's
     storage measurements — bytes per joined row typed vs object, tracemalloc
     peak, selective term-mask timings — land in the uploaded artifacts.
     """
@@ -134,7 +133,7 @@ def test_bench_mixed_scale10_smoke(benchmark, record_group_memory):
     entry = payload["scenarios"]["mixed"]
     (point,) = entry["trajectory"]
     assert point["transcripts_identical"] is True
-    assert set(point["backend_seconds"]) >= {"serial", "sql"}
+    assert set(point["backend_seconds"]) == {"serial"}
     # The footprint acceptance line: typed storage ≥ 4× leaner per joined row.
     assert point["bytes_per_joined_row_typed"] * 4 <= point["bytes_per_joined_row_object"]
     record_group_memory(

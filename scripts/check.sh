@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 suite plus the two-oracle differential checks.
+# Repo verification: tier-1 suite, the serial/warm differential checks and
+# the benchmark's own tests.
 #
 #   scripts/check.sh          fast tier-1 (slow-marked tests excluded)
 #   scripts/check.sh --slow   also run the slow tier (examples, tables, studies)
@@ -12,27 +13,19 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 echo
-echo "== differential oracles: columnar + delta maintenance vs row-at-a-time reference and SQLite =="
-python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/sql/test_sqlite_backend.py
+echo "== differential oracles: columnar + delta maintenance vs row-at-a-time reference and SQLite, NULL semantics =="
+python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/sql/test_sqlite_backend.py tests/relational/test_null_semantics.py
 
 echo
-echo "== regression guards: delta-derive path, parallel workers and SQL pushdown perform no full join rebuild =="
-python -m pytest -q benchmarks/test_bench_components.py -k "delta_derive_path or zero_worker or sql_pushdown_matches" --benchmark-disable
+echo "== regression guards: delta-derive path and warm workers perform no full join rebuild =="
+python -m pytest -q benchmarks/test_bench_components.py -k "delta_derive_path or zero_worker" --benchmark-disable
 
 echo
-echo "== differential: process-pool round planner is bit-identical to the serial oracle (Q1-Q6) =="
-python -m pytest -q tests/integration/test_parallel_differential.py -m ""
-
-echo
-echo "== differential: SQL-pushdown backend is bit-identical to the serial oracle (fast guard) =="
-python -m pytest -q tests/integration/test_sql_pushdown_differential.py tests/relational/test_null_semantics.py
-
-echo
-echo "== differential: checkpoint/resume at every round is bit-identical to uninterrupted runs (Q1-Q6) =="
+echo "== differential: checkpoint/resume at every round is bit-identical to uninterrupted runs, serial and warm (Q1-Q6) =="
 python -m pytest -q tests/integration/test_service_differential.py -m ""
 
 echo
-echo "== differential: scenario engine — generated scenario, serial vs 2-worker pool, transcript bit-identity =="
+echo "== differential: scenario engine — generated scenario, serial vs warm, transcript bit-identity =="
 python -m pytest -q tests/integration/test_scenario_differential.py -k "fast_guard or checkpoint_resumes"
 
 echo
@@ -42,6 +35,10 @@ python -m pytest -q tests/integration/test_warm_pool_differential.py
 echo
 echo "== service smoke: HTTP session, checkpoint -> kill -9 -> resume -> finish, bit-identical transcript =="
 python scripts/service_smoke.py
+
+echo
+echo "== benchmark entry points: perfbench metric coverage and correctness checks =="
+python3 -m pytest perfbench/tests -q
 
 if [[ "${1:-}" == "--slow" ]]; then
     echo

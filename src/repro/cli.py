@@ -87,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", type=backend_name, default="auto", metavar="NAME",
         help="execution backend for the candidate search: "
              f"{', '.join(BACKEND_CHOICES)} (auto derives it from --workers; "
-             "sql compiles each round into SQLite passes; transcripts are "
-             "identical for every backend)",
+             "transcripts are identical for every backend)",
     )
     parser.add_argument(
         "--transcript-out", type=str, default=None, metavar="PATH",

@@ -20,7 +20,6 @@ from repro.core.database_generator import DatabaseGenerationResult, DatabaseGene
 from repro.core.execution_backend import (
     AttemptOutcome,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     create_backend,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "AttemptOutcome",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "create_backend",
     "Stopwatch",
     "monotonic_seconds",

@@ -24,7 +24,7 @@ __all__ = [
 
 #: Execution-backend names accepted everywhere a worker count is accepted
 #: (``QFEConfig.backend``, every ``--backend`` flag, the service config).
-BACKEND_CHOICES = ("auto", "serial", "process", "sql", "warm")
+BACKEND_CHOICES = ("auto", "serial", "warm")
 
 
 class _BackendNameError(ValueError, argparse.ArgumentTypeError):
@@ -124,19 +124,16 @@ class QFEConfig:
     workers:
         How many worker processes the round planner's candidate-modification
         search fans out over. ``0`` (the default) and ``1`` run the serial
-        in-process backend; ``2`` or more shard the search over a process
-        pool seeded with a delta-replicated snapshot of the base database.
-        Results are bit-identical regardless of the worker count.
+        in-process backend; ``2`` or more run the warm worker pool, whose
+        persistent workers hold a snapshot of the base database. Results are
+        bit-identical regardless of the worker count.
     backend:
         Which execution backend the search runs on: ``"auto"`` (the default)
         derives it from ``workers`` as above, ``"serial"`` forces the
-        in-process oracle, ``"process"`` forces the worker pool, and
-        ``"sql"`` compiles each round into SQLite passes over a persistent
-        in-memory mirror, and ``"warm"`` runs rounds on a persistent warm
-        worker pool (workers keep versioned base state across rounds and
-        sessions; the driver ships deltas and content-hashed round bodies,
-        never re-pickled snapshots). Every backend produces bit-identical
-        transcripts.
+        in-process oracle, and ``"warm"`` forces the warm worker pool
+        (workers keep versioned base state across rounds and sessions, plan
+        rounds remotely, and receive content-hashed round bodies). Every
+        backend produces bit-identical transcripts.
     """
 
     beta: float = 1.0

@@ -3,49 +3,36 @@
 Every QFE round scores a deterministic sequence of *attempts* — candidate
 class-pair sets, the Algorithm 4 subset first, then the skyline singles in
 balance order — by concretely materializing each attempt against the base
-database and computing the exact candidate-query partition it induces. The
-attempts are independent, which makes the search embarrassingly parallel;
-this module provides the two interchangeable substrates the
-:class:`~repro.core.round_planner.RoundPlanner` runs it on:
+database and computing the exact candidate-query partition it induces. This
+module defines the backend interface, the attempt payloads and the serial
+substrate the :class:`~repro.core.round_planner.RoundPlanner` runs on:
 
 * :class:`SerialBackend` evaluates attempts in order, in process, against the
-  driver's own join cache. It is the differential oracle: the process-pool
-  backend must produce bit-identical outcomes.
-* :class:`ProcessPoolBackend` broadcasts a pickled
-  :class:`~repro.relational.evaluator.BaseSnapshot` of the base database and
-  its joins to each worker exactly once, shards the attempts into contiguous
-  :class:`WorkUnit`\\ s, and merges worker outcomes back in attempt order.
-  Workers evaluate purely by applying
-  :class:`~repro.relational.delta.TupleDelta`\\ s to the snapshotted joins —
-  zero full joins worker-side, pinned via
-  :data:`~repro.relational.join.JOIN_STATS` and reported per outcome.
+  driver's own join cache. It is the differential oracle.
+* :class:`~repro.core.worker_runtime.WarmProcessPoolBackend` (the one
+  parallel backend) shards attempts into contiguous :class:`WorkUnit`\\ s
+  over persistent workers holding a
+  :class:`~repro.relational.evaluator.BaseSnapshot` replica, and merges
+  their outcomes back in attempt order.
 
 Determinism contract: attempt evaluation is a pure function of
 ``(base database, round context, attempt)`` — materialization, delta
 application and fingerprinting contain no randomness — and outcomes are
 merged by ascending attempt index, so the winning attempt is independent of
-worker count, scheduling order and sharding. Any future stochastic scoring
-must draw its seed from :func:`attempt_seed`, which depends only on the round
-token and the absolute attempt index (not on the work-unit layout), keeping
-the contract intact.
+worker count, scheduling order and sharding.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import pickle
-import threading
 import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.core.config import BACKEND_CHOICES, QFEConfig, backend_name
-from repro.obs.registry import REGISTRY, RegistryStats
-from repro.obs.trace import get_tracer
+from repro.obs.registry import RegistryStats
 from repro.core.materialize import materialize_pairs
 from repro.core.modification import ClassPair
 from repro.core.partitioner import partition_signature
@@ -54,14 +41,6 @@ from repro.relational.database import Database
 from repro.relational.evaluator import BaseSnapshot, JoinCache
 from repro.relational.join import JOIN_STATS
 from repro.relational.query import SPJQuery
-from repro.sql.pushdown import (
-    PUSHDOWN_STATS,
-    PushdownExecutionError,
-    PushdownUnsupportedError,
-    RoundProgram,
-    SqliteMirror,
-    compile_round,
-)
 
 __all__ = [
     "BACKEND_STATS",
@@ -73,18 +52,14 @@ __all__ = [
     "RoundSetup",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
-    "SqlPushdownBackend",
     "BACKEND_CHOICES",
     "backend_name",
     "create_backend",
     "shard_attempts",
-    "attempt_seed",
     "required_signatures",
     "build_round_runtime",
     "context_body_payload",
     "evaluate_attempt",
-    "evaluate_work_unit",
 ]
 
 Attempt = tuple[ClassPair, ...]
@@ -94,22 +69,18 @@ class BackendStats(RegistryStats):
     """Process-wide counters for backend state shipping and warm workers.
 
     Registry-backed (``qfe_backend_*``): increments made inside worker
-    processes (installs, advances, warm plan hits, attempt timings) ride
-    back to the driver with each reply's counter deltas and merge
-    commutatively, so the totals are scheduling-independent. The context
-    shipping counters (``context_*``) are shared between the classic
-    :class:`ProcessPoolBackend` and the warm runtime's
-    :class:`~repro.core.worker_runtime.WarmProcessPoolBackend` — both
-    content-hash the round body and skip re-shipping bytes a resident
-    worker already holds.
+    processes (installs, warm plan hits, attempt timings) ride back to the
+    driver with each reply's counter deltas and merge commutatively, so the
+    totals are scheduling-independent. The context shipping counters
+    (``context_*``) count the content-hashed round bodies the
+    :class:`~repro.core.worker_runtime.WarmProcessPoolBackend` skips
+    re-shipping to workers that already hold them.
     """
 
     _PREFIX = "qfe_backend"
     _FIELDS = (
         "bytes_shipped",
-        "shm_bytes_mapped",
         "snapshot_installs",
-        "snapshot_advances",
         "warm_hits",
         "warm_misses",
         "context_pickles",
@@ -123,10 +94,8 @@ class BackendStats(RegistryStats):
         "attempt_micros",
     )
     _HELP = {
-        "bytes_shipped": "Driver-side state bytes put on the wire (installs, deltas, round bodies).",
-        "shm_bytes_mapped": "Bytes attached from shared-memory snapshot blocks (worker-side).",
+        "bytes_shipped": "Driver-side state bytes put on the wire (installs, round bodies).",
         "snapshot_installs": "Full base installs performed by workers (fork-seeded installs included).",
-        "snapshot_advances": "Delta advances applied by workers.",
         "warm_hits": "Worker plan-cache hits (prologue skipped entirely).",
         "warm_misses": "Worker plan-cache misses (prologue computed).",
         "context_pickles": "Round context bodies pickled by the driver.",
@@ -153,7 +122,7 @@ class RoundContext:
     it); everything else is what a worker needs — besides the broadcast base
     snapshot — to rebuild the tuple-class space and score attempts.
     ``result_arity`` additionally lets a warm worker run the whole prologue
-    (skyline + subset selection) remotely; classic backends ignore it.
+    (skyline + subset selection) remotely; ``run_attempts`` ignores it.
     """
 
     token: str
@@ -220,7 +189,7 @@ class RoundSetup:
     ``context`` is the picklable part; ``database``/``space``/``join_cache``
     are the driver-local live objects the serial backend evaluates against;
     ``snapshot_provider`` lazily captures (and memoizes, planner-side) the
-    :class:`BaseSnapshot` the process-pool backend broadcasts.
+    :class:`BaseSnapshot` the warm pool installs in its workers.
 
     ``winner_store`` is an optional driver-local sink: an in-process backend
     that concretely scored the winning attempt may deposit the winner's
@@ -247,8 +216,8 @@ class RoundRequest:
     subset selection) itself, worker-side, from the context's queries and
     ``result_arity``. ``database`` and ``join_cache`` are the driver-local
     live base (for finalize-side bookkeeping); ``snapshot_provider`` is the
-    same memoized capture the classic backends use — its identity doubles as
-    the base-change signal.
+    same memoized capture :class:`RoundSetup` carries — its identity doubles
+    as the base-change signal.
     """
 
     context: RoundContext
@@ -286,24 +255,13 @@ def shard_attempts(attempts: Sequence[Attempt], unit_count: int) -> list[WorkUni
     return units
 
 
-def attempt_seed(token: str, attempt_index: int) -> int:
-    """Deterministic RNG seed for one attempt, independent of sharding.
-
-    Derived from the round token and the *absolute* attempt index — never
-    from the work-unit layout — so any stochastic scoring seeded from it
-    produces the same stream regardless of the worker count.
-    """
-    digest = hashlib.sha256(f"{token}:{attempt_index}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def context_body_payload(context: RoundContext) -> tuple[str, bytes]:
     """Pickle the round's *body* — the context with its token stripped.
 
     The token is the only per-round field; everything else (queries, config,
     referenced tables, result schema) is identical across the rounds of a
     session and across repeated sessions on the same workload pair. Hashing
-    the token-free pickle gives a content key the pool backends use to skip
+    the token-free pickle gives a content key the warm pool uses to skip
     re-shipping bodies their resident workers already hold: a task then
     carries ``(token, body_hash, None)`` and the worker rebuilds the full
     context as ``replace(body, token=token)``.
@@ -449,16 +407,6 @@ def evaluate_attempt(
     )
 
 
-def evaluate_work_unit(
-    runtime: RoundRuntime, context: RoundContext, unit: WorkUnit
-) -> tuple[AttemptOutcome, ...]:
-    """Score every attempt of one work unit, in order."""
-    return tuple(
-        evaluate_attempt(runtime, context, unit.start + offset, pairs)
-        for offset, pairs in enumerate(unit.attempts)
-    )
-
-
 # --------------------------------------------------------------------- backends
 class ExecutionBackend(ABC):
     """Pluggable substrate the round planner runs attempt evaluation on."""
@@ -515,464 +463,17 @@ class SerialBackend(ExecutionBackend):
         return outcomes
 
 
-# Worker-process globals, populated once per pool by the initializer. One
-# (context, runtime) pair is kept per round token; a new token evicts the
-# previous round's space so long sessions never accumulate per-round state
-# in workers. Round *bodies* (token-stripped contexts, keyed by content
-# hash) are kept across rounds so a session's later rounds — whose bodies
-# are byte-identical — never re-ship or re-unpickle the context.
-_WORKER_DATABASE: Database | None = None
-_WORKER_CACHE: JoinCache | None = None
-_WORKER_ROUNDS: dict[str, tuple[RoundContext, RoundRuntime]] = {}
-_WORKER_BODIES: dict[str, RoundContext] = {}
-_WORKER_BODY_LIMIT = 8
-
-
-def _process_worker_initialize(payload: bytes) -> None:
-    """Rehydrate the broadcast base snapshot (runs once per worker process)."""
-    global _WORKER_DATABASE, _WORKER_CACHE
-    snapshot = BaseSnapshot.from_bytes(payload)
-    _WORKER_DATABASE, _WORKER_CACHE = snapshot.restore()
-    _WORKER_ROUNDS.clear()
-    _WORKER_BODIES.clear()
-
-
-def _worker_resolve_body(body_hash: str, body_payload: bytes | None) -> RoundContext | None:
-    """Look up (or install) the round body; ``None`` asks for a resend."""
-    body = _WORKER_BODIES.get(body_hash)
-    if body is None:
-        if body_payload is None:
-            return None
-        body = pickle.loads(body_payload)
-        _WORKER_BODIES[body_hash] = body
-        while len(_WORKER_BODIES) > _WORKER_BODY_LIMIT:
-            del _WORKER_BODIES[next(iter(_WORKER_BODIES))]
-    return body
-
-
-def _process_worker_run(
-    token: str, body_hash: str, body_payload: bytes | None, unit: WorkUnit
-) -> tuple[tuple[AttemptOutcome, ...] | None, dict]:
-    """Score one work unit against the rehydrated snapshot (worker-side).
-
-    ``body_payload`` is the round's token-stripped context, pre-pickled once
-    by the driver — and shipped at most once per pool: when the driver has
-    already shipped a byte-identical body (same queries/config, any round)
-    it sends ``None``, and a worker that happens not to hold the body for
-    ``body_hash`` replies ``(None, deltas)`` so the driver resubmits the
-    unit with the bytes attached. Workers cache the built runtime by token
-    and bodies by content hash across rounds.
-
-    Returns ``(outcomes, counter_deltas)``: the worker snapshots the metrics
-    registry around the evaluation and ships the counter increments back with
-    the outcomes, so instrumentation raised in this child process (zone-map
-    skips, join delta-applies, ...) is merged into the driver's registry
-    instead of dying with the worker.
-    """
-    if _WORKER_DATABASE is None or _WORKER_CACHE is None:  # pragma: no cover - defensive
-        raise RuntimeError("worker process was not initialized with a base snapshot")
-    counters_before = REGISTRY.counter_values()
-    cached = _WORKER_ROUNDS.get(token)
-    if cached is None:
-        body = _worker_resolve_body(body_hash, body_payload)
-        if body is None:
-            return None, REGISTRY.counter_deltas(counters_before)
-        context = replace(body, token=token)
-        _WORKER_ROUNDS.clear()
-        runtime = build_round_runtime(_WORKER_DATABASE, _WORKER_CACHE, context)
-        _WORKER_ROUNDS[token] = (context, runtime)
-    else:
-        context, runtime = cached
-    outcomes = evaluate_work_unit(runtime, context, unit)
-    return outcomes, REGISTRY.counter_deltas(counters_before)
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Shard attempt evaluation over a pool of snapshot-seeded processes.
-
-    The pool is created lazily on first use and re-created only when the base
-    snapshot changes (new base database, or a round referencing a join
-    signature the broadcast snapshot does not cover). Work units are
-    dispatched in waves; with ``stop_at_first`` no further wave is submitted
-    once a resolved prefix contains a winner, bounding speculative work to
-    one wave. Outcomes are merged by unit index, never by completion order.
-
-    One pool may be **shared by many sessions** (the session service's
-    multiplexing model): ``run_attempts`` and ``close`` serialize on an
-    internal lock, so concurrent sessions' rounds execute one at a time over
-    the pool — each round still fans its attempts out across every worker —
-    and sessions over the same base database (sharing a snapshot through a
-    :class:`~repro.relational.evaluator.SharedSnapshotCache`) reuse the
-    broadcast seed instead of re-seeding on every session switch.
-    """
-
-    name = "process-pool"
-
-    def __init__(
-        self,
-        workers: int,
-        *,
-        units_per_worker: int = 2,
-        mp_context: multiprocessing.context.BaseContext | None = None,
-    ) -> None:
-        if workers < 2:
-            raise ValueError("ProcessPoolBackend needs at least 2 workers")
-        if units_per_worker < 1:
-            raise ValueError("units_per_worker must be at least 1")
-        self.workers = workers
-        self.units_per_worker = units_per_worker
-        self._mp_context = mp_context
-        self._executor: ProcessPoolExecutor | None = None
-        self._snapshot: BaseSnapshot | None = None
-        # Content hashes of round bodies already shipped to the current pool
-        # (worker body caches die with the pool, so close() clears this).
-        self._shipped_bodies: set[str] = set()
-        #: Size of the last pickled snapshot broadcast to the pool, or None
-        #: before the first seed. Diagnostics: with typed column storage the
-        #: dominant payload is the base relations' tuples, and the figure is
-        #: what every worker pays to rehydrate on a re-seed.
-        self.last_snapshot_bytes: int | None = None
-        # Guards executor lifecycle and the wave loop: a pool shared across
-        # sessions must run one round at a time (rounds still use every
-        # worker; cross-session concurrency lives in the human think time).
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------ pool
-    def _context(self) -> multiprocessing.context.BaseContext:
-        if self._mp_context is not None:
-            return self._mp_context
-        # fork is the cheap path (no re-import, snapshot bytes still pickled
-        # explicitly so behaviour matches spawn); fall back where unavailable.
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-    def _ensure_executor(self, setup: RoundSetup) -> ProcessPoolExecutor:
-        # Ask the provider every round: it memoizes planner-side and returns
-        # a *new* snapshot object exactly when the base state changed (new
-        # database, uncovered signature, or joins invalidated/rebuilt after
-        # an in-place mutation) — any of which must re-seed the pool, or the
-        # workers would keep evaluating against stale joins.
-        snapshot = setup.snapshot_provider()
-        signatures = required_signatures(setup.context)
-        if not snapshot.covers(signatures):  # pragma: no cover - defensive
-            raise ValueError(
-                "snapshot provider returned a snapshot that does not cover "
-                f"the round's join signatures {signatures}"
-            )
-        if self._executor is None or snapshot is not self._snapshot:
-            self.close()
-            payload = snapshot.to_bytes()
-            self.last_snapshot_bytes = len(payload)
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._context(),
-                initializer=_process_worker_initialize,
-                initargs=(payload,),
-            )
-            self._snapshot = snapshot
-        return self._executor
-
-    # ------------------------------------------------------------------- run
-    def run_attempts(
-        self, setup: RoundSetup, attempts: Sequence[Attempt], *, stop_at_first: bool
-    ) -> list[AttemptOutcome]:
-        if not attempts:
-            return []
-        with self._lock:
-            return self._run_attempts_locked(setup, attempts, stop_at_first=stop_at_first)
-
-    def _run_attempts_locked(
-        self, setup: RoundSetup, attempts: Sequence[Attempt], *, stop_at_first: bool
-    ) -> list[AttemptOutcome]:
-        tracer = get_tracer()
-        with tracer.span("backend.broadcast", backend=self.name) as broadcast_span:
-            executor = self._ensure_executor(setup)
-            if tracer.enabled and self.last_snapshot_bytes is not None:
-                broadcast_span.set(snapshot_bytes=self.last_snapshot_bytes)
-        if stop_at_first:
-            # Single-attempt units: early exit wastes at most one wave.
-            units = shard_attempts(attempts, len(attempts))
-            wave_size = self.workers
-        else:
-            units = shard_attempts(attempts, self.workers * self.units_per_worker)
-            wave_size = len(units)
-        token = setup.context.token
-        # The context *body* (token stripped) is pickled once per distinct
-        # content and shipped at most once per pool: rounds of one session
-        # share a byte-identical body, so every round after the first ships
-        # only ``(token, hash, None)`` with each task. A worker that does
-        # not hold the body (it never saw round one's tasks) replies with
-        # ``None`` outcomes and the unit is resubmitted with the bytes.
-        body_hash, body_payload = context_body_payload(setup.context)
-        if body_hash in self._shipped_bodies:
-            BACKEND_STATS.context_skips += 1
-            shipped_payload: bytes | None = None
-        else:
-            self._shipped_bodies.add(body_hash)
-            shipped_payload = body_payload
-        outcomes_by_unit: dict[int, tuple[AttemptOutcome, ...]] = {}
-        counter_deltas: list[dict] = []
-        position = 0
-        try:
-            while position < len(units):
-                wave = units[position : position + wave_size]
-                with tracer.span(
-                    "backend.wave", backend=self.name, units=len(wave)
-                ):
-                    futures = [
-                        executor.submit(
-                            _process_worker_run, token, body_hash, shipped_payload, unit
-                        )
-                        for unit in wave
-                    ]
-                    for unit, future in zip(wave, futures):
-                        outcomes, deltas = future.result()
-                        if deltas:
-                            counter_deltas.append(deltas)
-                        while outcomes is None:
-                            BACKEND_STATS.context_resends += 1
-                            retry = executor.submit(
-                                _process_worker_run, token, body_hash, body_payload, unit
-                            )
-                            outcomes, deltas = retry.result()
-                            if deltas:
-                                counter_deltas.append(deltas)
-                        outcomes_by_unit[unit.index] = outcomes
-                position += len(wave)
-                if stop_at_first and any(
-                    outcome.applied and outcome.distinguishes
-                    for resolved in outcomes_by_unit.values()
-                    for outcome in resolved
-                ):
-                    break
-        except BrokenProcessPool:
-            # A crashed worker (OOM kill, hard fault) permanently breaks the
-            # executor; drop it so the next round re-creates the pool
-            # instead of resubmitting to a dead one forever.
-            self.close()
-            raise
-        with tracer.span("backend.merge", backend=self.name):
-            # Worker-side counter increments merge as commutative sums, so
-            # the totals are independent of worker scheduling; outcomes merge
-            # by unit index, never by completion order.
-            for deltas in counter_deltas:
-                REGISTRY.merge_counter_deltas(deltas)
-            merged: list[AttemptOutcome] = []
-            for index in sorted(outcomes_by_unit):
-                merged.extend(outcomes_by_unit[index])
-        return merged
-
-    def close(self) -> None:
-        """Shut the pool down; the next round transparently re-creates it."""
-        with self._lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-            self._snapshot = None
-            self._shipped_bodies.clear()
-
-
-class SqlPushdownBackend(ExecutionBackend):
-    """Score attempts by compiling the round into SQLite passes.
-
-    Instead of shuttling attempt evaluation to Python-side executors, the
-    round is pushed down into the engine that already serves as the
-    correctness oracle: the base database is loaded **once per session** into
-    a persistent ``:memory:`` SQLite mirror (:class:`SqliteMirror`, rowids
-    aliased to tuple ids, join keys indexed), each round's candidate batch is
-    compiled **once** into per-join-signature aggregated SELECTs
-    (:func:`~repro.sql.pushdown.compile_round`, cached by round token), and
-    every attempt then costs one SAVEPOINT'd delta replay plus those SELECTs
-    — the join, the predicates and the group counting all run at C speed.
-
-    Determinism contract: materialization stays driver-side (it is what
-    produces the :class:`~repro.relational.delta.TupleDelta` to replay), the
-    compiled fingerprints induce exactly the evaluator's result-equality
-    classes, and attempts are scored in order — so outcomes, winners and
-    whole-session transcripts are bit-identical to :class:`SerialBackend`.
-    The faithfulness ladder is conservative: a round whose predicates cannot
-    be compiled with exact evaluator semantics (e.g. an ordering comparison
-    the evaluator would surface as an evaluation error) falls back to the
-    in-process path wholesale, and an attempt SQLite rejects at runtime is
-    re-scored individually by :func:`evaluate_attempt` — both identical to
-    serial by construction.
-
-    The mirror is invalidated exactly like the process pool's broadcast
-    snapshot: the planner's ``snapshot_provider`` memoizes per base state and
-    returns a *new* snapshot object only when the base actually changed, so
-    snapshot identity doubles as the reload signal (at most one base load per
-    session, pinned by :data:`~repro.sql.pushdown.PUSHDOWN_STATS`).
-    """
-
-    name = "sql-pushdown"
-
-    def __init__(self) -> None:
-        self._serial = SerialBackend()
-        self._mirror: SqliteMirror | None = None
-        self._snapshot: BaseSnapshot | None = None
-        self._base_unsupported = False
-        # One compiled program per round, keyed by token; a new round evicts
-        # the previous entry (tokens are process-unique, rounds sequential).
-        # ``None`` records a round whose batch cannot be compiled faithfully.
-        self._programs: dict[str, RoundProgram | None] = {}
-
-    # ----------------------------------------------------------------- mirror
-    def _ensure_mirror(self, setup: RoundSetup) -> SqliteMirror | None:
-        snapshot = setup.snapshot_provider()
-        if snapshot is not self._snapshot:
-            # Base state changed (new database, uncovered signature, or joins
-            # invalidated after an in-place mutation): reload the mirror.
-            self._discard_mirror()
-            self._snapshot = snapshot
-        if self._mirror is None and not self._base_unsupported:
-            try:
-                self._mirror = SqliteMirror(setup.database)
-            except PushdownUnsupportedError:
-                self._base_unsupported = True
-        return self._mirror
-
-    def _discard_mirror(self) -> None:
-        if self._mirror is not None:
-            self._mirror.close()
-            self._mirror = None
-        self._base_unsupported = False
-        self._programs.clear()
-
-    def _program_for(self, setup: RoundSetup) -> RoundProgram | None:
-        token = setup.context.token
-        if token not in self._programs:
-            self._programs.clear()
-            try:
-                program: RoundProgram | None = compile_round(
-                    setup.context.queries,
-                    setup.database,
-                    set_semantics=setup.context.config.set_semantics,
-                )
-            except PushdownUnsupportedError:
-                program = None
-            self._programs[token] = program
-        return self._programs[token]
-
-    # -------------------------------------------------------------------- run
-    def run_attempts(
-        self, setup: RoundSetup, attempts: Sequence[Attempt], *, stop_at_first: bool
-    ) -> list[AttemptOutcome]:
-        mirror = self._ensure_mirror(setup)
-        program = self._program_for(setup) if mirror is not None else None
-        if mirror is None or program is None:
-            PUSHDOWN_STATS.python_fallbacks += 1
-            return self._serial.run_attempts(setup, attempts, stop_at_first=stop_at_first)
-        runtime = RoundRuntime(
-            database=setup.database, space=setup.space, join_cache=setup.join_cache
-        )
-        winner_store = setup.winner_store if stop_at_first else None
-        outcomes: list[AttemptOutcome] = []
-        for attempt_index, pairs in enumerate(attempts):
-            outcome = self._evaluate_attempt_sql(
-                mirror, program, runtime, setup.context, attempt_index, pairs, winner_store
-            )
-            outcomes.append(outcome)
-            if stop_at_first and outcome.applied and outcome.distinguishes:
-                break
-        return outcomes
-
-    def _evaluate_attempt_sql(
-        self,
-        mirror: SqliteMirror,
-        program: RoundProgram,
-        runtime: RoundRuntime,
-        context: RoundContext,
-        attempt_index: int,
-        pairs: Attempt,
-        winner_store: dict | None,
-    ) -> AttemptOutcome:
-        """Score one attempt through the mirror (Python fallback on failure).
-
-        Materialization stays in process — it is the deterministic source of
-        the delta the mirror replays — but the candidate batch never touches
-        the Python evaluator: the partition comes from the compiled program's
-        fingerprints, so the attempt performs zero Python-side joins.
-        """
-        config = context.config
-        joins_before = JOIN_STATS.full_joins
-        materialization = materialize_pairs(runtime.space, pairs, runtime.database, config)
-        applied = bool(materialization.applied)
-        signature: tuple[int, ...] | None = None
-        group_sizes: tuple[int, ...] = ()
-        distinguishes = False
-        if applied:
-            try:
-                with mirror.attempt(materialization.delta) as cursor:
-                    fingerprints = program.fingerprints(cursor)
-            except PushdownExecutionError:
-                PUSHDOWN_STATS.python_fallbacks += 1
-                return evaluate_attempt(runtime, context, attempt_index, pairs, winner_store)
-            PUSHDOWN_STATS.attempt_batches += 1
-            signature = partition_signature(fingerprints)
-            sizes: dict[int, int] = {}
-            for group_id in signature:
-                sizes[group_id] = sizes.get(group_id, 0) + 1
-            group_sizes = tuple(sorted(sizes.values(), reverse=True))
-            distinguishes = len(sizes) > 1
-            if winner_store is not None and distinguishes:
-                # Finalize-ready deposit: warm the base term masks (once per
-                # live join, shared guard with the other backends) and keep
-                # the winner's derived cache entry registered, so the
-                # planner's ``partition_queries`` evaluates the feedback
-                # partition on the O(|Δ|) patched state. Only the winner pays
-                # this — losing attempts never touch the Python evaluator.
-                ensure_base_masks_warm(runtime.database, runtime.join_cache, context)
-                delta = materialization.delta
-                if delta.is_update_only and not delta.is_empty:
-                    runtime.join_cache.derive(
-                        runtime.database, delta, materialization.database
-                    )
-                winner_store["attempt_index"] = attempt_index
-                winner_store["materialization"] = materialization
-        return AttemptOutcome(
-            attempt_index=attempt_index,
-            pairs=tuple(pairs),
-            applied=applied,
-            distinguishes=distinguishes,
-            signature=signature,
-            group_sizes=group_sizes,
-            modification_count=materialization.modification_count,
-            modified_tuple_count=materialization.modified_tuple_count,
-            modified_relation_count=materialization.modified_relation_count,
-            side_effect_count=materialization.side_effect_count,
-            skipped_pair_count=len(materialization.skipped_pairs),
-            db_cost=materialization.modification_count
-            + config.beta * materialization.modified_relation_count,
-            full_joins=JOIN_STATS.full_joins - joins_before,
-        )
-
-    def close(self) -> None:
-        """Drop the mirror connection; the next round transparently reloads."""
-        self._discard_mirror()
-        self._snapshot = None
-
-
 def create_backend(workers: int | None, backend: str = "auto") -> ExecutionBackend:
     """The backend for a worker count and backend name.
 
-    ``auto`` keeps the historical worker-count rule — serial for ``0``/``1``
-    workers, a process pool otherwise. An explicit name always wins:
-    ``serial`` and ``sql`` ignore the worker count entirely, while
-    ``process`` and ``warm`` raise the count to the pools' minimum of two
-    when needed.
+    ``auto`` runs serial for ``0``/``1`` workers and the warm pool otherwise.
+    An explicit name always wins: ``serial`` ignores the worker count, while
+    ``warm`` raises it to the pool's minimum of two when needed.
     """
     name = backend_name(backend)
-    if name == "serial":
+    if name == "serial" or (name == "auto" and (workers is None or workers <= 1)):
         return SerialBackend()
-    if name == "sql":
-        return SqlPushdownBackend()
-    if name == "process":
-        return ProcessPoolBackend(max(2, workers or 0))
-    if name == "warm":
-        # Imported lazily: worker_runtime imports this module at load time.
-        from repro.core.worker_runtime import WarmProcessPoolBackend
+    # Imported lazily: worker_runtime imports this module at load time.
+    from repro.core.worker_runtime import WarmProcessPoolBackend
 
-        return WarmProcessPoolBackend(max(2, workers or 0))
-    if workers is None or workers <= 1:
-        return SerialBackend()
-    return ProcessPoolBackend(workers)
+    return WarmProcessPoolBackend(max(2, workers or 0))

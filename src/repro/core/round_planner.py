@@ -12,10 +12,10 @@ round into three phases:
    exactly the fallback order the serial generator always used.
 2. **Candidate-modification search (execution backend).** Score attempts by
    concrete materialization + delta-derived partitioning until one
-   distinguishes. The serial backend runs this in process; the process-pool
-   backend shards the attempts over workers that hold a delta-replicated
-   snapshot of the base state and return compact ``(pairs, partition
-   signature, cost)`` outcomes. Merging is by attempt index, so the winning
+   distinguishes. The serial backend runs this in process; the warm pool
+   shards the attempts over persistent workers that hold a snapshot of the
+   base state and return compact ``(pairs, partition signature, cost)``
+   outcomes. Merging is by attempt index, so the winning
    attempt — and therefore the whole session transcript — is bit-identical
    for every backend and worker count.
 3. **Finalize (driver).** Re-materialize only the winning attempt locally
@@ -452,7 +452,7 @@ class RoundPlanner:
         scores them through the tuple-class abstraction; this sweep
         materializes each of the first *max_pairs* pairs for real and
         computes its exact partition signature — the workload the
-        ``round-planner`` benchmark group measures serial vs process-pool.
+        ``round-planner`` benchmark group measures serial vs the warm pool.
         """
         plan = self.prepare_round(original, result, queries)
         attempts = candidate_pair_attempts(plan.space, max_pairs=max_pairs)

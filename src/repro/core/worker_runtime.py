@@ -1,29 +1,20 @@
-"""Warm persistent worker runtime: delta-shipped rounds over a live pool.
+"""Warm persistent worker runtime: the one parallel execution backend.
 
-The classic :class:`~repro.core.execution_backend.ProcessPoolBackend` treats
-workers as stateless attempt evaluators: the base snapshot is re-broadcast
-whenever its identity changes, every round re-ships the pickled round context
-with every task, and sharding is a fixed ``workers × units_per_worker``. This
-module restructures that path into a **worker runtime** whose child processes
-live for the whole session and hold *versioned* base state:
+:class:`WarmProcessPoolBackend` runs rounds on a pool of child processes
+that live for the whole session (and, on a shared service pool, across
+sessions) and hold *versioned* base state:
 
-* **Install once, advance by delta.** Each worker owns a resident
+* **Install once.** Each worker owns a resident
   :class:`~repro.relational.evaluator.BaseSnapshot` (database + joins +
-  columnar views). The initial install is free under ``fork`` (the snapshot
-  is inherited copy-on-write), a raw-buffer map under the shared-memory
-  variant (:meth:`BaseSnapshot.to_shared_memory`), or one pickle otherwise.
-  When the host advances the base in place it publishes only the
-  :class:`~repro.relational.delta.TupleDelta`
-  (:meth:`WarmProcessPoolBackend.advance_base`); workers replay it with
-  :meth:`BaseSnapshot.advance` — cross-version traffic is O(|Δ|), never
-  O(|D|). (A QFE session never mutates its base, so *within* a session the
-  protocol ships no base bytes at all; the delta path serves base-evolving
-  hosts — service pair updates, long benchmark suites — and pool rebuilds.)
+  columnar views). The install is free under ``fork`` (the snapshot is
+  inherited copy-on-write) and one pickle otherwise. A QFE session never
+  mutates its base, so within a session no base bytes are shipped at all.
 
-* **Versioned lazy sync.** Every task carries the driver's base version.
-  Recent delta ops piggyback on tasks while any worker may lag; a worker that
-  cannot catch up replies ``need-sync`` and the driver resubmits with an
-  authoritative install payload. No global barrier, no pool teardown.
+* **Versioned lazy sync.** Every task carries the driver's base version. A
+  worker that does not hold that version replies ``need-sync`` and the
+  driver resubmits the task with an authoritative install payload. A new
+  base (another service pair, a pool rebuild) therefore needs no global
+  barrier and no pool teardown.
 
 * **Round planning in the worker.** A round-planning backend
   (``plans_rounds``) receives only a content-hashed round *body* (queries +
@@ -37,10 +28,10 @@ live for the whole session and hold *versioned* base state:
   delta to finalize. Prologue, evaluation and merge order are all
   deterministic, so transcripts stay bit-identical to serial.
 
-* **Cost-model work units.** Fixed sharding is replaced by units sized from a
-  measured per-attempt EWMA (:class:`AttemptCostModel`), seeded by round 1
-  and updated from per-unit timings merged back with the worker counter
-  deltas (``qfe_backend_attempt_micros`` / ``qfe_backend_attempts_evaluated``).
+* **Cost-model work units.** Units are sized from a measured per-attempt
+  EWMA (:class:`AttemptCostModel`), seeded by round 1 and updated from
+  per-unit timings merged back with the worker counter deltas
+  (``qfe_backend_attempt_micros`` / ``qfe_backend_attempts_evaluated``).
 
 Everything observable lives in :data:`BACKEND_STATS` (``qfe_backend_*``
 registry counters — e.g. ``qfe_backend_bytes_shipped``,
@@ -58,7 +49,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import multiprocessing
 
@@ -82,7 +73,7 @@ from repro.core.execution_backend import (
 from repro.exceptions import DatabaseGenerationError
 from repro.obs.registry import REGISTRY, register_worker_stats_participant
 from repro.obs.trace import get_tracer
-from repro.relational.evaluator import BaseSnapshot, JoinCache, SharedSnapshotHandle
+from repro.relational.evaluator import BaseSnapshot, JoinCache
 
 __all__ = [
     "BACKEND_STATS",
@@ -91,8 +82,12 @@ __all__ = [
     "RemoteRound",
     "RemotePlan",
     "RemoteWinner",
-    "advance_base_in_place",
 ]
+
+#: Weight of the newest per-attempt sample in the cost model's EWMA.
+_EWMA_ALPHA = 0.3
+#: Estimated seconds of work a cost-model-sized unit should carry.
+_TARGET_UNIT_SECONDS = 0.02
 
 
 # ------------------------------------------------------------------ cost model
@@ -100,7 +95,7 @@ class AttemptCostModel:
     """EWMA estimate of per-attempt seconds, driving work-unit sizing.
 
     Seeded by the first round's measured unit timings; before any
-    observation, :meth:`unit_count` falls back to the classic
+    observation, :meth:`unit_count` falls back to fixed
     ``workers × 2`` oversharding. Afterwards a unit is sized to
     ``target_unit_seconds`` of estimated work — long enough to amortize task
     dispatch, short enough that early-stop waste and stragglers stay bounded
@@ -110,8 +105,8 @@ class AttemptCostModel:
     def __init__(
         self,
         *,
-        alpha: float = 0.3,
-        target_unit_seconds: float = 0.02,
+        alpha: float = _EWMA_ALPHA,
+        target_unit_seconds: float = _TARGET_UNIT_SECONDS,
         default_attempt_seconds: float = 0.005,
     ) -> None:
         if not (0.0 < alpha <= 1.0):
@@ -149,7 +144,7 @@ class AttemptCostModel:
         if total_attempts <= 0:
             return 0
         if self._ewma is None:
-            # Round 1: no measurements yet — classic oversharding.
+            # Round 1: no measurements yet — fixed oversharding.
             return min(total_attempts, workers * 2)
         per_unit = max(1, round(self.target_unit_seconds / max(self._ewma, 1e-9)))
         count = -(-total_attempts // per_unit)  # ceil
@@ -159,18 +154,10 @@ class AttemptCostModel:
 # ------------------------------------------------------------- wire dataclasses
 @dataclass(frozen=True)
 class _Install:
-    """Authoritative full base install: one pickle or one shm manifest."""
+    """Authoritative full base install: the pickled snapshot."""
 
     version: int
-    snapshot_bytes: bytes | None
-    shm_manifest: dict | None
-
-
-@dataclass(frozen=True)
-class _SyncOps:
-    """Recent delta ops ((target_version, pickled TupleDelta), ascending)."""
-
-    ops: tuple[tuple[int, bytes], ...]
+    snapshot_bytes: bytes
 
 
 @dataclass(frozen=True)
@@ -179,7 +166,7 @@ class _PlanTask:
     token: str
     body_hash: str
     body: bytes | None
-    sync: "_Install | _SyncOps | None"
+    sync: _Install | None = None  # attached on a need-sync resubmit
 
 
 @dataclass(frozen=True)
@@ -190,15 +177,13 @@ class _RunTask:
     body: bytes | None
     unit: WorkUnit
     stop_at_first: bool
-    sync: "_Install | _SyncOps | None"
+    sync: _Install | None = None  # attached on a need-sync resubmit
 
 
 @dataclass(frozen=True)
 class _NeedSync:
-    """Worker cannot reach the task's base version with what it was given."""
+    """Worker does not hold the task's base version (ship an install)."""
 
-    pid: int
-    version: int
     counter_deltas: dict
 
 
@@ -206,8 +191,6 @@ class _NeedSync:
 class _NeedContext:
     """Worker lacks the round body for the task's hash (ship the bytes)."""
 
-    pid: int
-    version: int
     body_hash: str
     counter_deltas: dict
 
@@ -235,8 +218,6 @@ class RemoteWinner:
 
 @dataclass(frozen=True)
 class _PlanReply:
-    pid: int
-    version: int
     cache_hit: bool
     error: str | None
     skyline_pair_count: int
@@ -250,8 +231,6 @@ class _PlanReply:
 
 @dataclass(frozen=True)
 class _RunReply:
-    pid: int
-    version: int
     outcomes: tuple[AttemptOutcome, ...]
     winner: RemoteWinner | None
     elapsed: float
@@ -281,35 +260,25 @@ class RemoteRound:
 
 
 # --------------------------------------------------------------- worker globals
-_OPS_HISTORY = 8
 _PLAN_CACHE_LIMIT = 8
 _ROUND_LIMIT = 4
 _BODY_LIMIT = 8
 _SYNC_RETRIES = 6
 
 
-class _ForkSeed:
+class _ForkSeed(NamedTuple):
     """Driver-side seed inherited by fork-started workers (zero bytes shipped)."""
 
-    __slots__ = ("version", "snapshot")
-
-    def __init__(self, version: int, snapshot: BaseSnapshot) -> None:
-        self.version = version
-        self.snapshot = snapshot
+    version: int
+    snapshot: BaseSnapshot
 
 
-class _WorkerBase:
-    """A worker's resident base: versioned snapshot, database, seeded cache."""
+class _WorkerBase(NamedTuple):
+    """A worker's resident base: its version, database and seeded join cache."""
 
-    __slots__ = ("version", "snapshot", "database", "cache")
-
-    def __init__(
-        self, version: int, snapshot: BaseSnapshot, database: Any, cache: JoinCache
-    ) -> None:
-        self.version = version
-        self.snapshot = snapshot
-        self.database = database
-        self.cache = cache
+    version: int
+    database: Any
+    cache: JoinCache
 
 
 @dataclass
@@ -353,7 +322,7 @@ def _set_fork_seed(version: int, snapshot: BaseSnapshot) -> None:
 def _install_snapshot(version: int, snapshot: BaseSnapshot) -> None:
     global _BASE
     database, cache = snapshot.restore()
-    _BASE = _WorkerBase(version, snapshot, database, cache)
+    _BASE = _WorkerBase(version, database, cache)
     _PLANS.clear()
     _ROUNDS.clear()
     BACKEND_STATS.snapshot_installs += 1
@@ -366,7 +335,7 @@ def _warm_worker_initialize() -> None:
     live snapshot object — arrives copy-on-write with the address space, so
     the install ships zero bytes. Under spawn the global is unset and the
     worker starts base-less: its first task replies ``need-sync`` and the
-    driver ships an authoritative install (pickle or shm manifest).
+    driver ships an authoritative install (one snapshot pickle).
     """
     global _LAST_REPORT
     # A forked child inherits the driver's registry *values*; baseline them
@@ -379,44 +348,13 @@ def _warm_worker_initialize() -> None:
         _install_snapshot(seed.version, seed.snapshot)
 
 
-def _apply_advance(delta: Any, target_version: int) -> None:
-    base = _BASE
-    assert base is not None
-    # The snapshot advances its joins incrementally and mutates the database
-    # in place; the identity-keyed cache must drop the pre-advance joins (and
-    # any derived children) first, then re-adopt the patched ones.
-    base.cache.invalidate(base.database)
-    base.snapshot.advance(delta)
-    for signature, joined in base.snapshot.joins.items():
-        base.cache.adopt(base.database, signature, joined)
-    base.version = target_version
-    _PLANS.clear()
-    _ROUNDS.clear()
-    BACKEND_STATS.snapshot_advances += 1
-
-
-def _sync_to(version: int, sync: "_Install | _SyncOps | None") -> bool:
+def _sync_to(version: int, sync: _Install | None) -> bool:
     """Bring the resident base to *version*; True when current afterwards."""
     if _BASE is not None and _BASE.version == version:
         return True
-    if isinstance(sync, _Install) and sync.version == version:
-        if sync.shm_manifest is not None:
-            snapshot = BaseSnapshot.from_shared_memory(sync.shm_manifest)
-            BACKEND_STATS.shm_bytes_mapped += int(sync.shm_manifest["total"])
-        elif sync.snapshot_bytes is not None:
-            snapshot = BaseSnapshot.from_bytes(sync.snapshot_bytes)
-        else:  # pragma: no cover - driver always fills one variant
-            return False
-        _install_snapshot(version, snapshot)
+    if sync is not None and sync.version == version:
+        _install_snapshot(version, BaseSnapshot.from_bytes(sync.snapshot_bytes))
         return True
-    if isinstance(sync, _SyncOps) and _BASE is not None:
-        for target, payload in sync.ops:
-            if target <= _BASE.version:
-                continue
-            if target != _BASE.version + 1:
-                break  # gap: this worker is too far behind the op window
-            _apply_advance(pickle.loads(payload), target)
-        return _BASE is not None and _BASE.version == version
     return False
 
 
@@ -462,8 +400,6 @@ def _handle_plan(task: _PlanTask, context: RoundContext) -> _PlanReply:
             prologue = compute_prologue(base.database, base.cache, context)
         except DatabaseGenerationError as exc:
             return _PlanReply(
-                pid=os.getpid(),
-                version=base.version,
                 cache_hit=False,
                 error=str(exc),
                 skyline_pair_count=0,
@@ -491,8 +427,6 @@ def _handle_plan(task: _PlanTask, context: RoundContext) -> _PlanReply:
             _PLANS.popitem(last=False)
     _register_round(task.token, context, entry.runtime)
     return _PlanReply(
-        pid=os.getpid(),
-        version=base.version,
         cache_hit=cache_hit,
         error=None,
         skyline_pair_count=entry.skyline_pair_count,
@@ -514,7 +448,7 @@ def _handle_run(task: _RunTask, context: RoundContext) -> _RunReply:
         context, runtime = state
     else:
         # This worker never saw the round's plan (another worker planned it,
-        # or the caller uses the classic run_attempts interface): build the
+        # or the caller uses the run_attempts interface): build the
         # evaluation runtime — space + warm masks, no skyline — against the
         # resident base, reusing a content-matched plan entry when present.
         entry = _PLANS.get((base.version, task.body_hash))
@@ -558,8 +492,6 @@ def _handle_run(task: _RunTask, context: RoundContext) -> _RunReply:
     BACKEND_STATS.attempts_evaluated += len(outcomes)
     BACKEND_STATS.attempt_micros += int(elapsed * 1e6)
     return _RunReply(
-        pid=os.getpid(),
-        version=base.version,
         outcomes=tuple(outcomes),
         winner=winner,
         elapsed=elapsed,
@@ -570,19 +502,10 @@ def _handle_run(task: _RunTask, context: RoundContext) -> _RunReply:
 def _warm_call(task: "_PlanTask | _RunTask"):
     """Single worker entry point: sync, resolve context, plan or run."""
     if not _sync_to(task.version, task.sync):
-        return _NeedSync(
-            pid=os.getpid(),
-            version=-1 if _BASE is None else _BASE.version,
-            counter_deltas=_report_deltas(),
-        )
+        return _NeedSync(counter_deltas=_report_deltas())
     context = _context_for(task)
     if context is None:
-        return _NeedContext(
-            pid=os.getpid(),
-            version=_BASE.version if _BASE is not None else -1,
-            body_hash=task.body_hash,
-            counter_deltas=_report_deltas(),
-        )
+        return _NeedContext(body_hash=task.body_hash, counter_deltas=_report_deltas())
     if isinstance(task, _PlanTask):
         return _handle_plan(task, context)
     return _handle_run(task, context)
@@ -605,57 +528,38 @@ def _warm_reset_counters() -> int:
 class WarmProcessPoolBackend(ExecutionBackend):
     """Persistent warm worker pool: versioned base state, remote round planning.
 
-    Differences from :class:`~repro.core.execution_backend.ProcessPoolBackend`:
-
-    * the pool is never torn down on base change — workers upgrade lazily via
-      the versioned sync protocol (delta ops piggybacked on tasks, full
-      install only as the need-sync fallback);
+    * The pool is never torn down on base change — workers upgrade lazily via
+      the versioned sync protocol (a full install on need-sync).
     * ``plans_rounds`` is set, so :class:`~repro.core.round_planner.\
 RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
       (and is content-cached) worker-side, and only compact specs, outcomes
-      and the winner's delta + batch cross the process boundary;
-    * work units are sized by the measured :class:`AttemptCostModel` instead
-      of a fixed ``units_per_worker``;
-    * with ``use_shared_memory`` the install payload is a raw-buffer
-      shared-memory block (typed columns exported zero-pickle, attached with
-      one ``frombytes`` copy per column) instead of a snapshot pickle.
+      and the winner's delta + batch cross the process boundary.
+    * Work units are sized by the measured :class:`AttemptCostModel`.
 
-    The determinism contract is unchanged: outcomes merge by attempt order,
-    the prologue is the identical deterministic code on identical replicated
-    state, and the winner's delta replays the exact winning database — so
-    transcripts are bit-identical to :class:`SerialBackend` at any worker
-    count, before and after crashes (a :class:`BrokenProcessPool` rebuilds
-    the pool from the current fork seed and deterministically retries the
-    round once).
+    One pool may be **shared by many sessions** (the session service's
+    multiplexing model): rounds serialize on an internal lock, and each
+    round still fans its attempts out across every worker.
+
+    Determinism: outcomes merge by attempt order, the prologue is the
+    identical deterministic code on identical replicated state, and the
+    winner's delta replays the exact winning database — so transcripts are
+    bit-identical to :class:`SerialBackend` at any worker count, before and
+    after crashes (a :class:`BrokenProcessPool` rebuilds the pool from the
+    current fork seed and deterministically retries the round once).
     """
 
     name = "warm-pool"
     plans_rounds = True
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        mp_context: multiprocessing.context.BaseContext | None = None,
-        target_unit_seconds: float = 0.02,
-        ewma_alpha: float = 0.3,
-        use_shared_memory: bool = False,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise ValueError("WarmProcessPoolBackend needs at least 2 workers")
         self.workers = workers
-        self.use_shared_memory = use_shared_memory
-        self.cost_model = AttemptCostModel(
-            alpha=ewma_alpha, target_unit_seconds=target_unit_seconds
-        )
-        self._mp_context = mp_context
+        self.cost_model = AttemptCostModel()
         self._executor: ProcessPoolExecutor | None = None
         self._snapshot: BaseSnapshot | None = None
         self._version = 0
-        self._ops: list[tuple[int, bytes]] = []
         self._install_bytes: bytes | None = None
-        self._shm_handle: SharedSnapshotHandle | None = None
-        self._worker_versions: dict[int, int] = {}
         self._shipped_bodies: set[str] = set()
         self._current_body: tuple[str, bytes] | None = None
         self.last_snapshot_bytes: int | None = None
@@ -665,35 +569,25 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
         register_worker_stats_participant(self)
 
     # ------------------------------------------------------------------- pool
-    def _context(self) -> multiprocessing.context.BaseContext:
-        if self._mp_context is not None:
-            return self._mp_context
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
             # Workers fork at first submit, inheriting the *current* fork
             # seed — _ensure_base always runs first, so the seed is fresh.
+            # fork is the cheap path; fall back to spawn where unavailable.
+            methods = multiprocessing.get_all_start_methods()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=self._context(),
+                mp_context=multiprocessing.get_context(
+                    "fork" if "fork" in methods else "spawn"
+                ),
                 initializer=_warm_worker_initialize,
             )
-            self._worker_versions.clear()
         return self._executor
 
     def _teardown_executor(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self._worker_versions.clear()
-
-    def _drop_install_cache(self) -> None:
-        self._install_bytes = None
-        if self._shm_handle is not None:
-            self._shm_handle.unlink()
-            self._shm_handle = None
 
     # ------------------------------------------------------------------- base
     def _ensure_base(self, snapshot: BaseSnapshot, signatures) -> None:
@@ -704,75 +598,21 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
             )
         if snapshot is not self._snapshot:
             # Structurally new base (new database, uncovered signature, or
-            # joins rebuilt after an in-place mutation the host did not
-            # publish as a delta): bump the version and let workers pull a
-            # full install lazily. The pool itself stays up.
+            # joins rebuilt after an in-place mutation): bump the version and
+            # let workers pull a full install lazily. The pool stays up.
             self._version += 1
             self._snapshot = snapshot
-            self._ops.clear()
-            self._drop_install_cache()
+            self._install_bytes = None
             _set_fork_seed(self._version, snapshot)
-
-    def advance_base(self, delta) -> None:
-        """Publish an in-place base advance as a delta (O(|Δ|) to sync).
-
-        Contract: the caller has already advanced the live base this backend
-        was seeded with — database, snapshot and driver-side join cache — via
-        :meth:`BaseSnapshot.advance` (see :func:`advance_base_in_place` for
-        the full dance). Workers replay only the delta; a worker that missed
-        too many ops falls back to a full install via need-sync.
-        """
-        with self._lock:
-            if self._snapshot is None:
-                raise RuntimeError("advance_base requires an installed base")
-            payload = pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL)
-            self._version += 1
-            self._ops.append((self._version, payload))
-            del self._ops[:-_OPS_HISTORY]
-            self._drop_install_cache()
-            seed = _FORK_SEED
-            if seed is not None and seed.snapshot is self._snapshot:
-                seed.version = self._version
-            BACKEND_STATS.bytes_shipped += len(payload)
-            with get_tracer().span(
-                "backend.advance", backend=self.name, delta_bytes=len(payload)
-            ):
-                pass
 
     def _install_payload(self) -> _Install:
         snapshot = self._snapshot
         assert snapshot is not None
-        if self.use_shared_memory:
-            if self._shm_handle is None:
-                self._shm_handle = snapshot.to_shared_memory()
-                self.last_snapshot_bytes = self._shm_handle.total_bytes
-                manifest_bytes = len(
-                    pickle.dumps(self._shm_handle.manifest, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                # Only the manifest crosses the pipe; the buffers are mapped.
-                BACKEND_STATS.bytes_shipped += manifest_bytes
-            return _Install(
-                version=self._version,
-                snapshot_bytes=None,
-                shm_manifest=self._shm_handle.manifest,
-            )
         if self._install_bytes is None:
             self._install_bytes = snapshot.to_bytes()
             self.last_snapshot_bytes = len(self._install_bytes)
         BACKEND_STATS.bytes_shipped += len(self._install_bytes)
-        return _Install(
-            version=self._version,
-            snapshot_bytes=self._install_bytes,
-            shm_manifest=None,
-        )
-
-    def _sync_ops(self) -> _SyncOps | None:
-        if not self._ops:
-            return None
-        versions = self._worker_versions
-        if len(versions) >= self.workers and min(versions.values()) >= self._version:
-            return None  # every known worker already caught up
-        return _SyncOps(ops=tuple(self._ops))
+        return _Install(version=self._version, snapshot_bytes=self._install_bytes)
 
     # ---------------------------------------------------------------- context
     def _body_for(self, context: RoundContext) -> tuple[str, bytes | None]:
@@ -785,11 +625,6 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
         return digest, payload
 
     # --------------------------------------------------------------- dispatch
-    def _note_reply(self, reply) -> None:
-        self._worker_versions[reply.pid] = reply.version
-        if reply.counter_deltas:
-            REGISTRY.merge_counter_deltas(reply.counter_deltas)
-
     def _account_task(self, task) -> None:
         if isinstance(task, _RunTask):
             BACKEND_STATS.units_dispatched += 1
@@ -807,7 +642,8 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
         while pending:
             for index in sorted(pending):
                 reply = pending.pop(index).result()
-                self._note_reply(reply)
+                if reply.counter_deltas:
+                    REGISTRY.merge_counter_deltas(reply.counter_deltas)
                 if isinstance(reply, _NeedSync):
                     BACKEND_STATS.worker_resyncs += 1
                     tries[index] += 1
@@ -853,7 +689,6 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
                     body=body,
                     unit=unit,
                     stop_at_first=True,
-                    sync=self._sync_ops(),
                 )
                 for unit in units
             ]
@@ -925,7 +760,6 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
                         token=token,
                         body_hash=body_hash,
                         body=body,
-                        sync=self._sync_ops(),
                     )
                 ],
             )[0]
@@ -948,7 +782,7 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
             )
         return RemoteRound(plan=plan, outcomes=outcomes, winner=winner)
 
-    # ------------------------------------------------- classic attempt interface
+    # ------------------------------------------------------- attempt interface
     def run_attempts(
         self, setup: RoundSetup, attempts: Sequence[Attempt], *, stop_at_first: bool
     ) -> list[AttemptOutcome]:
@@ -989,7 +823,6 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
                 body=body,
                 unit=unit,
                 stop_at_first=False,
-                sync=self._sync_ops(),
             )
             for unit in units
         ]
@@ -1039,8 +872,7 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
         with self._lock:
             if self._snapshot is not None and self._snapshot.database is database:
                 self._snapshot = None
-                self._ops.clear()
-                self._drop_install_cache()
+                self._install_bytes = None
 
     def worker_pids(self) -> tuple[int, ...]:
         """Live child process ids (fault-injection tests kill one of these)."""
@@ -1051,37 +883,10 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
             return tuple(processes)
 
     def close(self) -> None:
-        """Shut the pool down and release shared memory; stays reusable."""
+        """Shut the pool down; the backend stays reusable."""
         with self._lock:
             self._teardown_executor()
             self._snapshot = None
-            self._ops.clear()
-            self._drop_install_cache()
+            self._install_bytes = None
             self._shipped_bodies.clear()
             self._current_body = None
-
-
-def advance_base_in_place(
-    snapshot: BaseSnapshot,
-    delta,
-    *,
-    join_cache: JoinCache | None = None,
-    backend: ExecutionBackend | None = None,
-) -> None:
-    """Advance a live base everywhere it is cached, shipping only the delta.
-
-    The one dance base-evolving hosts need: advance the snapshot (joins
-    patched incrementally, database mutated in place), re-adopt the advanced
-    joins into the driver's identity-keyed *join_cache* (so a
-    :class:`~repro.relational.evaluator.SharedSnapshotCache` holding this
-    snapshot stays *current* and no re-capture/re-broadcast is triggered),
-    and publish the delta to the warm *backend* so resident workers advance
-    their replicas in O(|Δ|).
-    """
-    snapshot.advance(delta)
-    if join_cache is not None:
-        join_cache.invalidate(snapshot.database)
-        for signature, joined in snapshot.joins.items():
-            join_cache.adopt(snapshot.database, signature, joined)
-    if backend is not None and hasattr(backend, "advance_base"):
-        backend.advance_base(delta)

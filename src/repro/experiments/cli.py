@@ -10,7 +10,7 @@ Installed as the ``qfe-experiments`` console script (with a
 The ``scenarios`` experiment runs the scenario engine's scale sweep instead
 of a paper table: it generates the named scenarios at every requested scale,
 cross-checks every generated query against the SQLite oracle, runs each
-scenario end to end on the serial and process-pool backends (canonical
+scenario end to end on the serial and warm-pool backends (canonical
 transcripts must be bit-identical), and records the per-scale trajectory
 into ``benchmarks/BENCH_scenarios.json``::
 

@@ -202,11 +202,11 @@ def run_session(
     """Run one QFE session over an explicit ``(D, R, target)`` triple.
 
     ``workers`` selects the round planner's execution backend (0/1 serial,
-    ≥2 a process pool); when omitted, the process-wide default installed by
+    ≥2 the warm pool); when omitted, the process-wide default installed by
     :func:`set_default_workers` applies, then the config's ``workers`` field.
     An explicit ``backend`` (an :class:`~repro.core.execution_backend.\
 ExecutionBackend`) overrides both and is *not* owned by the session — the
-    scenario sweep reuses one process pool across many sessions this way.
+    scenario sweep reuses one warm pool across many sessions this way.
     ``join_cache``/``snapshot_cache`` are likewise shared-not-owned when
     given: passing the same pair across several ``run_session`` calls over
     the same base database makes later sessions start warm (no cold join,

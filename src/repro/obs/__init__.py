@@ -6,7 +6,7 @@ funnels through this package:
 * :mod:`repro.obs.registry` — a thread-safe :class:`MetricsRegistry` of typed
   Counter/Gauge/Histogram instruments with label support. The process-wide
   default registry (:data:`REGISTRY`) backs the legacy stats objects
-  (``JOIN_STATS``, ``COLUMNAR_STATS``, ``PUSHDOWN_STATS``, the service's
+  (``JOIN_STATS``, ``COLUMNAR_STATS``, ``BACKEND_STATS``, the service's
   ``_Metrics``) behind their historical attribute APIs, and provides the
   counter snapshot/merge protocol worker processes use to ship their
   increments back to the driver with each round.

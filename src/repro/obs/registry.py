@@ -352,7 +352,7 @@ class MetricsRegistry:
 
 
 #: The process-wide default registry. The legacy stats objects
-#: (``JOIN_STATS``, ``COLUMNAR_STATS``, ``PUSHDOWN_STATS``) register their
+#: (``JOIN_STATS``, ``COLUMNAR_STATS``, ``BACKEND_STATS``) register their
 #: counters here at import time; worker merge and the Prometheus exposition
 #: read from it.
 REGISTRY = MetricsRegistry()

@@ -9,8 +9,7 @@ phase                   source spans
 ======================  ====================================================
 ``prepare``             ``round.prepare`` (candidate enumeration, planning),
                         ``backend.plan`` (warm-pool remote prologue)
-``ship``                ``backend.broadcast`` (context pickling/base loads),
-                        ``backend.advance`` (warm-pool delta publication)
+``ship``                ``backend.broadcast`` (context pickling/base loads)
 ``evaluate``            ``round.search`` minus its ship/plan/merge children
 ``merge``               ``backend.merge`` (worker outcome + counter merge)
 ``materialize``         ``round.materialize`` (winning database build)
@@ -43,7 +42,6 @@ _PHASE_OF_SPAN = {
     "round.prepare": "prepare",
     "backend.plan": "prepare",
     "backend.broadcast": "ship",
-    "backend.advance": "ship",
     "backend.merge": "merge",
     "round.materialize": "materialize",
     "round.present": "present",

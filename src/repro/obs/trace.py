@@ -6,7 +6,7 @@ line in the sink — measuring durations on the monotonic clock
 span opened while another is active on the same thread becomes its child
 (``parent_id``), which is how one ``session.propose`` span ends up owning
 its round's ``round.prepare``/``round.search``/``round.materialize``
-children and the search span owns the backend's broadcast/wave spans.
+children and the search span owns the backend's broadcast/plan/merge spans.
 
 **Zero cost when disabled.** The process-wide tracer defaults to
 :data:`NULL_TRACER`, whose :meth:`~NullTracer.span` returns a shared no-op
@@ -21,7 +21,7 @@ including its open file descriptor, which two processes must not interleave
 writes on. Every span creation therefore checks the owning pid and silently
 degrades to the no-op span in any other process; worker-side activity is
 observable through the counter snapshot/merge protocol instead
-(:mod:`repro.obs.registry`), and the driver-side wave spans bound it in
+(:mod:`repro.obs.registry`), and the driver-side backend spans bound it in
 time.
 
 Span line format (one JSON object per line)::

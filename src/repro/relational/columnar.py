@@ -82,8 +82,6 @@ __all__ = [
     "StringColumn",
     "BoolColumn",
     "build_typed_column",
-    "export_typed_column",
-    "typed_column_from_buffer",
     "object_column_bytes",
     "pack_bools",
     "pack_bools_reference",
@@ -134,8 +132,6 @@ class ColumnarStats(RegistryStats):
         "zone_block_fills",
         "zone_block_skips",
         "zone_boundary_rows",
-        "buffer_exports",
-        "buffer_imports",
     )
     _HELP = {
         "typed_columns": "Columns stored in typed compact form.",
@@ -148,8 +144,6 @@ class ColumnarStats(RegistryStats):
         "zone_block_fills": "Zone blocks answered wholesale (all-match).",
         "zone_block_skips": "Zone blocks skipped wholesale (no-match).",
         "zone_boundary_rows": "Rows tested individually at zone boundaries.",
-        "buffer_exports": "Typed columns exported as raw buffers (shm ship).",
-        "buffer_imports": "Typed columns rebuilt from raw buffers (shm attach).",
     }
 
 
@@ -276,6 +270,8 @@ def object_column_bytes(column: Sequence[Any]) -> int:
 
 
 # --------------------------------------------------------------------------- typed columns
+
+
 class TypedColumn:
     """Compact column: a typed buffer plus a sparse boxed side table.
 
@@ -496,18 +492,6 @@ class TypedColumn:
     def _payload_bytes(self) -> int:
         raise NotImplementedError
 
-    def export_buffer(self) -> tuple[dict[str, Any], bytes]:
-        """Split the column into a small picklable descriptor + one raw buffer.
-
-        The descriptor carries the layout tag, the boxed side table, and any
-        non-buffer payload (the string dictionary); the second element is the
-        raw buffer bytes, suitable for writing straight into a shared-memory
-        block. :func:`typed_column_from_buffer` is the inverse; lazy
-        acceleration structures (index/zones) are never exported and rebuild
-        on demand, mirroring pickling.
-        """
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self._length} rows, {len(self._special)} special)"
 
@@ -723,17 +707,6 @@ class _NumericColumn(TypedColumn):
         self._length = len(self._data)
         _init_lazy(self)
 
-    # buffer export
-    _BUFFER_LAYOUT = ""
-
-    def export_buffer(self) -> tuple[dict[str, Any], bytes]:
-        meta = {
-            "layout": self._BUFFER_LAYOUT,
-            "typecode": self._data.typecode,
-            "special": dict(self._special),
-        }
-        return meta, self._data.tobytes()
-
 
 class IntColumn(_NumericColumn):
     """Integer buffer, bit-width-reduced to the narrowest ``array`` typecode
@@ -743,7 +716,6 @@ class IntColumn(_NumericColumn):
 
     __slots__ = ()
     typecode = "q"
-    _BUFFER_LAYOUT = "int"
 
     @property
     def kind(self) -> str:  # type: ignore[override]
@@ -780,7 +752,6 @@ class FloatColumn(_NumericColumn):
     __slots__ = ()
     typecode = "d"
     kind = "float64"
-    _BUFFER_LAYOUT = "float"
 
     def _store(self, data: "array[float]", position: int, value: Any) -> bool:
         if type(value) is float and value == value:
@@ -948,17 +919,6 @@ class StringColumn(TypedColumn):
         self._length = len(self._codes)
         _init_lazy(self)
 
-    # buffer export (the dictionary rides in the descriptor: it is shared,
-    # immutable, and usually tiny next to the code buffer)
-    def export_buffer(self) -> tuple[dict[str, Any], bytes]:
-        meta = {
-            "layout": "string",
-            "typecode": self._codes.typecode,
-            "dictionary": self._dictionary,
-            "special": dict(self._special),
-        }
-        return meta, self._codes.tobytes()
-
 
 class BoolColumn(TypedColumn):
     """Bit-packed booleans: one big-int of truth bits plus the side table.
@@ -1071,11 +1031,6 @@ class BoolColumn(TypedColumn):
         self._ones, self._length, self._special = state
         _init_lazy(self)
 
-    # buffer export
-    def export_buffer(self) -> tuple[dict[str, Any], bytes]:
-        meta = {"layout": "bool", "length": self._length, "special": dict(self._special)}
-        return meta, self._ones.to_bytes((self._length + 7) // 8 or 1, "little")
-
 
 def _int_typecode(minimum: int, maximum: int) -> str:
     """Narrowest signed ``array`` typecode covering [minimum, maximum]."""
@@ -1158,42 +1113,6 @@ def build_typed_column(attribute_type: AttributeType, values: Sequence[Any]) -> 
             return None
         return BoolColumn._make(ones, count, special)
     return None  # pragma: no cover - exhaustive over AttributeType
-
-
-def export_typed_column(column: TypedColumn) -> tuple[dict[str, Any], bytes]:
-    """Descriptor + raw buffer for *column* (see :meth:`TypedColumn.export_buffer`)."""
-    COLUMNAR_STATS.buffer_exports += 1
-    return column.export_buffer()
-
-
-def typed_column_from_buffer(
-    meta: Mapping[str, Any], buffer: "bytes | bytearray | memoryview"
-) -> TypedColumn:
-    """Rebuild a typed column from an exported descriptor + raw buffer.
-
-    The inverse of :func:`export_typed_column`. *buffer* may be any
-    bytes-like object — in particular a ``memoryview`` over a
-    ``multiprocessing.shared_memory`` block, so attaching a shipped column is
-    a single C-level ``frombytes`` copy with no pickle machinery involved.
-    Acceleration structures start cold, exactly as after unpickling.
-    """
-    COLUMNAR_STATS.buffer_imports += 1
-    layout = meta["layout"]
-    special = dict(meta["special"])
-    if layout in ("int", "float"):
-        data: "array[Any]" = array(meta["typecode"])
-        data.frombytes(buffer)
-        cls = IntColumn if layout == "int" else FloatColumn
-        return cls._make(data, special)
-    if layout == "string":
-        codes: "array[int]" = array(meta["typecode"])
-        codes.frombytes(buffer)
-        dictionary = tuple(meta["dictionary"])
-        code_of = {value: code for code, value in enumerate(dictionary)}
-        return StringColumn._make(codes, dictionary, code_of, special)
-    if layout == "bool":
-        return BoolColumn._make(int.from_bytes(buffer, "little"), meta["length"], special)
-    raise ValueError(f"unknown typed-column layout: {layout!r}")
 
 
 class ColumnarView:
@@ -1589,55 +1508,6 @@ class ColumnarView:
         self._all_rows_mask = state["_all_rows_mask"]
         self._term_masks = {}
         self._term_tests = {}
-
-    # --------------------------------------------------------- buffer export
-    def export_columns(self) -> tuple[dict[str, Any], list[bytes]]:
-        """Split the view into a picklable descriptor + raw typed buffers.
-
-        Typed columns contribute one raw payload each (indexed from the
-        descriptor); object-tuple columns ride inside the descriptor — they
-        have no compact buffer form. The descriptor/payload pair is what the
-        shared-memory snapshot writes into its block, and
-        :meth:`from_exported_columns` rebuilds an equivalent *cold* view
-        (empty mask caches, lazy structures unbuilt) on the attaching side.
-        """
-        payloads: list[bytes] = []
-        columns: list[dict[str, Any]] = []
-        for column in self._columns:
-            if isinstance(column, TypedColumn):
-                meta, payload = export_typed_column(column)
-                columns.append({"typed": meta, "payload": len(payloads)})
-                payloads.append(payload)
-            else:
-                columns.append({"object": tuple(column)})
-        meta = {"names": self.names, "row_count": self.row_count, "columns": columns}
-        return meta, payloads
-
-    @classmethod
-    def from_exported_columns(
-        cls, meta: Mapping[str, Any], buffers: Sequence["bytes | memoryview"]
-    ) -> "ColumnarView":
-        """Rebuild a view from :meth:`export_columns` output.
-
-        *buffers* holds one bytes-like object per exported payload, in the
-        order the descriptor's ``payload`` indexes reference — typically
-        memoryview slices over one shared-memory block.
-        """
-        view = object.__new__(cls)
-        view.names = tuple(meta["names"])
-        view._index = {name: position for position, name in enumerate(view.names)}
-        view.row_count = meta["row_count"]
-        columns: list[Any] = []
-        for spec in meta["columns"]:
-            if "typed" in spec:
-                columns.append(typed_column_from_buffer(spec["typed"], buffers[spec["payload"]]))
-            else:
-                columns.append(spec["object"])
-        view._columns = columns
-        view._term_masks = {}
-        view._term_tests = {}
-        view._all_rows_mask = (1 << view.row_count) - 1
-        return view
 
     def __len__(self) -> int:
         return self.row_count

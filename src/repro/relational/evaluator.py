@@ -54,7 +54,6 @@ __all__ = [
     "results_equal",
     "result_fingerprint",
     "BaseSnapshot",
-    "SharedSnapshotHandle",
     "SharedSnapshotCache",
     "JoinCache",
 ]
@@ -307,10 +306,11 @@ def _sort_key(value: Any) -> tuple:
 class BaseSnapshot:
     """A picklable snapshot of a base database and its materialized joins.
 
-    The parallel round planner captures the session's base database ``D``
-    — plus the foreign-key join (and provenance) of every join signature the
-    surviving candidates reference — exactly once, ships the pickled snapshot
-    to each worker process, and every worker :meth:`restore`\\ s it into a
+    The warm worker pool captures the session's base database ``D`` — plus
+    the foreign-key join (and provenance) of every join signature the
+    surviving candidates reference — exactly once and installs it in each
+    worker process (fork-inherited or pickled). Every worker
+    :meth:`restore`\\ s it into a
     private :class:`JoinCache` seeded with the same join objects the driver
     holds. Workers then evaluate candidate modifications purely by applying
     :class:`~repro.relational.delta.TupleDelta`\\ s against the seeded joins
@@ -376,32 +376,6 @@ class BaseSnapshot:
             cache.adopt(self.database, signature, joined)
         return self.database, cache
 
-    def advance(self, delta: "TupleDelta") -> None:
-        """Advance the snapshot in place to the delta-modified database.
-
-        The warm-pool round protocol: after a round, the driver publishes the
-        winning attempt's :class:`~repro.relational.delta.TupleDelta` and each
-        persistent worker advances its resident snapshot instead of receiving
-        a fresh O(|D|) broadcast. Every snapshotted join is patched
-        incrementally against the *current* base
-        (:meth:`~repro.relational.join.JoinedRelation.apply_delta`,
-        O(|Δ| · fanout) — never a full re-join), and only then is the delta
-        applied to the base database **in place**, so the database instance
-        keeps its identity.
-
-        Identity-keyed caches around the snapshot (a :class:`JoinCache` that
-        adopted the old joins, a :class:`SharedSnapshotCache` entry) observe
-        the same database id with *replaced* join objects; callers must
-        invalidate and re-adopt around this call, exactly as after any
-        in-place base mutation.
-        """
-        advanced = {
-            signature: joined.apply_delta(delta, self.database)
-            for signature, joined in self.joins.items()
-        }
-        delta.apply_to(self.database)
-        self.joins = advanced
-
     def to_bytes(self) -> bytes:
         """Pickle the snapshot (the payload broadcast to worker processes)."""
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
@@ -414,117 +388,6 @@ class BaseSnapshot:
             raise TypeError(f"payload does not contain a {cls.__name__}")
         return snapshot
 
-    def to_shared_memory(self) -> "SharedSnapshotHandle":
-        """Export the snapshot into one shared-memory block.
-
-        Layout: the snapshot pickle (which drops columnar views — see
-        ``JoinedRelation.__getstate__``) at offset 0, followed by the raw
-        typed-column buffers of every snapshotted join's columnar view
-        (building any view not yet warm). Workers attach by block name and
-        rebuild the views with one C-level ``frombytes`` copy per column —
-        no per-column pickling, and the lazy view rebuild each worker would
-        otherwise pay is skipped entirely.
-
-        The returned handle owns the block: keep it alive while workers may
-        attach, and :meth:`SharedSnapshotHandle.unlink` it when the snapshot
-        is superseded. The manifest (``handle.manifest``) is the small
-        picklable payload actually shipped to workers.
-        """
-        from multiprocessing import shared_memory
-
-        pickled = self.to_bytes()
-        views: list[tuple[tuple[str, ...], dict, int]] = []
-        payloads: list[bytes] = []
-        for signature in self.signatures:
-            meta, buffers = self.joins[signature].columnar().export_columns()
-            views.append((signature, meta, len(payloads)))
-            payloads.extend(buffers)
-        total = len(pickled) + sum(len(payload) for payload in payloads)
-        block = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        block.buf[: len(pickled)] = pickled
-        spans: list[tuple[int, int]] = []
-        offset = len(pickled)
-        for payload in payloads:
-            block.buf[offset : offset + len(payload)] = payload
-            spans.append((offset, len(payload)))
-            offset += len(payload)
-        manifest = {
-            "name": block.name,
-            "total": total,
-            "pickle_length": len(pickled),
-            "spans": spans,
-            "views": views,
-        }
-        return SharedSnapshotHandle(manifest=manifest, block=block)
-
-    @classmethod
-    def from_shared_memory(cls, manifest: dict) -> "BaseSnapshot":
-        """Attach a :meth:`to_shared_memory` export and rebuild the snapshot.
-
-        Unpickles the snapshot from the mapped block, then rehydrates every
-        join's columnar view from the raw buffers, so the restored snapshot
-        is as warm as the driver's was (term-mask caches excepted — those
-        never cross processes). The block is closed (never unlinked) before
-        returning; buffer contents are copied out, so the attachment is not
-        retained.
-        """
-        from multiprocessing import shared_memory
-
-        block = shared_memory.SharedMemory(name=manifest["name"], create=False)
-        slices: list[memoryview] = []
-        try:
-            head = block.buf[: manifest["pickle_length"]]
-            slices.append(head)
-            snapshot = cls.from_bytes(bytes(head))
-            spans = manifest["spans"]
-            for signature, meta, payload_base in manifest["views"]:
-                buffers: list[memoryview] = []
-                payload_count = sum(1 for spec in meta["columns"] if "typed" in spec)
-                for index in range(payload_count):
-                    start, length = spans[payload_base + index]
-                    view = block.buf[start : start + length]
-                    slices.append(view)
-                    buffers.append(view)
-                columnar = ColumnarView.from_exported_columns(meta, buffers)
-                snapshot.joins[tuple(signature)].adopt_columnar(columnar)
-            return snapshot
-        finally:
-            for view in slices:
-                view.release()
-            block.close()
-
-
-@dataclass
-class SharedSnapshotHandle:
-    """Owner handle for a shared-memory snapshot export.
-
-    Holds the block open on the driver side; the picklable :attr:`manifest`
-    is what gets shipped to workers. :meth:`unlink` releases the OS segment —
-    call it exactly once, when no worker will attach again (workers only ever
-    ``close`` their attachments).
-    """
-
-    manifest: dict
-    block: Any
-
-    @property
-    def total_bytes(self) -> int:
-        return int(self.manifest["total"])
-
-    def unlink(self) -> None:
-        """Close and remove the shared-memory segment (idempotent)."""
-        block, self.block = self.block, None
-        if block is None:
-            return
-        try:
-            block.close()
-        finally:
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already removed
-                pass
-
-
 class SharedSnapshotCache:
     """Memoizes one :class:`BaseSnapshot` per live base database.
 
@@ -536,8 +399,8 @@ class SharedSnapshotCache:
     sessions whose round planners hold the same cache — and evaluate against
     the same base database instance — receive the *same snapshot object*,
     which is exactly the identity the
-    :class:`~repro.core.execution_backend.ProcessPoolBackend` keys its
-    seed-once broadcast on.
+    :class:`~repro.core.worker_runtime.WarmProcessPoolBackend` keys its
+    install-once base version on.
 
     A memoized snapshot is reused only while it is *current*:
 

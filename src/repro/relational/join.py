@@ -128,15 +128,6 @@ class JoinedRelation:
         """Drop the memoized columnar view (and its term-mask cache)."""
         self._columnar = None
 
-    def adopt_columnar(self, view) -> None:
-        """Install a pre-built columnar view (shared-memory snapshot attach).
-
-        The caller asserts *view* was built over exactly this joined
-        relation's tuples — e.g. rebuilt from the raw buffers the driver
-        exported for this very join. Replaces any memoized view.
-        """
-        self._columnar = view
-
     def columnar_memory_report(self) -> dict | None:
         """Storage footprint of the memoized columnar view, or ``None``.
 

@@ -26,7 +26,6 @@ __all__ = [
     "AttributeType",
     "INT64_MIN",
     "INT64_MAX",
-    "int64_representable",
     "coerce_value",
     "is_numeric",
     "python_type_of",
@@ -62,20 +61,9 @@ class AttributeType(enum.Enum):
 
 #: Bounds of a signed 64-bit integer: the representable range of the typed
 #: int column buffer and of SQLite INTEGER storage. Python ints outside this
-#: range stay exact — the columnar layer keeps them boxed in a side table and
-#: the SQL pushdown backend refuses to ship them.
+#: range stay exact — the columnar layer keeps them boxed in a side table.
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
-
-
-def int64_representable(value: Any) -> bool:
-    """Whether *value* is a plain int that fits a signed 64-bit buffer cell.
-
-    Booleans are excluded on purpose: they are stored bit-packed with their
-    own column kind, and silently storing ``True`` as ``1`` would change what
-    ``column[i]`` returns.
-    """
-    return type(value) is int and INT64_MIN <= value <= INT64_MAX
 
 
 _NUMERIC_TYPES = frozenset({AttributeType.INTEGER, AttributeType.FLOAT})

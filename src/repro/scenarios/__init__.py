@@ -19,7 +19,7 @@ deterministically from a seed, and measure them end to end:
   reference);
 * :mod:`repro.scenarios.sweep` — the scale sweep: per (scenario, scale) it
   cross-checks every generated query against the SQLite oracle, runs full
-  QFE sessions on the serial and process-pool backends, asserts the
+  QFE sessions on the serial and warm-pool backends, asserts the
   canonical transcripts are bit-identical, times the cold vs delta-derived
   candidate-evaluation paths, and records the whole per-scale trajectory
   into ``benchmarks/BENCH_scenarios.json``.

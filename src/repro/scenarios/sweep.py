@@ -6,13 +6,12 @@ For every requested ``(scenario, scale)`` the sweep
 2. **verifies** every query against the SQLite differential oracle (the
    pure-Python evaluator and an independent SQL engine must agree on every
    result, bag-exactly — this is where numeric/type-semantics bugs detonate);
-3. **runs** one full QFE session per execution backend — serial, a shared
-   **warm persistent worker pool** (when ``workers >= 2``: one cold session
-   plus repeats that hit worker-resident plan caches, recording both the
-   cold and the steady-state wall-clock), and the SQL-pushdown backend —
-   and demands every canonical transcript be **bit-identical** to the
-   serial oracle (the PR-3/PR-4 differential contract, extended to every
-   generated scenario and every backend);
+3. **runs** one full QFE session per execution backend — serial, and a
+   shared **warm persistent worker pool** (when ``workers >= 2``: one cold
+   session plus repeats that hit worker-resident plan caches, recording both
+   the cold and the steady-state wall-clock) — and demands every canonical
+   transcript be **bit-identical** to the serial oracle (the differential
+   contract, extended to every generated scenario and every backend);
 4. **measures** the cold vs delta-derived candidate-evaluation paths over
    the same candidate set, plus the storage layer itself: bytes per joined
    row under the typed columnar layout vs the object-tuple reference layout,
@@ -43,7 +42,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.config import QFEConfig
-from repro.core.execution_backend import BACKEND_STATS, SqlPushdownBackend
+from repro.core.execution_backend import BACKEND_STATS
 from repro.core.timing import Stopwatch
 from repro.exceptions import EvaluationError
 from repro.qbo.mutation import expand_candidate_set
@@ -342,9 +341,8 @@ def run_sweep(
     when a user re-runs a pair the pool has already planned, which is where
     worker-resident plan caches and content-hashed round bodies pay off.
     Every warm transcript (cold and steady) must be bit-identical to the
-    serial oracle. ``workers`` of 0/1 skips the warm leg. The SQL-pushdown
-    leg always runs (one shared backend, mirror reloaded per point), so
-    every point records per-backend timings and a ``fastest_backend`` pick.
+    serial oracle. ``workers`` of 0/1 skips the warm leg. Every point records
+    per-backend timings and a ``fastest_backend`` pick.
     """
     names = list(scenarios) if scenarios else sorted(SCENARIOS)
     specs = [get_scenario(name) for name in names]
@@ -355,10 +353,6 @@ def run_sweep(
         from repro.core.worker_runtime import WarmProcessPoolBackend
 
         pool = WarmProcessPoolBackend(workers)
-    # One SQL-pushdown backend shared across every point, like the pool: its
-    # mirror reloads automatically when a point hands it a new base database
-    # (snapshot identity is the invalidation signal).
-    sql = SqlPushdownBackend()
     payload: dict = {
         "seed": seed,
         "workers": workers,
@@ -462,22 +456,8 @@ def run_sweep(
                         else None
                     )
 
-                sql_seconds, sql_json, _, sql_phases = _session_point(
-                    generated, result, candidates,
-                    workers=None, backend=sql, workload_name=workload_name,
-                )
-                phase_seconds["sql"] = sql_phases
-                if sql_json != serial_json:
-                    raise ScenarioDivergenceError(
-                        f"scenario {spec.name!r} @ scale {scale}: sql-pushdown "
-                        f"transcript diverged from the serial oracle"
-                    )
-                point["sql_seconds"] = sql_seconds
-                point["sql_speedup"] = (
-                    serial_seconds / sql_seconds if sql_seconds > 0 else None
-                )
                 point["transcripts_identical"] = True
-                backend_seconds = {"serial": serial_seconds, "sql": sql_seconds}
+                backend_seconds = {"serial": serial_seconds}
                 if "pooled_seconds" in point:
                     # Steady-state: the honest service-shaped figure for a
                     # persistent pool (its cold first session sits alongside
@@ -502,7 +482,6 @@ def run_sweep(
     finally:
         if pool is not None:
             pool.close()
-        sql.close()
 
     if out_path is not None:
         path = Path(out_path)
@@ -521,12 +500,12 @@ def sweep_table(payload: dict):
         title="Scenario scale sweep",
         columns=[
             "scenario", "scale", "rows", "join rows", "|R|", "cands", "iters",
-            "serial s", "warm s", "warm cold s", "warm hits", "sql s", "fastest",
+            "serial s", "warm s", "warm cold s", "warm hits", "fastest",
             "cold s", "delta s", "B/row", "mem x", "identical",
         ],
         caption=(
             "Per-scale trajectory of generated scenarios: full QFE sessions on the "
-            "serial, warm-pool and sql-pushdown backends (canonical transcripts "
+            "serial and warm-pool backends (canonical transcripts "
             "bit-identical; 'warm s' is the steady-state repeat on a persistent "
             "pool, 'warm cold s' its first session), plus cold vs delta-derived "
             "candidate evaluation and typed-vs-object storage bytes per joined row."
@@ -547,7 +526,6 @@ def sweep_table(payload: dict):
                 round(point["pooled_cold_seconds"], 4)
                 if "pooled_cold_seconds" in point else "-",
                 point.get("warm_hits", "-"),
-                round(point["sql_seconds"], 4) if "sql_seconds" in point else "-",
                 point.get("fastest_backend", "-"),
                 round(point["cold_eval_seconds"], 4) if "cold_eval_seconds" in point else "-",
                 round(point["delta_eval_seconds"], 4) if "delta_eval_seconds" in point else "-",

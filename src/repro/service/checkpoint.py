@@ -10,11 +10,17 @@ one, with a bit-identical continuation.
 The on-wire format is a hybrid designed for both inspectability and fidelity:
 
 * line 1 — a UTF-8 JSON **header**: format magic, version, session id,
-  status, iteration, and the *base-database reference* (see below). Tools can
-  read it without unpickling anything.
+  status, iteration, the *base-database reference* (see below) and the
+  ``payload_sha256`` of the payload. Tools can read it without unpickling
+  anything.
 * the rest — a pickle **payload** of the session state
   (:meth:`QFESession.capture_state`), plus the example pair when it is
   embedded inline.
+
+:func:`restore_checkpoint` checks the payload against ``payload_sha256``
+before unpickling it, so a torn or bit-flipped file is refused with
+:class:`~repro.exceptions.CheckpointError` instead of resuming a silently
+different session.
 
 The base database is stored by **reference** whenever possible: sessions
 created from a named paper workload record ``{"kind": "workload", "name",
@@ -24,17 +30,16 @@ base instance. Sessions over ad-hoc databases embed the pair inline
 (``{"kind": "inline"}``).
 
 Version policy: :data:`CHECKPOINT_VERSION` bumps on any incompatible change
-to the header or payload layout; :func:`restore_checkpoint` refuses newer (or
-unknown) versions with :class:`~repro.exceptions.CheckpointError` instead of
-guessing.
+to the header or payload layout; :func:`restore_checkpoint` refuses any other
+version with :class:`~repro.exceptions.CheckpointError` instead of guessing.
+(Version 2 added ``payload_sha256``; version 1 files, whose pickled config
+may also name since-removed backends, are refused.)
 
 A note on randomness: the interaction loop is deterministic end to end —
 dataset builders draw from per-dataset seeded generators at *construction*
 time, and round planning/materialization/partitioning contain no randomness
-(any future stochastic scoring is contractually seeded from
-:func:`~repro.core.execution_backend.attempt_seed`, a pure function of the
-round token and attempt index) — so there is no live RNG state to capture,
-and resuming from a rebuilt base database is exact rather than approximate.
+— so there is no live RNG state to capture, and resuming from a rebuilt
+base database is exact rather than approximate.
 
 The **transcript** serializers at the bottom render a session's interaction
 history as plain JSON-able dicts. The *canonical* form
@@ -47,6 +52,7 @@ adds the wall-clock fields for human consumption.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pickle
 from dataclasses import dataclass
@@ -73,7 +79,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "qfe-session-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -163,8 +169,9 @@ def capture_checkpoint(
             "metadata": metadata or {},
         }
         try:
-            header_line = json.dumps(header, sort_keys=True).encode("utf-8")
             body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            header["payload_sha256"] = hashlib.sha256(body).hexdigest()
+            header_line = json.dumps(header, sort_keys=True).encode("utf-8")
         except (TypeError, ValueError, pickle.PicklingError) as exc:
             raise CheckpointError(f"session state cannot be serialized: {exc}") from exc
         return header_line + b"\n" + body
@@ -212,6 +219,11 @@ def restore_checkpoint(
     with get_tracer().span("checkpoint.restore"):
         header = read_checkpoint_header(blob)
         body = blob[blob.find(b"\n") + 1 :]
+        if hashlib.sha256(body).hexdigest() != header.get("payload_sha256"):
+            raise CheckpointError(
+                "checkpoint payload is corrupt: its sha256 does not match the "
+                "header (truncated or altered file)"
+            )
         try:
             payload = pickle.loads(body)
             state = payload["state"]

@@ -23,18 +23,16 @@ execute one at a time per pair — each still fanning out across every pool
 worker — while any number of sessions sit suspended awaiting a user, which
 is where interactive sessions spend almost all of their time.
 
-Known trade-off of the one-pool design: a pooled backend binds its worker
-processes to one broadcast base snapshot, so traffic that *interleaves
-rounds across different pairs* re-seeds the pool on every pair switch
-(correct, but it pays pool startup per switch). The ``warm`` backend
-softens this: its workers are persistent and versioned, so a pair switch
-re-installs base state lazily inside live workers (one snapshot ship, no
-pool teardown), repeated rounds on one pair hit worker-resident plan
-caches, and pair eviction calls ``release_base`` so the pool never pins a
-dead database. Deployments serving several heavy workloads concurrently
-should still prefer one manager — one pool — per workload family; within a
-pair the install happens once, which is the common interactive case this
-layer optimizes for.
+Known trade-off of the one-pool design: the warm pool's workers hold one
+installed base at a time, so traffic that *interleaves rounds across
+different pairs* re-installs base state on every pair switch — lazily,
+inside the live workers (one snapshot ship, no pool teardown). Repeated
+rounds on one pair hit worker-resident plan caches, and pair eviction calls
+``release_base`` so the pool never pins a dead database. Deployments
+serving several heavy workloads concurrently should still prefer one
+manager — one pool — per workload family; within a pair the install
+happens once, which is the common interactive case this layer optimizes
+for.
 
 Persistence: with a :class:`~repro.service.store.SessionStore` attached, the
 manager checkpoints a session after every state change, evicts
@@ -622,7 +620,7 @@ class SessionManager:
 
         Renders this manager's private registry (service counters + the
         round-latency histogram) first, then the process-wide registry (join
-        maintenance, columnar storage, SQL pushdown), plus a few gauges for
+        maintenance, columnar storage, backend shipping), plus a few gauges for
         the live-state fields the JSON payload reports.
         """
         with self._lock:

@@ -21,8 +21,11 @@ GET       ``/metrics``                    service metrics (JSON)
 ========  ==============================  ========================================
 
 Errors map onto conventional statuses: unknown session → 404, malformed
-request or invalid choice → 400, stepping a finished session → 409,
-anything unexpected → 500; every error body is ``{"error": message}``.
+request or invalid choice → 400, a body over :data:`MAX_BODY_BYTES` → 413
+(refused unread), stepping a finished session → 409, anything unexpected →
+500; every error body is ``{"error": message}``. A connection that stalls
+mid-request for :data:`REQUEST_TIMEOUT_SECONDS` is closed, so a client that
+sends fewer body bytes than it declared cannot pin a handler thread.
 """
 
 from __future__ import annotations
@@ -46,7 +49,20 @@ from repro.obs.exposition import PROMETHEUS_CONTENT_TYPE
 from repro.service.checkpoint import feedback_round_dict, iteration_record_dict
 from repro.service.manager import ManagedSession, SessionManager
 
-__all__ = ["QFEServiceServer", "make_server", "serve"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "REQUEST_TIMEOUT_SECONDS",
+    "QFEServiceServer",
+    "make_server",
+    "serve",
+]
+
+#: Largest request body accepted. Every endpoint takes a small JSON object,
+#: so a larger declared ``Content-Length`` is refused (413) without reading.
+MAX_BODY_BYTES = 1 << 20
+
+#: Socket timeout of a request connection, in seconds.
+REQUEST_TIMEOUT_SECONDS = 60
 
 #: QFEConfig fields a client may set per session; everything else is fixed
 #: server-side (notably ``workers``: the pool belongs to the service).
@@ -108,9 +124,18 @@ def _step_payload(managed: ManagedSession, step: StepResult) -> dict:
     return payload
 
 
+class _BadRequestBody(Exception):
+    """A request body the handler refuses before reading it."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class _RequestHandler(BaseHTTPRequestHandler):
     server_version = "qfe-serve/1"
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_SECONDS
 
     @property
     def manager(self) -> SessionManager:
@@ -138,7 +163,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BadRequestBody(400, f"invalid Content-Length {declared!r}")
+        if length > MAX_BODY_BYTES:
+            raise _BadRequestBody(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES} bytes"
+            )
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -156,6 +191,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
             parts = [part for part in parsed.path.split("/") if part]
             query = parse_qs(parsed.query)
             self._route(method, parts, query)
+        except _BadRequestBody as exc:
+            # The body was never read, so the stream cannot carry another
+            # request: answer, then drop the connection.
+            self.close_connection = True
+            self._send_json(exc.status, {"error": str(exc)})
+        except TimeoutError:
+            # The client declared more body bytes than it sent.
+            self.close_connection = True
         except SessionNotFound as exc:
             self._send_json(404, {"error": str(exc)})
         except (FeedbackError, CheckpointError, ServiceError, ValueError, TypeError) as exc:

@@ -1,16 +1,6 @@
-"""SQL layer: rendering, parsing, SQLite cross-validation and pushdown."""
+"""SQL layer: rendering, parsing and SQLite cross-validation."""
 
 from repro.sql.parser import parse_query
-from repro.sql.pushdown import (
-    PUSHDOWN_STATS,
-    PushdownExecutionError,
-    PushdownUnsupportedError,
-    RoundProgram,
-    SqliteMirror,
-    compile_predicate,
-    compile_round,
-    compile_term,
-)
 from repro.sql.render import render_predicate, render_query, render_union, render_value
 from repro.sql.sqlite_backend import SQLiteBackend, cross_check
 from repro.sql.tokenizer import Token, tokenize
@@ -23,14 +13,6 @@ __all__ = [
     "render_value",
     "SQLiteBackend",
     "cross_check",
-    "PushdownUnsupportedError",
-    "PushdownExecutionError",
-    "PUSHDOWN_STATS",
-    "SqliteMirror",
-    "RoundProgram",
-    "compile_term",
-    "compile_predicate",
-    "compile_round",
     "Token",
     "tokenize",
 ]

@@ -58,7 +58,7 @@ def render_identifier(name: str) -> str:
     return f'"{table}"'
 
 
-#: SQL operator text per comparison operator (shared with the pushdown compiler).
+#: SQL operator text per comparison operator.
 OP_SQL = {
     ComparisonOp.EQ: "=",
     ComparisonOp.NE: "<>",
@@ -99,8 +99,8 @@ def render_from_clause(tables: Sequence[str], schema: DatabaseSchema | None) -> 
     With a schema, multi-table joins are rendered as explicit ``INNER JOIN
     ... ON`` clauses along a spanning tree of the foreign-key graph — the
     exact join :func:`~repro.relational.join.foreign_key_join` materializes,
-    which is what lets the SQL-pushdown backend reproduce the evaluator's
-    joined-row multiplicities. Without a schema the caller gets a plain
+    which is what lets the SQLite oracle reproduce the evaluator's joined-row
+    multiplicities. Without a schema the caller gets a plain
     comma-separated table list (single-table queries only, in practice).
     """
     tables = list(tables)

@@ -27,7 +27,7 @@ def reset_all_stats():
     """Zero the metrics registry before every test.
 
     The legacy stats objects (``JOIN_STATS``, ``COLUMNAR_STATS``,
-    ``PUSHDOWN_STATS``) are process-wide registry counters; without this,
+    ``BACKEND_STATS``) are process-wide registry counters; without this,
     their values leak across tests and every guard has to diff before/after
     by hand. Resetting *before* the test (not after) also means a test can
     still inspect counters post-mortem in ``--pdb`` sessions.

@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.core.config import QFEConfig
-from repro.core.execution_backend import ProcessPoolBackend, SerialBackend
+from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.core.feedback import NONE_OF_THE_ABOVE, OracleSelector, WorstCaseSelector
 from repro.core.session import QFESession
 from repro.exceptions import FeedbackError, QFESessionError
@@ -202,7 +202,7 @@ class TestCloseIdempotence:
 
     def test_shared_backend_not_closed_by_run(self, employee_db, employee_result,
                                               employee_candidates):
-        backend = ProcessPoolBackend(2)
+        backend = WarmProcessPoolBackend(2)
         try:
             session = QFESession(
                 employee_db, employee_result, candidates=employee_candidates,

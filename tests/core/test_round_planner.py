@@ -1,8 +1,8 @@
 """Unit tests for the RoundPlanner and its execution backends.
 
-The serial backend is the differential oracle: the process-pool backend must
-produce bit-identical attempt outcomes for any worker count and sharding, and
-its workers must never perform a full join (the delta-only worker protocol).
+The serial backend is the differential oracle: the warm pool must produce
+bit-identical attempt outcomes for any worker count and sharding, and its
+workers must never perform a full join (the delta-only worker protocol).
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ import pickle
 
 import pytest
 
-from repro.core.config import QFEConfig
+from repro.core.config import BACKEND_CHOICES, QFEConfig, backend_name
 from repro.core.database_generator import DatabaseGenerator
 from repro.core.execution_backend import (
-    ProcessPoolBackend,
+    BACKEND_STATS,
     SerialBackend,
-    attempt_seed,
     create_backend,
     required_signatures,
     shard_attempts,
@@ -24,6 +23,7 @@ from repro.core.execution_backend import (
 from repro.core.modification import ClassPair
 from repro.core.round_planner import RoundPlanner, candidate_pair_attempts
 from repro.core.tuple_class import TupleClass
+from repro.core.worker_runtime import AttemptCostModel, WarmProcessPoolBackend
 from repro.exceptions import DatabaseGenerationError
 from repro.relational.evaluator import BaseSnapshot, JoinCache
 from repro.relational.join import JOIN_STATS
@@ -39,8 +39,8 @@ def _outcome_key(outcomes):
 
 
 @pytest.fixture(scope="module")
-def process_backend():
-    backend = ProcessPoolBackend(2)
+def warm_backend():
+    backend = WarmProcessPoolBackend(2)
     yield backend
     backend.close()
 
@@ -69,14 +69,6 @@ class TestSharding:
     def test_units_pickle(self):
         unit = shard_attempts(self._attempts(3), 1)[0]
         assert pickle.loads(pickle.dumps(unit)) == unit
-
-    def test_attempt_seed_is_deterministic_and_sharding_invariant(self):
-        # The seed depends only on (round token, absolute attempt index) —
-        # never on the work-unit layout — so a stochastic scorer seeded from
-        # it behaves identically at any worker count.
-        assert attempt_seed("round-1", 5) == attempt_seed("round-1", 5)
-        assert attempt_seed("round-1", 5) != attempt_seed("round-1", 6)
-        assert attempt_seed("round-1", 5) != attempt_seed("round-2", 5)
 
 
 # ----------------------------------------------------------------- snapshots
@@ -194,51 +186,147 @@ class TestRoundPlanner:
 
 
 # ------------------------------------------------------------------ backends
+class TestBackendFactory:
+    def test_each_name_maps_to_its_backend(self):
+        assert isinstance(create_backend(4, "serial"), SerialBackend)
+        pool = create_backend(0, "warm")
+        try:
+            assert isinstance(pool, WarmProcessPoolBackend)
+            assert pool.workers == 2  # raised to the pool's minimum
+        finally:
+            pool.close()
+
+    def test_auto_preserves_the_historical_worker_rule(self):
+        for workers in (None, 0, 1):
+            assert isinstance(create_backend(workers, "auto"), SerialBackend)
+        pool = create_backend(3, "auto")
+        try:
+            assert isinstance(pool, WarmProcessPoolBackend)
+            assert pool.workers == 3
+        finally:
+            pool.close()
+
+    def test_unknown_name_is_rejected_with_the_choices(self):
+        with pytest.raises(ValueError, match="serial"):
+            create_backend(0, "bogus")
+        for removed in ("sql", "process", "SQLite"):
+            with pytest.raises(ValueError, match="auto, serial, warm"):
+                backend_name(removed)
+        assert backend_name(" Warm ") == "warm"
+        assert BACKEND_CHOICES == ("auto", "serial", "warm")
+
+    def test_config_validates_backend_at_construction(self):
+        assert QFEConfig(backend="warm").backend == "warm"
+        for bad in ("bogus", "sql", "process"):
+            with pytest.raises(ValueError, match="backend"):
+                QFEConfig(backend=bad)
+
+    def test_backends_are_context_managers(self):
+        with create_backend(0, "serial") as backend:
+            assert backend.name == "serial"
+        with create_backend(2, "warm") as backend:
+            assert backend.name == "warm-pool"
+        assert backend._executor is None
+
+
 class TestBackends:
     def test_create_backend_mapping(self):
         assert isinstance(create_backend(None), SerialBackend)
         assert isinstance(create_backend(0), SerialBackend)
         assert isinstance(create_backend(1), SerialBackend)
         pool = create_backend(2)
-        assert isinstance(pool, ProcessPoolBackend)
+        assert isinstance(pool, WarmProcessPoolBackend)
         assert pool.workers == 2
         pool.close()
 
-    def test_process_pool_requires_two_workers(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(1)
-
     def test_parallel_outcomes_match_serial_with_zero_worker_joins(
-        self, employee_db, employee_result, employee_candidates, process_backend
+        self, employee_db, employee_result, employee_candidates, warm_backend
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
         serial = planner.execute(plan, stop_at_first=False)
-        parallel = planner.execute(plan, stop_at_first=False, backend=process_backend)
+        parallel = planner.execute(plan, stop_at_first=False, backend=warm_backend)
         assert _outcome_key(parallel) == _outcome_key(serial)
         assert all(o.full_joins == 0 for o in parallel)
         assert all(o.full_joins == 0 for o in serial)
 
     def test_parallel_sweep_matches_serial(
-        self, employee_db, employee_result, employee_candidates, process_backend
+        self, employee_db, employee_result, employee_candidates, warm_backend
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
         sweep = candidate_pair_attempts(plan.space, max_pairs=12)
         serial = planner.execute(plan, attempts=sweep, stop_at_first=False)
         parallel = planner.execute(
-            plan, attempts=sweep, stop_at_first=False, backend=process_backend
+            plan, attempts=sweep, stop_at_first=False, backend=warm_backend
         )
         assert _outcome_key(parallel) == _outcome_key(serial)
         assert all(o.full_joins == 0 for o in parallel)
 
+    def test_warm_outcomes_do_not_depend_on_unit_sizing(
+        self, employee_db, employee_result, employee_candidates, warm_backend
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        sweep = candidate_pair_attempts(plan.space, max_pairs=12)
+        assert len(sweep) > 2
+        serial = planner.execute(plan, attempts=sweep, stop_at_first=False)
+        # Seeded models at both extremes: one attempt per unit, and the
+        # fewest units that still occupy both workers.
+        fine = AttemptCostModel(target_unit_seconds=1e-9)
+        fine.observe(attempts=1, seconds=1.0)
+        coarse = AttemptCostModel(target_unit_seconds=1e9)
+        coarse.observe(attempts=1, seconds=1e-6)
+        assert fine.unit_count(len(sweep), 2) == len(sweep)
+        assert coarse.unit_count(len(sweep), 2) == 2
+        saved = warm_backend.cost_model
+        dispatched = []
+        try:
+            for model in (fine, coarse):
+                warm_backend.cost_model = model
+                units_before = BACKEND_STATS.units_dispatched
+                parallel = planner.execute(
+                    plan, attempts=sweep, stop_at_first=False, backend=warm_backend
+                )
+                dispatched.append(BACKEND_STATS.units_dispatched - units_before)
+                assert _outcome_key(parallel) == _outcome_key(serial)
+        finally:
+            warm_backend.cost_model = saved
+        assert dispatched[0] >= len(sweep) > dispatched[1]
+
+    @pytest.mark.parametrize("backend_name", ["serial", "warm"])
+    def test_attempts_leave_the_base_untouched(
+        self, employee_db, employee_result, employee_candidates, warm_backend, backend_name
+    ):
+        backend = warm_backend if backend_name == "warm" else SerialBackend()
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        referenced = plan.context.referenced
+        queries = plan.context.queries
+
+        def observe():
+            tables = {
+                name: employee_db.relation(name).rows() for name in employee_db.table_names
+            }
+            joined = planner.join_cache.join_for(employee_db, referenced).relation.rows()
+            fingerprints = planner.join_cache.evaluate_batch(queries, employee_db).fingerprints
+            return tables, joined, fingerprints
+
+        before = observe()
+        sweep = candidate_pair_attempts(plan.space, max_pairs=12)
+        outcomes = planner.execute(plan, attempts=sweep, stop_at_first=False, backend=backend)
+        assert any(o.applied for o in outcomes)
+        # Every attempt modified a copy: the base tables, its cached join and
+        # the masks the candidates evaluate through are exactly as before.
+        assert observe() == before
+
     def test_stop_at_first_parallel_finds_the_serial_winner(
-        self, employee_db, employee_result, employee_candidates, process_backend
+        self, employee_db, employee_result, employee_candidates, warm_backend
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
         serial = planner.execute(plan, stop_at_first=True)
-        parallel = planner.execute(plan, stop_at_first=True, backend=process_backend)
+        parallel = planner.execute(plan, stop_at_first=True, backend=warm_backend)
 
         def winner(outcomes):
             return next(
@@ -256,7 +344,7 @@ class TestBackends:
             employee_db, employee_result, employee_candidates
         )
         generator = DatabaseGenerator(QFEConfig(), workers=2)
-        assert generator.backend.name == "process-pool"
+        assert generator.backend.name == "warm-pool"
         try:
             parallel = generator.generate(employee_db, employee_result, employee_candidates)
         finally:
@@ -272,7 +360,7 @@ class TestBackends:
     def test_backend_survives_close_and_reuse(
         self, employee_db, employee_result, employee_candidates
     ):
-        backend = ProcessPoolBackend(2)
+        backend = WarmProcessPoolBackend(2)
         planner = RoundPlanner(QFEConfig(), backend=backend)
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
         first = planner.execute(plan, stop_at_first=False)
@@ -310,13 +398,13 @@ class TestBackends:
         assert second is not first
         assert planner._snapshot_for(database, signatures) is second
 
-    def test_pool_rebroadcasts_after_in_place_base_mutation(
+    def test_pool_reinstalls_after_in_place_base_mutation(
         self, employee_result, employee_candidates
     ):
         from repro.datasets import employee
 
         database = employee.build_database()
-        backend = ProcessPoolBackend(2)
+        backend = WarmProcessPoolBackend(2)
         planner = RoundPlanner(QFEConfig(), backend=backend)
         try:
             plan = planner.prepare_round(database, employee_result, employee_candidates)
@@ -332,7 +420,7 @@ class TestBackends:
             plan = planner.prepare_round(database, employee_result, employee_candidates)
             serial = planner.execute(plan, stop_at_first=False, backend=SerialBackend())
             parallel = planner.execute(plan, stop_at_first=False)
-            # The pool was re-seeded with the post-mutation snapshot: its
+            # The workers installed the post-mutation snapshot: their
             # outcomes match a fresh serial evaluation, not the stale state.
             assert _outcome_key(parallel) == _outcome_key(serial)
             assert all(o.full_joins == 0 for o in parallel)

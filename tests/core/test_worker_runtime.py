@@ -1,16 +1,12 @@
 """Unit tests for the warm persistent worker runtime (protocol pieces).
 
 Everything here runs driver-side without spinning up worker processes: the
-cost model's unit sizing, the in-place snapshot advance (the O(|Δ|)
-round-advance contract), shared-memory snapshot export/attach, content-hashed
-round bodies, and the backend's versioned base bookkeeping
-(``advance_base``/``release_base``). Full sessions over live pools live in
-``tests/integration/test_warm_pool_differential.py``.
+cost model's unit sizing, content-hashed round bodies, and the backend's
+versioned base bookkeeping (``release_base``). Full sessions over live pools
+live in ``tests/integration/test_warm_pool_differential.py``.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -20,14 +16,8 @@ from repro.core.execution_backend import (
     RoundContext,
     context_body_payload,
 )
-from repro.core.worker_runtime import (
-    AttemptCostModel,
-    WarmProcessPoolBackend,
-    advance_base_in_place,
-)
-from repro.relational.delta import TupleDelta
-from repro.relational.evaluator import BaseSnapshot, JoinCache
-from repro.relational.join import JOIN_STATS, foreign_key_join
+from repro.core.worker_runtime import AttemptCostModel, WarmProcessPoolBackend
+from repro.relational.evaluator import BaseSnapshot
 
 
 class TestAttemptCostModel:
@@ -73,75 +63,6 @@ class TestAttemptCostModel:
         assert not model.seeded
 
 
-def _modifying_delta(database) -> TupleDelta:
-    """A one-tuple salary update on the ``Emp`` relation, as a delta."""
-    relation = database.relation("Emp")
-    target = relation.tuples[0]
-    index = relation.schema.index_of("salary")
-    values = list(target.values)
-    values[index] = (values[index] or 0) + 17
-    delta = TupleDelta()
-    delta.record_update("Emp", target.tuple_id, values)
-    return delta
-
-
-class TestSnapshotAdvance:
-    def test_advance_matches_a_fresh_join_without_rejoining(self, two_table_db):
-        database = two_table_db.copy()
-        signature = ("Emp", "Dept")
-        snapshot = BaseSnapshot.capture(database, [signature])
-        delta = _modifying_delta(database)
-
-        # The reference: apply the same change to a copy and re-join cold,
-        # using the snapshot's canonical table order for the signature.
-        reference_db = database.copy()
-        delta.apply_to(reference_db)
-        reference = foreign_key_join(reference_db, BaseSnapshot._key(signature))
-
-        joins_before = JOIN_STATS.full_joins
-        snapshot.advance(delta)
-        assert JOIN_STATS.full_joins == joins_before  # patched, never re-joined
-        # The base database advanced *in place*, keeping its identity.
-        assert snapshot.database is database
-        advanced = snapshot.joins[BaseSnapshot._key(signature)]
-        assert advanced.relation.rows() == reference.relation.rows()
-
-    def test_advance_base_in_place_keeps_a_shared_join_cache_current(
-        self, two_table_db
-    ):
-        database = two_table_db.copy()
-        signature = ("Emp", "Dept")
-        cache = JoinCache()
-        snapshot = BaseSnapshot.capture(database, [signature], join_cache=cache)
-        delta = _modifying_delta(database)
-        advance_base_in_place(snapshot, delta, join_cache=cache)
-        # The cache serves the advanced join *object* — identity, not a copy —
-        # so snapshot-cache currency checks see the advance as already done.
-        joins_before = JOIN_STATS.full_joins
-        served = cache.join_for(database, signature)
-        assert served is snapshot.joins[BaseSnapshot._key(signature)]
-        assert JOIN_STATS.full_joins == joins_before
-
-
-class TestSharedMemorySnapshot:
-    def test_shared_memory_roundtrip_is_value_identical(self, two_table_db):
-        database = two_table_db.copy()
-        signature = ("Emp", "Dept")
-        snapshot = BaseSnapshot.capture(database, [signature])
-        handle = snapshot.to_shared_memory()
-        try:
-            assert handle.manifest["name"]
-            restored = BaseSnapshot.from_shared_memory(handle.manifest)
-        finally:
-            handle.unlink()
-        for name in database.table_names:
-            assert restored.database.relation(name).rows() == database.relation(
-                name
-            ).rows()
-        key = BaseSnapshot._key(signature)
-        assert restored.joins[key].relation.rows() == snapshot.joins[key].relation.rows()
-
-
 def _context(token: str = "round-1") -> RoundContext:
     from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
     from repro.relational.query import SPJQuery
@@ -184,32 +105,6 @@ class TestContentHashedBodies:
 
 
 class TestWarmBackendBaseBookkeeping:
-    def test_advance_base_requires_an_installed_base(self):
-        backend = WarmProcessPoolBackend(2)
-        try:
-            with pytest.raises(RuntimeError):
-                backend.advance_base(TupleDelta())
-        finally:
-            backend.close()
-
-    def test_advance_base_ships_only_the_delta(self, two_table_db):
-        database = two_table_db.copy()
-        signature = ("Emp", "Dept")
-        snapshot = BaseSnapshot.capture(database, [signature])
-        backend = WarmProcessPoolBackend(2)
-        try:
-            backend._ensure_base(snapshot, [signature])
-            version = backend._version
-            delta = _modifying_delta(database)
-            shipped_before = BACKEND_STATS.bytes_shipped
-            backend.advance_base(delta)
-            shipped = BACKEND_STATS.bytes_shipped - shipped_before
-            assert shipped == len(pickle.dumps(delta, pickle.HIGHEST_PROTOCOL))
-            assert shipped < 2_000  # O(|Δ|), nowhere near a snapshot pickle
-            assert backend._version == version + 1
-        finally:
-            backend.close()
-
     def test_release_base_forgets_only_the_given_database(self, two_table_db):
         database = two_table_db.copy()
         signature = ("Emp", "Dept")
@@ -221,11 +116,38 @@ class TestWarmBackendBaseBookkeeping:
             assert backend._snapshot is snapshot
             backend.release_base(database)
             assert backend._snapshot is None
-            with pytest.raises(RuntimeError):
-                backend.advance_base(_modifying_delta(database))
+        finally:
+            backend.close()
+
+    def test_a_new_base_bumps_the_version(self, two_table_db):
+        signature = ("Emp", "Dept")
+        backend = WarmProcessPoolBackend(2)
+        try:
+            first = BaseSnapshot.capture(two_table_db.copy(), [signature])
+            backend._ensure_base(first, [signature])
+            version = backend._version
+            backend._ensure_base(first, [signature])  # same base: no bump
+            assert backend._version == version
+            backend._ensure_base(
+                BaseSnapshot.capture(two_table_db.copy(), [signature]), [signature]
+            )
+            assert backend._version == version + 1
         finally:
             backend.close()
 
     def test_workers_below_two_are_rejected(self):
         with pytest.raises(ValueError):
             WarmProcessPoolBackend(1)
+
+    def test_the_worker_count_is_the_only_knob(self):
+        for knob in ("target_unit_seconds", "ewma_alpha", "mp_context", "use_shared_memory"):
+            with pytest.raises(TypeError):
+                WarmProcessPoolBackend(2, **{knob: None})
+        backend = WarmProcessPoolBackend(2)
+        try:
+            # The cost model runs on the module defaults.
+            assert backend.cost_model.alpha == 0.3
+            assert backend.cost_model.target_unit_seconds == 0.02
+            assert not backend.cost_model.seeded
+        finally:
+            backend.close()

@@ -31,13 +31,20 @@ class TestCLI:
         assert "--workers" in capsys.readouterr().err
 
     def test_backend_flag_parses_and_validates(self, capsys):
-        assert build_parser().parse_args(["table1", "--backend", "sql"]).backend == "sql"
+        assert build_parser().parse_args(["table1", "--backend", "warm"]).backend == "warm"
         # Omitted flag defers to each session's config (backend="auto").
         assert build_parser().parse_args(["table1"]).backend is None
         with pytest.raises(SystemExit) as excinfo:
             main(["table1", "--backend", "mysql"])
         assert excinfo.value.code == 2
         assert "serial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("removed", ["sql", "process"])
+    def test_removed_backends_are_usage_errors(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", "--backend", removed])
+        assert excinfo.value.code == 2
+        assert "choose from auto, serial, warm" in capsys.readouterr().err
 
     def test_backend_default_is_installed_for_the_run_and_restored(self, monkeypatch, capsys):
         from repro.experiments import cli as experiments_cli
@@ -52,9 +59,9 @@ class TestCLI:
         monkeypatch.setitem(experiments_cli._EXPERIMENTS, "table1", stub)
         previous = runner.set_default_backend(None)
         try:
-            assert main(["table1", "--backend", "sql"]) == 0
+            assert main(["table1", "--backend", "warm"]) == 0
             capsys.readouterr()
-            assert observed["backend"] == "sql"
+            assert observed["backend"] == "warm"
             assert runner._DEFAULT_BACKEND is None
         finally:
             runner.set_default_backend(previous)

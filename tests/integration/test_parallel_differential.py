@@ -1,12 +1,19 @@
-"""Serial-vs-parallel differential suite over the paper workloads Q1–Q6.
+"""Serial-vs-parallel differential suite for session-owned worker pools.
 
-The process-pool backend must reproduce the serial round planner's entire
-session transcript **bit-identically** at any worker count: the same modified
-databases, the same candidate partitions and presented deltas, the same
-choices, and the same identified query. Timings are the only fields allowed
-to differ. The serial backend is the oracle; any divergence here means the
-worker protocol (snapshot rehydration, delta-only evaluation, deterministic
-merge) broke.
+``QFESession(workers=N)`` with the default ``auto`` backend builds, drives
+and releases its own warm worker pool for ``N >= 2``. That pool must
+reproduce the serial round planner's entire session transcript
+**bit-identically**: the same modified databases, the same candidate
+partitions and presented deltas, the same choices, and the same identified
+query. Timings are the only fields allowed to differ. The serial backend is
+the oracle; any divergence here means the worker protocol (base install,
+delta-only evaluation, deterministic merge) broke on the path a plain
+``workers=`` caller takes.
+
+The suite covers the paper workloads Q1–Q6 and the synthetic scenario
+presets (chain/star/mixed), which deliberately exercise NULLs, huge
+integers and mixed bool/int/float domains — the typed columns a worker
+receives with its base install.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import pytest
 from repro.core import OracleSelector, QFEConfig, QFESession
 from repro.experiments.runner import prepare_candidates
 from repro.qbo.config import QBOConfig
+from repro.relational.evaluator import evaluate
+from repro.scenarios import SCENARIOS, generate_scenario
 from repro.workloads import build_pair
 
 _SCALE = 0.03
@@ -25,9 +34,9 @@ _FAST_QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candid
 # input, and it is orthogonal to what this suite verifies.
 _CONFIG = QFEConfig(delta_seconds=30.0)
 
-# The heavier workloads (and the worker-count sweep) carry the ``slow``
-# marker: tier-1 still runs a serial-vs-parallel differential on Q2/Q4/Q6,
-# while CI's dedicated differential step runs the entire suite with ``-m ""``.
+# The heavier workloads carry the ``slow`` marker: tier-1 still runs a
+# serial-vs-parallel differential on Q2/Q4/Q6 plus the scenario presets,
+# while CI's warm differential step runs the entire suite with ``-m ""``.
 _WORKLOADS = [
     pytest.param("Q1", marks=pytest.mark.slow),
     "Q2",
@@ -47,7 +56,13 @@ def workload_setup_for():
     def build(name: str):
         setup = _SETUP_CACHE.get(name)
         if setup is None:
-            database, result, target = build_pair(name, _SCALE)
+            if name.startswith("scenario:"):
+                preset = name.split(":", 1)[1]
+                generated = generate_scenario(SCENARIOS[preset], 0.08, 1234)
+                database, target = generated.database, generated.target
+                result = evaluate(target, database)
+            else:
+                database, result, target = build_pair(name, _SCALE)
             candidates, _ = prepare_candidates(
                 database, result, target, qbo_config=_FAST_QBO, candidate_count=12
             )
@@ -120,20 +135,26 @@ def test_parallel_session_is_bit_identical_to_serial(workload_setup_for, workloa
     )
 
 
-@pytest.mark.slow
-def test_worker_count_does_not_change_the_transcript(workload_setup_for):
-    # Merge order must be independent of sharding: 2, 3 and 4 workers all
-    # reproduce the serial transcript on the same workload.
-    setup = workload_setup_for("Q2")
+@pytest.mark.parametrize("preset", sorted(SCENARIOS))
+def test_parallel_matches_serial_on_scenario_presets(workload_setup_for, preset):
+    # The scenario presets stress NULL columns, 2^53-neighbourhood integers
+    # and mixed bool/int/float domains — exactly where a worker whose
+    # installed base drifted from the driver's would silently diverge.
+    setup = workload_setup_for(f"scenario:{preset}")
     serial_session, serial_outcome = _run(setup, workers=0)
-    reference = _transcript(serial_session, serial_outcome)
-    for workers in (2, 3, 4):
-        session, outcome = _run(setup, workers=workers)
-        assert _transcript(session, outcome) == reference, f"diverged at {workers} workers"
+    parallel_session, parallel_outcome = _run(setup, workers=2)
+    assert _transcript(parallel_session, parallel_outcome) == _transcript(
+        serial_session, serial_outcome
+    )
 
 
 def test_parallel_session_uses_the_process_pool(workload_setup_for):
+    # Guard against ``auto`` silently falling back to the serial path, and
+    # against a finished session leaking the pool it created.
     setup = workload_setup_for("Q2")
     session, outcome = _run(setup, workers=2)
-    assert session._generator.backend.name == "process-pool"
+    backend = session._generator.backend
+    assert backend.name == "warm-pool"
+    assert backend.workers == 2
     assert outcome.iteration_count >= 1
+    assert backend._executor is None

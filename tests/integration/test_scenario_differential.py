@@ -1,7 +1,7 @@
 """Differential guards over *generated* scenarios.
 
-The PR-3/PR-4 bit-identity contracts — process-pool sessions reproduce the
-serial transcript exactly, and checkpoint/resume from a workload reference
+The bit-identity contracts — warm-pool sessions reproduce the serial
+transcript exactly, and checkpoint/resume from a workload reference
 reproduces the uninterrupted transcript exactly — must hold for every
 scenario the engine can fabricate, not just the six paper workloads. The
 fast guard here (one small generated scenario, serial vs a 2-worker pool)
@@ -14,8 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import QFEConfig, QFESession
-from repro.core.execution_backend import ProcessPoolBackend
 from repro.core.feedback import WorstCaseSelector
+from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.relational.evaluator import evaluate
 from repro.scenarios import SCENARIOS, generate_scenario, run_sweep
 from repro.service.checkpoint import (
@@ -59,7 +59,8 @@ def _transcript(generated, result, candidates, *, workers=0, backend=None) -> st
 
 
 def test_fast_guard_serial_vs_two_worker_pool_bit_identity():
-    """The check.sh fast guard: one small scenario, serial vs 2-worker pool."""
+    """The check.sh fast guard: one small scenario, serial vs ``workers=2``
+    (which ``auto`` maps to a 2-worker warm pool)."""
     generated, result, candidates = _setup("mixed", 0.05)
     serial = _transcript(generated, result, candidates, workers=0)
     pooled = _transcript(generated, result, candidates, workers=2)
@@ -73,8 +74,6 @@ def test_fast_guard_serial_vs_warm_pool_bit_identity():
     base and plans every round cold, the second hits worker-resident plan
     caches — both must reproduce the serial transcript byte for byte.
     """
-    from repro.core.worker_runtime import WarmProcessPoolBackend
-
     generated, result, candidates = _setup("mixed", 0.05)
     serial = _transcript(generated, result, candidates, workers=0)
     backend = WarmProcessPoolBackend(2)
@@ -83,6 +82,19 @@ def test_fast_guard_serial_vs_warm_pool_bit_identity():
         assert _transcript(generated, result, candidates, backend=backend) == serial
     finally:
         backend.close()
+
+
+def test_pooled_sweep_point_has_only_serial_and_warm_legs():
+    payload = run_sweep(["chain"], [0.05], seed=_SEED, workers=2, out_path=None)
+    (point,) = payload["scenarios"]["chain"]["trajectory"]
+    assert point["transcripts_identical"] is True
+    assert set(point["backend_seconds"]) == {"serial", "warm"}
+    assert point["backend_seconds"]["warm"] == point["pooled_seconds"] > 0
+    assert point["pooled_cold_seconds"] > 0
+    assert point["pooled_workers"] == 2
+    assert point["fastest_backend"] in {"serial", "warm"}
+    assert set(point["phase_seconds"]) <= {"serial", "warm"}
+    assert not [key for key in point if key.startswith("sql")]
 
 
 @pytest.mark.slow
@@ -100,7 +112,7 @@ def test_worker_count_does_not_change_a_scenario_transcript():
     generated, result, candidates = _setup("chain", 0.1)
     reference = _transcript(generated, result, candidates, workers=0)
     for workers in (2, 3):
-        backend = ProcessPoolBackend(workers)
+        backend = WarmProcessPoolBackend(workers)
         try:
             assert (
                 _transcript(generated, result, candidates, backend=backend) == reference

@@ -5,13 +5,13 @@ The service layer must never change what QFE computes:
 * a session **checkpointed and resumed at every round** — crossing a pickle
   boundary each time, with the base database rebuilt from its workload
   reference — produces a canonical transcript *byte-identical* to an
-  uninterrupted run (serial and pooled backends alike);
+  uninterrupted run (serial and warm-pool backends alike);
 * **many concurrent sessions** multiplexed over one shared backend finish
   with transcripts identical to the same sessions run sequentially.
 
 The uninterrupted in-process run is the oracle; any divergence means session
 state capture, checkpoint serialization, shared-state multiplexing or the
-shared-snapshot broadcast broke. Heavier workloads carry the ``slow`` marker:
+shared-snapshot install broke. Heavier workloads carry the ``slow`` marker:
 tier-1 runs Q2/Q4/Q6, while CI's dedicated differential step runs everything
 with ``-m ""``.
 """
@@ -23,8 +23,8 @@ import threading
 import pytest
 
 from repro.core import OracleSelector, QFEConfig, QFESession
-from repro.core.execution_backend import ProcessPoolBackend
 from repro.core.feedback import WorstCaseSelector
+from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.service.checkpoint import (
     DatabaseRef,
     capture_checkpoint,
@@ -122,12 +122,12 @@ def test_resume_every_round_is_bit_identical_to_uninterrupted(
 
 
 def test_resume_every_round_on_a_pooled_backend(workload_setup_for):
-    # The resumed sessions all share one live pool; the shared base database
-    # keeps the snapshot broadcast warm across resume boundaries. The serial
-    # uninterrupted run stays the oracle.
+    # The resumed sessions all share one live warm pool; the shared base
+    # database keeps the workers' installed snapshot current across resume
+    # boundaries. The serial uninterrupted run stays the oracle.
     setup = workload_setup_for("Q2")
     reference = _uninterrupted_transcript(setup, "Q2")
-    backend = ProcessPoolBackend(2)
+    backend = WarmProcessPoolBackend(2)
     try:
         resumed = _resumed_transcript(setup, "Q2", backend=backend, rebuild_base=False)
     finally:

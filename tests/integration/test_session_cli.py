@@ -26,12 +26,23 @@ class TestParser:
     def test_backend_flag_defaults_to_auto(self, capsys):
         args = build_parser().parse_args(["--dataset", "employee"])
         assert args.backend == "auto"
-        args = build_parser().parse_args(["--dataset", "employee", "--backend", "sql"])
-        assert args.backend == "sql"
+        args = build_parser().parse_args(["--dataset", "employee", "--backend", "warm"])
+        assert args.backend == "warm"
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["--dataset", "employee", "--backend", "mysql"])
         assert excinfo.value.code == 2
         assert "serial" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("removed", ["sql", "process"])
+    def test_removed_backends_are_usage_errors(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "--dataset", "employee",
+                "--target-sql", "SELECT name FROM Employee WHERE salary > 4000",
+                "--backend", removed,
+            ])
+        assert excinfo.value.code == 2
+        assert "choose from auto, serial, warm" in capsys.readouterr().err
 
     def test_negative_workers_is_rejected_at_parse_time(self, capsys):
         # Validated by the shared argparse type before any dataset loads:
@@ -66,14 +77,18 @@ class TestBuiltinDatasetRuns:
         assert "Identified query" in parallel_output
         assert parallel_output.splitlines()[-1] == serial_output.splitlines()[-1]
 
-    def test_employee_sql_backend_matches_serial(self, capsys):
+    def test_employee_warm_backend_matches_serial(self, capsys):
+        # An explicit --backend warm without --workers runs the pool at its
+        # minimum of two workers and must identify the serial query.
         target = "SELECT name FROM Employee WHERE salary > 4000"
         assert main(["--dataset", "employee", "--target-sql", target]) == 0
         serial_output = capsys.readouterr().out
-        assert main(["--dataset", "employee", "--target-sql", target, "--backend", "sql"]) == 0
-        sql_output = capsys.readouterr().out
-        assert "Identified query" in sql_output
-        assert sql_output.splitlines()[-1] == serial_output.splitlines()[-1]
+        assert main([
+            "--dataset", "employee", "--target-sql", target, "--backend", "warm",
+        ]) == 0
+        warm_output = capsys.readouterr().out
+        assert "Identified query" in warm_output
+        assert warm_output.splitlines()[-1] == serial_output.splitlines()[-1]
 
     def test_transcript_out_writes_machine_readable_json(self, tmp_path, capsys):
         import json

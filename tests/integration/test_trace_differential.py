@@ -1,4 +1,4 @@
-"""Tracing-on vs tracing-off differential over Q1–Q6 on all three backends.
+"""Tracing-on vs tracing-off differential over Q1–Q6 on both backends.
 
 Tracing is observability, not behavior: with a tracer installed, every
 backend must reproduce its untraced session transcript **bit-identically** —
@@ -8,9 +8,8 @@ means span instrumentation leaked into the evaluation path (changed iteration
 order, perturbed a cache, consumed RNG state).
 
 The same runs double as coverage that the expected spans actually appear for
-each backend (broadcast/wave/merge for the pool, mirror load/DML/SELECT for
-SQL pushdown), and that per-round phase durations account for the propose
-wall-clock.
+each backend (broadcast/plan/merge for the warm pool), and that per-round
+phase durations account for the propose wall-clock.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import OracleSelector, QFEConfig, QFESession
-from repro.core.execution_backend import SqlPushdownBackend
 from repro.core.timing import Stopwatch
 from repro.experiments.runner import prepare_candidates
 from repro.obs.summary import phase_breakdown
@@ -46,7 +44,7 @@ _WORKLOADS = [
     pytest.param("Q5", marks=pytest.mark.slow),
     "Q6",
 ]
-_BACKENDS = ["serial", "process", "sql"]
+_BACKENDS = ["serial", "warm"]
 
 _SETUP_CACHE: dict[str, tuple] = {}
 
@@ -71,20 +69,17 @@ def workload_setup_for():
 
 def _run(setup, backend_name: str, tracer=None):
     database, result, target, candidates = setup
-    backend = SqlPushdownBackend() if backend_name == "sql" else None
-    workers = 2 if backend_name == "process" else 0
+    workers = 2 if backend_name == "warm" else 0
     previous = set_tracer(tracer) if tracer is not None else None
     try:
         session = QFESession(
             database, result, candidates=candidates, config=_CONFIG,
-            workers=workers, backend=backend,
+            workers=workers,
         )
         outcome = session.run(OracleSelector(target))
     finally:
         if tracer is not None:
             set_tracer(previous)
-        if backend is not None:
-            backend.close()
     return session, outcome
 
 
@@ -145,16 +140,16 @@ def test_tracing_does_not_perturb_the_transcript(
     )
 
     names = {record["name"] for record in spans}
-    assert {"session.propose", "round.prepare"} <= names
+    # The warm pool runs the round prologue worker-side, under backend.plan.
+    prologue = "backend.plan" if backend_name == "warm" else "round.prepare"
+    assert {"session.propose", prologue} <= names
     if traced_session.last_rounds:
         # Search/present/submit (and the backend-specific spans) only exist
         # when the session actually presented a round; a workload that
         # exhausts during generation (Q4 at this scale) stops earlier.
         assert {"round.search", "round.present", "session.submit"} <= names
-        if backend_name == "process":
-            assert {"backend.broadcast", "backend.wave", "backend.merge"} <= names
-        if backend_name == "sql":
-            assert {"sql.mirror.load", "sql.mirror.select"} <= names
+        if backend_name == "warm":
+            assert {"backend.broadcast", "backend.merge"} <= names
 
 
 def test_traced_phases_account_for_propose_wall_clock():

@@ -2,16 +2,15 @@
 
 The warm persistent worker runtime must reproduce the serial round planner's
 entire session transcript **bit-identically** at any worker count — while
-never re-shipping base state it can advance by delta, never re-pickling a
-round body the pool has already seen, and never performing a full join
-worker-side. The serial backend is the oracle; any divergence here means the
-warm protocol (versioned installs, delta advances, content-hashed bodies,
-remote round planning, deterministic merge) broke.
+never re-shipping an installed base, never re-shipping a round body the pool
+has already seen, and never performing a full join worker-side. The serial
+backend is the oracle; any divergence here means the warm protocol
+(versioned installs, content-hashed bodies, remote round planning,
+deterministic merge) broke.
 
 Also here: the fault-tolerance guard (SIGKILL one worker mid-session → the
 pool rebuilds transparently and the transcript stays bit-identical), the
-classic process pool's context-dedup satellite, and the warm-aware
-``reset_all_stats`` regression.
+context-dedup check, and the warm-aware ``reset_all_stats`` regression.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import time
 import pytest
 
 from repro.core import OracleSelector, QFEConfig, QFESession
-from repro.core.execution_backend import BACKEND_STATS, ProcessPoolBackend
+from repro.core.execution_backend import BACKEND_STATS
 from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.experiments.runner import prepare_candidates
 from repro.obs.registry import reset_all_stats
@@ -40,9 +39,9 @@ _FAST_QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candid
 # input, and it is orthogonal to what this suite verifies.
 _CONFIG = QFEConfig(delta_seconds=30.0)
 
-# Tier-1 runs the warm differential on Q2/Q4/Q6 (mirroring the classic
-# parallel suite); the remaining workloads and the worker-count sweep carry
-# the ``slow`` marker for CI's differential step.
+# Tier-1 runs the warm differential on Q2/Q4/Q6; the remaining workloads and
+# the worker-count sweep carry the ``slow`` marker for CI's differential
+# step.
 _WORKLOADS = [
     pytest.param("Q1", marks=pytest.mark.slow),
     "Q2",
@@ -203,16 +202,17 @@ def test_pool_rebuild_after_worker_sigkill_is_bit_identical(workload_setup_for):
         backend.close()
 
 
-def test_classic_pool_skips_re_pickling_an_identical_context(workload_setup_for):
-    """Satellite: ``ProcessPoolBackend`` ships a round body once per pool.
+def test_warm_pool_skips_re_shipping_an_identical_context(workload_setup_for):
+    """The warm pool ships each distinct round body once per pool.
 
     Two identical sessions over one pool see identical per-round contexts;
-    the second session's rounds must hit the worker-side body cache
-    (``context_skips``) instead of re-pickling, and still be bit-identical.
+    every round body of the second session must be a hash-only skip
+    (``context_skips``) instead of a shipped payload, and still be
+    bit-identical.
     """
     setup = workload_setup_for("Q2")
     serial = _run(setup, workers=0)
-    backend = ProcessPoolBackend(2)
+    backend = WarmProcessPoolBackend(2)
     join_cache = JoinCache()
     snapshots = SharedSnapshotCache()
     try:
@@ -220,16 +220,11 @@ def test_classic_pool_skips_re_pickling_an_identical_context(workload_setup_for)
         assert first == serial
         pickles_before = BACKEND_STATS.context_pickles
         skips_before = BACKEND_STATS.context_skips
-        resends_before = BACKEND_STATS.context_resends
         second = _run(setup, backend=backend, join_cache=join_cache, snapshot_cache=snapshots)
         assert second == serial
-        # Every round body of the second session was byte-identical to one
-        # the pool already holds: each hash computation became a skip (no
-        # payload shipped), and no worker ever had to ask for a resend.
         skips = BACKEND_STATS.context_skips - skips_before
         pickles = BACKEND_STATS.context_pickles - pickles_before
         assert skips == pickles > 0
-        assert BACKEND_STATS.context_resends == resends_before
     finally:
         backend.close()
 

@@ -113,7 +113,7 @@ class TestMetricsEndpoint:
         assert "qfe_service_round_latency_seconds_count 1" in body
         # Live gauges ride along with the counter snapshot.
         assert "qfe_service_active_sessions 0" in body
-        # Process-wide registry metrics (join/columnar/pushdown) are exposed too.
+        # Process-wide registry metrics (join/columnar/backend) are exposed too.
         assert "qfe_join_full_joins" in body
 
     def test_accept_header_selects_prometheus(self, service_url):

@@ -125,7 +125,7 @@ def _round_spans(tracer):
     with tracer.span("session.propose", iteration=1):
         with tracer.span("round.prepare"):
             pass
-        with tracer.span("round.search", backend="process-pool"):
+        with tracer.span("round.search", backend="warm-pool"):
             with tracer.span("backend.broadcast"):
                 pass
             with tracer.span("backend.wave", units=2):

@@ -1,6 +1,6 @@
 """Worker-side counters must surface in the parent after a pooled round.
 
-The process-pool workers evaluate attempts in separate processes, so every
+The warm-pool workers evaluate attempts in separate processes, so every
 ``JOIN_STATS``/``COLUMNAR_STATS`` increment they make would be invisible to
 the driver unless each work unit ships its counter deltas back with its
 outcomes and the backend merges them into the parent registry.
@@ -11,21 +11,21 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import QFEConfig
-from repro.core.execution_backend import ProcessPoolBackend
 from repro.core.round_planner import RoundPlanner
+from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.relational.columnar import COLUMNAR_STATS
 from repro.relational.join import JOIN_STATS
 
 
 @pytest.fixture(scope="module")
-def process_backend():
-    backend = ProcessPoolBackend(2)
+def warm_backend():
+    backend = WarmProcessPoolBackend(2)
     yield backend
     backend.close()
 
 
 def test_worker_counters_merge_into_the_parent(
-    employee_db, employee_result, employee_candidates, process_backend
+    employee_db, employee_result, employee_candidates, warm_backend
 ):
     planner = RoundPlanner(QFEConfig())
     plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
@@ -35,7 +35,7 @@ def test_worker_counters_merge_into_the_parent(
     join_before = JOIN_STATS.snapshot()
     columnar_before = sum(COLUMNAR_STATS.snapshot().values())
 
-    outcomes = planner.execute(plan, stop_at_first=False, backend=process_backend)
+    outcomes = planner.execute(plan, stop_at_first=False, backend=warm_backend)
 
     assert outcomes  # the round actually ran attempts
     full_joins, delta_applies = JOIN_STATS.snapshot()

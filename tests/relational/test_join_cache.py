@@ -10,6 +10,7 @@ is garbage-collected).
 
 from __future__ import annotations
 
+from repro.relational.database import Database
 from repro.relational.delta import TupleDelta
 from repro.relational.evaluator import JoinCache, evaluate
 from repro.relational.join import JOIN_STATS
@@ -86,6 +87,73 @@ class TestBatchThroughCache:
             [_salary_query(60)], two_table_db, with_fingerprints=False
         )
         assert batch.fingerprints is None
+
+    def test_fingerprint_equality_matches_bag_equality(self):
+        database, queries = _fingerprint_round()
+        batch = JoinCache().evaluate_batch(queries, database)
+        results = [evaluate(q, database) for q in queries]
+        for a in range(len(queries)):
+            for b in range(len(queries)):
+                same_rows = results[a].bag_equal(results[b])
+                assert (batch.fingerprints[a] == batch.fingerprints[b]) == same_rows, (a, b)
+        fp = batch.fingerprints
+        assert fp[1] == fp[2]  # different predicates, equal bags
+        assert fp[3] != fp[4]  # 2^53 + 1 vs 2^53 stay apart
+        assert fp[7] == fp[8]  # DISTINCT of a duplicate pair equals the single row
+        assert fp[6] != fp[7]  # ...but the duplicate pair does not
+
+    def test_set_fingerprint_equality_matches_set_equality(self):
+        database, queries = _fingerprint_round()
+        batch = JoinCache().evaluate_batch(queries, database, set_semantics=True)
+        results = [evaluate(q, database) for q in queries]
+        for a in range(len(queries)):
+            for b in range(len(queries)):
+                same_rows = results[a].set_equal(results[b])
+                assert (batch.fingerprints[a] == batch.fingerprints[b]) == same_rows, (a, b)
+        assert batch.fingerprints[6] == batch.fingerprints[7]
+        assert batch.fingerprints[9] == batch.fingerprints[10]
+
+    def test_distinct_query_fingerprints_collapse_duplicates(self):
+        database, queries = _fingerprint_round()
+        # Same mask and projection, different DISTINCT flag: the batch must
+        # not share one materialization between them.
+        batch = JoinCache().evaluate_batch([queries[9], queries[10]], database)
+        fp_plain, fp_distinct = batch.fingerprints
+        assert fp_plain != fp_distinct
+        assert dict(fp_plain)[("a",)] == 2
+        assert dict(fp_distinct)[("a",)] == 1
+
+
+def _fingerprint_round():
+    """One table with NULLs, duplicates and 2^53 neighbours, plus a candidate
+    batch whose results coincide in some pairs and differ in others."""
+    big = 2**53
+    database = Database.from_tables({
+        "T": (
+            ["i", "f", "s"],
+            [[1, 1.5, "a"], [2, 2.5, "b"], [3, None, "a"],
+             [big, 2.5, "c"], [big + 1, None, "c"]],
+        )
+    })
+
+    def query(projection, term=None, distinct=False):
+        predicate = DNFPredicate.from_terms([term]) if term else DNFPredicate.true()
+        return SPJQuery(["T"], [projection], predicate, distinct=distinct)
+
+    queries = [
+        query("T.i", Term("T.f", ComparisonOp.GT, 1.0)),        # 0: 1, 2, big
+        query("T.i", Term("T.s", ComparisonOp.EQ, "a")),        # 1: 1, 3
+        query("T.i", Term("T.i", ComparisonOp.IN, (1, 3))),     # 2: 1, 3
+        query("T.i", Term("T.i", ComparisonOp.GE, big + 1)),    # 3: big + 1
+        query("T.i", Term("T.i", ComparisonOp.EQ, big)),        # 4: big
+        query("T.f", Term("T.s", ComparisonOp.EQ, "c")),        # 5: 2.5, NULL
+        query("T.f", Term("T.f", ComparisonOp.GT, 2.0)),        # 6: 2.5, 2.5
+        query("T.f", Term("T.s", ComparisonOp.EQ, "b")),        # 7: 2.5
+        query("T.f", Term("T.f", ComparisonOp.GT, 2.0), True),  # 8: 2.5
+        query("T.s"),                                           # 9: a, b, a, c, c
+        query("T.s", distinct=True),                            # 10: a, b, c
+    ]
+    return database, queries
 
 
 class TestInvalidation:

@@ -1,16 +1,13 @@
-"""Cross-engine NULL / three-valued-logic consistency.
+"""Cross-path NULL / three-valued-logic consistency.
 
-One property drives four implementations of the same comparison over columns
-containing NULLs and constants that are NULL, NaN or type-incomparable — the
-row-at-a-time interpreter (``Term.evaluate_value``), the compiled term
-closures, the columnar batch masks, and the SQL-pushdown translation
-executed by SQLite — and demands they all agree. The evaluator's semantics
-are *not* SQL's: ``NULL`` values fail every predicate outright (no three-
-valued ``UNKNOWN`` propagation), ``NOT IN`` with a NULL in the list still
-selects rows, and ordering a value against a NULL constant is an error. The
-pushdown layer must reproduce exactly that, rewriting each term rather than
-leaning on SQLite's native semantics; where it cannot, it must refuse to
-compile (``PushdownUnsupportedError``) so the round falls back to Python.
+One property drives three implementations of the same comparison over
+columns containing NULLs and constants that are NULL, NaN or
+type-incomparable — the row-at-a-time interpreter (``Term.evaluate_value``),
+the compiled term closures, and the columnar batch masks — and demands they
+all agree. The evaluator's semantics are *not* SQL's: ``NULL`` values fail
+every predicate outright (no three-valued ``UNKNOWN`` propagation), ``NOT
+IN`` with a NULL in the list still selects rows, and ordering a value
+against a NULL constant is an error.
 """
 
 from __future__ import annotations
@@ -23,9 +20,6 @@ from repro.exceptions import EvaluationError
 from repro.relational.columnar import ColumnarView, pack_bools
 from repro.relational.database import Database
 from repro.relational.predicates import ComparisonOp, Term, compile_term
-from repro.sql.pushdown import PushdownUnsupportedError, SqliteMirror
-from repro.sql.pushdown import compile_term as compile_term_sql
-from repro.sql.render import render_identifier
 
 _SETTINGS = settings(
     max_examples=80,
@@ -99,54 +93,28 @@ def _interpret(term: Term, values):
     return verdicts, errored
 
 
-class TestFourPathNullConsistency:
+class TestThreePathNullConsistency:
     @_SETTINGS
     @given(rows=st.lists(_row, min_size=0, max_size=8), spec=_term_spec)
-    def test_interpreter_compiled_mask_and_pushdown_agree(self, rows, spec):
+    def test_interpreter_compiled_and_mask_agree(self, rows, spec):
         column, op, constant, second = spec
         if op.is_membership:
             constant = (constant, second)
         qualified = Term(f"T.{column}", op, constant)
-        database = _database(rows)
-        relation = database.relation("T")
+        relation = _database(rows).relation("T")
         values = relation.column(column)
-        column_type = relation.schema.attribute(column).type
 
         verdicts, errored = _interpret(qualified, values)
-
-        if not errored:
-            # Path 1 vs 2: interpreter vs compiled closure, value by value.
-            compiled = compile_term(qualified)
-            assert [compiled(v) for v in values] == verdicts
-
-            # Path 3: the columnar term mask, bit for bit.
-            bare = Term(column, op, constant)
-            view = ColumnarView(relation)
-            assert view.term_mask(bare) == pack_bools(verdicts)
-
-        # Path 4: the pushdown SQL translation, row id by row id.
-        try:
-            condition = compile_term_sql(qualified, column_type)
-        except PushdownUnsupportedError:
-            # Refusing to compile is always safe (the round falls back to
-            # the Python evaluator) and *mandatory* when any row errors —
-            # a compiled round could not reproduce the error.
+        if errored:
             return
-        assert not errored, (
-            f"{qualified} errors in the evaluator but compiled to SQL: {condition}"
-        )
-        expected = {
-            tuple_id
-            for tuple_id, verdict in zip(_ids(relation), verdicts)
-            if verdict
-        }
-        with SqliteMirror(database) as mirror:
-            sql = (
-                f'SELECT "_qfe_id" FROM {render_identifier("T")} '
-                f"WHERE {condition}"
-            )
-            selected = {row[0] for row in mirror._connection.execute(sql)}
-        assert selected == expected, (qualified, condition)
+
+        # Path 1 vs 2: interpreter vs compiled closure, value by value.
+        compiled = compile_term(qualified)
+        assert [compiled(v) for v in values] == verdicts
+
+        # Path 3: the columnar term mask, bit for bit.
+        view = ColumnarView(relation)
+        assert view.term_mask(Term(column, op, constant)) == pack_bools(verdicts)
 
 
 class TestPinnedNullCases:
@@ -155,18 +123,17 @@ class TestPinnedNullCases:
     def _selected(self, database, term):
         relation = database.relation("T")
         column = term.attribute.split(".", 1)[1]
-        column_type = relation.schema.attribute(column).type
-        condition = compile_term_sql(term, column_type)
-        with SqliteMirror(database) as mirror:
-            rows = mirror._connection.execute(
-                f'SELECT "_qfe_id" FROM "T" WHERE {condition}'
-            ).fetchall()
-        return {row[0] for row in rows}
+        verdicts, errored = _interpret(term, relation.column(column))
+        assert not errored, term
+        mask = ColumnarView(relation).term_mask(Term(column, term.op, term.constant))
+        assert mask == pack_bools(verdicts), term
+        return {
+            tuple_id for tuple_id, verdict in zip(_ids(relation), verdicts) if verdict
+        }
 
     def test_not_in_with_null_in_list_still_selects(self):
         # SQL's ``x NOT IN (1, NULL)`` selects nothing; the evaluator's
-        # selects every row whose value differs from 1. The pushdown must
-        # strip the NULL, not pass it through.
+        # selects every row whose value differs from 1.
         database = _database([(2, 1.0, True, "x"), (1, 1.0, True, "x")])
         term = Term("T.i", ComparisonOp.NOT_IN, (1, None))
         ids = self._selected(database, term)
@@ -192,15 +159,13 @@ class TestPinnedNullCases:
                           database.relation("T").column("i")))
         assert ids == {i for i, v in values.items() if v is not None}
 
-    def test_ordering_against_null_constant_refuses_to_compile(self):
-        from repro.relational.types import AttributeType
-
-        with pytest.raises(PushdownUnsupportedError):
-            compile_term_sql(Term("T.i", ComparisonOp.LT, None), AttributeType.INTEGER)
+    def test_ordering_against_null_constant_is_an_error(self):
+        with pytest.raises(EvaluationError):
+            Term("T.i", ComparisonOp.LT, None).evaluate_value(1)
 
     def test_string_literal_never_matches_integers(self):
-        # SQLite's affinity would coerce '1' = 1 to true on a TEXT column
-        # and 1 = '1' on INTEGER; the evaluator never cross-matches.
+        # Unlike SQLite's affinity coercion ('1' = 1 on a TEXT column), the
+        # evaluator never cross-matches a string literal and an integer.
         database = _database([(1, 1.0, True, "1")])
         assert self._selected(database, Term("T.i", ComparisonOp.EQ, "1")) == set()
         relation = database.relation("T")
@@ -230,21 +195,16 @@ class TestPinnedNullCases:
             database, Term("T.f", ComparisonOp.IN, (NAN, 0.0))
         ) == zero_f
 
-    def test_ordering_against_nan_on_a_string_column_refuses_to_compile(self):
-        # ``"x" < nan`` is a cross-type ordering *error* in the evaluator,
-        # not a benign False — the numeric-column NaN fold must not apply.
-        from repro.relational.types import AttributeType
+    def test_ordering_against_nan_is_an_error_only_on_strings(self):
+        # ``"x" < nan`` is a cross-type ordering *error*, not a benign False;
+        # over numeric columns every ordering against NaN is just False.
+        with pytest.raises(EvaluationError):
+            Term("T.s", ComparisonOp.LT, NAN).evaluate_value("x")
+        assert Term("T.f", ComparisonOp.LT, NAN).evaluate_value(0.0) is False
 
-        with pytest.raises(PushdownUnsupportedError):
-            compile_term_sql(Term("T.s", ComparisonOp.LT, NAN), AttributeType.STRING)
-        # Over numeric columns the fold stays: every ordering folds to 0.
-        assert compile_term_sql(
-            Term("T.f", ComparisonOp.LT, NAN), AttributeType.FLOAT
-        ) == "0"
-
-    def test_huge_int_neighbours_stay_exact_through_sql(self):
-        # 2^53 and 2^53 + 1 collapse after a float() round-trip; the SQL
-        # path must keep them apart exactly as the evaluator does.
+    def test_huge_int_neighbours_stay_exact(self):
+        # 2^53 and 2^53 + 1 collapse after a float() round-trip; every path
+        # must keep them apart.
         database = _database([(BIG, None, None, None), (BIG + 1, None, None, None)])
         relation = database.relation("T")
         by_value = dict(zip(relation.column("i"), _ids(relation)))

@@ -51,10 +51,13 @@ class TestCheckpointFormat:
         blob = capture_checkpoint(mid_session, session_id="abc123")
         header_line, _, body = blob.partition(b"\n")
         header = json.loads(header_line)
-        header["version"] = CHECKPOINT_VERSION + 1
-        tampered = json.dumps(header).encode() + b"\n" + body
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
-            restore_checkpoint(tampered)
+        # A newer version, and version 1 (no payload checksum; its pickled
+        # config may name since-removed backends).
+        for version in (CHECKPOINT_VERSION + 1, 1):
+            header["version"] = version
+            tampered = json.dumps(header).encode() + b"\n" + body
+            with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
+                restore_checkpoint(tampered)
 
     def test_garbage_is_refused(self):
         with pytest.raises(CheckpointError):
@@ -67,6 +70,40 @@ class TestCheckpointFormat:
         header_line, _, _ = blob.partition(b"\n")
         with pytest.raises(CheckpointError, match="corrupt"):
             restore_checkpoint(header_line + b"\n" + b"\x80\x04garbage")
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "extend", "unsigned"])
+    def test_damaged_payload_is_refused_before_unpickling(
+        self, mid_session, monkeypatch, damage
+    ):
+        import pickle
+
+        blob = bytearray(capture_checkpoint(mid_session, session_id="abc123"))
+        header = read_checkpoint_header(bytes(blob))
+        assert len(header["payload_sha256"]) == 64
+        if damage == "flip":
+            blob[-len(blob) // 3] ^= 0x01  # one bit, inside the payload
+        elif damage == "truncate":
+            del blob[-1]
+        elif damage == "extend":
+            blob += b"\x00"  # trailing bytes pickle.loads would ignore
+        else:
+            # A v2 header whose checksum was stripped must not skip the check.
+            del header["payload_sha256"]
+            _, _, body = bytes(blob).partition(b"\n")
+            blob = bytearray(json.dumps(header).encode() + b"\n" + body)
+
+        reached = []
+
+        def unreachable(*args, **kwargs):
+            # restore_checkpoint wraps unpickling errors, so record the call
+            # instead of relying on the exception to escape.
+            reached.append(True)
+            raise AssertionError("a damaged payload reached pickle.loads")
+
+        monkeypatch.setattr(pickle, "loads", unreachable)
+        with pytest.raises(CheckpointError, match="sha256 does not match"):
+            restore_checkpoint(bytes(blob))
+        assert not reached
 
     def test_metadata_rides_in_the_header(self, mid_session):
         blob = capture_checkpoint(

@@ -22,13 +22,13 @@ class TestServeParser:
     def test_full_flag_set(self):
         args = build_parser().parse_args([
             "--host", "0.0.0.0", "--port", "9000", "--workers", "4",
-            "--backend", "sql",
+            "--backend", "warm",
             "--store-dir", "/tmp/ckpt", "--max-live-sessions", "8",
             "--max-stored-sessions", "100", "--session-ttl", "3600",
             "--no-checkpoint", "--verbose",
         ])
         assert (args.host, args.port, args.workers) == ("0.0.0.0", 9000, 4)
-        assert args.backend == "sql"
+        assert args.backend == "warm"
         assert args.store_dir == "/tmp/ckpt"
         assert (args.max_live_sessions, args.max_stored_sessions) == (8, 100)
         assert args.session_ttl == 3600.0
@@ -46,3 +46,12 @@ class TestServeParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("removed", ["sql", "process"])
+    def test_removed_backends_are_usage_errors(self, removed, capsys):
+        from repro.service.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--backend", removed])
+        assert excinfo.value.code == 2
+        assert "choose from auto, serial, warm" in capsys.readouterr().err

@@ -1,12 +1,19 @@
 """Integration tests for the HTTP JSON API and its client."""
 
+import socket
+
 import pytest
 
 from repro.core import QFEConfig, QFESession, WorstCaseSelector
 from repro.service.checkpoint import session_transcript, transcript_json
 from repro.service.client import ServiceClient, ServiceClientError
 from repro.service.manager import SessionManager, workload_session_inputs
-from repro.service.server import make_server
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    REQUEST_TIMEOUT_SECONDS,
+    _RequestHandler,
+    make_server,
+)
 from repro.service.store import InMemorySessionStore
 
 _SPEC = dict(scale=0.03, candidate_count=8, config={"delta_seconds": 30.0})
@@ -140,3 +147,162 @@ class TestFullSession:
             assert excinfo.value.status == 409
         finally:
             service.delete_session(sid)
+
+
+# ----------------------------------------------------------- hostile bodies
+@pytest.fixture(scope="module")
+def raw_service():
+    """A server plus its address and store, for raw-socket requests."""
+    store = InMemorySessionStore()
+    server = make_server(SessionManager(store=store))
+    server.serve_background()
+    yield server.server_address[:2], store
+    server.close()
+
+
+def _raw_exchange(address, request: bytes, *, wait: float = 5.0) -> bytes:
+    """Send *request* and read until the server closes the connection.
+
+    Raises ``socket.timeout`` when the server neither answers nor closes
+    within *wait* seconds — the hang these tests guard against.
+    """
+    with socket.create_connection(address, timeout=wait) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _post_head(content_length: str, *, extra_headers: str = "") -> bytes:
+    return (
+        "POST /sessions HTTP/1.1\r\n"
+        "Host: localhost\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n"
+        f"{extra_headers}"
+        "\r\n"
+    ).encode("ascii")
+
+
+def _assert_healthy(address) -> None:
+    host, port = address
+    assert ServiceClient(f"http://{host}:{port}", timeout=5).healthz()["status"] == "ok"
+
+
+class TestHostileBodies:
+    @pytest.mark.parametrize("declared", ["-1", "-5000", "abc", "1.5"])
+    def test_bad_content_length_is_a_400(self, raw_service, declared):
+        address, _ = raw_service
+        response = _raw_exchange(address, _post_head(declared) + b'{"workload": "Q2"}')
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"Content-Length" in response
+        _assert_healthy(address)
+
+    def test_oversized_body_is_refused_unread(self, raw_service):
+        address, _ = raw_service
+        # Only the headers are sent: answering needs no byte of the body.
+        response = _raw_exchange(address, _post_head(str(MAX_BODY_BYTES + 1)))
+        assert response.startswith(b"HTTP/1.1 413 "), response[:80]
+        _assert_healthy(address)
+
+    def test_a_refused_body_is_never_parsed_as_a_request(self, raw_service):
+        address, _ = raw_service
+        # The unread "body" holds a second request. Answering it would let a
+        # client smuggle requests past the size check; the server must drop
+        # the connection after the 413 instead.
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        response = _raw_exchange(address, _post_head(str(MAX_BODY_BYTES + 1)) + smuggled)
+        assert response.startswith(b"HTTP/1.1 413 "), response[:80]
+        assert response.count(b"HTTP/1.1 ") == 1
+        _assert_healthy(address)
+
+    def test_a_body_at_the_limit_is_read(self, raw_service):
+        address, _ = raw_service
+        body = b'{"workload": "Q2", "scale": -1}'
+        body += b" " * (MAX_BODY_BYTES - len(body))
+        request = _post_head(str(len(body)), extra_headers="Connection: close\r\n") + body
+        response = _raw_exchange(address, request)
+        # Parsed and validated (400 about the scale), not refused as too large.
+        assert response.startswith(b"HTTP/1.1 400 "), response[:80]
+        assert b"scale" in response
+        _assert_healthy(address)
+
+    def test_a_read_body_keeps_the_connection_alive(self, raw_service):
+        import http.client
+
+        (host, port), _ = raw_service
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.request(
+                "POST", "/sessions", body=b'{"workload": "Q2", "scale": -1}',
+                headers={"Content-Type": "application/json"},
+            )
+            rejected = connection.getresponse()
+            rejected.read()
+            assert rejected.status == 400
+            socket_before = connection.sock
+            assert socket_before is not None
+            # The rejected body was consumed, so the stream is still in sync:
+            # the next request rides the same keep-alive connection.
+            connection.request("GET", "/healthz")
+            health = connection.getresponse()
+            health.read()
+            assert health.status == 200
+            assert connection.sock is socket_before
+        finally:
+            connection.close()
+
+    def test_a_short_body_releases_its_thread(self, raw_service, monkeypatch):
+        assert _RequestHandler.timeout == REQUEST_TIMEOUT_SECONDS == 60
+        monkeypatch.setattr(_RequestHandler, "timeout", 1)
+        address, _ = raw_service
+        # Declares 100 bytes, sends 10, then waits: the handler must give
+        # up and close the connection instead of blocking forever.
+        response = _raw_exchange(address, _post_head("100") + b'{"worklo')
+        assert response == b""
+        _assert_healthy(address)
+
+
+class TestCorruptCheckpointOverHttp:
+    def test_resuming_a_bit_flipped_checkpoint_is_a_400(self, raw_service):
+        # Without the payload checksum this flip resumes a silently
+        # different session (200).
+        self._assert_resume_refused(raw_service, "bit-flipped")
+
+    def test_resuming_a_truncated_checkpoint_is_a_400(self, raw_service):
+        self._assert_resume_refused(raw_service, "truncated")
+
+    @staticmethod
+    def _assert_resume_refused(raw_service, sid):
+        from repro.service.checkpoint import DatabaseRef, capture_checkpoint
+
+        address, store = raw_service
+        database, result, _, candidates = workload_session_inputs(
+            "Q2", 0.03, candidate_count=6
+        )
+        session = QFESession(database, result, candidates=candidates)
+        session.propose()
+        blob = bytearray(
+            capture_checkpoint(
+                session, session_id=sid, database_ref=DatabaseRef.workload("Q2", 0.03)
+            )
+        )
+        if sid == "bit-flipped":
+            blob[-len(blob) // 4] ^= 0x01
+        else:
+            del blob[-1]
+        store.put(sid, bytes(blob))
+        host, port = address
+        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.get_round(sid)
+        assert excinfo.value.status == 400
+        assert "corrupt" in str(excinfo.value)
+        _assert_healthy(address)
