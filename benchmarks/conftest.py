@@ -16,6 +16,8 @@ for ``round-planner``, the single-user run for ``service-round``). CI
 uploads the file as an artifact so the perf trajectory is tracked across
 PRs.
 
+The file carries a ``machine`` block (CPU count, Python version, platform,
+git commit or source hash — :func:`repro.obs.machine.machine_stamp`).
 Memory figures ride along in a ``memory`` section: benchmarks record
 ``tracemalloc`` peaks and bytes-per-joined-row per bench group through the
 ``record_group_memory`` fixture (with :func:`measure_peak` for the tracing
@@ -33,6 +35,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+
+from repro.obs.machine import machine_stamp
 
 BENCH_SCALE = float(os.environ.get("QFE_BENCH_SCALE", "0.06"))
 
@@ -138,6 +142,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
                 pass
         payload["groups"].update(groups)
         payload["memory"].update(_GROUP_MEMORY)
+        payload["machine"] = machine_stamp()
         if not payload["memory"]:
             del payload["memory"]
         BENCH_RESULTS_PATH.write_text(

@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import measure_peak, run_once
+from repro.obs.machine import machine_stamp
 from repro.relational.columnar import ColumnarView, ColumnarViewReference
 from repro.relational.join import foreign_key_join
 from repro.relational.predicates import ComparisonOp, Term
@@ -77,6 +78,7 @@ def test_write_scenarios_trajectory_file():
     if not _MERGED:  # collection was filtered down to this test alone
         pytest.skip("no scenario sweeps ran in this session")
     payload = {
+        "machine": machine_stamp(),
         "seed": SCENARIO_SEED,
         "workers": 2,
         "scales": SCENARIO_SCALES,
@@ -107,6 +109,7 @@ def _merge_into_trajectory_file(key: str, entry: dict) -> None:
         except (OSError, ValueError):
             pass
     payload.setdefault("scenarios", {})[key] = entry
+    payload["machine"] = machine_stamp()
     BENCH_SCENARIOS_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

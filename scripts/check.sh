@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 suite, the serial/warm differential checks and
-# the benchmark's own tests.
+# the benchmark's own tests; ends by printing the src/ Python line count,
+# tracked next to wall-clock.
 #
 #   scripts/check.sh          fast tier-1 (slow-marked tests excluded)
 #   scripts/check.sh --slow   also run the slow tier (examples, tables, studies)
@@ -48,3 +49,4 @@ fi
 
 echo
 echo "All checks passed."
+echo "src/ Python lines: $(find src -name '*.py' -print0 | xargs -0 cat | wc -l)"

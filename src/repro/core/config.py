@@ -131,9 +131,9 @@ class QFEConfig:
         Which execution backend the search runs on: ``"auto"`` (the default)
         derives it from ``workers`` as above, ``"serial"`` forces the
         in-process oracle, and ``"warm"`` forces the warm worker pool
-        (workers keep versioned base state across rounds and sessions, plan
-        rounds remotely, and receive content-hashed round bodies). Every
-        backend produces bit-identical transcripts.
+        (workers keep versioned base state across rounds and sessions and
+        score the attempts the driver planned). Every backend produces
+        bit-identical transcripts.
     """
 
     beta: float = 1.0

@@ -15,12 +15,13 @@ Each QFE iteration calls :class:`DatabaseGenerator` with the original pair
 5. materializes the winning attempt into ``D'`` and computes the exact
    candidate partition presented to the user.
 
-Since the parallel-round-planner refactor the generator is a thin shell over
-:class:`~repro.core.round_planner.RoundPlanner`: step 4 — the per-iteration
-hot loop — runs on a pluggable
-:class:`~repro.core.execution_backend.ExecutionBackend`, either serially in
-process (the differential oracle) or sharded across a pool of worker
-processes holding a delta-replicated snapshot of the base state. Results are
+The generator is a thin shell over
+:class:`~repro.core.round_planner.RoundPlanner`, which runs steps 1–3 on the
+driver for every backend (replaying a repeated round from its prologue
+memo). Step 4 runs on a pluggable
+:class:`~repro.core.execution_backend.ExecutionBackend`: serially in process
+(the differential oracle) or sharded across a warm pool of persistent worker
+processes holding an installed snapshot of the base state. Results are
 bit-identical for every backend and worker count.
 
 The result carries everything the experiment harness reports per iteration

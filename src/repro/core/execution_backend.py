@@ -3,9 +3,11 @@
 Every QFE round scores a deterministic sequence of *attempts* — candidate
 class-pair sets, the Algorithm 4 subset first, then the skyline singles in
 balance order — by concretely materializing each attempt against the base
-database and computing the exact candidate-query partition it induces. This
-module defines the backend interface, the attempt payloads and the serial
-substrate the :class:`~repro.core.round_planner.RoundPlanner` runs on:
+database and computing the exact candidate-query partition it induces. The
+:class:`~repro.core.round_planner.RoundPlanner` plans the round (the
+prologue) on the driver for every backend; this module defines the backend
+interface that scores the planned attempts, the attempt payloads and the
+serial substrate:
 
 * :class:`SerialBackend` evaluates attempts in order, in process, against the
   driver's own join cache. It is the differential oracle.
@@ -24,11 +26,9 @@ worker count, scheduling order and sharding.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import weakref
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.config import BACKEND_CHOICES, QFEConfig, backend_name
@@ -45,7 +45,6 @@ from repro.relational.query import SPJQuery
 __all__ = [
     "BACKEND_STATS",
     "RoundContext",
-    "RoundRequest",
     "WorkUnit",
     "AttemptOutcome",
     "RoundRuntime",
@@ -58,7 +57,6 @@ __all__ = [
     "shard_attempts",
     "required_signatures",
     "build_round_runtime",
-    "context_body_payload",
     "evaluate_attempt",
 ]
 
@@ -66,29 +64,22 @@ Attempt = tuple[ClassPair, ...]
 
 
 class BackendStats(RegistryStats):
-    """Process-wide counters for backend state shipping and warm workers.
+    """Process-wide counters for the warm pool's state shipping and workers.
 
     Registry-backed (``qfe_backend_*``): increments made inside worker
-    processes (installs, warm plan hits, attempt timings) ride back to the
-    driver with each reply's counter deltas and merge commutatively, so the
-    totals are scheduling-independent. The context shipping counters
-    (``context_*``) count the content-hashed round bodies the
-    :class:`~repro.core.worker_runtime.WarmProcessPoolBackend` skips
-    re-shipping to workers that already hold them.
+    processes (installs, attempt timings) ride back to the driver with each
+    reply's counter deltas and merge commutatively, so the totals are
+    scheduling-independent. ``bytes_shipped`` counts what the driver puts on
+    the wire: base installs plus the pickled round body every work unit
+    carries.
     """
 
     _PREFIX = "qfe_backend"
     _FIELDS = (
         "bytes_shipped",
         "snapshot_installs",
-        "warm_hits",
-        "warm_misses",
-        "context_pickles",
-        "context_skips",
-        "context_resends",
         "worker_resyncs",
         "pool_rebuilds",
-        "rounds_planned",
         "units_dispatched",
         "attempts_evaluated",
         "attempt_micros",
@@ -96,14 +87,8 @@ class BackendStats(RegistryStats):
     _HELP = {
         "bytes_shipped": "Driver-side state bytes put on the wire (installs, round bodies).",
         "snapshot_installs": "Full base installs performed by workers (fork-seeded installs included).",
-        "warm_hits": "Worker plan-cache hits (prologue skipped entirely).",
-        "warm_misses": "Worker plan-cache misses (prologue computed).",
-        "context_pickles": "Round context bodies pickled by the driver.",
-        "context_skips": "Rounds whose context body was already resident worker-side (no re-ship).",
-        "context_resends": "Context bodies re-shipped after a worker body-cache miss.",
         "worker_resyncs": "need-sync replies answered with an authoritative install.",
         "pool_rebuilds": "Worker pools rebuilt after a crash (BrokenProcessPool).",
-        "rounds_planned": "Rounds planned remotely by warm workers.",
         "units_dispatched": "Work units dispatched to warm workers.",
         "attempts_evaluated": "Attempts evaluated by warm workers.",
         "attempt_micros": "Microseconds warm workers spent evaluating attempts.",
@@ -116,16 +101,14 @@ BACKEND_STATS = BackendStats()
 # --------------------------------------------------------------------- payloads
 @dataclass(frozen=True)
 class RoundContext:
-    """The picklable per-round description shipped to every backend.
+    """The picklable per-round description every backend evaluates against.
 
-    ``token`` identifies the round (workers key their rehydrated runtime on
-    it); everything else is what a worker needs — besides the broadcast base
-    snapshot — to rebuild the tuple-class space and score attempts.
-    ``result_arity`` additionally lets a warm worker run the whole prologue
-    (skyline + subset selection) remotely; ``run_attempts`` ignores it.
+    Together with the base database it is everything a worker needs to
+    rebuild the tuple-class space and score attempts. Its pickle is the
+    round *body*: the planner makes it once per round, keys its prologue
+    memo on it, and every warm work unit carries those bytes.
     """
 
-    token: str
     queries: tuple[SPJQuery, ...]
     config: QFEConfig
     referenced: tuple[str, ...]
@@ -186,8 +169,9 @@ class RoundRuntime:
 class RoundSetup:
     """Everything a backend needs to run one round's attempts.
 
-    ``context`` is the picklable part; ``database``/``space``/``join_cache``
-    are the driver-local live objects the serial backend evaluates against;
+    ``context`` is the picklable part and ``body`` its pickle (made once per
+    round by the planner); ``database``/``space``/``join_cache`` are the
+    driver-local live objects the serial backend evaluates against;
     ``snapshot_provider`` lazily captures (and memoizes, planner-side) the
     :class:`BaseSnapshot` the warm pool installs in its workers.
 
@@ -200,30 +184,12 @@ class RoundSetup:
     """
 
     context: RoundContext
+    body: bytes
     database: Database
     space: TupleClassSpace
     join_cache: JoinCache
     snapshot_provider: Callable[[], BaseSnapshot]
     winner_store: dict | None = None
-
-
-@dataclass
-class RoundRequest:
-    """One whole round handed to a round-planning backend (``plans_rounds``).
-
-    Unlike :class:`RoundSetup`, there is no pre-built tuple-class space and
-    no attempt list: a round-planning backend runs the prologue (skyline +
-    subset selection) itself, worker-side, from the context's queries and
-    ``result_arity``. ``database`` and ``join_cache`` are the driver-local
-    live base (for finalize-side bookkeeping); ``snapshot_provider`` is the
-    same memoized capture :class:`RoundSetup` carries — its identity doubles
-    as the base-change signal.
-    """
-
-    context: RoundContext
-    database: Database
-    join_cache: JoinCache
-    snapshot_provider: Callable[[], BaseSnapshot]
 
 
 # --------------------------------------------------------------------- sharding
@@ -253,23 +219,6 @@ def shard_attempts(attempts: Sequence[Attempt], unit_count: int) -> list[WorkUni
         )
         start += size
     return units
-
-
-def context_body_payload(context: RoundContext) -> tuple[str, bytes]:
-    """Pickle the round's *body* — the context with its token stripped.
-
-    The token is the only per-round field; everything else (queries, config,
-    referenced tables, result schema) is identical across the rounds of a
-    session and across repeated sessions on the same workload pair. Hashing
-    the token-free pickle gives a content key the warm pool uses to skip
-    re-shipping bodies their resident workers already hold: a task then
-    carries ``(token, body_hash, None)`` and the worker rebuilds the full
-    context as ``replace(body, token=token)``.
-    """
-    body = replace(context, token="")
-    payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
-    BACKEND_STATS.context_pickles += 1
-    return hashlib.sha256(payload).hexdigest(), payload
 
 
 def required_signatures(context: RoundContext) -> tuple[tuple[str, ...], ...]:

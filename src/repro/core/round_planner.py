@@ -4,12 +4,16 @@ Each iteration of Algorithm 1 must produce a modified database ``D'`` that
 distinguishes the surviving candidate queries. The planner decomposes that
 round into three phases:
 
-1. **Prologue (driver).** Materialize/reuse the cached foreign-key join of
-   the referenced tables, build the tuple-class space, run Algorithm 3
-   (skyline enumeration) and Algorithm 4 (subset selection) over the shared
-   pair-set simulator, and lay out the deterministic *attempt sequence*: the
-   selected subset first, then every skyline pair singly in balance order —
-   exactly the fallback order the serial generator always used.
+1. **Prologue (driver, every backend).** :meth:`RoundPlanner.prepare_round`
+   is the only place a round is planned: materialize/reuse the cached
+   foreign-key join of the referenced tables, build the tuple-class space,
+   run Algorithm 3 (skyline enumeration) and Algorithm 4 (subset selection)
+   over a shared pair-set simulator, and lay out the deterministic *attempt
+   sequence*: the selected subset first, then every skyline pair singly in
+   balance order — exactly the fallback order the serial generator always
+   used. A repeated round body replays its prologue from a small memo held
+   with the base join's :class:`~repro.relational.evaluator.JoinCache` entry
+   (see :meth:`RoundPlanner.prepare_round`).
 2. **Candidate-modification search (execution backend).** Score attempts by
    concrete materialization + delta-derived partitioning until one
    distinguishes. The serial backend runs this in process; the warm pool
@@ -29,9 +33,9 @@ Algorithm 2 entry point; it is now a thin shell over this planner.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
-from itertools import count
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.cost_model import CostBreakdown
@@ -40,7 +44,6 @@ from repro.core.execution_backend import (
     AttemptOutcome,
     ExecutionBackend,
     RoundContext,
-    RoundRequest,
     RoundSetup,
     SerialBackend,
     required_signatures,
@@ -53,6 +56,7 @@ from repro.core.subset_selection import ScoreFunction, SubsetSelectionResult, pi
 from repro.core.timing import Stopwatch
 from repro.core.tuple_class import TupleClassSpace
 from repro.exceptions import DatabaseGenerationError
+from repro.obs.registry import RegistryStats
 from repro.obs.trace import get_tracer
 from repro.relational.database import Database
 from repro.relational.evaluator import BaseSnapshot, JoinCache, SharedSnapshotCache
@@ -61,15 +65,38 @@ from repro.relational.relation import Relation
 
 __all__ = [
     "DatabaseGenerationResult",
+    "PLAN_MEMO_LIMIT",
+    "PLAN_MEMO_STATS",
     "RoundPlan",
     "RoundPlanner",
-    "PrologueResult",
-    "compute_prologue",
     "candidate_pair_attempts",
 ]
 
-#: Process-wide source of unique round tokens (worker runtimes key on them).
-_ROUND_TOKENS = count()
+#: Prologues one base join's memo keeps; the least recently used goes first.
+PLAN_MEMO_LIMIT = 8
+
+
+class PlanMemoStats(RegistryStats):
+    """Driver-side prologue memo counters (``qfe_plan_memo_*``)."""
+
+    _PREFIX = "qfe_plan"
+    _FIELDS = ("memo_hits", "memo_misses")
+    _HELP = {
+        "memo_hits": "Rounds whose prologue was replayed from the driver-side memo.",
+        "memo_misses": "Rounds whose prologue was computed and memoized.",
+    }
+
+
+PLAN_MEMO_STATS = PlanMemoStats()
+
+
+class _Prologue(NamedTuple):
+    """One memo entry: a round's planning output, never its database."""
+
+    space: TupleClassSpace
+    skyline: SkylineResult
+    selection: SubsetSelectionResult
+    attempts: tuple[Attempt, ...]
 
 
 @dataclass
@@ -96,13 +123,17 @@ class DatabaseGenerationResult:
 
 @dataclass
 class RoundPlan:
-    """The prologue's output: everything the search phase needs, plus diagnostics."""
+    """The prologue's output: everything the search phase needs, plus diagnostics.
+
+    ``body`` is the pickled ``context`` — made once per round, it keys the
+    prologue memo and is the payload every warm work unit carries.
+    """
 
     context: RoundContext
+    body: bytes
     original: Database
     result: Relation
     space: TupleClassSpace
-    simulator: PairSetSimulator
     skyline: SkylineResult
     selection: SubsetSelectionResult
     attempts: tuple[Attempt, ...]
@@ -140,157 +171,12 @@ def candidate_pair_attempts(
     return tuple(attempts)
 
 
-@dataclass
-class PrologueResult:
-    """Output of the round prologue (Algorithms 3 + 4 over the shared join).
-
-    Produced by :func:`compute_prologue` — on the driver by
-    :meth:`RoundPlanner.prepare_round`, or inside a warm worker process when
-    a round-planning backend runs the prologue remotely. Both sides run the
-    identical deterministic code over identical state (the worker's joins are
-    snapshot replicas of the driver's), so the attempt sequence — and hence
-    the session transcript — is independent of where the prologue ran.
-    """
-
-    space: TupleClassSpace
-    simulator: PairSetSimulator
-    skyline: SkylineResult
-    selection: SubsetSelectionResult
-    attempts: tuple[Attempt, ...]
-    skyline_seconds: float
-    selection_seconds: float
-
-
-def compute_prologue(
-    database: Database,
-    join_cache: JoinCache,
-    context: RoundContext,
-    *,
-    score: ScoreFunction | None = None,
-) -> PrologueResult:
-    """Run one round's prologue: join → tuple-class space → skyline → subset.
-
-    Pure function of ``(database, cached joins, context)`` plus the optional
-    score override: materializes/reuses the referenced join, builds the
-    tuple-class space, runs Algorithm 3 and Algorithm 4, and lays out the
-    deterministic attempt sequence (chosen subset first, then the skyline
-    singles by balance). Raises :class:`DatabaseGenerationError` with the
-    exact historical messages on every dead end, so callers on either side of
-    a process boundary surface identical failures.
-    """
-    config = context.config
-    queries = context.queries
-    referenced = context.referenced
-    try:
-        joined = join_cache.join_for(database, referenced)
-        # Pre-warm the per-query signatures too: partitioning (driver- or
-        # worker-side) groups candidates by their own join signature, and
-        # a warm base entry is what keeps every candidate evaluation on
-        # the O(|Δ|) delta-derived path.
-        for query in queries:
-            join_cache.join_for(database, query.join_signature)
-    except DatabaseGenerationError:
-        raise
-    except Exception as exc:
-        raise DatabaseGenerationError(
-            f"cannot materialize the join of {list(referenced)}: {exc}"
-        ) from exc
-    space = TupleClassSpace(joined, queries)
-    if space.attribute_count == 0:
-        raise DatabaseGenerationError(
-            "candidate queries have no selection predicates to distinguish"
-        )
-    result_arity = context.result_arity
-    simulator = PairSetSimulator(space, result_arity=result_arity)
-
-    watch = Stopwatch()
-    skyline = skyline_stc_dtc_pairs(
-        space, config, result_arity=result_arity, simulator=simulator
-    )
-    skyline_seconds = watch.restart()
-    if not skyline.pairs:
-        raise DatabaseGenerationError("Algorithm 3 found no distinguishing tuple-class pairs")
-
-    selection = pick_stc_dtc_subset(
-        space,
-        skyline.pairs,
-        config,
-        result_arity=result_arity,
-        most_balanced_binary_x=skyline.most_balanced_binary_x,
-        score=score,
-        simulator=simulator,
-    )
-    selection_seconds = watch.restart()
-    if not selection.found:
-        raise DatabaseGenerationError("Algorithm 4 found no distinguishing pair subset")
-
-    # Attempt sequence: the chosen subset first; if the concrete database
-    # fails to split the candidates (side effects, value collisions), fall
-    # back to the skyline pairs singly, ordered by single-pair balance.
-    attempts: list[Attempt] = [tuple(selection.chosen_pairs)]
-    attempts.extend(
-        (pair,)
-        for pair in skyline.singles_ordered_by_balance()
-        if (pair,) != selection.chosen_pairs
-    )
-    return PrologueResult(
-        space=space,
-        simulator=simulator,
-        skyline=skyline,
-        selection=selection,
-        attempts=tuple(attempts),
-        skyline_seconds=skyline_seconds,
-        selection_seconds=selection_seconds,
-    )
-
-
-@dataclass(frozen=True)
-class _RemoteSkylineSummary:
-    """Stand-in for :class:`SkylineResult` when the prologue ran remotely.
-
-    A round-planning backend ships back only the scalar the session's round
-    stats read (``pair_count``); the full pair list stays worker-side. The
-    count is computed by the identical Algorithm 3 code on replicated state,
-    so transcripts stay bit-identical to the driver-side prologue.
-    """
-
-    pair_count: int
-
-
-@dataclass(frozen=True)
-class _RemoteSelectionSummary:
-    """Stand-in for :class:`SubsetSelectionResult` after a remote prologue."""
-
-    found: bool
-    chosen_pairs: tuple[ClassPair, ...]
-    chosen_cost: CostBreakdown | None
-
-
-@dataclass(frozen=True)
-class _RemoteMaterializationSummary:
-    """Stand-in for :class:`MaterializationResult` after a remote search.
-
-    ``database`` is the driver-side replay of the winner's shipped
-    :class:`~repro.relational.delta.TupleDelta` onto a copy of the base —
-    byte-identical to the worker's materialized database because delta
-    replay is exact (tuple ids included). The scalar counts are the worker's
-    measurements of the same deterministic materialization.
-    """
-
-    database: Database
-    delta: object
-    modification_count: int
-    modified_tuple_count: int
-    modified_relation_count: int
-    side_effect_count: int
-    skipped_pair_count: int
-
-
 class RoundPlanner:
     """Plan one feedback round over a pluggable execution backend.
 
-    The planner owns the session-wide join cache (base joins and their term
-    masks stay warm across rounds) and, for parallel backends, the memoized
+    The planner owns the session-wide join cache (base joins, their term
+    masks and the prologue memo stay warm across rounds; a shared cache
+    extends that across sessions) and, for parallel backends, the memoized
     :class:`BaseSnapshot` broadcast to workers — captured once per base
     database and re-captured only if a later round references a join
     signature the snapshot does not cover (candidate replenishment never
@@ -352,11 +238,22 @@ class RoundPlanner:
         result: Relation,
         queries: Sequence[SPJQuery],
     ) -> RoundPlan:
-        """Run the driver-side prologue and lay out the attempt sequence."""
+        """Plan one round: join → tuple-class space → skyline → subset → attempts.
+
+        The only place a round is planned, for every backend. The prologue is
+        a deterministic function of the base join it reads and the round
+        body, so a memo held with that join's :class:`JoinCache` entry
+        replays a repeated body — a second user of a service pair, a re-run
+        session — without re-running Algorithms 3 and 4. Bodies match only
+        when their pickles are byte-identical. A replayed round reports 0.0 s
+        for both algorithms (the time actually spent) and ``memo_hit`` on its
+        ``round.prepare`` span. A planner with a custom ``score`` neither
+        reads nor writes the memo.
+        """
         if len(queries) < 2:
             raise DatabaseGenerationError("need at least two candidate queries to distinguish")
-        with get_tracer().span("round.prepare", candidates=len(queries)):
-            return self._prepare_round(original, result, queries)
+        with get_tracer().span("round.prepare", candidates=len(queries)) as span:
+            return self._prepare_round(original, result, tuple(queries), span)
 
     def _context_for(
         self, result: Relation, queries: tuple[SPJQuery, ...]
@@ -366,7 +263,6 @@ class RoundPlanner:
         # unrelated extra tables usable).
         referenced = tuple(sorted({table for query in queries for table in query.tables}))
         return RoundContext(
-            token=f"round-{next(_ROUND_TOKENS)}",
             queries=queries,
             config=self.config,
             referenced=referenced,
@@ -378,21 +274,96 @@ class RoundPlanner:
         self,
         original: Database,
         result: Relation,
-        queries: Sequence[SPJQuery],
+        queries: tuple[SPJQuery, ...],
+        span,
     ) -> RoundPlan:
-        context = self._context_for(result, tuple(queries))
-        prologue = compute_prologue(original, self.join_cache, context, score=self.score)
+        context = self._context_for(result, queries)
+        body = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+        referenced = context.referenced
+        try:
+            joined = self.join_cache.join_for(original, referenced)
+            # Pre-warm the per-query signatures too: partitioning (driver- or
+            # worker-side) groups candidates by their own join signature, and
+            # a warm base entry is what keeps every candidate evaluation on
+            # the O(|Δ|) delta-derived path.
+            for query in queries:
+                self.join_cache.join_for(original, query.join_signature)
+        except DatabaseGenerationError:
+            raise
+        except Exception as exc:
+            raise DatabaseGenerationError(
+                f"cannot materialize the join of {list(referenced)}: {exc}"
+            ) from exc
+
+        # A custom score may close over arbitrary driver state, so its
+        # prologue is neither replayed nor kept.
+        memo = self.join_cache.memo_for(original, referenced) if self.score is None else None
+        prologue = memo.get(body) if memo is not None else None
+        skyline_seconds = selection_seconds = 0.0
+        if memo is not None:
+            span.set(memo_hit=prologue is not None)
+        if prologue is not None:
+            memo.move_to_end(body)
+            PLAN_MEMO_STATS.memo_hits += 1
+        else:
+            space = TupleClassSpace(joined, queries)
+            if space.attribute_count == 0:
+                raise DatabaseGenerationError(
+                    "candidate queries have no selection predicates to distinguish"
+                )
+            result_arity = context.result_arity
+            simulator = PairSetSimulator(space, result_arity=result_arity)
+
+            watch = Stopwatch()
+            skyline = skyline_stc_dtc_pairs(
+                space, self.config, result_arity=result_arity, simulator=simulator
+            )
+            skyline_seconds = watch.restart()
+            if not skyline.pairs:
+                raise DatabaseGenerationError(
+                    "Algorithm 3 found no distinguishing tuple-class pairs"
+                )
+
+            selection = pick_stc_dtc_subset(
+                space,
+                skyline.pairs,
+                self.config,
+                result_arity=result_arity,
+                most_balanced_binary_x=skyline.most_balanced_binary_x,
+                score=self.score,
+                simulator=simulator,
+            )
+            selection_seconds = watch.restart()
+            if not selection.found:
+                raise DatabaseGenerationError("Algorithm 4 found no distinguishing pair subset")
+
+            # Attempt sequence: the chosen subset first; if the concrete
+            # database fails to split the candidates (side effects, value
+            # collisions), fall back to the skyline pairs singly, ordered by
+            # single-pair balance.
+            attempts: list[Attempt] = [tuple(selection.chosen_pairs)]
+            attempts.extend(
+                (pair,)
+                for pair in skyline.singles_ordered_by_balance()
+                if (pair,) != selection.chosen_pairs
+            )
+            prologue = _Prologue(space, skyline, selection, tuple(attempts))
+            if memo is not None:
+                PLAN_MEMO_STATS.memo_misses += 1
+                memo[body] = prologue
+                while len(memo) > PLAN_MEMO_LIMIT:
+                    memo.popitem(last=False)
         return RoundPlan(
             context=context,
+            body=body,
             original=original,
             result=result,
             space=prologue.space,
-            simulator=prologue.simulator,
             skyline=prologue.skyline,
             selection=prologue.selection,
             attempts=prologue.attempts,
-            skyline_seconds=prologue.skyline_seconds,
-            selection_seconds=prologue.selection_seconds,
+            skyline_seconds=skyline_seconds,
+            selection_seconds=selection_seconds,
         )
 
     # ------------------------------------------------------------------ search
@@ -409,6 +380,7 @@ class RoundPlanner:
         active = backend if backend is not None else self.backend
         setup = RoundSetup(
             context=plan.context,
+            body=plan.body,
             database=plan.original,
             space=plan.space,
             join_cache=self.join_cache,
@@ -466,14 +438,6 @@ class RoundPlanner:
         queries: Sequence[SPJQuery],
     ) -> DatabaseGenerationResult:
         """Produce ``D'`` distinguishing *queries*; raises if no modification helps."""
-        # A round-planning backend (``plans_rounds``) runs the whole round —
-        # prologue included — on its warm workers; only compact summaries,
-        # outcomes and the winner's delta + batch cross the process boundary.
-        # A custom score function cannot be shipped (it may close over
-        # arbitrary driver state), so those planners keep the driver-side
-        # prologue and the backend's classic ``run_attempts`` interface.
-        if getattr(self.backend, "plans_rounds", False) and self.score is None:
-            return self._plan_round_remote(original, result, tuple(queries))
         plan = self.prepare_round(original, result, queries)
         watch = Stopwatch()
         winner_store: dict = {}
@@ -494,11 +458,11 @@ class RoundPlanner:
 
         # An in-process backend deposits the winning materialization and its
         # batch evaluation (with the derived cache entry still registered)
-        # so the winner is built and evaluated exactly once. A remote
-        # backend only ships compact outcomes, so the winner is
-        # re-materialized here — materialization is a deterministic function
-        # of (space, pairs, config), so this reproduces exactly the database
-        # the winning outcome scored.
+        # so the winner is built and evaluated exactly once. The warm pool
+        # only ships compact outcomes, so the winner is re-materialized here
+        # — materialization is a deterministic function of (space, pairs,
+        # config), so this reproduces exactly the database the winning
+        # outcome scored.
         with get_tracer().span("round.materialize", attempt=winner.attempt_index):
             materialization = batch = None
             if winner_store.get("attempt_index") == winner.attempt_index:
@@ -541,93 +505,6 @@ class RoundPlanner:
                 if chosen_pairs == plan.selection.chosen_pairs
                 else None
             ),
-            skyline_seconds=plan.skyline_seconds,
-            selection_seconds=plan.selection_seconds,
-            materialize_seconds=materialize_seconds,
-            fallback_attempts=winner.attempt_index,
-        )
-
-    def _plan_round_remote(
-        self,
-        original: Database,
-        result: Relation,
-        queries: tuple[SPJQuery, ...],
-    ) -> DatabaseGenerationResult:
-        """One whole round on a round-planning backend (warm worker pool).
-
-        The prologue (Algorithm 3 + 4), the candidate-modification search and
-        the winner's evaluation all run worker-side against the replicated
-        base; the driver ships a content-hashed round body, receives compact
-        outcomes plus the winner's delta + batch, and finalizes by replaying
-        the delta onto a copy of the base — the same deterministic database
-        the worker scored, without re-materializing or re-evaluating
-        anything driver-side.
-        """
-        if len(queries) < 2:
-            raise DatabaseGenerationError("need at least two candidate queries to distinguish")
-        context = self._context_for(result, queries)
-        request = RoundRequest(
-            context=context,
-            database=original,
-            join_cache=self.join_cache,
-            snapshot_provider=lambda: self._snapshot_for(
-                original, required_signatures(context)
-            ),
-        )
-        with get_tracer().span("round.search", backend=self.backend.name):
-            remote = self.backend.run_round(request)
-        watch = Stopwatch()
-        winner: AttemptOutcome | None = None
-        for outcome in remote.outcomes:
-            if outcome.applied and outcome.distinguishes:
-                winner = outcome
-                break
-        if winner is None:
-            last_error = "no class pair could be materialized"
-            if remote.outcomes and remote.outcomes[-1].applied:
-                last_error = "materialized database did not distinguish any candidates"
-            raise DatabaseGenerationError(
-                f"could not generate a distinguishing database: {last_error} "
-                f"after {len(remote.outcomes)} attempts"
-            )
-        payload = remote.winner
-        with get_tracer().span("round.materialize", attempt=winner.attempt_index):
-            if payload is None or payload.attempt_index != winner.attempt_index:
-                # pragma: no cover - backend contract violation
-                raise DatabaseGenerationError(
-                    "round-planning backend returned no finalize payload "
-                    "for the winning attempt"
-                )
-            derived = original.copy()
-            payload.delta.apply_to(derived)
-            partition = partition_from_batch(context.queries, payload.batch)
-            if not partition.distinguishes:  # pragma: no cover - determinism guard
-                raise DatabaseGenerationError(
-                    "winning attempt no longer distinguishes on re-materialization; "
-                    "attempt evaluation is expected to be deterministic"
-                )
-        materialize_seconds = watch.elapsed()
-        chosen_pairs = tuple(winner.pairs)
-        plan = remote.plan
-        plan_chosen = tuple(plan.chosen_pairs)
-        return DatabaseGenerationResult(
-            database=derived,
-            partition=partition,
-            materialization=_RemoteMaterializationSummary(
-                database=derived,
-                delta=payload.delta,
-                modification_count=payload.modification_count,
-                modified_tuple_count=payload.modified_tuple_count,
-                modified_relation_count=payload.modified_relation_count,
-                side_effect_count=payload.side_effect_count,
-                skipped_pair_count=payload.skipped_pair_count,
-            ),
-            skyline=_RemoteSkylineSummary(pair_count=plan.skyline_pair_count),
-            selection=_RemoteSelectionSummary(
-                found=True, chosen_pairs=plan_chosen, chosen_cost=plan.chosen_cost
-            ),
-            chosen_pairs=chosen_pairs,
-            chosen_cost=plan.chosen_cost if chosen_pairs == plan_chosen else None,
             skyline_seconds=plan.skyline_seconds,
             selection_seconds=plan.selection_seconds,
             materialize_seconds=materialize_seconds,

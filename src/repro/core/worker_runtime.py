@@ -1,8 +1,10 @@
 """Warm persistent worker runtime: the one parallel execution backend.
 
-:class:`WarmProcessPoolBackend` runs rounds on a pool of child processes
-that live for the whole session (and, on a shared service pool, across
-sessions) and hold *versioned* base state:
+:class:`WarmProcessPoolBackend` scores a round's attempts on a pool of child
+processes that live for the whole session (and, on a shared service pool,
+across sessions) and hold *versioned* base state. The round itself is always
+planned on the driver (:meth:`~repro.core.round_planner.RoundPlanner.\
+prepare_round`); the pool only installs the base and scores attempt units.
 
 * **Install once.** Each worker owns a resident
   :class:`~repro.relational.evaluator.BaseSnapshot` (database + joins +
@@ -16,31 +18,28 @@ sessions) and hold *versioned* base state:
   base (another service pair, a pool rebuild) therefore needs no global
   barrier and no pool teardown.
 
-* **Round planning in the worker.** A round-planning backend
-  (``plans_rounds``) receives only a content-hashed round *body* (queries +
-  config, token stripped); the worker runs the prologue
-  (:func:`~repro.core.round_planner.compute_prologue` — the exact driver
-  code) against its resident joins and keeps the result in a content-keyed
-  plan cache. A repeated round body — resumed sessions, repeated pairs on a
-  shared service pool — is a **warm hit**: no context bytes shipped, no
-  skyline/selection recomputed anywhere. The worker ships back compact attempt
-  specs, outcomes, and the winner's delta + batch; the driver replays the
-  delta to finalize. Prologue, evaluation and merge order are all
-  deterministic, so transcripts stay bit-identical to serial.
+* **Round bodies.** Every task carries the round body the driver pickled
+  once (queries, config, referenced tables, result schema). A worker keeps a
+  small LRU of round runtimes (tuple-class space + warm term masks) keyed by
+  the sha256 of those bytes, so the units of one round — and repeated
+  rounds — rebuild nothing.
 
 * **Cost-model work units.** Units are sized from a measured per-attempt
   EWMA (:class:`AttemptCostModel`), seeded by round 1 and updated from
   per-unit timings merged back with the worker counter deltas
   (``qfe_backend_attempt_micros`` / ``qfe_backend_attempts_evaluated``).
+  The Algorithm 4 subset attempt runs alone first; only if it fails to
+  distinguish are the remaining attempts fanned out.
 
 Everything observable lives in :data:`BACKEND_STATS` (``qfe_backend_*``
-registry counters — e.g. ``qfe_backend_bytes_shipped``,
-``qfe_backend_warm_hits``), so worker-side increments merge into the driver
-registry exactly like the columnar and join stats do.
+registry counters — e.g. ``qfe_backend_bytes_shipped``), so worker-side
+increments merge into the driver registry exactly like the columnar and
+join stats do.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import threading
@@ -49,6 +48,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Any, NamedTuple, Sequence
 
 import multiprocessing
@@ -59,18 +59,14 @@ from repro.core.execution_backend import (
     AttemptOutcome,
     ExecutionBackend,
     RoundContext,
-    RoundRequest,
     RoundRuntime,
     RoundSetup,
     WorkUnit,
     build_round_runtime,
-    context_body_payload,
-    ensure_base_masks_warm,
     evaluate_attempt,
     required_signatures,
     shard_attempts,
 )
-from repro.exceptions import DatabaseGenerationError
 from repro.obs.registry import REGISTRY, register_worker_stats_participant
 from repro.obs.trace import get_tracer
 from repro.relational.evaluator import BaseSnapshot, JoinCache
@@ -79,9 +75,6 @@ __all__ = [
     "BACKEND_STATS",
     "AttemptCostModel",
     "WarmProcessPoolBackend",
-    "RemoteRound",
-    "RemotePlan",
-    "RemoteWinner",
 ]
 
 #: Weight of the newest per-attempt sample in the cost model's EWMA.
@@ -161,20 +154,9 @@ class _Install:
 
 
 @dataclass(frozen=True)
-class _PlanTask:
-    version: int
-    token: str
-    body_hash: str
-    body: bytes | None
-    sync: _Install | None = None  # attached on a need-sync resubmit
-
-
-@dataclass(frozen=True)
 class _RunTask:
     version: int
-    token: str
-    body_hash: str
-    body: bytes | None
+    body: bytes
     unit: WorkUnit
     stop_at_first: bool
     sync: _Install | None = None  # attached on a need-sync resubmit
@@ -188,82 +170,17 @@ class _NeedSync:
 
 
 @dataclass(frozen=True)
-class _NeedContext:
-    """Worker lacks the round body for the task's hash (ship the bytes)."""
-
-    body_hash: str
-    counter_deltas: dict
-
-
-@dataclass(frozen=True)
-class RemoteWinner:
-    """The winning attempt's finalize payload, shipped from the worker.
-
-    ``delta`` replays onto a copy of the driver's base to reproduce the exact
-    modified database (tuple ids included — see
-    :meth:`~repro.relational.delta.TupleDelta.apply_to`); ``batch`` carries
-    the winner's per-candidate result relations and fingerprints so the
-    driver builds the feedback partition without evaluating anything.
-    """
-
-    attempt_index: int
-    delta: Any
-    batch: Any
-    modification_count: int
-    modified_tuple_count: int
-    modified_relation_count: int
-    side_effect_count: int
-    skipped_pair_count: int
-
-
-@dataclass(frozen=True)
-class _PlanReply:
-    cache_hit: bool
-    error: str | None
-    skyline_pair_count: int
-    chosen_pairs: tuple
-    chosen_cost: Any
-    attempts: tuple[Attempt, ...]
-    skyline_seconds: float
-    selection_seconds: float
-    counter_deltas: dict
-
-
-@dataclass(frozen=True)
 class _RunReply:
     outcomes: tuple[AttemptOutcome, ...]
-    winner: RemoteWinner | None
     elapsed: float
     counter_deltas: dict
 
 
-@dataclass(frozen=True)
-class RemotePlan:
-    """Compact prologue summary for one remotely planned round."""
-
-    cache_hit: bool
-    skyline_pair_count: int
-    chosen_pairs: tuple
-    chosen_cost: Any
-    attempts: tuple[Attempt, ...]
-    skyline_seconds: float
-    selection_seconds: float
-
-
-@dataclass(frozen=True)
-class RemoteRound:
-    """Everything :meth:`WarmProcessPoolBackend.run_round` hands the planner."""
-
-    plan: RemotePlan
-    outcomes: list[AttemptOutcome]
-    winner: RemoteWinner | None
-
-
 # --------------------------------------------------------------- worker globals
-_PLAN_CACHE_LIMIT = 8
-_ROUND_LIMIT = 4
-_BODY_LIMIT = 8
+_RUNTIME_LIMIT = 4
 _SYNC_RETRIES = 6
+#: Base versions, unique across every pool in the process.
+_VERSIONS = count(1)
 
 
 class _ForkSeed(NamedTuple):
@@ -281,24 +198,10 @@ class _WorkerBase(NamedTuple):
     cache: JoinCache
 
 
-@dataclass
-class _PlanEntry:
-    """One cached prologue: the built runtime plus the compact summaries."""
-
-    runtime: RoundRuntime
-    attempts: tuple[Attempt, ...]
-    skyline_pair_count: int
-    chosen_pairs: tuple
-    chosen_cost: Any
-    skyline_seconds: float
-    selection_seconds: float
-
-
 _FORK_SEED: _ForkSeed | None = None
 _BASE: _WorkerBase | None = None
-_PLANS: "OrderedDict[tuple[int, str], _PlanEntry]" = OrderedDict()
-_ROUNDS: "OrderedDict[str, tuple[RoundContext, RoundRuntime]]" = OrderedDict()
-_BODIES: "OrderedDict[str, RoundContext]" = OrderedDict()
+#: Round runtimes keyed by the sha256 of the round body they were built from.
+_RUNTIMES: "OrderedDict[str, tuple[RoundContext, RoundRuntime]]" = OrderedDict()
 #: Counter values this worker last shipped to the driver. Reporting against
 #: this high-water mark (instead of a per-task snapshot) means increments
 #: raised *between* tasks — the fork-seeded install in the pool initializer —
@@ -319,12 +222,24 @@ def _set_fork_seed(version: int, snapshot: BaseSnapshot) -> None:
     _FORK_SEED = _ForkSeed(version, snapshot)
 
 
+def _clear_fork_seed(database=None) -> None:
+    """Drop the fork seed (only if it holds *database*, when one is given).
+
+    The seed is a module global that strongly references its snapshot — and
+    through it the whole base database — so a released base must not stay
+    pinned here until some later round overwrites the seed.
+    """
+    global _FORK_SEED
+    seed = _FORK_SEED
+    if database is None or (seed is not None and seed.snapshot.database is database):
+        _FORK_SEED = None
+
+
 def _install_snapshot(version: int, snapshot: BaseSnapshot) -> None:
     global _BASE
     database, cache = snapshot.restore()
     _BASE = _WorkerBase(version, database, cache)
-    _PLANS.clear()
-    _ROUNDS.clear()
+    _RUNTIMES.clear()
     BACKEND_STATS.snapshot_installs += 1
 
 
@@ -358,157 +273,41 @@ def _sync_to(version: int, sync: _Install | None) -> bool:
     return False
 
 
-def _context_for(task: "_PlanTask | _RunTask") -> RoundContext | None:
-    """Resolve the task's round context from the body cache (None = resend)."""
-    body = _BODIES.get(task.body_hash)
-    if body is None:
-        if task.body is None:
-            return None
-        body = pickle.loads(task.body)
-        _BODIES[task.body_hash] = body
-        while len(_BODIES) > _BODY_LIMIT:
-            _BODIES.popitem(last=False)
-    else:
-        _BODIES.move_to_end(task.body_hash)
-    return replace(body, token=task.token)
-
-
-def _register_round(token: str, context: RoundContext, runtime: RoundRuntime) -> None:
-    _ROUNDS[token] = (context, runtime)
-    _ROUNDS.move_to_end(token)
-    while len(_ROUNDS) > _ROUND_LIMIT:
-        _ROUNDS.popitem(last=False)
-
-
-def _handle_plan(task: _PlanTask, context: RoundContext) -> _PlanReply:
-    # Imported here (not at module top) to keep the module importable from
-    # execution_backend without a cycle: round_planner imports
-    # execution_backend, and only worker processes ever reach this path.
-    from repro.core.round_planner import compute_prologue
-
-    base = _BASE
-    assert base is not None
-    key = (base.version, task.body_hash)
-    entry = _PLANS.get(key)
-    cache_hit = entry is not None
-    if entry is not None:
-        _PLANS.move_to_end(key)
-        BACKEND_STATS.warm_hits += 1
-    else:
-        BACKEND_STATS.warm_misses += 1
-        try:
-            prologue = compute_prologue(base.database, base.cache, context)
-        except DatabaseGenerationError as exc:
-            return _PlanReply(
-                cache_hit=False,
-                error=str(exc),
-                skyline_pair_count=0,
-                chosen_pairs=(),
-                chosen_cost=None,
-                attempts=(),
-                skyline_seconds=0.0,
-                selection_seconds=0.0,
-                counter_deltas=_report_deltas(),
-            )
-        ensure_base_masks_warm(base.database, base.cache, context)
-        entry = _PlanEntry(
-            runtime=RoundRuntime(
-                database=base.database, space=prologue.space, join_cache=base.cache
-            ),
-            attempts=prologue.attempts,
-            skyline_pair_count=prologue.skyline.pair_count,
-            chosen_pairs=tuple(prologue.selection.chosen_pairs),
-            chosen_cost=prologue.selection.chosen_cost,
-            skyline_seconds=prologue.skyline_seconds,
-            selection_seconds=prologue.selection_seconds,
-        )
-        _PLANS[key] = entry
-        while len(_PLANS) > _PLAN_CACHE_LIMIT:
-            _PLANS.popitem(last=False)
-    _register_round(task.token, context, entry.runtime)
-    return _PlanReply(
-        cache_hit=cache_hit,
-        error=None,
-        skyline_pair_count=entry.skyline_pair_count,
-        chosen_pairs=entry.chosen_pairs,
-        chosen_cost=entry.chosen_cost,
-        attempts=entry.attempts,
-        skyline_seconds=entry.skyline_seconds,
-        selection_seconds=entry.selection_seconds,
-        counter_deltas=_report_deltas(),
-    )
-
-
-def _handle_run(task: _RunTask, context: RoundContext) -> _RunReply:
-    base = _BASE
-    assert base is not None
-    state = _ROUNDS.get(task.token)
+def _runtime_for(body: bytes) -> tuple[RoundContext, RoundRuntime]:
+    """The round's evaluation runtime, built from the body on an LRU miss."""
+    key = hashlib.sha256(body).hexdigest()
+    state = _RUNTIMES.get(key)
     if state is not None:
-        _ROUNDS.move_to_end(task.token)
-        context, runtime = state
-    else:
-        # This worker never saw the round's plan (another worker planned it,
-        # or the caller uses the run_attempts interface): build the
-        # evaluation runtime — space + warm masks, no skyline — against the
-        # resident base, reusing a content-matched plan entry when present.
-        entry = _PLANS.get((base.version, task.body_hash))
-        if entry is not None:
-            _PLANS.move_to_end((base.version, task.body_hash))
-            runtime = entry.runtime
-        else:
-            runtime = build_round_runtime(base.database, base.cache, context)
-        _register_round(task.token, context, runtime)
-    ensure_base_masks_warm(base.database, base.cache, context)
+        _RUNTIMES.move_to_end(key)
+        return state
+    base = _BASE
+    assert base is not None
+    context = pickle.loads(body)
+    state = (context, build_round_runtime(base.database, base.cache, context))
+    _RUNTIMES[key] = state
+    while len(_RUNTIMES) > _RUNTIME_LIMIT:
+        _RUNTIMES.popitem(last=False)
+    return state
+
+
+def _warm_call(task: _RunTask):
+    """Single worker entry point: sync the base, then score the unit."""
+    if not _sync_to(task.version, task.sync):
+        return _NeedSync(counter_deltas=_report_deltas())
+    context, runtime = _runtime_for(task.body)
     start = time.perf_counter()
     outcomes: list[AttemptOutcome] = []
-    winner: RemoteWinner | None = None
     for offset, pairs in enumerate(task.unit.attempts):
-        attempt_index = task.unit.start + offset
-        if task.stop_at_first:
-            store: dict = {}
-            outcome = evaluate_attempt(runtime, context, attempt_index, pairs, store)
-            outcomes.append(outcome)
-            if outcome.applied and outcome.distinguishes:
-                materialization = store["materialization"]
-                winner = RemoteWinner(
-                    attempt_index=attempt_index,
-                    delta=materialization.delta,
-                    batch=store["batch"],
-                    modification_count=materialization.modification_count,
-                    modified_tuple_count=materialization.modified_tuple_count,
-                    modified_relation_count=materialization.modified_relation_count,
-                    side_effect_count=materialization.side_effect_count,
-                    skipped_pair_count=len(materialization.skipped_pairs),
-                )
-                # The deposit kept the winner's derived entry registered so an
-                # in-process caller could reuse it; here the driver gets the
-                # delta instead — release the entry so the resident cache
-                # never pins a candidate database across rounds.
-                runtime.join_cache.invalidate(materialization.database)
-                break
-        else:
-            outcomes.append(evaluate_attempt(runtime, context, attempt_index, pairs))
+        outcome = evaluate_attempt(runtime, context, task.unit.start + offset, pairs)
+        outcomes.append(outcome)
+        if task.stop_at_first and outcome.applied and outcome.distinguishes:
+            break
     elapsed = time.perf_counter() - start
     BACKEND_STATS.attempts_evaluated += len(outcomes)
     BACKEND_STATS.attempt_micros += int(elapsed * 1e6)
     return _RunReply(
-        outcomes=tuple(outcomes),
-        winner=winner,
-        elapsed=elapsed,
-        counter_deltas=_report_deltas(),
+        outcomes=tuple(outcomes), elapsed=elapsed, counter_deltas=_report_deltas()
     )
-
-
-def _warm_call(task: "_PlanTask | _RunTask"):
-    """Single worker entry point: sync, resolve context, plan or run."""
-    if not _sync_to(task.version, task.sync):
-        return _NeedSync(counter_deltas=_report_deltas())
-    context = _context_for(task)
-    if context is None:
-        return _NeedContext(body_hash=task.body_hash, counter_deltas=_report_deltas())
-    if isinstance(task, _PlanTask):
-        return _handle_plan(task, context)
-    return _handle_run(task, context)
 
 
 def _warm_reset_counters() -> int:
@@ -526,30 +325,26 @@ def _warm_reset_counters() -> int:
 
 # --------------------------------------------------------------------- backend
 class WarmProcessPoolBackend(ExecutionBackend):
-    """Persistent warm worker pool: versioned base state, remote round planning.
+    """Persistent warm worker pool: versioned base state, attempt scoring.
 
     * The pool is never torn down on base change — workers upgrade lazily via
       the versioned sync protocol (a full install on need-sync).
-    * ``plans_rounds`` is set, so :class:`~repro.core.round_planner.\
-RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
-      (and is content-cached) worker-side, and only compact specs, outcomes
-      and the winner's delta + batch cross the process boundary.
-    * Work units are sized by the measured :class:`AttemptCostModel`.
+    * Every round is planned on the driver; the pool receives the planned
+      attempts in work units sized by the measured :class:`AttemptCostModel`
+      and returns compact outcomes. The planner re-materializes the winner.
 
     One pool may be **shared by many sessions** (the session service's
     multiplexing model): rounds serialize on an internal lock, and each
     round still fans its attempts out across every worker.
 
-    Determinism: outcomes merge by attempt order, the prologue is the
-    identical deterministic code on identical replicated state, and the
-    winner's delta replays the exact winning database — so transcripts are
-    bit-identical to :class:`SerialBackend` at any worker count, before and
-    after crashes (a :class:`BrokenProcessPool` rebuilds the pool from the
-    current fork seed and deterministically retries the round once).
+    Determinism: attempt evaluation is deterministic on replicated state and
+    outcomes merge by attempt order, so transcripts are bit-identical to
+    :class:`SerialBackend` at any worker count, before and after crashes (a
+    :class:`BrokenProcessPool` rebuilds the pool from the current fork seed
+    and deterministically retries the round's attempts once).
     """
 
     name = "warm-pool"
-    plans_rounds = True
 
     def __init__(self, workers: int) -> None:
         if workers < 2:
@@ -560,8 +355,6 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
         self._snapshot: BaseSnapshot | None = None
         self._version = 0
         self._install_bytes: bytes | None = None
-        self._shipped_bodies: set[str] = set()
-        self._current_body: tuple[str, bytes] | None = None
         self.last_snapshot_bytes: int | None = None
         self._lock = threading.RLock()
         # Join the warm-worker-aware reset fan-out: reset_all_stats() zeroes
@@ -598,9 +391,11 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
             )
         if snapshot is not self._snapshot:
             # Structurally new base (new database, uncovered signature, or
-            # joins rebuilt after an in-place mutation): bump the version and
-            # let workers pull a full install lazily. The pool stays up.
-            self._version += 1
+            # joins rebuilt after an in-place mutation): take a fresh,
+            # process-unique version — a fork seed left by another pool can
+            # then never pass for this one's — and let workers pull a full
+            # install lazily. The pool stays up.
+            self._version = next(_VERSIONS)
             self._snapshot = snapshot
             self._install_bytes = None
             _set_fork_seed(self._version, snapshot)
@@ -614,27 +409,12 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
         BACKEND_STATS.bytes_shipped += len(self._install_bytes)
         return _Install(version=self._version, snapshot_bytes=self._install_bytes)
 
-    # ---------------------------------------------------------------- context
-    def _body_for(self, context: RoundContext) -> tuple[str, bytes | None]:
-        digest, payload = context_body_payload(context)
-        self._current_body = (digest, payload)
-        if digest in self._shipped_bodies:
-            BACKEND_STATS.context_skips += 1
-            return digest, None
-        self._shipped_bodies.add(digest)
-        return digest, payload
-
     # --------------------------------------------------------------- dispatch
-    def _account_task(self, task) -> None:
-        if isinstance(task, _RunTask):
-            BACKEND_STATS.units_dispatched += 1
-        if task.body is not None:
-            BACKEND_STATS.bytes_shipped += len(task.body)
-
-    def _resolve(self, executor: ProcessPoolExecutor, tasks: list) -> list:
-        """Submit tasks and drive the need-sync / need-context resubmit loop."""
+    def _resolve(self, executor: ProcessPoolExecutor, tasks: list[_RunTask]) -> list[_RunReply]:
+        """Submit tasks and drive the need-sync resubmit loop."""
         for task in tasks:
-            self._account_task(task)
+            BACKEND_STATS.units_dispatched += 1
+            BACKEND_STATS.bytes_shipped += len(task.body)
         pending = {index: executor.submit(_warm_call, task) for index, task in enumerate(tasks)}
         tasks = list(tasks)
         tries = [0] * len(tasks)
@@ -653,134 +433,9 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
                         )
                     tasks[index] = replace(tasks[index], sync=self._install_payload())
                     pending[index] = executor.submit(_warm_call, tasks[index])
-                elif isinstance(reply, _NeedContext):
-                    BACKEND_STATS.context_resends += 1
-                    tries[index] += 1
-                    if tries[index] > _SYNC_RETRIES:  # pragma: no cover - defensive
-                        raise RuntimeError("warm worker failed to receive the round context")
-                    current = self._current_body
-                    if current is None or current[0] != reply.body_hash:  # pragma: no cover
-                        raise RuntimeError("worker requested an unknown round body")
-                    BACKEND_STATS.bytes_shipped += len(current[1])
-                    tasks[index] = replace(tasks[index], body=current[1])
-                    pending[index] = executor.submit(_warm_call, tasks[index])
                 else:
                     replies[index] = reply
         return replies
-
-    # -------------------------------------------------------------- run units
-    def _run_units_stop_first(
-        self,
-        executor: ProcessPoolExecutor,
-        token: str,
-        body_hash: str,
-        body: bytes | None,
-        attempts: Sequence[Attempt],
-    ) -> tuple[list[AttemptOutcome], RemoteWinner | None]:
-        outcomes_by_unit: dict[int, tuple[AttemptOutcome, ...]] = {}
-        winners: dict[int, RemoteWinner] = {}
-
-        def run_units(units: list[WorkUnit]) -> None:
-            tasks = [
-                _RunTask(
-                    version=self._version,
-                    token=token,
-                    body_hash=body_hash,
-                    body=body,
-                    unit=unit,
-                    stop_at_first=True,
-                )
-                for unit in units
-            ]
-            for unit, reply in zip(units, self._resolve(executor, tasks)):
-                self.cost_model.observe(len(reply.outcomes), reply.elapsed)
-                outcomes_by_unit[unit.index] = reply.outcomes
-                if reply.winner is not None:
-                    winners[unit.index] = reply.winner
-
-        # Wave 1: the Algorithm-4 subset attempt alone — the expected winner.
-        # Matching the serial backend's work exactly here means a typical
-        # round performs zero speculative evaluations.
-        run_units([WorkUnit(index=0, start=0, attempts=(tuple(attempts[0]),))])
-        if not winners and len(attempts) > 1:
-            rest = tuple(attempts[1:])
-            units = [
-                WorkUnit(index=unit.index + 1, start=unit.start + 1, attempts=unit.attempts)
-                for unit in shard_attempts(rest, self.cost_model.unit_count(len(rest), self.workers))
-            ]
-            run_units(units)
-        merged: list[AttemptOutcome] = []
-        for index in sorted(outcomes_by_unit):
-            merged.extend(outcomes_by_unit[index])
-        winning = next((o for o in merged if o.applied and o.distinguishes), None)
-        payload: RemoteWinner | None = None
-        if winning is not None:
-            for index in sorted(winners):
-                if winners[index].attempt_index == winning.attempt_index:
-                    payload = winners[index]
-                    break
-        return merged, payload
-
-    # ------------------------------------------------------------- run a round
-    def run_round(self, request: RoundRequest) -> RemoteRound:
-        """Plan and search one round entirely on the warm pool.
-
-        Ships the content-hashed round body (bytes only if unseen), receives
-        the prologue summary + attempt specs (a plan-cache hit skips the
-        prologue computation entirely), then dispatches cost-model-sized work
-        units and returns merged outcomes plus the winner's finalize payload.
-        """
-        with self._lock:
-            try:
-                return self._run_round_locked(request)
-            except BrokenProcessPool:
-                BACKEND_STATS.pool_rebuilds += 1
-                self._teardown_executor()
-                # Deterministic round: the rebuilt pool (re-seeded from the
-                # current fork seed, or need-sync installs) reproduces the
-                # identical result.
-                return self._run_round_locked(request)
-
-    def _run_round_locked(self, request: RoundRequest) -> RemoteRound:
-        tracer = get_tracer()
-        with tracer.span("backend.broadcast", backend=self.name):
-            self._ensure_base(
-                request.snapshot_provider(), required_signatures(request.context)
-            )
-            executor = self._ensure_executor()
-        token = request.context.token
-        body_hash, body = self._body_for(request.context)
-        BACKEND_STATS.rounds_planned += 1
-        with tracer.span("backend.plan", backend=self.name) as plan_span:
-            plan_reply: _PlanReply = self._resolve(
-                executor,
-                [
-                    _PlanTask(
-                        version=self._version,
-                        token=token,
-                        body_hash=body_hash,
-                        body=body,
-                    )
-                ],
-            )[0]
-            if tracer.enabled:
-                plan_span.set(cache_hit=plan_reply.cache_hit)
-        if plan_reply.error is not None:
-            raise DatabaseGenerationError(plan_reply.error)
-        outcomes, winner = self._run_units_stop_first(
-            executor, token, body_hash, body, plan_reply.attempts
-        )
-        with tracer.span("backend.merge", backend=self.name):
-            plan = RemotePlan(
-                cache_hit=plan_reply.cache_hit,
-                skyline_pair_count=plan_reply.skyline_pair_count,
-                chosen_pairs=plan_reply.chosen_pairs,
-                chosen_cost=plan_reply.chosen_cost,
-                attempts=plan_reply.attempts,
-                skyline_seconds=plan_reply.skyline_seconds,
-                selection_seconds=plan_reply.selection_seconds,
-            )
-        return RemoteRound(plan=plan, outcomes=outcomes, winner=winner)
 
     # ------------------------------------------------------- attempt interface
     def run_attempts(
@@ -794,6 +449,9 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
             except BrokenProcessPool:
                 BACKEND_STATS.pool_rebuilds += 1
                 self._teardown_executor()
+                # Deterministic attempts: the rebuilt pool (re-seeded from the
+                # current fork seed, or need-sync installs) reproduces the
+                # identical outcomes.
                 return self._run_attempts_locked(setup, attempts, stop_at_first=stop_at_first)
 
     def _run_attempts_locked(
@@ -805,34 +463,44 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
                 setup.snapshot_provider(), required_signatures(setup.context)
             )
             executor = self._ensure_executor()
-        token = setup.context.token
-        body_hash, body = self._body_for(setup.context)
-        if stop_at_first:
-            merged, _ = self._run_units_stop_first(
-                executor, token, body_hash, body, tuple(attempts)
-            )
-            return merged
-        units = shard_attempts(
-            attempts, self.cost_model.unit_count(len(attempts), self.workers)
-        )
-        tasks = [
-            _RunTask(
-                version=self._version,
-                token=token,
-                body_hash=body_hash,
-                body=body,
-                unit=unit,
-                stop_at_first=False,
-            )
-            for unit in units
-        ]
-        replies = self._resolve(executor, tasks)
-        with tracer.span("backend.merge", backend=self.name):
-            merged: list[AttemptOutcome] = []
-            for unit, reply in zip(units, replies):
+
+        def dispatch(units: list[WorkUnit]) -> list[_RunReply]:
+            tasks = [
+                _RunTask(
+                    version=self._version,
+                    body=setup.body,
+                    unit=unit,
+                    stop_at_first=stop_at_first,
+                )
+                for unit in units
+            ]
+            replies = self._resolve(executor, tasks)
+            for reply in replies:
                 self.cost_model.observe(len(reply.outcomes), reply.elapsed)
-                merged.extend(reply.outcomes)
-        return merged
+            return replies
+
+        if stop_at_first:
+            # Wave 1: the Algorithm-4 subset attempt alone — the expected
+            # winner. Matching the serial backend's work exactly here means a
+            # typical round performs zero speculative evaluations.
+            replies = dispatch([WorkUnit(index=0, start=0, attempts=(tuple(attempts[0]),))])
+            first = replies[0].outcomes[0]
+            if not (first.applied and first.distinguishes) and len(attempts) > 1:
+                rest = attempts[1:]
+                replies += dispatch(
+                    [
+                        WorkUnit(index=unit.index + 1, start=unit.start + 1, attempts=unit.attempts)
+                        for unit in shard_attempts(
+                            rest, self.cost_model.unit_count(len(rest), self.workers)
+                        )
+                    ]
+                )
+        else:
+            replies = dispatch(
+                shard_attempts(attempts, self.cost_model.unit_count(len(attempts), self.workers))
+            )
+        with tracer.span("backend.merge", backend=self.name):
+            return [outcome for reply in replies for outcome in reply.outcomes]
 
     # ---------------------------------------------------------------- plumbing
     def reset_worker_stats(self) -> None:
@@ -867,12 +535,13 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
         The next round installs fresh; resident workers upgrade lazily via
         need-sync. Called by hosts that evict a shared base (e.g. the session
         service pruning a workload pair) so the backend never pins a dead
-        database through its snapshot reference.
+        database through its snapshot reference — or through the fork seed.
         """
         with self._lock:
             if self._snapshot is not None and self._snapshot.database is database:
                 self._snapshot = None
                 self._install_bytes = None
+            _clear_fork_seed(database)
 
     def worker_pids(self) -> tuple[int, ...]:
         """Live child process ids (fault-injection tests kill one of these)."""
@@ -888,5 +557,4 @@ RoundPlanner` delegates whole rounds via :meth:`run_round`: the prologue runs
             self._teardown_executor()
             self._snapshot = None
             self._install_bytes = None
-            self._shipped_bodies.clear()
-            self._current_body = None
+            _clear_fork_seed()

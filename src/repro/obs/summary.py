@@ -7,10 +7,10 @@ folded into the five lifecycle phases the backends share:
 ======================  ====================================================
 phase                   source spans
 ======================  ====================================================
-``prepare``             ``round.prepare`` (candidate enumeration, planning),
-                        ``backend.plan`` (warm-pool remote prologue)
-``ship``                ``backend.broadcast`` (context pickling/base loads)
-``evaluate``            ``round.search`` minus its ship/plan/merge children
+``prepare``             ``round.prepare`` (join, tuple classes, Algorithms
+                        3 + 4 — on the driver for every backend)
+``ship``                ``backend.broadcast`` (base installs)
+``evaluate``            ``round.search`` minus its ship/merge children
 ``merge``               ``backend.merge`` (worker outcome + counter merge)
 ``materialize``         ``round.materialize`` (winning database build)
 ``present``             ``round.present`` (feedback-round construction)
@@ -40,7 +40,6 @@ PHASES = ("prepare", "ship", "evaluate", "merge", "materialize", "present", "oth
 
 _PHASE_OF_SPAN = {
     "round.prepare": "prepare",
-    "backend.plan": "prepare",
     "backend.broadcast": "ship",
     "backend.merge": "merge",
     "round.materialize": "materialize",
@@ -92,10 +91,9 @@ def phase_breakdown(source) -> list[dict]:
         descendants = list(_descendants(propose, children))
         # Spans nested under the round's search span(s) need separating from
         # top-level ones: the search wall-clock covers its broadcast/merge
-        # children (and, on a round-planning backend, the remote-prologue
-        # ``backend.plan``), so pure evaluation is what remains of the
-        # search after subtracting its *own* mapped descendants — never a
-        # same-phase span that ran outside it.
+        # children, so pure evaluation is what remains of the search after
+        # subtracting its *own* mapped descendants — never a same-phase span
+        # that ran outside it.
         search_total = 0.0
         under_search: set[int] = set()
         for node in descendants:

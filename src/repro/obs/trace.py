@@ -6,7 +6,7 @@ line in the sink — measuring durations on the monotonic clock
 span opened while another is active on the same thread becomes its child
 (``parent_id``), which is how one ``session.propose`` span ends up owning
 its round's ``round.prepare``/``round.search``/``round.materialize``
-children and the search span owns the backend's broadcast/plan/merge spans.
+children and the search span owns the backend's broadcast/merge spans.
 
 **Zero cost when disabled.** The process-wide tracer defaults to
 :data:`NULL_TRACER`, whose :meth:`~NullTracer.span` returns a shared no-op

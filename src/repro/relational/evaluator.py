@@ -28,6 +28,7 @@ from __future__ import annotations
 import pickle
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -528,10 +529,16 @@ class JoinCache:
     Derived entries are evicted together with their base: invalidating or
     garbage-collecting ``D`` drops every entry derived from it (the derived
     state was patched out of the base entry, so it must not outlive it).
+
+    **Memos.** :meth:`memo_for` hands out a small store held with one join
+    entry; the round planner keeps its prologue memo there. It lives exactly
+    as long as the entry: :meth:`invalidate`, :meth:`clear` and the
+    garbage-collection finalizer drop it together with the join.
     """
 
     def __init__(self) -> None:
         self._cache: dict[tuple[int, tuple[str, ...]], JoinedRelation] = {}
+        self._memos: dict[tuple[int, tuple[str, ...]], OrderedDict] = {}
         self._finalizers: dict[int, weakref.finalize] = {}
         #: derived database id -> (base database id, weakref to base, delta)
         self._links: dict[int, tuple[int, weakref.ref, Any]] = {}
@@ -561,7 +568,20 @@ class JoinCache:
         """
         key = (id(database), tuple(sorted(tables)))
         self._cache[key] = joined
+        self._memos.pop(key, None)
         self._watch(database)
+
+    def memo_for(self, database: Database, tables: Iterable[str]) -> OrderedDict:
+        """The memo held with the cached join of *tables* on *database*.
+
+        Built (empty) on first use, together with the join entry if needed.
+        The cache never reads it; it only ties the memo's lifetime to the
+        join's, so a memo can never outlive — or be served for — a rebuilt
+        join.
+        """
+        key = (id(database), tuple(sorted(tables)))
+        self.join_for(database, tables)
+        return self._memos.setdefault(key, OrderedDict())
 
     def _build_entry(self, database: Database, tables: Iterable[str]) -> JoinedRelation:
         link = self._links.get(id(database))
@@ -634,6 +654,7 @@ class JoinCache:
         stale = [key for key in self._cache if key[0] == database_id]
         for key in stale:
             self._cache.pop(key).invalidate_columnar()
+            self._memos.pop(key, None)
 
     def columnar_for(self, database: Database, tables: Iterable[str]) -> ColumnarView:
         """The columnar view (with shared term-mask cache) of a cached join."""
@@ -745,5 +766,6 @@ class JoinCache:
             finalizer.detach()
         self._finalizers.clear()
         self._cache.clear()
+        self._memos.clear()
         self._links.clear()
         self._children.clear()

@@ -8,10 +8,11 @@ For every requested ``(scenario, scale)`` the sweep
    result, bag-exactly — this is where numeric/type-semantics bugs detonate);
 3. **runs** one full QFE session per execution backend — serial, and a
    shared **warm persistent worker pool** (when ``workers >= 2``: one cold
-   session plus repeats that hit worker-resident plan caches, recording both
-   the cold and the steady-state wall-clock) — and demands every canonical
-   transcript be **bit-identical** to the serial oracle (the differential
-   contract, extended to every generated scenario and every backend);
+   session plus repeats over the same join cache, whose rounds replay from
+   the driver-side prologue memo, recording both the cold and the
+   steady-state wall-clock) — and demands every canonical transcript be
+   **bit-identical** to the serial oracle (the differential contract,
+   extended to every generated scenario and every backend);
 4. **measures** the cold vs delta-derived candidate-evaluation paths over
    the same candidate set, plus the storage layer itself: bytes per joined
    row under the typed columnar layout vs the object-tuple reference layout,
@@ -21,7 +22,8 @@ For every requested ``(scenario, scale)`` the sweep
 5. **records** the whole per-scale trajectory — row counts, join size,
    session rounds, per-backend seconds with a ``fastest_backend`` pick,
    cold/delta seconds, memory figures, transcript hash — into
-   ``benchmarks/BENCH_scenarios.json``.
+   ``benchmarks/BENCH_scenarios.json``, stamped with the machine that
+   measured it.
 
 Scales 10–100× are in scope for the storage figures: the typed layout keeps
 millions of joined rows resident at a few dozen bytes per row, which is what
@@ -43,8 +45,10 @@ from typing import Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.execution_backend import BACKEND_STATS
+from repro.core.round_planner import PLAN_MEMO_STATS
 from repro.core.timing import Stopwatch
 from repro.exceptions import EvaluationError
+from repro.obs.machine import machine_stamp
 from repro.qbo.mutation import expand_candidate_set
 from repro.relational.columnar import ColumnarView, ColumnarViewReference
 from repro.relational.delta import TupleDelta
@@ -338,11 +342,12 @@ def run_sweep(
     ``pooled_cold_seconds`` (base install + round plans all cold), then the
     session repeats with the same shared join/snapshot caches and the best
     repeat is ``pooled_seconds`` — the steady-state a warm service reaches
-    when a user re-runs a pair the pool has already planned, which is where
-    worker-resident plan caches and content-hashed round bodies pay off.
-    Every warm transcript (cold and steady) must be bit-identical to the
-    serial oracle. ``workers`` of 0/1 skips the warm leg. Every point records
-    per-backend timings and a ``fastest_backend`` pick.
+    when a user re-runs a pair it has already planned: a cache effect of the
+    prologue memo (``memo_hits``), not parallel speedup. Every warm
+    transcript (cold and steady) must be bit-identical to the serial oracle.
+    ``workers`` of 0/1 skips the warm leg. Every point records per-backend
+    timings and a ``fastest_backend`` pick; the payload carries a
+    ``machine`` stamp.
     """
     names = list(scenarios) if scenarios else sorted(SCENARIOS)
     specs = [get_scenario(name) for name in names]
@@ -354,6 +359,7 @@ def run_sweep(
 
         pool = WarmProcessPoolBackend(workers)
     payload: dict = {
+        "machine": machine_stamp(),
         "seed": seed,
         "workers": workers,
         "scales": scales,
@@ -399,14 +405,12 @@ def run_sweep(
                     # cache across its sessions on this point, exactly as the
                     # session service shares a pair's base state: the first
                     # session pays the install and every round plan cold, the
-                    # repeats hit worker-resident plan caches (warm_hits) and
-                    # ship content hashes instead of round bodies.
+                    # repeats replay their plans from the prologue memo held
+                    # with the shared join (memo_hits).
                     warm_join_cache = JoinCache()
                     warm_snapshots = SharedSnapshotCache()
-                    stats_before = {
-                        field: getattr(BACKEND_STATS, field)
-                        for field in ("bytes_shipped", "warm_hits")
-                    }
+                    shipped_before = BACKEND_STATS.bytes_shipped
+                    hits_before = PLAN_MEMO_STATS.memo_hits
                     warm_rounds = 0
                     cold_seconds, cold_json, cold_run, _ = _session_point(
                         generated, result, candidates,
@@ -448,9 +452,9 @@ def run_sweep(
                     point["pooled_speedup"] = (
                         serial_seconds / pooled_seconds if pooled_seconds > 0 else None
                     )
-                    point["warm_hits"] = BACKEND_STATS.warm_hits - stats_before["warm_hits"]
+                    point["memo_hits"] = PLAN_MEMO_STATS.memo_hits - hits_before
                     point["bytes_shipped_per_round"] = (
-                        (BACKEND_STATS.bytes_shipped - stats_before["bytes_shipped"])
+                        (BACKEND_STATS.bytes_shipped - shipped_before)
                         / warm_rounds
                         if warm_rounds
                         else None
@@ -500,14 +504,15 @@ def sweep_table(payload: dict):
         title="Scenario scale sweep",
         columns=[
             "scenario", "scale", "rows", "join rows", "|R|", "cands", "iters",
-            "serial s", "warm s", "warm cold s", "warm hits", "fastest",
+            "serial s", "warm s", "warm cold s", "memo hits", "fastest",
             "cold s", "delta s", "B/row", "mem x", "identical",
         ],
         caption=(
             "Per-scale trajectory of generated scenarios: full QFE sessions on the "
             "serial and warm-pool backends (canonical transcripts "
             "bit-identical; 'warm s' is the steady-state repeat on a persistent "
-            "pool, 'warm cold s' its first session), plus cold vs delta-derived "
+            "pool, replaying its plans from the prologue memo ('memo hits'), "
+            "'warm cold s' its first session), plus cold vs delta-derived "
             "candidate evaluation and typed-vs-object storage bytes per joined row."
         ),
     )
@@ -525,7 +530,7 @@ def sweep_table(payload: dict):
                 round(point["pooled_seconds"], 4) if "pooled_seconds" in point else "-",
                 round(point["pooled_cold_seconds"], 4)
                 if "pooled_cold_seconds" in point else "-",
-                point.get("warm_hits", "-"),
+                point.get("memo_hits", "-"),
                 point.get("fastest_backend", "-"),
                 round(point["cold_eval_seconds"], 4) if "cold_eval_seconds" in point else "-",
                 round(point["delta_eval_seconds"], 4) if "delta_eval_seconds" in point else "-",

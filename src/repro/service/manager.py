@@ -11,7 +11,9 @@ rounds cheap:
   ``(workload, scale)`` pair (sessions never mutate the base);
 * one :class:`~repro.relational.evaluator.JoinCache` per pair, so the
   foreign-key join and its columnar term masks are built once for *all*
-  sessions, not once per session;
+  sessions, not once per session — and the round planner's prologue memo,
+  held with that join, replays a round body another session already
+  planned;
 * one :class:`~repro.relational.evaluator.SharedSnapshotCache`, so a pooled
   backend broadcasts the base snapshot to its workers once per pair, not
   once per session switch.
@@ -27,12 +29,12 @@ Known trade-off of the one-pool design: the warm pool's workers hold one
 installed base at a time, so traffic that *interleaves rounds across
 different pairs* re-installs base state on every pair switch — lazily,
 inside the live workers (one snapshot ship, no pool teardown). Repeated
-rounds on one pair hit worker-resident plan caches, and pair eviction calls
-``release_base`` so the pool never pins a dead database. Deployments
-serving several heavy workloads concurrently should still prefer one
-manager — one pool — per workload family; within a pair the install
-happens once, which is the common interactive case this layer optimizes
-for.
+rounds on one pair replay their plan from the pair's prologue memo on every
+backend, and pair eviction calls ``release_base`` so the pool never pins a
+dead database. Deployments serving several heavy workloads concurrently
+should still prefer one manager — one pool — per workload family; within a
+pair the install happens once, which is the common interactive case this
+layer optimizes for.
 
 Persistence: with a :class:`~repro.service.store.SessionStore` attached, the
 manager checkpoints a session after every state change, evicts
@@ -142,13 +144,14 @@ class ManagedSession:
 
 
 class _Metrics(RegistryStats):
-    """Thread-safe service counters plus a bounded round-latency histogram.
+    """Thread-safe service counters plus two bounded latency histograms.
 
-    Registry-backed: counters and the round-latency Histogram (Prometheus
-    buckets + a bounded reservoir for the exact p50/p95 of the JSON payload)
-    live in a **private** :class:`MetricsRegistry` — each manager's metrics
-    are its own, as the historical per-instance counters were — which the
-    Prometheus endpoint renders alongside the process-wide registry.
+    Registry-backed: counters, the round-latency Histogram and the
+    compute-lock-wait Histogram (Prometheus buckets + a bounded reservoir for
+    the exact p50/p95 of the JSON payload) live in a **private**
+    :class:`MetricsRegistry` — each manager's metrics are its own, as the
+    historical per-instance counters were — which the Prometheus endpoint
+    renders alongside the process-wide registry.
     """
 
     _PREFIX = "qfe_service"
@@ -178,6 +181,11 @@ class _Metrics(RegistryStats):
             "End-to-end round proposal latency.",
             reservoir=window,
         )
+        self._lock_wait = self.registry.histogram(
+            "qfe_service_compute_lock_wait_seconds",
+            "Wait to acquire a shared pair's compute lock (rounds and choices).",
+            reservoir=window,
+        )
 
     def bump(self, counter: str, amount: int = 1) -> None:
         self._counters[counter].inc(amount)
@@ -185,17 +193,25 @@ class _Metrics(RegistryStats):
     def observe_round_latency(self, seconds: float) -> None:
         self._latency.observe(seconds)
 
+    def observe_lock_wait(self, seconds: float) -> None:
+        self._lock_wait.observe(seconds)
+
     def reset(self) -> None:
         super().reset()
         self._latency.reset()
+        self._lock_wait.reset()
 
     def snapshot(self) -> dict:
         payload: dict = {field: self._counters[field].value for field in self._FIELDS}
-        payload["round_latency_seconds"] = {
-            "count": self._latency.observation_count(),
-            "p50": self._latency.quantile(0.50),
-            "p95": self._latency.quantile(0.95),
-        }
+        for key, histogram in (
+            ("round_latency_seconds", self._latency),
+            ("compute_lock_wait_seconds", self._lock_wait),
+        ):
+            payload[key] = {
+                "count": histogram.observation_count(),
+                "p50": histogram.quantile(0.50),
+                "p95": histogram.quantile(0.95),
+            }
         return payload
 
 
@@ -497,6 +513,14 @@ class SessionManager:
         self._metrics.bump("checkpoints_written")
 
     @contextmanager
+    def _computing(self, pair: _SharedPair) -> Iterator[None]:
+        """Hold *pair*'s compute lock, recording how long acquiring it took."""
+        watch = Stopwatch()
+        with pair.compute_lock:
+            self._metrics.observe_lock_wait(watch.elapsed())
+            yield
+
+    @contextmanager
     def _locked(self, session_id: str) -> Iterator[ManagedSession]:
         """Resolve the session and hold its step lock, passivation-proof.
 
@@ -535,7 +559,7 @@ class SessionManager:
             had_pending = managed.session.pending_round is not None
             was_done = managed.session.done
             watch = Stopwatch()
-            with managed.pair.compute_lock:
+            with self._computing(managed.pair):
                 pending = managed.session.propose()
             if pending is not None and not had_pending:
                 managed.rounds_served += 1
@@ -552,7 +576,7 @@ class SessionManager:
         """Apply a user's choice to the session's pending round."""
         with self._locked(session_id) as managed:
             managed.last_used = self._clock()
-            with managed.pair.compute_lock:
+            with self._computing(managed.pair):
                 # Replenishment (NONE_OF_THE_ABOVE) evaluates candidates over
                 # the shared caches, hence the compute lock.
                 step = managed.session.submit(choice)
@@ -599,7 +623,7 @@ class SessionManager:
         }
 
     def metrics(self) -> dict:
-        """Service metrics: sessions, rounds served, p50/p95 round latency."""
+        """Service metrics: sessions, rounds served, p50/p95 round latency and lock wait."""
         with self._lock:
             active = len(self._sessions)
             shared_pairs = len(self._pairs)

@@ -136,6 +136,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
     server_version = "qfe-serve/1"
     protocol_version = "HTTP/1.1"
     timeout = REQUEST_TIMEOUT_SECONDS
+    # Headers and body go out in two writes; with Nagle's algorithm on, the
+    # body waits for the ACK of the headers, which a keep-alive client delays
+    # (~40 ms on Linux). TCP_NODELAY sends both at once.
+    disable_nagle_algorithm = True
 
     @property
     def manager(self) -> SessionManager:

@@ -7,10 +7,13 @@ workers must never perform a full join (the delta-only worker protocol).
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
 
 import pytest
 
+from repro.core import round_planner
 from repro.core.config import BACKEND_CHOICES, QFEConfig, backend_name
 from repro.core.database_generator import DatabaseGenerator
 from repro.core.execution_backend import (
@@ -21,10 +24,16 @@ from repro.core.execution_backend import (
     shard_attempts,
 )
 from repro.core.modification import ClassPair
-from repro.core.round_planner import RoundPlanner, candidate_pair_attempts
+from repro.core.round_planner import (
+    PLAN_MEMO_LIMIT,
+    PLAN_MEMO_STATS,
+    RoundPlanner,
+    candidate_pair_attempts,
+)
 from repro.core.tuple_class import TupleClass
 from repro.core.worker_runtime import AttemptCostModel, WarmProcessPoolBackend
 from repro.exceptions import DatabaseGenerationError
+from repro.obs.trace import Tracer, set_tracer
 from repro.relational.evaluator import BaseSnapshot, JoinCache
 from repro.relational.join import JOIN_STATS
 
@@ -183,6 +192,131 @@ class TestRoundPlanner:
         plan = planner.prepare_round(database, employee_result, employee_candidates)
         planner.execute(plan, stop_at_first=False)
         assert planner.join_cache.columnar_for(database, referenced).cached_term_count > 0
+
+
+# ------------------------------------------------------------ prologue memo
+def _count_skylines(monkeypatch) -> list:
+    calls: list = []
+    original = round_planner.skyline_stc_dtc_pairs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(round_planner, "skyline_stc_dtc_pairs", counting)
+    return calls
+
+
+class TestPrologueMemo:
+    def test_a_repeated_body_replays_the_plan(
+        self, employee_db, employee_result, employee_candidates, monkeypatch
+    ):
+        skylines = _count_skylines(monkeypatch)
+        planner = RoundPlanner(QFEConfig())
+        spans: list = []
+        previous = set_tracer(Tracer(spans))
+        try:
+            first = planner.prepare_round(employee_db, employee_result, employee_candidates)
+            second = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        finally:
+            set_tracer(previous)
+        assert len(skylines) == 1
+        assert (PLAN_MEMO_STATS.memo_misses, PLAN_MEMO_STATS.memo_hits) == (1, 1)
+        assert second.body == first.body
+        assert second.attempts == first.attempts
+        assert second.space is first.space
+        # A replayed round spent no time in Algorithms 3 and 4.
+        assert second.skyline_seconds == second.selection_seconds == 0.0
+        prepares = [span for span in spans if span["name"] == "round.prepare"]
+        assert [span["attrs"]["memo_hit"] for span in prepares] == [False, True]
+
+    def test_a_planner_with_a_custom_score_bypasses_the_memo(
+        self, employee_db, employee_result, employee_candidates, monkeypatch
+    ):
+        skylines = _count_skylines(monkeypatch)
+        join_cache = JoinCache()
+        planner = RoundPlanner(
+            QFEConfig(), score=lambda effect, cost: (cost.total,), join_cache=join_cache
+        )
+        for _ in range(2):
+            planner.prepare_round(employee_db, employee_result, employee_candidates)
+        assert len(skylines) == 2
+        assert (PLAN_MEMO_STATS.memo_misses, PLAN_MEMO_STATS.memo_hits) == (0, 0)
+        referenced = tuple(sorted({t for q in employee_candidates for t in q.tables}))
+        assert not join_cache.memo_for(employee_db, referenced)
+        # Nor does it read a memo another planner filled on the same join.
+        RoundPlanner(QFEConfig(), join_cache=join_cache).prepare_round(
+            employee_db, employee_result, employee_candidates
+        )
+        planner.prepare_round(employee_db, employee_result, employee_candidates)
+        assert len(skylines) == 4
+        assert PLAN_MEMO_STATS.memo_hits == 0
+
+    def test_an_invalidated_base_misses(
+        self, employee_result, employee_candidates, monkeypatch
+    ):
+        from repro.datasets import employee
+
+        skylines = _count_skylines(monkeypatch)
+        database = employee.build_database()
+        planner = RoundPlanner(QFEConfig())
+        before = planner.prepare_round(database, employee_result, employee_candidates)
+        relation = database.relation("Employee")
+        victim = relation.tuples[0]
+        relation.update_value(
+            victim.tuple_id, "salary", relation.value_of(victim, "salary") + 5000
+        )
+        planner.join_cache.invalidate(database)
+        after = planner.prepare_round(database, employee_result, employee_candidates)
+        # Same body, rebuilt join: the memo went with the old join.
+        assert after.body == before.body
+        assert len(skylines) == 2
+        assert (PLAN_MEMO_STATS.memo_misses, PLAN_MEMO_STATS.memo_hits) == (2, 0)
+        assert after.space is not before.space
+
+    def test_a_ninth_body_evicts_the_oldest(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        assert PLAN_MEMO_LIMIT == 8
+        join_cache = JoinCache()
+        # Configs that differ only outside the prologue still make distinct
+        # bodies: bodies match only when their pickles are byte-identical.
+        planners = [
+            RoundPlanner(QFEConfig(max_iterations=10 + index), join_cache=join_cache)
+            for index in range(PLAN_MEMO_LIMIT + 1)
+        ]
+        for planner in planners:
+            planner.prepare_round(employee_db, employee_result, employee_candidates)
+        assert PLAN_MEMO_STATS.memo_misses == PLAN_MEMO_LIMIT + 1
+        referenced = tuple(sorted({t for q in employee_candidates for t in q.tables}))
+        assert len(join_cache.memo_for(employee_db, referenced)) == PLAN_MEMO_LIMIT
+        planners[-1].prepare_round(employee_db, employee_result, employee_candidates)
+        assert PLAN_MEMO_STATS.memo_hits == 1
+        planners[0].prepare_round(employee_db, employee_result, employee_candidates)
+        assert PLAN_MEMO_STATS.memo_hits == 1
+        assert PLAN_MEMO_STATS.memo_misses == PLAN_MEMO_LIMIT + 2
+
+    def test_the_memo_does_not_pin_the_base(self, employee_result, employee_candidates):
+        from repro.core.feedback import WorstCaseSelector
+        from repro.core.session import QFESession
+        from repro.datasets import employee
+
+        database = employee.build_database()
+        join_cache = JoinCache()
+        session = QFESession(
+            database, employee_result, candidates=employee_candidates, join_cache=join_cache
+        )
+        session.run(WorstCaseSelector())
+        assert PLAN_MEMO_STATS.memo_misses > 0
+        alive = weakref.ref(database)
+        del session, database
+        gc.collect()
+        # The join cache outlives the session (a service pair's does); the
+        # memo it holds keeps only plans, never the database, so the base is
+        # collected and its join and memo are evicted with it.
+        assert alive() is None
+        assert join_cache.cached_join_count == 0
+        assert not join_cache._memos
 
 
 # ------------------------------------------------------------------ backends

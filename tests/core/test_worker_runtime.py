@@ -1,21 +1,19 @@
 """Unit tests for the warm persistent worker runtime (protocol pieces).
 
 Everything here runs driver-side without spinning up worker processes: the
-cost model's unit sizing, content-hashed round bodies, and the backend's
-versioned base bookkeeping (``release_base``). Full sessions over live pools
-live in ``tests/integration/test_warm_pool_differential.py``.
+cost model's unit sizing and the backend's versioned base bookkeeping
+(``release_base``, the fork seed). Full sessions over live pools live in
+``tests/integration/test_warm_pool_differential.py``.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
-from repro.core.config import QFEConfig
-from repro.core.execution_backend import (
-    BACKEND_STATS,
-    RoundContext,
-    context_body_payload,
-)
+from repro.core import worker_runtime
 from repro.core.worker_runtime import AttemptCostModel, WarmProcessPoolBackend
 from repro.relational.evaluator import BaseSnapshot
 
@@ -63,47 +61,6 @@ class TestAttemptCostModel:
         assert not model.seeded
 
 
-def _context(token: str = "round-1") -> RoundContext:
-    from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
-    from repro.relational.query import SPJQuery
-
-    query = SPJQuery(
-        ["Emp"],
-        ["Emp.ename"],
-        DNFPredicate.from_terms([Term("Emp.salary", ComparisonOp.GT, 60)]),
-    )
-    return RoundContext(
-        token=token,
-        queries=(query,),
-        config=QFEConfig(),
-        referenced=("Emp",),
-        result_name="R",
-        result_arity=1,
-    )
-
-
-class TestContentHashedBodies:
-    def test_body_hash_ignores_the_round_token(self):
-        hash_a, payload_a = context_body_payload(_context("round-1"))
-        hash_b, payload_b = context_body_payload(_context("round-2"))
-        assert hash_a == hash_b
-        assert payload_a == payload_b
-        assert len(hash_a) == 64  # sha256 hex
-
-    def test_backend_ships_each_distinct_body_once(self, two_table_db):
-        backend = WarmProcessPoolBackend(2)
-        try:
-            hash_one, payload_one = backend._body_for(_context("round-1"))
-            assert payload_one is not None
-            # Same body (different token): hash only, no payload re-pickle.
-            hash_two, payload_two = backend._body_for(_context("round-2"))
-            assert hash_two == hash_one
-            assert payload_two is None
-            assert BACKEND_STATS.context_skips >= 1
-        finally:
-            backend.close()
-
-
 class TestWarmBackendBaseBookkeeping:
     def test_release_base_forgets_only_the_given_database(self, two_table_db):
         database = two_table_db.copy()
@@ -131,9 +88,55 @@ class TestWarmBackendBaseBookkeeping:
             backend._ensure_base(
                 BaseSnapshot.capture(two_table_db.copy(), [signature]), [signature]
             )
-            assert backend._version == version + 1
+            assert backend._version > version
         finally:
             backend.close()
+
+    def test_versions_are_unique_across_pools(self, two_table_db):
+        # Every pool forks from the one process-wide seed, so two pools must
+        # never share a version: a worker seeded with the other pool's base
+        # would otherwise accept this pool's tasks.
+        signature = ("Emp", "Dept")
+        first, second = WarmProcessPoolBackend(2), WarmProcessPoolBackend(2)
+        try:
+            first._ensure_base(BaseSnapshot.capture(two_table_db.copy(), [signature]), [signature])
+            second._ensure_base(BaseSnapshot.capture(two_table_db.copy(), [signature]), [signature])
+            assert first._version != second._version
+            assert worker_runtime._FORK_SEED.version == second._version
+        finally:
+            first.close()
+            second.close()
+
+    @pytest.mark.parametrize("release", ["release_base", "close"])
+    def test_a_released_base_is_not_pinned_by_the_fork_seed(self, two_table_db, release):
+        signature = ("Emp", "Dept")
+        database = two_table_db.copy()
+        backend = WarmProcessPoolBackend(2)
+        try:
+            backend._ensure_base(BaseSnapshot.capture(database, [signature]), [signature])
+            assert worker_runtime._FORK_SEED.snapshot.database is database
+            if release == "release_base":
+                backend.release_base(database)
+            else:
+                backend.close()
+            alive = weakref.ref(database)
+            del database
+            gc.collect()
+            assert alive() is None
+        finally:
+            backend.close()
+
+    def test_release_base_keeps_a_seed_for_another_database(self, two_table_db):
+        signature = ("Emp", "Dept")
+        database = two_table_db.copy()
+        backend = WarmProcessPoolBackend(2)
+        try:
+            backend._ensure_base(BaseSnapshot.capture(database, [signature]), [signature])
+            backend.release_base(two_table_db)
+            assert worker_runtime._FORK_SEED.snapshot.database is database
+        finally:
+            backend.close()
+        assert worker_runtime._FORK_SEED is None
 
     def test_workers_below_two_are_rejected(self):
         with pytest.raises(ValueError):

@@ -71,8 +71,8 @@ def test_fast_guard_serial_vs_warm_pool_bit_identity():
     """The warm-pool fast guard: mixed@0.05, serial vs a 2-worker warm pool.
 
     Two back-to-back sessions on one persistent pool: the first installs the
-    base and plans every round cold, the second hits worker-resident plan
-    caches — both must reproduce the serial transcript byte for byte.
+    base, the second reuses the resident workers — both must reproduce the
+    serial transcript byte for byte.
     """
     generated, result, candidates = _setup("mixed", 0.05)
     serial = _transcript(generated, result, candidates, workers=0)
@@ -92,6 +92,8 @@ def test_pooled_sweep_point_has_only_serial_and_warm_legs():
     assert point["backend_seconds"]["warm"] == point["pooled_seconds"] > 0
     assert point["pooled_cold_seconds"] > 0
     assert point["pooled_workers"] == 2
+    # The two repeat sessions replay every round from the prologue memo.
+    assert point["memo_hits"] == 2 * point["iterations"]
     assert point["fastest_backend"] in {"serial", "warm"}
     assert set(point["phase_seconds"]) <= {"serial", "warm"}
     assert not [key for key in point if key.startswith("sql")]

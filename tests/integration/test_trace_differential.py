@@ -8,8 +8,9 @@ means span instrumentation leaked into the evaluation path (changed iteration
 order, perturbed a cache, consumed RNG state).
 
 The same runs double as coverage that the expected spans actually appear for
-each backend (broadcast/plan/merge for the warm pool), and that per-round
-phase durations account for the propose wall-clock.
+each backend (the driver-side ``round.prepare`` everywhere, broadcast/merge
+for the warm pool), and that per-round phase durations account for the
+propose wall-clock.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ def test_tracing_does_not_perturb_the_transcript(
     )
 
     names = {record["name"] for record in spans}
-    # The warm pool runs the round prologue worker-side, under backend.plan.
-    prologue = "backend.plan" if backend_name == "warm" else "round.prepare"
-    assert {"session.propose", prologue} <= names
+    # Every backend plans its rounds on the driver, under round.prepare.
+    assert {"session.propose", "round.prepare"} <= names
+    assert "backend.plan" not in names
     if traced_session.last_rounds:
         # Search/present/submit (and the backend-specific spans) only exist
         # when the session actually presented a round; a workload that

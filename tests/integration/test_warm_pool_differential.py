@@ -2,15 +2,15 @@
 
 The warm persistent worker runtime must reproduce the serial round planner's
 entire session transcript **bit-identically** at any worker count — while
-never re-shipping an installed base, never re-shipping a round body the pool
-has already seen, and never performing a full join worker-side. The serial
-backend is the oracle; any divergence here means the warm protocol
-(versioned installs, content-hashed bodies, remote round planning,
-deterministic merge) broke.
+never re-shipping an installed base and never performing a full join
+worker-side. The serial backend is the oracle; any divergence here means the
+warm protocol (versioned installs, driver-planned attempts, deterministic
+merge) broke.
 
-Also here: the fault-tolerance guard (SIGKILL one worker mid-session → the
-pool rebuilds transparently and the transcript stays bit-identical), the
-context-dedup check, and the warm-aware ``reset_all_stats`` regression.
+Also here: the driver-side prologue memo on both backends (a repeated
+session replays every round's plan), the fault-tolerance guard (SIGKILL one
+worker mid-session → the pool rebuilds transparently and the transcript
+stays bit-identical), and the warm-aware ``reset_all_stats`` regression.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ import time
 import pytest
 
 from repro.core import OracleSelector, QFEConfig, QFESession
+from repro.core import round_planner
 from repro.core.execution_backend import BACKEND_STATS
+from repro.core.feedback import WorstCaseSelector
+from repro.core.round_planner import PLAN_MEMO_STATS
 from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.experiments.runner import prepare_candidates
 from repro.obs.registry import reset_all_stats
@@ -115,24 +118,30 @@ def test_worker_count_does_not_change_the_transcript(workload_setup_for):
             backend.close()
 
 
-def test_repeated_sessions_hit_worker_plan_caches(workload_setup_for):
-    """The steady-state contract: repeats plan remotely from warm state.
+@pytest.mark.parametrize("backend_name", ["serial", "warm"])
+def test_repeated_sessions_replay_plans_from_the_driver_memo(
+    workload_setup_for, monkeypatch, backend_name
+):
+    """The steady-state contract: a repeat session replays every plan.
 
-    The second identical session over the same shared caches must (a) stay
-    bit-identical, (b) hit worker-resident plan caches, (c) ship strictly
-    fewer bytes than the first (no re-install, content-hashed bodies skip),
-    and (d) perform **zero** full joins anywhere — driver or worker — since
-    every join is already resident.
+    The second identical session over one shared join cache must (a) stay
+    bit-identical, (b) hit the prologue memo once per round, (c) never run
+    Algorithm 3, and (d) perform **zero** full joins anywhere — driver or
+    worker — since every join is already resident.
     """
-    from repro.core.feedback import WorstCaseSelector
+    setup = workload_setup_for("Q2")
+    database, result, _target, candidates = setup
+    backend = WarmProcessPoolBackend(2) if backend_name == "warm" else None
+    join_cache = JoinCache()
+    snapshots = SharedSnapshotCache()
 
-    def run_warm(backend, join_cache, snapshots):
-        database, result, _target, candidates = setup
+    def run():
         session = QFESession(
             database,
             result,
             candidates=candidates,
             config=_CONFIG,
+            workers=0,
             backend=backend,
             join_cache=join_cache,
             snapshot_cache=snapshots,
@@ -141,34 +150,28 @@ def test_repeated_sessions_hit_worker_plan_caches(workload_setup_for):
         # each round's modified database (the oracle selector does, paying
         # one *selector-side* full join per round), so full-join counts here
         # isolate the engine's own behaviour.
-        session.run(WorstCaseSelector())
-        return transcript_json(session_transcript(session))
+        outcome = session.run(WorstCaseSelector())
+        return transcript_json(session_transcript(session)), outcome.iteration_count
 
-    setup = workload_setup_for("Q2")
-    database, result, _target, candidates = setup
-    serial_session = QFESession(
-        database, result, candidates=candidates, config=_CONFIG, workers=0
-    )
-    serial_session.run(WorstCaseSelector())
-    serial = transcript_json(session_transcript(serial_session))
-    backend = WarmProcessPoolBackend(2)
-    join_cache = JoinCache()
-    snapshots = SharedSnapshotCache()
     try:
-        shipped_zero = BACKEND_STATS.bytes_shipped
-        first = run_warm(backend, join_cache, snapshots)
-        assert first == serial
-        shipped_first = BACKEND_STATS.bytes_shipped - shipped_zero
-        hits_before = BACKEND_STATS.warm_hits
+        first, rounds = run()
+        assert rounds > 0
+        assert PLAN_MEMO_STATS.memo_misses == rounds
+        assert PLAN_MEMO_STATS.memo_hits == 0
+
+        def no_skyline(*args, **kwargs):
+            raise AssertionError("a memoized round ran Algorithm 3")
+
+        monkeypatch.setattr(round_planner, "skyline_stc_dtc_pairs", no_skyline)
         joins_before = JOIN_STATS.full_joins
-        second = run_warm(backend, join_cache, snapshots)
-        assert second == serial
-        assert BACKEND_STATS.warm_hits > hits_before
+        second, _ = run()
+        assert second == first
+        assert PLAN_MEMO_STATS.memo_hits == rounds
+        assert PLAN_MEMO_STATS.memo_misses == rounds
         assert JOIN_STATS.full_joins == joins_before
-        shipped_second = BACKEND_STATS.bytes_shipped - shipped_zero - shipped_first
-        assert shipped_second < shipped_first
     finally:
-        backend.close()
+        if backend is not None:
+            backend.close()
 
 
 def test_pool_rebuild_after_worker_sigkill_is_bit_identical(workload_setup_for):
@@ -202,40 +205,13 @@ def test_pool_rebuild_after_worker_sigkill_is_bit_identical(workload_setup_for):
         backend.close()
 
 
-def test_warm_pool_skips_re_shipping_an_identical_context(workload_setup_for):
-    """The warm pool ships each distinct round body once per pool.
-
-    Two identical sessions over one pool see identical per-round contexts;
-    every round body of the second session must be a hash-only skip
-    (``context_skips``) instead of a shipped payload, and still be
-    bit-identical.
-    """
-    setup = workload_setup_for("Q2")
-    serial = _run(setup, workers=0)
-    backend = WarmProcessPoolBackend(2)
-    join_cache = JoinCache()
-    snapshots = SharedSnapshotCache()
-    try:
-        first = _run(setup, backend=backend, join_cache=join_cache, snapshot_cache=snapshots)
-        assert first == serial
-        pickles_before = BACKEND_STATS.context_pickles
-        skips_before = BACKEND_STATS.context_skips
-        second = _run(setup, backend=backend, join_cache=join_cache, snapshot_cache=snapshots)
-        assert second == serial
-        skips = BACKEND_STATS.context_skips - skips_before
-        pickles = BACKEND_STATS.context_pickles - pickles_before
-        assert skips == pickles > 0
-    finally:
-        backend.close()
-
-
-def test_reset_all_stats_reaches_warm_workers(workload_setup_for):
+def test_reset_all_stats_reaches_warm_workers(workload_setup_for, monkeypatch):
     """Satellite: the global reset zeroes worker-resident counter state too.
 
     Without the warm-aware reset, workers would keep cumulative registry
     values across ``reset_all_stats`` and the next merged delta would
     re-import pre-reset amounts; the post-reset session must account for
-    exactly its own rounds.
+    exactly its own units and attempts.
     """
     setup = workload_setup_for("Q2")
     backend = WarmProcessPoolBackend(2)
@@ -243,10 +219,24 @@ def test_reset_all_stats_reaches_warm_workers(workload_setup_for):
     snapshots = SharedSnapshotCache()
     try:
         _run(setup, backend=backend, join_cache=join_cache, snapshot_cache=snapshots)
-        assert BACKEND_STATS.rounds_planned > 0
+        assert BACKEND_STATS.units_dispatched > 0
+        assert BACKEND_STATS.attempts_evaluated > 0
         reset_all_stats()
-        assert BACKEND_STATS.rounds_planned == 0
+        assert BACKEND_STATS.units_dispatched == 0
+        assert BACKEND_STATS.attempts_evaluated == 0
         assert BACKEND_STATS.bytes_shipped == 0
+        # Count, driver-side, every unit dispatched and every outcome the
+        # workers send back after the reset.
+        replied = {"units": 0, "attempts": 0}
+        resolve = backend._resolve
+
+        def counting_resolve(executor, tasks):
+            replies = resolve(executor, tasks)
+            replied["units"] += len(tasks)
+            replied["attempts"] += sum(len(reply.outcomes) for reply in replies)
+            return replies
+
+        monkeypatch.setattr(backend, "_resolve", counting_resolve)
         database, result, target, candidates = setup
         session = QFESession(
             database,
@@ -258,7 +248,9 @@ def test_reset_all_stats_reaches_warm_workers(workload_setup_for):
             snapshot_cache=snapshots,
         )
         outcome = session.run(OracleSelector(target))
-        # Exactly this session's rounds — no stale worker deltas re-merged.
-        assert BACKEND_STATS.rounds_planned == outcome.iteration_count
+        assert outcome.iteration_count > 0
+        # Exactly this session's work — no stale worker deltas re-merged.
+        assert BACKEND_STATS.units_dispatched == replied["units"] > 0
+        assert BACKEND_STATS.attempts_evaluated == replied["attempts"] > 0
     finally:
         backend.close()

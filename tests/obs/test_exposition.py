@@ -99,6 +99,7 @@ class TestMetricsEndpoint:
         payload = json.loads(body)
         assert "rounds_served" in payload
         assert set(payload["round_latency_seconds"]) == {"count", "p50", "p95"}
+        assert set(payload["compute_lock_wait_seconds"]) == {"count", "p50", "p95"}
 
     def test_query_parameter_selects_prometheus(self, service_url):
         url, manager = service_url
@@ -115,6 +116,9 @@ class TestMetricsEndpoint:
         assert "qfe_service_active_sessions 0" in body
         # Process-wide registry metrics (join/columnar/backend) are exposed too.
         assert "qfe_join_full_joins" in body
+        assert "# TYPE qfe_service_compute_lock_wait_seconds histogram" in body
+        assert "# TYPE qfe_plan_memo_hits counter" in body
+        assert "# TYPE qfe_plan_memo_misses counter" in body
 
     def test_accept_header_selects_prometheus(self, service_url):
         url, _ = service_url

@@ -2,9 +2,11 @@
 integration differential suite)."""
 
 import json
+import platform
 
 import pytest
 
+from repro.obs import machine
 from repro.scenarios.sweep import DEFAULT_BENCH_PATH, run_sweep, sweep_table
 
 
@@ -50,6 +52,28 @@ class TestRunSweep:
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
             run_sweep(["no-such-scenario"], [0.05], workers=0, out_path=None)
+
+    def test_payload_is_stamped_with_the_machine(self):
+        payload = run_sweep(
+            ["chain"], [0.05], seed=3, workers=0, candidate_count=4, verify_oracle=False,
+            measure_eval_paths=False, measure_storage=False, out_path=None,
+        )
+        stamp = payload["machine"]
+        assert stamp["nproc"] >= 1
+        assert stamp["python"] == platform.python_version()
+        assert stamp["platform"] == platform.platform()
+        # The source revision: a git commit inside a checkout, else a hash
+        # of the sources — exactly one of the two.
+        assert len({"git_sha", "src_sha256"} & set(stamp)) == 1
+        revision = stamp.get("git_sha") or stamp["src_sha256"]
+        assert len(revision) in (40, 64) and int(revision, 16) >= 0
+
+    def test_outside_a_checkout_the_sources_are_hashed(self, monkeypatch):
+        monkeypatch.setattr(machine, "_git_sha", lambda: None)
+        stamp = machine.machine_stamp()
+        assert "git_sha" not in stamp
+        assert len(stamp["src_sha256"]) == 64
+        assert stamp["src_sha256"] == machine.machine_stamp()["src_sha256"]
 
     def test_default_bench_path_points_into_benchmarks(self):
         assert DEFAULT_BENCH_PATH.parts[-2:] == ("benchmarks", "BENCH_scenarios.json")

@@ -1,5 +1,8 @@
 """Unit tests for the SessionManager: multiplexing, passivation, metrics."""
 
+import threading
+import time
+
 import pytest
 
 from repro.core.feedback import WorstCaseSelector
@@ -217,3 +220,27 @@ class TestMetrics:
         manager.get_round(managed.session_id)
         manager.get_round(managed.session_id)  # idempotent replay
         assert manager.metrics()["rounds_served"] == 1
+
+    def test_a_wait_for_the_pair_compute_lock_is_observed(
+        self, manager, employee_db, employee_result, employee_candidates
+    ):
+        managed = manager.create_session(
+            database=employee_db, result=employee_result, candidates=employee_candidates
+        )
+        assert manager.metrics()["compute_lock_wait_seconds"]["count"] == 0
+        held = threading.Event()
+
+        def hold_the_pair() -> None:
+            with managed.pair.compute_lock:
+                held.set()
+                time.sleep(0.2)
+
+        holder = threading.Thread(target=hold_the_pair)
+        holder.start()
+        held.wait()
+        manager.get_round(managed.session_id)
+        holder.join()
+        wait = manager.metrics()["compute_lock_wait_seconds"]
+        assert wait["count"] == 1
+        assert wait["p50"] >= 0.15
+        assert "qfe_service_compute_lock_wait_seconds_count 1" in manager.prometheus_metrics()
