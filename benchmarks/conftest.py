@@ -11,8 +11,8 @@ After any run that actually collected benchmark statistics, a
 machine-readable summary is written to ``benchmarks/BENCH_components.json``:
 per benchmark group, the median seconds of every test plus its speedup
 against the group's designated reference implementation (row-at-a-time for
-``candidate-batch``, cold rebuild for ``delta-derive``, the serial backend
-for ``round-planner``, the single-user run for ``service-round``). CI
+``candidate-batch``, cold rebuild for ``delta-derive``, the single-user run
+for ``service-round``). CI
 uploads the file as an artifact so the perf trajectory is tracked across
 PRs.
 
@@ -47,7 +47,6 @@ BENCH_RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_components.json"
 _GROUP_REFERENCES = {
     "candidate-batch": "test_bench_all_candidates_rowwise_reference",
     "delta-derive": "test_bench_candidate_evaluation_rebuild",
-    "round-planner": "test_bench_round_planner_serial",
     "service-round": "test_bench_service_round_1_user",
 }
 

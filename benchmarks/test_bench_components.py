@@ -13,11 +13,9 @@ import pytest
 
 from repro.core.config import QFEConfig
 from repro.core.modification import PairSetSimulator
-from repro.core.round_planner import RoundPlanner
 from repro.core.skyline import skyline_stc_dtc_pairs
 from repro.core.subset_selection import pick_stc_dtc_subset
 from repro.core.tuple_class import TupleClassSpace
-from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.experiments.runner import prepare_candidates
 from repro.qbo.config import QBOConfig
 from repro.qbo.generator import QueryGenerator
@@ -191,105 +189,15 @@ def test_delta_derive_path_never_rebuilds_the_join(delta_setup):
     assert through_cache.fingerprints == cold.fingerprints
 
 
-# The ``round-planner`` group: one round's candidate-modification search — a
-# bounded prefix of Algorithm 3's (STC, DTC) candidate space, each pair
-# concretely materialized as a TupleDelta against the shared base state and
-# scored by its exact candidate-query partition — run serially versus sharded
-# over a 4-worker warm pool holding a BaseSnapshot. The sweep is
-# embarrassingly parallel, so the ratio reported in BENCH_components.json
-# tracks the available cores. Both paths produce bit-identical outcomes
-# (asserted by the fast guard below, which also pins the delta-only worker
-# protocol to zero full joins).
-_PLANNER_WORKERS = 4
-_PLANNER_SWEEP_PAIRS = 192
-
-
-@pytest.fixture(scope="module")
-def round_planner_setup(scientific_setup):
-    from repro.core.round_planner import candidate_pair_attempts
-
-    database, result, _, candidates, _, _ = scientific_setup
-    planner = RoundPlanner(QFEConfig(delta_seconds=0.25))
-    plan = planner.prepare_round(database, result, candidates)
-    sweep = candidate_pair_attempts(plan.space, max_pairs=_PLANNER_SWEEP_PAIRS)
-    return planner, plan, sweep
-
-
-@pytest.fixture(scope="module")
-def warm_backend():
-    backend = WarmProcessPoolBackend(_PLANNER_WORKERS)
-    yield backend
-    backend.close()
-
-
-@pytest.mark.benchmark(group="round-planner")
-def test_bench_round_planner_serial(benchmark, round_planner_setup):
-    planner, plan, sweep = round_planner_setup
-
-    def run():
-        return planner.execute(plan, attempts=sweep, stop_at_first=False)
-
-    outcomes = benchmark(run)
-    assert len(outcomes) == len(sweep)
-    assert any(o.applied for o in outcomes)
-
-
-@pytest.mark.benchmark(group="round-planner")
-def test_bench_round_planner_warm_pool(benchmark, round_planner_setup, warm_backend):
-    planner, plan, sweep = round_planner_setup
-    # Warm outside the measurement: pool spin-up + base install happen once
-    # per session, not once per round.
-    planner.execute(plan, attempts=sweep[:_PLANNER_WORKERS], stop_at_first=False,
-                    backend=warm_backend)
-
-    def run():
-        return planner.execute(plan, attempts=sweep, stop_at_first=False,
-                               backend=warm_backend)
-
-    outcomes = benchmark(run)
-    assert len(outcomes) == len(sweep)
-    assert any(o.applied for o in outcomes)
-
-
-def test_round_planner_parallel_matches_serial_with_zero_worker_joins(
-    round_planner_setup, warm_backend
-):
-    """Fast regression guard (not a benchmark): the warm pool must
-    return bit-identical outcomes to the serial oracle — for the fallback
-    attempts and for a candidate-space sweep slice — and its workers must
-    perform zero full join materializations (the delta-only worker protocol).
-    """
-    planner, plan, sweep = round_planner_setup
-
-    def key(outcomes):
-        return [
-            (o.attempt_index, o.pairs, o.applied, o.distinguishes, o.signature,
-             o.group_sizes, o.modification_count, o.db_cost)
-            for o in outcomes
-        ]
-
-    for attempts in (plan.attempts, sweep[:32]):
-        serial = planner.execute(plan, attempts=attempts, stop_at_first=False)
-        parallel = planner.execute(plan, attempts=attempts, stop_at_first=False,
-                                   backend=warm_backend)
-        assert key(parallel) == key(serial)
-        assert all(o.full_joins == 0 for o in parallel), "a worker fell back to a full join"
-        assert all(o.full_joins == 0 for o in serial)
-
-
-# The ``service-round`` group is the session-service tentpole comparison:
-# full interactive sessions driven through the SessionManager — propose,
-# choose (simulated worst-case user), submit — with 1 versus 8 concurrent
-# users multiplexed over ONE shared warm pool and one shared base
-# snapshot. The 8-user total divided by 8 approaches the 1-user total as
-# cores allow: per-round compute is serialized over the shared pool (each
-# round still fans out across its workers) while all cross-user concurrency
-# rides in the think-time the simulated users here don't have — so the
-# 1-CPU container reports ~8x for the 8-user run and multi-core CI shows the
-# amortization. BENCH_components.json records both medians with the 1-user
-# run as the reference.
+# The ``service-round`` group is the session-service comparison: full
+# interactive sessions driven through the SessionManager — propose, choose
+# (simulated worst-case user), submit — with 1 versus 8 concurrent users
+# sharing one pair's join cache and prologue memo. Per-round compute is
+# serialized per pair while all cross-user concurrency rides in the
+# think-time the simulated users here don't have, so the 8-user run costs
+# about 8x the 1-user run. BENCH_components.json records both medians with
+# the 1-user run as the reference.
 _SERVICE_USERS = 8
-_SERVICE_WORKERS = 2
 
 
 @pytest.fixture(scope="module")
@@ -297,20 +205,15 @@ def service_round_setup(scientific_setup):
     from repro.service.manager import SessionManager
 
     database, result, _, candidates, _, _ = scientific_setup
-    backend = WarmProcessPoolBackend(_SERVICE_WORKERS)
-    # ONE manager (and thus one shared snapshot cache + per-pair join cache)
-    # across every measured run: pool spin-up and the base install happen
-    # once per service lifetime, never inside the timed region. A fresh
-    # manager per run would capture a new snapshot identity and force a
-    # re-install inside the measurement. Finished sessions are kept (not
-    # deleted) so the shared pair — and with it the warm snapshot — always
-    # stays referenced.
-    manager = SessionManager(backend=backend, max_live_sessions=1024)
+    # ONE manager (and thus one per-pair join cache) across every measured
+    # run: the base join is built once per service lifetime, never inside
+    # the timed region. Finished sessions are kept (not deleted) so the
+    # shared pair — and with it the warm join — always stays referenced.
+    manager = SessionManager(max_live_sessions=1024)
     inputs = (database, result, tuple(candidates))
-    _drive_service_users(manager, inputs, 1)  # warm: pool + base install
+    _drive_service_users(manager, inputs, 1)  # warm: base join + memo
     yield manager, inputs
     manager.close()
-    backend.close()
 
 
 def _drive_service_users(manager, inputs, users: int) -> int:

@@ -1,7 +1,7 @@
 """Scenario-engine scale-sweep benchmarks.
 
 One benchmark per catalog scenario runs the full sweep — generation, SQLite
-oracle verification, a serial session and a pooled session per scale (with
+oracle verification, a cold session and two steady repeats per scale (with
 transcript bit-identity enforced inside :func:`~repro.scenarios.sweep.\
 run_sweep`), and the cold-vs-delta evaluation comparison — across the scales
 in ``QFE_SCENARIO_SCALES`` (comma-separated, default ``0.1,0.25``; CI sweeps
@@ -10,13 +10,13 @@ and written to ``benchmarks/BENCH_scenarios.json``, which CI uploads as an
 artifact so the scaling trajectory is tracked across PRs.
 
 Two slow-marked scale-10 checks ride in the same file (CI runs them as a
-separate ``-m slow`` step): a ``mixed@10`` sweep smoke over the serial
-backend whose storage/memory figures are merged into the
+separate ``-m slow`` step): a ``mixed@10`` sweep smoke whose
+storage/memory figures are merged into the
 ``BENCH_scenarios.json`` artifact, and the bench guard pinning that a
 selective ``term_mask`` on the typed layout (warm sorted-index path) beats
 the object-column full scan at scale 10.
 
-(The tier-1 fast guard for the engine's invariants — serial vs pooled
+(The tier-1 fast guard for the engine's invariants — cold vs steady
 transcript bit-identity and oracle agreement — lives in
 ``tests/integration/test_scenario_differential.py``, not here.)
 """
@@ -60,7 +60,6 @@ def test_bench_scenario_sweep(benchmark, name):
         [name],
         SCENARIO_SCALES,
         seed=SCENARIO_SEED,
-        workers=2,
         out_path=None,
     )
     entry = payload["scenarios"][name]
@@ -80,7 +79,6 @@ def test_write_scenarios_trajectory_file():
     payload = {
         "machine": machine_stamp(),
         "seed": SCENARIO_SEED,
-        "workers": 2,
         "scales": SCENARIO_SCALES,
         "scenarios": _MERGED,
     }
@@ -118,11 +116,11 @@ def _merge_into_trajectory_file(key: str, entry: dict) -> None:
 @pytest.mark.slow
 @pytest.mark.benchmark(group="scenario-sweep-smoke")
 def test_bench_mixed_scale10_smoke(benchmark, record_group_memory):
-    """Full mixed@10 sweep point on the serial backend.
+    """Full mixed@10 sweep point (cold session plus two steady repeats).
 
-    ``workers=0`` skips the pooled leg; the point's
-    storage measurements — bytes per joined row typed vs object, tracemalloc
-    peak, selective term-mask timings — land in the uploaded artifacts.
+    The point's storage measurements — bytes per joined row typed vs object,
+    tracemalloc peak, selective term-mask timings — land in the uploaded
+    artifacts.
     """
     payload = run_once(
         benchmark,
@@ -130,13 +128,11 @@ def test_bench_mixed_scale10_smoke(benchmark, record_group_memory):
         ["mixed"],
         [_SMOKE_SCALE],
         seed=SCENARIO_SEED,
-        workers=0,
         out_path=None,
     )
     entry = payload["scenarios"]["mixed"]
     (point,) = entry["trajectory"]
     assert point["transcripts_identical"] is True
-    assert set(point["backend_seconds"]) == {"serial"}
     # The footprint acceptance line: typed storage ≥ 4× leaner per joined row.
     assert point["bytes_per_joined_row_typed"] * 4 <= point["bytes_per_joined_row_object"]
     record_group_memory(

@@ -1,4 +1,4 @@
-"""Serving QFE: many sessions, one backend, kill-proof checkpoints.
+"""Serving QFE: many sessions, shared base state, kill-proof checkpoints.
 
 This example boots the session service in-process, drives two concurrent
 users' sessions through the HTTP JSON API exactly as a web front end would,
@@ -26,7 +26,7 @@ SPEC = dict(scale=SCALE, candidate_count=8, config={"delta_seconds": 30.0})
 
 
 def boot(store_dir: str) -> tuple:
-    manager = SessionManager(workers=0, store=FileSessionStore(store_dir))
+    manager = SessionManager(store=FileSessionStore(store_dir))
     server = make_server(manager)
     server.serve_background()
     host, port = server.server_address[:2]
@@ -57,7 +57,7 @@ def main() -> None:
         server, client = boot(store_dir)
         print(f"service up: {client.healthz()}")
 
-        # Two users, two sessions, one shared backend and base snapshot.
+        # Two users, two sessions, one shared base database and join cache.
         alice = client.create_session(WORKLOAD, **SPEC)["session_id"]
         bob = client.create_session(WORKLOAD, **SPEC)["session_id"]
         print(f"\ncreated sessions {alice} (alice) and {bob} (bob)")

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 suite, the serial/warm differential checks and
-# the benchmark's own tests; ends by printing the src/ Python line count,
+# Repo verification: tier-1 suite, the differential checks and the
+# benchmark's own tests; ends by printing the src/ Python line count,
 # tracked next to wall-clock.
 #
 #   scripts/check.sh          fast tier-1 (slow-marked tests excluded)
@@ -18,20 +18,20 @@ echo "== differential oracles: columnar + delta maintenance vs row-at-a-time ref
 python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/sql/test_sqlite_backend.py tests/relational/test_null_semantics.py
 
 echo
-echo "== regression guards: delta-derive path and warm workers perform no full join rebuild =="
-python -m pytest -q benchmarks/test_bench_components.py -k "delta_derive_path or zero_worker" --benchmark-disable
+echo "== regression guard: the delta-derive path performs no full join rebuild =="
+python -m pytest -q benchmarks/test_bench_components.py -k delta_derive_path --benchmark-disable
 
 echo
-echo "== differential: checkpoint/resume at every round is bit-identical to uninterrupted runs, serial and warm (Q1-Q6) =="
+echo "== differential: tracing on vs off is bit-identical (Q1-Q6) =="
+python -m pytest -q tests/integration/test_trace_differential.py -m ""
+
+echo
+echo "== differential: checkpoint/resume at every round is bit-identical to uninterrupted runs (Q1-Q6) =="
 python -m pytest -q tests/integration/test_service_differential.py -m ""
 
 echo
-echo "== differential: scenario engine — generated scenario, serial vs warm, transcript bit-identity =="
-python -m pytest -q tests/integration/test_scenario_differential.py -k "fast_guard or checkpoint_resumes"
-
-echo
-echo "== differential: warm persistent worker pool is bit-identical to the serial oracle (fast guard + fault recovery) =="
-python -m pytest -q tests/integration/test_warm_pool_differential.py
+echo "== differential: scenario engine — cold vs steady repeats, resume, hash seed, transcript bit-identity =="
+python -m pytest -q tests/integration/test_scenario_differential.py -k "fast_guard or checkpoint_resumes or hash_seed"
 
 echo
 echo "== service smoke: HTTP session, checkpoint -> kill -9 -> resume -> finish, bit-identical transcript =="

@@ -32,7 +32,6 @@ from repro.core import (
     QFESession,
     ScriptedSelector,
 )
-from repro.core.config import BACKEND_CHOICES, backend_name, nonnegative_int
 from repro.datasets import adult, baseball, employee, scientific
 from repro.exceptions import ReproError
 from repro.obs.trace import start_tracing, stop_tracing
@@ -78,17 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-candidates", type=int, default=40, help="candidate-set size cap")
     parser.add_argument("--delta", type=float, default=1.0, help="Algorithm 3 time threshold (s)")
     parser.add_argument("--beta", type=float, default=1.0, help="relation-count scale factor β")
-    parser.add_argument(
-        "--workers", type=nonnegative_int, default=0,
-        help="worker processes for the round planner's candidate search "
-             "(0/1 = serial; results are identical at any worker count)",
-    )
-    parser.add_argument(
-        "--backend", type=backend_name, default="auto", metavar="NAME",
-        help="execution backend for the candidate search: "
-             f"{', '.join(BACKEND_CHOICES)} (auto derives it from --workers; "
-             "transcripts are identical for every backend)",
-    )
     parser.add_argument(
         "--transcript-out", type=str, default=None, metavar="PATH",
         help="write the machine-readable session transcript (rounds, deltas, "
@@ -173,6 +161,10 @@ def main(argv: Sequence[str] | None = None, *, output=None) -> int:
     output = output or sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        config = QFEConfig(beta=args.beta, delta_seconds=args.delta)
+    except ValueError as error:  # e.g. a non-finite --beta or --delta
+        parser.error(str(error))
 
     try:
         database = _load_database(args)
@@ -197,12 +189,7 @@ def main(argv: Sequence[str] | None = None, *, output=None) -> int:
     session = QFESession(
         database,
         result,
-        config=QFEConfig(
-            beta=args.beta,
-            delta_seconds=args.delta,
-            workers=args.workers,
-            backend=args.backend,
-        ),
+        config=config,
         qbo_config=QBOConfig(threshold_variants=2, max_candidates=args.max_candidates),
     )
     if args.trace_out:

@@ -17,12 +17,7 @@ from repro.core.cost_model import (
     estimate_iterations_refined,
 )
 from repro.core.database_generator import DatabaseGenerationResult, DatabaseGenerator
-from repro.core.execution_backend import (
-    AttemptOutcome,
-    ExecutionBackend,
-    SerialBackend,
-    create_backend,
-)
+from repro.core.execution_backend import AttemptOutcome, SerialBackend
 from repro.core.extensions import GroupedSessionResult, group_by_join_schema, run_grouped_session
 from repro.core.feedback import (
     NONE_OF_THE_ABOVE,
@@ -90,9 +85,7 @@ __all__ = [
     "RoundPlanner",
     "RoundPlan",
     "AttemptOutcome",
-    "ExecutionBackend",
     "SerialBackend",
-    "create_backend",
     "Stopwatch",
     "monotonic_seconds",
     "build_feedback_round",

@@ -10,49 +10,19 @@ ablations listed in DESIGN.md.
 
 from __future__ import annotations
 
-import argparse
 import enum
+import math
 from dataclasses import dataclass
 
 __all__ = [
     "IterationEstimator",
     "QFEConfig",
     "nonnegative_int",
-    "BACKEND_CHOICES",
-    "backend_name",
 ]
-
-#: Execution-backend names accepted everywhere a worker count is accepted
-#: (``QFEConfig.backend``, every ``--backend`` flag, the service config).
-BACKEND_CHOICES = ("auto", "serial", "warm")
-
-
-class _BackendNameError(ValueError, argparse.ArgumentTypeError):
-    """Unknown backend name.
-
-    Doubly derived so programmatic callers can catch the conventional
-    ``ValueError`` while ``argparse`` (which only preserves the message of an
-    ``ArgumentTypeError``) still shows the list of valid choices in its usage
-    error instead of a bare "invalid value".
-    """
-
-
-def backend_name(text: str) -> str:
-    """Parse/validate a backend name (``argparse`` type for ``--backend``).
-
-    Validates at parse time — before any dataset is loaded — so an unknown
-    name exits with a usage message instead of failing mid-session.
-    """
-    normalized = text.strip().lower()
-    if normalized not in BACKEND_CHOICES:
-        raise _BackendNameError(
-            f"unknown backend {text!r}; choose from {', '.join(BACKEND_CHOICES)}"
-        )
-    return normalized
 
 
 def nonnegative_int(text: str) -> int:
-    """``argparse`` type for counts that must be ≥ 0 (e.g. ``--workers``).
+    """``argparse`` type for counts that must be ≥ 0 (e.g. ``--candidates``).
 
     Validates at parse time — before any dataset is loaded — and keeps the
     invariant in one place for every CLI; a bad value makes ``argparse``
@@ -69,6 +39,14 @@ class IterationEstimator(enum.Enum):
 
     NAIVE = "naive"  # Equation (6): log2 of the largest subset
     REFINED = "refined"  # Equations (7)-(9) using Lemma 3.1's bound
+
+
+def _is_finite(value) -> bool:
+    """Whether *value* converts to a finite float; a non-number is a TypeError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -121,19 +99,9 @@ class QFEConfig:
         Never modify primary-key or foreign-key columns when materializing a
         destination tuple class (keeps every generated database trivially
         valid; disable to exercise the constraint checker instead).
-    workers:
-        How many worker processes the round planner's candidate-modification
-        search fans out over. ``0`` (the default) and ``1`` run the serial
-        in-process backend; ``2`` or more run the warm worker pool, whose
-        persistent workers hold a snapshot of the base database. Results are
-        bit-identical regardless of the worker count.
     backend:
-        Which execution backend the search runs on: ``"auto"`` (the default)
-        derives it from ``workers`` as above, ``"serial"`` forces the
-        in-process oracle, and ``"warm"`` forces the warm worker pool
-        (workers keep versioned base state across rounds and sessions and
-        score the attempts the driver planned). Every backend produces
-        bit-identical transcripts.
+        Always ``"serial"``: every round scores its attempts in process. Any
+        other name is refused.
     """
 
     beta: float = 1.0
@@ -148,14 +116,16 @@ class QFEConfig:
     validate_constraints: bool = True
     set_semantics: bool = False
     protect_key_columns: bool = True
-    workers: int = 0
-    backend: str = "auto"
+    backend: str = "serial"
 
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
-        if self.delta_seconds <= 0:
-            raise ValueError("delta_seconds must be positive")
+        # Both meet float arithmetic in every round (Equation 3's cost, the
+        # skyline deadline), so NaN, infinity and an integer beyond the float
+        # range are refused here rather than failing or leaking there.
+        if not (_is_finite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be a finite non-negative number")
+        if not (_is_finite(self.delta_seconds) and self.delta_seconds > 0):
+            raise ValueError("delta_seconds must be a finite positive number")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if self.max_skyline_pairs < 1:
@@ -166,12 +136,10 @@ class QFEConfig:
             raise ValueError("growth_pool_size must be at least 1")
         if self.max_sets_per_level < 1:
             raise ValueError("max_sets_per_level must be at least 1")
-        if self.workers < 0:
-            raise ValueError("workers must be non-negative")
-        if self.backend not in BACKEND_CHOICES:
+        if self.backend != "serial":
             raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {', '.join(BACKEND_CHOICES)}"
+                f"unknown backend {self.backend!r}: rounds always run in process, "
+                "so 'serial' is the only backend"
             )
 
     def with_overrides(self, **overrides) -> "QFEConfig":

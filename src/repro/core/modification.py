@@ -33,11 +33,10 @@ class ClassPair:
     <repro.relational.evaluator.JoinCache.derive>`) relies on to patch the
     cached join instead of rebuilding it for every candidate ``D'``.
 
-    Class pairs are plain frozen dataclasses over tuples of ints, so they
-    pickle cheaply — they are the unit of work the parallel round planner
-    ships to worker processes, and their materialization is a deterministic
-    function of ``(tuple-class space, pair sequence, config)``, which is what
-    makes worker-evaluated outcomes bit-identical to driver-evaluated ones.
+    Class pairs are plain frozen dataclasses over tuples of ints, and their
+    materialization is a deterministic function of ``(tuple-class space,
+    pair sequence, config)``, which is what makes a round's winning attempt
+    reproducible.
     """
 
     source: TupleClass

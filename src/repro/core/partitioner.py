@@ -35,10 +35,9 @@ def partition_signature(fingerprints: Sequence[object]) -> tuple[int, ...]:
 
     Queries with equal fingerprints share a group id; ids are assigned by
     first occurrence in query order, so the signature is a pure function of
-    the fingerprint sequence — two processes that evaluate the same candidate
+    the fingerprint sequence — two evaluations of the same candidate
     modification produce the identical signature, which is what lets the
-    parallel round planner compare and merge worker results deterministically
-    without shipping the materialized result relations back.
+    round planner rank attempts without keeping their result relations.
     """
     ids: dict[object, int] = {}
     return tuple(ids.setdefault(fingerprint, len(ids)) for fingerprint in fingerprints)

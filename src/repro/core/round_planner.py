@@ -4,28 +4,21 @@ Each iteration of Algorithm 1 must produce a modified database ``D'`` that
 distinguishes the surviving candidate queries. The planner decomposes that
 round into three phases:
 
-1. **Prologue (driver, every backend).** :meth:`RoundPlanner.prepare_round`
-   is the only place a round is planned: materialize/reuse the cached
-   foreign-key join of the referenced tables, build the tuple-class space,
-   run Algorithm 3 (skyline enumeration) and Algorithm 4 (subset selection)
-   over a shared pair-set simulator, and lay out the deterministic *attempt
-   sequence*: the selected subset first, then every skyline pair singly in
-   balance order — exactly the fallback order the serial generator always
-   used. A repeated round body replays its prologue from a small memo held
-   with the base join's :class:`~repro.relational.evaluator.JoinCache` entry
+1. **Prologue.** :meth:`RoundPlanner.prepare_round` is the only place a
+   round is planned: materialize/reuse the cached foreign-key join of the
+   referenced tables, build the tuple-class space, run Algorithm 3 (skyline
+   enumeration) and Algorithm 4 (subset selection) over a shared pair-set
+   simulator, and lay out the deterministic *attempt sequence*: the
+   selected subset first, then every skyline pair singly in balance order.
+   A repeated round body replays its prologue from a small memo held with
+   the base join's :class:`~repro.relational.evaluator.JoinCache` entry
    (see :meth:`RoundPlanner.prepare_round`).
-2. **Candidate-modification search (execution backend).** Score attempts by
-   concrete materialization + delta-derived partitioning until one
-   distinguishes. The serial backend runs this in process; the warm pool
-   shards the attempts over persistent workers that hold a snapshot of the
-   base state and return compact ``(pairs, partition signature, cost)``
-   outcomes. Merging is by attempt index, so the winning
-   attempt — and therefore the whole session transcript — is bit-identical
-   for every backend and worker count.
-3. **Finalize (driver).** Re-materialize only the winning attempt locally
-   (materialization is deterministic, so this reproduces the exact database
-   the winning outcome scored), derive the cached join, and compute the full
-   partition with result relations for the feedback round.
+2. **Candidate-modification search.** Score attempts in order, in process
+   (:class:`~repro.core.execution_backend.SerialBackend`), by concrete
+   materialization + delta-derived partitioning until one distinguishes.
+3. **Finalize.** Reuse the winning attempt's materialization and batch
+   evaluation (kept by the search) to build the full partition with result
+   relations for the feedback round.
 
 :class:`~repro.core.database_generator.DatabaseGenerator` remains the public
 Algorithm 2 entry point; it is now a thin shell over this planner.
@@ -42,15 +35,13 @@ from repro.core.cost_model import CostBreakdown
 from repro.core.execution_backend import (
     Attempt,
     AttemptOutcome,
-    ExecutionBackend,
     RoundContext,
     RoundSetup,
     SerialBackend,
-    required_signatures,
 )
-from repro.core.materialize import MaterializationResult, materialize_pairs
+from repro.core.materialize import MaterializationResult
 from repro.core.modification import ClassPair, PairSetSimulator
-from repro.core.partitioner import QueryPartition, partition_from_batch, partition_queries
+from repro.core.partitioner import QueryPartition, partition_from_batch
 from repro.core.skyline import SkylineResult, skyline_stc_dtc_pairs
 from repro.core.subset_selection import ScoreFunction, SubsetSelectionResult, pick_stc_dtc_subset
 from repro.core.timing import Stopwatch
@@ -59,9 +50,15 @@ from repro.exceptions import DatabaseGenerationError
 from repro.obs.registry import RegistryStats
 from repro.obs.trace import get_tracer
 from repro.relational.database import Database
-from repro.relational.evaluator import BaseSnapshot, JoinCache, SharedSnapshotCache
+from repro.relational.evaluator import JoinCache
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
+
+# Module attributes this module does not call: the per-layer benchmark
+# (perfbench/layers.py) wraps ``round_planner.materialize_pairs`` and
+# ``round_planner.partition_queries`` by name.
+from repro.core.materialize import materialize_pairs  # noqa: E402,F401
+from repro.core.partitioner import partition_queries  # noqa: E402,F401
 
 __all__ = [
     "DatabaseGenerationResult",
@@ -69,7 +66,6 @@ __all__ = [
     "PLAN_MEMO_STATS",
     "RoundPlan",
     "RoundPlanner",
-    "candidate_pair_attempts",
 ]
 
 #: Prologues one base join's memo keeps; the least recently used goes first.
@@ -82,7 +78,7 @@ class PlanMemoStats(RegistryStats):
     _PREFIX = "qfe_plan"
     _FIELDS = ("memo_hits", "memo_misses")
     _HELP = {
-        "memo_hits": "Rounds whose prologue was replayed from the driver-side memo.",
+        "memo_hits": "Rounds whose prologue was replayed from the prologue memo.",
         "memo_misses": "Rounds whose prologue was computed and memoized.",
     }
 
@@ -126,7 +122,7 @@ class RoundPlan:
     """The prologue's output: everything the search phase needs, plus diagnostics.
 
     ``body`` is the pickled ``context`` — made once per round, it keys the
-    prologue memo and is the payload every warm work unit carries.
+    prologue memo.
     """
 
     context: RoundContext
@@ -146,41 +142,12 @@ class RoundPlan:
         return len(self.attempts)
 
 
-def candidate_pair_attempts(
-    space: TupleClassSpace, *, max_pairs: int | None = None
-) -> tuple[Attempt, ...]:
-    """The (STC, DTC) candidate space as single-pair attempts, enumeration order.
-
-    Follows Algorithm 3's deterministic order exactly — ascending edit cost,
-    then sorted source classes, then destination choices — optionally capped
-    at *max_pairs* (the space grows combinatorially with the number of
-    selection attributes, so unbounded concrete scoring is rarely feasible).
-    This is the round planner's heavy sweep workload: Algorithm 3 only ever
-    scores these pairs through the tuple-class *abstraction*; scoring a
-    bounded prefix concretely (exact materialization + exact partition) is
-    what the process-parallel backend makes affordable.
-    """
-    attempts: list[Attempt] = []
-    source_classes = space.source_tuple_classes()
-    for modified_slots in range(1, space.attribute_count + 1):
-        for source in source_classes:
-            for destination in space.destination_classes(source, modified_slots):
-                attempts.append((ClassPair(source, destination),))
-                if max_pairs is not None and len(attempts) >= max_pairs:
-                    return tuple(attempts)
-    return tuple(attempts)
-
-
 class RoundPlanner:
-    """Plan one feedback round over a pluggable execution backend.
+    """Plan and score one feedback round.
 
-    The planner owns the session-wide join cache (base joins, their term
-    masks and the prologue memo stay warm across rounds; a shared cache
-    extends that across sessions) and, for parallel backends, the memoized
-    :class:`BaseSnapshot` broadcast to workers — captured once per base
-    database and re-captured only if a later round references a join
-    signature the snapshot does not cover (candidate replenishment never
-    changes table sets in practice, so this is a cold-path guard).
+    The planner owns the session-wide join cache: base joins, their term
+    masks and the prologue memo stay warm across rounds, and a shared cache
+    extends that across sessions.
     """
 
     def __init__(
@@ -189,29 +156,10 @@ class RoundPlanner:
         *,
         score: ScoreFunction | None = None,
         join_cache: JoinCache | None = None,
-        backend: ExecutionBackend | None = None,
-        snapshot_cache: SharedSnapshotCache | None = None,
     ) -> None:
         self.config = config or QFEConfig()
         self.score = score
         self.join_cache = join_cache if join_cache is not None else JoinCache()
-        self.backend = backend if backend is not None else SerialBackend()
-        # Snapshot memoization lives in a SharedSnapshotCache: private by
-        # default (one planner, one session — the pre-service behaviour), or
-        # injected by the session service so that many sessions over the same
-        # base database share one snapshot object — and therefore one
-        # broadcast — on a shared worker pool. Currency (same live database,
-        # covered signatures, identity-same joins as the driver cache) is
-        # checked by the cache; an in-place base mutation followed by
-        # ``join_cache.invalidate`` still forces a re-capture and a pool
-        # re-broadcast exactly as before.
-        self.snapshot_cache = (
-            snapshot_cache if snapshot_cache is not None else SharedSnapshotCache()
-        )
-
-    def close(self) -> None:
-        """Release backend resources (worker pools); the planner stays usable."""
-        self.backend.close()
 
     def memory_report(self) -> dict:
         """Resident storage footprint of the session's cached joins.
@@ -225,12 +173,6 @@ class RoundPlanner:
         """
         return self.join_cache.memory_report()
 
-    # ------------------------------------------------------------- snapshotting
-    def _snapshot_for(
-        self, database: Database, signatures: Sequence[tuple[str, ...]]
-    ) -> BaseSnapshot:
-        return self.snapshot_cache.snapshot_for(database, signatures, self.join_cache)
-
     # ---------------------------------------------------------------- prologue
     def prepare_round(
         self,
@@ -240,9 +182,9 @@ class RoundPlanner:
     ) -> RoundPlan:
         """Plan one round: join → tuple-class space → skyline → subset → attempts.
 
-        The only place a round is planned, for every backend. The prologue is
-        a deterministic function of the base join it reads and the round
-        body, so a memo held with that join's :class:`JoinCache` entry
+        The only place a round is planned. The prologue is a deterministic
+        function of the base join it reads and the round body, so a memo
+        held with that join's :class:`JoinCache` entry
         replays a repeated body — a second user of a service pair, a re-run
         session — without re-running Algorithms 3 and 4. Bodies match only
         when their pickles are byte-identical. A replayed round reports 0.0 s
@@ -282,8 +224,8 @@ class RoundPlanner:
         referenced = context.referenced
         try:
             joined = self.join_cache.join_for(original, referenced)
-            # Pre-warm the per-query signatures too: partitioning (driver- or
-            # worker-side) groups candidates by their own join signature, and
+            # Pre-warm the per-query signatures too: partitioning groups
+            # candidates by their own join signature, and
             # a warm base entry is what keeps every candidate evaluation on
             # the O(|Δ|) delta-derived path.
             for query in queries:
@@ -295,7 +237,7 @@ class RoundPlanner:
                 f"cannot materialize the join of {list(referenced)}: {exc}"
             ) from exc
 
-        # A custom score may close over arbitrary driver state, so its
+        # A custom score may close over arbitrary caller state, so its
         # prologue is neither replayed nor kept.
         memo = self.join_cache.memo_for(original, referenced) if self.score is None else None
         prologue = memo.get(body) if memo is not None else None
@@ -368,67 +310,23 @@ class RoundPlanner:
 
     # ------------------------------------------------------------------ search
     def execute(
-        self,
-        plan: RoundPlan,
-        *,
-        attempts: Sequence[Attempt] | None = None,
-        stop_at_first: bool = True,
-        backend: ExecutionBackend | None = None,
-        winner_store: dict | None = None,
+        self, plan: RoundPlan, winner_store: dict | None = None
     ) -> list[AttemptOutcome]:
-        """Score the plan's attempts (or an explicit attempt sequence) on a backend."""
-        active = backend if backend is not None else self.backend
+        """Score the plan's attempts in order, in process, up to the winner.
+
+        The winner's materialization and batch evaluation land in
+        *winner_store* when one is given (see
+        :class:`~repro.core.execution_backend.RoundSetup`).
+        """
         setup = RoundSetup(
             context=plan.context,
-            body=plan.body,
             database=plan.original,
             space=plan.space,
             join_cache=self.join_cache,
-            snapshot_provider=lambda: self._snapshot_for(
-                plan.original, required_signatures(plan.context)
-            ),
             winner_store=winner_store,
         )
-        chosen = plan.attempts if attempts is None else tuple(attempts)
-        with get_tracer().span(
-            "round.search", backend=active.name, attempts=len(chosen)
-        ):
-            return active.run_attempts(setup, chosen, stop_at_first=stop_at_first)
-
-    def score_candidates(
-        self,
-        original: Database,
-        result: Relation,
-        queries: Sequence[SPJQuery],
-    ) -> list[AttemptOutcome]:
-        """Exhaustively score every fallback attempt of one round.
-
-        Unlike :meth:`plan_round` this never stops early — it is a
-        diagnostic: the exact concrete effect of the Algorithm 4 subset and
-        every skyline single, serially or fanned out.
-        """
-        plan = self.prepare_round(original, result, queries)
-        return self.execute(plan, stop_at_first=False)
-
-    def score_candidate_space(
-        self,
-        original: Database,
-        result: Relation,
-        queries: Sequence[SPJQuery],
-        *,
-        max_pairs: int | None = 192,
-    ) -> list[AttemptOutcome]:
-        """Concretely score a bounded prefix of the full (STC, DTC) space.
-
-        Algorithm 3 enumerates thousands of class pairs per round but only
-        scores them through the tuple-class abstraction; this sweep
-        materializes each of the first *max_pairs* pairs for real and
-        computes its exact partition signature — the workload the
-        ``round-planner`` benchmark group measures serial vs the warm pool.
-        """
-        plan = self.prepare_round(original, result, queries)
-        attempts = candidate_pair_attempts(plan.space, max_pairs=max_pairs)
-        return self.execute(plan, attempts=attempts, stop_at_first=False)
+        with get_tracer().span("round.search", attempts=len(plan.attempts)):
+            return SerialBackend().run_attempts(setup, plan.attempts)
 
     # ---------------------------------------------------------------- finalize
     def plan_round(
@@ -441,56 +339,23 @@ class RoundPlanner:
         plan = self.prepare_round(original, result, queries)
         watch = Stopwatch()
         winner_store: dict = {}
-        outcomes = self.execute(plan, stop_at_first=True, winner_store=winner_store)
-        winner: AttemptOutcome | None = None
-        for outcome in outcomes:
-            if outcome.applied and outcome.distinguishes:
-                winner = outcome
-                break
-        if winner is None:
+        outcomes = self.execute(plan, winner_store)
+        winner = outcomes[-1]
+        if not (winner.applied and winner.distinguishes):
             last_error = "no class pair could be materialized"
-            if outcomes and outcomes[-1].applied:
+            if winner.applied:
                 last_error = "materialized database did not distinguish any candidates"
             raise DatabaseGenerationError(
                 f"could not generate a distinguishing database: {last_error} "
                 f"after {len(outcomes)} attempts"
             )
 
-        # An in-process backend deposits the winning materialization and its
-        # batch evaluation (with the derived cache entry still registered)
-        # so the winner is built and evaluated exactly once. The warm pool
-        # only ships compact outcomes, so the winner is re-materialized here
-        # — materialization is a deterministic function of (space, pairs,
-        # config), so this reproduces exactly the database the winning
-        # outcome scored.
+        # The search deposited the winning materialization and its batch
+        # evaluation (with the derived cache entry still registered), so the
+        # winner is built and evaluated exactly once.
         with get_tracer().span("round.materialize", attempt=winner.attempt_index):
-            materialization = batch = None
-            if winner_store.get("attempt_index") == winner.attempt_index:
-                materialization = winner_store.get("materialization")
-                batch = winner_store.get("batch")
-            if materialization is None:
-                materialization = materialize_pairs(
-                    plan.space, winner.pairs, original, self.config
-                )
-                if materialization.delta.is_update_only and not materialization.delta.is_empty:
-                    self.join_cache.derive(
-                        original, materialization.delta, materialization.database
-                    )
-            if batch is not None:
-                partition = partition_from_batch(plan.context.queries, batch)
-            else:
-                partition = partition_queries(
-                    plan.context.queries,
-                    materialization.database,
-                    set_semantics=self.config.set_semantics,
-                    result_name=plan.context.result_name,
-                    join_cache=self.join_cache,
-                )
-            if not partition.distinguishes:  # pragma: no cover - determinism guard
-                raise DatabaseGenerationError(
-                    "winning attempt no longer distinguishes on re-materialization; "
-                    "attempt evaluation is expected to be deterministic"
-                )
+            materialization = winner_store["materialization"]
+            partition = partition_from_batch(plan.context.queries, winner_store["batch"])
         materialize_seconds = watch.elapsed()
         chosen_pairs = tuple(winner.pairs)
         return DatabaseGenerationResult(

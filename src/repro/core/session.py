@@ -3,13 +3,13 @@
 :class:`QFESession` drives the whole approach for one example pair ``(D, R)``.
 The paper's user study shows human response time dominating per-iteration wall
 clock (92.4 % on average), so the session core is *inverted*: instead of a
-blocking ``run(selector)`` loop that pins a process (pool, snapshot and all)
-while a user thinks, the session exposes two explicit steps:
+blocking ``run(selector)`` loop that pins a process while a user thinks, the
+session exposes two explicit steps:
 
 * :meth:`QFESession.propose` runs one round of Algorithm 2 — via the
-  :class:`~repro.core.round_planner.RoundPlanner` and its execution backend —
-  and returns a :class:`PendingRound`: the feedback presentation plus the
-  candidate partition, with no selector anywhere in sight. ``None`` means the
+  :class:`~repro.core.round_planner.RoundPlanner` — and returns a
+  :class:`PendingRound`: the feedback presentation plus the candidate
+  partition, with no selector anywhere in sight. ``None`` means the
   session is finished (converged, exhausted, or out of iterations).
 * :meth:`QFESession.submit` applies the user's choice for the pending round
   and returns a :class:`StepResult`, recording the
@@ -37,7 +37,6 @@ from typing import Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.database_generator import DatabaseGenerationResult, DatabaseGenerator
-from repro.core.execution_backend import ExecutionBackend
 from repro.core.timing import Stopwatch
 from repro.core.feedback import NONE_OF_THE_ABOVE, FeedbackRound, ResultSelector, build_feedback_round
 from repro.core.partitioner import QueryPartition
@@ -48,7 +47,7 @@ from repro.qbo.config import QBOConfig
 from repro.qbo.generator import QueryGenerator
 from repro.qbo.mutation import expand_candidate_set
 from repro.relational.database import Database
-from repro.relational.evaluator import JoinCache, SharedSnapshotCache
+from repro.relational.evaluator import JoinCache
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 
@@ -117,8 +116,8 @@ class SessionResult:
         """Query generation plus all per-iteration execution time.
 
         Every summand is measured on the monotonic clock
-        (:mod:`repro.core.timing`), never the wall clock — wall-clock skew
-        would corrupt the total once rounds fan out across worker processes.
+        (:mod:`repro.core.timing`), never the wall clock, so clock
+        adjustments cannot corrupt the total.
         """
         return self.query_generation_seconds + sum(r.execution_seconds for r in self.iterations)
 
@@ -215,12 +214,11 @@ class QFESession:
     interaction state for checkpointing.
 
     Resource ownership: by default the session owns its
-    :class:`~repro.relational.evaluator.JoinCache` and execution backend
-    (created from ``workers``) and releases both in :meth:`close` — which is
-    idempotent, exception-safe, and also invoked by ``__del__`` and the
-    context-manager protocol. A service multiplexing many sessions passes
-    shared ``backend``/``join_cache``/``snapshot_cache`` instances instead;
-    the session then never tears the shared resources down.
+    :class:`~repro.relational.evaluator.JoinCache` and clears it in
+    :meth:`close` — which is idempotent, exception-safe, and also invoked by
+    ``__del__`` and the context-manager protocol. A service multiplexing
+    many sessions passes a shared ``join_cache`` instead; the session then
+    never clears it.
     """
 
     def __init__(
@@ -232,10 +230,7 @@ class QFESession:
         config: QFEConfig | None = None,
         qbo_config: QBOConfig | None = None,
         score: ScoreFunction | None = None,
-        workers: int | None = None,
-        backend: ExecutionBackend | None = None,
         join_cache: JoinCache | None = None,
-        snapshot_cache: SharedSnapshotCache | None = None,
     ) -> None:
         self.database = database
         self.result = result
@@ -253,20 +248,8 @@ class QFESession:
         # sessions over the same base database.
         self._owns_join_cache = join_cache is None
         self.join_cache = join_cache if join_cache is not None else JoinCache()
-        # How many processes the round planner's candidate-modification
-        # search fans out over: the explicit argument wins, then the config
-        # field; 0/1 select the serial in-process backend. An explicitly
-        # injected backend (service mode: one pool, many sessions) overrides
-        # both and is *not* owned: run()/close() leave it running.
-        self.workers = self.config.workers if workers is None else workers
-        self._owns_backend = backend is None
         self._generator = DatabaseGenerator(
-            self.config,
-            score=score,
-            join_cache=self.join_cache,
-            workers=self.workers,
-            backend=backend,
-            snapshot_cache=snapshot_cache,
+            self.config, score=score, join_cache=self.join_cache
         )
         self.last_rounds: list[FeedbackRound] = []
         self._result = SessionResult(identified_query=None, remaining_queries=())
@@ -483,41 +466,28 @@ class QFESession:
 
         A thin wrapper over :meth:`propose`/:meth:`submit` — transcripts are
         identical to driving the state machine by hand. Always starts from
-        the initial candidate set (repeated calls re-run the session), and —
-        when the session owns its backend — releases the worker pool on the
-        way out exactly as the historical blocking loop did; a later ``run()``
-        transparently re-creates it.
+        the initial candidate set (repeated calls re-run the session).
         """
         self.reset()
-        try:
-            while True:
-                pending = self.propose()
-                if pending is None:
-                    break
-                choice = selector.select(pending.round, pending.partition)
-                self.submit(choice)
-        finally:
-            # Release the worker pool (if any, and if owned); the serial
-            # backend is a no-op and a later run() re-creates the pool.
-            if self._owns_backend:
-                self._generator.close()
+        while True:
+            pending = self.propose()
+            if pending is None:
+                break
+            choice = selector.select(pending.round, pending.partition)
+            self.submit(choice)
         return self._result
 
     # ------------------------------------------------------------------ close
     def close(self) -> None:
-        """Release the session's pooled resources.
+        """Release the session's cached joins.
 
-        Idempotent and exception-safe: closes the execution backend (worker
-        pool) and clears the join cache, but only the instances this session
-        owns — shared service resources are left untouched. Safe to call
-        twice, from ``__del__``, and from the context-manager protocol; the
-        session itself stays usable (a later round lazily re-creates what it
-        needs).
+        Idempotent and exception-safe: clears the join cache, but only when
+        this session owns it — a shared service cache is left untouched.
+        Safe to call twice, from ``__del__``, and from the context-manager
+        protocol; the session itself stays usable (a later round lazily
+        rebuilds what it needs).
         """
         # getattr-guarded: __del__ may run on a partially constructed session.
-        generator = getattr(self, "_generator", None)
-        if generator is not None and getattr(self, "_owns_backend", False):
-            generator.close()
         join_cache = getattr(self, "join_cache", None)
         if join_cache is not None and getattr(self, "_owns_join_cache", False):
             join_cache.clear()
@@ -540,7 +510,7 @@ class QFESession:
 
         Everything :meth:`from_state` needs to resume the session in another
         process *except* the example pair itself (``database``/``result``)
-        and process-local resources (backend, caches, score function), which
+        and process-local resources (join cache, score function), which
         the resuming side re-binds. The returned dict references the live
         objects — serialize it promptly (see
         :mod:`repro.service.checkpoint`).
@@ -548,7 +518,6 @@ class QFESession:
         return {
             "config": self.config,
             "qbo_config": self.qbo_config,
-            "workers": self.workers,
             "provided_candidates": (
                 list(self._provided_candidates)
                 if self._provided_candidates is not None
@@ -570,10 +539,7 @@ class QFESession:
         state: dict,
         *,
         score: ScoreFunction | None = None,
-        workers: int | None = None,
-        backend: ExecutionBackend | None = None,
         join_cache: JoinCache | None = None,
-        snapshot_cache: SharedSnapshotCache | None = None,
     ) -> "QFESession":
         """Rebuild a session from :meth:`capture_state` output.
 
@@ -588,10 +554,7 @@ class QFESession:
             config=state["config"],
             qbo_config=state["qbo_config"],
             score=score,
-            workers=state["workers"] if workers is None else workers,
-            backend=backend,
             join_cache=join_cache,
-            snapshot_cache=snapshot_cache,
         )
         session._candidates = (
             list(state["candidates"]) if state["candidates"] is not None else None

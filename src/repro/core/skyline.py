@@ -50,9 +50,8 @@ class SkylineResult:
 
         Ordered by (single-pair balance, textual representation): the order in
         which single-pair materialization attempts are tried when the chosen
-        subset fails to distinguish concretely. The round planner shards this
-        exact sequence into work units, so the order also fixes the merge
-        order that keeps parallel and serial planning bit-identical.
+        subset fails to distinguish concretely. The round planner tries them
+        in exactly this order, so the order also fixes which attempt wins.
         """
         return sorted(
             self.pairs,

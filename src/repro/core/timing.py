@@ -4,9 +4,8 @@ Every duration the paper's tables report (execution time per iteration, the
 skyline/selection/materialization split, query-generation time) is measured
 with the process-wide *monotonic* performance counter — never the wall clock.
 Wall-clock time can jump backwards or forwards (NTP adjustments, suspend/
-resume, leap smearing), which matters twice over once rounds fan out across
-worker processes: a backwards jump would report a negative round duration,
-and summing skewed per-round readings would corrupt
+resume, leap smearing): a backwards jump would report a negative round
+duration, and summing skewed per-round readings would corrupt
 :attr:`~repro.core.session.SessionResult.total_seconds`.
 
 :class:`Stopwatch` additionally clamps at zero, so even a hostile clock

@@ -10,12 +10,12 @@ Installed as the ``qfe-experiments`` console script (with a
 The ``scenarios`` experiment runs the scenario engine's scale sweep instead
 of a paper table: it generates the named scenarios at every requested scale,
 cross-checks every generated query against the SQLite oracle, runs each
-scenario end to end on the serial and warm-pool backends (canonical
-transcripts must be bit-identical), and records the per-scale trajectory
-into ``benchmarks/BENCH_scenarios.json``::
+scenario end to end once cold and twice more over the same join cache (every
+repeat's canonical transcript must be bit-identical to the cold one), and
+records the per-scale trajectory into ``benchmarks/BENCH_scenarios.json``::
 
     repro-experiments scenarios --seed 7 --scales 0.1,0.5,1.0
-    repro-experiments scenarios --scenarios mixed --scales 0.05 --workers 4
+    repro-experiments scenarios --scenarios mixed --scales 0.05
 """
 
 from __future__ import annotations
@@ -24,15 +24,11 @@ import argparse
 import sys
 from typing import Callable, Sequence
 
-from repro.core.config import BACKEND_CHOICES, backend_name, nonnegative_int
+from repro.core.config import nonnegative_int
 from repro.experiments import studies, tables
 from repro.obs.trace import start_tracing, stop_tracing
 from repro.experiments.report import ExperimentTable, render_tables
-from repro.experiments.runner import (
-    set_default_backend,
-    set_default_workers,
-    set_transcript_sink,
-)
+from repro.experiments.runner import set_transcript_sink
 
 __all__ = ["main", "build_parser"]
 
@@ -81,23 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default=None,
         help="write the rendered tables to this file instead of stdout",
-    )
-    parser.add_argument(
-        "--workers",
-        type=nonnegative_int,
-        default=None,
-        help="worker processes for every session's round-planner search "
-             "(0/1 = serial; omit to defer to each session's config; "
-             "regenerated numbers are identical at any count)",
-    )
-    parser.add_argument(
-        "--backend",
-        type=backend_name,
-        default=None,
-        metavar="NAME",
-        help="execution backend for every session's round-planner search: "
-             f"{', '.join(BACKEND_CHOICES)} (omit to defer to each session's "
-             "config; transcripts are identical for every backend)",
     )
     parser.add_argument(
         "--transcript-out",
@@ -197,14 +176,10 @@ def _run_scenarios(args) -> int:
                 get_scenario(name)
             except KeyError as exc:
                 raise SystemExit(f"error: {exc.args[0]}")
-    # 0/1 workers skips the pooled leg entirely; default is a 2-worker pool
-    # so every sweep point also proves serial-vs-pooled transcript identity.
-    workers = 2 if args.workers is None else args.workers
     payload = run_sweep(
         names,
         _parse_scales(args.scales),
         seed=args.seed,
-        workers=workers,
         candidate_count=args.candidates,
         out_path=bench_out,
     )
@@ -244,13 +219,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _run_tables(args) -> int:
-    # When given, install the worker count process-wide so every table/study
-    # session's round planner picks it up; restore afterwards (library
-    # callers of main() must not inherit the CLI's setting). When omitted,
-    # each session's own config decides. The transcript sink works the same
-    # way: installed for the duration of the run, then restored.
-    previous_workers = set_default_workers(args.workers) if args.workers is not None else None
-    previous_backend = set_default_backend(args.backend) if args.backend is not None else None
+    # The transcript sink is installed process-wide for the duration of the
+    # run, then restored (library callers of main() must not inherit it).
     transcripts: list | None = [] if args.transcript_out else None
     previous_sink = set_transcript_sink(transcripts) if transcripts is not None else None
     try:
@@ -261,10 +231,6 @@ def _run_tables(args) -> int:
         else:
             produced = _EXPERIMENTS[args.experiment](args.scale)
     finally:
-        if args.workers is not None:
-            set_default_workers(previous_workers)
-        if args.backend is not None:
-            set_default_backend(previous_backend)
         if transcripts is not None:
             set_transcript_sink(previous_sink)
 

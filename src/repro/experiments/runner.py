@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
-from repro.core.config import QFEConfig, backend_name
+from repro.core.config import QFEConfig
 from repro.core.feedback import OracleSelector, ResultSelector, WorstCaseSelector
 from repro.core.session import IterationRecord, QFESession, SessionResult
 from repro.core.subset_selection import ScoreFunction
@@ -33,47 +33,12 @@ __all__ = [
     "prepare_candidates",
     "run_workload",
     "run_session",
-    "set_default_workers",
-    "set_default_backend",
     "set_transcript_sink",
 ]
 
 FeedbackMode = Literal["worst", "oracle"]
 
 _DEFAULT_QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candidates=60)
-
-#: Process-wide default for the round planner's worker count. ``None`` defers
-#: to each session's config; the experiments CLI sets it from ``--workers`` so
-#: every table/study regeneration fans out without threading a parameter
-#: through every table function.
-_DEFAULT_WORKERS: int | None = None
-
-
-def set_default_workers(workers: int | None) -> int | None:
-    """Set the process-wide default worker count; returns the previous value."""
-    global _DEFAULT_WORKERS
-    if workers is not None and workers < 0:
-        raise ValueError("workers must be non-negative")
-    previous = _DEFAULT_WORKERS
-    _DEFAULT_WORKERS = workers
-    return previous
-
-
-#: Process-wide default for the execution-backend name, the ``--backend``
-#: counterpart of :data:`_DEFAULT_WORKERS`. ``None`` defers to each session's
-#: config (whose own default is ``"auto"``).
-_DEFAULT_BACKEND: str | None = None
-
-
-def set_default_backend(backend: str | None) -> str | None:
-    """Set the process-wide default backend name; returns the previous value."""
-    global _DEFAULT_BACKEND
-    if backend is not None:
-        backend = backend_name(backend)
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = backend
-    return previous
-
 
 #: Process-wide sink collecting the machine-readable transcript of every
 #: session :func:`run_session` executes. The experiments CLI installs a list
@@ -103,7 +68,7 @@ class ExperimentRun:
     candidate_generation_seconds: float
     simulated_user: SimulatedUser | None = None
     #: Canonical (timing-free) transcript, captured when ``run_session`` was
-    #: asked to; byte-identical across backends and worker counts.
+    #: asked to; byte-identical across runs of the same session spec.
     transcript: dict | None = None
 
     @property
@@ -193,35 +158,20 @@ def run_session(
     score: ScoreFunction | None = None,
     workload_name: str = "custom",
     scale: float = 1.0,
-    workers: int | None = None,
-    backend=None,
     join_cache=None,
-    snapshot_cache=None,
     capture_transcript: bool = False,
 ) -> ExperimentRun:
     """Run one QFE session over an explicit ``(D, R, target)`` triple.
 
-    ``workers`` selects the round planner's execution backend (0/1 serial,
-    ≥2 the warm pool); when omitted, the process-wide default installed by
-    :func:`set_default_workers` applies, then the config's ``workers`` field.
-    An explicit ``backend`` (an :class:`~repro.core.execution_backend.\
-ExecutionBackend`) overrides both and is *not* owned by the session — the
-    scenario sweep reuses one warm pool across many sessions this way.
-    ``join_cache``/``snapshot_cache`` are likewise shared-not-owned when
-    given: passing the same pair across several ``run_session`` calls over
-    the same base database makes later sessions start warm (no cold join,
-    no snapshot rebuild), which is how the sweep's pooled leg measures the
-    steady-state of the warm backend. ``capture_transcript`` records the
-    canonical (timing-free) transcript on the returned run, the
-    byte-comparable form the differential harnesses use.
+    ``join_cache`` is shared-not-owned when given: passing the same cache
+    across several ``run_session`` calls over the same base database makes
+    later sessions start warm (no cold join, prologues replayed from the
+    memo), which is how the scenario sweep measures its steady state.
+    ``capture_transcript`` records the canonical (timing-free) transcript on
+    the returned run, the byte-comparable form the differential harnesses
+    use.
     """
     config = config or QFEConfig()
-    if workers is None:
-        workers = _DEFAULT_WORKERS
-    if backend is None and _DEFAULT_BACKEND is not None and config.backend == "auto":
-        # The CLI's --backend default applies only where the session's own
-        # config did not already pick a backend explicitly.
-        config = config.with_overrides(backend=_DEFAULT_BACKEND)
     if candidates is None:
         candidate_list, generation_seconds = prepare_candidates(
             database,
@@ -239,10 +189,7 @@ ExecutionBackend`) overrides both and is *not* owned by the session — the
         candidates=candidate_list,
         config=config,
         score=score,
-        workers=workers,
-        backend=backend,
         join_cache=join_cache,
-        snapshot_cache=snapshot_cache,
     )
     outcome = session.run(chosen_selector)
     canonical_transcript: dict | None = None
@@ -287,8 +234,6 @@ def run_workload(
     feedback: FeedbackMode = "worst",
     selector: ResultSelector | None = None,
     score: ScoreFunction | None = None,
-    workers: int | None = None,
-    backend=None,
     capture_transcript: bool = False,
 ) -> ExperimentRun:
     """Run one QFE session over a named workload.
@@ -309,8 +254,6 @@ def run_workload(
         score=score,
         workload_name=name,
         scale=scale,
-        workers=workers,
-        backend=backend,
         capture_transcript=capture_transcript,
     )
     return run

@@ -6,19 +6,17 @@ funnels through this package:
 * :mod:`repro.obs.registry` — a thread-safe :class:`MetricsRegistry` of typed
   Counter/Gauge/Histogram instruments with label support. The process-wide
   default registry (:data:`REGISTRY`) backs the legacy stats objects
-  (``JOIN_STATS``, ``COLUMNAR_STATS``, ``BACKEND_STATS``, the service's
-  ``_Metrics``) behind their historical attribute APIs, and provides the
-  counter snapshot/merge protocol worker processes use to ship their
-  increments back to the driver with each round.
+  (``JOIN_STATS``, ``COLUMNAR_STATS``, ``PLAN_MEMO_STATS``, the service's
+  ``_Metrics``) behind their historical attribute APIs.
 * :mod:`repro.obs.trace` — structured round-lifecycle spans (JSON-lines
   export, monotonic durations, parent/child nesting) behind a process-wide
   tracer that is a no-op unless explicitly enabled (``--trace-out``).
 * :mod:`repro.obs.exposition` — the Prometheus text exposition format for any
   registry, served by the service's ``/metrics?format=prometheus``.
 * :mod:`repro.obs.summary` — the ``qfe-trace summary`` renderer: a per-round
-  phase breakdown (prepare/ship/evaluate/merge/materialize) computed from a
-  span file, so "the pool loses to serial" becomes "62% of round time is
-  context pickling".
+  phase breakdown (prepare/evaluate/materialize/present) computed from a
+  span file, so "rounds are slow" becomes "88% of round time is the
+  prologue".
 """
 
 from repro.obs.registry import (

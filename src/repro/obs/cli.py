@@ -4,8 +4,8 @@ Currently one subcommand::
 
     qfe-trace summary trace.jsonl
 
-prints the per-round phase breakdown table (prepare/ship/evaluate/merge/
-materialize/present seconds per round, plus the dominant phase) so a slow
+prints the per-round phase breakdown table (prepare/evaluate/materialize/
+present seconds per round, plus the dominant phase) so a slow
 run can be attributed without opening the raw JSON lines.
 """
 

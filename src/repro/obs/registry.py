@@ -19,23 +19,13 @@ Instruments are created through the registry (:meth:`MetricsRegistry.counter`
 etc.), which memoizes by name — asking twice returns the same instrument, so
 module-level stats objects and ad-hoc instrumentation can share counters
 freely. Labeled instruments hold one value per label-value tuple.
-
-**Worker snapshot/merge.** Counters incremented inside a worker process
-would historically be lost when the round ended. The registry therefore
-exposes :meth:`MetricsRegistry.counter_values` (a picklable snapshot) and
-:meth:`MetricsRegistry.merge_counter_deltas`: a worker snapshots before and
-after evaluating a work unit, ships the difference back alongside its
-outcomes, and the driver merges the deltas into its own registry. Counter
-merges are commutative sums, so the merged totals are independent of worker
-scheduling — determinism of the search itself is untouched.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import deque
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -45,7 +35,6 @@ __all__ = [
     "RegistryStats",
     "REGISTRY",
     "reset_all_stats",
-    "register_worker_stats_participant",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
@@ -288,62 +277,6 @@ class MetricsRegistry:
         with self._lock:
             return self._instruments.get(name)
 
-    # -------------------------------------------------- worker snapshot/merge
-    def counter_values(self) -> dict[str, dict[tuple, int | float]]:
-        """A picklable snapshot of every Counter series (gauges excluded).
-
-        Gauges describe *this* process's live state (resident sessions, pool
-        size) and must not be summed across processes; counters are
-        cumulative event counts, which merge as plain sums.
-        """
-        snapshot: dict[str, dict[tuple, int | float]] = {}
-        for instrument in self.instruments():
-            if type(instrument) is Counter:
-                series = instrument.series()
-                if series:
-                    snapshot[instrument.name] = series
-        return snapshot
-
-    def counter_deltas(
-        self, before: Mapping[str, Mapping[tuple, int | float]]
-    ) -> dict[str, dict[tuple, int | float]]:
-        """Per-series increments since a :meth:`counter_values` snapshot."""
-        deltas: dict[str, dict[tuple, int | float]] = {}
-        for name, series in self.counter_values().items():
-            baseline = before.get(name, {})
-            changed = {
-                key: value - baseline.get(key, 0)
-                for key, value in series.items()
-                if value != baseline.get(key, 0)
-            }
-            if changed:
-                deltas[name] = changed
-        return deltas
-
-    def merge_counter_deltas(
-        self, deltas: Mapping[str, Mapping[tuple, int | float]]
-    ) -> None:
-        """Add worker-shipped counter increments into this registry.
-
-        Instruments are looked up by name: both sides import the same
-        modules, so any counter a worker incremented exists here too. A
-        labeled series whose instrument is somehow absent is skipped rather
-        than guessed at (its label names are not recoverable from the key).
-        """
-        for name, series in deltas.items():
-            counter = self.get(name)
-            if counter is None:
-                if any(key != _UNLABELED for key in series):
-                    continue
-                counter = self.counter(name)
-            if not isinstance(counter, Counter):
-                continue
-            for key, amount in series.items():
-                if counter.label_names:
-                    counter.inc(amount, **dict(zip(counter.label_names, key)))
-                else:
-                    counter.inc(amount)
-
     # ------------------------------------------------------------------ reset
     def reset(self) -> None:
         """Zero every instrument (tests call this between cases)."""
@@ -352,49 +285,19 @@ class MetricsRegistry:
 
 
 #: The process-wide default registry. The legacy stats objects
-#: (``JOIN_STATS``, ``COLUMNAR_STATS``, ``BACKEND_STATS``) register their
-#: counters here at import time; worker merge and the Prometheus exposition
-#: read from it.
+#: (``JOIN_STATS``, ``COLUMNAR_STATS``, ``PLAN_MEMO_STATS``) register their
+#: counters here at import time; the Prometheus exposition reads from it.
 REGISTRY = MetricsRegistry()
 
 
-#: Live objects holding counter state *outside* this process's registry —
-#: warm worker pools whose persistent child processes accumulate their own
-#: ``REGISTRY`` counters between unit merges. Weakly referenced: a pool that
-#: was closed and collected simply disappears from the reset fan-out.
-_WORKER_STATS_PARTICIPANTS: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def register_worker_stats_participant(participant: Any) -> None:
-    """Register an object whose ``reset_worker_stats()`` joins the global reset.
-
-    Persistent worker pools keep counter state in long-lived child processes;
-    without this hook, :func:`reset_all_stats` would zero the driver registry
-    while workers keep their cumulative values — and any code path that ships
-    worker counter *values* (rather than per-unit deltas) after the reset
-    would re-merge pre-reset amounts. Registration is idempotent and weak.
-    """
-    _WORKER_STATS_PARTICIPANTS.add(participant)
-
-
 def reset_all_stats() -> None:
-    """Zero every instrument of the process-wide registry — and warm workers.
+    """Zero every instrument of the process-wide registry.
 
     The shared pytest fixture calls this before each test so counter state
     can never leak across tests; it is also safe to call from benchmarks
-    before a measured section. Registered warm worker pools (see
-    :func:`register_worker_stats_participant`) have their worker-side
-    registries reset too, so bench groups sharing a persistent pool cannot
-    inherit stale ``qfe_columnar_*`` (or any other) counter state from a
-    previous measured section. A pool whose reset fails (e.g. its executor
-    already broke) is skipped: the reset must never raise.
+    before a measured section.
     """
     REGISTRY.reset()
-    for participant in list(_WORKER_STATS_PARTICIPANTS):
-        try:
-            participant.reset_worker_stats()
-        except Exception:  # pragma: no cover - defensive: reset must not raise
-            continue
 
 
 class RegistryStats:
@@ -406,7 +309,7 @@ class RegistryStats:
     each field becomes a registry Counter named ``{prefix}_{field}``, and
     attribute reads/writes pass through to it — so every existing call site
     and guard keeps working unchanged while the values become visible to the
-    exposition endpoint and the worker merge protocol.
+    exposition endpoint.
     """
 
     _PREFIX = "qfe"

@@ -2,17 +2,15 @@
 
 The tracer records *what happened*; this module answers *where the time
 went*. Each ``session.propose`` span is one round; its descendant spans are
-folded into the five lifecycle phases the backends share:
+folded into the round's lifecycle phases:
 
 ======================  ====================================================
 phase                   source spans
 ======================  ====================================================
 ``prepare``             ``round.prepare`` (join, tuple classes, Algorithms
-                        3 + 4 — on the driver for every backend)
-``ship``                ``backend.broadcast`` (base installs)
-``evaluate``            ``round.search`` minus its ship/merge children
-``merge``               ``backend.merge`` (worker outcome + counter merge)
-``materialize``         ``round.materialize`` (winning database build)
+                        3 + 4)
+``evaluate``            ``round.search`` (attempt scoring)
+``materialize``         ``round.materialize`` (the winner's partition)
 ``present``             ``round.present`` (feedback-round construction)
 ``other``               the propose remainder not covered above
 ======================  ====================================================
@@ -36,16 +34,14 @@ __all__ = [
     "render_summary",
 ]
 
-PHASES = ("prepare", "ship", "evaluate", "merge", "materialize", "present", "other")
+PHASES = ("prepare", "evaluate", "materialize", "present", "other")
 
 _PHASE_OF_SPAN = {
     "round.prepare": "prepare",
-    "backend.broadcast": "ship",
-    "backend.merge": "merge",
+    "round.search": "evaluate",
     "round.materialize": "materialize",
     "round.present": "present",
 }
-
 
 
 def load_spans(source) -> list[dict]:
@@ -88,34 +84,12 @@ def phase_breakdown(source) -> list[dict]:
     rounds = []
     for index, propose in enumerate(proposes, start=1):
         phases = dict.fromkeys(PHASES, 0.0)
-        descendants = list(_descendants(propose, children))
-        # Spans nested under the round's search span(s) need separating from
-        # top-level ones: the search wall-clock covers its broadcast/merge
-        # children, so pure evaluation is what remains of the search after
-        # subtracting its *own* mapped descendants — never a same-phase span
-        # that ran outside it.
-        search_total = 0.0
-        under_search: set[int] = set()
-        for node in descendants:
-            if node["name"] == "round.search":
-                search_total += node["duration_s"]
-                under_search.update(
-                    child["span_id"] for child in _descendants(node, children)
-                )
-        search_children = 0.0
-        top_mapped = 0.0
-        for node in descendants:
+        for node in _descendants(propose, children):
             phase = _PHASE_OF_SPAN.get(node["name"])
-            if phase is None:
-                continue
-            phases[phase] += node["duration_s"]
-            if node["span_id"] in under_search:
-                search_children += node["duration_s"]
-            else:
-                top_mapped += node["duration_s"]
-        phases["evaluate"] = max(0.0, search_total - search_children)
+            if phase is not None:
+                phases[phase] += node["duration_s"]
         total = propose["duration_s"]
-        phases["other"] = max(0.0, total - search_total - top_mapped)
+        phases["other"] = max(0.0, total - sum(phases.values()))
         rounds.append(
             {
                 "round": index,
@@ -130,7 +104,7 @@ def phase_breakdown(source) -> list[dict]:
 def aggregate_phases(source) -> dict[str, float]:
     """Phase seconds summed over every round in the trace.
 
-    The shape the scenario sweep records per backend into
+    The shape the scenario sweep records per session into
     ``BENCH_scenarios.json`` (``phase_seconds``).
     """
     totals = dict.fromkeys(PHASES, 0.0)

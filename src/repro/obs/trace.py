@@ -6,7 +6,7 @@ line in the sink — measuring durations on the monotonic clock
 span opened while another is active on the same thread becomes its child
 (``parent_id``), which is how one ``session.propose`` span ends up owning
 its round's ``round.prepare``/``round.search``/``round.materialize``
-children and the search span owns the backend's broadcast/merge spans.
+children.
 
 **Zero cost when disabled.** The process-wide tracer defaults to
 :data:`NULL_TRACER`, whose :meth:`~NullTracer.span` returns a shared no-op
@@ -14,21 +14,18 @@ context manager — no allocation, no clock read, no I/O. Call sites that
 would compute non-trivial span attributes guard on ``tracer.enabled``.
 Tracing must never perturb behaviour: spans carry *measurements about* the
 round, and the differential suite pins traced-vs-untraced transcripts
-bit-identical on every backend.
+bit-identical.
 
-**Worker processes.** A forked worker inherits the parent's tracer object —
+**Forked processes.** A forked child inherits the parent's tracer object —
 including its open file descriptor, which two processes must not interleave
 writes on. Every span creation therefore checks the owning pid and silently
-degrades to the no-op span in any other process; worker-side activity is
-observable through the counter snapshot/merge protocol instead
-(:mod:`repro.obs.registry`), and the driver-side backend spans bound it in
-time.
+degrades to the no-op span in any other process.
 
 Span line format (one JSON object per line)::
 
     {"name": "round.search", "span_id": 7, "parent_id": 6, "pid": 123,
      "thread": "MainThread", "t_wall": 1754650000.123,
-     "t_start": 12.345678, "duration_s": 0.042, "attrs": {"backend": "serial"}}
+     "t_start": 12.345678, "duration_s": 0.042, "attrs": {"attempts": 3}}
 
 ``t_start`` is a monotonic reading (comparable only within one trace);
 ``t_wall`` is an informational wall-clock anchor taken at span start and
@@ -129,8 +126,8 @@ class Tracer:
         """Open a span; use as a context manager.
 
         Returns the shared no-op span from any process other than the one
-        that created the tracer (forked pool workers inherit the tracer and
-        must not interleave writes on its file descriptor).
+        that created the tracer (a forked child inherits the tracer and must
+        not interleave writes on its file descriptor).
         """
         if os.getpid() != self._pid:
             return _NULL_SPAN

@@ -115,9 +115,8 @@ class ColumnarStats(RegistryStats):
 
     Purely diagnostic: benchmarks and tests use these to pin that the
     acceleration structures (sorted term index, zone maps) actually engage.
-    Registry-backed (``qfe_columnar_*``), so increments made inside pool
-    workers are merged back to the driver after each round instead of being
-    lost with the child process.
+    Registry-backed (``qfe_columnar_*``), so the Prometheus endpoint sees
+    them.
     """
 
     _PREFIX = "qfe_columnar"
@@ -1486,11 +1485,9 @@ class ColumnarView:
         and a term-mask entry without its retained test would silently break
         :meth:`derive` (the entry would exist but could never be patched), so
         both caches are dropped together. A rehydrated view is a *cold* view
-        over the same columns; its masks rebuild lazily — which is why the
-        parallel round planner warms the base view once per worker before
-        evaluating any delta-derived candidate against it. Typed columns ship
-        their compact buffers (their lazy index/zone structures are dropped
-        and rebuilt on demand), keeping the snapshot payload small.
+        over the same columns; its masks rebuild lazily. Typed columns
+        pickle their compact buffers (their lazy index/zone structures are
+        dropped and rebuilt on demand), keeping the payload small.
         """
         return {
             "names": self.names,

@@ -25,8 +25,6 @@ Section 5 assumption; ``distinct=True`` on a query switches to set semantics
 
 from __future__ import annotations
 
-import pickle
-import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -54,8 +52,6 @@ __all__ = [
     "result_schema",
     "results_equal",
     "result_fingerprint",
-    "BaseSnapshot",
-    "SharedSnapshotCache",
     "JoinCache",
 ]
 
@@ -303,205 +299,6 @@ def _sort_key(value: Any) -> tuple:
     return (3, str(value))
 
 
-@dataclass
-class BaseSnapshot:
-    """A picklable snapshot of a base database and its materialized joins.
-
-    The warm worker pool captures the session's base database ``D`` — plus
-    the foreign-key join (and provenance) of every join signature the
-    surviving candidates reference — exactly once and installs it in each
-    worker process (fork-inherited or pickled). Every worker
-    :meth:`restore`\\ s it into a
-    private :class:`JoinCache` seeded with the same join objects the driver
-    holds. Workers then evaluate candidate modifications purely by applying
-    :class:`~repro.relational.delta.TupleDelta`\\ s against the seeded joins
-    (:meth:`JoinCache.derive`), so no worker ever performs a full
-    :func:`foreign_key_join` — a property pinned by
-    :data:`~repro.relational.join.JOIN_STATS`.
-
-    Pickling drops every non-picklable memo along the way (compiled term
-    tests, cached term masks, join indexes, and the columnar views — whose
-    typed buffers, zone maps and sorted term indexes are rebuilt lazily on
-    rehydration — see ``JoinedRelation.__getstate__`` and
-    ``ColumnarView.__getstate__``), so a snapshot round-trips through
-    ``pickle`` by construction.
-    """
-
-    database: Database
-    joins: dict[tuple[str, ...], JoinedRelation]
-
-    @staticmethod
-    def _key(tables: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(tables))
-
-    @classmethod
-    def capture(
-        cls,
-        database: Database,
-        signatures: Iterable[Iterable[str]],
-        *,
-        join_cache: "JoinCache | None" = None,
-    ) -> "BaseSnapshot":
-        """Snapshot *database* with the joins for every given table signature.
-
-        Joins come from *join_cache* when given (warm driver-side entries are
-        reused, cold ones are built and cached for the driver too), otherwise
-        from a throwaway cache.
-        """
-        cache = join_cache if join_cache is not None else JoinCache()
-        joins: dict[tuple[str, ...], JoinedRelation] = {}
-        for signature in signatures:
-            key = cls._key(signature)
-            if key and key not in joins:
-                joins[key] = cache.join_for(database, key)
-        return cls(database=database, joins=joins)
-
-    @property
-    def signatures(self) -> tuple[tuple[str, ...], ...]:
-        """The join signatures the snapshot covers, deterministically ordered."""
-        return tuple(sorted(self.joins))
-
-    def covers(self, signatures: Iterable[Iterable[str]]) -> bool:
-        """Whether every given signature has a snapshotted join."""
-        return all(self._key(signature) in self.joins for signature in signatures)
-
-    def restore(self) -> tuple[Database, "JoinCache"]:
-        """Seed a fresh :class:`JoinCache` with the snapshotted joins.
-
-        Returns the (worker-local, post-unpickling) database instance and the
-        seeded cache; serving any snapshotted signature — or deriving a
-        modified database from it — performs zero full joins.
-        """
-        cache = JoinCache()
-        for signature, joined in self.joins.items():
-            cache.adopt(self.database, signature, joined)
-        return self.database, cache
-
-    def to_bytes(self) -> bytes:
-        """Pickle the snapshot (the payload broadcast to worker processes)."""
-        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "BaseSnapshot":
-        """Unpickle a snapshot previously produced by :meth:`to_bytes`."""
-        snapshot = pickle.loads(payload)
-        if not isinstance(snapshot, cls):
-            raise TypeError(f"payload does not contain a {cls.__name__}")
-        return snapshot
-
-class SharedSnapshotCache:
-    """Memoizes one :class:`BaseSnapshot` per live base database.
-
-    A single QFE session re-captures its base snapshot only when the base
-    state changes; a *service* hosting many sessions over the same example
-    database must additionally share the captured snapshot **across**
-    sessions, or every session switch would re-broadcast a fresh (identical)
-    snapshot to the shared worker pool. This cache provides that sharing:
-    sessions whose round planners hold the same cache — and evaluate against
-    the same base database instance — receive the *same snapshot object*,
-    which is exactly the identity the
-    :class:`~repro.core.worker_runtime.WarmProcessPoolBackend` keys its
-    install-once base version on.
-
-    A memoized snapshot is reused only while it is *current*:
-
-    * it was captured from the same live database instance (weakref-guarded,
-      so a recycled ``id`` can never alias a dead database's snapshot);
-    * it covers every requested join signature; and
-    * it holds the very join objects the given :class:`JoinCache` currently
-      serves — if the caller mutated the base in place and honoured the cache
-      contract (``join_cache.invalidate``), the cache rebuilt fresh joins and
-      the stale snapshot is dropped, forcing a re-capture (and, downstream, a
-      re-broadcast to any worker pool).
-
-    When a new signature set extends a still-current snapshot, the union of
-    old and new signatures is captured so sessions with different candidate
-    sets over one base never thrash each other's entry. All operations are
-    thread-safe: the service layer proposes rounds from multiple sessions
-    concurrently.
-
-    Lifetime contract: a memoized snapshot strongly references its base
-    database (it must — the snapshot is the picklable broadcast payload), so
-    an entry **pins the base alive** until :meth:`evict` or :meth:`clear` is
-    called. A cache owned by one planner simply dies with it; a long-lived
-    shared cache (the session service) must evict alongside whatever
-    base-lifetime bookkeeping it keeps — the
-    :class:`~repro.service.manager.SessionManager` evicts a pair's snapshot
-    when it prunes the pair. Because entries hold their database alive, a
-    recycled ``id`` can never alias a dead database's snapshot.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._snapshots: dict[int, BaseSnapshot] = {}
-
-    def _is_current(
-        self,
-        snapshot: BaseSnapshot | None,
-        database: Database,
-        signatures: Sequence[tuple[str, ...]],
-        join_cache: "JoinCache",
-    ) -> bool:
-        if snapshot is None or snapshot.database is not database:
-            return False
-        if not snapshot.covers(signatures):
-            return False
-        return all(
-            join_cache.join_for(database, signature)
-            is snapshot.joins[BaseSnapshot._key(signature)]
-            for signature in signatures
-        )
-
-    def snapshot_for(
-        self,
-        database: Database,
-        signatures: Sequence[Iterable[str]],
-        join_cache: "JoinCache",
-    ) -> BaseSnapshot:
-        """The memoized (or freshly captured) snapshot covering *signatures*."""
-        keys = tuple(BaseSnapshot._key(signature) for signature in signatures)
-        with self._lock:
-            database_id = id(database)
-            snapshot = self._snapshots.get(database_id)
-            if self._is_current(snapshot, database, keys, join_cache):
-                return snapshot
-            capture_keys = set(keys)
-            if snapshot is not None and snapshot.database is database:
-                # Joins still identity-current for the *old* coverage are kept
-                # so alternating signature sets extend instead of thrash.
-                capture_keys.update(
-                    key
-                    for key in snapshot.signatures
-                    if self._is_current(snapshot, database, (key,), join_cache)
-                )
-            snapshot = BaseSnapshot.capture(
-                database, sorted(capture_keys), join_cache=join_cache
-            )
-            self._snapshots[database_id] = snapshot
-            return snapshot
-
-    def evict(self, database: Database) -> bool:
-        """Drop the memoized snapshot of *database*; returns whether one existed.
-
-        Required whenever a long-lived shared cache stops serving a base
-        database (the entry would otherwise pin the database — and its
-        joins — alive forever).
-        """
-        with self._lock:
-            return self._snapshots.pop(id(database), None) is not None
-
-    @property
-    def snapshot_count(self) -> int:
-        """Number of live memoized snapshots (diagnostics and tests)."""
-        with self._lock:
-            return len(self._snapshots)
-
-    def clear(self) -> None:
-        """Drop every memoized snapshot."""
-        with self._lock:
-            self._snapshots.clear()
-
-
 class JoinCache:
     """Caches materialized joins — and their columnar views — per database.
 
@@ -557,19 +354,6 @@ class JoinCache:
             self._cache[key] = self._build_entry(database, tables)
             self._watch(database)
         return self._cache[key]
-
-    def adopt(self, database: Database, tables: Iterable[str], joined: JoinedRelation) -> None:
-        """Seed the cache with an externally materialized join for *database*.
-
-        Used when rehydrating a :class:`BaseSnapshot` in a worker process:
-        the snapshotted join is installed directly under its signature, so a
-        later :meth:`join_for` (or a delta derivation hanging off it) never
-        pays a full join. The usual finalizer-based eviction applies.
-        """
-        key = (id(database), tuple(sorted(tables)))
-        self._cache[key] = joined
-        self._memos.pop(key, None)
-        self._watch(database)
 
     def memo_for(self, database: Database, tables: Iterable[str]) -> OrderedDict:
         """The memo held with the cached join of *tables* on *database*.
@@ -732,7 +516,7 @@ class JoinCache:
         """Aggregate storage footprint of every cached join's columnar view.
 
         Only views that were already built are counted — reporting never
-        forces a build — and a join adopted under several cache keys is
+        forces a build — and a join served under several cache keys is
         counted once. The per-view entries carry the join signature plus the
         :meth:`~repro.relational.columnar.ColumnarView.memory_report`
         breakdown, so sessions (and the scenario sweep) can attribute the

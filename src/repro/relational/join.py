@@ -44,9 +44,9 @@ class JoinMaintenanceStats(RegistryStats):
     behaviour fails a fast test instead of only showing up as a slow bench.
 
     Registry-backed: the values live in ``qfe_join_*`` counters of the
-    process-wide metrics registry, so worker increments merge back to the
-    driver and the Prometheus endpoint sees them — while every historical
-    call site (``JOIN_STATS.full_joins += 1``) keeps working unchanged.
+    process-wide metrics registry, so the Prometheus endpoint sees them —
+    while every historical call site (``JOIN_STATS.full_joins += 1``) keeps
+    working unchanged.
     """
 
     _PREFIX = "qfe_join"
@@ -91,10 +91,8 @@ class JoinedRelation:
         The memoized derived state — join index, columnar view (whose compiled
         term tests are closures), attach indexes and base-row maps — is
         dropped; :meth:`__setstate__` rebuilds the join index eagerly and the
-        rest lazily. This is the serialization surface the round planner's
-        :class:`~repro.relational.evaluator.BaseSnapshot` ships to worker
-        processes: rehydration never re-joins, so ``JOIN_STATS.full_joins``
-        stays untouched on the worker side.
+        rest lazily. Rehydration never re-joins, so ``JOIN_STATS.full_joins``
+        stays untouched.
         """
         return {
             "relation": self.relation,

@@ -6,13 +6,12 @@ For every requested ``(scenario, scale)`` the sweep
 2. **verifies** every query against the SQLite differential oracle (the
    pure-Python evaluator and an independent SQL engine must agree on every
    result, bag-exactly — this is where numeric/type-semantics bugs detonate);
-3. **runs** one full QFE session per execution backend — serial, and a
-   shared **warm persistent worker pool** (when ``workers >= 2``: one cold
-   session plus repeats over the same join cache, whose rounds replay from
-   the driver-side prologue memo, recording both the cold and the
-   steady-state wall-clock) — and demands every canonical transcript be
-   **bit-identical** to the serial oracle (the differential contract,
-   extended to every generated scenario and every backend);
+3. **runs** one full QFE session cold, over a fresh join cache, then
+   repeats it twice over that same cache — the repeats replay every round's
+   prologue from the memo held with the cached join, a labelled cache
+   effect (the steady state a service reaches when a user re-runs a pair it
+   has already planned) — and demands every repeat's canonical transcript
+   be **bit-identical** to the cold one;
 4. **measures** the cold vs delta-derived candidate-evaluation paths over
    the same candidate set, plus the storage layer itself: bytes per joined
    row under the typed columnar layout vs the object-tuple reference layout,
@@ -20,8 +19,8 @@ For every requested ``(scenario, scale)`` the sweep
    selective term mask on each layout (the zone-map/sorted-index fast path
    vs the full compiled scan);
 5. **records** the whole per-scale trajectory — row counts, join size,
-   session rounds, per-backend seconds with a ``fastest_backend`` pick,
-   cold/delta seconds, memory figures, transcript hash — into
+   session rounds, cold and steady session seconds, cold/delta evaluation
+   seconds, memory figures, transcript hash — into
    ``benchmarks/BENCH_scenarios.json``, stamped with the machine that
    measured it.
 
@@ -44,7 +43,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.config import QFEConfig
-from repro.core.execution_backend import BACKEND_STATS
 from repro.core.round_planner import PLAN_MEMO_STATS
 from repro.core.timing import Stopwatch
 from repro.exceptions import EvaluationError
@@ -53,7 +51,7 @@ from repro.qbo.mutation import expand_candidate_set
 from repro.relational.columnar import ColumnarView, ColumnarViewReference
 from repro.relational.delta import TupleDelta
 from repro.relational.predicates import ComparisonOp, Term
-from repro.relational.evaluator import JoinCache, SharedSnapshotCache, evaluate_batch
+from repro.relational.evaluator import JoinCache, evaluate_batch
 from repro.relational.join import foreign_key_join
 from repro.relational.types import AttributeType
 from repro.scenarios.catalog import SCENARIOS, get_scenario
@@ -78,7 +76,7 @@ _SWEEP_CONFIG = QFEConfig(delta_seconds=30.0)
 
 
 class ScenarioDivergenceError(EvaluationError):
-    """Two engines (or two backends) disagreed on a generated scenario."""
+    """Two engines (or two runs of one session) disagreed on a generated scenario."""
 
 
 def _point_setup(
@@ -269,27 +267,16 @@ def _measure_storage(generated: GeneratedScenario, joined) -> dict:
     return measurements
 
 
-def _session_point(
-    generated,
-    result,
-    candidates,
-    *,
-    workers,
-    backend,
-    workload_name,
-    join_cache=None,
-    snapshot_cache=None,
-):
+def _session_point(generated, result, candidates, *, workload_name, join_cache):
     """Run one session; returns (wall seconds, canonical transcript JSON, run,
     per-phase seconds).
 
     Each point runs under a private in-memory tracer (the previous tracer is
-    restored afterwards), so the recorded trajectory can attribute every
-    backend's wall-clock to prepare/ship/evaluate/merge phases — tracing does
+    restored afterwards), so the recorded trajectory can attribute the
+    wall-clock to prepare/evaluate/materialize/present phases — tracing does
     not perturb transcripts, which the sweep's own bit-identity checks
-    enforce on every point. ``join_cache``/``snapshot_cache`` let the warm
-    leg share base state across its repeated sessions, the way the session
-    service does.
+    enforce on every point. Sessions given the same ``join_cache`` share its
+    base state, the way the session service does.
     """
     from repro.experiments.runner import run_session
     from repro.obs.summary import aggregate_phases
@@ -309,10 +296,7 @@ def _session_point(
             feedback="worst",
             workload_name=workload_name,
             scale=generated.scale,
-            workers=workers,
-            backend=backend,
             join_cache=join_cache,
-            snapshot_cache=snapshot_cache,
             capture_transcript=True,
         )
     finally:
@@ -326,7 +310,6 @@ def run_sweep(
     scales: Sequence[float] = (0.1, 0.5, 1.0),
     *,
     seed: int | None = None,
-    workers: int = 2,
     candidate_count: int = 8,
     verify_oracle: bool = True,
     measure_eval_paths: bool = True,
@@ -336,156 +319,87 @@ def run_sweep(
     """Sweep the named scenarios (default: the full catalog) across *scales*.
 
     Returns the trajectory payload; also writes it as JSON to *out_path*
-    unless that is ``None``. ``workers >= 2`` runs the warm-pool leg of
-    every point over **one shared persistent worker pool** (spin-up paid
-    once, as a service would): the first session on a point is recorded as
-    ``pooled_cold_seconds`` (base install + round plans all cold), then the
-    session repeats with the same shared join/snapshot caches and the best
-    repeat is ``pooled_seconds`` — the steady-state a warm service reaches
-    when a user re-runs a pair it has already planned: a cache effect of the
-    prologue memo (``memo_hits``), not parallel speedup. Every warm
-    transcript (cold and steady) must be bit-identical to the serial oracle.
-    ``workers`` of 0/1 skips the warm leg. Every point records per-backend
-    timings and a ``fastest_backend`` pick; the payload carries a
-    ``machine`` stamp.
+    unless that is ``None``. Every point runs its session cold over a fresh
+    :class:`JoinCache` (``serial_seconds``), then twice more over that same
+    cache: ``steady_seconds`` is the faster repeat — a cache effect of the
+    prologue memo (``memo_hits``), not a different algorithm — and every
+    repeat's transcript must be bit-identical to the cold one. The payload
+    carries a ``machine`` stamp.
     """
     names = list(scenarios) if scenarios else sorted(SCENARIOS)
     specs = [get_scenario(name) for name in names]
     scales = [float(s) for s in scales]
 
-    pool = None
-    if workers >= 2:
-        from repro.core.worker_runtime import WarmProcessPoolBackend
-
-        pool = WarmProcessPoolBackend(workers)
     payload: dict = {
         "machine": machine_stamp(),
         "seed": seed,
-        "workers": workers,
         "scales": scales,
         "candidate_count": candidate_count,
         "scenarios": {},
     }
-    try:
-        for spec in specs:
-            trajectory = []
-            for scale in scales:
-                generated = generate_scenario(spec, scale, seed)
-                workload_name = f"scenario:{spec.name}" + (
-                    f"@{seed}" if seed is not None else ""
-                )
-                point: dict = {
-                    "scale": scale,
-                    "rows_by_table": generated.rows_by_table(),
-                    "total_rows": generated.total_rows,
-                    "query_count": len(generated.queries),
-                }
-                result, candidates, joined, oracle_checked = _point_setup(
-                    generated, candidate_count, verify_oracle=verify_oracle
-                )
-                if oracle_checked is not None:
-                    point["oracle_checked_queries"] = oracle_checked
-                point["result_rows"] = len(result)
-                point["candidates"] = len(candidates)
-
-                serial_seconds, serial_json, serial_run, serial_phases = _session_point(
-                    generated, result, candidates,
-                    workers=0, backend=None, workload_name=workload_name,
-                )
-                phase_seconds = {"serial": serial_phases}
-                point["iterations"] = serial_run.iteration_count
-                point["converged"] = serial_run.session.converged
-                point["serial_seconds"] = serial_seconds
-                point["transcript_sha256"] = hashlib.sha256(
-                    serial_json.encode("utf-8")
-                ).hexdigest()
-
-                if pool is not None:
-                    # The warm leg shares one join cache and one snapshot
-                    # cache across its sessions on this point, exactly as the
-                    # session service shares a pair's base state: the first
-                    # session pays the install and every round plan cold, the
-                    # repeats replay their plans from the prologue memo held
-                    # with the shared join (memo_hits).
-                    warm_join_cache = JoinCache()
-                    warm_snapshots = SharedSnapshotCache()
-                    shipped_before = BACKEND_STATS.bytes_shipped
-                    hits_before = PLAN_MEMO_STATS.memo_hits
-                    warm_rounds = 0
-                    cold_seconds, cold_json, cold_run, _ = _session_point(
-                        generated, result, candidates,
-                        workers=None, backend=pool, workload_name=workload_name,
-                        join_cache=warm_join_cache, snapshot_cache=warm_snapshots,
-                    )
-                    warm_rounds += cold_run.iteration_count
-                    if cold_json != serial_json:
-                        raise ScenarioDivergenceError(
-                            f"scenario {spec.name!r} @ scale {scale}: warm-pool "
-                            f"transcript diverged from the serial oracle "
-                            f"({workers} workers, cold)"
-                        )
-                    pooled_seconds = None
-                    pooled_phases = None
-                    for _ in range(2):
-                        repeat_seconds, repeat_json, repeat_run, repeat_phases = (
-                            _session_point(
-                                generated, result, candidates,
-                                workers=None, backend=pool,
-                                workload_name=workload_name,
-                                join_cache=warm_join_cache,
-                                snapshot_cache=warm_snapshots,
-                            )
-                        )
-                        warm_rounds += repeat_run.iteration_count
-                        if repeat_json != serial_json:
-                            raise ScenarioDivergenceError(
-                                f"scenario {spec.name!r} @ scale {scale}: warm-pool "
-                                f"transcript diverged from the serial oracle "
-                                f"({workers} workers, steady-state)"
-                            )
-                        if pooled_seconds is None or repeat_seconds < pooled_seconds:
-                            pooled_seconds, pooled_phases = repeat_seconds, repeat_phases
-                    phase_seconds["warm"] = pooled_phases
-                    point["pooled_cold_seconds"] = cold_seconds
-                    point["pooled_seconds"] = pooled_seconds
-                    point["pooled_workers"] = workers
-                    point["pooled_speedup"] = (
-                        serial_seconds / pooled_seconds if pooled_seconds > 0 else None
-                    )
-                    point["memo_hits"] = PLAN_MEMO_STATS.memo_hits - hits_before
-                    point["bytes_shipped_per_round"] = (
-                        (BACKEND_STATS.bytes_shipped - shipped_before)
-                        / warm_rounds
-                        if warm_rounds
-                        else None
-                    )
-
-                point["transcripts_identical"] = True
-                backend_seconds = {"serial": serial_seconds}
-                if "pooled_seconds" in point:
-                    # Steady-state: the honest service-shaped figure for a
-                    # persistent pool (its cold first session sits alongside
-                    # in ``pooled_cold_seconds``).
-                    backend_seconds["warm"] = point["pooled_seconds"]
-                point["backend_seconds"] = backend_seconds
-                point["fastest_backend"] = min(backend_seconds, key=backend_seconds.get)
-                # Per-backend phase attribution (prepare/ship/evaluate/merge/
-                # materialize/present/other seconds) — the *why* behind
-                # fastest_backend in the recorded trajectory.
-                point["phase_seconds"] = phase_seconds
-
-                if measure_eval_paths:
-                    point.update(_measure_eval_paths(generated, candidates, joined))
-                if measure_storage:
-                    point.update(_measure_storage(generated, joined))
-                trajectory.append(point)
-            payload["scenarios"][spec.name] = {
-                "spec": spec.to_json(),
-                "trajectory": trajectory,
+    for spec in specs:
+        trajectory = []
+        for scale in scales:
+            generated = generate_scenario(spec, scale, seed)
+            workload_name = f"scenario:{spec.name}" + (
+                f"@{seed}" if seed is not None else ""
+            )
+            point: dict = {
+                "scale": scale,
+                "rows_by_table": generated.rows_by_table(),
+                "total_rows": generated.total_rows,
+                "query_count": len(generated.queries),
             }
-    finally:
-        if pool is not None:
-            pool.close()
+            result, candidates, joined, oracle_checked = _point_setup(
+                generated, candidate_count, verify_oracle=verify_oracle
+            )
+            if oracle_checked is not None:
+                point["oracle_checked_queries"] = oracle_checked
+            point["result_rows"] = len(result)
+            point["candidates"] = len(candidates)
+
+            join_cache = JoinCache()
+            cold_seconds, cold_json, cold_run, cold_phases = _session_point(
+                generated, result, candidates,
+                workload_name=workload_name, join_cache=join_cache,
+            )
+            point["iterations"] = cold_run.iteration_count
+            point["converged"] = cold_run.session.converged
+            point["serial_seconds"] = cold_seconds
+            point["transcript_sha256"] = hashlib.sha256(
+                cold_json.encode("utf-8")
+            ).hexdigest()
+
+            hits_before = PLAN_MEMO_STATS.memo_hits
+            steady_seconds = steady_phases = None
+            for _ in range(2):
+                repeat_seconds, repeat_json, _, repeat_phases = _session_point(
+                    generated, result, candidates,
+                    workload_name=workload_name, join_cache=join_cache,
+                )
+                if repeat_json != cold_json:
+                    raise ScenarioDivergenceError(
+                        f"scenario {spec.name!r} @ scale {scale}: a repeat over "
+                        "the shared join cache diverged from the cold session"
+                    )
+                if steady_seconds is None or repeat_seconds < steady_seconds:
+                    steady_seconds, steady_phases = repeat_seconds, repeat_phases
+            point["steady_seconds"] = steady_seconds
+            point["memo_hits"] = PLAN_MEMO_STATS.memo_hits - hits_before
+            point["transcripts_identical"] = True
+            # Per-phase attribution (prepare/evaluate/materialize/present/
+            # other seconds) of the cold session and the faster repeat.
+            point["phase_seconds"] = {"cold": cold_phases, "steady": steady_phases}
+
+            if measure_eval_paths:
+                point.update(_measure_eval_paths(generated, candidates, joined))
+            if measure_storage:
+                point.update(_measure_storage(generated, joined))
+            trajectory.append(point)
+        payload["scenarios"][spec.name] = {
+            "spec": spec.to_json(),
+            "trajectory": trajectory,
+        }
 
     if out_path is not None:
         path = Path(out_path)
@@ -504,16 +418,16 @@ def sweep_table(payload: dict):
         title="Scenario scale sweep",
         columns=[
             "scenario", "scale", "rows", "join rows", "|R|", "cands", "iters",
-            "serial s", "warm s", "warm cold s", "memo hits", "fastest",
+            "session s", "steady s", "memo hits",
             "cold s", "delta s", "B/row", "mem x", "identical",
         ],
         caption=(
-            "Per-scale trajectory of generated scenarios: full QFE sessions on the "
-            "serial and warm-pool backends (canonical transcripts "
-            "bit-identical; 'warm s' is the steady-state repeat on a persistent "
-            "pool, replaying its plans from the prologue memo ('memo hits'), "
-            "'warm cold s' its first session), plus cold vs delta-derived "
-            "candidate evaluation and typed-vs-object storage bytes per joined row."
+            "Per-scale trajectory of generated scenarios: a cold QFE session "
+            "('session s') and the faster of two repeats over the same join "
+            "cache ('steady s', replaying its plans from the prologue memo: "
+            "'memo hits'; canonical transcripts bit-identical), plus cold vs "
+            "delta-derived candidate evaluation and typed-vs-object storage "
+            "bytes per joined row."
         ),
     )
     for name, entry in sorted(payload["scenarios"].items()):
@@ -527,11 +441,8 @@ def sweep_table(payload: dict):
                 point["candidates"],
                 point["iterations"],
                 round(point["serial_seconds"], 4),
-                round(point["pooled_seconds"], 4) if "pooled_seconds" in point else "-",
-                round(point["pooled_cold_seconds"], 4)
-                if "pooled_cold_seconds" in point else "-",
-                point.get("memo_hits", "-"),
-                point.get("fastest_backend", "-"),
+                round(point["steady_seconds"], 4),
+                point["memo_hits"],
                 round(point["cold_eval_seconds"], 4) if "cold_eval_seconds" in point else "-",
                 round(point["delta_eval_seconds"], 4) if "delta_eval_seconds" in point else "-",
                 round(point["bytes_per_joined_row_typed"], 1)

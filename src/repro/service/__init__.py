@@ -11,8 +11,8 @@ resumable :class:`~repro.core.session.QFESession` state machine:
 * :mod:`repro.service.store` — checkpoint persistence: in-memory and on-disk
   backends with atomic writes and LRU/TTL eviction;
 * :mod:`repro.service.manager` — :class:`SessionManager` multiplexing many
-  live sessions over shared per-database base snapshots and one shared
-  execution backend, with per-session locks and service metrics;
+  live sessions over shared per-database joins and prologue memos, with
+  per-session locks and service metrics;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — a small HTTP
   JSON API over the manager (stdlib only) and the matching client;
 * :mod:`repro.service.cli` — the ``qfe-serve`` console entry point.

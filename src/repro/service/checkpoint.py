@@ -32,8 +32,9 @@ base instance. Sessions over ad-hoc databases embed the pair inline
 Version policy: :data:`CHECKPOINT_VERSION` bumps on any incompatible change
 to the header or payload layout; :func:`restore_checkpoint` refuses any other
 version with :class:`~repro.exceptions.CheckpointError` instead of guessing.
-(Version 2 added ``payload_sha256``; version 1 files, whose pickled config
-may also name since-removed backends, are refused.)
+(Version 2 added ``payload_sha256``; version 3 dropped the worker count
+from the captured state and from the pickled config. Older files are
+refused.)
 
 A note on randomness: the interaction loop is deterministic end to end —
 dataset builders draw from per-dataset seeded generators at *construction*
@@ -79,7 +80,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "qfe-session-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -203,18 +204,15 @@ def restore_checkpoint(
     database: Database | None = None,
     result: Relation | None = None,
     score=None,
-    workers: int | None = None,
-    backend=None,
     join_cache=None,
-    snapshot_cache=None,
 ) -> tuple[QFESession, dict]:
     """Rebuild the checkpointed session; returns ``(session, header)``.
 
     The example pair binds in precedence order: explicit ``database``/
     ``result`` arguments (the service passes its shared live instances), the
     inline pair embedded in the payload, then a ``workload`` reference
-    rebuild. Process-local resources (score function, backend, caches) are
-    never checkpointed and always come from the caller.
+    rebuild. Process-local resources (score function, join cache) are never
+    checkpointed and always come from the caller.
     """
     with get_tracer().span("checkpoint.restore"):
         header = read_checkpoint_header(blob)
@@ -246,10 +244,7 @@ def restore_checkpoint(
             result,
             state,
             score=score,
-            workers=workers,
-            backend=backend,
             join_cache=join_cache,
-            snapshot_cache=snapshot_cache,
         )
         return session, header
 
@@ -323,7 +318,7 @@ def session_transcript(
 
     The default (no timings) is the **canonical transcript**: a pure function
     of the session spec and the submitted choices, identical byte-for-byte
-    across backends, worker counts, and checkpoint/resume boundaries.
+    across processes and checkpoint/resume boundaries.
     """
     outcome: SessionResult = session.outcome
     identified_sql = None

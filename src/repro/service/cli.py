@@ -2,8 +2,8 @@
 
 Installed as the ``qfe-serve`` console script (also ``python -m repro.service``)::
 
-    qfe-serve                                   # in-memory, serial backend
-    qfe-serve --port 8642 --workers 4           # shared 4-process round search
+    qfe-serve                                   # in-memory store
+    qfe-serve --port 8642                       # another port
     qfe-serve --store-dir ./checkpoints         # durable: kill/restart resumes
 
 With ``--store-dir`` every session is checkpointed after each step, so a
@@ -11,6 +11,10 @@ killed or restarted server picks sessions up exactly where they were (the
 client just keeps using the same session id). ``--session-ttl`` and
 ``--max-stored-sessions`` bound the checkpoint store; ``--max-live-sessions``
 bounds resident sessions (least-recently-used ones passivate to the store).
+
+Every round scores its attempts in process. ``--backend serial`` and
+``--workers 0``/``1`` are accepted for compatibility and mean exactly that;
+any other value is a usage error (exit status 2).
 """
 
 from __future__ import annotations
@@ -19,9 +23,29 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.config import BACKEND_CHOICES, backend_name, nonnegative_int
-
 __all__ = ["main", "build_parser"]
+
+_IN_PROCESS = "rounds always run in process"
+
+
+def _serial_backend(text: str) -> str:
+    if text.strip().lower() != "serial":
+        raise argparse.ArgumentTypeError(
+            f"unknown backend {text!r}: {_IN_PROCESS}, so 'serial' is the only backend"
+        )
+    return "serial"
+
+
+def _in_process_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = None
+    if workers not in (0, 1):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} worker processes: {_IN_PROCESS}, so only 0 or 1 is accepted"
+        )
+    return workers
 
 
 def _positive_int(text: str) -> int:
@@ -42,21 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser for the service CLI."""
     parser = argparse.ArgumentParser(
         prog="qfe-serve",
-        description="Serve QFE sessions over HTTP: many concurrent interactive users, "
-                    "one shared round-search backend, checkpointed resumable sessions.",
+        description="Serve QFE sessions over HTTP: many concurrent interactive users "
+                    "sharing per-workload base state, checkpointed resumable sessions.",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8642, help="bind port (default 8642)")
     parser.add_argument(
-        "--workers", type=nonnegative_int, default=0,
-        help="worker processes for the shared round-search pool "
-             "(0/1 = serial; the pool is shared by every session)",
+        "--workers", type=_in_process_workers, default=0,
+        help=f"accepted for compatibility: only 0 or 1 ({_IN_PROCESS})",
     )
     parser.add_argument(
-        "--backend", type=backend_name, default="auto", metavar="NAME",
-        help="shared round-search backend: "
-             f"{', '.join(BACKEND_CHOICES)} (auto derives it from --workers; "
-             "the backend is shared by every session)",
+        "--backend", type=_serial_backend, default="serial", metavar="NAME",
+        help=f"accepted for compatibility: only 'serial' ({_IN_PROCESS})",
     )
     parser.add_argument(
         "--store-dir", default=None,
@@ -106,8 +127,6 @@ def main(argv: Sequence[str] | None = None, *, output=None) -> int:
             ttl_seconds=args.session_ttl,
         )
     manager = SessionManager(
-        workers=args.workers,
-        backend_name=args.backend,
         store=store,
         checkpoint_each_step=not args.no_checkpoint,
         max_live_sessions=args.max_live_sessions,
@@ -116,8 +135,7 @@ def main(argv: Sequence[str] | None = None, *, output=None) -> int:
     host, port = server.server_address[:2]
     print(
         f"qfe-serve listening on http://{host}:{port} "
-        f"(backend={manager.backend.name}, "
-        f"store={'disk:' + str(args.store_dir) if store is not None else 'memory'})",
+        f"(store={'disk:' + str(args.store_dir) if store is not None else 'memory'})",
         file=output,
         flush=True,
     )

@@ -1,11 +1,9 @@
-"""Multiplex many live QFE sessions over shared snapshots and one backend.
+"""Multiplex many live QFE sessions over shared base state.
 
 One :class:`SessionManager` hosts the sessions of many concurrent users. The
 economics follow the paper's user study: compute per round is small compared
-to the human response time around it, so a single execution backend — one
-worker pool, not one per session — serves every session's round search, and
-sessions over the same example database share the base state that makes
-rounds cheap:
+to the human response time around it, so sessions over the same example
+database share the base state that makes rounds cheap:
 
 * one live :class:`~repro.relational.database.Database` instance per
   ``(workload, scale)`` pair (sessions never mutate the base);
@@ -13,28 +11,14 @@ rounds cheap:
   foreign-key join and its columnar term masks are built once for *all*
   sessions, not once per session — and the round planner's prologue memo,
   held with that join, replays a round body another session already
-  planned;
-* one :class:`~repro.relational.evaluator.SharedSnapshotCache`, so a pooled
-  backend broadcasts the base snapshot to its workers once per pair, not
-  once per session switch.
+  planned.
 
 Concurrency model: each session has its own lock (a session's propose/submit
 steps are serialized), and each shared pair has a compute lock serializing
-round *searches* that touch the pair's shared caches. Rounds therefore
-execute one at a time per pair — each still fanning out across every pool
-worker — while any number of sessions sit suspended awaiting a user, which
-is where interactive sessions spend almost all of their time.
-
-Known trade-off of the one-pool design: the warm pool's workers hold one
-installed base at a time, so traffic that *interleaves rounds across
-different pairs* re-installs base state on every pair switch — lazily,
-inside the live workers (one snapshot ship, no pool teardown). Repeated
-rounds on one pair replay their plan from the pair's prologue memo on every
-backend, and pair eviction calls ``release_base`` so the pool never pins a
-dead database. Deployments serving several heavy workloads concurrently
-should still prefer one manager — one pool — per workload family; within a
-pair the install happens once, which is the common interactive case this
-layer optimizes for.
+rounds that touch the pair's shared caches. Rounds therefore execute one at
+a time per pair, in process, while any number of sessions sit suspended
+awaiting a user, which is where interactive sessions spend almost all of
+their time.
 
 Persistence: with a :class:`~repro.service.store.SessionStore` attached, the
 manager checkpoints a session after every state change, evicts
@@ -53,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.core.config import QFEConfig
-from repro.core.execution_backend import ExecutionBackend, create_backend
 from repro.core.session import PendingRound, QFESession, StepResult
 from repro.core.timing import Stopwatch
 from repro.exceptions import ServiceError, SessionNotFound
@@ -61,7 +44,7 @@ from repro.obs.exposition import render_prometheus
 from repro.obs.registry import REGISTRY, MetricsRegistry, RegistryStats
 from repro.qbo.config import QBOConfig
 from repro.relational.database import Database
-from repro.relational.evaluator import JoinCache, SharedSnapshotCache
+from repro.relational.evaluator import JoinCache
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.service.checkpoint import (
@@ -216,14 +199,11 @@ class _Metrics(RegistryStats):
 
 
 class SessionManager:
-    """Host many resumable QFE sessions over one shared execution backend."""
+    """Host many resumable QFE sessions over shared per-pair base state."""
 
     def __init__(
         self,
         *,
-        workers: int = 0,
-        backend: ExecutionBackend | None = None,
-        backend_name: str = "auto",
         store: SessionStore | None = None,
         checkpoint_each_step: bool = True,
         max_live_sessions: int = 64,
@@ -234,20 +214,11 @@ class SessionManager:
             raise ValueError("max_live_sessions must be at least 1")
         if max_warm_pairs < 1:
             raise ValueError("max_warm_pairs must be at least 1")
-        self.workers = workers
-        self._owns_backend = backend is None
-        # ``backend`` (a live ExecutionBackend) wins; otherwise the manager
-        # builds one from (workers, backend_name) — validated at build time,
-        # so a bad service config fails on startup, not mid-session.
-        self.backend = (
-            backend if backend is not None else create_backend(workers, backend_name)
-        )
         self.store = store
         self.checkpoint_each_step = checkpoint_each_step and store is not None
         self.max_live_sessions = max_live_sessions
         self.max_warm_pairs = max_warm_pairs
         self._clock = clock
-        self._snapshot_cache = SharedSnapshotCache()
         self._pairs: dict[tuple, _SharedPair] = {}
         self._sessions: dict[str, ManagedSession] = {}
         self._lock = threading.RLock()
@@ -260,13 +231,19 @@ class SessionManager:
         with self._lock:
             pair = self._pairs.get(key)
             if pair is None:
-                from repro.workloads import build_pair
+                from repro.workloads import workload as lookup_workload
 
+                try:
+                    entry = lookup_workload(workload)
+                except KeyError as exc:  # the message names the known workloads
+                    raise ServiceError(exc.args[0]) from None
                 # Prune before inserting: the fresh pair has no session yet
                 # and must not be eligible for its own eviction sweep.
                 self._prune_pairs_locked()
-                database, result, target = build_pair(workload, scale)
-                pair = _SharedPair(key=key, database=database, result=result, target=target)
+                database, result = entry.build_pair(scale)
+                pair = _SharedPair(
+                    key=key, database=database, result=result, target=entry.target_query
+                )
                 self._pairs[key] = pair
             return pair
 
@@ -295,29 +272,16 @@ class SessionManager:
             key for key, pair in self._pairs.items() if id(pair) not in referenced
         ]
 
-        def drop(key: tuple) -> None:
-            # The shared snapshot cache strongly references the pair's base
-            # database (the snapshot is the broadcast payload); evict its
-            # entry too or the pair's whole database would stay pinned. A
-            # warm pool additionally pins the installed base through its
-            # snapshot reference — tell it to forget (resident workers
-            # upgrade lazily on the next round over a different pair).
-            pair = self._pairs.pop(key)
-            self._snapshot_cache.evict(pair.database)
-            release = getattr(self.backend, "release_base", None)
-            if release is not None:
-                release(pair.database)
-
         for key in unreferenced:
             if key[0] == "inline":
-                drop(key)
+                del self._pairs[key]
         overflow = len(self._pairs) - self.max_warm_pairs
         if overflow > 0:
             for key in unreferenced:
                 if overflow <= 0:
                     break
                 if key in self._pairs:
-                    drop(key)
+                    del self._pairs[key]
                     overflow -= 1
 
     # ----------------------------------------------------------------- create
@@ -365,9 +329,7 @@ class SessionManager:
             candidates=candidates,
             config=config,
             qbo_config=qbo_config,
-            backend=self.backend,
             join_cache=pair.join_cache,
-            snapshot_cache=self._snapshot_cache,
         )
         sid = session_id or f"s-{uuid.uuid4().hex[:12]}"
         now = self._clock()
@@ -433,17 +395,11 @@ class SessionManager:
                 blob,
                 database=pair.database,
                 result=pair.result,
-                backend=self.backend,
                 join_cache=pair.join_cache,
-                snapshot_cache=self._snapshot_cache,
             )
             workload, scale = ref.name, ref.scale
         else:
-            session, _ = restore_checkpoint(
-                blob,
-                backend=self.backend,
-                snapshot_cache=self._snapshot_cache,
-            )
+            session, _ = restore_checkpoint(blob)
             pair = self._pair_for_inline(session.database, session.result)
             workload, scale = None, 1.0
         now = self._clock()
@@ -619,7 +575,6 @@ class SessionManager:
         return {
             "status": "closed" if self._closed else "ok",
             "active_sessions": active,
-            "backend": self.backend.name,
         }
 
     def metrics(self) -> dict:
@@ -632,8 +587,6 @@ class SessionManager:
             {
                 "active_sessions": active,
                 "shared_pairs": shared_pairs,
-                "backend": self.backend.name,
-                "workers": self.workers,
                 "stored_checkpoints": len(self.store) if self.store is not None else 0,
             }
         )
@@ -644,7 +597,7 @@ class SessionManager:
 
         Renders this manager's private registry (service counters + the
         round-latency histogram) first, then the process-wide registry (join
-        maintenance, columnar storage, backend shipping), plus a few gauges for
+        maintenance, columnar storage, the prologue memo), plus a few gauges for
         the live-state fields the JSON payload reports.
         """
         with self._lock:
@@ -660,9 +613,6 @@ class SessionManager:
         live.gauge(
             "qfe_service_stored_checkpoints", "Checkpoints held by the store."
         ).set(len(self.store) if self.store is not None else 0)
-        live.gauge("qfe_service_workers", "Configured worker processes.").set(
-            self.workers
-        )
         return render_prometheus(self._metrics.registry, live, REGISTRY)
 
     # ------------------------------------------------------------------- close
@@ -692,8 +642,6 @@ class SessionManager:
                 except Exception:  # pragma: no cover - best-effort persistence
                     pass
             managed.session.close()
-        if self._owns_backend:
-            self.backend.close()
         if self.store is not None:
             self.store.close()
 

@@ -21,7 +21,8 @@ GET       ``/metrics``                    service metrics (JSON)
 ========  ==============================  ========================================
 
 Errors map onto conventional statuses: unknown session → 404, malformed
-request or invalid choice → 400, a body over :data:`MAX_BODY_BYTES` → 413
+request (an unknown workload or a non-finite number included) or invalid
+choice → 400, a body over :data:`MAX_BODY_BYTES` → 413
 (refused unread), stepping a finished session → 409, anything unexpected →
 500; every error body is ``{"error": message}``. A connection that stalls
 mid-request for :data:`REQUEST_TIMEOUT_SECONDS` is closed, so a client that
@@ -31,6 +32,7 @@ sends fewer body bytes than it declared cannot pin a handler thread.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -65,7 +67,7 @@ MAX_BODY_BYTES = 1 << 20
 REQUEST_TIMEOUT_SECONDS = 60
 
 #: QFEConfig fields a client may set per session; everything else is fixed
-#: server-side (notably ``workers``: the pool belongs to the service).
+#: server-side.
 _CLIENT_CONFIG_FIELDS = {
     "beta",
     "delta_seconds",
@@ -74,6 +76,17 @@ _CLIENT_CONFIG_FIELDS = {
     "max_subset_size",
     "set_semantics",
 }
+
+
+def _positive_finite(value) -> float | None:
+    """*value* as a float if it is a positive finite JSON number, else ``None``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return number if 0 < number < math.inf else None
 
 
 def _session_payload(managed: ManagedSession) -> dict:
@@ -277,9 +290,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         workload = body.get("workload")
         if not isinstance(workload, str) or not workload:
             raise ServiceError('session creation requires a "workload" name')
-        scale = body.get("scale", 1.0)
-        if not isinstance(scale, (int, float)) or isinstance(scale, bool) or scale <= 0:
-            raise ServiceError("scale must be a positive number")
+        scale = _positive_finite(body.get("scale", 1.0))
+        if scale is None:
+            raise ServiceError("scale must be a positive finite number")
         candidate_count = body.get("candidate_count")
         if candidate_count is not None and (
             not isinstance(candidate_count, int)
@@ -301,7 +314,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             config = config.with_overrides(**overrides)
         managed = self.manager.create_session(
             workload=workload,
-            scale=float(scale),
+            scale=scale,
             candidate_count=candidate_count,
             config=config,
         )

@@ -1,5 +1,7 @@
 """Unit tests for QFEConfig and the alternative cost objective."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.alternative_cost import max_partitions_score
@@ -27,11 +29,38 @@ class TestQFEConfig:
             {"max_subset_size": 0},
             {"growth_pool_size": 0},
             {"max_sets_per_level": 0},
+            # NaN fails every comparison, so a plain `< 0` check let it
+            # through and NaN then leaked into costs and transcripts.
+            {"beta": float("nan")},
+            {"beta": float("inf")},
+            {"delta_seconds": float("nan")},
+            {"delta_seconds": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             QFEConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["beta", "delta_seconds"])
+    def test_an_integer_beyond_the_float_range_is_rejected(self, field):
+        # Accepted, it would overflow the round's float arithmetic (the
+        # skyline deadline, Equation 3's cost) and surface as a 500 in the
+        # service; refused here, it is a ValueError (a 400 there).
+        with pytest.raises(ValueError, match="finite"):
+            QFEConfig(**{field: 10**400})
+        assert getattr(QFEConfig(**{field: 10**300}), field) == 10**300
+
+    def test_backend_is_always_serial(self):
+        assert QFEConfig().backend == "serial"
+        assert QFEConfig(backend="serial").backend == "serial"
+        for removed in ("warm", "auto", "sql", "process", "bogus"):
+            with pytest.raises(ValueError, match="rounds always run in process"):
+                QFEConfig(backend=removed)
+
+    def test_the_worker_count_is_gone(self):
+        with pytest.raises(TypeError):
+            QFEConfig(workers=2)  # type: ignore[call-arg]
+        assert "workers" not in {field.name for field in dataclasses.fields(QFEConfig)}
 
     def test_with_overrides(self):
         config = QFEConfig().with_overrides(beta=3.0, delta_seconds=0.5)

@@ -5,7 +5,6 @@ import pickle
 import pytest
 
 from repro.core.config import QFEConfig
-from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.core.feedback import NONE_OF_THE_ABOVE, OracleSelector, WorstCaseSelector
 from repro.core.session import QFESession
 from repro.exceptions import FeedbackError, QFESessionError
@@ -183,40 +182,20 @@ class TestCloseIdempotence:
         outcome = session.run(WorstCaseSelector())
         assert outcome.converged
 
-    def test_close_after_mid_session_exception_releases_pool(self, employee_db,
-                                                             employee_result,
-                                                             employee_candidates):
+    def test_close_after_mid_session_exception_is_safe(self, employee_db,
+                                                       employee_result,
+                                                       employee_candidates):
         class ExplodingSelector:
             def select(self, round_, partition):
                 raise RuntimeError("user fell off the internet")
 
-        session = QFESession(
-            employee_db, employee_result, candidates=employee_candidates, workers=2
-        )
+        session = QFESession(employee_db, employee_result, candidates=employee_candidates)
         with pytest.raises(RuntimeError):
             session.run(ExplodingSelector())
-        # run() released the pool on the way out; close() again is safe.
-        assert session._generator.backend._executor is None
         session.close()
         session.close()
-
-    def test_shared_backend_not_closed_by_run(self, employee_db, employee_result,
-                                              employee_candidates):
-        backend = WarmProcessPoolBackend(2)
-        try:
-            session = QFESession(
-                employee_db, employee_result, candidates=employee_candidates,
-                backend=backend,
-            )
-            outcome = session.run(WorstCaseSelector())
-            assert outcome.converged
-            # The injected pool survives run() and close(): the service owns it.
-            assert backend._executor is not None
-            session.close()
-            assert backend._executor is not None
-        finally:
-            backend.close()
-        assert backend._executor is None
+        # The session stays usable: a later run starts over and finishes.
+        assert session.run(WorstCaseSelector()).converged
 
     def test_shared_join_cache_not_cleared_by_close(self, employee_db, employee_result,
                                                     employee_candidates):

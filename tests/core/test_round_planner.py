@@ -1,103 +1,33 @@
-"""Unit tests for the RoundPlanner and its execution backends.
-
-The serial backend is the differential oracle: the warm pool must produce
-bit-identical attempt outcomes for any worker count and sharding, and its
-workers must never perform a full join (the delta-only worker protocol).
-"""
+"""Unit tests for the RoundPlanner: prologue, in-process search, prologue memo."""
 
 from __future__ import annotations
 
 import gc
-import pickle
 import weakref
 
 import pytest
 
 from repro.core import round_planner
-from repro.core.config import BACKEND_CHOICES, QFEConfig, backend_name
+from repro.core.config import QFEConfig
 from repro.core.database_generator import DatabaseGenerator
-from repro.core.execution_backend import (
-    BACKEND_STATS,
-    SerialBackend,
-    create_backend,
-    required_signatures,
-    shard_attempts,
-)
-from repro.core.modification import ClassPair
-from repro.core.round_planner import (
-    PLAN_MEMO_LIMIT,
-    PLAN_MEMO_STATS,
-    RoundPlanner,
-    candidate_pair_attempts,
-)
-from repro.core.tuple_class import TupleClass
-from repro.core.worker_runtime import AttemptCostModel, WarmProcessPoolBackend
+from repro.core.execution_backend import RoundSetup, ensure_base_masks_warm, evaluate_attempt
+from repro.core.round_planner import PLAN_MEMO_LIMIT, PLAN_MEMO_STATS, RoundPlanner
 from repro.exceptions import DatabaseGenerationError
 from repro.obs.trace import Tracer, set_tracer
-from repro.relational.evaluator import BaseSnapshot, JoinCache
+from repro.relational.evaluator import JoinCache
 from repro.relational.join import JOIN_STATS
 
 
-def _outcome_key(outcomes):
-    return [
-        (o.attempt_index, o.pairs, o.applied, o.distinguishes, o.signature,
-         o.group_sizes, o.modification_count, o.modified_tuple_count,
-         o.modified_relation_count, o.db_cost)
-        for o in outcomes
-    ]
-
-
-@pytest.fixture(scope="module")
-def warm_backend():
-    backend = WarmProcessPoolBackend(2)
-    yield backend
-    backend.close()
-
-
-# ----------------------------------------------------------------- sharding
-class TestSharding:
-    def _attempts(self, count):
-        return [
-            (ClassPair(TupleClass((i,)), TupleClass((i + 1,))),) for i in range(count)
-        ]
-
-    def test_units_are_contiguous_and_cover_all_attempts(self):
-        attempts = self._attempts(10)
-        units = shard_attempts(attempts, 3)
-        assert [len(u) for u in units] == [4, 3, 3]
-        flattened = [a for unit in units for a in unit.attempts]
-        assert flattened == attempts
-        assert [u.start for u in units] == [0, 4, 7]
-
-    def test_unit_count_is_clamped(self):
-        attempts = self._attempts(2)
-        assert len(shard_attempts(attempts, 8)) == 2
-        assert len(shard_attempts(attempts, 0)) == 1
-        assert shard_attempts([], 4) == []
-
-    def test_units_pickle(self):
-        unit = shard_attempts(self._attempts(3), 1)[0]
-        assert pickle.loads(pickle.dumps(unit)) == unit
-
-
-# ----------------------------------------------------------------- snapshots
-class TestBaseSnapshot:
-    def test_restore_serves_joins_without_full_joins(self, employee_db):
-        cache = JoinCache()
-        signature = tuple(employee_db.table_names)
-        snapshot = BaseSnapshot.capture(employee_db, [signature], join_cache=cache)
-        restored = BaseSnapshot.from_bytes(snapshot.to_bytes())
-        JOIN_STATS.reset()
-        database, seeded = restored.restore()
-        joined = seeded.join_for(database, signature)
-        assert JOIN_STATS.full_joins == 0
-        assert len(joined) == len(cache.join_for(employee_db, signature))
-
-    def test_covers(self, employee_db):
-        signature = tuple(employee_db.table_names)
-        snapshot = BaseSnapshot.capture(employee_db, [signature])
-        assert snapshot.covers([signature])
-        assert not snapshot.covers([signature + ("Missing",)])
+def _score_every_attempt(planner, plan) -> list:
+    """Score every attempt as the search does, past the winner too."""
+    setup = RoundSetup(
+        context=plan.context,
+        database=plan.original,
+        space=plan.space,
+        join_cache=planner.join_cache,
+    )
+    ensure_base_masks_warm(setup.database, setup.join_cache, setup.context)
+    return [evaluate_attempt(setup, index, pairs) for index, pairs in enumerate(plan.attempts)]
 
 
 # ------------------------------------------------------------------ planning
@@ -134,26 +64,12 @@ class TestRoundPlanner:
                 employee_db, employee_result, employee_candidates[:1]
             )
 
-    def test_candidate_pair_attempts_cap_and_order(
-        self, employee_db, employee_result, employee_candidates
-    ):
-        planner = RoundPlanner(QFEConfig())
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        full = candidate_pair_attempts(plan.space)
-        capped = candidate_pair_attempts(plan.space, max_pairs=3)
-        assert len(capped) == 3
-        assert full[:3] == capped
-        assert all(len(attempt) == 1 for attempt in full)
-        # Enumeration order is ascending edit cost, Algorithm 3's order.
-        costs = [attempt[0].edit_cost for attempt in full]
-        assert costs == sorted(costs)
-
     def test_serial_stop_at_first_stops_at_winner(
         self, employee_db, employee_result, employee_candidates
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        outcomes = planner.execute(plan, stop_at_first=True)
+        outcomes = planner.execute(plan)
         assert outcomes[-1].applied and outcomes[-1].distinguishes
         assert all(
             not (o.applied and o.distinguishes) for o in outcomes[:-1]
@@ -162,15 +78,18 @@ class TestRoundPlanner:
     def test_serial_winner_materialization_is_reused_not_rebuilt(
         self, employee_db, employee_result, employee_candidates
     ):
+        from repro.core.partitioner import partition_signature
+
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
         store: dict = {}
-        outcomes = planner.execute(plan, stop_at_first=True, winner_store=store)
+        outcomes = planner.execute(plan, store)
         winner = outcomes[-1]
         # The in-process backend deposits the winning materialization so
         # plan_round never builds the winner twice; the derived cache entry
         # stays registered for the finalize partition.
-        assert store["attempt_index"] == winner.attempt_index
+        assert set(store) == {"materialization", "batch"}
+        assert partition_signature(store["batch"].fingerprints) == winner.signature
         assert tuple(store["materialization"].delta.relations)
         assert planner.join_cache.derived_link_count >= 1
 
@@ -182,7 +101,7 @@ class TestRoundPlanner:
         database = employee.build_database()
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(database, employee_result, employee_candidates)
-        planner.execute(plan, stop_at_first=False)
+        planner.execute(plan)
         referenced = plan.context.referenced
         assert planner.join_cache.columnar_for(database, referenced).cached_term_count > 0
         # In-place mutation + the documented invalidate contract: the cache
@@ -190,8 +109,299 @@ class TestRoundPlanner:
         # rather than trusting its stale guard.
         planner.join_cache.invalidate(database)
         plan = planner.prepare_round(database, employee_result, employee_candidates)
-        planner.execute(plan, stop_at_first=False)
+        planner.execute(plan)
         assert planner.join_cache.columnar_for(database, referenced).cached_term_count > 0
+
+    def test_execute_derives_every_attempt_in_process(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        joins_before, applies_before = JOIN_STATS.snapshot()
+        planner.execute(plan)
+        outcomes = _score_every_attempt(planner, plan)
+        assert len(outcomes) == plan.attempt_count
+        # Every attempt patches the warm base join; none re-joins cold.
+        assert JOIN_STATS.full_joins == joins_before
+        assert JOIN_STATS.delta_applies > applies_before
+
+    def test_execute_scores_attempts_in_plan_order(
+        self, employee_db, employee_result, employee_candidates, monkeypatch
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        # With no attempt splitting the candidates, the search visits all.
+        _force_no_split(monkeypatch)
+        outcomes = planner.execute(plan)
+        assert [o.attempt_index for o in outcomes] == list(range(plan.attempt_count))
+        assert [o.pairs for o in outcomes] == [tuple(a) for a in plan.attempts]
+
+    def test_plan_round_materializes_the_winner_once(
+        self, employee_db, employee_result, employee_candidates, monkeypatch
+    ):
+        from repro.core import execution_backend
+
+        calls: list = []
+        original = execution_backend.materialize_pairs
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(execution_backend, "materialize_pairs", counting)
+        generation = RoundPlanner(QFEConfig()).plan_round(
+            employee_db, employee_result, employee_candidates
+        )
+        # One materialization per attempt up to and including the winner;
+        # finalize reuses the winner's instead of building it again.
+        assert len(calls) == generation.fallback_attempts + 1
+        assert tuple(calls[-1]) == generation.chosen_pairs
+
+    def test_only_the_winner_keeps_its_derived_entry(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        outcomes = _score_every_attempt(planner, plan)
+        # Scored without a winner sink, no attempt keeps its derived entry,
+        # however many of them distinguish.
+        assert sum(o.distinguishes for o in outcomes) > 1
+        assert planner.join_cache.derived_link_count == 0
+        store: dict = {}
+        planner.execute(plan, store)
+        assert planner.join_cache.derived_link_count == 1
+        planner.join_cache.invalidate(store["materialization"].database)
+        assert planner.join_cache.derived_link_count == 0
+
+    def test_base_masks_are_warmed_once_per_join(
+        self, employee_db, employee_result, employee_candidates, monkeypatch
+    ):
+        from repro.core import execution_backend
+
+        warmed: list = []
+        original = execution_backend.warm_base_masks
+
+        def counting(*args, **kwargs):
+            warmed.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(execution_backend, "warm_base_masks", counting)
+        planner = RoundPlanner(QFEConfig(), join_cache=JoinCache())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        planner.execute(plan)
+        planner.execute(plan)
+        assert len(warmed) == 1
+        # A fresh cache builds a new join object, which is warmed again.
+        other = RoundPlanner(QFEConfig(), join_cache=JoinCache())
+        other.execute(other.prepare_round(employee_db, employee_result, employee_candidates))
+        assert len(warmed) == 2
+
+    def test_the_search_span_reports_the_attempts(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig())
+        spans: list = []
+        previous = set_tracer(Tracer(spans))
+        try:
+            plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+            planner.execute(plan)
+        finally:
+            set_tracer(previous)
+        (search,) = [span for span in spans if span["name"] == "round.search"]
+        assert search["attrs"] == {"attempts": plan.attempt_count}
+
+    def test_attempts_leave_the_base_untouched(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        referenced = plan.context.referenced
+        queries = plan.context.queries
+
+        def observe():
+            tables = {
+                name: employee_db.relation(name).rows() for name in employee_db.table_names
+            }
+            joined = planner.join_cache.join_for(employee_db, referenced).relation.rows()
+            fingerprints = planner.join_cache.evaluate_batch(queries, employee_db).fingerprints
+            return tables, joined, fingerprints
+
+        before = observe()
+        planner.execute(plan)
+        outcomes = _score_every_attempt(planner, plan)
+        assert any(o.applied for o in outcomes)
+        # Every attempt modified a copy: the base tables, its cached join and
+        # the masks the candidates evaluate through are exactly as before.
+        assert observe() == before
+
+
+# ------------------------------------------------------------------- search
+def _force_no_split(monkeypatch, *, calls: int | None = None) -> None:
+    """Make the first *calls* scored attempts (all when ``None``) split nothing."""
+    from repro.core import execution_backend
+
+    original = execution_backend.partition_signature
+    seen: list = []
+
+    def collapsing(fingerprints):
+        seen.append(1)
+        signature = original(fingerprints)
+        if calls is None or len(seen) <= calls:
+            return (0,) * len(signature)
+        return signature
+
+    monkeypatch.setattr(execution_backend, "partition_signature", collapsing)
+
+
+class TestInProcessSearch:
+    def test_the_search_is_the_attempt_prefix_up_to_the_winner(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        every = _score_every_attempt(planner, plan)
+        winner = next(o for o in every if o.applied and o.distinguishes)
+        assert planner.execute(plan) == every[: winner.attempt_index + 1]
+
+    def test_outcomes_do_not_depend_on_a_warm_join_cache(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        cold = _score_every_attempt(planner, plan)
+        # The same planner again (warm joins, masks and memo), then a planner
+        # over a brand-new cache: the scorer keeps no state between runs.
+        warm = _score_every_attempt(planner, plan)
+        fresh = RoundPlanner(QFEConfig(), join_cache=JoinCache())
+        other = _score_every_attempt(
+            fresh, fresh.prepare_round(employee_db, employee_result, employee_candidates)
+        )
+        assert warm == cold
+        assert other == cold
+
+    def test_attempt_signatures_match_a_cold_evaluation(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        from repro.core.materialize import materialize_pairs
+        from repro.core.partitioner import partition_signature
+
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        outcomes = [o for o in _score_every_attempt(planner, plan) if o.applied]
+        assert len(outcomes) > 1
+        context = plan.context
+        for outcome in outcomes:
+            # Re-materialize the attempt and evaluate it over a fresh cache,
+            # which joins D' from scratch instead of patching the base join.
+            materialization = materialize_pairs(
+                plan.space, outcome.pairs, employee_db, context.config
+            )
+            batch = JoinCache().evaluate_batch(
+                context.queries,
+                materialization.database,
+                set_semantics=context.config.set_semantics,
+                name=context.result_name,
+            )
+            assert partition_signature(batch.fingerprints) == outcome.signature
+            assert materialization.modification_count == outcome.modification_count
+
+    @pytest.mark.parametrize("beta", [1.0, 3.0])
+    def test_outcome_counts_are_consistent(
+        self, employee_db, employee_result, employee_candidates, beta
+    ):
+        planner = RoundPlanner(QFEConfig(beta=beta))
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        outcomes = _score_every_attempt(planner, plan)
+        assert any(o.distinguishes for o in outcomes)
+        for outcome in outcomes:
+            assert outcome.db_cost == (
+                outcome.modification_count + beta * outcome.modified_relation_count
+            )
+            if not outcome.applied:
+                assert outcome.signature is None and not outcome.distinguishes
+                continue
+            assert len(outcome.signature) == len(employee_candidates)
+            assert sum(outcome.group_sizes) == len(employee_candidates)
+            assert list(outcome.group_sizes) == sorted(outcome.group_sizes, reverse=True)
+            assert outcome.distinguishes == (len(outcome.group_sizes) > 1)
+
+    def test_an_empty_attempt_is_not_applied(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        store: dict = {}
+        setup = RoundSetup(
+            context=plan.context,
+            database=employee_db,
+            space=plan.space,
+            join_cache=planner.join_cache,
+            winner_store=store,
+        )
+        outcome = evaluate_attempt(setup, 0, ())
+        assert not outcome.applied and not outcome.distinguishes
+        assert (outcome.signature, outcome.group_sizes) == (None, ())
+        assert outcome.modification_count == 0 and outcome.db_cost == 0
+        assert store == {}
+        assert planner.join_cache.derived_link_count == 0
+
+    def test_a_mutated_base_scores_like_a_fresh_planner(
+        self, employee_result, employee_candidates
+    ):
+        from repro.datasets import employee
+
+        database = employee.build_database()
+        planner = RoundPlanner(QFEConfig())
+        before = _score_every_attempt(
+            planner, planner.prepare_round(database, employee_result, employee_candidates)
+        )
+        relation = database.relation("Employee")
+        victim = relation.tuples[0]
+        # A large jump so the tuple crosses selection thresholds: a planner
+        # still serving the stale join, masks or memo would visibly diverge.
+        relation.update_value(
+            victim.tuple_id, "salary", relation.value_of(victim, "salary") + 5000
+        )
+        planner.join_cache.invalidate(database)
+        after = _score_every_attempt(
+            planner, planner.prepare_round(database, employee_result, employee_candidates)
+        )
+        fresh = RoundPlanner(QFEConfig(), join_cache=JoinCache())
+        reference = _score_every_attempt(
+            fresh, fresh.prepare_round(database, employee_result, employee_candidates)
+        )
+        assert after == reference
+        assert after != before
+
+    def test_a_subset_that_splits_nothing_falls_back_to_the_next_single(
+        self, employee_db, employee_result, employee_candidates, monkeypatch
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        assert plan.attempt_count > 1
+        _force_no_split(monkeypatch, calls=1)
+        generation = planner.plan_round(employee_db, employee_result, employee_candidates)
+        # The concrete subset database split nothing, so Algorithm 2 moved on
+        # to the best-balanced skyline single and finalized that one instead.
+        assert generation.fallback_attempts == 1
+        assert generation.chosen_pairs == plan.attempts[1]
+        assert generation.chosen_cost is None
+        assert len(generation.partition.groups) > 1
+        # Only the winner's derived join stays registered.
+        assert planner.join_cache.derived_link_count == 1
+
+    def test_no_splitting_attempt_raises_and_pins_nothing(
+        self, employee_db, employee_result, employee_candidates, monkeypatch
+    ):
+        planner = RoundPlanner(QFEConfig())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        _force_no_split(monkeypatch)
+        with pytest.raises(
+            DatabaseGenerationError,
+            match=f"did not distinguish any candidates after {plan.attempt_count} attempts",
+        ):
+            planner.plan_round(employee_db, employee_result, employee_candidates)
+        assert planner.join_cache.derived_link_count == 0
 
 
 # ------------------------------------------------------------ prologue memo
@@ -318,245 +528,60 @@ class TestPrologueMemo:
         assert join_cache.cached_join_count == 0
         assert not join_cache._memos
 
+    def test_repeated_sessions_replay_plans_from_the_driver_memo(self, monkeypatch):
+        """The steady-state contract: a repeat session replays every plan.
 
-# ------------------------------------------------------------------ backends
-class TestBackendFactory:
-    def test_each_name_maps_to_its_backend(self):
-        assert isinstance(create_backend(4, "serial"), SerialBackend)
-        pool = create_backend(0, "warm")
-        try:
-            assert isinstance(pool, WarmProcessPoolBackend)
-            assert pool.workers == 2  # raised to the pool's minimum
-        finally:
-            pool.close()
+        The second identical session over one shared join cache must (a) stay
+        bit-identical, (b) hit the prologue memo once per round, (c) never run
+        Algorithm 3, and (d) perform **zero** full joins, since every join is
+        already resident.
+        """
+        from repro.core.feedback import WorstCaseSelector
+        from repro.core.session import QFESession
+        from repro.experiments.runner import prepare_candidates
+        from repro.qbo.config import QBOConfig
+        from repro.service.checkpoint import session_transcript, transcript_json
+        from repro.workloads import build_pair
 
-    def test_auto_preserves_the_historical_worker_rule(self):
-        for workers in (None, 0, 1):
-            assert isinstance(create_backend(workers, "auto"), SerialBackend)
-        pool = create_backend(3, "auto")
-        try:
-            assert isinstance(pool, WarmProcessPoolBackend)
-            assert pool.workers == 3
-        finally:
-            pool.close()
-
-    def test_unknown_name_is_rejected_with_the_choices(self):
-        with pytest.raises(ValueError, match="serial"):
-            create_backend(0, "bogus")
-        for removed in ("sql", "process", "SQLite"):
-            with pytest.raises(ValueError, match="auto, serial, warm"):
-                backend_name(removed)
-        assert backend_name(" Warm ") == "warm"
-        assert BACKEND_CHOICES == ("auto", "serial", "warm")
-
-    def test_config_validates_backend_at_construction(self):
-        assert QFEConfig(backend="warm").backend == "warm"
-        for bad in ("bogus", "sql", "process"):
-            with pytest.raises(ValueError, match="backend"):
-                QFEConfig(backend=bad)
-
-    def test_backends_are_context_managers(self):
-        with create_backend(0, "serial") as backend:
-            assert backend.name == "serial"
-        with create_backend(2, "warm") as backend:
-            assert backend.name == "warm-pool"
-        assert backend._executor is None
-
-
-class TestBackends:
-    def test_create_backend_mapping(self):
-        assert isinstance(create_backend(None), SerialBackend)
-        assert isinstance(create_backend(0), SerialBackend)
-        assert isinstance(create_backend(1), SerialBackend)
-        pool = create_backend(2)
-        assert isinstance(pool, WarmProcessPoolBackend)
-        assert pool.workers == 2
-        pool.close()
-
-    def test_parallel_outcomes_match_serial_with_zero_worker_joins(
-        self, employee_db, employee_result, employee_candidates, warm_backend
-    ):
-        planner = RoundPlanner(QFEConfig())
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        serial = planner.execute(plan, stop_at_first=False)
-        parallel = planner.execute(plan, stop_at_first=False, backend=warm_backend)
-        assert _outcome_key(parallel) == _outcome_key(serial)
-        assert all(o.full_joins == 0 for o in parallel)
-        assert all(o.full_joins == 0 for o in serial)
-
-    def test_parallel_sweep_matches_serial(
-        self, employee_db, employee_result, employee_candidates, warm_backend
-    ):
-        planner = RoundPlanner(QFEConfig())
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        sweep = candidate_pair_attempts(plan.space, max_pairs=12)
-        serial = planner.execute(plan, attempts=sweep, stop_at_first=False)
-        parallel = planner.execute(
-            plan, attempts=sweep, stop_at_first=False, backend=warm_backend
+        database, result, target = build_pair("Q2", 0.03)
+        candidates, _ = prepare_candidates(
+            database,
+            result,
+            target,
+            qbo_config=QBOConfig(
+                threshold_variants=2, max_terms_per_conjunct=3, max_candidates=16
+            ),
+            candidate_count=12,
         )
-        assert _outcome_key(parallel) == _outcome_key(serial)
-        assert all(o.full_joins == 0 for o in parallel)
+        join_cache = JoinCache()
 
-    def test_warm_outcomes_do_not_depend_on_unit_sizing(
-        self, employee_db, employee_result, employee_candidates, warm_backend
-    ):
-        planner = RoundPlanner(QFEConfig())
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        sweep = candidate_pair_attempts(plan.space, max_pairs=12)
-        assert len(sweep) > 2
-        serial = planner.execute(plan, attempts=sweep, stop_at_first=False)
-        # Seeded models at both extremes: one attempt per unit, and the
-        # fewest units that still occupy both workers.
-        fine = AttemptCostModel(target_unit_seconds=1e-9)
-        fine.observe(attempts=1, seconds=1.0)
-        coarse = AttemptCostModel(target_unit_seconds=1e9)
-        coarse.observe(attempts=1, seconds=1e-6)
-        assert fine.unit_count(len(sweep), 2) == len(sweep)
-        assert coarse.unit_count(len(sweep), 2) == 2
-        saved = warm_backend.cost_model
-        dispatched = []
-        try:
-            for model in (fine, coarse):
-                warm_backend.cost_model = model
-                units_before = BACKEND_STATS.units_dispatched
-                parallel = planner.execute(
-                    plan, attempts=sweep, stop_at_first=False, backend=warm_backend
-                )
-                dispatched.append(BACKEND_STATS.units_dispatched - units_before)
-                assert _outcome_key(parallel) == _outcome_key(serial)
-        finally:
-            warm_backend.cost_model = saved
-        assert dispatched[0] >= len(sweep) > dispatched[1]
-
-    @pytest.mark.parametrize("backend_name", ["serial", "warm"])
-    def test_attempts_leave_the_base_untouched(
-        self, employee_db, employee_result, employee_candidates, warm_backend, backend_name
-    ):
-        backend = warm_backend if backend_name == "warm" else SerialBackend()
-        planner = RoundPlanner(QFEConfig())
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        referenced = plan.context.referenced
-        queries = plan.context.queries
-
-        def observe():
-            tables = {
-                name: employee_db.relation(name).rows() for name in employee_db.table_names
-            }
-            joined = planner.join_cache.join_for(employee_db, referenced).relation.rows()
-            fingerprints = planner.join_cache.evaluate_batch(queries, employee_db).fingerprints
-            return tables, joined, fingerprints
-
-        before = observe()
-        sweep = candidate_pair_attempts(plan.space, max_pairs=12)
-        outcomes = planner.execute(plan, attempts=sweep, stop_at_first=False, backend=backend)
-        assert any(o.applied for o in outcomes)
-        # Every attempt modified a copy: the base tables, its cached join and
-        # the masks the candidates evaluate through are exactly as before.
-        assert observe() == before
-
-    def test_stop_at_first_parallel_finds_the_serial_winner(
-        self, employee_db, employee_result, employee_candidates, warm_backend
-    ):
-        planner = RoundPlanner(QFEConfig())
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        serial = planner.execute(plan, stop_at_first=True)
-        parallel = planner.execute(plan, stop_at_first=True, backend=warm_backend)
-
-        def winner(outcomes):
-            return next(
-                (o.attempt_index, o.pairs, o.signature)
-                for o in outcomes
-                if o.applied and o.distinguishes
+        def run():
+            session = QFESession(
+                database,
+                result,
+                candidates=candidates,
+                config=QFEConfig(delta_seconds=30.0),
+                join_cache=join_cache,
             )
+            # The worst-case selector never evaluates the target query against
+            # each round's modified database (the oracle selector does, paying
+            # one *selector-side* full join per round), so full-join counts
+            # here isolate the engine's own behaviour.
+            outcome = session.run(WorstCaseSelector())
+            return transcript_json(session_transcript(session)), outcome.iteration_count
 
-        assert winner(parallel) == winner(serial)
+        first, rounds = run()
+        assert rounds > 0
+        assert PLAN_MEMO_STATS.memo_misses == rounds
+        assert PLAN_MEMO_STATS.memo_hits == 0
 
-    def test_generator_with_workers_matches_serial_generation(
-        self, employee_db, employee_result, employee_candidates
-    ):
-        serial = DatabaseGenerator(QFEConfig()).generate(
-            employee_db, employee_result, employee_candidates
-        )
-        generator = DatabaseGenerator(QFEConfig(), workers=2)
-        assert generator.backend.name == "warm-pool"
-        try:
-            parallel = generator.generate(employee_db, employee_result, employee_candidates)
-        finally:
-            generator.close()
-        assert parallel.chosen_pairs == serial.chosen_pairs
-        assert parallel.fallback_attempts == serial.fallback_attempts
-        assert [g.query_indexes for g in parallel.partition.groups] == [
-            g.query_indexes for g in serial.partition.groups
-        ]
-        for ours, theirs in zip(parallel.partition.groups, serial.partition.groups):
-            assert ours.result.bag_equal(theirs.result)
+        def no_skyline(*args, **kwargs):
+            raise AssertionError("a memoized round ran Algorithm 3")
 
-    def test_backend_survives_close_and_reuse(
-        self, employee_db, employee_result, employee_candidates
-    ):
-        backend = WarmProcessPoolBackend(2)
-        planner = RoundPlanner(QFEConfig(), backend=backend)
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        first = planner.execute(plan, stop_at_first=False)
-        planner.close()
-        second = planner.execute(plan, stop_at_first=False)
-        planner.close()
-        assert _outcome_key(first) == _outcome_key(second)
-
-    def test_round_context_requires_covered_signatures(
-        self, employee_db, employee_result, employee_candidates
-    ):
-        planner = RoundPlanner(QFEConfig())
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        signatures = required_signatures(plan.context)
-        snapshot = planner._snapshot_for(employee_db, signatures)
-        assert snapshot.covers(signatures)
-        # Same base, same signatures: the memoized snapshot is reused.
-        assert planner._snapshot_for(employee_db, signatures) is snapshot
-
-    def test_snapshot_is_recaptured_after_base_invalidation(
-        self, employee_result, employee_candidates
-    ):
-        from repro.datasets import employee
-
-        database = employee.build_database()
-        planner = RoundPlanner(QFEConfig())
-        plan = planner.prepare_round(database, employee_result, employee_candidates)
-        signatures = required_signatures(plan.context)
-        first = planner._snapshot_for(database, signatures)
-        # Honouring the cache contract for in-place mutation of a live base:
-        # invalidate() rebuilds the joins, so the memoized snapshot's joins
-        # are stale and the next request must capture a fresh one.
-        planner.join_cache.invalidate(database)
-        second = planner._snapshot_for(database, signatures)
-        assert second is not first
-        assert planner._snapshot_for(database, signatures) is second
-
-    def test_pool_reinstalls_after_in_place_base_mutation(
-        self, employee_result, employee_candidates
-    ):
-        from repro.datasets import employee
-
-        database = employee.build_database()
-        backend = WarmProcessPoolBackend(2)
-        planner = RoundPlanner(QFEConfig(), backend=backend)
-        try:
-            plan = planner.prepare_round(database, employee_result, employee_candidates)
-            planner.execute(plan, stop_at_first=False)
-            # Mutate the base in place and honour the cache contract.
-            relation = database.relation("Employee")
-            victim = relation.tuples[0]
-            salary = relation.value_of(victim, "salary")
-            # A large jump so the tuple crosses selection thresholds: a pool
-            # still holding the stale snapshot would visibly diverge.
-            relation.update_value(victim.tuple_id, "salary", salary + 5000)
-            planner.join_cache.invalidate(database)
-            plan = planner.prepare_round(database, employee_result, employee_candidates)
-            serial = planner.execute(plan, stop_at_first=False, backend=SerialBackend())
-            parallel = planner.execute(plan, stop_at_first=False)
-            # The workers installed the post-mutation snapshot: their
-            # outcomes match a fresh serial evaluation, not the stale state.
-            assert _outcome_key(parallel) == _outcome_key(serial)
-            assert all(o.full_joins == 0 for o in parallel)
-        finally:
-            planner.close()
+        monkeypatch.setattr(round_planner, "skyline_stc_dtc_pairs", no_skyline)
+        joins_before = JOIN_STATS.full_joins
+        second, _ = run()
+        assert second == first
+        assert PLAN_MEMO_STATS.memo_hits == rounds
+        assert PLAN_MEMO_STATS.memo_misses == rounds
+        assert JOIN_STATS.full_joins == joins_before

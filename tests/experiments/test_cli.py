@@ -17,75 +17,29 @@ class TestCLI:
         with pytest.raises(SystemExit):
             parser.parse_args(["not-an-experiment"])
 
-    def test_workers_flag_parses(self):
-        args = build_parser().parse_args(["table1", "--workers", "4"])
-        assert args.workers == 4
-        # Omitted flag defers to each session's config instead of forcing
-        # serial — QFEConfig(workers=...) must stay effective.
-        assert build_parser().parse_args(["table1"]).workers is None
-
-    def test_negative_workers_is_rejected_at_parse_time(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table1", "--workers", "-2"])
-        assert excinfo.value.code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_backend_flag_parses_and_validates(self, capsys):
-        assert build_parser().parse_args(["table1", "--backend", "warm"]).backend == "warm"
-        # Omitted flag defers to each session's config (backend="auto").
-        assert build_parser().parse_args(["table1"]).backend is None
-        with pytest.raises(SystemExit) as excinfo:
-            main(["table1", "--backend", "mysql"])
-        assert excinfo.value.code == 2
-        assert "serial" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("removed", ["sql", "process"])
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            pytest.param(["--backend", "sql"], id="sql"),
+            pytest.param(["--backend", "process"], id="process"),
+            pytest.param(["--backend", "serial"], id="serial"),
+            pytest.param(["--backend", "warm"], id="warm"),
+            pytest.param(["--workers", "2"], id="workers-2"),
+            pytest.param(["--workers", "0"], id="workers-0"),
+        ],
+    )
     def test_removed_backends_are_usage_errors(self, removed, capsys):
+        # Rounds always run in process, so neither flag exists any more.
         with pytest.raises(SystemExit) as excinfo:
-            main(["table1", "--backend", removed])
+            build_parser().parse_args(["table1", *removed])
         assert excinfo.value.code == 2
-        assert "choose from auto, serial, warm" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
-    def test_backend_default_is_installed_for_the_run_and_restored(self, monkeypatch, capsys):
-        from repro.experiments import cli as experiments_cli
-        from repro.experiments import runner
-
-        observed = {}
-
-        def stub(scale):
-            observed["backend"] = runner._DEFAULT_BACKEND
-            return []
-
-        monkeypatch.setitem(experiments_cli._EXPERIMENTS, "table1", stub)
-        previous = runner.set_default_backend(None)
-        try:
-            assert main(["table1", "--backend", "warm"]) == 0
-            capsys.readouterr()
-            assert observed["backend"] == "warm"
-            assert runner._DEFAULT_BACKEND is None
-        finally:
-            runner.set_default_backend(previous)
-
-    def test_workers_default_is_installed_for_the_run_and_restored(self, monkeypatch, capsys):
-        from repro.experiments import cli as experiments_cli
-        from repro.experiments import runner
-
-        observed = {}
-
-        def stub(scale):
-            observed["workers"] = runner._DEFAULT_WORKERS
-            return []
-
-        monkeypatch.setitem(experiments_cli._EXPERIMENTS, "table1", stub)
-        previous = runner.set_default_workers(None)
-        try:
-            assert main(["table1", "--workers", "3"]) == 0
-            capsys.readouterr()
-            assert observed["workers"] == 3
-            # main() must restore the previous process-wide default.
-            assert runner._DEFAULT_WORKERS is None
-        finally:
-            runner.set_default_workers(previous)
+    def test_scenarios_has_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["scenarios", "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 0" in capsys.readouterr().err
 
     def test_transcript_out_collects_every_session(self, monkeypatch, tmp_path, capsys):
         import json
@@ -133,14 +87,14 @@ class TestCLI:
     def test_scenarios_rejects_unknown_preset_cleanly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["scenarios", "--scenarios", "mxied", "--scales", "0.05",
-                  "--workers", "0", "--bench-out", "none"])
+                  "--bench-out", "none"])
         assert "unknown scenario" in str(excinfo.value)
 
     def test_scenarios_runs_a_tiny_sweep(self, tmp_path, capsys):
         bench = tmp_path / "BENCH_scenarios.json"
         assert main(
             ["scenarios", "--seed", "3", "--scales", "0.05",
-             "--scenarios", "chain", "--workers", "0",
+             "--scenarios", "chain",
              "--candidates", "5", "--bench-out", str(bench)]
         ) == 0
         out = capsys.readouterr().out

@@ -54,6 +54,29 @@ class TestRunSession:
         assert run.iteration_count >= 1
         assert run.execution_seconds >= 0
 
+    def test_a_shared_join_cache_replays_the_repeat_session(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        from repro.core.round_planner import PLAN_MEMO_STATS
+        from repro.datasets import employee as employee_dataset
+        from repro.relational.evaluator import JoinCache
+
+        join_cache = JoinCache()
+        runs = [
+            run_session(
+                employee_db, employee_result, employee_dataset.TARGET_QUERY,
+                candidates=employee_candidates, join_cache=join_cache,
+                capture_transcript=True,
+            )
+            for _ in range(2)
+        ]
+        assert runs[1].transcript == runs[0].transcript
+        # The first run planned every round; the second replayed them all.
+        assert PLAN_MEMO_STATS.memo_misses == runs[0].iteration_count
+        assert PLAN_MEMO_STATS.memo_hits == runs[1].iteration_count
+        # The cache is shared, not owned: the runs leave it populated.
+        assert join_cache.cached_join_count > 0
+
     def test_unknown_feedback_mode_rejected(self, employee_db, employee_result,
                                             employee_candidates):
         from repro.datasets import employee as employee_dataset

@@ -4,14 +4,14 @@ The service layer must never change what QFE computes:
 
 * a session **checkpointed and resumed at every round** — crossing a pickle
   boundary each time, with the base database rebuilt from its workload
-  reference — produces a canonical transcript *byte-identical* to an
-  uninterrupted run (serial and warm-pool backends alike);
-* **many concurrent sessions** multiplexed over one shared backend finish
-  with transcripts identical to the same sessions run sequentially.
+  reference or re-bound to the shared live one — produces a canonical
+  transcript *byte-identical* to an uninterrupted run;
+* **many concurrent sessions** multiplexed over one manager's shared base
+  state finish with transcripts identical to the same sessions run
+  sequentially.
 
 The uninterrupted in-process run is the oracle; any divergence means session
-state capture, checkpoint serialization, shared-state multiplexing or the
-shared-snapshot install broke. Heavier workloads carry the ``slow`` marker:
+state capture, checkpoint serialization or shared-state multiplexing broke. Heavier workloads carry the ``slow`` marker:
 tier-1 runs Q2/Q4/Q6, while CI's dedicated differential step runs everything
 with ``-m ""``.
 """
@@ -24,7 +24,6 @@ import pytest
 
 from repro.core import OracleSelector, QFEConfig, QFESession
 from repro.core.feedback import WorstCaseSelector
-from repro.core.worker_runtime import WarmProcessPoolBackend
 from repro.service.checkpoint import (
     DatabaseRef,
     capture_checkpoint,
@@ -67,16 +66,14 @@ def workload_setup_for():
     return build
 
 
-def _uninterrupted_transcript(setup, workload, *, workers: int = 0) -> str:
+def _uninterrupted_transcript(setup, workload) -> str:
     database, result, target, candidates = setup
-    session = QFESession(
-        database, result, candidates=candidates, config=_CONFIG, workers=workers
-    )
+    session = QFESession(database, result, candidates=candidates, config=_CONFIG)
     session.run(OracleSelector(target))
     return transcript_json(session_transcript(session, workload=workload))
 
 
-def _resumed_transcript(setup, workload, *, backend=None, rebuild_base=True) -> str:
+def _resumed_transcript(setup, workload, *, rebuild_base=True) -> str:
     """Run the session suspending + resuming through a checkpoint every round.
 
     With ``rebuild_base`` the checkpoint stores only the workload reference,
@@ -91,11 +88,9 @@ def _resumed_transcript(setup, workload, *, backend=None, rebuild_base=True) -> 
     def cycle(session):
         blob = capture_checkpoint(session, session_id="diff", database_ref=ref)
         if rebuild_base:
-            restored, _ = restore_checkpoint(blob, backend=backend)
+            restored, _ = restore_checkpoint(blob)
         else:
-            restored, _ = restore_checkpoint(
-                blob, database=database, result=result, backend=backend
-            )
+            restored, _ = restore_checkpoint(blob, database=database, result=result)
         return restored
 
     while True:
@@ -121,26 +116,12 @@ def test_resume_every_round_is_bit_identical_to_uninterrupted(
     assert resumed == reference
 
 
-def test_resume_every_round_on_a_pooled_backend(workload_setup_for):
-    # The resumed sessions all share one live warm pool; the shared base
-    # database keeps the workers' installed snapshot current across resume
-    # boundaries. The serial uninterrupted run stays the oracle.
+def test_resume_every_round_over_the_shared_base(workload_setup_for):
+    # Every resume re-binds the same live base database (as the service does
+    # for a shared pair) instead of rebuilding it from the reference.
     setup = workload_setup_for("Q2")
     reference = _uninterrupted_transcript(setup, "Q2")
-    backend = WarmProcessPoolBackend(2)
-    try:
-        resumed = _resumed_transcript(setup, "Q2", backend=backend, rebuild_base=False)
-    finally:
-        backend.close()
-    assert resumed == reference
-
-
-@pytest.mark.slow
-def test_pooled_uninterrupted_run_matches_serial(workload_setup_for):
-    setup = workload_setup_for("Q2")
-    assert _uninterrupted_transcript(setup, "Q2", workers=2) == _uninterrupted_transcript(
-        setup, "Q2"
-    )
+    assert _resumed_transcript(setup, "Q2", rebuild_base=False) == reference
 
 
 def _drive_managed_with_oracle(manager, session_id, target):
@@ -155,11 +136,11 @@ def _drive_managed_with_oracle(manager, session_id, target):
 
 
 class TestConcurrentSessions:
-    def _concurrent_vs_sequential(self, setup, workload, *, users: int, workers: int):
+    def _concurrent_vs_sequential(self, setup, workload, *, users: int):
         database, result, target, candidates = setup
         reference = _uninterrupted_transcript(setup, workload)
 
-        with SessionManager(workers=workers) as manager:
+        with SessionManager() as manager:
             ids = [
                 manager.create_session(
                     workload=workload,
@@ -196,12 +177,8 @@ class TestConcurrentSessions:
             assert transcript == reference, f"{session_id} diverged from the sequential run"
 
     def test_concurrent_sessions_over_shared_serial_backend(self, workload_setup_for):
-        self._concurrent_vs_sequential(
-            workload_setup_for("Q2"), "Q2", users=4, workers=0
-        )
+        self._concurrent_vs_sequential(workload_setup_for("Q2"), "Q2", users=4)
 
     @pytest.mark.slow
-    def test_8_concurrent_sessions_over_one_shared_process_pool(self, workload_setup_for):
-        self._concurrent_vs_sequential(
-            workload_setup_for("Q2"), "Q2", users=8, workers=2
-        )
+    def test_8_concurrent_sessions_over_one_manager(self, workload_setup_for):
+        self._concurrent_vs_sequential(workload_setup_for("Q2"), "Q2", users=8)

@@ -17,44 +17,43 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--dataset", "employee", "--data", "x"])
 
-    def test_workers_flag_defaults_to_serial(self):
-        args = build_parser().parse_args(["--dataset", "employee"])
-        assert args.workers == 0
-        args = build_parser().parse_args(["--dataset", "employee", "--workers", "4"])
-        assert args.workers == 4
-
-    def test_backend_flag_defaults_to_auto(self, capsys):
-        args = build_parser().parse_args(["--dataset", "employee"])
-        assert args.backend == "auto"
-        args = build_parser().parse_args(["--dataset", "employee", "--backend", "warm"])
-        assert args.backend == "warm"
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["--dataset", "employee", "--backend", "mysql"])
-        assert excinfo.value.code == 2
-        assert "serial" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("removed", ["sql", "process"])
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            pytest.param(["--backend", "sql"], id="sql"),
+            pytest.param(["--backend", "process"], id="process"),
+            pytest.param(["--backend", "warm"], id="warm"),
+            pytest.param(["--backend", "serial"], id="serial"),
+            pytest.param(["--workers", "2"], id="workers-2"),
+            pytest.param(["--workers", "0"], id="workers-0"),
+        ],
+    )
     def test_removed_backends_are_usage_errors(self, removed, capsys):
+        # Rounds always run in process, so the session CLI has neither flag.
         with pytest.raises(SystemExit) as excinfo:
             main([
                 "--dataset", "employee",
                 "--target-sql", "SELECT name FROM Employee WHERE salary > 4000",
-                "--backend", removed,
+                *removed,
             ])
         assert excinfo.value.code == 2
-        assert "choose from auto, serial, warm" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
 
-    def test_negative_workers_is_rejected_at_parse_time(self, capsys):
-        # Validated by the shared argparse type before any dataset loads:
-        # argparse exits with status 2 and a usage error on stderr.
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--beta", "nan"], id="beta-nan"),
+            pytest.param(["--beta", "inf"], id="beta-inf"),
+            pytest.param(["--delta", "nan"], id="delta-nan"),
+            pytest.param(["--delta", "inf"], id="delta-inf"),
+        ],
+    )
+    def test_non_finite_config_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([
-                "--dataset", "employee",
-                "--target-sql", "SELECT name FROM Employee WHERE salary > 4000",
-                "--workers", "-1",
-            ])
+            main(["--dataset", "employee", *argv])
         assert excinfo.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert "finite" in capsys.readouterr().err
 
 
 class TestBuiltinDatasetRuns:
@@ -67,28 +66,6 @@ class TestBuiltinDatasetRuns:
         assert exit_code == 0
         assert "Identified query" in output
         assert "SELECT" in output
-
-    def test_employee_parallel_workers_match_serial(self, capsys):
-        target = "SELECT name FROM Employee WHERE salary > 4000"
-        assert main(["--dataset", "employee", "--target-sql", target]) == 0
-        serial_output = capsys.readouterr().out
-        assert main(["--dataset", "employee", "--target-sql", target, "--workers", "2"]) == 0
-        parallel_output = capsys.readouterr().out
-        assert "Identified query" in parallel_output
-        assert parallel_output.splitlines()[-1] == serial_output.splitlines()[-1]
-
-    def test_employee_warm_backend_matches_serial(self, capsys):
-        # An explicit --backend warm without --workers runs the pool at its
-        # minimum of two workers and must identify the serial query.
-        target = "SELECT name FROM Employee WHERE salary > 4000"
-        assert main(["--dataset", "employee", "--target-sql", target]) == 0
-        serial_output = capsys.readouterr().out
-        assert main([
-            "--dataset", "employee", "--target-sql", target, "--backend", "warm",
-        ]) == 0
-        warm_output = capsys.readouterr().out
-        assert "Identified query" in warm_output
-        assert warm_output.splitlines()[-1] == serial_output.splitlines()[-1]
 
     def test_transcript_out_writes_machine_readable_json(self, tmp_path, capsys):
         import json

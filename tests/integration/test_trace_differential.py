@@ -1,16 +1,14 @@
-"""Tracing-on vs tracing-off differential over Q1–Q6 on both backends.
+"""Tracing-on vs tracing-off differential over Q1–Q6.
 
-Tracing is observability, not behavior: with a tracer installed, every
-backend must reproduce its untraced session transcript **bit-identically** —
-the same modified databases, partitions, deltas, choices and identified
-query. Timings are the only fields allowed to differ. Any divergence here
-means span instrumentation leaked into the evaluation path (changed iteration
+Tracing is observability, not behavior: with a tracer installed, a session
+must reproduce its untraced transcript **bit-identically** — the same
+modified databases, partitions, deltas, choices and identified query.
+Timings are the only fields allowed to differ. Any divergence here means
+span instrumentation leaked into the evaluation path (changed iteration
 order, perturbed a cache, consumed RNG state).
 
-The same runs double as coverage that the expected spans actually appear for
-each backend (the driver-side ``round.prepare`` everywhere, broadcast/merge
-for the warm pool), and that per-round phase durations account for the
-propose wall-clock.
+The same runs double as coverage that the expected spans actually appear,
+and that per-round phase durations account for the propose wall-clock.
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ _FAST_QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candid
 _CONFIG = QFEConfig(delta_seconds=30.0)
 
 # Heavier workloads carry the ``slow`` marker: tier-1 still runs the traced
-# differential on Q2/Q4/Q6 against every backend, while CI's dedicated
-# differential step runs the entire suite with ``-m ""``.
+# differential on Q2/Q4/Q6, while CI's dedicated differential step runs the
+# entire suite with ``-m ""``.
 _WORKLOADS = [
     pytest.param("Q1", marks=pytest.mark.slow),
     "Q2",
@@ -45,7 +43,6 @@ _WORKLOADS = [
     pytest.param("Q5", marks=pytest.mark.slow),
     "Q6",
 ]
-_BACKENDS = ["serial", "warm"]
 
 _SETUP_CACHE: dict[str, tuple] = {}
 
@@ -68,15 +65,11 @@ def workload_setup_for():
     return build
 
 
-def _run(setup, backend_name: str, tracer=None):
+def _run(setup, tracer=None):
     database, result, target, candidates = setup
-    workers = 2 if backend_name == "warm" else 0
     previous = set_tracer(tracer) if tracer is not None else None
     try:
-        session = QFESession(
-            database, result, candidates=candidates, config=_CONFIG,
-            workers=workers,
-        )
+        session = QFESession(database, result, candidates=candidates, config=_CONFIG)
         outcome = session.run(OracleSelector(target))
     finally:
         if tracer is not None:
@@ -127,30 +120,25 @@ def _transcript(session, outcome):
     }
 
 
-@pytest.mark.parametrize("backend_name", _BACKENDS)
 @pytest.mark.parametrize("workload_name", _WORKLOADS)
-def test_tracing_does_not_perturb_the_transcript(
-    workload_setup_for, workload_name, backend_name
-):
+def test_tracing_does_not_perturb_the_transcript(workload_setup_for, workload_name):
     setup = workload_setup_for(workload_name)
-    plain_session, plain_outcome = _run(setup, backend_name)
+    plain_session, plain_outcome = _run(setup)
     spans: list = []
-    traced_session, traced_outcome = _run(setup, backend_name, tracer=Tracer(spans))
+    traced_session, traced_outcome = _run(setup, tracer=Tracer(spans))
     assert _transcript(traced_session, traced_outcome) == _transcript(
         plain_session, plain_outcome
     )
 
     names = {record["name"] for record in spans}
-    # Every backend plans its rounds on the driver, under round.prepare.
     assert {"session.propose", "round.prepare"} <= names
-    assert "backend.plan" not in names
+    # Attempts are scored in process: no pool spans of any kind.
+    assert not any(name.startswith("backend.") for name in names)
     if traced_session.last_rounds:
-        # Search/present/submit (and the backend-specific spans) only exist
-        # when the session actually presented a round; a workload that
-        # exhausts during generation (Q4 at this scale) stops earlier.
+        # Search/present/submit only exist when the session actually
+        # presented a round; a workload that exhausts during generation (Q4
+        # at this scale) stops earlier.
         assert {"round.search", "round.present", "session.submit"} <= names
-        if backend_name == "warm":
-            assert {"backend.broadcast", "backend.merge"} <= names
 
 
 def test_traced_phases_account_for_propose_wall_clock():
@@ -160,8 +148,7 @@ def test_traced_phases_account_for_propose_wall_clock():
     generated = generate_scenario(SCENARIOS["mixed"], 1.0, 1234)
     result, candidates = _candidates_for(generated, 8)
     session = QFESession(
-        generated.database, result, candidates=candidates,
-        config=_CONFIG, workers=0,
+        generated.database, result, candidates=candidates, config=_CONFIG
     )
     selector = OracleSelector(generated.target)
     spans: list = []

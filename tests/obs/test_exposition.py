@@ -114,11 +114,14 @@ class TestMetricsEndpoint:
         assert "qfe_service_round_latency_seconds_count 1" in body
         # Live gauges ride along with the counter snapshot.
         assert "qfe_service_active_sessions 0" in body
-        # Process-wide registry metrics (join/columnar/backend) are exposed too.
+        # Process-wide registry metrics (join/columnar/plan memo) are exposed too.
         assert "qfe_join_full_joins" in body
         assert "# TYPE qfe_service_compute_lock_wait_seconds histogram" in body
         assert "# TYPE qfe_plan_memo_hits counter" in body
         assert "# TYPE qfe_plan_memo_misses counter" in body
+        # Rounds run in process: no pool shipping counters, no worker gauge.
+        assert "qfe_backend_" not in body
+        assert "qfe_service_workers" not in body
 
     def test_accept_header_selects_prometheus(self, service_url):
         url, _ = service_url

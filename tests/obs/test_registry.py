@@ -1,4 +1,4 @@
-"""MetricsRegistry: instruments, labels, facade stats, worker merge, threads."""
+"""MetricsRegistry: instruments, labels, facade stats, threads."""
 
 from __future__ import annotations
 
@@ -124,61 +124,29 @@ class TestRegistry:
         assert registry.counter("c").value == 0
         assert registry.histogram("h").snapshot()["count"] == 0
 
+    def test_reset_all_stats_zeroes_the_engine_counters(self):
+        from repro.core.round_planner import PLAN_MEMO_STATS
+        from repro.relational.join import JOIN_STATS
+
+        JOIN_STATS.full_joins = 3
+        PLAN_MEMO_STATS.memo_hits = 2
+        reset_all_stats()
+        assert (JOIN_STATS.full_joins, PLAN_MEMO_STATS.memo_hits) == (0, 0)
+
     def test_reset_all_stats_targets_the_default_registry(self):
         name = "qfe_test_reset_probe"
         REGISTRY.counter(name).inc(3)
         reset_all_stats()
         assert REGISTRY.counter(name).value == 0
 
-
-class TestWorkerMergeProtocol:
-    def test_deltas_then_merge_roundtrip(self):
-        worker = MetricsRegistry()
-        worker.counter("events_total").inc(5)
-        before = worker.counter_values()
-        worker.counter("events_total").inc(2)
-        worker.counter("other_total", labels=("kind",)).inc(3, kind="a")
-        deltas = worker.counter_deltas(before)
-        assert deltas == {"events_total": {(): 2}, "other_total": {("a",): 3}}
-
-        driver = MetricsRegistry()
-        driver.counter("events_total").inc(10)
-        driver.counter("other_total", labels=("kind",)).inc(1, kind="a")
-        driver.merge_counter_deltas(deltas)
-        assert driver.counter("events_total").value == 12
-        assert driver.counter("other_total", labels=("kind",)).get(kind="a") == 4
-
-    def test_gauges_are_excluded_from_snapshots(self):
-        registry = MetricsRegistry()
-        registry.gauge("live").inc(3)
-        registry.counter("done_total").inc(1)
-        assert set(registry.counter_values()) == {"done_total"}
-
-    def test_merge_is_commutative(self):
-        deltas = [
-            {"a_total": {(): 1}},
-            {"a_total": {(): 2}, "b_total": {(): 5}},
-            {"b_total": {(): 7}},
-        ]
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for registry in (forward, backward):
-            registry.counter("a_total")
-            registry.counter("b_total")
-        for delta in deltas:
-            forward.merge_counter_deltas(delta)
-        for delta in reversed(deltas):
-            backward.merge_counter_deltas(delta)
-        assert forward.counter_values() == backward.counter_values()
-
-    def test_merge_skips_unknown_labeled_series(self):
-        driver = MetricsRegistry()
-        # Label names are not recoverable from a series key, so an unknown
-        # labeled counter is dropped rather than guessed at.
-        driver.merge_counter_deltas({"ghost_total": {("a",): 3}})
-        assert driver.get("ghost_total") is None
-        # An unknown *unlabeled* counter is materialized on the fly.
-        driver.merge_counter_deltas({"plain_total": {(): 2}})
-        assert driver.counter("plain_total").value == 2
+    def test_reset_all_stats_clears_labeled_series_and_histograms(self):
+        labeled = REGISTRY.counter("qfe_test_reset_labeled_probe", labels=("kind",))
+        histogram = REGISTRY.histogram("qfe_test_reset_histogram_probe")
+        labeled.inc(2, kind="a")
+        histogram.observe(1.5)
+        reset_all_stats()
+        assert labeled.series() == {}
+        assert histogram.snapshot()["count"] == 0
 
 
 class _ProbeStats(RegistryStats):

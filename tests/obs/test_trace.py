@@ -125,12 +125,8 @@ def _round_spans(tracer):
     with tracer.span("session.propose", iteration=1):
         with tracer.span("round.prepare"):
             pass
-        with tracer.span("round.search", backend="warm-pool"):
-            with tracer.span("backend.broadcast"):
-                pass
-            with tracer.span("backend.wave", units=2):
-                pass
-            with tracer.span("backend.merge"):
+        with tracer.span("round.search", attempts=2):
+            with tracer.span("join.derive", eager=False):
                 pass
         with tracer.span("round.materialize"):
             pass
@@ -168,6 +164,29 @@ class TestSummary:
         assert lines[0].split()[:2] == ["round", "total_s"]
         assert len(lines) == 2 + 2 + 1  # header, rule, two rounds, totals
         assert lines[-1].split()[0] == "all"
+
+    def test_each_round_span_maps_to_one_phase(self):
+        spans: list = []
+        _round_spans(Tracer(spans))
+        (entry,) = phase_breakdown(spans)
+        assert set(entry["phases"]) == {
+            "prepare", "evaluate", "materialize", "present", "other"
+        }
+        durations = {span["name"]: span["duration_s"] for span in spans}
+        assert entry["phases"]["prepare"] == durations["round.prepare"]
+        # The search span is evaluation, its join.derive child included.
+        assert entry["phases"]["evaluate"] == durations["round.search"]
+        assert entry["phases"]["materialize"] == durations["round.materialize"]
+        assert entry["phases"]["present"] == durations["round.present"]
+
+    def test_render_summary_columns_are_the_phases(self):
+        spans: list = []
+        _round_spans(Tracer(spans))
+        header = render_summary(spans).splitlines()[0].split()
+        assert header == [
+            "round", "total_s", "prepare_s", "evaluate_s", "materialize_s",
+            "present_s", "other_s", "top", "phase",
+        ]
 
     def test_render_summary_empty_trace(self):
         assert "no session.propose spans" in render_summary([])

@@ -1,5 +1,5 @@
-"""Tests for the scenario sweep (serial legs; pooled legs live in the
-integration differential suite)."""
+"""Tests for the scenario sweep (the cold-vs-steady identity guard lives in
+the integration differential suite)."""
 
 import json
 import platform
@@ -14,7 +14,7 @@ class TestRunSweep:
     def test_serial_sweep_writes_a_populated_trajectory(self, tmp_path):
         out = tmp_path / "BENCH_scenarios.json"
         payload = run_sweep(
-            ["chain"], [0.05, 0.1], seed=9, workers=0, candidate_count=6, out_path=out
+            ["chain"], [0.05, 0.1], seed=9, candidate_count=6, out_path=out
         )
         assert out.exists()
         on_disk = json.loads(out.read_text())
@@ -32,16 +32,14 @@ class TestRunSweep:
             assert point["cold_eval_seconds"] > 0
             assert point["delta_eval_seconds"] > 0
             assert len(point["transcript_sha256"]) == 64
-            # workers=0 skips the pooled leg entirely
-            assert "pooled_seconds" not in point
+            assert point["steady_seconds"] > 0
+            assert point["memo_hits"] == 2 * point["iterations"]
             assert point["transcripts_identical"] is True
-            assert set(point["backend_seconds"]) == {"serial"}
-            assert point["fastest_backend"] == "serial"
         # the trajectory actually sweeps: row counts grow with scale
         assert trajectory[1]["total_rows"] > trajectory[0]["total_rows"]
 
     def test_sweep_is_deterministic_per_seed(self, tmp_path):
-        kwargs = dict(seed=4, workers=0, candidate_count=5, out_path=None)
+        kwargs = dict(seed=4, candidate_count=5, out_path=None)
         a = run_sweep(["star"], [0.05], **kwargs)
         b = run_sweep(["star"], [0.05], **kwargs)
         pa = a["scenarios"]["star"]["trajectory"][0]
@@ -49,13 +47,35 @@ class TestRunSweep:
         assert pa["transcript_sha256"] == pb["transcript_sha256"]
         assert pa["rows_by_table"] == pb["rows_by_table"]
 
+    def test_a_repeat_that_diverges_from_the_cold_session_raises(self, monkeypatch):
+        from repro.scenarios import sweep
+
+        original = sweep._session_point
+        sessions: list = []
+
+        def second_repeat_diverges(*args, **kwargs):
+            seconds, transcript, run, phases = original(*args, **kwargs)
+            sessions.append(kwargs["join_cache"])
+            if len(sessions) == 3:
+                transcript += " "
+            return seconds, transcript, run, phases
+
+        monkeypatch.setattr(sweep, "_session_point", second_repeat_diverges)
+        with pytest.raises(sweep.ScenarioDivergenceError, match="diverged from the cold"):
+            run_sweep(
+                ["chain"], [0.05], seed=3, candidate_count=4, verify_oracle=False,
+                measure_eval_paths=False, measure_storage=False, out_path=None,
+            )
+        # The cold session and both repeats ran over one shared join cache.
+        assert len(sessions) == 3 and len({id(cache) for cache in sessions}) == 1
+
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
-            run_sweep(["no-such-scenario"], [0.05], workers=0, out_path=None)
+            run_sweep(["no-such-scenario"], [0.05], out_path=None)
 
     def test_payload_is_stamped_with_the_machine(self):
         payload = run_sweep(
-            ["chain"], [0.05], seed=3, workers=0, candidate_count=4, verify_oracle=False,
+            ["chain"], [0.05], seed=3, candidate_count=4, verify_oracle=False,
             measure_eval_paths=False, measure_storage=False, out_path=None,
         )
         stamp = payload["machine"]
@@ -81,8 +101,8 @@ class TestRunSweep:
 
 class TestSweepTable:
     def test_renders_one_row_per_point(self):
-        payload = run_sweep(["chain"], [0.05], seed=2, workers=0, out_path=None)
+        payload = run_sweep(["chain"], [0.05], seed=2, out_path=None)
         table = sweep_table(payload)
         assert len(table.rows) == 1
         text = table.render()
-        assert "chain" in text and "serial s" in text
+        assert "chain" in text and "session s" in text and "steady s" in text

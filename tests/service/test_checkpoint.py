@@ -1,6 +1,7 @@
 """Unit tests for the versioned checkpoint and transcript serializers."""
 
 import json
+import pickle
 
 import pytest
 
@@ -51,13 +52,36 @@ class TestCheckpointFormat:
         blob = capture_checkpoint(mid_session, session_id="abc123")
         header_line, _, body = blob.partition(b"\n")
         header = json.loads(header_line)
-        # A newer version, and version 1 (no payload checksum; its pickled
-        # config may name since-removed backends).
-        for version in (CHECKPOINT_VERSION + 1, 1):
+        # A newer version, version 2 (its state and pickled config carry a
+        # worker count) and version 1 (no payload checksum either).
+        assert CHECKPOINT_VERSION == 3
+        for version in (CHECKPOINT_VERSION + 1, 2, 1):
             header["version"] = version
             tampered = json.dumps(header).encode() + b"\n" + body
             with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
                 restore_checkpoint(tampered)
+
+    def test_restore_binds_a_shared_join_cache(
+        self, mid_session, employee_db, employee_result
+    ):
+        from repro.relational.evaluator import JoinCache
+
+        shared = JoinCache()
+        blob = capture_checkpoint(mid_session, session_id="abc123")
+        restored, _ = restore_checkpoint(
+            blob, database=employee_db, result=employee_result, join_cache=shared
+        )
+        assert restored.join_cache is shared
+        restored.run(WorstCaseSelector())
+        restored.close()
+        # A shared cache is the caller's: the session neither owns nor clears it.
+        assert shared.cached_join_count > 0
+
+    def test_state_carries_no_worker_count(self, mid_session):
+        blob = capture_checkpoint(mid_session, session_id="abc123")
+        payload = pickle.loads(blob.partition(b"\n")[2])
+        assert "workers" not in payload["state"]
+        assert not hasattr(payload["state"]["config"], "workers")
 
     def test_garbage_is_refused(self):
         with pytest.raises(CheckpointError):

@@ -64,7 +64,7 @@ class TestPlumbing:
             {},  # no workload
             {"workload": "Q2", "scale": -1},
             {"workload": "Q2", "candidate_count": 1},
-            {"workload": "Q2", "config": {"workers": 4}},  # server-side only
+            {"workload": "Q2", "config": {"workers": 4}},  # not a config field
             {"workload": "Q2", "config": {"nonsense": True}},
             {"workload": "Q2", "config": {"beta": "high"}},  # wrong type -> 400
             {"workload": "Q2", "config": {"delta_seconds": -1}},
@@ -72,6 +72,53 @@ class TestPlumbing:
             with pytest.raises(ServiceClientError) as excinfo:
                 service._request("POST", "/sessions", payload)
             assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param({"workload": "Q2", "scale": float("inf")}, id="scale-inf"),
+            pytest.param({"workload": "Q2", "scale": float("nan")}, id="scale-nan"),
+            pytest.param({"workload": "Q2", "scale": 10**400}, id="scale-beyond-float"),
+            pytest.param({"workload": "Q2", "scale": "1"}, id="scale-string"),
+            pytest.param({"workload": "Q2", "scale": True}, id="scale-bool"),
+            pytest.param({"workload": "Q2", "config": {"beta": float("nan")}}, id="beta-nan"),
+            pytest.param({"workload": "Q2", "config": {"beta": float("inf")}}, id="beta-inf"),
+            pytest.param(
+                {"workload": "Q2", "config": {"delta_seconds": float("nan")}}, id="delta-nan"
+            ),
+            pytest.param(
+                {"workload": "Q2", "config": {"delta_seconds": float("inf")}}, id="delta-inf"
+            ),
+            pytest.param(
+                {"workload": "Q2", "config": {"delta_seconds": 10**400}},
+                id="delta-beyond-float",
+            ),
+            pytest.param(
+                {"workload": "Q2", "config": {"beta": 10**400}}, id="beta-beyond-float"
+            ),
+        ],
+    )
+    def test_non_finite_numbers_are_a_400(self, service, payload):
+        # json.dumps writes NaN/Infinity literals, which the server's parser
+        # accepts; a session built from them would put the same literals
+        # back into its round and transcript JSON.
+        with pytest.raises(ServiceClientError) as excinfo:
+            service._request("POST", "/sessions", payload)
+        assert excinfo.value.status == 400
+        assert "finite" in str(excinfo.value)
+
+    @pytest.mark.parametrize("workload", ["Q9", "scenario:nope"])
+    def test_unknown_workload_is_a_400_naming_the_known_ones(self, service, workload):
+        with pytest.raises(ServiceClientError) as excinfo:
+            service._request("POST", "/sessions", {"workload": workload})
+        assert excinfo.value.status == 400
+        assert "known:" in str(excinfo.value)
+
+    def test_malformed_scenario_seed_is_a_400(self, service):
+        with pytest.raises(ServiceClientError) as excinfo:
+            service._request("POST", "/sessions", {"workload": "scenario:mixed@x"})
+        assert excinfo.value.status == 400
+        assert "seed must be an integer" in str(excinfo.value)
 
     def test_choice_validation(self, service):
         sid = service.create_session("Q2", **_SPEC)["session_id"]
@@ -300,6 +347,33 @@ class TestCorruptCheckpointOverHttp:
 
     def test_resuming_a_truncated_checkpoint_is_a_400(self, raw_service):
         self._assert_resume_refused(raw_service, "truncated")
+
+    def test_resuming_a_checkpoint_of_an_unknown_workload_is_a_400(self, raw_service):
+        import json
+
+        from repro.service.checkpoint import DatabaseRef, capture_checkpoint
+
+        address, store = raw_service
+        database, result, _, candidates = workload_session_inputs(
+            "Q2", 0.03, candidate_count=6
+        )
+        session = QFESession(database, result, candidates=candidates)
+        blob = capture_checkpoint(
+            session, session_id="gone", database_ref=DatabaseRef.workload("Q2", 0.03)
+        )
+        # The reference lives in the header, outside the payload checksum: a
+        # checkpoint written by a build that knew a workload this one lacks.
+        header_line, _, payload = blob.partition(b"\n")
+        header = json.loads(header_line)
+        header["database_ref"]["name"] = "Q9"
+        store.put("gone", json.dumps(header).encode() + b"\n" + payload)
+        host, port = address
+        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.get_round("gone")
+        assert excinfo.value.status == 400
+        assert "unknown workload 'Q9'" in str(excinfo.value)
+        _assert_healthy(address)
 
     @staticmethod
     def _assert_resume_refused(raw_service, sid):

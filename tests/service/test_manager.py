@@ -92,6 +92,12 @@ class TestLifecycle:
         with pytest.raises(ServiceError):
             manager.create_session()
 
+    def test_unknown_workload_is_a_service_error_naming_the_known_ones(self, manager):
+        with pytest.raises(ServiceError, match=r"unknown workload 'Q9'; known: .*'Q1'"):
+            manager.create_session(workload="Q9", scale=0.03)
+        # Nothing was built or registered for the bad name.
+        assert manager.metrics()["shared_pairs"] == 0
+
     def test_closed_manager_refuses_new_sessions(self, employee_db, employee_result,
                                                  employee_candidates):
         manager = SessionManager()
@@ -128,6 +134,25 @@ class TestPassivationAndResume:
             assert manager.metrics()["sessions_resumed"] == 1
             _drive_managed(manager, "a")
             assert manager.transcript("a")["status"] == "converged"
+
+    def test_a_resumed_session_rejoins_its_pair_join_cache(self):
+        store = InMemorySessionStore()
+        with SessionManager(store=store, max_live_sessions=1) as manager:
+            a = manager.create_session(
+                workload="Q2", scale=0.03, candidate_count=6, session_id="a"
+            )
+            manager.get_round("a")
+            manager.create_session(
+                workload="Q2", scale=0.03, candidate_count=6, session_id="b"
+            )
+            assert manager.session_ids() == ["b"]  # "a" passivated
+            manager.get_round("a")  # resumes "a", passivating "b"
+            resumed = manager._sessions["a"]
+            assert resumed is not a
+            # The resumed session evaluates through the pair's shared join
+            # cache, so its next rounds reuse the warm join and prologue memo.
+            assert resumed.pair is a.pair
+            assert resumed.session.join_cache is a.pair.join_cache
 
     def test_capacity_without_store_is_refused(self, employee_db, employee_result,
                                                employee_candidates):
@@ -211,6 +236,8 @@ class TestMetrics:
         assert latency["p50"] is not None and latency["p50"] >= 0
         assert latency["p95"] is not None and latency["p95"] >= latency["p50"] * 0.0
         assert manager.healthz()["status"] == "ok"
+        # Rounds run in process: neither payload names a backend or workers.
+        assert not {"backend", "workers"} & (set(metrics) | set(manager.healthz()))
 
     def test_round_replay_is_not_double_counted(self, manager, employee_db,
                                                 employee_result, employee_candidates):
