@@ -9,8 +9,11 @@ Checks, per line: valid JSON object; required fields present with the right
 types (``name``, ``span_id``, ``parent_id``, ``pid``, ``thread``,
 ``t_wall``, ``t_start``, ``duration_s``, ``attrs``); non-negative duration;
 span ids unique; every non-null ``parent_id`` referring to a span id that
-appears in the file. CI runs this against a traced Q2 session so a format
-regression fails fast instead of silently producing unparseable artifacts.
+appears in the file; every child's ``[t_start, t_start + duration_s]``
+window inside its parent's (within ``NESTING_TOLERANCE_S``). Round timings
+in the session records are span durations, so a misnested span is a wrong
+record too. CI runs this against a traced Q2 session so a format or nesting
+regression fails fast instead of silently producing broken artifacts.
 
 Exit code 0 when the trace is valid, 1 otherwise (problems on stderr).
 Hand-rolled against the schema below because the toolchain deliberately has
@@ -34,6 +37,9 @@ SPAN_SCHEMA: dict[str, tuple] = {
     "duration_s": (int, float),
     "attrs": (dict,),
 }
+
+#: Slack for float rounding when comparing a child's window to its parent's.
+NESTING_TOLERANCE_S = 1e-9
 
 
 def check_line(line_no: int, line: str, problems: list[str]) -> dict | None:
@@ -90,13 +96,38 @@ def check_trace(path: str) -> list[str]:
             if span_id in seen_ids:
                 problems.append(f"duplicate span_id {span_id}")
             seen_ids.add(span_id)
+    by_id = {record.get("span_id"): record for record in spans}
     for record in spans:
         parent_id = record.get("parent_id")
-        if parent_id is not None and parent_id not in seen_ids:
+        if parent_id is None:
+            continue
+        if parent_id not in seen_ids:
             problems.append(
                 f"span {record.get('span_id')} has dangling parent_id {parent_id}"
             )
+            continue
+        child, parent = _window(record), _window(by_id[parent_id])
+        if child is None or parent is None:
+            continue  # a malformed time field is already reported
+        if (
+            child[0] < parent[0] - NESTING_TOLERANCE_S
+            or child[1] > parent[1] + NESTING_TOLERANCE_S
+        ):
+            problems.append(
+                f"span {record['span_id']} ({record.get('name')}) window "
+                f"[{child[0]}, {child[1]}] is not inside its parent {parent_id} "
+                f"({by_id[parent_id].get('name')}) window [{parent[0]}, {parent[1]}]"
+            )
     return problems
+
+
+def _window(record: dict) -> tuple[float, float] | None:
+    """A span's ``[t_start, t_start + duration_s]``, or None when malformed."""
+    start, duration = record.get("t_start"), record.get("duration_s")
+    for value in (start, duration):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            return None
+    return (start, start + duration)
 
 
 def main(argv: list[str]) -> int:

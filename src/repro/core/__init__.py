@@ -16,7 +16,6 @@ from repro.core.cost_model import (
     estimate_iterations_naive,
     estimate_iterations_refined,
 )
-from repro.core.database_generator import DatabaseGenerationResult, DatabaseGenerator
 from repro.core.execution_backend import AttemptOutcome, SerialBackend
 from repro.core.extensions import GroupedSessionResult, group_by_join_schema, run_grouped_session
 from repro.core.feedback import (
@@ -33,7 +32,7 @@ from repro.core.feedback import (
 from repro.core.materialize import AppliedModification, MaterializationResult, materialize_pairs
 from repro.core.modification import ClassPair, PairSetEffect, simulate_pair_set
 from repro.core.partitioner import QueryGroup, QueryPartition, partition_queries, partition_signature
-from repro.core.round_planner import RoundPlan, RoundPlanner
+from repro.core.round_planner import DatabaseGenerationResult, RoundPlan, RoundPlanner
 from repro.core.session import (
     IterationRecord,
     PendingRound,
@@ -43,7 +42,6 @@ from repro.core.session import (
     StepResult,
 )
 from repro.core.skyline import SkylineResult, skyline_stc_dtc_pairs
-from repro.core.timing import Stopwatch, monotonic_seconds
 from repro.core.subset_selection import SubsetSelectionResult, pick_stc_dtc_subset
 from repro.core.tuple_class import DomainPartition, DomainSubset, TupleClass, TupleClassSpace
 
@@ -56,7 +54,6 @@ __all__ = [
     "PendingRound",
     "RoundStats",
     "StepResult",
-    "DatabaseGenerator",
     "DatabaseGenerationResult",
     "DomainSubset",
     "DomainPartition",
@@ -86,8 +83,6 @@ __all__ = [
     "RoundPlan",
     "AttemptOutcome",
     "SerialBackend",
-    "Stopwatch",
-    "monotonic_seconds",
     "build_feedback_round",
     "FeedbackRound",
     "ResultOption",

@@ -49,6 +49,21 @@ def _is_finite(value) -> bool:
         return False
 
 
+_COUNT_FIELDS = (
+    "max_iterations",
+    "max_skyline_pairs",
+    "max_subset_size",
+    "growth_pool_size",
+    "max_sets_per_level",
+)
+_FLAG_FIELDS = (
+    "prefer_no_side_effects",
+    "validate_constraints",
+    "set_semantics",
+    "protect_key_columns",
+)
+
+
 @dataclass(frozen=True)
 class QFEConfig:
     """Tunable parameters of a QFE session.
@@ -119,6 +134,12 @@ class QFEConfig:
     backend: str = "serial"
 
     def __post_init__(self) -> None:
+        # Client-supplied values arrive untyped (JSON): a bool is an int and a
+        # non-empty string is truthy, so each field's type is checked before
+        # a round slices, counts or branches on it.
+        for name in ("beta", "delta_seconds"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a number, not a bool")
         # Both meet float arithmetic in every round (Equation 3's cost, the
         # skyline deadline), so NaN, infinity and an integer beyond the float
         # range are refused here rather than failing or leaking there.
@@ -126,16 +147,17 @@ class QFEConfig:
             raise ValueError("beta must be a finite non-negative number")
         if not (_is_finite(self.delta_seconds) and self.delta_seconds > 0):
             raise ValueError("delta_seconds must be a finite positive number")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.max_skyline_pairs < 1:
-            raise ValueError("max_skyline_pairs must be at least 1")
-        if self.max_subset_size < 1:
-            raise ValueError("max_subset_size must be at least 1")
-        if self.growth_pool_size < 1:
-            raise ValueError("growth_pool_size must be at least 1")
-        if self.max_sets_per_level < 1:
-            raise ValueError("max_sets_per_level must be at least 1")
+        if not isinstance(self.iteration_estimator, IterationEstimator):
+            raise TypeError("iteration_estimator must be an IterationEstimator")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in _FLAG_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool")
         if self.backend != "serial":
             raise ValueError(
                 f"unknown backend {self.backend!r}: rounds always run in process, "

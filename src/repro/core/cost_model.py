@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.config import IterationEstimator, QFEConfig
-from repro.core.modification import PairSetEffect
+from repro.core.modification import PairSetEffect, balance_score
 
 __all__ = [
     "CostBreakdown",
@@ -37,19 +37,6 @@ __all__ = [
     "estimate_iterations",
     "cost_of_effect",
 ]
-
-
-def balance_score(group_sizes: Sequence[int]) -> float:
-    """``balance(D') = σ/|C|`` over the induced query-subset sizes.
-
-    A single-group "partition" (the modification does not distinguish any
-    queries) scores +infinity so it can never be selected.
-    """
-    if len(group_sizes) <= 1:
-        return float("inf")
-    mean = sum(group_sizes) / len(group_sizes)
-    variance = sum((size - mean) ** 2 for size in group_sizes) / len(group_sizes)
-    return (variance ** 0.5) / len(group_sizes)
 
 
 def estimate_iterations_naive(group_sizes: Sequence[int]) -> float:

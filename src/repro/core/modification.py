@@ -18,7 +18,7 @@ from typing import Sequence
 
 from repro.core.tuple_class import TupleClass, TupleClassSpace
 
-__all__ = ["ClassPair", "PairSetEffect", "PairSetSimulator", "simulate_pair_set"]
+__all__ = ["ClassPair", "PairSetEffect", "PairSetSimulator", "balance_score", "simulate_pair_set"]
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ class PairSetSimulator:
                 )
 
         group_sizes = tuple(sorted(groups.values(), reverse=True))
-        balance = _balance_score(group_sizes)
+        balance = balance_score(group_sizes)
         min_edit = sum(pair.edit_cost for pair in pairs)
         per_group_costs = tuple(group_result_costs[key] for key in groups)
         return PairSetEffect(
@@ -220,8 +220,12 @@ def simulate_pair_set(
     return PairSetSimulator(space, result_arity=result_arity).effect(pairs)
 
 
-def _balance_score(group_sizes: Sequence[int]) -> float:
-    """``balance = σ / |C|`` with a single group scored as +infinity."""
+def balance_score(group_sizes: Sequence[int]) -> float:
+    """``balance(D') = σ/|C|`` over the induced query-subset sizes.
+
+    A single-group "partition" (the modification does not distinguish any
+    queries) scores +infinity so it can never be selected.
+    """
     if len(group_sizes) <= 1:
         return float("inf")
     mean = sum(group_sizes) / len(group_sizes)

@@ -1,27 +1,28 @@
-"""The Round Planner: one QFE iteration's candidate-modification search.
+"""The Round Planner: one QFE iteration of Algorithm 2, the Database Generator.
 
 Each iteration of Algorithm 1 must produce a modified database ``D'`` that
-distinguishes the surviving candidate queries. The planner decomposes that
-round into three phases:
+distinguishes the surviving candidate queries. :meth:`RoundPlanner.plan_round`
+is the only path a round takes, in three phases:
 
-1. **Prologue.** :meth:`RoundPlanner.prepare_round` is the only place a
-   round is planned: materialize/reuse the cached foreign-key join of the
-   referenced tables, build the tuple-class space, run Algorithm 3 (skyline
-   enumeration) and Algorithm 4 (subset selection) over a shared pair-set
-   simulator, and lay out the deterministic *attempt sequence*: the
-   selected subset first, then every skyline pair singly in balance order.
-   A repeated round body replays its prologue from a small memo held with
-   the base join's :class:`~repro.relational.evaluator.JoinCache` entry
-   (see :meth:`RoundPlanner.prepare_round`).
+1. **Prologue.** :meth:`RoundPlanner.prepare_round` plans the round:
+   materialize/reuse the cached foreign-key join of the referenced tables,
+   build the tuple-class space, run Algorithm 3 (skyline enumeration) and
+   Algorithm 4 (subset selection) over a shared pair-set simulator, and lay
+   out the deterministic *attempt sequence*: the selected subset first, then
+   every skyline pair singly in balance order. A repeated round body
+   replays its prologue from a small memo held with the base join's
+   :class:`~repro.relational.evaluator.JoinCache` entry.
 2. **Candidate-modification search.** Score attempts in order, in process
    (:class:`~repro.core.execution_backend.SerialBackend`), by concrete
    materialization + delta-derived partitioning until one distinguishes.
-3. **Finalize.** Reuse the winning attempt's materialization and batch
-   evaluation (kept by the search) to build the full partition with result
-   relations for the feedback round.
+3. **Finalize.** Build the full partition with result relations for the
+   feedback round from the winner's batch evaluation, which the winning
+   outcome carries with its materialization.
 
-:class:`~repro.core.database_generator.DatabaseGenerator` remains the public
-Algorithm 2 entry point; it is now a thin shell over this planner.
+Every timing the round reports is a span duration (:mod:`repro.obs.trace`):
+Algorithm 3 is ``round.skyline`` and Algorithm 4 ``round.subset``, both
+inside ``round.prepare``; the database-modification step is ``round.search``
+plus ``round.materialize``.
 """
 
 from __future__ import annotations
@@ -32,19 +33,12 @@ from typing import NamedTuple, Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.cost_model import CostBreakdown
-from repro.core.execution_backend import (
-    Attempt,
-    AttemptOutcome,
-    RoundContext,
-    RoundSetup,
-    SerialBackend,
-)
+from repro.core.execution_backend import Attempt, SerialBackend
 from repro.core.materialize import MaterializationResult
 from repro.core.modification import ClassPair, PairSetSimulator
 from repro.core.partitioner import QueryPartition, partition_from_batch
 from repro.core.skyline import SkylineResult, skyline_stc_dtc_pairs
 from repro.core.subset_selection import ScoreFunction, SubsetSelectionResult, pick_stc_dtc_subset
-from repro.core.timing import Stopwatch
 from repro.core.tuple_class import TupleClassSpace
 from repro.exceptions import DatabaseGenerationError
 from repro.obs.registry import RegistryStats
@@ -121,25 +115,23 @@ class DatabaseGenerationResult:
 class RoundPlan:
     """The prologue's output: everything the search phase needs, plus diagnostics.
 
-    ``body`` is the pickled ``context`` — made once per round, it keys the
-    prologue memo.
+    ``body`` is the pickle of the round's queries, config, referenced tables
+    and result name and arity — made once per round, it keys the prologue
+    memo.
     """
 
-    context: RoundContext
+    queries: tuple[SPJQuery, ...]
+    config: QFEConfig
+    referenced: tuple[str, ...]
+    result_name: str
     body: bytes
     original: Database
-    result: Relation
     space: TupleClassSpace
     skyline: SkylineResult
     selection: SubsetSelectionResult
     attempts: tuple[Attempt, ...]
     skyline_seconds: float
     selection_seconds: float
-
-    @property
-    def attempt_count(self) -> int:
-        """How many candidate modifications the search phase may score."""
-        return len(self.attempts)
 
 
 class RoundPlanner:
@@ -161,18 +153,6 @@ class RoundPlanner:
         self.score = score
         self.join_cache = join_cache if join_cache is not None else JoinCache()
 
-    def memory_report(self) -> dict:
-        """Resident storage footprint of the session's cached joins.
-
-        Delegates to :meth:`~repro.relational.evaluator.JoinCache.\
-        memory_report`: per cached join, the typed-column (or boxed-object)
-        bytes of its built columnar view, plus the bytes-per-joined-row
-        aggregate. Never forces a view build, so calling it between rounds is
-        free — the service layer and the scenario sweep use it to report the
-        engine's in-memory footprint alongside timings.
-        """
-        return self.join_cache.memory_report()
-
     # ---------------------------------------------------------------- prologue
     def prepare_round(
         self,
@@ -187,30 +167,16 @@ class RoundPlanner:
         held with that join's :class:`JoinCache` entry
         replays a repeated body — a second user of a service pair, a re-run
         session — without re-running Algorithms 3 and 4. Bodies match only
-        when their pickles are byte-identical. A replayed round reports 0.0 s
-        for both algorithms (the time actually spent) and ``memo_hit`` on its
-        ``round.prepare`` span. A planner with a custom ``score`` neither
-        reads nor writes the memo.
+        when their pickles are byte-identical. A replayed round opens neither
+        the ``round.skyline`` nor the ``round.subset`` span, so it reports
+        0.0 s for both algorithms (the time actually spent), and sets
+        ``memo_hit`` on its ``round.prepare`` span. A planner with a custom
+        ``score`` neither reads nor writes the memo.
         """
         if len(queries) < 2:
             raise DatabaseGenerationError("need at least two candidate queries to distinguish")
         with get_tracer().span("round.prepare", candidates=len(queries)) as span:
             return self._prepare_round(original, result, tuple(queries), span)
-
-    def _context_for(
-        self, result: Relation, queries: tuple[SPJQuery, ...]
-    ) -> RoundContext:
-        # Join only the relations the candidates actually reference (Section 5
-        # assumes a shared join schema; this also keeps databases with
-        # unrelated extra tables usable).
-        referenced = tuple(sorted({table for query in queries for table in query.tables}))
-        return RoundContext(
-            queries=queries,
-            config=self.config,
-            referenced=referenced,
-            result_name=result.schema.name,
-            result_arity=result.schema.arity,
-        )
 
     def _prepare_round(
         self,
@@ -219,9 +185,15 @@ class RoundPlanner:
         queries: tuple[SPJQuery, ...],
         span,
     ) -> RoundPlan:
-        context = self._context_for(result, queries)
-        body = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-        referenced = context.referenced
+        # Join only the relations the candidates actually reference (Section 5
+        # assumes a shared join schema; this also keeps databases with
+        # unrelated extra tables usable).
+        referenced = tuple(sorted({table for query in queries for table in query.tables}))
+        result_name, result_arity = result.schema.name, result.schema.arity
+        body = pickle.dumps(
+            (queries, self.config, referenced, result_name, result_arity),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         try:
             joined = self.join_cache.join_for(original, referenced)
             # Pre-warm the per-query signatures too: partitioning groups
@@ -253,29 +225,30 @@ class RoundPlanner:
                 raise DatabaseGenerationError(
                     "candidate queries have no selection predicates to distinguish"
                 )
-            result_arity = context.result_arity
             simulator = PairSetSimulator(space, result_arity=result_arity)
 
-            watch = Stopwatch()
-            skyline = skyline_stc_dtc_pairs(
-                space, self.config, result_arity=result_arity, simulator=simulator
-            )
-            skyline_seconds = watch.restart()
+            tracer = get_tracer()
+            with tracer.span("round.skyline") as skyline_span:
+                skyline = skyline_stc_dtc_pairs(
+                    space, self.config, result_arity=result_arity, simulator=simulator
+                )
+            skyline_seconds = skyline_span.duration_s
             if not skyline.pairs:
                 raise DatabaseGenerationError(
                     "Algorithm 3 found no distinguishing tuple-class pairs"
                 )
 
-            selection = pick_stc_dtc_subset(
-                space,
-                skyline.pairs,
-                self.config,
-                result_arity=result_arity,
-                most_balanced_binary_x=skyline.most_balanced_binary_x,
-                score=self.score,
-                simulator=simulator,
-            )
-            selection_seconds = watch.restart()
+            with tracer.span("round.subset") as subset_span:
+                selection = pick_stc_dtc_subset(
+                    space,
+                    skyline.pairs,
+                    self.config,
+                    result_arity=result_arity,
+                    most_balanced_binary_x=skyline.most_balanced_binary_x,
+                    score=self.score,
+                    simulator=simulator,
+                )
+            selection_seconds = subset_span.duration_s
             if not selection.found:
                 raise DatabaseGenerationError("Algorithm 4 found no distinguishing pair subset")
 
@@ -296,10 +269,12 @@ class RoundPlanner:
                 while len(memo) > PLAN_MEMO_LIMIT:
                     memo.popitem(last=False)
         return RoundPlan(
-            context=context,
+            queries=queries,
+            config=self.config,
+            referenced=referenced,
+            result_name=result_name,
             body=body,
             original=original,
-            result=result,
             space=prologue.space,
             skyline=prologue.skyline,
             selection=prologue.selection,
@@ -308,27 +283,7 @@ class RoundPlanner:
             selection_seconds=selection_seconds,
         )
 
-    # ------------------------------------------------------------------ search
-    def execute(
-        self, plan: RoundPlan, winner_store: dict | None = None
-    ) -> list[AttemptOutcome]:
-        """Score the plan's attempts in order, in process, up to the winner.
-
-        The winner's materialization and batch evaluation land in
-        *winner_store* when one is given (see
-        :class:`~repro.core.execution_backend.RoundSetup`).
-        """
-        setup = RoundSetup(
-            context=plan.context,
-            database=plan.original,
-            space=plan.space,
-            join_cache=self.join_cache,
-            winner_store=winner_store,
-        )
-        with get_tracer().span("round.search", attempts=len(plan.attempts)):
-            return SerialBackend().run_attempts(setup, plan.attempts)
-
-    # ---------------------------------------------------------------- finalize
+    # ------------------------------------------------------------------- round
     def plan_round(
         self,
         original: Database,
@@ -337,11 +292,11 @@ class RoundPlanner:
     ) -> DatabaseGenerationResult:
         """Produce ``D'`` distinguishing *queries*; raises if no modification helps."""
         plan = self.prepare_round(original, result, queries)
-        watch = Stopwatch()
-        winner_store: dict = {}
-        outcomes = self.execute(plan, winner_store)
+        tracer = get_tracer()
+        with tracer.span("round.search", attempts=len(plan.attempts)) as search_span:
+            outcomes = SerialBackend().run_attempts(plan, self.join_cache)
         winner = outcomes[-1]
-        if not (winner.applied and winner.distinguishes):
+        if not winner.distinguishes:
             last_error = "no class pair could be materialized"
             if winner.applied:
                 last_error = "materialized database did not distinguish any candidates"
@@ -350,13 +305,12 @@ class RoundPlanner:
                 f"after {len(outcomes)} attempts"
             )
 
-        # The search deposited the winning materialization and its batch
-        # evaluation (with the derived cache entry still registered), so the
-        # winner is built and evaluated exactly once.
-        with get_tracer().span("round.materialize", attempt=winner.attempt_index):
-            materialization = winner_store["materialization"]
-            partition = partition_from_batch(plan.context.queries, winner_store["batch"])
-        materialize_seconds = watch.elapsed()
+        # The winner carries its materialization and batch evaluation (with
+        # the derived cache entry still registered), so it is built and
+        # evaluated exactly once.
+        with tracer.span("round.materialize", attempt=winner.attempt_index) as finalize_span:
+            partition = partition_from_batch(plan.queries, winner.batch)
+        materialization = winner.materialization
         chosen_pairs = tuple(winner.pairs)
         return DatabaseGenerationResult(
             database=materialization.database,
@@ -372,6 +326,6 @@ class RoundPlanner:
             ),
             skyline_seconds=plan.skyline_seconds,
             selection_seconds=plan.selection_seconds,
-            materialize_seconds=materialize_seconds,
+            materialize_seconds=search_span.duration_s + finalize_span.duration_s,
             fallback_attempts=winner.attempt_index,
         )

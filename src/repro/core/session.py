@@ -6,8 +6,8 @@ clock (92.4 % on average), so the session core is *inverted*: instead of a
 blocking ``run(selector)`` loop that pins a process while a user thinks, the
 session exposes two explicit steps:
 
-* :meth:`QFESession.propose` runs one round of Algorithm 2 — via the
-  :class:`~repro.core.round_planner.RoundPlanner` — and returns a
+* :meth:`QFESession.propose` runs one round of Algorithm 2 —
+  :meth:`~repro.core.round_planner.RoundPlanner.plan_round` — and returns a
   :class:`PendingRound`: the feedback presentation plus the candidate
   partition, with no selector anywhere in sight. ``None`` means the
   session is finished (converged, exhausted, or out of iterations).
@@ -27,7 +27,10 @@ identical semantics and transcripts.
 Every iteration is recorded as an :class:`IterationRecord` carrying exactly
 the quantities the paper's Table 1 reports (candidate count, subset count,
 skyline pair count, execution time, dbCost, resultCost, avgResultCost) plus
-the finer-grained timings behind Tables 4 and 7.
+the finer-grained timings behind Tables 4 and 7. Every timing is the
+duration of a span (:mod:`repro.obs.trace`): ``execution_seconds`` is the
+round's ``session.propose`` span and ``query_generation_seconds`` the
+``qbo.generate`` span, whether or not a trace sink is installed.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.config import QFEConfig
-from repro.core.database_generator import DatabaseGenerationResult, DatabaseGenerator
-from repro.core.timing import Stopwatch
 from repro.core.feedback import NONE_OF_THE_ABOVE, FeedbackRound, ResultSelector, build_feedback_round
 from repro.core.partitioner import QueryPartition
+from repro.core.round_planner import DatabaseGenerationResult, RoundPlanner
 from repro.core.subset_selection import ScoreFunction
 from repro.exceptions import DatabaseGenerationError, FeedbackError, QFESessionError
 from repro.obs.trace import get_tracer
@@ -115,8 +117,8 @@ class SessionResult:
     def total_seconds(self) -> float:
         """Query generation plus all per-iteration execution time.
 
-        Every summand is measured on the monotonic clock
-        (:mod:`repro.core.timing`), never the wall clock, so clock
+        Every summand is a span duration on the monotonic clock
+        (:mod:`repro.obs.trace`), never the wall clock, so clock
         adjustments cannot corrupt the total.
         """
         return self.query_generation_seconds + sum(r.execution_seconds for r in self.iterations)
@@ -239,7 +241,7 @@ class QFESession:
         self._provided_candidates = list(candidates) if candidates is not None else None
         # One join cache for the whole session: the original database's
         # foreign-key join (and its columnar term masks) is built once and
-        # reused by every iteration's Database Generator run and by candidate
+        # reused by every iteration's round planning and by candidate
         # replenishment. Each iteration's modified database D' is evaluated
         # through a *delta-derived* entry patched out of that base entry
         # (``JoinCache.derive``), so no iteration after the first pays a cold
@@ -248,9 +250,7 @@ class QFESession:
         # sessions over the same base database.
         self._owns_join_cache = join_cache is None
         self.join_cache = join_cache if join_cache is not None else JoinCache()
-        self._generator = DatabaseGenerator(
-            self.config, score=score, join_cache=self.join_cache
-        )
+        self._planner = RoundPlanner(self.config, score=score, join_cache=self.join_cache)
         self.last_rounds: list[FeedbackRound] = []
         self._result = SessionResult(identified_query=None, remaining_queries=())
         self._candidates: list[SPJQuery] | None = None
@@ -299,12 +299,11 @@ class QFESession:
         if self._provided_candidates is not None:
             session.query_generation_seconds = 0.0
             return list(self._provided_candidates)
-        watch = Stopwatch()
-        generator = QueryGenerator(self.qbo_config)
-        candidates = generator.generate(
-            self.database, self.result, set_semantics=self.config.set_semantics
-        )
-        session.query_generation_seconds = watch.elapsed()
+        with get_tracer().span("qbo.generate") as span:
+            candidates = QueryGenerator(self.qbo_config).generate(
+                self.database, self.result, set_semantics=self.config.set_semantics
+            )
+        session.query_generation_seconds = span.duration_s
         return candidates
 
     def _replenish_candidates(self, current: list[SPJQuery]) -> list[SPJQuery]:
@@ -357,13 +356,12 @@ class QFESession:
             return None
 
         self._iteration += 1
-        watch = Stopwatch()
         tracer = get_tracer()
         with tracer.span(
             "session.propose", iteration=self._iteration, candidates=len(candidates)
-        ):
+        ) as propose_span:
             try:
-                generation = self._generator.generate(self.database, self.result, candidates)
+                generation = self._planner.plan_round(self.database, self.result, candidates)
             except DatabaseGenerationError:
                 # The remaining candidates cannot be distinguished by any
                 # modification within budget; report them all.
@@ -379,19 +377,19 @@ class QFESession:
                     generation.database,
                     generation.partition,
                 )
-        self.last_rounds.append(round_)
-        # The round's presentation data (results, deltas) is fully
-        # materialized; release D' from the join cache so a session that
-        # keeps every round alive does not also pin one derived join per
-        # iteration. The base entry stays warm for the next round.
-        self.join_cache.invalidate(generation.database)
+            self.last_rounds.append(round_)
+            # The round's presentation data (results, deltas) is fully
+            # materialized; release D' from the join cache so a session that
+            # keeps every round alive does not also pin one derived join per
+            # iteration. The base entry stays warm for the next round.
+            self.join_cache.invalidate(generation.database)
         self._pending = PendingRound(
             iteration=self._iteration,
             candidate_count=len(candidates),
             round=round_,
             partition=generation.partition,
             stats=RoundStats.from_generation(generation),
-            execution_seconds=watch.elapsed(),
+            execution_seconds=propose_span.duration_s,
         )
         return self._pending
 

@@ -17,9 +17,9 @@ from repro.core.config import QFEConfig
 from repro.core.feedback import OracleSelector, ResultSelector, WorstCaseSelector
 from repro.core.session import IterationRecord, QFESession, SessionResult
 from repro.core.subset_selection import ScoreFunction
-from repro.core.timing import Stopwatch
 from repro.exceptions import NoCandidateQueriesError
 from repro.experiments.simulated_user import SimulatedUser
+from repro.obs.trace import get_tracer
 from repro.qbo.config import QBOConfig
 from repro.qbo.generator import QueryGenerator
 from repro.qbo.mutation import expand_candidate_set
@@ -105,35 +105,38 @@ def prepare_candidates(
 ) -> tuple[list[SPJQuery], float]:
     """Generate (and optionally resize) the candidate set for an experiment.
 
-    Returns the candidate list and the generation wall time. When
-    ``candidate_count`` is given the list is truncated or expanded (by
-    constant mutation, Section 7.6's device) to that size.
+    Returns the candidate list and the generation time (the duration of its
+    ``qbo.generate`` span). When ``candidate_count`` is given the list is
+    truncated or expanded (by constant mutation, Section 7.6's device) to
+    that size.
     """
-    watch = Stopwatch()
-    generator = QueryGenerator(qbo_config or _DEFAULT_QBO)
-    try:
-        candidates = generator.generate(database, result)
-    except NoCandidateQueriesError:
-        # The configured search space missed every consistent query (possible
-        # at very small dataset scales); fall back to the target plus mutants.
-        candidates = []
-    if include_target and not any(candidate == target for candidate in candidates):
-        candidates = [target] + candidates
-    if len(candidates) < 2:
-        # A single candidate would make the session trivially converge with
-        # zero feedback rounds; pad with result-preserving constant mutants so
-        # every experiment actually exercises the winnowing loop.
-        candidates = expand_candidate_set(database, result, candidates, max(candidate_count or 0, 10))
-    if candidate_count is not None:
-        if len(candidates) > candidate_count:
-            kept = candidates[:candidate_count]
-            if include_target and not any(candidate == target for candidate in kept):
-                kept[-1] = target
-            candidates = kept
-        elif len(candidates) < candidate_count:
-            candidates = expand_candidate_set(database, result, candidates, candidate_count)
-    elapsed = watch.elapsed()
-    return candidates, elapsed
+    with get_tracer().span("qbo.generate") as span:
+        generator = QueryGenerator(qbo_config or _DEFAULT_QBO)
+        try:
+            candidates = generator.generate(database, result)
+        except NoCandidateQueriesError:
+            # The configured search space missed every consistent query
+            # (possible at very small dataset scales); fall back to the target
+            # plus mutants.
+            candidates = []
+        if include_target and not any(candidate == target for candidate in candidates):
+            candidates = [target] + candidates
+        if len(candidates) < 2:
+            # A single candidate would make the session trivially converge
+            # with zero feedback rounds; pad with result-preserving constant
+            # mutants so every experiment actually exercises the winnowing loop.
+            candidates = expand_candidate_set(
+                database, result, candidates, max(candidate_count or 0, 10)
+            )
+        if candidate_count is not None:
+            if len(candidates) > candidate_count:
+                kept = candidates[:candidate_count]
+                if include_target and not any(candidate == target for candidate in kept):
+                    kept[-1] = target
+                candidates = kept
+            elif len(candidates) < candidate_count:
+                candidates = expand_candidate_set(database, result, candidates, candidate_count)
+    return candidates, span.duration_s
 
 
 def _selector_for(feedback: FeedbackMode, target: SPJQuery) -> ResultSelector:

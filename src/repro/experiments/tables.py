@@ -17,8 +17,8 @@ from time import perf_counter
 from typing import Sequence
 
 from repro.core.config import QFEConfig
-from repro.core.database_generator import DatabaseGenerator
 from repro.core.modification import PairSetSimulator
+from repro.core.round_planner import RoundPlanner
 from repro.core.skyline import skyline_stc_dtc_pairs
 from repro.core.subset_selection import pick_stc_dtc_subset
 from repro.core.tuple_class import TupleClassSpace
@@ -293,12 +293,12 @@ def table7(
         title="Table 7: breakdown of the first iteration's running time (s)",
         columns=["Query set size", "Algorithm 3", "Algorithm 4", "Modify DB", "Total"],
     )
-    generator = DatabaseGenerator(QFEConfig())
+    planner = RoundPlanner(QFEConfig())
     for count in candidate_counts:
         candidates, _ = prepare_candidates(
             database, result, target, qbo_config=_QBO, candidate_count=count
         )
-        generation = generator.generate(database, result, candidates)
+        generation = planner.plan_round(database, result, candidates)
         table.add_row(
             len(candidates),
             round(generation.skyline_seconds, 4),

@@ -8,9 +8,10 @@ funnels through this package:
   default registry (:data:`REGISTRY`) backs the legacy stats objects
   (``JOIN_STATS``, ``COLUMNAR_STATS``, ``PLAN_MEMO_STATS``, the service's
   ``_Metrics``) behind their historical attribute APIs.
-* :mod:`repro.obs.trace` — structured round-lifecycle spans (JSON-lines
-  export, monotonic durations, parent/child nesting) behind a process-wide
-  tracer that is a no-op unless explicitly enabled (``--trace-out``).
+* :mod:`repro.obs.trace` — structured round-lifecycle spans (monotonic
+  durations, parent/child nesting, JSON-lines export once a sink is
+  installed with ``--trace-out``); the engine's round timings are span
+  durations.
 * :mod:`repro.obs.exposition` — the Prometheus text exposition format for any
   registry, served by the service's ``/metrics?format=prometheus``.
 * :mod:`repro.obs.summary` — the ``qfe-trace summary`` renderer: a per-round
@@ -29,8 +30,6 @@ from repro.obs.registry import (
     reset_all_stats,
 )
 from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     get_tracer,
     set_tracer,
@@ -47,8 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "RegistryStats",
     "reset_all_stats",
-    "NULL_TRACER",
-    "NullTracer",
     "Tracer",
     "get_tracer",
     "set_tracer",

@@ -1,25 +1,30 @@
-"""Round-lifecycle tracing: structured spans with JSON-lines export.
+"""Round-lifecycle tracing: the one clock behind every reported duration.
 
-A :class:`Tracer` produces nested :class:`Span`\\ s — one JSON object per
-line in the sink — measuring durations on the monotonic clock
-(:mod:`repro.core.timing`), never the wall clock. Nesting is per thread: a
-span opened while another is active on the same thread becomes its child
-(``parent_id``), which is how one ``session.propose`` span ends up owning
-its round's ``round.prepare``/``round.search``/``round.materialize``
-children.
+A :class:`Tracer` produces nested :class:`Span`\\ s measuring durations on
+the monotonic performance counter, never the wall clock (which can jump
+backwards or forwards under NTP adjustments or suspend/resume). A span
+times itself whether or not a sink is installed, and its duration is
+clamped at zero, so even a hostile clock source never reports a negative
+duration. The engine reads its own timings from spans: an
+:class:`~repro.core.session.IterationRecord`'s skyline, selection,
+materialization and execution seconds and the session's query-generation
+seconds are the durations of the matching spans — one clock for records
+and traces.
 
-**Zero cost when disabled.** The process-wide tracer defaults to
-:data:`NULL_TRACER`, whose :meth:`~NullTracer.span` returns a shared no-op
-context manager — no allocation, no clock read, no I/O. Call sites that
-would compute non-trivial span attributes guard on ``tracer.enabled``.
-Tracing must never perturb behaviour: spans carry *measurements about* the
-round, and the differential suite pins traced-vs-untraced transcripts
-bit-identical.
+**Sinks.** With a sink installed, every finished span is written as one
+JSON object per line. Nesting is per thread: a span opened while another
+is active on the same thread becomes its child (``parent_id``), which is
+how one ``session.propose`` span ends up owning its round's
+``round.prepare``/``round.search``/``round.materialize`` children. The
+process-wide tracer defaults to a :class:`Tracer` without a sink: its spans
+time themselves and write nothing. Tracing must never perturb behaviour:
+spans carry *measurements about* the round, and the differential suite pins
+traced-vs-untraced transcripts bit-identical.
 
 **Forked processes.** A forked child inherits the parent's tracer object —
 including its open file descriptor, which two processes must not interleave
-writes on. Every span creation therefore checks the owning pid and silently
-degrades to the no-op span in any other process.
+writes on. A span opened in any process other than the tracer's owner
+therefore times itself and writes nothing.
 
 Span line format (one JSON object per line)::
 
@@ -38,15 +43,12 @@ import json
 import os
 import threading
 import time
+from time import perf_counter
 from typing import Any, IO
-
-from repro.core.timing import monotonic_seconds
 
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "get_tracer",
     "set_tracer",
     "start_tracing",
@@ -54,66 +56,57 @@ __all__ = [
 ]
 
 
-class _NullSpan:
-    """The shared do-nothing span handed out whenever tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-    def set(self, **attrs: Any) -> None:
-        """Attribute setting is a no-op on the null span."""
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Span:
-    """One live span; exits write a JSON line to the tracer's sink."""
+    """One live span: times itself; a tracer with a sink writes it on exit.
 
-    __slots__ = ("_tracer", "name", "span_id", "parent_id", "attrs", "_t_start", "_t_wall")
+    ``duration_s`` holds the measured duration once the span has exited.
+    """
 
-    def __init__(self, tracer: "Tracer", name: str, parent_id: int | None, attrs: dict) -> None:
+    __slots__ = (
+        "_tracer", "name", "span_id", "parent_id", "attrs", "duration_s", "_t_start", "_t_wall"
+    )
+
+    def __init__(self, tracer: "Tracer | None", name: str, attrs: dict) -> None:
         self._tracer = tracer
         self.name = name
-        self.span_id = tracer._next_id()
-        self.parent_id = parent_id
         self.attrs = attrs
-        self._t_wall = time.time()
-        self._t_start = monotonic_seconds()
+        self.duration_s = 0.0
+        self.span_id = self.parent_id = None
+        if tracer is not None:
+            self.span_id = tracer._next_id()
+            self.parent_id = tracer._current_id()
+            self._t_wall = time.time()
+        self._t_start = perf_counter()
 
     def set(self, **attrs: Any) -> None:
         """Attach (or overwrite) attributes while the span is open."""
         self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
-        self._tracer._push(self)
+        if self._tracer is not None:
+            self._tracer._push(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        duration = max(0.0, monotonic_seconds() - self._t_start)
-        if exc_type is not None:
-            self.attrs.setdefault("error", exc_type.__name__)
-        self._tracer._pop(self, duration)
+        self.duration_s = max(0.0, perf_counter() - self._t_start)
+        if self._tracer is not None:
+            if exc_type is not None:
+                self.attrs.setdefault("error", exc_type.__name__)
+            self._tracer._pop(self)
         return False
 
 
 class Tracer:
-    """Writes spans as JSON lines to a sink (a file handle or a list).
+    """Opens spans; writes finished ones to a sink (a file handle or a list).
 
     ``sink`` is either a writable text file object (lines are written and
-    flushed as spans close, so a killed process keeps every finished span)
-    or a plain list (spans are appended as dicts — the in-memory form the
-    scenario sweep and the tests use).
+    flushed as spans close, so a killed process keeps every finished span),
+    a plain list (spans are appended as dicts — the in-memory form the
+    scenario sweep and the tests use), or ``None``: spans still time
+    themselves but nothing is written.
     """
 
-    enabled = True
-
-    def __init__(self, sink: IO[str] | list, *, close_sink: bool = False) -> None:
+    def __init__(self, sink: IO[str] | list | None = None, *, close_sink: bool = False) -> None:
         self._sink = sink
         self._close_sink = close_sink
         self._lock = threading.Lock()
@@ -122,16 +115,17 @@ class Tracer:
         self._pid = os.getpid()
 
     # ------------------------------------------------------------------ spans
-    def span(self, name: str, **attrs: Any):
+    def span(self, name: str, **attrs: Any) -> Span:
         """Open a span; use as a context manager.
 
-        Returns the shared no-op span from any process other than the one
-        that created the tracer (a forked child inherits the tracer and must
-        not interleave writes on its file descriptor).
+        Without a sink, or in any process other than the one that created
+        the tracer (a forked child inherits the tracer and must not
+        interleave writes on its file descriptor), the span only times
+        itself.
         """
-        if os.getpid() != self._pid:
-            return _NULL_SPAN
-        return Span(self, name, self._current_id(), attrs)
+        if self._sink is None or os.getpid() != self._pid:
+            return Span(None, name, attrs)
+        return Span(self, name, attrs)
 
     def _next_id(self) -> int:
         with self._lock:
@@ -150,7 +144,7 @@ class Tracer:
     def _push(self, span: Span) -> None:
         self._stack().append(span)
 
-    def _pop(self, span: Span, duration: float) -> None:
+    def _pop(self, span: Span) -> None:
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
@@ -168,7 +162,7 @@ class Tracer:
                 "thread": threading.current_thread().name,
                 "t_wall": span._t_wall,
                 "t_start": span._t_start,
-                "duration_s": duration,
+                "duration_s": span.duration_s,
                 "attrs": span.attrs,
             }
         )
@@ -195,35 +189,21 @@ class Tracer:
         self.close()
 
 
-class NullTracer:
-    """The disabled tracer: every span is the shared no-op span."""
-
-    enabled = False
-
-    def span(self, name: str, **attrs: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def close(self) -> None:
-        pass
+#: The process-wide active tracer; sink-less unless ``--trace-out`` (or a
+#: test) installed one with a sink.
+_ACTIVE = Tracer()
 
 
-NULL_TRACER = NullTracer()
-
-#: The process-wide active tracer; NULL unless ``--trace-out`` (or a test)
-#: installed a real one.
-_ACTIVE: Tracer | NullTracer = NULL_TRACER
-
-
-def get_tracer() -> Tracer | NullTracer:
-    """The active tracer (the no-op tracer unless tracing was enabled)."""
+def get_tracer() -> Tracer:
+    """The active tracer (a sink-less one unless tracing was enabled)."""
     return _ACTIVE
 
 
-def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install *tracer* (None = disable) and return the previous one."""
+def set_tracer(tracer: Tracer | None) -> Tracer:
+    """Install *tracer* (None = a sink-less tracer) and return the previous one."""
     global _ACTIVE
     previous = _ACTIVE
-    _ACTIVE = tracer if tracer is not None else NULL_TRACER
+    _ACTIVE = tracer if tracer is not None else Tracer()
     return previous
 
 
@@ -240,7 +220,5 @@ def start_tracing(path: str | os.PathLike) -> Tracer:
 
 
 def stop_tracing() -> None:
-    """Disable tracing and close the active tracer's sink (idempotent)."""
-    previous = set_tracer(NULL_TRACER)
-    if isinstance(previous, Tracer):
-        previous.close()
+    """Install a sink-less tracer and close the active tracer's sink (idempotent)."""
+    set_tracer(None).close()

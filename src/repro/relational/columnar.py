@@ -697,15 +697,6 @@ class _NumericColumn(TypedColumn):
             lo, hi = bisect_left(values, constant), total
         return self._index_range_mask(lo, hi)
 
-    # pickling
-    def __getstate__(self) -> tuple:
-        return (self._data, self._special)
-
-    def __setstate__(self, state: tuple) -> None:
-        self._data, self._special = state
-        self._length = len(self._data)
-        _init_lazy(self)
-
 
 class IntColumn(_NumericColumn):
     """Integer buffer, bit-width-reduced to the narrowest ``array`` typecode
@@ -908,16 +899,6 @@ class StringColumn(TypedColumn):
             return (0, self._buffer_mask())  # str vs non-str ordering raises
         return None
 
-    # pickling
-    def __getstate__(self) -> tuple:
-        return (self._codes, self._dictionary, self._special)
-
-    def __setstate__(self, state: tuple) -> None:
-        self._codes, self._dictionary, self._special = state
-        self._code_of = {value: code for code, value in enumerate(self._dictionary)}
-        self._length = len(self._codes)
-        _init_lazy(self)
-
 
 class BoolColumn(TypedColumn):
     """Bit-packed booleans: one big-int of truth bits plus the side table.
@@ -1021,14 +1002,6 @@ class BoolColumn(TypedColumn):
 
     def _payload_bytes(self) -> int:
         return sys.getsizeof(self._ones)
-
-    # pickling
-    def __getstate__(self) -> tuple:
-        return (self._ones, self._length, self._special)
-
-    def __setstate__(self, state: tuple) -> None:
-        self._ones, self._length, self._special = state
-        _init_lazy(self)
 
 
 def _int_typecode(minimum: int, maximum: int) -> str:
@@ -1476,35 +1449,6 @@ class ColumnarView:
             view._term_masks[key] = (mask, error_mask, error)
             view._term_tests[key] = test
         return view
-
-    # ----------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        """Picklable state: the immutable columns, without the mask caches.
-
-        Compiled term tests are closures and cannot cross a process boundary,
-        and a term-mask entry without its retained test would silently break
-        :meth:`derive` (the entry would exist but could never be patched), so
-        both caches are dropped together. A rehydrated view is a *cold* view
-        over the same columns; its masks rebuild lazily. Typed columns
-        pickle their compact buffers (their lazy index/zone structures are
-        dropped and rebuilt on demand), keeping the payload small.
-        """
-        return {
-            "names": self.names,
-            "row_count": self.row_count,
-            "_index": self._index,
-            "_columns": self._columns,
-            "_all_rows_mask": self._all_rows_mask,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.names = state["names"]
-        self.row_count = state["row_count"]
-        self._index = state["_index"]
-        self._columns = state["_columns"]
-        self._all_rows_mask = state["_all_rows_mask"]
-        self._term_masks = {}
-        self._term_tests = {}
 
     def __len__(self) -> int:
         return self.row_count

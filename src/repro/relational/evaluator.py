@@ -312,8 +312,8 @@ class JoinCache:
     The cache is keyed on ``id(database)``. A weakref finalizer evicts all of
     a database's entries the moment the instance is garbage-collected, so a
     recycled id can never alias a dead database's joins — a long-lived cache
-    (e.g. on a reused :class:`~repro.core.database_generator.DatabaseGenerator`)
-    stays correct across many database instances. What the cache cannot see
+    (e.g. on a reused :class:`~repro.core.round_planner.RoundPlanner`) stays
+    correct across many database instances. What the cache cannot see
     is *in-place modification* of a live database it holds joins for; call
     :meth:`invalidate` in that case and the stale join and its columnar view
     are dropped together (QFE itself always works on fresh copies).

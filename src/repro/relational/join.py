@@ -84,30 +84,6 @@ class JoinedRelation:
         self._base_rows: dict[str, dict[int, tuple[Any, ...]]] = {}
         self._column_offsets: dict[str, int] | None = None
 
-    # ----------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        """Picklable state: the joined relation, its tables, FKs and provenance.
-
-        The memoized derived state — join index, columnar view (whose compiled
-        term tests are closures), attach indexes and base-row maps — is
-        dropped; :meth:`__setstate__` rebuilds the join index eagerly and the
-        rest lazily. Rehydration never re-joins, so ``JOIN_STATS.full_joins``
-        stays untouched.
-        """
-        return {
-            "relation": self.relation,
-            "tables": self.tables,
-            "foreign_keys": self.foreign_keys,
-            "provenance": self.provenance,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.relation = state["relation"]
-        self.tables = state["tables"]
-        self.foreign_keys = state["foreign_keys"]
-        self.provenance = state["provenance"]
-        self.__post_init__()
-
     # --------------------------------------------------------------- columnar
     def columnar(self):
         """The (lazily built, memoized) columnar view of the joined relation.

@@ -40,11 +40,11 @@ import json
 import os
 import tracemalloc
 from pathlib import Path
+from time import perf_counter
 from typing import Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.round_planner import PLAN_MEMO_STATS
-from repro.core.timing import Stopwatch
 from repro.exceptions import EvaluationError
 from repro.obs.machine import machine_stamp
 from repro.qbo.mutation import expand_candidate_set
@@ -160,14 +160,15 @@ def _measure_eval_paths(generated: GeneratedScenario, candidates, joined) -> dic
             relation.replace_tuple(target.tuple_id, values)
             delta.record_update(root, target.tuple_id, relation.tuple_by_id(target.tuple_id).values)
 
-    watch = Stopwatch()
+    started = perf_counter()
     cold_joined = foreign_key_join(derived_db, tables)
     evaluate_batch(candidates, cold_joined, derived_db, columnar=ColumnarView(cold_joined.relation))
-    cold_seconds = watch.restart()
+    cold_seconds = perf_counter() - started
 
+    started = perf_counter()
     derived = joined.apply_delta(delta, database)
     evaluate_batch(candidates, derived, derived_db)
-    delta_seconds = watch.elapsed()
+    delta_seconds = perf_counter() - started
     return {
         "cold_eval_seconds": cold_seconds,
         "delta_eval_seconds": delta_seconds,
@@ -212,22 +213,22 @@ def _measure_storage(generated: GeneratedScenario, joined) -> dict:
     relation = joined.relation
     measurements: dict = {}
     terms = _selective_terms(relation)
-    watch = Stopwatch()
 
     already_tracing = tracemalloc.is_tracing()
     if not already_tracing:
         tracemalloc.start()
-    watch.restart()
+    started = perf_counter()
     typed_view = ColumnarView(relation)
-    measurements["typed_view_build_seconds"] = watch.restart()
+    measurements["typed_view_build_seconds"] = perf_counter() - started
     typed_masks = None
     if terms is not None:
         cold_term, warm_term = terms
-        watch.restart()
+        started = perf_counter()
         cold_mask = typed_view.term_mask(cold_term)  # pays the index build
-        measurements["term_mask_selective_cold_seconds_typed"] = watch.restart()
+        measurements["term_mask_selective_cold_seconds_typed"] = perf_counter() - started
+        started = perf_counter()
         warm_mask = typed_view.term_mask(warm_term)
-        measurements["term_mask_selective_seconds_typed"] = watch.restart()
+        measurements["term_mask_selective_seconds_typed"] = perf_counter() - started
         typed_masks = (cold_mask, warm_mask)
     typed_report = typed_view.memory_report()
     if not already_tracing:
@@ -235,16 +236,17 @@ def _measure_storage(generated: GeneratedScenario, joined) -> dict:
         tracemalloc.stop()
         measurements["typed_peak_tracemalloc_bytes"] = peak
 
-    watch.restart()
+    started = perf_counter()
     reference_view = ColumnarViewReference(relation)
-    measurements["object_view_build_seconds"] = watch.restart()
+    measurements["object_view_build_seconds"] = perf_counter() - started
     if terms is not None and typed_masks is not None:
         cold_term, warm_term = terms
-        watch.restart()
+        started = perf_counter()
         reference_cold = reference_view.term_mask(cold_term)
-        measurements["term_mask_selective_cold_seconds_object"] = watch.restart()
+        measurements["term_mask_selective_cold_seconds_object"] = perf_counter() - started
+        started = perf_counter()
         reference_warm = reference_view.term_mask(warm_term)
-        measurements["term_mask_selective_seconds_object"] = watch.restart()
+        measurements["term_mask_selective_seconds_object"] = perf_counter() - started
         if typed_masks != (reference_cold, reference_warm):
             raise ScenarioDivergenceError(
                 f"scenario {generated.spec.name!r} @ scale {generated.scale}: typed "
@@ -283,7 +285,7 @@ def _session_point(generated, result, candidates, *, workload_name, join_cache):
     from repro.obs.trace import Tracer, set_tracer
     from repro.service.checkpoint import transcript_json
 
-    watch = Stopwatch()
+    started = perf_counter()
     spans: list = []
     previous = set_tracer(Tracer(spans))
     try:
@@ -301,7 +303,7 @@ def _session_point(generated, result, candidates, *, workload_name, join_cache):
         )
     finally:
         set_tracer(previous)
-    seconds = watch.elapsed()
+    seconds = perf_counter() - started
     return seconds, transcript_json(run.transcript), run, aggregate_phases(spans)
 
 

@@ -38,7 +38,6 @@ from typing import Iterator, Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.session import PendingRound, QFESession, StepResult
-from repro.core.timing import Stopwatch
 from repro.exceptions import ServiceError, SessionNotFound
 from repro.obs.exposition import render_prometheus
 from repro.obs.registry import REGISTRY, MetricsRegistry, RegistryStats
@@ -471,9 +470,9 @@ class SessionManager:
     @contextmanager
     def _computing(self, pair: _SharedPair) -> Iterator[None]:
         """Hold *pair*'s compute lock, recording how long acquiring it took."""
-        watch = Stopwatch()
+        started = time.perf_counter()
         with pair.compute_lock:
-            self._metrics.observe_lock_wait(watch.elapsed())
+            self._metrics.observe_lock_wait(time.perf_counter() - started)
             yield
 
     @contextmanager
@@ -514,13 +513,13 @@ class SessionManager:
             managed.last_used = self._clock()
             had_pending = managed.session.pending_round is not None
             was_done = managed.session.done
-            watch = Stopwatch()
+            started = time.perf_counter()
             with self._computing(managed.pair):
                 pending = managed.session.propose()
             if pending is not None and not had_pending:
                 managed.rounds_served += 1
                 self._metrics.bump("rounds_served")
-                self._metrics.observe_round_latency(watch.elapsed())
+                self._metrics.observe_round_latency(time.perf_counter() - started)
                 self._checkpoint(managed)
             elif pending is None and not was_done:
                 # The propose itself finished the session (converged on a

@@ -226,8 +226,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_json(409, {"error": str(exc)})
         except ReproError as exc:
             self._send_json(500, {"error": str(exc)})
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client went away before reading the response
         except Exception as exc:  # pragma: no cover - defensive catch-all
             self._send_json(500, {"error": f"internal error: {exc}"})
 

@@ -1,10 +1,10 @@
-"""Unit tests for Algorithm 2 (the Database Generator)."""
+"""Unit tests for Algorithm 2 (the Database Generator): ``RoundPlanner.plan_round``."""
 
 import pytest
 
 from repro.core.alternative_cost import max_partitions_score
 from repro.core.config import QFEConfig
-from repro.core.database_generator import DatabaseGenerator
+from repro.core.round_planner import RoundPlanner
 from repro.exceptions import DatabaseGenerationError
 from repro.relational.constraints import modification_is_valid
 from repro.relational.edit import min_edit_database
@@ -16,21 +16,22 @@ from repro.relational.query import SPJQuery
 class TestDatabaseGenerator:
     def test_generates_distinguishing_database(self, employee_db, employee_result,
                                                 employee_candidates):
-        generator = DatabaseGenerator(QFEConfig())
-        generation = generator.generate(employee_db, employee_result, employee_candidates)
+        generation = RoundPlanner(QFEConfig()).plan_round(
+            employee_db, employee_result, employee_candidates
+        )
         assert generation.partition.distinguishes
         assert generation.materialization.applied
         assert min_edit_database(employee_db, generation.database) >= 1
 
     def test_generated_database_is_valid(self, employee_db, employee_result, employee_candidates):
-        generation = DatabaseGenerator(QFEConfig()).generate(
+        generation = RoundPlanner(QFEConfig()).plan_round(
             employee_db, employee_result, employee_candidates
         )
         assert modification_is_valid(generation.database)
 
     def test_partition_covers_all_candidates(self, employee_db, employee_result,
                                               employee_candidates):
-        generation = DatabaseGenerator(QFEConfig()).generate(
+        generation = RoundPlanner(QFEConfig()).plan_round(
             employee_db, employee_result, employee_candidates
         )
         total = sum(len(group) for group in generation.partition.groups)
@@ -38,7 +39,7 @@ class TestDatabaseGenerator:
 
     def test_partition_is_consistent_with_evaluation(self, employee_db, employee_result,
                                                       employee_candidates):
-        generation = DatabaseGenerator(QFEConfig()).generate(
+        generation = RoundPlanner(QFEConfig()).plan_round(
             employee_db, employee_result, employee_candidates
         )
         for group in generation.partition.groups:
@@ -46,7 +47,7 @@ class TestDatabaseGenerator:
                 assert evaluate(query, generation.database).bag_equal(group.result)
 
     def test_timings_recorded(self, employee_db, employee_result, employee_candidates):
-        generation = DatabaseGenerator(QFEConfig()).generate(
+        generation = RoundPlanner(QFEConfig()).plan_round(
             employee_db, employee_result, employee_candidates
         )
         assert generation.skyline_seconds >= 0
@@ -59,7 +60,7 @@ class TestDatabaseGenerator:
 
     def test_single_candidate_rejected(self, employee_db, employee_result, employee_candidates):
         with pytest.raises(DatabaseGenerationError):
-            DatabaseGenerator(QFEConfig()).generate(
+            RoundPlanner(QFEConfig()).plan_round(
                 employee_db, employee_result, employee_candidates[:1]
             )
 
@@ -69,7 +70,7 @@ class TestDatabaseGenerator:
             SPJQuery(["Employee"], ["Employee.name"], distinct=True),
         ]
         with pytest.raises(DatabaseGenerationError):
-            DatabaseGenerator(QFEConfig()).generate(employee_db, employee_result, queries)
+            RoundPlanner(QFEConfig()).plan_round(employee_db, employee_result, queries)
 
     def test_indistinguishable_candidates_raise(self, employee_db, employee_result):
         # Both candidates restrict the primary key, which QFE never modifies.
@@ -80,16 +81,16 @@ class TestDatabaseGenerator:
                      DNFPredicate.from_terms([Term("Employee.Eid", ComparisonOp.IN, (2, 3, 4))])),
         ]
         with pytest.raises(DatabaseGenerationError):
-            DatabaseGenerator(QFEConfig()).generate(employee_db, employee_result, queries)
+            RoundPlanner(QFEConfig()).plan_round(employee_db, employee_result, queries)
 
     def test_alternative_score_generates_more_subsets(self, employee_db, employee_result,
                                                        employee_candidates):
-        default_generation = DatabaseGenerator(QFEConfig()).generate(
+        default_generation = RoundPlanner(QFEConfig()).plan_round(
             employee_db, employee_result, employee_candidates
         )
-        alternative_generation = DatabaseGenerator(
+        alternative_generation = RoundPlanner(
             QFEConfig(), score=max_partitions_score
-        ).generate(employee_db, employee_result, employee_candidates)
+        ).plan_round(employee_db, employee_result, employee_candidates)
         assert (
             alternative_generation.partition.group_count
             >= default_generation.partition.group_count
@@ -102,7 +103,7 @@ class TestDatabaseGenerator:
         target = scientific_queries()["Q2"]
         result = evaluate(target, scientific_db, name="R")
         candidates = QueryGenerator(QBOConfig(max_candidates=12)).generate(scientific_db, result)
-        generation = DatabaseGenerator(QFEConfig(delta_seconds=0.3)).generate(
+        generation = RoundPlanner(QFEConfig(delta_seconds=0.3)).plan_round(
             scientific_db, result, candidates
         )
         assert generation.partition.distinguishes

@@ -41,6 +41,43 @@ class TestQFEConfig:
         with pytest.raises(ValueError):
             QFEConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # A float count fails only later, inside a round (range() and
+            # slicing refuse it), so the session would never run a round.
+            pytest.param({"max_subset_size": 2.5}, id="subset-size-float"),
+            pytest.param({"max_skyline_pairs": 7.5}, id="skyline-pairs-float"),
+            pytest.param({"max_iterations": 3.0}, id="iterations-float"),
+            pytest.param({"growth_pool_size": "48"}, id="growth-pool-string"),
+            pytest.param({"max_sets_per_level": None}, id="sets-per-level-none"),
+            # bool is an int subclass: True would pass as the count 1.
+            pytest.param({"max_iterations": True}, id="iterations-bool"),
+            pytest.param({"max_subset_size": True}, id="subset-size-bool"),
+            # A non-empty string is truthy: "false" would switch the flag on.
+            pytest.param({"set_semantics": "false"}, id="set-semantics-string"),
+            pytest.param({"prefer_no_side_effects": 0}, id="side-effects-int"),
+            pytest.param({"validate_constraints": None}, id="validate-none"),
+            pytest.param({"protect_key_columns": "yes"}, id="protect-keys-string"),
+            pytest.param({"beta": True}, id="beta-bool"),
+            pytest.param({"delta_seconds": True}, id="delta-bool"),
+            pytest.param({"iteration_estimator": "naive"}, id="estimator-string"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            QFEConfig(**kwargs)
+
+    def test_well_typed_values_accepted(self):
+        config = QFEConfig(
+            beta=2,
+            delta_seconds=0.5,
+            iteration_estimator=IterationEstimator.NAIVE,
+            max_iterations=3,
+            set_semantics=True,
+        )
+        assert (config.beta, config.max_iterations, config.set_semantics) == (2, 3, True)
+
     @pytest.mark.parametrize("field", ["beta", "delta_seconds"])
     def test_an_integer_beyond_the_float_range_is_rejected(self, field):
         # Accepted, it would overflow the round's float arithmetic (the

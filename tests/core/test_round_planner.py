@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import gc
 import weakref
+from typing import NamedTuple
 
 import pytest
 
-from repro.core import round_planner
+from repro.core import execution_backend, round_planner
 from repro.core.config import QFEConfig
-from repro.core.database_generator import DatabaseGenerator
-from repro.core.execution_backend import RoundSetup, ensure_base_masks_warm, evaluate_attempt
+from repro.core.execution_backend import SerialBackend, evaluate_attempt
 from repro.core.round_planner import PLAN_MEMO_LIMIT, PLAN_MEMO_STATS, RoundPlanner
 from repro.exceptions import DatabaseGenerationError
 from repro.obs.trace import Tracer, set_tracer
@@ -18,36 +18,55 @@ from repro.relational.evaluator import JoinCache
 from repro.relational.join import JOIN_STATS
 
 
-def _score_every_attempt(planner, plan) -> list:
-    """Score every attempt as the search does, past the winner too."""
-    setup = RoundSetup(
-        context=plan.context,
-        database=plan.original,
-        space=plan.space,
-        join_cache=planner.join_cache,
+def _search(planner, plan) -> list:
+    """The round's search: score the plan's attempts in order up to the winner."""
+    return SerialBackend().run_attempts(plan, planner.join_cache)
+
+
+class _Scored(NamedTuple):
+    attempt_index: int
+    pairs: tuple
+    applied: bool
+    distinguishes: bool
+    #: The canonical partition the attempt induced (None when not applied).
+    signature: tuple | None
+
+
+def _scored(outcome, signature=None) -> _Scored:
+    return _Scored(
+        outcome.attempt_index, outcome.pairs, outcome.applied, outcome.distinguishes, signature
     )
-    ensure_base_masks_warm(setup.database, setup.join_cache, setup.context)
-    return [evaluate_attempt(setup, index, pairs) for index, pairs in enumerate(plan.attempts)]
+
+
+def _score_every_attempt(planner, plan) -> list[_Scored]:
+    """Score every attempt as the search does, past the winner too.
+
+    Records each applied attempt's partition signature on the way, and drops
+    every distinguishing attempt's derived entry as soon as it is scored.
+    """
+    recorded: list = []
+    original = execution_backend.partition_signature
+
+    def recording(fingerprints):
+        recorded.append(original(fingerprints))
+        return recorded[-1]
+
+    rows = []
+    execution_backend.partition_signature = recording
+    try:
+        for index, pairs in enumerate(plan.attempts):
+            recorded.clear()
+            outcome = evaluate_attempt(plan, planner.join_cache, index, pairs)
+            if outcome.distinguishes:
+                planner.join_cache.invalidate(outcome.materialization.database)
+            rows.append(_scored(outcome, recorded[0] if recorded else None))
+    finally:
+        execution_backend.partition_signature = original
+    return rows
 
 
 # ------------------------------------------------------------------ planning
 class TestRoundPlanner:
-    def test_plan_round_matches_database_generator(
-        self, employee_db, employee_result, employee_candidates
-    ):
-        planner = RoundPlanner(QFEConfig())
-        generation = planner.plan_round(employee_db, employee_result, employee_candidates)
-        reference = DatabaseGenerator(QFEConfig()).generate(
-            employee_db, employee_result, employee_candidates
-        )
-        assert generation.chosen_pairs == reference.chosen_pairs
-        assert generation.fallback_attempts == reference.fallback_attempts
-        assert [g.query_indexes for g in generation.partition.groups] == [
-            g.query_indexes for g in reference.partition.groups
-        ]
-        for ours, theirs in zip(generation.partition.groups, reference.partition.groups):
-            assert ours.result.bag_equal(theirs.result)
-
     def test_prepare_round_attempt_sequence(
         self, employee_db, employee_result, employee_candidates
     ):
@@ -69,7 +88,7 @@ class TestRoundPlanner:
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        outcomes = planner.execute(plan)
+        outcomes = _search(planner, plan)
         assert outcomes[-1].applied and outcomes[-1].distinguishes
         assert all(
             not (o.applied and o.distinguishes) for o in outcomes[:-1]
@@ -82,16 +101,15 @@ class TestRoundPlanner:
 
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        store: dict = {}
-        outcomes = planner.execute(plan, store)
+        outcomes = _search(planner, plan)
         winner = outcomes[-1]
-        # The in-process backend deposits the winning materialization so
-        # plan_round never builds the winner twice; the derived cache entry
-        # stays registered for the finalize partition.
-        assert set(store) == {"materialization", "batch"}
-        assert partition_signature(store["batch"].fingerprints) == winner.signature
-        assert tuple(store["materialization"].delta.relations)
-        assert planner.join_cache.derived_link_count >= 1
+        # The winning outcome carries its materialization and batch evaluation
+        # so plan_round never builds the winner twice; the derived cache entry
+        # stays registered for the finalize partition. Losers carry neither.
+        assert all(o.materialization is None and o.batch is None for o in outcomes[:-1])
+        assert len(set(partition_signature(winner.batch.fingerprints))) > 1
+        assert tuple(winner.materialization.delta.relations)
+        assert planner.join_cache.derived_link_count == 1
 
     def test_serial_backend_rewarms_after_base_invalidation(
         self, employee_result, employee_candidates
@@ -101,16 +119,31 @@ class TestRoundPlanner:
         database = employee.build_database()
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(database, employee_result, employee_candidates)
-        planner.execute(plan)
-        referenced = plan.context.referenced
+        _search(planner, plan)
+        referenced = plan.referenced
         assert planner.join_cache.columnar_for(database, referenced).cached_term_count > 0
         # In-place mutation + the documented invalidate contract: the cache
-        # rebuilds a cold join, and the serial backend must warm it again
-        # rather than trusting its stale guard.
+        # rebuilds a cold join, and the search must warm it again.
         planner.join_cache.invalidate(database)
         plan = planner.prepare_round(database, employee_result, employee_candidates)
-        planner.execute(plan)
+        _search(planner, plan)
         assert planner.join_cache.columnar_for(database, referenced).cached_term_count > 0
+
+    def test_the_base_warm_up_is_idempotent(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig(), join_cache=JoinCache())
+        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        view = planner.join_cache.columnar_for(employee_db, plan.referenced)
+        assert view.cached_term_count == 0
+        first = [_scored(o) for o in _search(planner, plan)]
+        warmed = view.cached_term_count
+        assert warmed > 0
+        # Every round warms the base again; a term the view already caches
+        # is not rebuilt, and the search scores the same attempts.
+        second = [_scored(o) for o in _search(planner, plan)]
+        assert view.cached_term_count == warmed
+        assert second == first
 
     def test_execute_derives_every_attempt_in_process(
         self, employee_db, employee_result, employee_candidates
@@ -118,9 +151,9 @@ class TestRoundPlanner:
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
         joins_before, applies_before = JOIN_STATS.snapshot()
-        planner.execute(plan)
+        _search(planner, plan)
         outcomes = _score_every_attempt(planner, plan)
-        assert len(outcomes) == plan.attempt_count
+        assert len(outcomes) == len(plan.attempts)
         # Every attempt patches the warm base join; none re-joins cold.
         assert JOIN_STATS.full_joins == joins_before
         assert JOIN_STATS.delta_applies > applies_before
@@ -132,15 +165,13 @@ class TestRoundPlanner:
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
         # With no attempt splitting the candidates, the search visits all.
         _force_no_split(monkeypatch)
-        outcomes = planner.execute(plan)
-        assert [o.attempt_index for o in outcomes] == list(range(plan.attempt_count))
+        outcomes = _search(planner, plan)
+        assert [o.attempt_index for o in outcomes] == list(range(len(plan.attempts)))
         assert [o.pairs for o in outcomes] == [tuple(a) for a in plan.attempts]
 
     def test_plan_round_materializes_the_winner_once(
         self, employee_db, employee_result, employee_candidates, monkeypatch
     ):
-        from repro.core import execution_backend
-
         calls: list = []
         original = execution_backend.materialize_pairs
 
@@ -162,39 +193,53 @@ class TestRoundPlanner:
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        outcomes = _score_every_attempt(planner, plan)
-        # Scored without a winner sink, no attempt keeps its derived entry,
-        # however many of them distinguish.
-        assert sum(o.distinguishes for o in outcomes) > 1
-        assert planner.join_cache.derived_link_count == 0
-        store: dict = {}
-        planner.execute(plan, store)
-        assert planner.join_cache.derived_link_count == 1
-        planner.join_cache.invalidate(store["materialization"].database)
-        assert planner.join_cache.derived_link_count == 0
-
-    def test_base_masks_are_warmed_once_per_join(
-        self, employee_db, employee_result, employee_candidates, monkeypatch
-    ):
-        from repro.core import execution_backend
-
-        warmed: list = []
-        original = execution_backend.warm_base_masks
-
-        def counting(*args, **kwargs):
-            warmed.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(execution_backend, "warm_base_masks", counting)
-        planner = RoundPlanner(QFEConfig(), join_cache=JoinCache())
+        outcomes = [
+            evaluate_attempt(plan, planner.join_cache, index, pairs)
+            for index, pairs in enumerate(plan.attempts)
+        ]
+        # Every losing attempt released its derived entry; each distinguishing
+        # one keeps its own until released.
+        distinguishing = sum(o.distinguishes for o in outcomes)
+        assert distinguishing > 1
+        assert planner.join_cache.derived_link_count == distinguishing
+        del outcomes
+        planner.join_cache.clear()
+        # The search stops at the first winner, so it pins that one only.
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        planner.execute(plan)
-        planner.execute(plan)
-        assert len(warmed) == 1
-        # A fresh cache builds a new join object, which is warmed again.
-        other = RoundPlanner(QFEConfig(), join_cache=JoinCache())
-        other.execute(other.prepare_round(employee_db, employee_result, employee_candidates))
-        assert len(warmed) == 2
+        winner = _search(planner, plan)[-1]
+        assert planner.join_cache.derived_link_count == 1
+        planner.join_cache.invalidate(winner.materialization.database)
+        assert planner.join_cache.derived_link_count == 0
+
+    def test_the_round_spans_time_the_generation(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        planner = RoundPlanner(QFEConfig())
+        spans: list = []
+        previous = set_tracer(Tracer(spans))
+        try:
+            generation = planner.plan_round(employee_db, employee_result, employee_candidates)
+        finally:
+            set_tracer(previous)
+        durations = {span["name"]: span["duration_s"] for span in spans}
+        assert set(durations) >= {
+            "round.prepare", "round.skyline", "round.subset", "round.search",
+            "round.materialize",
+        }
+        assert generation.skyline_seconds == durations["round.skyline"]
+        assert generation.selection_seconds == durations["round.subset"]
+        assert generation.materialize_seconds == (
+            durations["round.search"] + durations["round.materialize"]
+        )
+        assert generation.total_seconds == pytest.approx(
+            generation.skyline_seconds + generation.selection_seconds
+            + generation.materialize_seconds
+        )
+        # Algorithms 3 and 4 run inside the prologue.
+        by_name = {span["name"]: span for span in spans}
+        prepare_id = by_name["round.prepare"]["span_id"]
+        assert by_name["round.skyline"]["parent_id"] == prepare_id
+        assert by_name["round.subset"]["parent_id"] == prepare_id
 
     def test_the_search_span_reports_the_attempts(
         self, employee_db, employee_result, employee_candidates
@@ -204,19 +249,19 @@ class TestRoundPlanner:
         previous = set_tracer(Tracer(spans))
         try:
             plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-            planner.execute(plan)
+            planner.plan_round(employee_db, employee_result, employee_candidates)
         finally:
             set_tracer(previous)
         (search,) = [span for span in spans if span["name"] == "round.search"]
-        assert search["attrs"] == {"attempts": plan.attempt_count}
+        assert search["attrs"] == {"attempts": len(plan.attempts)}
 
     def test_attempts_leave_the_base_untouched(
         self, employee_db, employee_result, employee_candidates
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        referenced = plan.context.referenced
-        queries = plan.context.queries
+        referenced = plan.referenced
+        queries = plan.queries
 
         def observe():
             tables = {
@@ -227,7 +272,7 @@ class TestRoundPlanner:
             return tables, joined, fingerprints
 
         before = observe()
-        planner.execute(plan)
+        _search(planner, plan)
         outcomes = _score_every_attempt(planner, plan)
         assert any(o.applied for o in outcomes)
         # Every attempt modified a copy: the base tables, its cached join and
@@ -238,8 +283,6 @@ class TestRoundPlanner:
 # ------------------------------------------------------------------- search
 def _force_no_split(monkeypatch, *, calls: int | None = None) -> None:
     """Make the first *calls* scored attempts (all when ``None``) split nothing."""
-    from repro.core import execution_backend
-
     original = execution_backend.partition_signature
     seen: list = []
 
@@ -259,9 +302,10 @@ class TestInProcessSearch:
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        every = _score_every_attempt(planner, plan)
-        winner = next(o for o in every if o.applied and o.distinguishes)
-        assert planner.execute(plan) == every[: winner.attempt_index + 1]
+        every = [row[:4] for row in _score_every_attempt(planner, plan)]
+        winner = next(row for row in every if row[2] and row[3])
+        searched = [_scored(o)[:4] for o in _search(planner, plan)]
+        assert searched == every[: winner[0] + 1]
 
     def test_outcomes_do_not_depend_on_a_warm_join_cache(
         self, employee_db, employee_result, employee_candidates
@@ -289,21 +333,19 @@ class TestInProcessSearch:
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
         outcomes = [o for o in _score_every_attempt(planner, plan) if o.applied]
         assert len(outcomes) > 1
-        context = plan.context
         for outcome in outcomes:
             # Re-materialize the attempt and evaluate it over a fresh cache,
             # which joins D' from scratch instead of patching the base join.
             materialization = materialize_pairs(
-                plan.space, outcome.pairs, employee_db, context.config
+                plan.space, outcome.pairs, employee_db, plan.config
             )
             batch = JoinCache().evaluate_batch(
-                context.queries,
+                plan.queries,
                 materialization.database,
-                set_semantics=context.config.set_semantics,
-                name=context.result_name,
+                set_semantics=plan.config.set_semantics,
+                name=plan.result_name,
             )
             assert partition_signature(batch.fingerprints) == outcome.signature
-            assert materialization.modification_count == outcome.modification_count
 
     @pytest.mark.parametrize("beta", [1.0, 3.0])
     def test_outcome_counts_are_consistent(
@@ -314,35 +356,28 @@ class TestInProcessSearch:
         outcomes = _score_every_attempt(planner, plan)
         assert any(o.distinguishes for o in outcomes)
         for outcome in outcomes:
-            assert outcome.db_cost == (
-                outcome.modification_count + beta * outcome.modified_relation_count
-            )
             if not outcome.applied:
                 assert outcome.signature is None and not outcome.distinguishes
                 continue
             assert len(outcome.signature) == len(employee_candidates)
-            assert sum(outcome.group_sizes) == len(employee_candidates)
-            assert list(outcome.group_sizes) == sorted(outcome.group_sizes, reverse=True)
-            assert outcome.distinguishes == (len(outcome.group_sizes) > 1)
+            assert outcome.distinguishes == (len(set(outcome.signature)) > 1)
+        # The winner's counts are its materialization's: they become the
+        # round's record.
+        generation = planner.plan_round(employee_db, employee_result, employee_candidates)
+        materialization = generation.materialization
+        assert materialization.modification_count == len(materialization.applied) > 0
+        assert materialization.modified_relation_count == len(
+            {modification.table for modification in materialization.applied}
+        )
 
     def test_an_empty_attempt_is_not_applied(
         self, employee_db, employee_result, employee_candidates
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        store: dict = {}
-        setup = RoundSetup(
-            context=plan.context,
-            database=employee_db,
-            space=plan.space,
-            join_cache=planner.join_cache,
-            winner_store=store,
-        )
-        outcome = evaluate_attempt(setup, 0, ())
+        outcome = evaluate_attempt(plan, planner.join_cache, 0, ())
         assert not outcome.applied and not outcome.distinguishes
-        assert (outcome.signature, outcome.group_sizes) == (None, ())
-        assert outcome.modification_count == 0 and outcome.db_cost == 0
-        assert store == {}
+        assert (outcome.materialization, outcome.batch) == (None, None)
         assert planner.join_cache.derived_link_count == 0
 
     def test_a_mutated_base_scores_like_a_fresh_planner(
@@ -378,7 +413,7 @@ class TestInProcessSearch:
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        assert plan.attempt_count > 1
+        assert len(plan.attempts) > 1
         _force_no_split(monkeypatch, calls=1)
         generation = planner.plan_round(employee_db, employee_result, employee_candidates)
         # The concrete subset database split nothing, so Algorithm 2 moved on
@@ -398,7 +433,7 @@ class TestInProcessSearch:
         _force_no_split(monkeypatch)
         with pytest.raises(
             DatabaseGenerationError,
-            match=f"did not distinguish any candidates after {plan.attempt_count} attempts",
+            match=f"did not distinguish any candidates after {len(plan.attempts)} attempts",
         ):
             planner.plan_round(employee_db, employee_result, employee_candidates)
         assert planner.join_cache.derived_link_count == 0

@@ -13,10 +13,11 @@ and that per-round phase durations account for the propose wall-clock.
 
 from __future__ import annotations
 
+from time import perf_counter
+
 import pytest
 
 from repro.core import OracleSelector, QFEConfig, QFESession
-from repro.core.timing import Stopwatch
 from repro.experiments.runner import prepare_candidates
 from repro.obs.summary import phase_breakdown
 from repro.obs.trace import Tracer, set_tracer
@@ -156,9 +157,9 @@ def test_traced_phases_account_for_propose_wall_clock():
     wall = 0.0
     try:
         while True:
-            watch = Stopwatch()
+            started = perf_counter()
             pending = session.propose()
-            wall += watch.elapsed()
+            wall += perf_counter() - started
             if pending is None:
                 break
             session.submit(selector.select(pending.round, pending.partition))

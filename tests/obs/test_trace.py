@@ -1,24 +1,17 @@
-"""Tracer: span records, nesting, sinks, pid guard, summary, CLI, validator."""
+"""Tracer: span records, nesting, sinks, span clock, pid guard, summary, CLI, validator."""
 
 from __future__ import annotations
 
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.obs.summary import aggregate_phases, phase_breakdown, render_summary
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    start_tracing,
-    stop_tracing,
-)
+from repro.obs.trace import Tracer, get_tracer, set_tracer, start_tracing, stop_tracing
 
 _REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -85,9 +78,17 @@ class TestSpans:
         spans: list = []
         tracer = Tracer(spans)
         tracer._pid -= 1  # simulate being inherited by a forked child
-        with tracer.span("work"):
-            pass
+        with tracer.span("work") as span:
+            time.sleep(0.001)
         assert spans == []
+        # The span still timed itself: a round in that process keeps its timings.
+        assert span.duration_s > 0.0
+
+    def test_a_span_exposes_the_duration_it_wrote(self):
+        spans: list = []
+        with Tracer(spans).span("work") as span:
+            time.sleep(0.001)
+        assert spans[0]["duration_s"] == span.duration_s > 0.0
 
 
 class TestFileSink:
@@ -99,7 +100,7 @@ class TestFileSink:
             with tracer.span("inner"):
                 pass
         stop_tracing()
-        assert isinstance(get_tracer(), NullTracer)
+        assert get_tracer() is not tracer
         lines = path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert [record["name"] for record in records] == ["inner", "outer"]
@@ -110,14 +111,26 @@ class TestFileSink:
         stop_tracing()
 
 
-class TestNullTracer:
-    def test_null_tracer_spans_are_shared_noops(self):
-        one = NULL_TRACER.span("a")
-        two = NULL_TRACER.span("b", attr=1)
-        assert one is two
-        with one as span:
-            span.set(anything=True)
-        assert not NULL_TRACER.enabled
+class TestSinklessTracer:
+    def test_the_default_tracer_times_spans_and_writes_nothing(self):
+        set_tracer(None)
+        tracer = get_tracer()
+        with tracer.span("outer", kind="unit") as outer:
+            with tracer.span("inner") as inner:
+                time.sleep(0.001)
+            inner.set(rows=3)
+        assert outer.duration_s >= inner.duration_s > 0.0
+        # Nothing is recorded: no ids, no parent links, no sink to write to.
+        assert (outer.span_id, inner.span_id, inner.parent_id) == (None, None, None)
+
+    def test_stop_tracing_leaves_a_tracer_that_still_times(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        start_tracing(path)
+        stop_tracing()
+        with get_tracer().span("after") as span:
+            time.sleep(0.001)
+        assert span.duration_s > 0.0
+        assert path.read_text() == ""
 
 
 def _round_spans(tracer):
@@ -251,6 +264,23 @@ class TestCheckTraceScript:
         assert result.returncode == 1
         assert "missing field" in result.stderr
         assert "not valid JSON" in result.stderr
+
+    def test_a_child_outside_its_parent_window_fails(self, tmp_path):
+        spans: list = []
+        _round_spans(Tracer(spans))
+        by_name = {span["name"]: span for span in spans}
+        path = tmp_path / "nested.jsonl"
+        path.write_text("".join(json.dumps(span) + "\n" for span in spans))
+        assert self._run(path).returncode == 0
+        # A child that ends after its parent: its window is not nested.
+        search = by_name["round.search"]
+        by_name["join.derive"]["t_start"] = search["t_start"] + search["duration_s"]
+        by_name["join.derive"]["duration_s"] = 0.5
+        path.write_text("".join(json.dumps(span) + "\n" for span in spans))
+        result = self._run(path)
+        assert result.returncode == 1
+        assert "not inside its parent" in result.stderr
+        assert "join.derive" in result.stderr
 
     def test_dangling_parent_fails(self, tmp_path):
         spans: list = []

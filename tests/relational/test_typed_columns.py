@@ -13,13 +13,12 @@ narrow buffers with a boxed side table for anything the buffer cannot hold
   escaping a narrowed buffer, strings appended outside the dictionary;
 * engagement of the acceleration structures (zone maps, sorted term index)
   via `COLUMNAR_STATS`, and their agreement with the plain scan;
-* copy-on-write identity sharing and pickling (lazy structures dropped).
+* copy-on-write identity sharing.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 
 import pytest
 
@@ -31,7 +30,6 @@ from repro.relational.columnar import (
     FloatColumn,
     IntColumn,
     StringColumn,
-    TypedColumn,
     build_typed_column,
     mask_positions,
 )
@@ -269,32 +267,6 @@ class TestTypedDerive:
         )
         assert derived_mask == fresh.term_mask(term)
         assert warm == view.term_mask(term)  # base view untouched
-
-
-# ----------------------------------------------------------------- pickling
-class TestTypedPickling:
-    def test_roundtrip_drops_lazy_structures(self):
-        relation = Relation.from_rows("T", ["v"], [[i] for i in range(600)])
-        view = ColumnarView(relation)
-        term = Term("v", ComparisonOp.EQ, 5)
-        mask = view.term_mask(term)  # builds the sorted index
-        column = view.column("v")
-        assert isinstance(column, TypedColumn)
-        restored = pickle.loads(pickle.dumps(view))
-        restored_column = restored.column("v")
-        assert restored_column._order is None  # lazy index not shipped
-        assert restored_column._zones is None
-        assert restored.cached_term_count == 0  # mask cache dropped
-        assert restored.term_mask(term) == mask
-        assert list(restored_column) == list(column)
-
-    def test_snapshot_column_kinds_survive(self):
-        values = [1, 2, None, 2**63, 5, 6, 7, 8, 9, 10, 11, 12]
-        relation = Relation.from_rows("T", ["v"], [[v] for v in values])
-        view = ColumnarView(relation)
-        restored = pickle.loads(pickle.dumps(view))
-        assert restored.column("v").kind == view.column("v").kind
-        assert restored.column("v")[3] == 2**63
 
 
 # ------------------------------------------------------------------- memory

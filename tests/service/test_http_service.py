@@ -107,6 +107,27 @@ class TestPlumbing:
         assert excinfo.value.status == 400
         assert "finite" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param({"max_subset_size": 2.5}, id="subset-size-float"),
+            pytest.param({"max_skyline_pairs": 7.5}, id="skyline-pairs-float"),
+            pytest.param({"set_semantics": "false"}, id="set-semantics-string"),
+            pytest.param({"max_iterations": True}, id="iterations-bool"),
+            pytest.param({"beta": True}, id="beta-bool"),
+        ],
+    )
+    def test_mistyped_config_values_are_a_400(self, service, config):
+        # Accepted, a float count made every later GET round a 400 (the
+        # session never ran a round), and the string "false" switched set
+        # semantics on.
+        with pytest.raises(ServiceClientError) as excinfo:
+            service._request(
+                "POST", "/sessions", {"workload": "scenario:mixed@2", "config": config}
+            )
+        assert excinfo.value.status == 400
+        assert next(iter(config)) in str(excinfo.value)
+
     @pytest.mark.parametrize("workload", ["Q9", "scenario:nope"])
     def test_unknown_workload_is_a_400_naming_the_known_ones(self, service, workload):
         with pytest.raises(ServiceClientError) as excinfo:
@@ -337,6 +358,63 @@ class TestKeepAlive:
         finally:
             connection.close()
         assert statistics.median(samples) < 0.020, samples
+
+
+class TestClientDisconnect:
+    def test_a_client_gone_mid_round_gets_its_round_served_once(
+        self, raw_service, monkeypatch
+    ):
+        address, _ = raw_service
+        host, port = address
+        client = ServiceClient(f"http://{host}:{port}", timeout=60)
+        failed_writes: list = []
+        send_json = _RequestHandler._send_json
+
+        def recording(handler, status, payload):
+            try:
+                send_json(handler, status, payload)
+            except OSError as exc:
+                failed_writes.append(exc)
+                raise
+
+        monkeypatch.setattr(_RequestHandler, "_send_json", recording)
+        spec = dict(_SPEC, candidate_count=6)
+        sid = client.create_session("Q2", **spec)["session_id"]
+        served = client.metrics()["rounds_served"]
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(
+                f"GET /sessions/{sid}/round HTTP/1.1\r\nHost: localhost\r\n\r\n".encode()
+            )
+        # Closed without reading: the server computes the round, then finds
+        # the client gone when it writes the response.
+        deadline = time.monotonic() + 60
+        while not failed_writes:
+            assert time.monotonic() < deadline, "the server never answered the round"
+            time.sleep(0.01)
+        time.sleep(0.1)
+        # The disconnect is swallowed: no second write (an error response).
+        assert len(failed_writes) == 1
+        assert isinstance(failed_writes[0], (BrokenPipeError, ConnectionResetError))
+        _assert_healthy(address)
+
+        # The round was proposed and checkpointed once; the retry replays it.
+        payload = client.get_round(sid)
+        assert payload["round"]["iteration"] == 1
+        assert client.metrics()["rounds_served"] == served + 1
+        final, _ = _drive_http(client, sid)
+        assert final["status"] == "converged"
+
+        database, result, _, candidates = workload_session_inputs(
+            "Q2", 0.03, candidate_count=6
+        )
+        reference = QFESession(
+            database, result, candidates=candidates, config=QFEConfig(delta_seconds=30.0)
+        )
+        reference.run(WorstCaseSelector())
+        assert transcript_json(client.transcript(sid)) == transcript_json(
+            session_transcript(reference, workload="Q2")
+        )
+        client.delete_session(sid)
 
 
 class TestCorruptCheckpointOverHttp:

@@ -1,10 +1,18 @@
 """Unit tests for the session-checkpoint stores (in-memory and on-disk)."""
 
 import os
+import select
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import repro
+from repro.core import QFEConfig, QFESession, WorstCaseSelector
 from repro.exceptions import CheckpointError, SessionNotFound
+from repro.service.checkpoint import restore_checkpoint, session_transcript, transcript_json
+from repro.service.manager import workload_session_inputs
 from repro.service.store import CHECKPOINT_SUFFIX, FileSessionStore, InMemorySessionStore
 
 
@@ -206,3 +214,83 @@ class TestFileStore:
             ns=(base_ns - second_ns + 400_000_000, base_ns - second_ns + 400_000_000),
         )
         assert store.ids() == ["fresh"]
+
+
+# ------------------------------------------------------------ fault injection
+_KILLED_WRITER = r"""
+import os, sys, time
+
+from repro.core import QFEConfig, QFESession, WorstCaseSelector
+from repro.service.checkpoint import DatabaseRef, capture_checkpoint
+from repro.service.manager import workload_session_inputs
+from repro.service.store import FileSessionStore
+
+store_dir, expected_path = sys.argv[1:3]
+database, result, _, candidates = workload_session_inputs("Q2", 0.03, candidate_count=6)
+session = QFESession(
+    database, result, candidates=candidates, config=QFEConfig(delta_seconds=30.0)
+)
+reference = DatabaseRef.workload("Q2", 0.03)
+store = FileSessionStore(store_dir)
+pending = session.propose()
+blob = capture_checkpoint(session, session_id="victim", database_ref=reference)
+store.put("victim", blob)
+with open(expected_path, "wb") as handle:
+    handle.write(blob)
+session.submit(WorstCaseSelector().select(pending.round, pending.partition))
+session.propose()
+
+
+def blocked_fsync(fd):
+    print("in fsync", flush=True)
+    time.sleep(600)
+
+
+os.fsync = blocked_fsync
+store.put("victim", capture_checkpoint(session, session_id="victim", database_ref=reference))
+"""
+
+
+class TestKilledCheckpointWrite:
+    def test_sigkill_during_put_keeps_the_previous_checkpoint(self, tmp_path):
+        store_dir, expected_path = tmp_path / "store", tmp_path / "expected.qfec"
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_WRITER, str(store_dir), str(expected_path)],
+            stdout=subprocess.PIPE, env=env,
+        )
+        try:
+            # The child blocks inside put's fsync: the second checkpoint is
+            # written to its temp file but not yet renamed into place.
+            ready, _, _ = select.select([child.stdout], [], [], 120)
+            assert ready, "the writer never reached fsync"
+            assert child.stdout.readline() == b"in fsync\n"
+            assert list(store_dir.glob(".victim.*.tmp"))
+        finally:
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=30)
+            child.stdout.close()
+        assert child.returncode == -signal.SIGKILL
+
+        store = FileSessionStore(store_dir)
+        assert store.ids() == ["victim"]  # the orphaned temp file is not a session
+        blob = store.get("victim")
+        assert blob == expected_path.read_bytes()
+        session, header = restore_checkpoint(blob)
+        assert header["iteration"] == 1 and session.status == "awaiting-choice"
+        selector = WorstCaseSelector()
+        while (pending := session.propose()) is not None:
+            session.submit(selector.select(pending.round, pending.partition))
+
+        database, result, _, candidates = workload_session_inputs(
+            "Q2", 0.03, candidate_count=6
+        )
+        reference = QFESession(
+            database, result, candidates=candidates, config=QFEConfig(delta_seconds=30.0)
+        )
+        reference.run(WorstCaseSelector())
+        assert transcript_json(session_transcript(session)) == transcript_json(
+            session_transcript(reference)
+        )
