@@ -18,6 +18,10 @@ echo "== differential oracles: columnar + delta maintenance vs row-at-a-time ref
 python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/sql/test_sqlite_backend.py tests/relational/test_null_semantics.py
 
 echo
+echo "== differential: round prologue (masks, reactions, Algorithms 3 and 4) vs the per-pair reference =="
+python -m pytest -q tests/core/test_prologue_differential.py -m ""
+
+echo
 echo "== regression guard: the delta-derive path performs no full join rebuild =="
 python -m pytest -q benchmarks/test_bench_components.py -k delta_derive_path --benchmark-disable
 

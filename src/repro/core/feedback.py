@@ -33,6 +33,7 @@ from typing import Callable, Protocol, Sequence
 
 from repro.core.partitioner import QueryPartition
 from repro.exceptions import FeedbackError
+from repro.obs.trace import get_tracer
 from repro.relational.database import Database
 from repro.relational.delta import DatabaseDelta, ResultDelta, database_delta, result_delta
 from repro.relational.evaluator import JoinCache, result_fingerprint
@@ -103,7 +104,8 @@ def build_feedback_round(
     partition: QueryPartition,
 ) -> FeedbackRound:
     """Assemble the deltas shown to the user for one iteration."""
-    db_delta = database_delta(original_database, modified_database)
+    with get_tracer().span("present.database_delta"):
+        db_delta = database_delta(original_database, modified_database)
     options = []
     for index, group in enumerate(partition.groups):
         options.append(

@@ -21,8 +21,11 @@ is the only path a round takes, in three phases:
 
 Every timing the round reports is a span duration (:mod:`repro.obs.trace`):
 Algorithm 3 is ``round.skyline`` and Algorithm 4 ``round.subset``, both
-inside ``round.prepare``; the database-modification step is ``round.search``
-plus ``round.materialize``.
+inside ``round.prepare`` next to the tuple-class space's ``round.space``;
+the database-modification step is ``round.search`` plus
+``round.materialize``. A computed prologue tags those spans with its
+figures and adds them to the ``qfe_prologue_*`` counters and
+``qfe_skyline_truncations``, once per round.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.core.skyline import SkylineResult, skyline_stc_dtc_pairs
 from repro.core.subset_selection import ScoreFunction, SubsetSelectionResult, pick_stc_dtc_subset
 from repro.core.tuple_class import TupleClassSpace
 from repro.exceptions import DatabaseGenerationError
-from repro.obs.registry import RegistryStats
+from repro.obs.registry import REGISTRY, RegistryStats
 from repro.obs.trace import get_tracer
 from repro.relational.database import Database
 from repro.relational.evaluator import JoinCache
@@ -58,6 +61,8 @@ __all__ = [
     "DatabaseGenerationResult",
     "PLAN_MEMO_LIMIT",
     "PLAN_MEMO_STATS",
+    "PROLOGUE_STATS",
+    "SKYLINE_TRUNCATIONS",
     "RoundPlan",
     "RoundPlanner",
 ]
@@ -78,6 +83,30 @@ class PlanMemoStats(RegistryStats):
 
 
 PLAN_MEMO_STATS = PlanMemoStats()
+
+
+class PrologueStats(RegistryStats):
+    """Work of the computed prologues (``qfe_prologue_*``), added once per round."""
+
+    _PREFIX = "qfe_prologue"
+    _FIELDS = ("source_classes", "enumerated_pairs", "reaction_keys", "effects")
+    _HELP = {
+        "source_classes": "Source tuple classes of the rounds' tuple-class spaces.",
+        "enumerated_pairs": "(STC, DTC) pairs Algorithm 3 enumerated.",
+        "reaction_keys": "Distinct pair reactions among the enumerated pairs.",
+        "effects": "Pair-set effects Algorithm 4 built.",
+    }
+
+
+PROLOGUE_STATS = PrologueStats()
+
+#: Skyline enumerations that ended early, labelled by what ended them
+#: (``SkylineResult.truncated_by``: ``time`` or ``cap``).
+SKYLINE_TRUNCATIONS = REGISTRY.counter(
+    "qfe_skyline_truncations",
+    "Skyline enumerations ended early, by what ended them (time or cap).",
+    labels=("by",),
+)
 
 
 class _Prologue(NamedTuple):
@@ -220,19 +249,36 @@ class RoundPlanner:
             memo.move_to_end(body)
             PLAN_MEMO_STATS.memo_hits += 1
         else:
-            space = TupleClassSpace(joined, queries)
+            tracer = get_tracer()
+            # Span attributes are set before each span closes: a file sink
+            # writes the span as it closes.
+            with tracer.span("round.space") as space_span:
+                space = TupleClassSpace(joined, queries)
+                source_classes = len(space.source_tuple_classes())
+                space_span.set(source_classes=source_classes, attributes=space.attribute_count)
+            PROLOGUE_STATS.add(source_classes=source_classes)
             if space.attribute_count == 0:
                 raise DatabaseGenerationError(
                     "candidate queries have no selection predicates to distinguish"
                 )
             simulator = PairSetSimulator(space, result_arity=result_arity)
 
-            tracer = get_tracer()
             with tracer.span("round.skyline") as skyline_span:
                 skyline = skyline_stc_dtc_pairs(
                     space, self.config, result_arity=result_arity, simulator=simulator
                 )
+                skyline_span.set(
+                    enumerated_pairs=skyline.enumerated_pairs,
+                    reaction_keys=skyline.reaction_keys,
+                    pairs=skyline.pair_count,
+                    truncated_by=skyline.truncated_by,
+                )
             skyline_seconds = skyline_span.duration_s
+            PROLOGUE_STATS.add(
+                enumerated_pairs=skyline.enumerated_pairs, reaction_keys=skyline.reaction_keys
+            )
+            if skyline.truncated_by is not None:
+                SKYLINE_TRUNCATIONS.inc(by=skyline.truncated_by)
             if not skyline.pairs:
                 raise DatabaseGenerationError(
                     "Algorithm 3 found no distinguishing tuple-class pairs"
@@ -248,7 +294,11 @@ class RoundPlanner:
                     score=self.score,
                     simulator=simulator,
                 )
+                subset_span.set(
+                    sets_evaluated=selection.sets_evaluated, effects_built=selection.effects_built
+                )
             selection_seconds = subset_span.duration_s
+            PROLOGUE_STATS.add(effects=selection.effects_built)
             if not selection.found:
                 raise DatabaseGenerationError("Algorithm 4 found no distinguishing pair subset")
 

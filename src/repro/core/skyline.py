@@ -9,6 +9,12 @@ across iterations), which yields a skyline over (balance, minEdit): a pair
 with a higher edit cost survives only if it achieves a strictly better
 balance than every cheaper pair.
 
+Each DTC is a conjunct mask — the source's unchanged slots ANDed with one
+mask per changed slot (:meth:`TupleClassSpace.destination_groups`) — and
+each pair's balance is its interned reaction's
+(:meth:`PairSetSimulator.reaction`), so the enumeration calls no predicate
+and builds a :class:`ClassPair` only for the pairs a level keeps.
+
 The enumeration is bounded by the wall-clock threshold ``δ``
 (``config.delta_seconds``) exactly as in the paper — when the budget is
 exhausted the pairs found so far are returned — plus a hard cap on the number
@@ -18,11 +24,12 @@ harmless for partitioning quality.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from time import perf_counter
 
 from repro.core.config import QFEConfig
-from repro.core.modification import ClassPair, PairSetSimulator
+from repro.core.modification import ClassPair, PairSetSimulator, Reaction
 from repro.core.tuple_class import TupleClassSpace
 
 __all__ = ["SkylineResult", "skyline_stc_dtc_pairs"]
@@ -39,6 +46,21 @@ class SkylineResult:
     truncated_by_time: bool
     truncated_by_cap: bool
     most_balanced_binary_x: int | None
+    #: Distinct pair reactions among the enumerated pairs.
+    reaction_keys: int = 0
+
+    @property
+    def truncated_by(self) -> str | None:
+        """What ended the enumeration early: ``"time"``, ``"cap"`` or ``None``.
+
+        The clock takes precedence: a level the clock cut short may still
+        exceed the cap.
+        """
+        if self.truncated_by_time:
+            return "time"
+        if self.truncated_by_cap:
+            return "cap"
+        return None
 
     @property
     def pair_count(self) -> int:
@@ -76,37 +98,51 @@ def skyline_stc_dtc_pairs(
     enumerated = 0
     truncated_time = False
     truncated_cap = False
-    best_binary_x: int | None = None
-    query_count = len(space.queries)
+    projected = simulator.projected_slots
+    queries_of_conjuncts = space.queries_of_conjuncts
+    # (source query mask, changed projected count) -> DTC conjunct mask -> reaction.
+    tables: dict[tuple[int, int], dict[int, Reaction]] = {}
+    reactions_seen: dict[int, Reaction] = {}
 
     source_classes = space.source_tuple_classes()
     attribute_count = space.attribute_count
 
     for modified_slots in range(1, attribute_count + 1):
-        level_pairs: list[ClassPair] = []
+        # The level's pairs tied at the best balance, as (source, slots, choice).
+        level: list[tuple] = []
         for source in source_classes:
-            for destination in space.destination_classes(source, modified_slots):
-                enumerated += 1
-                pair = ClassPair(source, destination)
-                effect = simulator.effect([pair])
-                balance = effect.balance
-                balances[pair] = balance
-                # Track the most balanced *binary* partitioning for Lemma 3.1.
-                if effect.group_count == 2:
-                    smaller = min(effect.group_sizes)
-                    if smaller < query_count and (best_binary_x is None or smaller > best_binary_x):
-                        best_binary_x = smaller
-                if balance < min_balance:
-                    level_pairs = [pair]
-                    min_balance = balance
-                elif balance == min_balance and balance != float("inf"):
-                    level_pairs.append(pair)
-                if enumerated % 64 == 0 and perf_counter() > deadline:
-                    truncated_time = True
+            source_queries = space.query_mask(source)
+            for slots, base, alternatives in space.destination_groups(source, modified_slots):
+                changed_projected = sum(1 for slot in slots if slot in projected)
+                table = tables.setdefault((source_queries, changed_projected), {})
+                for choice in itertools.product(*alternatives):
+                    mask = base
+                    for _, slot_mask in choice:
+                        mask &= slot_mask
+                    enumerated += 1
+                    reaction = table.get(mask)
+                    if reaction is None:
+                        reaction = table[mask] = simulator.reaction(
+                            source_queries, queries_of_conjuncts(mask), changed_projected
+                        )
+                        reactions_seen[reaction.index] = reaction
+                    balance = reaction.grouping.balance
+                    if balance < min_balance:
+                        level = [(source, slots, choice)]
+                        min_balance = balance
+                    elif balance == min_balance and balance != float("inf"):
+                        level.append((source, slots, choice))
+                    if not enumerated % 64 and perf_counter() > deadline:
+                        truncated_time = True
+                        break
+                if truncated_time:
                     break
             if truncated_time:
                 break
-        pairs.extend(level_pairs)
+        for source, slots, choice in level:
+            pair = ClassPair(source, space.destination(source, slots, choice))
+            pairs.append(pair)
+            balances[pair] = min_balance
         if len(pairs) >= config.max_skyline_pairs:
             truncated_cap = True
             pairs = pairs[: config.max_skyline_pairs]
@@ -117,6 +153,16 @@ def skyline_stc_dtc_pairs(
             truncated_time = True
             break
 
+    # The most balanced *binary* partitioning any enumerated pair makes
+    # (Lemma 3.1): the largest smaller side of a two-group split.
+    best_binary_x = max(
+        (
+            min(reaction.grouping.group_sizes)
+            for reaction in reactions_seen.values()
+            if len(reaction.grouping.group_sizes) == 2
+        ),
+        default=None,
+    )
     elapsed = perf_counter() - started
     return SkylineResult(
         pairs=pairs,
@@ -126,4 +172,5 @@ def skyline_stc_dtc_pairs(
         truncated_by_time=truncated_time,
         truncated_by_cap=truncated_cap,
         most_balanced_binary_x=best_binary_x,
+        reaction_keys=len(reactions_seen),
     )

@@ -6,7 +6,10 @@ the lowest balance score. The search grows candidate pair sets one pair at a
 time, but a grown set is only kept for the next level when it *strictly
 improves* the balance score of the set it extends — the paper's pruning
 heuristic that keeps the worst-case ``O(2^|SP|)`` search small in practice
-(Section 5.4, Table 4/5).
+(Section 5.4, Table 4/5). The pruning test reads the simulator's memoised
+grouping of the grown set's reactions; a :class:`PairSetEffect` and its
+cost are built only for every single pair and for each grown set the
+pruning keeps.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ class SubsetSelectionResult:
     chosen_cost: CostBreakdown | None
     sets_evaluated: int
     elapsed_seconds: float
+    #: Pair sets that got a :class:`PairSetEffect`: every single, and each
+    #: grown set the balance pruning kept.
+    effects_built: int = 0
 
     @property
     def found(self) -> bool:
@@ -72,11 +78,9 @@ def pick_stc_dtc_subset(
     simulator = simulator or PairSetSimulator(space, result_arity=result_arity)
     max_sets_per_level = max_sets_per_level or config.max_sets_per_level
     pairs = list(skyline_pairs)
-    # The single-pair scoring below populates the simulator's per-pair cache
-    # (one compiled-predicate match vector per distinct tuple class, covering
-    # all candidates at once); the frontier growth then only combines cached
-    # per-pair reaction keys.
+    reactions = [simulator.reaction_of(pair) for pair in pairs]
     sets_evaluated = 0
+    effects_built = 0
 
     best_sets: list[tuple[frozenset[int], PairSetEffect, CostBreakdown]] = []
     best_key: tuple | None = None
@@ -97,6 +101,7 @@ def pick_stc_dtc_subset(
     single_effects: dict[int, PairSetEffect] = {}
     for index, pair in enumerate(pairs):
         effect = simulator.effect([pair])
+        effects_built += 1
         cost = cost_of_effect(effect, config, most_balanced_binary_x=most_balanced_binary_x)
         sets_evaluated += 1
         consider(frozenset([index]), effect, cost)
@@ -120,12 +125,14 @@ def pick_stc_dtc_subset(
                 if grown in seen:
                     continue
                 seen.add(grown)
-                grown_pairs = [pairs[i] for i in sorted(grown)]
-                grown_effect = simulator.effect(grown_pairs)
+                members = sorted(grown)
                 sets_evaluated += 1
-                # Balance-improvement pruning: only keep the grown set when it
-                # is more balanced than the set it extends.
-                if grown_effect.balance < effect.balance:
+                # Balance-improvement pruning on the memoised grouping: only
+                # a grown set more balanced than the set it extends is kept,
+                # and only a kept set gets an effect and a cost.
+                if simulator.grouping([reactions[i] for i in members]).balance < effect.balance:
+                    grown_effect = simulator.effect([pairs[i] for i in members])
+                    effects_built += 1
                     next_frontier.append((grown, grown_effect))
                     grown_cost = cost_of_effect(
                         grown_effect, config, most_balanced_binary_x=most_balanced_binary_x
@@ -140,10 +147,12 @@ def pick_stc_dtc_subset(
 
     elapsed = perf_counter() - started
     if not best_sets:
-        return SubsetSelectionResult((), None, None, sets_evaluated, elapsed)
+        return SubsetSelectionResult((), None, None, sets_evaluated, elapsed, effects_built)
 
     # Tie-break (step 22): among minimum-cost sets pick the lowest balance.
     best_sets.sort(key=lambda item: (item[1].balance, sorted(item[0])))
     chosen_indexes, chosen_effect, chosen_cost = best_sets[0]
     chosen_pairs = tuple(pairs[i] for i in sorted(chosen_indexes))
-    return SubsetSelectionResult(chosen_pairs, chosen_effect, chosen_cost, sets_evaluated, elapsed)
+    return SubsetSelectionResult(
+        chosen_pairs, chosen_effect, chosen_cost, sets_evaluated, elapsed, effects_built
+    )

@@ -13,20 +13,28 @@ The module provides:
 * :class:`DomainSubset` / :class:`DomainPartition` — the per-attribute
   partition, for both ordered (numeric) and categorical domains, each subset
   carrying representative values used when materializing modifications;
-* :class:`TupleClass` — one combination of subsets, with query matching;
+* :class:`TupleClass` — one combination of subsets;
 * :class:`TupleClassSpace` — the partitions for all selection attributes, the
-  mapping of joined rows to their source tuple classes (STCs), and the
-  enumeration of destination tuple classes (DTCs) at a given edit distance.
+  mapping of joined rows to their source tuple classes (STCs), query
+  matching as bitmasks, and the enumeration of destination tuple classes
+  (DTCs) at a given edit distance.
+
+Matching is decided once per (selection slot, domain subset): a conjunct
+mask records which candidate conjuncts hold on the subset's representative
+value, a class's mask is the AND of its slots' masks, and a DTC's mask is
+its source's unchanged slots ANDed with one mask per changed slot, so
+Algorithm 3 enumerates DTCs without calling a predicate.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.relational.join import JoinedRelation
-from repro.relational.predicates import Term, compile_predicate
+from repro.exceptions import EvaluationError
+from repro.relational.predicates import Conjunct, Term, compile_term
 from repro.relational.query import SPJQuery
 from repro.relational.types import value_sort_key
 
@@ -299,7 +307,18 @@ class TupleClass:
 
 
 class TupleClassSpace:
-    """Domain partitions + the STC structure of a joined relation w.r.t. ``QC``."""
+    """Domain partitions, the STC structure of a joined relation and its query masks.
+
+    Matching is bitwise. Every conjunct of every candidate gets one bit, and
+    for each selection slot and domain subset the space stores a *conjunct
+    mask*: bit ``c`` is set when every term of conjunct ``c`` on that slot's
+    attribute holds for the subset's :meth:`~DomainSubset.representative`,
+    or when conjunct ``c`` has no term on that attribute. A class's
+    conjunct mask is the AND of its slots' masks, and a candidate matches
+    the class when any of its conjunct bits survives (a TRUE predicate's one
+    conjunct is empty, so it always does). All masks are built once, with
+    the space.
+    """
 
     def __init__(self, joined: JoinedRelation, queries: Sequence[SPJQuery]) -> None:
         self.joined = joined
@@ -319,11 +338,8 @@ class TupleClassSpace:
         self._row_classes: list[TupleClass] = []
         self._class_rows: dict[TupleClass, list[int]] = {}
         self._assign_rows()
-        self._slot_of_attribute = {
-            attribute: slot for slot, attribute in enumerate(self.selection_attributes)
-        }
-        self._compiled_predicates: list | None = None
-        self._match_vector_cache: dict[TupleClass, tuple[bool, ...]] = {}
+        self._sources = sorted(self._class_rows, key=lambda tc: tc.subset_indexes)
+        self._build_masks()
 
     # ------------------------------------------------------------------ build
     @staticmethod
@@ -354,6 +370,65 @@ class TupleClassSpace:
             self._row_classes.append(tuple_class)
             self._class_rows.setdefault(tuple_class, []).append(position)
 
+    def _build_masks(self) -> None:
+        # Bit ``i`` is candidate ``i``'s first conjunct (an empty one for a
+        # TRUE predicate, which no term constrains); the further conjuncts of
+        # DNF candidates follow from bit ``len(queries)`` on. Without DNF
+        # candidates a conjunct mask is therefore its own query mask.
+        count = len(self.queries)
+        conjuncts = [
+            query.predicate.conjuncts[0] if query.predicate.conjuncts else Conjunct(())
+            for query in self.queries
+        ]
+        #: (conjunct bit, owning query bit) of every conjunct past a query's first.
+        self._extra_conjuncts: list[tuple[int, int]] = []
+        for index, query in enumerate(self.queries):
+            for conjunct in query.predicate.conjuncts[1:]:
+                self._extra_conjuncts.append((1 << len(conjuncts), 1 << index))
+                conjuncts.append(conjunct)
+        self._first_conjuncts = (1 << count) - 1
+        #: Every conjunct bit set: the mask of a class no term constrains.
+        self._all_conjuncts = (1 << len(conjuncts)) - 1
+        self._slot_masks: list[tuple[int, ...]] = []
+        for attribute in self.selection_attributes:
+            # The conjuncts with terms on this attribute; the others hold on
+            # every subset.
+            constrained = [
+                (1 << bit, [compile_term(term) for term in conjunct.terms_on(attribute)])
+                for bit, conjunct in enumerate(conjuncts)
+                if conjunct.terms_on(attribute)
+            ]
+            unconstrained = self._all_conjuncts
+            for bit, _ in constrained:
+                unconstrained &= ~bit
+            masks = []
+            for subset in self.partitions[attribute].subsets:
+                value = subset.representative()
+                mask = unconstrained
+                for bit, tests in constrained:
+                    if all(_holds(test, value) for test in tests):
+                        mask |= bit
+                masks.append(mask)
+            self._slot_masks.append(tuple(masks))
+        # Per slot and excluded subset: the (subset index, mask) alternatives a
+        # destination may move that slot to, in subset order. Only blocks with
+        # a representative value can be materialized.
+        self._alternatives: list[tuple[tuple[tuple[int, int], ...], ...]] = []
+        for slot, attribute in enumerate(self.selection_attributes):
+            subsets = self.partitions[attribute].subsets
+            usable = [
+                (subset.index, self._slot_masks[slot][subset.index])
+                for subset in subsets
+                if subset.has_representative
+            ]
+            self._alternatives.append(
+                tuple(
+                    tuple(item for item in usable if item[0] != excluded.index)
+                    for excluded in subsets
+                )
+            )
+        self._query_mask_cache: dict[int, int] = {}
+
     # ----------------------------------------------------------------- access
     @property
     def attribute_count(self) -> int:
@@ -362,7 +437,7 @@ class TupleClassSpace:
 
     def source_tuple_classes(self) -> list[TupleClass]:
         """All tuple classes that contain at least one joined row, deterministic order."""
-        return sorted(self._class_rows, key=lambda tc: tc.subset_indexes)
+        return list(self._sources)
 
     def rows_in_class(self, tuple_class: TupleClass) -> tuple[int, ...]:
         """Joined-row positions belonging to the class."""
@@ -386,70 +461,95 @@ class TupleClassSpace:
             values[attribute] = self.partitions[attribute].subset(index).representative()
         return values
 
-    def _compiled(self) -> list:
-        # Each candidate's predicate compiled once into a positional closure
-        # over the selection-attribute slots (the shared compile cache means
-        # terms common to several candidates compile a single time).
-        if self._compiled_predicates is None:
-            self._compiled_predicates = [
-                compile_predicate(query.predicate, self._slot_of_attribute)
-                for query in self.queries
-            ]
-        return self._compiled_predicates
+    def queries_of_conjuncts(self, conjunct_mask: int) -> int:
+        """The query mask (bit ``i`` = candidate ``i`` matches) of a conjunct mask.
 
-    def match_vector(self, tuple_class: TupleClass) -> tuple[bool, ...]:
-        """Whether each candidate query matches the tuple class, for all candidates.
-
-        By construction every term of every candidate is constant on each
-        domain subset, so evaluating the compiled predicates on the class's
-        representative values (one per selection-attribute slot) decides it
-        for all tuples of the class. Computed once per class and cached — the
-        pair-set simulators of Algorithms 3/4 probe the same classes for every
-        candidate.
+        A candidate matches when any of its conjuncts does. Without DNF
+        candidates that is the conjunct mask itself; otherwise it is
+        memoised per conjunct mask.
         """
-        cached = self._match_vector_cache.get(tuple_class)
-        if cached is not None:
-            return cached
-        values = tuple(
-            self.partitions[attribute].subset(index).representative()
-            for attribute, index in zip(self.selection_attributes, tuple_class.subset_indexes)
-        )
-        vector = tuple(predicate(values) for predicate in self._compiled())
-        self._match_vector_cache[tuple_class] = vector
-        return vector
+        if not self._extra_conjuncts:
+            return conjunct_mask
+        queries = self._query_mask_cache.get(conjunct_mask)
+        if queries is None:
+            queries = conjunct_mask & self._first_conjuncts
+            for bit, owner in self._extra_conjuncts:
+                if conjunct_mask & bit:
+                    queries |= owner
+            self._query_mask_cache[conjunct_mask] = queries
+        return queries
+
+    def query_mask(self, tuple_class: TupleClass) -> int:
+        """Bit ``i`` set when candidate ``i`` matches every tuple of the class."""
+        conjuncts = self._all_conjuncts
+        for masks, index in zip(self._slot_masks, tuple_class.subset_indexes):
+            conjuncts &= masks[index]
+        return self.queries_of_conjuncts(conjuncts)
 
     def matches(self, query_index: int, tuple_class: TupleClass) -> bool:
         """Whether the candidate query at *query_index* matches the tuple class."""
-        return self.match_vector(tuple_class)[query_index]
+        return bool(self.query_mask(tuple_class) >> query_index & 1)
 
     # ------------------------------------------------------------ enumeration
-    def destination_classes(self, source: TupleClass, modified_slots: int) -> Iterator[TupleClass]:
-        """All DTCs derived from *source* by changing exactly *modified_slots* attributes.
+    def destination_groups(
+        self, source: TupleClass, modified_slots: int
+    ) -> Iterator[tuple[tuple[int, ...], int, tuple[tuple[tuple[int, int], ...], ...]]]:
+        """Algorithm 3's DTCs of *source* at edit distance *modified_slots*, grouped.
 
-        Only destination blocks with at least one representative value are
-        yielded (otherwise the modification could not be materialized).
+        Yields one ``(slots, base_mask, alternatives)`` per combination of
+        changed slots, in :func:`itertools.combinations` order. ``base_mask``
+        is the AND of the unchanged slots' masks; ``alternatives[j]`` lists
+        the ``(subset index, mask)`` choices of ``slots[j]``, in subset order
+        and without the source's own subset. A destination is one choice per
+        changed slot (in :func:`itertools.product` order) and its conjunct
+        mask is ``base_mask`` ANDed with the chosen masks. Combinations with a
+        slot that has nowhere to move are skipped.
         """
         n = len(self.selection_attributes)
         if modified_slots < 1 or modified_slots > n:
             return
-        for slots in itertools.combinations(range(n), modified_slots):
-            alternatives_per_slot = []
-            for slot in slots:
-                attribute = self.selection_attributes[slot]
-                partition = self.partitions[attribute]
-                alternatives = [
-                    subset.index
-                    for subset in partition.subsets
-                    if subset.index != source.subset_indexes[slot] and subset.has_representative
-                ]
-                alternatives_per_slot.append(alternatives)
-            if any(not alternatives for alternatives in alternatives_per_slot):
-                continue
-            for choice in itertools.product(*alternatives_per_slot):
-                new_indexes = list(source.subset_indexes)
-                for slot, subset_index in zip(slots, choice):
-                    new_indexes[slot] = subset_index
-                yield TupleClass(tuple(new_indexes))
+        indexes = source.subset_indexes
+        masks = [slot_masks[index] for slot_masks, index in zip(self._slot_masks, indexes)]
+        alternatives = [
+            per_excluded[index] for per_excluded, index in zip(self._alternatives, indexes)
+        ]
+        suffix = [self._all_conjuncts] * (n + 1)
+        for slot in range(n - 1, -1, -1):
+            suffix[slot] = suffix[slot + 1] & masks[slot]
+
+        # Depth-first over combinations in lexicographic order; ``prefix`` is
+        # the AND of the unchanged slots before ``start``.
+        def walk(start: int, remaining: int, prefix: int, chosen: tuple[int, ...]):
+            if not remaining:
+                yield chosen, prefix & suffix[start], tuple(alternatives[s] for s in chosen)
+                return
+            for slot in range(start, n - remaining + 1):
+                if alternatives[slot]:
+                    yield from walk(slot + 1, remaining - 1, prefix, chosen + (slot,))
+                prefix &= masks[slot]
+
+        yield from walk(0, modified_slots, self._all_conjuncts, ())
+
+    def destination_classes(self, source: TupleClass, modified_slots: int) -> Iterator[TupleClass]:
+        """All DTCs derived from *source* by changing exactly *modified_slots* attributes.
+
+        A view of :meth:`destination_groups` (same order). Only destination
+        blocks with at least one representative value are yielded (otherwise
+        the modification could not be materialized).
+        """
+        for slots, _, alternatives in self.destination_groups(source, modified_slots):
+            for choice in itertools.product(*alternatives):
+                yield self.destination(source, slots, choice)
+
+    @staticmethod
+    def destination(
+        source: TupleClass, slots: Sequence[int], choice: Sequence[tuple[int, int]]
+    ) -> TupleClass:
+        """The DTC that moves each of *slots* of *source* to its chosen subset."""
+        indexes = list(source.subset_indexes)
+        for slot, (index, _) in zip(slots, choice):
+            indexes[slot] = index
+        return TupleClass(tuple(indexes))
 
     def changed_attributes(self, source: TupleClass, destination: TupleClass) -> tuple[str, ...]:
         """Qualified attribute names whose subset changes between the two classes."""
@@ -457,3 +557,15 @@ class TupleClassSpace:
             self.selection_attributes[slot]
             for slot in source.differing_positions(destination)
         )
+
+
+def _holds(test: Callable[[Any], bool], value: Any) -> bool:
+    """Whether a compiled term holds for a representative value.
+
+    A term that cannot compare the value (``EvaluationError``) does not
+    hold, so its conjunct fails instead of the whole round raising.
+    """
+    try:
+        return test(value)
+    except EvaluationError:
+        return False

@@ -17,7 +17,6 @@ from time import perf_counter
 from typing import Sequence
 
 from repro.core.config import QFEConfig
-from repro.core.modification import PairSetSimulator
 from repro.core.round_planner import RoundPlanner
 from repro.core.skyline import skyline_stc_dtc_pairs
 from repro.core.subset_selection import pick_stc_dtc_subset
@@ -203,11 +202,8 @@ def table5(
     candidates, _ = prepare_candidates(database, result, target, qbo_config=_QBO)
     joined = full_join(database)
     space = TupleClassSpace(joined, candidates)
-    simulator = PairSetSimulator(space, result_arity=result.schema.arity)
     config = QFEConfig(delta_seconds=10.0, max_skyline_pairs=max(pair_counts))
-    skyline = skyline_stc_dtc_pairs(
-        space, config, result_arity=result.schema.arity, simulator=simulator
-    )
+    skyline = skyline_stc_dtc_pairs(space, config, result_arity=result.schema.arity)
     table = ExperimentTable(
         title="Table 5: execution time of Algorithm 4 for varying |SP|",
         columns=["# of skyline pairs", "Exec. time (s)", "chosen |S|", "chosen k"],
@@ -217,11 +213,11 @@ def table5(
     for count in pair_counts:
         subset = skyline.pairs[: min(count, skyline.pair_count)]
         started = perf_counter()
+        # Each size gets its own simulator, so no row reuses another's groupings.
         selection = pick_stc_dtc_subset(
             space, subset, config,
             result_arity=result.schema.arity,
             most_balanced_binary_x=skyline.most_balanced_binary_x,
-            simulator=simulator,
         )
         elapsed = perf_counter() - started
         chosen_k = selection.chosen_effect.group_count if selection.chosen_effect else 0

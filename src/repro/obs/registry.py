@@ -344,6 +344,11 @@ class RegistryStats:
         else:
             object.__setattr__(self, name, value)
 
+    def add(self, **amounts: int | float) -> None:
+        """Add to several fields, each atomically (``+=`` reads, then writes)."""
+        for field, amount in amounts.items():
+            self._counters[field].inc(amount)
+
     def reset(self) -> None:
         """Zero all counters (tests/benchmarks call this before measuring)."""
         for counter in self._counters.values():

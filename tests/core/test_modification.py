@@ -96,7 +96,7 @@ class TestPairSetSimulator:
     def test_simulator_caches_pairs(self, employee_space):
         simulator = PairSetSimulator(employee_space, result_arity=1)
         pair = _all_single_pairs(employee_space)[0]
-        simulator.effect([pair])
-        assert pair in simulator._pair_cache
-        simulator.effect([pair])  # second call hits the cache
-        assert len(simulator._pair_cache) == 1
+        first = simulator.effect([pair])
+        assert simulator.reaction_count == 1
+        assert simulator.effect([pair]) == first  # second call reuses the reaction
+        assert simulator.reaction_count == 1

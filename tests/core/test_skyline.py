@@ -60,5 +60,7 @@ class TestSkyline:
 
     def test_shared_simulator_is_used(self, employee_space):
         simulator = PairSetSimulator(employee_space, result_arity=1)
-        skyline_stc_dtc_pairs(employee_space, QFEConfig(), result_arity=1, simulator=simulator)
-        assert len(simulator._pair_cache) > 0
+        result = skyline_stc_dtc_pairs(
+            employee_space, QFEConfig(), result_arity=1, simulator=simulator
+        )
+        assert simulator.reaction_count == result.reaction_keys > 0

@@ -1,6 +1,11 @@
 """Unit tests for domain partitioning and tuple classes (Section 5.1)."""
 
+import pytest
+
+from repro.core.config import QFEConfig
+from repro.core.skyline import skyline_stc_dtc_pairs
 from repro.core.tuple_class import DomainPartition, TupleClass, TupleClassSpace
+from repro.relational.database import Database
 from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery
@@ -154,9 +159,68 @@ class TestTupleClassSpace:
         assert len(changed) == 1
         assert changed[0] in {"Emp.salary", "Dept.dname"}
 
+    def test_an_incomparable_representative_fails_its_term(self):
+        # No active value fails ``flag >= False``, so the partition gets a
+        # fresh block whose string representative cannot be ordered against
+        # a bool: the term does not hold there, and nothing raises.
+        database = Database.from_tables({"T": (["id", "flag"], [[0, True], [1, False]])})
+        queries = [
+            _query("T", ["T.id"], [Term("T.flag", ComparisonOp.GE, False)]),
+            _query("T", ["T.id"], [Term("T.flag", ComparisonOp.EQ, True)]),
+        ]
+        space = self._space(database, queries)
+        fresh = next(
+            s.index for s in space.partitions["T.flag"].subsets if s.description == "{fresh}"
+        )
+        assert space.query_mask(TupleClass((fresh,))) == 0
+        assert skyline_stc_dtc_pairs(space, QFEConfig(), result_arity=1).pair_count >= 1
+
     def test_max_subsets_per_attribute(self, two_table_db):
         queries = [_query("Emp", ["Emp.ename"], [Term("Emp.salary", ComparisonOp.GT, 60)])]
         space = self._space(two_table_db, queries)
         assert space.max_subsets_per_attribute() >= 2
         empty_space = TupleClassSpace(full_join(two_table_db), [])
         assert empty_space.max_subsets_per_attribute() == 1
+
+
+class TestNullRowClasses:
+    """Section 5.1's invariant for rows with a NULL selection cell.
+
+    Every candidate must match all tuples of a class or none, so a row's
+    class must match exactly the candidates whose predicate holds for the
+    row. A NULL satisfies no term, yet ``DomainPartition.subset_of_value``
+    puts it in a block whose representative can satisfy one. The defect is
+    pinned here and left unfixed: scenario ``mixed@2`` and ``mixed@29`` have
+    NULL selection cells, so a fix changes their transcripts.
+    """
+
+    @staticmethod
+    def _mismatches(queries, column, values):
+        """(row, candidate) pairs where the row's class and the row disagree."""
+        database = Database.from_tables(
+            {"T": (["id", column], [[index, value] for index, value in enumerate(values)])}
+        )
+        space = TupleClassSpace(full_join(database), queries)
+        mismatches = []
+        for position, row in enumerate(space.joined.rows_as_mappings()):
+            tuple_class = space.class_of_row(position)
+            for index, query in enumerate(queries):
+                if space.matches(index, tuple_class) != query.predicate.evaluate_row(row):
+                    mismatches.append((row, str(query.predicate)))
+        return mismatches
+
+    @pytest.mark.xfail(strict=True, reason="a NULL falls back to subset 0, the a <= 3 block")
+    def test_null_numeric_cell_matches_no_candidate(self):
+        queries = [
+            _query("T", ["T.id"], [Term("T.a", ComparisonOp.GT, 3)]),
+            _query("T", ["T.id"], [Term("T.a", ComparisonOp.LT, 10)]),
+        ]
+        assert self._mismatches(queries, "a", [1, 5, 12, None]) == []
+
+    @pytest.mark.xfail(strict=True, reason="a NULL lands in the fresh block; it satisfies b >= 'A'")
+    def test_null_categorical_cell_matches_no_candidate(self):
+        queries = [
+            _query("T", ["T.id"], [Term("T.b", ComparisonOp.GE, "A")]),
+            _query("T", ["T.id"], [Term("T.b", ComparisonOp.EQ, "B")]),
+        ]
+        assert self._mismatches(queries, "b", ["B", "C", None]) == []

@@ -1,0 +1,157 @@
+"""The round prologue's spans, span attributes and counters on a traced Q2 session.
+
+Each computed prologue opens ``round.space`` (tuple-class space) under
+``round.prepare``, tags ``round.skyline`` and ``round.subset`` with
+Algorithm 3's and 4's results, and adds its work to the ``qfe_prologue_*``
+counters and ``qfe_skyline_truncations{by}`` once. A round replayed from the
+prologue memo adds nothing. Every round's presentation opens
+``present.database_delta`` under ``round.present``.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core import round_planner
+from repro.core.config import QFEConfig
+from repro.core.round_planner import PLAN_MEMO_STATS, PROLOGUE_STATS, SKYLINE_TRUNCATIONS
+from repro.experiments.runner import prepare_candidates, run_session
+from repro.obs.summary import load_spans
+from repro.obs.trace import Tracer, get_tracer, set_tracer, start_tracing, stop_tracing
+from repro.relational.evaluator import JoinCache
+from repro.workloads import build_pair
+
+_REPO_ROOT = Path(__file__).resolve().parents[2]
+_CONFIG = QFEConfig(delta_seconds=1e6)
+
+
+@pytest.fixture(autouse=True)
+def _restore_tracer():
+    previous = get_tracer()
+    yield
+    set_tracer(previous)
+
+
+@pytest.fixture(scope="module")
+def q2():
+    database, result, target = build_pair("Q2", 0.03)
+    candidates, _ = prepare_candidates(database, result, target)
+    return database, result, target, candidates
+
+
+def _run(q2, *, join_cache=None):
+    database, result, target, candidates = q2
+    return run_session(
+        database, result, target, candidates=candidates, config=_CONFIG, join_cache=join_cache
+    )
+
+
+def _record_results(monkeypatch) -> tuple[list, list]:
+    """Wrap Algorithms 3 and 4 as the planner calls them; collect their results."""
+    skylines: list = []
+    selections: list = []
+    for name, sink in (("skyline_stc_dtc_pairs", skylines), ("pick_stc_dtc_subset", selections)):
+        original = getattr(round_planner, name)
+
+        def recording(*args, _original=original, _sink=sink, **kwargs):
+            result = _original(*args, **kwargs)
+            _sink.append(result)
+            return result
+
+        monkeypatch.setattr(round_planner, name, recording)
+    return skylines, selections
+
+
+def _named(spans: list, name: str) -> list[dict]:
+    return sorted((span for span in spans if span["name"] == name), key=lambda s: s["span_id"])
+
+
+def test_span_attributes_equal_each_rounds_results(q2, monkeypatch):
+    skylines, selections = _record_results(monkeypatch)
+    spans: list = []
+    set_tracer(Tracer(spans))
+    run = _run(q2)
+    set_tracer(None)
+    rounds = run.session.iteration_count
+    assert rounds >= 1 and len(skylines) == len(selections) == rounds
+
+    skyline_attrs = [span["attrs"] for span in _named(spans, "round.skyline")]
+    assert skyline_attrs == [
+        {
+            "enumerated_pairs": skyline.enumerated_pairs,
+            "reaction_keys": skyline.reaction_keys,
+            "pairs": skyline.pair_count,
+            "truncated_by": skyline.truncated_by,
+        }
+        for skyline in skylines
+    ]
+    subset_attrs = [span["attrs"] for span in _named(spans, "round.subset")]
+    assert subset_attrs == [
+        {"sets_evaluated": s.sets_evaluated, "effects_built": s.effects_built}
+        for s in selections
+    ]
+    space_attrs = [span["attrs"] for span in _named(spans, "round.space")]
+    assert len(space_attrs) == rounds
+    assert all(attrs["source_classes"] > 0 and attrs["attributes"] > 0 for attrs in space_attrs)
+
+    # The counters add each round's figures once.
+    assert PROLOGUE_STATS.source_classes == sum(a["source_classes"] for a in space_attrs)
+    assert PROLOGUE_STATS.enumerated_pairs == sum(s.enumerated_pairs for s in skylines)
+    assert PROLOGUE_STATS.reaction_keys == sum(s.reaction_keys for s in skylines)
+    assert PROLOGUE_STATS.effects == sum(s.effects_built for s in selections)
+    for by in ("cap", "time"):
+        assert SKYLINE_TRUNCATIONS.get(by=by) == sum(s.truncated_by == by for s in skylines)
+    assert sum(s.reaction_keys for s in skylines) < sum(s.enumerated_pairs for s in skylines)
+
+
+def test_a_memo_hit_round_adds_nothing(q2):
+    join_cache = JoinCache()
+    first = _run(q2, join_cache=join_cache)
+    counters = (PROLOGUE_STATS.snapshot(), SKYLINE_TRUNCATIONS.series())
+    spans: list = []
+    set_tracer(Tracer(spans))
+    second = _run(q2, join_cache=join_cache)
+    set_tracer(None)
+    rounds = first.session.iteration_count
+    assert second.session.iteration_count == PLAN_MEMO_STATS.memo_hits == rounds
+    assert (PROLOGUE_STATS.snapshot(), SKYLINE_TRUNCATIONS.series()) == counters
+    assert not {"round.space", "round.skyline", "round.subset"} & {s["name"] for s in spans}
+
+
+def test_the_new_spans_nest_once_per_round_and_the_trace_checks(q2, tmp_path):
+    path = tmp_path / "trace_q2.jsonl"
+    start_tracing(path)
+    try:
+        run = _run(q2)
+    finally:
+        stop_tracing()
+    checked = subprocess.run(
+        [sys.executable, str(_REPO_ROOT / "scripts" / "check_trace.py"), str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert checked.returncode == 0, checked.stderr
+
+    spans = load_spans(str(path))
+    by_id = {span["span_id"]: span for span in spans}
+    rounds = run.session.iteration_count
+    for child, parent in (
+        ("round.space", "round.prepare"),
+        ("present.database_delta", "round.present"),
+    ):
+        opened = _named(spans, child)
+        assert len(opened) == rounds
+        parents = [by_id[span["parent_id"]] for span in opened]
+        assert [p["name"] for p in parents] == [parent] * rounds
+        assert len({p["span_id"] for p in parents}) == rounds
+    # A file sink writes a span as it closes, attributes included.
+    for name, keys in (
+        ("round.space", {"source_classes", "attributes"}),
+        ("round.skyline", {"enumerated_pairs", "reaction_keys", "pairs", "truncated_by"}),
+        ("round.subset", {"sets_evaluated", "effects_built"}),
+    ):
+        assert [set(span["attrs"]) for span in _named(spans, name)] == [keys] * rounds
