@@ -17,21 +17,16 @@ uploads the file as an artifact so the perf trajectory is tracked across
 PRs.
 
 The file carries a ``machine`` block (CPU count, Python version, platform,
-git commit or source hash — :func:`repro.obs.machine.machine_stamp`).
-Memory figures ride along in a ``memory`` section: benchmarks record
-``tracemalloc`` peaks and bytes-per-joined-row per bench group through the
-``record_group_memory`` fixture (with :func:`measure_peak` for the tracing
-itself, kept *outside* the timed region so instrumentation never skews the
-timings). The writer merges with an existing ``BENCH_components.json`` so a
-follow-up session (e.g. the slow-marked scale-10 smoke) adds its groups and
-memory figures instead of clobbering the component results.
+git commit or source hash — :func:`repro.obs.machine.machine_stamp`). The
+writer merges with an existing ``BENCH_components.json`` so a follow-up
+session (e.g. the slow-marked scale-10 smoke) adds its groups instead of
+clobbering the component results.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -70,50 +65,11 @@ def _collect_benchmark_stats(session) -> list[tuple[str, str, float]]:
     return collected
 
 
-#: Per bench group, memory figures recorded via ``record_group_memory``.
-_GROUP_MEMORY: dict[str, dict] = {}
-
-
-def measure_peak(function, *args, **kwargs):
-    """Run *function* under ``tracemalloc`` and return ``(result, peak bytes)``.
-
-    Nested tracing is left alone: when a caller (or an outer benchmark) is
-    already tracing, the peak is reported as ``None`` rather than attributed
-    to the wrong scope.
-    """
-    if tracemalloc.is_tracing():
-        return function(*args, **kwargs), None
-    tracemalloc.start()
-    try:
-        result = function(*args, **kwargs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
-@pytest.fixture()
-def record_group_memory():
-    """Record memory figures for a bench group into ``BENCH_components.json``.
-
-    Usage: ``record_group_memory("scenario-sweep-smoke", joined_rows=...,
-    typed_peak_tracemalloc_bytes=..., bytes_per_joined_row_typed=...)``.
-    Figures with value ``None`` are skipped; repeated calls for one group
-    merge. The session writer emits them under the top-level ``memory`` key.
-    """
-
-    def record(group: str, **figures) -> None:
-        entry = _GROUP_MEMORY.setdefault(group, {})
-        entry.update({key: value for key, value in figures.items() if value is not None})
-
-    return record
-
-
 def pytest_sessionfinish(session, exitstatus) -> None:
-    """Write ``BENCH_components.json`` when benchmark stats or memory figures exist."""
+    """Write ``BENCH_components.json`` when benchmark stats exist."""
     try:
         stats = _collect_benchmark_stats(session)
-        if not stats and not _GROUP_MEMORY:
+        if not stats:
             return
         groups: dict[str, dict] = {}
         for group, name, median in stats:
@@ -131,19 +87,15 @@ def pytest_sessionfinish(session, exitstatus) -> None:
                 )
         # Merge with an existing file so separate sessions (component run,
         # slow scale-10 smoke) compose one artifact instead of clobbering.
-        payload = {"scale": BENCH_SCALE, "groups": {}, "memory": {}}
+        payload = {"scale": BENCH_SCALE, "groups": {}}
         if BENCH_RESULTS_PATH.exists():
             try:
                 previous = json.loads(BENCH_RESULTS_PATH.read_text(encoding="utf-8"))
                 payload["groups"] = previous.get("groups", {})
-                payload["memory"] = previous.get("memory", {})
             except (OSError, ValueError):
                 pass
         payload["groups"].update(groups)
-        payload["memory"].update(_GROUP_MEMORY)
         payload["machine"] = machine_stamp()
-        if not payload["memory"]:
-            del payload["memory"]
         BENCH_RESULTS_PATH.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )

@@ -27,11 +27,11 @@ from repro.relational.evaluator import (
     evaluate,
     evaluate_batch,
     evaluate_on_join,
-    evaluate_on_join_reference,
     result_fingerprint,
 )
 from repro.relational.join import JOIN_STATS, full_join
 from repro.workloads import build_pair
+from tests.oracles.evaluator_reference import evaluate_on_join_reference
 
 _QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candidates=25)
 

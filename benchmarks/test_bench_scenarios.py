@@ -9,12 +9,9 @@ in ``QFE_SCENARIO_SCALES`` (comma-separated, default ``0.1,0.25``; CI sweeps
 and written to ``benchmarks/BENCH_scenarios.json``, which CI uploads as an
 artifact so the scaling trajectory is tracked across PRs.
 
-Two slow-marked scale-10 checks ride in the same file (CI runs them as a
-separate ``-m slow`` step): a ``mixed@10`` sweep smoke whose
-storage/memory figures are merged into the
-``BENCH_scenarios.json`` artifact, and the bench guard pinning that a
-selective ``term_mask`` on the typed layout (warm sorted-index path) beats
-the object-column full scan at scale 10.
+A slow-marked scale-10 check rides in the same file (CI runs it as a
+separate ``-m slow`` step): a ``mixed@10`` sweep smoke whose trajectory
+entry is merged into the ``BENCH_scenarios.json`` artifact.
 
 (The tier-1 fast guard for the engine's invariants — cold vs steady
 transcript bit-identity and oracle agreement — lives in
@@ -25,17 +22,13 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
-from benchmarks.conftest import measure_peak, run_once
+from benchmarks.conftest import run_once
 from repro.obs.machine import machine_stamp
-from repro.relational.columnar import ColumnarView, ColumnarViewReference
-from repro.relational.join import foreign_key_join
-from repro.relational.predicates import ComparisonOp, Term
-from repro.scenarios import SCENARIOS, generate_scenario, get_scenario, run_sweep
+from repro.scenarios import SCENARIOS, run_sweep
 
 SCENARIO_SCALES = [
     float(part)
@@ -89,7 +82,7 @@ def test_write_scenarios_trajectory_file():
     assert set(on_disk["scenarios"]) == set(_MERGED)
 
 
-# ----------------------------------------------------------- scale-10 checks
+# ------------------------------------------------------------ scale-10 smoke
 _SMOKE_SCALE = 10.0
 
 
@@ -115,13 +108,8 @@ def _merge_into_trajectory_file(key: str, entry: dict) -> None:
 
 @pytest.mark.slow
 @pytest.mark.benchmark(group="scenario-sweep-smoke")
-def test_bench_mixed_scale10_smoke(benchmark, record_group_memory):
-    """Full mixed@10 sweep point (cold session plus two steady repeats).
-
-    The point's storage measurements — bytes per joined row typed vs object,
-    tracemalloc peak, selective term-mask timings — land in the uploaded
-    artifacts.
-    """
+def test_bench_mixed_scale10_smoke(benchmark):
+    """Full mixed@10 sweep point (cold session plus two steady repeats)."""
     payload = run_once(
         benchmark,
         run_sweep,
@@ -133,66 +121,5 @@ def test_bench_mixed_scale10_smoke(benchmark, record_group_memory):
     entry = payload["scenarios"]["mixed"]
     (point,) = entry["trajectory"]
     assert point["transcripts_identical"] is True
-    # The footprint acceptance line: typed storage ≥ 4× leaner per joined row.
-    assert point["bytes_per_joined_row_typed"] * 4 <= point["bytes_per_joined_row_object"]
-    record_group_memory(
-        "scenario-sweep-smoke",
-        scale=_SMOKE_SCALE,
-        join_rows=point.get("join_rows"),
-        bytes_per_joined_row_typed=point.get("bytes_per_joined_row_typed"),
-        bytes_per_joined_row_object=point.get("bytes_per_joined_row_object"),
-        storage_reduction=point.get("storage_reduction"),
-        typed_peak_tracemalloc_bytes=point.get("typed_peak_tracemalloc_bytes"),
-    )
     _merge_into_trajectory_file(f"mixed@{_SMOKE_SCALE:g}x", entry)
     benchmark.extra_info["trajectory"] = entry["trajectory"]
-
-
-@pytest.mark.slow
-def test_selective_term_mask_beats_full_scan_at_scale10(record_group_memory):
-    """Bench guard: the warm sorted-index path must beat the object full scan.
-
-    Measures the steady-state cost of *building* a selective equality mask
-    (distinct constants each round, mask cache cleared, so the term-mask
-    cache never short-circuits the comparison) on the typed layout versus
-    the boxed object-tuple reference, best-of-5, at scenario scale 10.
-    """
-    generated = generate_scenario(get_scenario("mixed"), _SMOKE_SCALE, SCENARIO_SEED)
-    joined = foreign_key_join(generated.database, tuple(generated.target.tables))
-    relation = joined.relation
-    id_column = next(
-        name for name in relation.schema.attribute_names if name.endswith(".id")
-    )
-    constants = sorted(set(relation.column(id_column)))[: 40]
-    assert len(constants) >= 10
-
-    typed_view, typed_peak = measure_peak(ColumnarView, relation)
-    reference_view = ColumnarViewReference(relation)
-    terms = [Term(id_column, ComparisonOp.EQ, constant) for constant in constants]
-    typed_view.term_mask(terms[0])  # pay the lazy sorted-index build once
-
-    def best_of(view, rounds=5):
-        best = float("inf")
-        masks = None
-        for _ in range(rounds):
-            view.clear_term_masks()
-            started = time.perf_counter()
-            masks = [view.term_mask(term) for term in terms]
-            best = min(best, time.perf_counter() - started)
-        return best / len(terms), masks
-
-    typed_seconds, typed_masks = best_of(typed_view)
-    object_seconds, object_masks = best_of(reference_view)
-    assert typed_masks == object_masks  # differential first, stopwatch second
-    assert typed_seconds < object_seconds, (
-        f"typed selective term_mask ({typed_seconds * 1e6:.1f}us/term) no faster "
-        f"than the object full scan ({object_seconds * 1e6:.1f}us/term) "
-        f"over {len(relation.tuples)} joined rows"
-    )
-    record_group_memory(
-        "scenario-sweep-smoke",
-        term_mask_selective_warm_seconds_typed=typed_seconds,
-        term_mask_selective_warm_seconds_object=object_seconds,
-        term_mask_selective_warm_speedup=object_seconds / typed_seconds,
-        typed_view_peak_tracemalloc_bytes=typed_peak,
-    )

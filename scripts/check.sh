@@ -14,8 +14,8 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 echo
-echo "== differential oracles: columnar + delta maintenance vs row-at-a-time reference and SQLite, NULL semantics =="
-python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/sql/test_sqlite_backend.py tests/relational/test_null_semantics.py
+echo "== differential oracles: columnar + delta maintenance vs row-at-a-time reference and SQLite, NULL and numeric semantics vs interpreter and SQLite =="
+python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/sql/test_sqlite_backend.py tests/relational/test_null_semantics.py tests/relational/test_numeric_semantics.py
 
 echo
 echo "== differential: round prologue (masks, reactions, Algorithms 3 and 4) vs the per-pair reference =="

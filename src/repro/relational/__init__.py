@@ -7,7 +7,7 @@ joins with join indexes and provenance, SPJ/SPJU query evaluation, the Section
 checking.
 """
 
-from repro.relational.columnar import COLUMNAR_STATS, ColumnarView, ColumnarViewReference
+from repro.relational.columnar import COLUMNAR_STATS, ColumnarView
 from repro.relational.database import Database
 from repro.relational.delta import (
     DatabaseDelta,
@@ -32,7 +32,6 @@ from repro.relational.evaluator import (
     evaluate,
     evaluate_batch,
     evaluate_on_join,
-    evaluate_on_join_reference,
     results_equal,
 )
 from repro.relational.join import JOIN_STATS, JoinedRelation, foreign_key_join, full_join
@@ -70,11 +69,9 @@ __all__ = [
     "compile_term",
     "compile_predicate",
     "ColumnarView",
-    "ColumnarViewReference",
     "COLUMNAR_STATS",
     "evaluate",
     "evaluate_on_join",
-    "evaluate_on_join_reference",
     "evaluate_batch",
     "BatchEvaluation",
     "results_equal",

@@ -12,13 +12,11 @@ Two kinds of delta live here:
   (:meth:`~repro.relational.join.JoinedRelation.apply_delta`,
   :meth:`~repro.relational.evaluator.JoinCache.derive`) uses to patch a
   cached join and its columnar term masks in O(|Δ|) instead of rebuilding
-  them from ``D'`` in O(|D|). Under the typed column storage the same
-  copy-on-write contract holds representation-deep: an untouched column of
-  the derived view *is* the base column object (one shared compact buffer),
-  while a patched column copies its buffer at C speed and routes any value
-  the narrow buffer cannot hold (huge ints, new dictionary strings) into its
-  boxed side table — see :meth:`~repro.relational.columnar.ColumnarView.\
-  derive`.
+  them from ``D'`` in O(|D|). The copy-on-write contract is column-deep: an
+  untouched column of the derived view *is* the base column tuple, and its
+  cached masks are shared with it; only the columns a delta touches are
+  copied and their masks patched — see
+  :meth:`~repro.relational.columnar.ColumnarView.derive`.
 
 A :class:`TupleDelta` can be recorded directly while a modified database is
 constructed (how :func:`~repro.core.materialize.materialize_pairs` produces

@@ -13,10 +13,7 @@ selection terms are evaluated once per join and cached as bitmasks, and each
 candidate only pays for combining cached masks plus gathering its selected
 rows. :func:`evaluate_batch` evaluates a whole candidate set in a single pass
 over the join, sharing term masks *and* deduplicating result materialization
-and fingerprinting between candidates that select identical rows. The
-original row-at-a-time implementation is retained as
-:func:`evaluate_on_join_reference` — the oracle the differential tests hold
-the columnar engine against.
+and fingerprinting between candidates that select identical rows.
 
 Bag semantics (duplicate-preserving) is the default, matching the paper's
 Section 5 assumption; ``distinct=True`` on a query switches to set semantics
@@ -46,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "evaluate",
     "evaluate_on_join",
-    "evaluate_on_join_reference",
     "evaluate_batch",
     "BatchEvaluation",
     "result_schema",
@@ -122,40 +118,6 @@ def _materialize_selection(
     # Projected values are verbatim copies of already-coerced stored values,
     # so the raw append path is safe (and skips per-cell coercion).
     output.extend_raw(rows)
-    return output
-
-
-def evaluate_on_join_reference(
-    query: SPJQuery,
-    joined: JoinedRelation,
-    database: Database,
-    *,
-    name: str = "Result",
-) -> Relation:
-    """Row-at-a-time reference implementation of :func:`evaluate_on_join`.
-
-    Kept as the oracle for differential tests of the columnar engine: it
-    builds a ``name -> value`` mapping per joined row and interprets the DNF
-    predicate on it, exactly as the original evaluator did.
-    """
-    _check_join_covers(query, joined)
-    schema = result_schema(query, database, name=name)
-    output = Relation(schema)
-    names = joined.relation.schema.attribute_names
-    projection_positions = [joined.relation.schema.index_of(a) for a in query.projection]
-    predicate = query.predicate
-    seen: set[tuple] = set()
-    for row_tuple in joined.relation.tuples:
-        row = dict(zip(names, row_tuple.values))
-        if not predicate.evaluate_row(row):
-            continue
-        projected = tuple(row_tuple.values[p] for p in projection_positions)
-        if query.distinct:
-            key = _normalize(projected)
-            if key in seen:
-                continue
-            seen.add(key)
-        output.insert(projected)
     return output
 
 
@@ -511,38 +473,6 @@ class JoinCache:
     def derived_link_count(self) -> int:
         """Number of live delta-derivation links (diagnostics and tests)."""
         return len(self._links)
-
-    def memory_report(self) -> dict:
-        """Aggregate storage footprint of every cached join's columnar view.
-
-        Only views that were already built are counted — reporting never
-        forces a build — and a join served under several cache keys is
-        counted once. The per-view entries carry the join signature plus the
-        :meth:`~repro.relational.columnar.ColumnarView.memory_report`
-        breakdown, so sessions (and the scenario sweep) can attribute the
-        resident typed-buffer bytes to the joins that own them.
-        """
-        views: list[dict] = []
-        seen: set[int] = set()
-        for (database_id, signature), joined in sorted(
-            self._cache.items(), key=lambda item: (item[0][1], item[0][0])
-        ):
-            if id(joined) in seen:
-                continue
-            seen.add(id(joined))
-            report = joined.columnar_memory_report()
-            if report is None:
-                continue
-            views.append({"signature": list(signature), **report})
-        total_bytes = sum(view["total_bytes"] for view in views)
-        total_rows = sum(view["row_count"] for view in views)
-        return {
-            "view_count": len(views),
-            "total_bytes": total_bytes,
-            "joined_rows": total_rows,
-            "bytes_per_joined_row": (total_bytes / total_rows) if total_rows else None,
-            "views": views,
-        }
 
     def clear(self) -> None:
         """Drop all cached joins and delta-derivation links."""

@@ -102,16 +102,6 @@ class JoinedRelation:
         """Drop the memoized columnar view (and its term-mask cache)."""
         self._columnar = None
 
-    def columnar_memory_report(self) -> dict | None:
-        """Storage footprint of the memoized columnar view, or ``None``.
-
-        Reporting never forces a build: a join whose view was not needed yet
-        costs nothing and reports nothing. See
-        :meth:`~repro.relational.columnar.ColumnarView.memory_report` for the
-        per-column breakdown (typed buffer kinds vs boxed object columns).
-        """
-        return self._columnar.memory_report() if self._columnar is not None else None
-
     # ----------------------------------------------------------------- access
     @property
     def attribute_names(self) -> tuple[str, ...]:

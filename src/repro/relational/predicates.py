@@ -81,9 +81,8 @@ class ComparisonOp(enum.Enum):
         }[self]
 
 
-#: Operators that rely on an ordered domain — the ones the typed columnar
-#: layer can serve from zone maps and the sorted term index, and the ones
-#: whose compiled tests may raise on cross-type comparisons.
+#: Operators that rely on an ordered domain — the ones whose compiled tests
+#: may raise on cross-type comparisons.
 ORDERING_OPS = frozenset(
     {ComparisonOp.LT, ComparisonOp.LE, ComparisonOp.GT, ComparisonOp.GE}
 )

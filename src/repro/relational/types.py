@@ -24,8 +24,6 @@ from repro.exceptions import TypeMismatchError
 
 __all__ = [
     "AttributeType",
-    "INT64_MIN",
-    "INT64_MAX",
     "coerce_value",
     "is_numeric",
     "python_type_of",
@@ -57,13 +55,6 @@ class AttributeType(enum.Enum):
             AttributeType.STRING: "TEXT",
             AttributeType.BOOLEAN: "INTEGER",
         }[self]
-
-
-#: Bounds of a signed 64-bit integer: the representable range of the typed
-#: int column buffer and of SQLite INTEGER storage. Python ints outside this
-#: range stay exact — the columnar layer keeps them boxed in a side table.
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
 
 
 _NUMERIC_TYPES = frozenset({AttributeType.INTEGER, AttributeType.FLOAT})

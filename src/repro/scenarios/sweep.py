@@ -13,20 +13,11 @@ For every requested ``(scenario, scale)`` the sweep
    has already planned) — and demands every repeat's canonical transcript
    be **bit-identical** to the cold one;
 4. **measures** the cold vs delta-derived candidate-evaluation paths over
-   the same candidate set, plus the storage layer itself: bytes per joined
-   row under the typed columnar layout vs the object-tuple reference layout,
-   tracemalloc peak while building the typed view, and the time to build a
-   selective term mask on each layout (the zone-map/sorted-index fast path
-   vs the full compiled scan);
+   the same candidate set;
 5. **records** the whole per-scale trajectory — row counts, join size,
    session rounds, cold and steady session seconds, cold/delta evaluation
-   seconds, memory figures, transcript hash — into
-   ``benchmarks/BENCH_scenarios.json``, stamped with the machine that
-   measured it.
-
-Scales 10–100× are in scope for the storage figures: the typed layout keeps
-millions of joined rows resident at a few dozen bytes per row, which is what
-makes ``--scales 10,100`` sessions routine on one machine.
+   seconds, transcript hash — into ``benchmarks/BENCH_scenarios.json``,
+   stamped with the machine that measured it.
 
 A transcript divergence or an oracle disagreement raises
 :class:`ScenarioDivergenceError`: the sweep is a verification harness first
@@ -38,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tracemalloc
 from pathlib import Path
 from time import perf_counter
 from typing import Sequence
@@ -48,9 +38,8 @@ from repro.core.round_planner import PLAN_MEMO_STATS
 from repro.exceptions import EvaluationError
 from repro.obs.machine import machine_stamp
 from repro.qbo.mutation import expand_candidate_set
-from repro.relational.columnar import ColumnarView, ColumnarViewReference
+from repro.relational.columnar import ColumnarView
 from repro.relational.delta import TupleDelta
-from repro.relational.predicates import ComparisonOp, Term
 from repro.relational.evaluator import JoinCache, evaluate_batch
 from repro.relational.join import foreign_key_join
 from repro.relational.types import AttributeType
@@ -177,98 +166,6 @@ def _measure_eval_paths(generated: GeneratedScenario, candidates, joined) -> dic
     }
 
 
-def _selective_terms(relation) -> tuple[Term, Term] | None:
-    """Two distinct selective equality terms on an id column of the join.
-
-    Spine id values are (near-)unique per base row, so an equality term
-    selects only the join fanout of one tuple — the selective case the
-    sorted term index exists for. Two distinct constants are needed because
-    the first term also pays the lazy index build (reported separately).
-    """
-    for name in relation.schema.attribute_names:
-        if not name.endswith(".id"):
-            continue
-        values = relation.column(name)
-        first = values[len(values) // 3]
-        second = values[(2 * len(values)) // 3]
-        if first is None or second is None or first == second:
-            continue
-        return (
-            Term(name, ComparisonOp.EQ, first),
-            Term(name, ComparisonOp.EQ, second),
-        )
-    return None
-
-
-def _measure_storage(generated: GeneratedScenario, joined) -> dict:
-    """Quantify the typed columnar layout against the object-tuple reference.
-
-    Builds both views over the same joined relation and records bytes per
-    joined row for each, the tracemalloc peak while constructing (and first
-    querying) the typed view, and the time to build one selective term mask
-    per layout — cold (typed pays the lazy sorted-index build) and warm
-    (index in place). The masks themselves are compared bit-for-bit: the
-    sweep stays a verification harness first.
-    """
-    relation = joined.relation
-    measurements: dict = {}
-    terms = _selective_terms(relation)
-
-    already_tracing = tracemalloc.is_tracing()
-    if not already_tracing:
-        tracemalloc.start()
-    started = perf_counter()
-    typed_view = ColumnarView(relation)
-    measurements["typed_view_build_seconds"] = perf_counter() - started
-    typed_masks = None
-    if terms is not None:
-        cold_term, warm_term = terms
-        started = perf_counter()
-        cold_mask = typed_view.term_mask(cold_term)  # pays the index build
-        measurements["term_mask_selective_cold_seconds_typed"] = perf_counter() - started
-        started = perf_counter()
-        warm_mask = typed_view.term_mask(warm_term)
-        measurements["term_mask_selective_seconds_typed"] = perf_counter() - started
-        typed_masks = (cold_mask, warm_mask)
-    typed_report = typed_view.memory_report()
-    if not already_tracing:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        measurements["typed_peak_tracemalloc_bytes"] = peak
-
-    started = perf_counter()
-    reference_view = ColumnarViewReference(relation)
-    measurements["object_view_build_seconds"] = perf_counter() - started
-    if terms is not None and typed_masks is not None:
-        cold_term, warm_term = terms
-        started = perf_counter()
-        reference_cold = reference_view.term_mask(cold_term)
-        measurements["term_mask_selective_cold_seconds_object"] = perf_counter() - started
-        started = perf_counter()
-        reference_warm = reference_view.term_mask(warm_term)
-        measurements["term_mask_selective_seconds_object"] = perf_counter() - started
-        if typed_masks != (reference_cold, reference_warm):
-            raise ScenarioDivergenceError(
-                f"scenario {generated.spec.name!r} @ scale {generated.scale}: typed "
-                f"and object-layout term masks diverged on {terms[0].attribute}"
-            )
-        object_seconds = measurements["term_mask_selective_seconds_object"]
-        typed_seconds = measurements["term_mask_selective_seconds_typed"]
-        measurements["term_mask_selective_speedup"] = (
-            object_seconds / typed_seconds if typed_seconds > 0 else None
-        )
-    reference_report = reference_view.memory_report()
-
-    typed_bytes = typed_report["bytes_per_row"]
-    object_bytes = reference_report["bytes_per_row"]
-    measurements["bytes_per_joined_row_typed"] = typed_bytes
-    measurements["bytes_per_joined_row_object"] = object_bytes
-    measurements["storage_reduction"] = (
-        object_bytes / typed_bytes if typed_bytes > 0 else None
-    )
-    return measurements
-
-
 def _session_point(generated, result, candidates, *, workload_name, join_cache):
     """Run one session; returns (wall seconds, canonical transcript JSON, run,
     per-phase seconds).
@@ -315,7 +212,6 @@ def run_sweep(
     candidate_count: int = 8,
     verify_oracle: bool = True,
     measure_eval_paths: bool = True,
-    measure_storage: bool = True,
     out_path: str | os.PathLike | None = DEFAULT_BENCH_PATH,
 ) -> dict:
     """Sweep the named scenarios (default: the full catalog) across *scales*.
@@ -395,8 +291,6 @@ def run_sweep(
 
             if measure_eval_paths:
                 point.update(_measure_eval_paths(generated, candidates, joined))
-            if measure_storage:
-                point.update(_measure_storage(generated, joined))
             trajectory.append(point)
         payload["scenarios"][spec.name] = {
             "spec": spec.to_json(),
@@ -421,15 +315,14 @@ def sweep_table(payload: dict):
         columns=[
             "scenario", "scale", "rows", "join rows", "|R|", "cands", "iters",
             "session s", "steady s", "memo hits",
-            "cold s", "delta s", "B/row", "mem x", "identical",
+            "cold s", "delta s", "identical",
         ],
         caption=(
             "Per-scale trajectory of generated scenarios: a cold QFE session "
             "('session s') and the faster of two repeats over the same join "
             "cache ('steady s', replaying its plans from the prologue memo: "
             "'memo hits'; canonical transcripts bit-identical), plus cold vs "
-            "delta-derived candidate evaluation and typed-vs-object storage "
-            "bytes per joined row."
+            "delta-derived candidate evaluation."
         ),
     )
     for name, entry in sorted(payload["scenarios"].items()):
@@ -447,10 +340,6 @@ def sweep_table(payload: dict):
                 point["memo_hits"],
                 round(point["cold_eval_seconds"], 4) if "cold_eval_seconds" in point else "-",
                 round(point["delta_eval_seconds"], 4) if "delta_eval_seconds" in point else "-",
-                round(point["bytes_per_joined_row_typed"], 1)
-                if "bytes_per_joined_row_typed" in point else "-",
-                round(point["storage_reduction"], 2)
-                if point.get("storage_reduction") else "-",
                 point.get("transcripts_identical", "-"),
             )
     return table

@@ -26,16 +26,13 @@ from repro.qbo.mutation import mutate_candidates
 from repro.relational.columnar import ColumnarView
 from repro.relational.database import Database
 from repro.relational.delta import TupleDelta
-from repro.relational.evaluator import (
-    JoinCache,
-    evaluate_batch,
-    evaluate_on_join,
-    evaluate_on_join_reference,
-)
+from repro.relational.evaluator import JoinCache, evaluate_batch, evaluate_on_join
 from repro.relational.join import JOIN_STATS, full_join
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from repro.relational.relation import Relation
 from repro.workloads import build_pair
+from tests.oracles.evaluator_reference import evaluate_on_join_reference
 
 #: Tiny scale keeps the six workload pairs fast while exercising real data.
 _SCALE = 0.03
@@ -277,6 +274,44 @@ class TestDeltaErrorSemantics:
 
         reference = evaluate_on_join_reference(query, full_join(derived_db), derived_db)
         assert evaluate_on_join(query, derived, derived_db).bag_equal(reference)
+
+    # A derived entry must report what a cold view of the same rows reports:
+    # the truth mask, the error mask and the first erroring row's message.
+    _STRING_LT_INT = Term("v", ComparisonOp.LT, 10)
+
+    def _derived_and_cold(self, values, patches, removed, appended, survivors):
+        """The ``v < 10`` entry of the derived view and of a cold view of *survivors*."""
+        term = self._STRING_LT_INT
+        view = ColumnarView(Relation.from_rows("T", ["v"], [[v] for v in values]))
+        view._term_entry(term)  # cache the entry derive patches
+        derived = view.derive(patches, removed, appended)
+        cold = ColumnarView(Relation.from_rows("T", ["v"], [[v] for v in survivors]))
+        return [
+            (mask, errors, None if error is None else str(error))
+            for mask, errors, error in (derived._term_entry(term), cold._term_entry(term))
+        ]
+
+    def test_removing_the_first_erroring_row_reports_the_next(self):
+        derived, cold = self._derived_and_cold(["Ann", "Bo", "Cy"], {}, [0], [], ["Bo", "Cy"])
+        assert derived == cold == (0, 0b11, "cannot compare 'Bo' < 10")
+
+    def test_patching_the_first_erroring_row_reports_its_new_value(self):
+        derived, cold = self._derived_and_cold(
+            ["Ann", "Bo", "Cy"], {0: {0: "Al"}}, [], [], ["Al", "Bo", "Cy"]
+        )
+        assert derived == cold == (0, 0b111, "cannot compare 'Al' < 10")
+
+    def test_appended_erroring_rows_report_the_first_in_row_order(self):
+        derived, cold = self._derived_and_cold(
+            [None, None], {}, [], [["Dee"], ["Eve"]], [None, None, "Dee", "Eve"]
+        )
+        assert derived == cold == (0, 0b1100, "cannot compare 'Dee' < 10")
+
+    def test_patching_away_every_error_clears_the_message(self):
+        derived, cold = self._derived_and_cold(
+            ["Ann", None, "Cy"], {0: {0: None}, 2: {0: None}}, [], [], [None, None, None]
+        )
+        assert derived == cold == (0, 0, None)
 
 
 class TestColumnSharing:

@@ -8,11 +8,10 @@ agree. This is the contract the scenario engine leans on: a single wrong
 comparison silently corrupts partition signatures and with them the whole
 QFE interaction transcript.
 
-The columnar path now runs on typed compact storage, so the masks here are
-additionally checked against the boxed object-column oracle
-(:class:`ColumnarViewReference`) — including the regimes only the typed
-representation could get wrong: the beyond-int64 boxed side table, NULL
-bitmap semantics, NaN constants, and dictionary-encoded string comparisons.
+Where SQL cannot follow — integers beyond int64, NaN/inf constants,
+cross-type ordering on string columns (an engine error) — the columnar
+view's full term state (truth mask, error mask, error message) is held
+against the compiled per-row test instead.
 """
 
 from __future__ import annotations
@@ -23,12 +22,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.relational.columnar import ColumnarView, ColumnarViewReference, pack_bools
+from repro.relational.columnar import ColumnarView, pack_bools
 from repro.relational.database import Database
 from repro.relational.evaluator import evaluate
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term, compile_term
 from repro.relational.query import SPJQuery
 from repro.sql.sqlite_backend import SQLiteBackend
+from tests.oracles.evaluator_reference import term_entry_reference
 
 _SETTINGS = settings(
     max_examples=60,
@@ -47,9 +47,9 @@ _STRING_VALUES = ["", "IT", "Sales", "aa", "zz", None]
 
 # Constants deliberately cross type boundaries: bools against numeric
 # columns, ints against floats, floats against ints, 2^53 ± 1. String
-# columns draw string constants (dictionary hits, misses, and bounds) —
-# cross-type *ordering* on strings errors in our engine but not in SQL, so
-# that regime lives in the typed-vs-reference property below instead.
+# columns draw string constants (present, absent, and bounds) — cross-type
+# *ordering* on strings errors in our engine but not in SQL, so that regime
+# lives in the view-vs-interpreter property below instead.
 _CONSTANTS = [True, False, 0, 1, 1.0, 0.0, 2, 0.5, 0.1234567, BIG, BIG + 1, float(BIG)]
 _STRING_CONSTANTS = ["", "IT", "M", "zz", "zzz", "Sales"]
 _CONSTANT_POOLS = {
@@ -105,13 +105,10 @@ class TestFourPathConsistency:
         interpreted = [qualified.evaluate_value(v) for v in values]
         assert [compiled(v) for v in values] == interpreted
 
-        # Path 3: the typed columnar term mask, bit for bit — and identical
-        # (mask, error mask, error) state on the object-column oracle.
+        # Path 3: the columnar term mask, bit for bit.
         bare = Term(column, op, constant)
         view = ColumnarView(relation)
         assert view.term_mask(bare) == pack_bools(interpreted)
-        reference = ColumnarViewReference(relation)
-        assert view._term_entry(bare)[:2] == reference._term_entry(bare)[:2]
 
         # Path 4: the SQLite oracle on the rendered SQL.
         query = SPJQuery(
@@ -133,9 +130,9 @@ class TestFourPathConsistency:
         assert ours.set_equal(theirs)
 
 
-#: Value/constant pools for the typed-vs-reference property: everything the
-#: SQLite path cannot express — beyond-int64 integers (boxed side table),
-#: NaN/inf constants, cross-type ordering on string columns (engine errors).
+#: Value/constant pools for the view-vs-interpreter property: everything the
+#: SQLite path cannot express — beyond-int64 integers, NaN/inf constants,
+#: cross-type ordering on string columns (engine errors).
 _EXTREME_INT_VALUES = [0, -1, BIG + 1, 2**63 - 1, 2**63, -(2**64), 7, None]
 _EXTREME_CONSTANTS = [
     0,
@@ -163,12 +160,12 @@ _extreme_spec = st.tuples(
 )
 
 
-class TestTypedVsReferenceExtremes:
-    """Typed columns must match the boxed oracle where SQL cannot follow."""
+class TestViewVsInterpreterExtremes:
+    """The view must match the per-row interpreter where SQL cannot follow."""
 
     @_SETTINGS
     @given(rows=st.lists(_extreme_row, min_size=1, max_size=12), spec=_extreme_spec)
-    def test_typed_matches_object_oracle(self, rows, spec):
+    def test_view_matches_interpreter(self, rows, spec):
         column, op, constant, second = spec
         if op.is_membership:
             constant = (constant, second)
@@ -176,14 +173,13 @@ class TestTypedVsReferenceExtremes:
             {"T": (["i", "s"], [list(r) for r in rows])}
         ).relation("T")
         term = Term(column, op, constant)
-        typed = ColumnarView(relation)
-        reference = ColumnarViewReference(relation)
-        typed_mask, typed_errors, typed_error = typed._term_entry(term)
-        ref_mask, ref_errors, ref_error = reference._term_entry(term)
-        assert (typed_mask, typed_errors) == (ref_mask, ref_errors)
-        assert str(typed_error) == str(ref_error)  # exact interpreter message
+        mask, errors, error = ColumnarView(relation)._term_entry(term)
+        expected_mask, expected_errors, message = term_entry_reference(relation.column(column), term)
+        assert (mask, errors) == (expected_mask, expected_errors)
+        # The representative error is the first erroring row's, verbatim.
+        assert (None if error is None else str(error)) == message
 
-    def test_overflow_side_table_round_trips_through_masks(self):
+    def test_beyond_int64_values_stay_exact_in_masks(self):
         values = [1, 2, 3, 4, 5, 6, 7, 8, 2**63, -(2**64), BIG, BIG + 1]
         relation = Database.from_tables(
             {"T": (["i"], [[v] for v in values])}
@@ -205,13 +201,14 @@ class TestTypedVsReferenceExtremes:
             {"T": (["f"], [[0.0], [1.5], [None], [-2.0]])}
         ).relation("T")
         view = ColumnarView(relation)
-        reference = ColumnarViewReference(relation)
         for op in _SCALAR_OPS:
             term = Term("f", op, math.nan)
             # NaN compares False to everything and never errors; NULLs stay
             # filtered. NE is the one truth-bearing case: x != NaN is True
             # for every non-NULL x.
-            assert view._term_entry(term) == reference._term_entry(term)
+            mask, errors, error = view._term_entry(term)
+            assert (mask, errors) == term_entry_reference(relation.column("f"), term)[:2]
+            assert error is None
             expected = view.all_rows_mask & ~(1 << 2) if op is ComparisonOp.NE else 0
             assert view.term_mask(term) == expected
 

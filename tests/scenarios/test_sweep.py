@@ -64,7 +64,7 @@ class TestRunSweep:
         with pytest.raises(sweep.ScenarioDivergenceError, match="diverged from the cold"):
             run_sweep(
                 ["chain"], [0.05], seed=3, candidate_count=4, verify_oracle=False,
-                measure_eval_paths=False, measure_storage=False, out_path=None,
+                measure_eval_paths=False, out_path=None,
             )
         # The cold session and both repeats ran over one shared join cache.
         assert len(sessions) == 3 and len({id(cache) for cache in sessions}) == 1
@@ -76,7 +76,7 @@ class TestRunSweep:
     def test_payload_is_stamped_with_the_machine(self):
         payload = run_sweep(
             ["chain"], [0.05], seed=3, candidate_count=4, verify_oracle=False,
-            measure_eval_paths=False, measure_storage=False, out_path=None,
+            measure_eval_paths=False, out_path=None,
         )
         stamp = payload["machine"]
         assert stamp["nproc"] >= 1
