@@ -4,8 +4,7 @@ The paper exposes two tunables — the relation-count scale factor ``β`` of
 Equation (3) and the time threshold ``δ`` bounding Algorithm 3 — and fixes a
 number of behavioural choices (worst-case automated feedback, refined
 iteration estimate, side-effect-aware costing). :class:`QFEConfig` captures
-all of them so experiments can vary each independently, including the
-ablations listed in DESIGN.md.
+all of them so experiments can vary each independently.
 """
 
 from __future__ import annotations
@@ -56,12 +55,7 @@ _COUNT_FIELDS = (
     "growth_pool_size",
     "max_sets_per_level",
 )
-_FLAG_FIELDS = (
-    "prefer_no_side_effects",
-    "validate_constraints",
-    "set_semantics",
-    "protect_key_columns",
-)
+_FLAG_FIELDS = ("prefer_no_side_effects", "set_semantics")
 
 
 @dataclass(frozen=True)
@@ -104,16 +98,9 @@ class QFEConfig:
         single tuple-class modification changes a single joined row
         (Section 5.4.1 "tuple-class modifications that have no side-effects
         are preferred").
-    validate_constraints:
-        Reject materialized modifications that violate primary-key or
-        foreign-key constraints (Section 6.3).
     set_semantics:
         Treat candidate queries under set semantics (Section 6.1) instead of
         the default bag semantics.
-    protect_key_columns:
-        Never modify primary-key or foreign-key columns when materializing a
-        destination tuple class (keeps every generated database trivially
-        valid; disable to exercise the constraint checker instead).
     backend:
         Always ``"serial"``: every round scores its attempts in process. Any
         other name is refused.
@@ -128,9 +115,7 @@ class QFEConfig:
     growth_pool_size: int = 48
     max_sets_per_level: int = 96
     prefer_no_side_effects: bool = True
-    validate_constraints: bool = True
     set_semantics: bool = False
-    protect_key_columns: bool = True
     backend: str = "serial"
 
     def __post_init__(self) -> None:

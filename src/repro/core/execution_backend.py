@@ -62,9 +62,9 @@ def evaluate_attempt(
     """Concretely score one attempt: materialize, delta-derive, partition.
 
     The attempt's class pairs are materialized against a copy of the base
-    database; the recorded update-only delta then patches the cached base
-    join (via :meth:`JoinCache.derive`) and the candidates are
-    batch-evaluated on the derived state. An attempt that does not
+    database; the recorded delta then patches the cached base join (via
+    :meth:`JoinCache.derive`) and the candidates are batch-evaluated on the
+    derived state. An attempt that does not
     distinguish the candidates releases its derived cache entry before
     returning, so a long attempt sequence never pins more than the winner.
     """
@@ -72,9 +72,7 @@ def evaluate_attempt(
     materialization = materialize_pairs(plan.space, pairs, database, config)
     if not materialization.applied:
         return AttemptOutcome(attempt_index, pairs, applied=False, distinguishes=False)
-    delta = materialization.delta
-    if delta.is_update_only and not delta.is_empty:
-        join_cache.derive(database, delta, materialization.database)
+    join_cache.derive(database, materialization.delta, materialization.database)
     try:
         batch = join_cache.evaluate_batch(
             plan.queries,

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
+from repro.core.materialize import MaterializationResult
 from repro.core.partitioner import QueryPartition
 from repro.exceptions import FeedbackError
 from repro.obs.trace import get_tracer
@@ -100,12 +101,16 @@ def build_feedback_round(
     iteration: int,
     original_database: Database,
     original_result: Relation,
-    modified_database: Database,
+    materialization: MaterializationResult,
     partition: QueryPartition,
 ) -> FeedbackRound:
-    """Assemble the deltas shown to the user for one iteration."""
+    """Assemble the deltas shown to the user for one iteration.
+
+    *materialization* is the round's winning attempt: its ``D'`` is kept on
+    the round, and ``Δ(D, D')`` is read off its recorded delta.
+    """
     with get_tracer().span("present.database_delta"):
-        db_delta = database_delta(original_database, modified_database)
+        db_delta = database_delta(original_database, materialization.delta)
     options = []
     for index, group in enumerate(partition.groups):
         options.append(
@@ -116,7 +121,7 @@ def build_feedback_round(
                 query_count=len(group),
             )
         )
-    return FeedbackRound(iteration, modified_database, db_delta, tuple(options))
+    return FeedbackRound(iteration, materialization.database, db_delta, tuple(options))
 
 
 class ResultSelector(Protocol):

@@ -13,8 +13,9 @@ Concrete choices follow the paper's preferences:
 * realistic values are preferred — destination subsets expose active-domain
   representative values before synthesized ones (the Olston-inspired
   philosophy of Section 1);
-* primary-key / foreign-key columns are protected and the materialized
-  database is validated against the declared constraints (Section 6.3).
+* primary-key and foreign-key columns are never modified, so ``D'`` keeps
+  every key constraint ``D`` satisfies (Section 6.3) without re-checking the
+  database.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.core.config import QFEConfig
 from repro.core.modification import ClassPair
 from repro.core.tuple_class import TupleClassSpace
 from repro.exceptions import TypeMismatchError
-from repro.relational.constraints import modification_is_valid
 from repro.relational.database import Database
 from repro.relational.delta import TupleDelta
 from repro.relational.types import AttributeType, values_equal
@@ -62,38 +62,19 @@ class AppliedModification:
 class MaterializationResult:
     """The modified database plus a record of every applied / skipped change.
 
-    ``delta`` is the structured :class:`~repro.relational.delta.TupleDelta`
-    recorded while ``D'`` was constructed — always update-only, because class
-    pairs only ever perform E1 attribute modifications. The Database
-    Generator hands it to :meth:`~repro.relational.evaluator.JoinCache.derive`
-    so candidate evaluation on ``D'`` patches the original database's cached
-    join instead of rebuilding it.
+    ``delta`` is the :class:`~repro.relational.delta.TupleDelta` recorded
+    while ``D'`` was constructed: one update of non-key cells per modified
+    base tuple. The Database Generator hands it to
+    :meth:`~repro.relational.evaluator.JoinCache.derive`, so candidate
+    evaluation on ``D'`` patches the original database's cached join instead
+    of rebuilding it, and the Result Feedback module presents ``Δ(D, D')``
+    from it (:func:`~repro.relational.delta.database_delta`).
     """
 
     database: Database
     applied: list[AppliedModification] = field(default_factory=list)
     skipped_pairs: list[ClassPair] = field(default_factory=list)
     delta: TupleDelta = field(default_factory=TupleDelta)
-
-    @property
-    def modification_count(self) -> int:
-        """Number of modified cells (attribute values)."""
-        return len(self.applied)
-
-    @property
-    def modified_tuple_count(self) -> int:
-        """Number of distinct modified base tuples (the ``µ`` of Section 3)."""
-        return len({(m.table, m.tuple_id) for m in self.applied})
-
-    @property
-    def modified_relation_count(self) -> int:
-        """Number of distinct modified relations (the ``n`` of Equation 3)."""
-        return len({m.table for m in self.applied})
-
-    @property
-    def side_effect_count(self) -> int:
-        """How many applied changes touched more than one joined row."""
-        return sum(1 for m in self.applied if m.has_side_effects)
 
 
 def _protected_columns(database: Database, table: str) -> set[str]:
@@ -183,9 +164,9 @@ def materialize_pairs(
 ) -> MaterializationResult:
     """Apply a set of class pairs to a copy of *original*, returning ``D'``.
 
-    Pairs that cannot be realized (protected key columns, no available source
-    row, constraint violations for every candidate value) are recorded in
-    ``skipped_pairs`` rather than failing the whole materialization.
+    Pairs that cannot be realized (a changed key column, no available source
+    row, no type-correct destination value) are recorded in ``skipped_pairs``
+    rather than failing the whole materialization.
     """
     modified = original.copy()
     result = MaterializationResult(database=modified)
@@ -195,17 +176,13 @@ def materialize_pairs(
     for pair in pairs:
         changed_slots = pair.changed_slots()
         changed_attributes = space.changed_attributes(pair.source, pair.destination)
-        # Protected key columns make the pair unrealizable under the default config.
-        if config.protect_key_columns:
-            blocked = False
-            for attribute in changed_attributes:
-                table, _, column = attribute.partition(".")
-                if column in _protected_columns(original, table):
-                    blocked = True
-                    break
-            if blocked:
-                result.skipped_pairs.append(pair)
-                continue
+        # A pair that changes a key column is unrealizable.
+        if any(
+            column in _protected_columns(original, table)
+            for table, _, column in (a.partition(".") for a in changed_attributes)
+        ):
+            result.skipped_pairs.append(pair)
+            continue
 
         applied_for_pair = _try_materialize_single_pair(
             space, pair, changed_slots, modified, used_base_tuples, config, joined
@@ -267,7 +244,7 @@ def _try_materialize_single_pair(
         if not feasible:
             continue
 
-        # Apply, validate, and roll back on constraint violation.
+        # Apply, rolling back if a value does not fit its column's type.
         applied_so_far: list[AppliedModification] = []
         type_error = False
         for modification in planned:
@@ -281,12 +258,6 @@ def _try_materialize_single_pair(
             applied_so_far.append(modification)
         if type_error:
             for modification in applied_so_far:
-                modified.relation(modification.table).update_value(
-                    modification.tuple_id, modification.column, modification.old_value
-                )
-            continue
-        if config.validate_constraints and not modification_is_valid(modified):
-            for modification in planned:
                 modified.relation(modification.table).update_value(
                     modification.tuple_id, modification.column, modification.old_value
                 )

@@ -41,13 +41,12 @@ __all__ = [
 class ClassPair:
     """A source/destination tuple-class pair representing one tuple modification.
 
-    A class pair is always realized as E1 attribute modifications of existing
-    tuples — never tuple insertions or deletions — so the
-    :class:`~repro.relational.delta.TupleDelta` its materialization records
-    is update-only (:attr:`is_update_only`). That is the contract the
+    A class pair is always realized as E1 modifications of non-key cells of
+    existing tuples — never tuple insertions or deletions — which is the only
+    change a :class:`~repro.relational.delta.TupleDelta` records. The
     delta-derived evaluation path (:meth:`JoinCache.derive
-    <repro.relational.evaluator.JoinCache.derive>`) relies on to patch the
-    cached join instead of rebuilding it for every candidate ``D'``.
+    <repro.relational.evaluator.JoinCache.derive>`) patches the cached join
+    in place for every candidate ``D'`` instead of rebuilding it.
 
     Class pairs are plain frozen dataclasses over tuples of ints, and their
     materialization is a deterministic function of ``(tuple-class space,
@@ -62,11 +61,6 @@ class ClassPair:
     def edit_cost(self) -> int:
         """``minEdit(s, d)``: how many selection attributes the modification touches."""
         return self.source.edit_distance(self.destination)
-
-    @property
-    def is_update_only(self) -> bool:
-        """Class pairs modify attribute values in place; they never insert/delete tuples."""
-        return True
 
     def changed_slots(self) -> tuple[int, ...]:
         """Positions of the selection attributes whose domain subset changes."""

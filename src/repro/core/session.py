@@ -65,7 +65,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration statistics (one row of the paper's Table 1)."""
+    """Per-iteration statistics (one row of the paper's Table 1).
+
+    ``db_cost`` and the three modification counts are read off the round's
+    presented ``Δ(D, D')``.
+    """
 
     iteration: int
     candidate_count: int
@@ -153,9 +157,6 @@ class RoundStats:
     skyline_seconds: float
     selection_seconds: float
     materialize_seconds: float
-    modification_count: int
-    modified_relation_count: int
-    modified_tuple_count: int
 
     @classmethod
     def from_generation(cls, generation: DatabaseGenerationResult) -> "RoundStats":
@@ -164,9 +165,6 @@ class RoundStats:
             skyline_seconds=generation.skyline_seconds,
             selection_seconds=generation.selection_seconds,
             materialize_seconds=generation.materialize_seconds,
-            modification_count=generation.materialization.modification_count,
-            modified_relation_count=generation.materialization.modified_relation_count,
-            modified_tuple_count=generation.materialization.modified_tuple_count,
         )
 
 
@@ -374,7 +372,7 @@ class QFESession:
                     self._iteration,
                     self.database,
                     self.result,
-                    generation.database,
+                    generation.materialization,
                     generation.partition,
                 )
             self.last_rounds.append(round_)
@@ -573,7 +571,8 @@ class QFESession:
     ) -> IterationRecord:
         round_ = pending.round
         stats = pending.stats
-        db_cost = round_.database_delta.cost + self.config.beta * round_.database_delta.modified_relation_count
+        db_delta = round_.database_delta
+        db_cost = db_delta.cost + self.config.beta * db_delta.modified_relation_count
         result_cost = float(sum(option.delta.cost for option in round_.options))
         return IterationRecord(
             iteration=pending.iteration,
@@ -586,9 +585,11 @@ class QFESession:
             materialize_seconds=stats.materialize_seconds,
             db_cost=float(db_cost),
             result_cost=result_cost,
-            modified_attribute_count=stats.modification_count,
-            modified_relation_count=stats.modified_relation_count,
-            modified_tuple_count=stats.modified_tuple_count,
+            modified_attribute_count=sum(
+                delta.script.modification_count for delta in db_delta.relation_deltas
+            ),
+            modified_relation_count=db_delta.modified_relation_count,
+            modified_tuple_count=db_delta.modified_tuple_count,
             chosen_option=choice,
             remaining_candidates=len(chosen_queries),
         )

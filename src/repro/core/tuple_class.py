@@ -454,13 +454,6 @@ class TupleClassSpace:
         return max(len(partition) for partition in self.partitions.values())
 
     # --------------------------------------------------------------- matching
-    def representative_values(self, tuple_class: TupleClass) -> dict[str, Any]:
-        """Concrete values (one per selection attribute) representing the class."""
-        values: dict[str, Any] = {}
-        for attribute, index in zip(self.selection_attributes, tuple_class.subset_indexes):
-            values[attribute] = self.partitions[attribute].subset(index).representative()
-        return values
-
     def queries_of_conjuncts(self, conjunct_mask: int) -> int:
         """The query mask (bit ``i`` = candidate ``i`` matches) of a conjunct mask.
 

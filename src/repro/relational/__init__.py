@@ -3,8 +3,8 @@
 This package implements everything the QFE algorithms assume from an RDBMS:
 typed schemas with primary/foreign keys, bag-semantics relations, foreign-key
 joins with join indexes and provenance, SPJ/SPJU query evaluation, the Section
-3 edit model (``minEdit``), delta presentation and integrity-constraint
-checking.
+3 edit model (``minEdit``), the recorded tuple delta and delta
+presentation.
 """
 
 from repro.relational.columnar import COLUMNAR_STATS, ColumnarView
@@ -14,14 +14,12 @@ from repro.relational.delta import (
     ResultDelta,
     TupleDelta,
     database_delta,
-    delta_from_edit_script,
     result_delta,
 )
 from repro.relational.edit import (
     EditKind,
     EditOperation,
     EditScript,
-    min_edit_database,
     min_edit_relation,
     min_edit_script,
     tuple_distance,
@@ -86,11 +84,9 @@ __all__ = [
     "tuple_distance",
     "min_edit_relation",
     "min_edit_script",
-    "min_edit_database",
     "DatabaseDelta",
     "ResultDelta",
     "TupleDelta",
     "database_delta",
-    "delta_from_edit_script",
     "result_delta",
 ]

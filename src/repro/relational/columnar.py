@@ -283,13 +283,6 @@ class ColumnarView:
             remaining = self._all_rows_mask & ~satisfied
         return satisfied
 
-    def selected_positions(self, predicate: DNFPredicate) -> list[int]:
-        """Row positions satisfying *predicate*, ascending."""
-        mask = self.predicate_mask(predicate)
-        if mask == self._all_rows_mask:
-            return list(range(self.row_count))
-        return mask_positions(mask)
-
     # ------------------------------------------------------------------- gather
     def gather(self, mask: int, positions: Sequence[int]) -> list[tuple[Any, ...]]:
         """Materialize the rows selected by *mask*, projected to *positions*."""
@@ -298,41 +291,24 @@ class ColumnarView:
             return list(zip(*columns)) if columns else [() for _ in range(self.row_count)]
         return [tuple(column[row] for column in columns) for row in mask_positions(mask)]
 
-    def clear_term_masks(self) -> None:
-        """Drop the cached term masks (the columns themselves are immutable)."""
-        self._term_masks.clear()
-        self._term_tests.clear()
-
     # ------------------------------------------------------------------- derive
-    def derive(
-        self,
-        patches: Mapping[int, Mapping[int, Any]],
-        removed: Sequence[int],
-        appended: Sequence[Sequence[Any]],
-    ) -> "ColumnarView":
-        """A copy-on-write view with cells patched, rows removed and rows added.
+    def derive(self, patches: Mapping[int, Mapping[int, Any]]) -> "ColumnarView":
+        """A copy-on-write view with cells patched in place.
 
-        *patches* maps base row positions to ``{column position: new value}``;
-        *removed* lists base row positions to drop; *appended* holds full new
-        value rows (in column order) placed after the surviving base rows —
-        exactly the shape :meth:`JoinedRelation.apply_delta` produces.
+        *patches* maps row positions to ``{column position: new value}`` —
+        exactly the shape :meth:`JoinedRelation.apply_delta` produces. The
+        row count never changes.
 
-        Columns untouched by any change are shared with the base view by
+        Columns untouched by any patch are shared with the base view by
         reference, and so are their cached term-mask entries. Affected cached
-        masks are *patched*, not recomputed: changed bits are re-evaluated at
-        the affected positions only, removals compact the masks with O(|removed|)
-        big-int shifts, and appended rows contribute freshly evaluated bits —
-        O(|Δ|) term evaluations plus O(rows/64) word operations per mask,
-        versus O(rows) Python-level evaluations for a cold rebuild. Error
-        masks (and the short-circuit error semantics they encode) are
-        maintained the same way; a patched entry's representative error is
-        re-evaluated at its lowest erroring row, as a cold view would report.
+        masks are *patched*, not recomputed: the term is re-evaluated at the
+        patched positions only — O(|Δ|) term evaluations plus O(rows/64) word
+        operations per mask, versus O(rows) Python-level evaluations for a
+        cold rebuild. Error masks (and the short-circuit error semantics they
+        encode) are maintained the same way; a patched entry's representative
+        error is re-evaluated at its lowest erroring row, as a cold view
+        would report.
         """
-        removed_descending = sorted(removed, reverse=True)
-        structural = bool(removed_descending or appended)
-        survivor_count = self.row_count - len(removed_descending)
-        new_row_count = survivor_count + len(appended)
-
         by_column: dict[int, list[tuple[int, Any]]] = {}
         for position, cells in patches.items():
             for column_position, value in cells.items():
@@ -341,24 +317,15 @@ class ColumnarView:
         view = ColumnarView.__new__(ColumnarView)
         view.names = self.names
         view._index = self._index
-        view.row_count = new_row_count
-        view._all_rows_mask = (1 << new_row_count) - 1
+        view.row_count = self.row_count
+        view._all_rows_mask = self._all_rows_mask
 
-        columns: list[tuple[Any, ...]] = []
-        for column_position, column in enumerate(self._columns):
-            cell_patches = by_column.get(column_position)
-            if not structural and not cell_patches:
-                columns.append(column)  # shared with the base view
-                continue
-            values = list(column)
-            if cell_patches:
-                for position, value in cell_patches:
-                    values[position] = value
-            for position in removed_descending:
-                del values[position]
-            if appended:
-                values.extend(row[column_position] for row in appended)
-            columns.append(tuple(values))
+        columns = list(self._columns)  # untouched columns are shared
+        for column_position, cell_patches in by_column.items():
+            values = list(columns[column_position])
+            for position, value in cell_patches:
+                values[position] = value
+            columns[column_position] = tuple(values)
         view._columns = columns
 
         view._term_masks = {}
@@ -370,39 +337,22 @@ class ColumnarView:
                 # Missing-attribute error entries (or untracked tests) are
                 # rebuilt lazily against the derived view instead.
                 continue
+            view._term_tests[key] = test
             cell_patches = by_column.get(column_position)
-            if not structural and not cell_patches:
+            if not cell_patches:
                 view._term_masks[key] = entry
-                view._term_tests[key] = test
                 continue
             mask, error_mask, _ = entry
-            if cell_patches:
-                for position, value in cell_patches:
-                    bit = 1 << position
-                    truth, raised = _evaluate_guarded(test, value)
-                    mask = (mask | bit) if truth else (mask & ~bit)
-                    error_mask = (error_mask | bit) if raised is not None else (error_mask & ~bit)
-            for position in removed_descending:
-                low = (1 << position) - 1
-                mask = (mask & low) | ((mask >> (position + 1)) << position)
-                error_mask = (error_mask & low) | ((error_mask >> (position + 1)) << position)
-            if appended:
-                added_mask = 0
-                added_errors = 0
-                for offset, row in enumerate(appended):
-                    truth, raised = _evaluate_guarded(test, row[column_position])
-                    if truth:
-                        added_mask |= 1 << offset
-                    if raised is not None:
-                        added_errors |= 1 << offset
-                mask |= added_mask << survivor_count
-                error_mask |= added_errors << survivor_count
+            for position, value in cell_patches:
+                bit = 1 << position
+                truth, raised = _evaluate_guarded(test, value)
+                mask = (mask | bit) if truth else (mask & ~bit)
+                error_mask = (error_mask | bit) if raised is not None else (error_mask & ~bit)
             error = None
             if error_mask:
                 first = (error_mask & -error_mask).bit_length() - 1
                 _, error = _evaluate_guarded(test, columns[column_position][first])
             view._term_masks[key] = (mask, error_mask, error)
-            view._term_tests[key] = test
         return view
 
     def __len__(self) -> int:

@@ -14,8 +14,10 @@ exactly with the Hungarian algorithm (``scipy.optimize.linear_sum_assignment``)
 on a square cost matrix padded with delete/insert costs.
 
 ``minEdit(D, D')`` over whole databases is the sum over modified relations
-(Section 3), and the module also exposes the concrete edit scripts used by
-the Result Feedback module to present ``Δ(D, R_i)`` diffs.
+(Section 3). The Result Feedback module presents ``Δ(R, R_i)`` as the
+concrete script :func:`min_edit_script` finds; ``Δ(D, D')`` is read off the
+recorded tuple delta instead (:func:`repro.relational.delta.database_delta`),
+as the same :class:`EditOperation` values.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Any
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.relational.database import Database
 from repro.relational.relation import Relation, Tuple
 from repro.relational.types import values_equal
 
@@ -36,10 +37,9 @@ __all__ = [
     "EditOperation",
     "EditScript",
     "tuple_distance",
+    "cell_edits",
     "min_edit_relation",
     "min_edit_script",
-    "min_edit_database",
-    "modified_relation_names",
 ]
 
 
@@ -95,36 +95,6 @@ class EditScript:
     def describe(self) -> list[str]:
         """Human-readable lines for every operation."""
         return [op.describe() for op in self.operations]
-
-    def row_changes(self) -> list[tuple[EditKind, tuple | None, tuple | None]]:
-        """Per-*tuple* changes ``(kind, source_row, target_row)``.
-
-        :func:`min_edit_script` emits one E1 operation per modified cell, with
-        all cells of one matched tuple pair appearing contiguously and each
-        attribute at most once per pair; this view collapses each such run
-        into a single MODIFY row change, so consumers that operate at tuple
-        granularity (e.g. deriving a
-        :class:`~repro.relational.delta.TupleDelta`) see one entry per tuple.
-        A repeated attribute within a run of identical ``(source, target)``
-        rows marks the start of the *next* matched pair — duplicate rows
-        modified identically (legal under bag semantics) stay distinct.
-        """
-        changes: list[tuple[EditKind, tuple | None, tuple | None]] = []
-        run_attributes: set[str | None] = set()
-        for op in self.operations:
-            if (
-                op.kind is EditKind.MODIFY
-                and changes
-                and changes[-1][0] is EditKind.MODIFY
-                and changes[-1][1] == op.source_row
-                and changes[-1][2] == op.target_row
-                and op.attribute not in run_attributes
-            ):
-                run_attributes.add(op.attribute)
-                continue  # same matched tuple pair: another changed cell
-            run_attributes = {op.attribute} if op.kind is EditKind.MODIFY else set()
-            changes.append((op.kind, op.source_row, op.target_row))
-        return changes
 
     def __len__(self) -> int:
         return len(self.operations)
@@ -212,6 +182,26 @@ def _match_identical_rows(
     return matched, leftover_source, leftover_target
 
 
+def cell_edits(
+    relation: str, attribute_names: tuple[str, ...], source_row: tuple, target_row: tuple
+) -> list[EditOperation]:
+    """The E1 operations turning *source_row* into *target_row*, in attribute order."""
+    return [
+        EditOperation(
+            kind=EditKind.MODIFY,
+            relation=relation,
+            attribute=attribute_names[position],
+            old_value=old,
+            new_value=new,
+            source_row=source_row,
+            target_row=target_row,
+            cost=1,
+        )
+        for position, (old, new) in enumerate(zip(source_row, target_row))
+        if not values_equal(old, new)
+    ]
+
+
 def min_edit_relation(source: Relation, target: Relation) -> int:
     """``minEdit(T, T')`` — the minimum edit cost between two relation instances."""
     return min_edit_script(source, target).cost
@@ -228,22 +218,11 @@ def min_edit_script(source: Relation, target: Relation) -> EditScript:
     source_tuples = source.tuples
     target_tuples = target.tuples
     for i, j in matched:
-        source_row = source_tuples[i].values
-        target_row = target_tuples[j].values
-        for position, (old, new) in enumerate(zip(source_row, target_row)):
-            if not values_equal(old, new):
-                operations.append(
-                    EditOperation(
-                        kind=EditKind.MODIFY,
-                        relation=source.schema.name,
-                        attribute=attribute_names[position],
-                        old_value=old,
-                        new_value=new,
-                        source_row=source_row,
-                        target_row=target_row,
-                        cost=1,
-                    )
-                )
+        operations.extend(
+            cell_edits(
+                source.schema.name, attribute_names, source_tuples[i].values, target_tuples[j].values
+            )
+        )
     for i in deleted:
         operations.append(
             EditOperation(
@@ -263,20 +242,3 @@ def min_edit_script(source: Relation, target: Relation) -> EditScript:
             )
         )
     return EditScript(tuple(operations))
-
-
-def modified_relation_names(source: Database, target: Database) -> tuple[str, ...]:
-    """Names of relations whose instances differ between the two databases."""
-    names = []
-    for name in source.table_names:
-        if not source.relation(name).bag_equal(target.relation(name)):
-            names.append(name)
-    return tuple(names)
-
-
-def min_edit_database(source: Database, target: Database) -> int:
-    """``minEdit(D, D')`` — sum of per-relation minimum edit costs over modified relations."""
-    total = 0
-    for name in modified_relation_names(source, target):
-        total += min_edit_relation(source.relation(name), target.relation(name))
-    return total

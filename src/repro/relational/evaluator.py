@@ -338,34 +338,24 @@ class JoinCache:
                 return self.join_for(base, tables).apply_delta(delta, base)
         return foreign_key_join(database, list(tables))
 
-    def derive(
-        self,
-        base: Database,
-        delta: "TupleDelta",
-        derived: Database,
-        tables: Iterable[str] | None = None,
-    ) -> JoinedRelation | None:
+    def derive(self, base: Database, delta: "TupleDelta", derived: Database) -> None:
         """Register *derived* as the delta-modified copy of *base*.
 
         Every join the cache later serves for *derived* is patched out of the
         corresponding (cached, possibly warm) join of *base* via
         :meth:`JoinedRelation.apply_delta`, per join signature on demand.
-        When *tables* is given the entry for that signature is derived
-        eagerly and returned. The lifetime of derived entries is tied to the
-        base: :meth:`invalidate` on (or garbage collection of) *base* evicts
-        them, and the link itself dies with either database.
+        The lifetime of derived entries is tied to the base:
+        :meth:`invalidate` on (or garbage collection of) *base* evicts them,
+        and the link itself dies with either database.
         """
         base_id, derived_id = id(base), id(derived)
         if base_id == derived_id:
             raise ValueError("cannot derive a database from itself")
-        with get_tracer().span("join.derive", eager=tables is not None):
+        with get_tracer().span("join.derive"):
             self._links[derived_id] = (base_id, weakref.ref(base), delta)
             self._children.setdefault(base_id, set()).add(derived_id)
             self._watch(base)
             self._watch(derived)
-            if tables is not None:
-                return self.join_for(derived, tables)
-            return None
 
     def _watch(self, database: Database) -> None:
         """Evict the database's entries when it is deallocated (id-reuse guard)."""

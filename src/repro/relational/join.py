@@ -19,7 +19,7 @@ relations) compose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.exceptions import SchemaError
 from repro.obs.registry import RegistryStats
@@ -80,7 +80,6 @@ class JoinedRelation:
             for table, tuple_id in row_provenance.items():
                 self._join_index.setdefault((table, tuple_id), []).append(position)
         self._columnar = None
-        self._attach_indexes: dict[tuple[str, tuple[str, ...]], dict[tuple, list]] = {}
         self._base_rows: dict[str, dict[int, tuple[Any, ...]]] = {}
         self._column_offsets: dict[str, int] | None = None
 
@@ -167,35 +166,13 @@ class JoinedRelation:
                 columns.update(fk.parent_columns)
         return tuple(sorted(schema.index_of(c) for c in columns))
 
-    def _attach_index(
-        self, database: Database, table: str, column_positions: tuple[int, ...]
-    ) -> dict[tuple, list[tuple[int, tuple[Any, ...]]]]:
-        """``join key -> [(tuple_id, values)]`` over *table*'s base contents.
-
-        Built lazily once per ``(table, key columns)`` and memoized on the
-        joined relation, so repeated delta applications against the same base
-        pay O(|Δ|) lookups, not O(|table|) rebuilds. *database* must be the
-        instance this join was materialized from.
-        """
-        cache_key = (table, column_positions)
-        index = self._attach_indexes.get(cache_key)
-        if index is None:
-            index = {}
-            for base_tuple in database.relation(table).tuples:
-                key = tuple(_norm(base_tuple.values[p]) for p in column_positions)
-                if any(part is None for part in key):
-                    continue
-                index.setdefault(key, []).append((base_tuple.tuple_id, base_tuple.values))
-            self._attach_indexes[cache_key] = index
-        return index
-
     def _base_row_map(self, database: Database, table: str) -> dict[int, tuple[Any, ...]]:
         """``tuple_id -> values`` over *table*'s base contents, memoized.
 
-        Like the attach indexes, the map reflects the base instance this join
-        was materialized from (which delta application never mutates), so it
-        is built once per table and amortized across every delta applied to
-        this join — keeping each application O(|Δ|) after the first.
+        The map reflects the base instance this join was materialized from
+        (which delta application never mutates), so it is built once per
+        table and amortized across every delta applied to this join —
+        keeping each application O(|Δ|) after the first.
         """
         rows = self._base_rows.get(table)
         if rows is None:
@@ -203,63 +180,20 @@ class JoinedRelation:
             self._base_rows[table] = rows
         return rows
 
-    def _seed_plan(
-        self, database: Database, seed_table: str
-    ) -> list[tuple[str, tuple[int, ...], str, tuple[int, ...]]]:
-        """BFS attach order from *seed_table* over the spanning foreign keys.
-
-        Each step is ``(covered_table, covered key positions, new_table, new
-        key positions)`` with positions local to the respective table schema;
-        following the steps extends a single seed tuple to full joined rows.
-        """
-        adjacency: dict[str, list[tuple[str, list[tuple[str, str]]]]] = {t: [] for t in self.tables}
-        for fk in self.foreign_keys:
-            pairs = list(fk.column_pairs())  # (child_column, parent_column)
-            adjacency[fk.child_table].append(
-                (fk.parent_table, [(child, parent) for child, parent in pairs])
-            )
-            adjacency[fk.parent_table].append(
-                (fk.child_table, [(parent, child) for child, parent in pairs])
-            )
-        plan: list[tuple[str, tuple[int, ...], str, tuple[int, ...]]] = []
-        covered = {seed_table}
-        frontier = [seed_table]
-        while frontier:
-            source = frontier.pop(0)
-            source_schema = database.schema.table(source)
-            for destination, pairs in adjacency[source]:
-                if destination in covered:
-                    continue
-                destination_schema = database.schema.table(destination)
-                plan.append(
-                    (
-                        source,
-                        tuple(source_schema.index_of(s) for s, _ in pairs),
-                        destination,
-                        tuple(destination_schema.index_of(d) for _, d in pairs),
-                    )
-                )
-                covered.add(destination)
-                frontier.append(destination)
-        return plan
-
     def apply_delta(self, delta: "TupleDelta", database: Database) -> "JoinedRelation":
         """Derive the join of the delta-modified database by patching this one.
 
         *database* must be the **base** instance this join was materialized
         from; *delta* describes how the derived database differs from it. The
-        result equals ``foreign_key_join(derived_database, self.tables)`` up
-        to row order, but is computed incrementally:
+        result equals ``foreign_key_join(derived_database, self.tables)``,
+        row for row: each update patches the joined rows the join index
+        attributes to its tuple in place, and the derived join shares every
+        untouched tuple, the provenance and the join index with this one.
 
-        * updates that leave every join column untouched patch the affected
-          joined rows in place (via the join index), sharing all untouched
-          tuples, the provenance and the join index with the base;
-        * deletes (and the removal side of join-column rewrites) drop exactly
-          the joined rows the join index attributes to the tuple;
-        * inserts (and the re-insertion side of join-column rewrites) expand
-          a single seed tuple along the spanning foreign-key tree, looking up
-          matches through memoized base-side attach indexes adjusted by the
-          delta — fanout-aware and O(|Δ| · fanout), never a full re-join.
+        A delta only ever changes non-key cells, so no joined row appears or
+        disappears; an update that changes a spanning foreign-key join column
+        is refused with :class:`SchemaError`. Updates of tables outside this
+        join cannot affect it and are ignored.
 
         The columnar view (columns and cached term masks) is derived
         copy-on-write alongside, see
@@ -268,46 +202,17 @@ class JoinedRelation:
         JOIN_STATS.delta_applies += 1
         offsets = self._offsets()
         patches: dict[int, dict[int, Any]] = {}
-        removed: set[int] = set()
-        pending: dict[str, list[tuple[int, tuple[Any, ...]]]] = {t: [] for t in self.tables}
-        deleted_ids: dict[str, set[int]] = {t: set() for t in self.tables}
-        rewritten_ids: dict[str, set[int]] = {t: set() for t in self.tables}
-        visible_updates: dict[str, dict[int, tuple[Any, ...]]] = {t: {} for t in self.tables}
-
-        # Phase 1 — classify the delta per participating table. Ops on tables
-        # outside this join cannot affect it and are ignored.
         for table in self.tables:
-            deletes = delta.deletes_for(table)
             updates = delta.updates_for(table)
-            inserts = delta.inserts_for(table)
-            if not deletes and not updates and not inserts:
+            if not updates:
                 continue
             base_rows = self._base_row_map(database, table)
             join_positions = self._join_column_positions(database, table)
-            for tuple_id in deletes:
-                if tuple_id not in base_rows:
-                    raise SchemaError(
-                        f"delta deletes unknown tuple {tuple_id} of {table!r}"
-                    )
-                deleted_ids[table].add(tuple_id)
-                removed.update(self.joined_positions_of(table, tuple_id))
+            offset = offsets[table]
             for tuple_id, new_values in updates.items():
                 old_values = base_rows.get(tuple_id)
                 if old_values is None:
-                    raise SchemaError(
-                        f"delta updates unknown tuple {tuple_id} of {table!r}"
-                    )
-                if any(
-                    not values_equal(old_values[p], new_values[p]) for p in join_positions
-                ):
-                    # Join-column rewrite: the tuple leaves its current joined
-                    # rows and re-attaches wherever its new key matches.
-                    rewritten_ids[table].add(tuple_id)
-                    removed.update(self.joined_positions_of(table, tuple_id))
-                    pending[table].append((tuple_id, tuple(new_values)))
-                    continue
-                visible_updates[table][tuple_id] = tuple(new_values)
-                offset = offsets[table]
+                    raise SchemaError(f"delta updates unknown tuple {tuple_id} of {table!r}")
                 changed_cells = {
                     offset + index: new
                     for index, (old, new) in enumerate(zip(old_values, new_values))
@@ -315,132 +220,36 @@ class JoinedRelation:
                 }
                 if not changed_cells:
                     continue  # no-op update
+                if any(offset + p in changed_cells for p in join_positions):
+                    raise SchemaError(
+                        f"delta changes a join column of tuple {tuple_id} of {table!r}; "
+                        "only non-key cells may change"
+                    )
                 for position in self.joined_positions_of(table, tuple_id):
                     patches.setdefault(position, {}).update(changed_cells)
-            for tuple_id, values in inserts.items():
-                pending[table].append((tuple_id, tuple(values)))
+        return self._build_derived(patches)
 
-        # Phase 2 — expand pending (re)insertions into new joined rows. Tables
-        # are processed in join order; a table's own pending tuples only become
-        # visible to *later* tables' expansions, so each new combination of
-        # fresh tuples is produced exactly once.
-        appended_rows: list[tuple[Any, ...]] = []
-        appended_provenance: list[dict[str, int]] = []
-        extra_visible: dict[str, list[tuple[int, tuple[Any, ...]]]] = {t: [] for t in self.tables}
-
-        def visible_matches(
-            table: str, column_positions: tuple[int, ...], key: tuple
-        ) -> list[tuple[int, tuple[Any, ...]]]:
-            matches: list[tuple[int, tuple[Any, ...]]] = []
-            for tuple_id, values in self._attach_index(database, table, column_positions).get(key, ()):
-                if tuple_id in deleted_ids[table] or tuple_id in rewritten_ids[table]:
-                    continue
-                updated = visible_updates[table].get(tuple_id)
-                matches.append((tuple_id, updated if updated is not None else values))
-            for tuple_id, values in extra_visible[table]:
-                candidate_key = tuple(_norm(values[p]) for p in column_positions)
-                if candidate_key == key:
-                    matches.append((tuple_id, values))
-            return matches
-
-        for table in self.tables:
-            if not pending[table]:
-                continue
-            plan = self._seed_plan(database, table)
-            for tuple_id, values in pending[table]:
-                partials: list[dict[str, tuple[int, tuple[Any, ...]]]] = [
-                    {table: (tuple_id, values)}
-                ]
-                for source, source_positions, destination, destination_positions in plan:
-                    expanded: list[dict[str, tuple[int, tuple[Any, ...]]]] = []
-                    for partial in partials:
-                        _, source_values = partial[source]
-                        key = tuple(_norm(source_values[p]) for p in source_positions)
-                        if any(part is None for part in key):
-                            continue
-                        for match in visible_matches(destination, destination_positions, key):
-                            extended = dict(partial)
-                            extended[destination] = match
-                            expanded.append(extended)
-                    partials = expanded
-                    if not partials:
-                        break
-                for partial in partials:
-                    row: list[Any] = []
-                    provenance: dict[str, int] = {}
-                    for member in self.tables:
-                        member_id, member_values = partial[member]
-                        row.extend(member_values)
-                        provenance[member] = member_id
-                    appended_rows.append(tuple(row))
-                    appended_provenance.append(provenance)
-            extra_visible[table].extend(pending[table])
-
-        # Phase 3 — assemble the derived joined relation and columnar view.
-        return self._build_derived(patches, removed, appended_rows, appended_provenance)
-
-    def _build_derived(
-        self,
-        patches: dict[int, dict[int, Any]],
-        removed: set[int],
-        appended_rows: list[tuple[Any, ...]],
-        appended_provenance: list[dict[str, int]],
-    ) -> "JoinedRelation":
-        base_tuples = self.relation.tuples
-        structural = bool(removed or appended_rows)
-        if not structural:
-            new_tuples = list(base_tuples)
-            for position, cells in patches.items():
-                values = list(new_tuples[position].values)
-                for index, value in cells.items():
-                    values[index] = value
-                new_tuples[position] = Tuple(values, new_tuples[position].tuple_id)
-            provenance = self.provenance
-            join_index = self._join_index
-        else:
-            new_tuples = []
-            provenance = []
-            next_id = 0
-            for position, base_tuple in enumerate(base_tuples):
-                if position in removed:
-                    continue
-                cells = patches.get(position)
-                if cells:
-                    values = list(base_tuple.values)
-                    for index, value in cells.items():
-                        values[index] = value
-                    base_tuple = Tuple(values, base_tuple.tuple_id)
-                new_tuples.append(base_tuple)
-                provenance.append(self.provenance[position])
-                if base_tuple.tuple_id is not None:
-                    next_id = max(next_id, base_tuple.tuple_id + 1)
-            for row, row_provenance in zip(appended_rows, appended_provenance):
-                new_tuples.append(Tuple(row, next_id))
-                provenance.append(row_provenance)
-                next_id += 1
-            join_index = None
+    def _build_derived(self, patches: dict[int, dict[int, Any]]) -> "JoinedRelation":
+        new_tuples = list(self.relation.tuples)
+        for position, cells in patches.items():
+            values = list(new_tuples[position].values)
+            for index, value in cells.items():
+                values[index] = value
+            new_tuples[position] = Tuple(values, new_tuples[position].tuple_id)
 
         derived = JoinedRelation.__new__(JoinedRelation)
         derived.relation = Relation.adopt_tuples(self.relation.schema, new_tuples)
         derived.tables = self.tables
         derived.foreign_keys = self.foreign_keys
-        derived.provenance = provenance
-        if join_index is not None:
-            derived._join_index = join_index
-        else:
-            derived._join_index = {}
-            for position, row_provenance in enumerate(provenance):
-                for table, tuple_id in row_provenance.items():
-                    derived._join_index.setdefault((table, tuple_id), []).append(position)
-        derived._attach_indexes = {}
+        derived.provenance = self.provenance
+        derived._join_index = self._join_index
         derived._base_rows = {}
         derived._column_offsets = self._column_offsets
 
         # Derive the columnar view copy-on-write from the base view; building
         # the base view here is amortized — the cache shares it across every
         # delta derived from this join.
-        removed_ascending = sorted(removed)
-        derived._columnar = self.columnar().derive(patches, removed_ascending, appended_rows)
+        derived._columnar = self.columnar().derive(patches)
         return derived
 
 

@@ -439,7 +439,7 @@ def _compile_ordering(term: Term) -> Callable[[Any], bool]:
 
 
 @lru_cache(maxsize=8192)
-def _compile_term_cached(term: Term) -> Callable[[Any], bool]:
+def _compile_term_cached(term: Term, constant_types: tuple[type, ...]) -> Callable[[Any], bool]:
     return _compile_term(term)
 
 
@@ -456,11 +456,14 @@ def compile_term(term: Term) -> Callable[[Any], bool]:
 
     The closure is memoized per term (terms are immutable value objects), so
     the many QBO-generated candidates that share terms compile each distinct
-    term once per process. Terms with unhashable constants — which the
-    row-at-a-time interpreter accepted — compile uncached.
+    term once per process. The memo key includes the types of the term's
+    constants: ``v < 1`` and ``v < True`` are equal terms, but their closures
+    name their own constant in an evaluation error. Terms with unhashable
+    constants — which the row-at-a-time interpreter accepted — compile
+    uncached.
     """
     try:
-        return _compile_term_cached(term)
+        return _compile_term_cached(term, tuple(type(c) for c in term.constants()))
     except TypeError:
         return _compile_term(term)
 

@@ -33,7 +33,9 @@ Version policy: :data:`CHECKPOINT_VERSION` bumps on any incompatible change
 to the header or payload layout; :func:`restore_checkpoint` refuses any other
 version with :class:`~repro.exceptions.CheckpointError` instead of guessing.
 (Version 2 added ``payload_sha256``; version 3 dropped the worker count
-from the captured state and from the pickled config. Older files are
+from the captured state and from the pickled config; version 4 dropped the
+two key/validation flags from the pickled config and the three
+modification counts from the pickled round statistics. Older files are
 refused.)
 
 A note on randomness: the interaction loop is deterministic end to end —
@@ -80,7 +82,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "qfe-session-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.materialize import MaterializationResult
 from repro.datasets import adult, baseball, employee, scientific
 from repro.obs.registry import reset_all_stats as _reset_registry
 from repro.relational.database import Database
@@ -49,6 +50,18 @@ def employee_result() -> Relation:
 @pytest.fixture(scope="session")
 def employee_candidates() -> list[SPJQuery]:
     return employee.candidate_trio()
+
+
+@pytest.fixture()
+def bob_below_4000(employee_db) -> MaterializationResult:
+    """Example 1.1's D with Bob's salary lowered to 3900, as a round records it:
+    the modified copy plus the one-tuple update that produced it."""
+    modified = employee_db.copy()
+    employees = modified.relation("Employee")
+    employees.update_value(1, "salary", 3900)
+    materialization = MaterializationResult(database=modified)
+    materialization.delta.record_update("Employee", 1, employees.tuple_by_id(1).values)
+    return materialization
 
 
 @pytest.fixture(scope="session")

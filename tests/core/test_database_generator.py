@@ -6,11 +6,11 @@ from repro.core.alternative_cost import max_partitions_score
 from repro.core.config import QFEConfig
 from repro.core.round_planner import RoundPlanner
 from repro.exceptions import DatabaseGenerationError
-from repro.relational.constraints import modification_is_valid
-from repro.relational.edit import min_edit_database
 from repro.relational.evaluator import evaluate
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from tests.oracles.constraints_reference import modification_is_valid
+from tests.oracles.presentation_reference import database_delta_reference
 
 
 class TestDatabaseGenerator:
@@ -21,7 +21,7 @@ class TestDatabaseGenerator:
         )
         assert generation.partition.distinguishes
         assert generation.materialization.applied
-        assert min_edit_database(employee_db, generation.database) >= 1
+        assert database_delta_reference(employee_db, generation.database).cost >= 1
 
     def test_generated_database_is_valid(self, employee_db, employee_result, employee_candidates):
         generation = RoundPlanner(QFEConfig()).plan_round(

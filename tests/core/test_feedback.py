@@ -10,25 +10,28 @@ from repro.core.feedback import (
     WorstCaseSelector,
     build_feedback_round,
 )
+from repro.core.materialize import MaterializationResult
 from repro.core.partitioner import partition_queries
 from repro.exceptions import FeedbackError
 
 
 @pytest.fixture()
-def modified_round(employee_db, employee_result, employee_candidates):
-    modified = employee_db.copy()
-    modified.relation("Employee").update_value(1, "salary", 3900)
-    partition = partition_queries(employee_candidates, modified)
-    round_ = build_feedback_round(1, employee_db, employee_result, modified, partition)
+def modified_round(employee_db, employee_result, employee_candidates, bob_below_4000):
+    partition = partition_queries(employee_candidates, bob_below_4000.database)
+    round_ = build_feedback_round(1, employee_db, employee_result, bob_below_4000, partition)
     return round_, partition
 
 
 class TestFeedbackRound:
-    def test_round_structure(self, modified_round):
+    def test_round_structure(self, modified_round, bob_below_4000):
         round_, partition = modified_round
         assert round_.iteration == 1
         assert round_.option_count == partition.group_count
+        assert round_.modified_database is bob_below_4000.database
         assert round_.database_delta.cost == 1
+        assert round_.database_delta.describe() == [
+            "Employee: change salary from 4200 to 3900 in row (2, 'Bob', 'M', 'IT', 4200)"
+        ]
         assert sum(option.query_count for option in round_.options) == 3
 
     def test_option_deltas_reflect_result_changes(self, modified_round):
@@ -59,13 +62,11 @@ class TestSelectors:
         assert target in chosen_group.queries
 
     def test_oracle_rejects_when_no_option_matches(self, employee_db, employee_result,
-                                                   employee_candidates):
+                                                   employee_candidates, bob_below_4000):
         # present a partition built from only two candidates; the oracle's
         # target produces a different result on the modified database
-        modified = employee_db.copy()
-        modified.relation("Employee").update_value(1, "salary", 3900)
-        partition = partition_queries(employee_candidates[:1], modified)
-        round_ = build_feedback_round(1, employee_db, employee_result, modified, partition)
+        partition = partition_queries(employee_candidates[:1], bob_below_4000.database)
+        round_ = build_feedback_round(1, employee_db, employee_result, bob_below_4000, partition)
         target = employee_candidates[1]
         assert OracleSelector(target).select(round_, partition) == NONE_OF_THE_ABOVE
 
@@ -93,12 +94,10 @@ class TestSelectors:
 
 
 @pytest.fixture()
-def single_group_round(employee_db, employee_result, employee_candidates):
+def single_group_round(employee_db, employee_result, employee_candidates, bob_below_4000):
     """A round whose partition has exactly one group (nothing distinguished)."""
-    modified = employee_db.copy()
-    modified.relation("Employee").update_value(1, "salary", 3900)
-    partition = partition_queries(employee_candidates[:1], modified)
-    round_ = build_feedback_round(1, employee_db, employee_result, modified, partition)
+    partition = partition_queries(employee_candidates[:1], bob_below_4000.database)
+    round_ = build_feedback_round(1, employee_db, employee_result, bob_below_4000, partition)
     assert partition.group_count == 1
     return round_, partition
 
@@ -151,8 +150,8 @@ class TestEmptyDeltaRound:
         # D' == D: the delta presentation must degrade to explicit
         # "(no changes)" text, with zero costs, for every option whose result
         # matches the original.
-        unmodified = employee_db.copy()
-        partition = partition_queries(employee_candidates, unmodified)
+        unmodified = MaterializationResult(database=employee_db.copy())
+        partition = partition_queries(employee_candidates, unmodified.database)
         round_ = build_feedback_round(
             1, employee_db, employee_result, unmodified, partition
         )

@@ -7,11 +7,12 @@ from repro.core.materialize import materialize_pairs
 from repro.core.modification import ClassPair
 from repro.core.skyline import skyline_stc_dtc_pairs
 from repro.core.tuple_class import TupleClassSpace
-from repro.relational.constraints import modification_is_valid
-from repro.relational.edit import min_edit_database
+from repro.relational.delta import database_delta
 from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from tests.oracles.constraints_reference import modification_is_valid
+from tests.oracles.presentation_reference import database_delta_reference
 
 
 @pytest.fixture()
@@ -35,14 +36,17 @@ class TestMaterialization:
         pairs = _skyline_pairs(employee_space)[:1]
         result = materialize_pairs(employee_space, pairs, employee_db, QFEConfig())
         assert result.applied
-        assert min_edit_database(employee_db, result.database) >= 1
+        assert database_delta_reference(employee_db, result.database).cost >= 1
 
     def test_applied_modifications_match_pair_edit_cost(self, employee_db, employee_space):
         pairs = _skyline_pairs(employee_space)[:1]
         result = materialize_pairs(employee_space, pairs, employee_db, QFEConfig())
-        assert result.modification_count == pairs[0].edit_cost
-        assert result.modified_tuple_count == 1
-        assert result.modified_relation_count == 1
+        assert len(result.applied) == pairs[0].edit_cost
+        assert result.delta.relations == ("Employee",)
+        assert len(result.delta.updates_for("Employee")) == 1
+        presented = database_delta(employee_db, result.delta)
+        assert presented.cost == len(result.applied)
+        assert presented.modified_tuple_count == presented.modified_relation_count == 1
 
     def test_modified_row_moves_to_destination_class(self, employee_db, employee_space):
         pairs = _skyline_pairs(employee_space)[:1]
@@ -81,11 +85,7 @@ class TestMaterialization:
         result = materialize_pairs(space, pairs, employee_db, QFEConfig())
         assert not result.applied
         assert len(result.skipped_pairs) == len(pairs)
-        permissive = materialize_pairs(
-            space, pairs, employee_db, QFEConfig(protect_key_columns=False)
-        )
-        assert permissive.applied  # uniqueness is still preserved by the value choice
-        assert modification_is_valid(permissive.database)
+        assert result.delta.is_empty
 
     def test_side_effect_preference(self, baseball_db):
         # Team attributes fan out to many joined rows through Batting; the
@@ -101,4 +101,4 @@ class TestMaterialization:
         pairs = _skyline_pairs(space)[:1]
         result = materialize_pairs(space, pairs, baseball_db, QFEConfig())
         assert result.applied
-        assert result.side_effect_count == 0
+        assert not any(m.has_side_effects for m in result.applied)

@@ -57,8 +57,6 @@ class TestQFEConfig:
             # A non-empty string is truthy: "false" would switch the flag on.
             pytest.param({"set_semantics": "false"}, id="set-semantics-string"),
             pytest.param({"prefer_no_side_effects": 0}, id="side-effects-int"),
-            pytest.param({"validate_constraints": None}, id="validate-none"),
-            pytest.param({"protect_key_columns": "yes"}, id="protect-keys-string"),
             pytest.param({"beta": True}, id="beta-bool"),
             pytest.param({"delta_seconds": True}, id="delta-bool"),
             pytest.param({"iteration_estimator": "naive"}, id="estimator-string"),
@@ -98,6 +96,13 @@ class TestQFEConfig:
         with pytest.raises(TypeError):
             QFEConfig(workers=2)  # type: ignore[call-arg]
         assert "workers" not in {field.name for field in dataclasses.fields(QFEConfig)}
+
+    def test_the_key_and_validation_flags_are_gone(self):
+        # Key columns are always protected, so D' is valid whenever D is.
+        for removed in ("protect_key_columns", "validate_constraints"):
+            with pytest.raises(TypeError):
+                QFEConfig(**{removed: True})
+        assert len(dataclasses.fields(QFEConfig)) == 11
 
     def test_with_overrides(self):
         config = QFEConfig().with_overrides(beta=3.0, delta_seconds=0.5)

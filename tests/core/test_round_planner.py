@@ -14,6 +14,7 @@ from repro.core.execution_backend import SerialBackend, evaluate_attempt
 from repro.core.round_planner import PLAN_MEMO_LIMIT, PLAN_MEMO_STATS, RoundPlanner
 from repro.exceptions import DatabaseGenerationError
 from repro.obs.trace import Tracer, set_tracer
+from repro.relational.delta import database_delta
 from repro.relational.evaluator import JoinCache
 from repro.relational.join import JOIN_STATS
 
@@ -361,12 +362,13 @@ class TestInProcessSearch:
                 continue
             assert len(outcome.signature) == len(employee_candidates)
             assert outcome.distinguishes == (len(set(outcome.signature)) > 1)
-        # The winner's counts are its materialization's: they become the
-        # round's record.
+        # The winner's recorded delta is what the round presents: one E1
+        # edit per applied modification, over the relations they touch.
         generation = planner.plan_round(employee_db, employee_result, employee_candidates)
         materialization = generation.materialization
-        assert materialization.modification_count == len(materialization.applied) > 0
-        assert materialization.modified_relation_count == len(
+        presented = database_delta(employee_db, materialization.delta)
+        assert presented.cost == len(materialization.applied) > 0
+        assert presented.modified_relation_count == len(
             {modification.table for modification in materialization.applied}
         )
 

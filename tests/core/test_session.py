@@ -114,3 +114,32 @@ class TestSessionWithGeneratedCandidates:
         # converges or ends with an explicit exhausted flag — never an error
         assert outcome.converged or outcome.exhausted
         assert outcome.initial_candidate_count == 3
+
+
+class TestInvalidOriginalDatabase:
+    """Section 6.3: D' keeps D's keys; the session never re-checks the whole D'."""
+
+    @pytest.mark.parametrize("selector", ["worst-case", "oracle"])
+    def test_a_key_violation_already_in_d_does_not_exhaust_the_session(
+        self, employee_db, employee_result, employee_candidates, selector
+    ):
+        # A second Eid 1 that no candidate selects: D itself breaks its key.
+        database = employee_db.copy()
+        database.relation("Employee").insert([1, "Zed", "F", "HR", 100])
+        user = (
+            WorstCaseSelector() if selector == "worst-case"
+            else OracleSelector(employee_candidates[1])
+        )
+        session = QFESession(database, employee_result, candidates=employee_candidates)
+        outcome = session.run(user)
+        assert outcome.converged and not outcome.exhausted
+        assert outcome.iteration_count == 1
+        for round_ in session.last_rounds:
+            changed = {
+                op.attribute
+                for relation_delta in round_.database_delta.relation_deltas
+                for op in relation_delta.script.operations
+            }
+            assert changed and "Eid" not in changed
+            eids = [t.values[0] for t in round_.modified_database.relation("Employee").tuples]
+            assert eids == [1, 2, 3, 4, 1]

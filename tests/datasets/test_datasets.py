@@ -4,10 +4,10 @@ import pytest
 
 from repro.datasets import adult, baseball, employee, scientific
 from repro.datasets.synth import identifier, log_fold_change, p_value, rng_for, scaled_count
-from repro.relational.constraints import modification_is_valid
 from repro.relational.evaluator import evaluate
 from repro.relational.join import full_join
 from repro.workloads import baseball_queries, scientific_queries
+from tests.oracles.constraints_reference import modification_is_valid
 
 
 class TestSynthHelpers:

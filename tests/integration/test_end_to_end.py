@@ -11,10 +11,10 @@ import pytest
 from repro.core import OracleSelector, QFEConfig, QFESession, WorstCaseSelector
 from repro.experiments.runner import prepare_candidates
 from repro.qbo.config import QBOConfig
-from repro.relational.constraints import modification_is_valid
 from repro.relational.evaluator import evaluate
 from repro.sql.sqlite_backend import SQLiteBackend
 from repro.workloads import build_pair
+from tests.oracles.constraints_reference import modification_is_valid
 
 _FAST_QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candidates=20)
 _FAST_CONFIG = QFEConfig(delta_seconds=0.3)

@@ -139,7 +139,7 @@ def _round_spans(tracer):
         with tracer.span("round.prepare"):
             pass
         with tracer.span("round.search", attempts=2):
-            with tracer.span("join.derive", eager=False):
+            with tracer.span("join.derive"):
                 pass
         with tracer.span("round.materialize"):
             pass

@@ -1,11 +1,11 @@
-"""Integrity-constraint checking (Section 6.3).
+"""Reference integrity-constraint checks (Section 6.3).
 
-QFE-generated modified databases must stay *valid*: primary-key values must
-remain unique and non-null foreign-key values must keep referencing existing
-parent rows. The Database Generator calls :func:`validate_database` (or the
-narrower :func:`modification_is_valid`) before accepting a materialized
-modification; the checks are also exposed publicly so datasets and examples
-can assert their own consistency.
+A valid database has unique, non-NULL primary-key values, and every non-NULL
+foreign-key value references an existing parent row. QFE never checks this
+while it runs: materialization changes only non-key cells, so a modified
+database ``D'`` is valid whenever ``D`` is. The tests use these whole-database
+checks to assert that every dataset is valid and that every presented ``D'``
+stays valid.
 """
 
 from __future__ import annotations

@@ -325,46 +325,42 @@ class TestDerivedViews:
 
     def test_untouched_columns_shared_by_reference(self):
         view = self._view()
-        derived = view.derive({3: {0: 999}}, [], [])
+        derived = view.derive({3: {0: 999}})
         assert derived.column("f") is view.column("f")
         assert derived.column("s") is view.column("s")
         assert derived.column("i") is not view.column("i")
         assert derived.column("i")[3] == 999
+        assert derived.row_count == view.row_count
 
     def test_derived_masks_match_cold_masks(self):
         view = self._view()
         term = Term("i", ComparisonOp.GE, 10)
         warm = view.term_mask(term)
-        derived = view.derive({12: {0: 3}}, [39], [[100, 0.0, "s0", True]])
+        derived = view.derive({12: {0: 3}, 39: {0: 100}})
         assert derived.term_mask(term) == self._cold(derived).term_mask(term)
         assert warm == view.term_mask(term)  # base view untouched
 
-    def test_patch_remove_append_agrees_with_a_cold_view(self):
+    def test_patches_agree_with_a_cold_view(self):
         view = self._view()
         terms = _terms_on("i", [0, -7, 2**70, 1.5]) + _terms_on("s", ["s1", "new", 3])
         terms += _terms_on("b", [True, 0, "x"])
         for term in terms:
             view._term_entry(term)  # warm: derive patches the cached entries
-        derived = view.derive({5: {0: 2**70, 2: "new"}}, [0], [[-7, 0.25, "s1", None]])
-        # Row 0 was removed, so base position 5 is now 4; the append is last.
-        assert derived.column("i")[4] == 2**70 and derived.column("i")[-1] == -7
-        assert derived.column("s")[4] == "new" and derived.column("b")[-1] is None
+        derived = view.derive({5: {0: 2**70, 2: "new"}, 0: {0: -7, 1: 0.25, 2: "s1", 3: None}})
+        assert derived.column("i")[5] == 2**70 and derived.column("i")[0] == -7
+        assert derived.column("s")[5] == "new" and derived.column("b")[0] is None
         cold = self._cold(derived)
         for name in derived.names:
             assert derived.column(name) == cold.column(name)
         for term in terms:
             assert _entry_signature(derived, term) == _entry_signature(cold, term), term
 
-    def test_appending_to_an_empty_view_matches_a_cold_view(self):
-        empty = ColumnarView(Relation.from_rows("T", ["i", "s"], []))
-        term, missing = Term("i", ComparisonOp.GT, 1), Term("nope", ComparisonOp.EQ, 1)
-        # An empty relation evaluates nothing, so not even a missing column errors.
-        assert empty._term_entry(term) == empty._term_entry(missing) == (0, 0, None)
-        derived = empty.derive({}, [], [[1, "a"], [2, "b"]])
-        cold = ColumnarView(Relation.from_rows("T", ["i", "s"], [[1, "a"], [2, "b"]]))
-        assert derived.column("i") == cold.column("i") == (1, 2)
-        assert _entry_signature(derived, term) == _entry_signature(cold, term) == (0b10, 0, None)
-        assert _entry_signature(derived, missing) == _entry_signature(cold, missing)
+    def test_missing_attribute_entries_are_rebuilt_on_the_derived_view(self):
+        view = self._view()
+        missing = Term("nope", ComparisonOp.EQ, 1)
+        assert _entry_signature(view, missing)[1] == view.all_rows_mask
+        derived = view.derive({0: {0: 5}})
+        assert _entry_signature(derived, missing) == _entry_signature(self._cold(derived), missing)
 
 
 # ------------------------------------------------- differential: paper workloads

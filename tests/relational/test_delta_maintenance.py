@@ -1,8 +1,9 @@
 """Differential property suite for the delta-maintenance layer.
 
-Seeded-random edit scripts — inserts, deletes and updates, including
-FK-fanout rows, join-column rewrites and no-op updates — are applied to the
-paper datasets, and the incrementally maintained state is held against a cold
+A round changes only non-key cells of existing tuples, so the seeded-random
+deltas here are exactly that: attribute updates of non-key columns
+(including tuples with foreign-key fanout) and no-op updates, applied to the
+paper datasets. The incrementally maintained state is held against a cold
 rebuild from the modified database:
 
 * ``JoinedRelation.apply_delta`` must equal ``foreign_key_join(D', ...)`` as a
@@ -21,7 +22,7 @@ import random
 
 import pytest
 
-from repro.exceptions import EvaluationError
+from repro.exceptions import EvaluationError, SchemaError
 from repro.qbo.mutation import mutate_candidates
 from repro.relational.columnar import ColumnarView
 from repro.relational.database import Database
@@ -68,15 +69,26 @@ def _mutated_value(rng: random.Random, relation, column_index: int, current):
     return rng.choice(candidates) if candidates else current
 
 
+def _key_columns(database: Database, table: str) -> set[str]:
+    """The primary-key and foreign-key columns of *table*, which no round changes."""
+    schema = database.schema
+    keys = set(schema.table(table).primary_key)
+    for fk in schema.foreign_keys:
+        if fk.child_table == table:
+            keys.update(fk.child_columns)
+        if fk.parent_table == table:
+            keys.update(fk.parent_columns)
+    return keys
+
+
 def random_delta(
     database: Database, rng: random.Random, operations: int = 8
 ) -> tuple[Database, TupleDelta]:
-    """Apply a seeded-random edit script to a copy of *database*, recording it.
+    """Apply seeded-random non-key updates to a copy of *database*, recording them.
 
-    The mix includes plain attribute updates, no-op updates (recorded but
-    changing nothing), join/FK-column rewrites (any column can be hit),
-    deletions of rows with foreign-key fanout, and insertions cloned from
-    existing rows so FK values stay joinable.
+    The mix includes plain attribute updates of any non-key column (a tuple
+    with foreign-key fanout changes every joined row it contributes to) and
+    no-op updates (recorded but changing nothing).
     """
     derived = database.copy()
     delta = TupleDelta()
@@ -84,39 +96,25 @@ def random_delta(
     for _ in range(operations):
         table = rng.choice(tables)
         relation = derived.relation(table)
-        if not len(relation):
+        keys = _key_columns(derived, table)
+        free = [i for i, name in enumerate(relation.schema.attribute_names) if name not in keys]
+        if not len(relation) or not free:
             continue
-        kind = rng.choice(["update", "update", "update", "noop", "insert", "delete"])
-        if kind == "delete":
-            victim = rng.choice(relation.tuples)
-            relation.delete(victim.tuple_id)
-            delta.record_delete(table, victim.tuple_id)
-        elif kind == "insert":
-            source = rng.choice(relation.tuples)
-            values = list(source.values)
-            column_index = rng.randrange(len(values))
-            values[column_index] = _mutated_value(rng, relation, column_index, values[column_index])
+        victim = rng.choice(relation.tuples)
+        values = list(victim.values)
+        if rng.random() < 0.75:
+            column_index = rng.choice(free)
+            replacement = _mutated_value(rng, relation, column_index, values[column_index])
             try:
-                inserted = relation.insert(values)
+                relation.replace_tuple(
+                    victim.tuple_id,
+                    values[:column_index] + [replacement] + values[column_index + 1 :],
+                )
             except Exception:
-                inserted = relation.insert(list(source.values))
-            delta.record_insert(table, inserted.tuple_id, inserted.values)
+                relation.replace_tuple(victim.tuple_id, values)
         else:
-            victim = rng.choice(relation.tuples)
-            values = list(victim.values)
-            if kind == "update":
-                column_index = rng.randrange(len(values))
-                replacement = _mutated_value(rng, relation, column_index, values[column_index])
-                try:
-                    relation.replace_tuple(
-                        victim.tuple_id,
-                        values[:column_index] + [replacement] + values[column_index + 1 :],
-                    )
-                except Exception:
-                    relation.replace_tuple(victim.tuple_id, values)
-            else:
-                relation.replace_tuple(victim.tuple_id, values)  # recorded no-op
-            delta.record_update(table, victim.tuple_id, relation.tuple_by_id(victim.tuple_id).values)
+            relation.replace_tuple(victim.tuple_id, values)  # recorded no-op
+        delta.record_update(table, victim.tuple_id, relation.tuple_by_id(victim.tuple_id).values)
     return derived, delta
 
 
@@ -193,7 +191,8 @@ def test_join_cache_derive_serves_derived_database(name):
 
     derived_db, delta = random_delta(database, random.Random(7))
     JOIN_STATS.reset()
-    cache.derive(database, delta, derived_db, referenced)
+    cache.derive(database, delta, derived_db)
+    cache.join_for(derived_db, referenced)
     assert JOIN_STATS.full_joins == 0, "derive must not rebuild the join cold"
     assert JOIN_STATS.delta_applies == 1
 
@@ -201,6 +200,16 @@ def test_join_cache_derive_serves_derived_database(name):
     cold_batch = JoinCache().evaluate_batch(queries, derived_db)
     for derived_fp, cold_fp in zip(through_cache.fingerprints, cold_batch.fingerprints):
         assert derived_fp == cold_fp
+
+
+def test_a_join_column_update_is_refused(two_table_db):
+    joined = full_join(two_table_db)
+    derived_db = two_table_db.copy()
+    delta = TupleDelta()
+    derived_db.relation("Emp").update_value(0, "did", 2)  # Emp.did -> Dept.did
+    delta.record_update("Emp", 0, derived_db.relation("Emp").tuple_by_id(0).values)
+    with pytest.raises(SchemaError, match="join column"):
+        joined.apply_delta(delta, two_table_db)
 
 
 class TestDeltaErrorSemantics:
@@ -253,7 +262,7 @@ class TestDeltaErrorSemantics:
         with pytest.raises(EvaluationError):
             evaluate_on_join(query, derived, derived_db)
 
-    def test_error_clears_when_erroring_rows_removed(self, two_table_db):
+    def test_error_clears_when_erroring_rows_are_patched_away(self, two_table_db):
         joined = full_join(two_table_db)
         query = SPJQuery(
             ["Emp"],
@@ -264,12 +273,12 @@ class TestDeltaErrorSemantics:
         with pytest.raises(EvaluationError):
             view.predicate_mask(query.predicate)  # bools vs str: raises somewhere
 
-        # Delete every Emp whose senior flag is a bool; only Ed (None) stays.
+        # NULL every Emp senior flag that is a bool; Ed's was NULL already.
         derived_db = two_table_db.copy()
         delta = TupleDelta()
         for tuple_id in (0, 1, 2, 3):
-            derived_db.relation("Emp").delete(tuple_id)
-            delta.record_delete("Emp", tuple_id)
+            derived_db.relation("Emp").update_value(tuple_id, "senior", None)
+            delta.record_update("Emp", tuple_id, derived_db.relation("Emp").tuple_by_id(tuple_id).values)
         derived = joined.apply_delta(delta, two_table_db)
 
         reference = evaluate_on_join_reference(query, full_join(derived_db), derived_db)
@@ -279,38 +288,33 @@ class TestDeltaErrorSemantics:
     # the truth mask, the error mask and the first erroring row's message.
     _STRING_LT_INT = Term("v", ComparisonOp.LT, 10)
 
-    def _derived_and_cold(self, values, patches, removed, appended, survivors):
-        """The ``v < 10`` entry of the derived view and of a cold view of *survivors*."""
+    def _derived_and_cold(self, values, patches):
+        """The ``v < 10`` entry of the patched view and of a cold view of the same rows."""
         term = self._STRING_LT_INT
         view = ColumnarView(Relation.from_rows("T", ["v"], [[v] for v in values]))
         view._term_entry(term)  # cache the entry derive patches
-        derived = view.derive(patches, removed, appended)
-        cold = ColumnarView(Relation.from_rows("T", ["v"], [[v] for v in survivors]))
+        derived = view.derive({position: {0: value} for position, value in patches.items()})
+        patched = [patches.get(position, value) for position, value in enumerate(values)]
+        cold = ColumnarView(Relation.from_rows("T", ["v"], [[v] for v in patched]))
         return [
             (mask, errors, None if error is None else str(error))
             for mask, errors, error in (derived._term_entry(term), cold._term_entry(term))
         ]
 
-    def test_removing_the_first_erroring_row_reports_the_next(self):
-        derived, cold = self._derived_and_cold(["Ann", "Bo", "Cy"], {}, [0], [], ["Bo", "Cy"])
-        assert derived == cold == (0, 0b11, "cannot compare 'Bo' < 10")
+    def test_patching_away_the_first_erroring_row_reports_the_next(self):
+        derived, cold = self._derived_and_cold(["Ann", "Bo", "Cy"], {0: None})
+        assert derived == cold == (0, 0b110, "cannot compare 'Bo' < 10")
 
     def test_patching_the_first_erroring_row_reports_its_new_value(self):
-        derived, cold = self._derived_and_cold(
-            ["Ann", "Bo", "Cy"], {0: {0: "Al"}}, [], [], ["Al", "Bo", "Cy"]
-        )
+        derived, cold = self._derived_and_cold(["Ann", "Bo", "Cy"], {0: "Al"})
         assert derived == cold == (0, 0b111, "cannot compare 'Al' < 10")
 
-    def test_appended_erroring_rows_report_the_first_in_row_order(self):
-        derived, cold = self._derived_and_cold(
-            [None, None], {}, [], [["Dee"], ["Eve"]], [None, None, "Dee", "Eve"]
-        )
+    def test_patched_erroring_rows_report_the_first_in_row_order(self):
+        derived, cold = self._derived_and_cold([None, None, None, None], {3: "Eve", 2: "Dee"})
         assert derived == cold == (0, 0b1100, "cannot compare 'Dee' < 10")
 
     def test_patching_away_every_error_clears_the_message(self):
-        derived, cold = self._derived_and_cold(
-            ["Ann", None, "Cy"], {0: {0: None}, 2: {0: None}}, [], [], [None, None, None]
-        )
+        derived, cold = self._derived_and_cold(["Ann", None, "Cy"], {0: None, 2: None})
         assert derived == cold == (0, 0, None)
 
 
@@ -340,10 +344,3 @@ class TestColumnSharing:
         assert derived_view.term_mask(salary_term) != base_view.term_mask(salary_term)
         # Provenance and join index are shared wholesale on the update-only path.
         assert derived.provenance is joined.provenance
-
-    def test_update_only_contract_of_class_pairs(self):
-        from repro.core.modification import ClassPair
-        from repro.core.tuple_class import TupleClass
-
-        pair = ClassPair(TupleClass((0,)), TupleClass((1,)))
-        assert pair.is_update_only  # the contract JoinCache.derive relies on

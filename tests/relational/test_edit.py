@@ -4,10 +4,8 @@ import pytest
 
 from repro.relational.edit import (
     EditKind,
-    min_edit_database,
     min_edit_relation,
     min_edit_script,
-    modified_relation_names,
     tuple_distance,
 )
 from repro.relational.relation import Relation
@@ -109,19 +107,3 @@ class TestEditScript:
         source = _rel([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         target = _rel([[1, 2, 3], [4, 0, 0]])
         assert min_edit_script(source, target).cost == min_edit_relation(source, target)
-
-
-class TestDatabaseEdit:
-    def test_modified_relation_names(self, two_table_db):
-        modified = two_table_db.copy()
-        modified.relation("Emp").update_value(0, "salary", 10)
-        assert modified_relation_names(two_table_db, modified) == ("Emp",)
-
-    def test_min_edit_database_sums_changes(self, two_table_db):
-        modified = two_table_db.copy()
-        modified.relation("Emp").update_value(0, "salary", 10)
-        modified.relation("Dept").update_value(1, "budget", 81)
-        assert min_edit_database(two_table_db, modified) == 2
-
-    def test_unchanged_database_cost_zero(self, two_table_db):
-        assert min_edit_database(two_table_db, two_table_db.copy()) == 0

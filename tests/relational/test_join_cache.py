@@ -217,9 +217,10 @@ class TestDerivedEntries:
         base_join = cache.join_for(two_table_db, ["Emp", "Dept"])
         derived_db, delta = _raise_salary(two_table_db)
         JOIN_STATS.reset()
-        derived_join = cache.derive(two_table_db, delta, derived_db, ["Emp", "Dept"])
+        assert cache.derive(two_table_db, delta, derived_db) is None
+        derived_join = cache.join_for(derived_db, ["Emp", "Dept"])
         assert JOIN_STATS.full_joins == 0 and JOIN_STATS.delta_applies == 1
-        assert derived_join is cache.join_for(derived_db, ["Emp", "Dept"])  # memoized
+        assert derived_join is cache.join_for(derived_db, ["Dept", "Emp"])  # memoized
         assert derived_join is not base_join
         result = cache.evaluate(_salary_query(60), derived_db)
         assert sorted(r[0] for r in result.rows()) == ["Ann", "Cy", "Di", "Ed"]
@@ -230,7 +231,7 @@ class TestDerivedEntries:
     def test_signatures_derive_on_demand(self, two_table_db):
         cache = JoinCache()
         derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db)  # no eager signature
+        cache.derive(two_table_db, delta, derived_db)
         assert cache.derived_link_count == 1
         JOIN_STATS.reset()
         cache.join_for(derived_db, ["Emp"])
@@ -243,7 +244,8 @@ class TestDerivedEntries:
         cache = JoinCache()
         cache.join_for(two_table_db, ["Emp"])
         derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db, ["Emp"])
+        cache.derive(two_table_db, delta, derived_db)
+        cache.join_for(derived_db, ["Emp"])
         assert cache.cached_join_count == 2
         cache.invalidate(two_table_db)
         # base gone -> derived entries (patched out of it) are gone too
@@ -254,7 +256,8 @@ class TestDerivedEntries:
         cache = JoinCache()
         base_join = cache.join_for(two_table_db, ["Emp"])
         derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db, ["Emp"])
+        cache.derive(two_table_db, delta, derived_db)
+        cache.join_for(derived_db, ["Emp"])
         cache.invalidate(derived_db)
         assert cache.cached_join_count == 1
         assert cache.derived_link_count == 0
@@ -264,7 +267,8 @@ class TestDerivedEntries:
         cache = JoinCache()
         base = two_table_db.copy()
         derived_db, delta = _raise_salary(base)
-        cache.derive(base, delta, derived_db, ["Emp"])
+        cache.derive(base, delta, derived_db)
+        cache.join_for(derived_db, ["Emp"])
         assert cache.cached_join_count == 2  # base signature + derived entry
         del base  # finalizer fires: base entries AND derived children evicted
         assert cache.cached_join_count == 0
@@ -279,7 +283,8 @@ class TestDerivedEntries:
         cache = JoinCache()
         base_join = cache.join_for(two_table_db, ["Emp"])
         derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db, ["Emp"])
+        cache.derive(two_table_db, delta, derived_db)
+        cache.join_for(derived_db, ["Emp"])
         del derived_db
         assert cache.derived_link_count == 0
         assert cache.cached_join_count == 1
@@ -288,7 +293,8 @@ class TestDerivedEntries:
     def test_clear_resets_links(self, two_table_db):
         cache = JoinCache()
         derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db, ["Emp"])
+        cache.derive(two_table_db, delta, derived_db)
+        cache.join_for(derived_db, ["Emp"])
         cache.clear()
         assert cache.cached_join_count == 0
         assert cache.derived_link_count == 0

@@ -220,3 +220,36 @@ class TestLargeIntegerExactness:
         low = Term("a", ComparisonOp.LE, self.BIG).numeric_breakpoints()
         high = Term("a", ComparisonOp.LE, self.BIG + 1).numeric_breakpoints()
         assert {v for v, _ in low} != {v for v, _ in high}
+
+
+class TestCompiledTermMemo:
+    """Equal terms whose constants differ in type keep their own compiled closures."""
+
+    @staticmethod
+    def _message(test, value):
+        with pytest.raises(EvaluationError) as raised:
+            test(value)
+        return str(raised.value)
+
+    @pytest.mark.parametrize(
+        "op, constants",
+        [
+            (ComparisonOp.LT, (1, True)),
+            (ComparisonOp.LT, (True, 1)),
+            (ComparisonOp.GT, (2.0, 2)),
+            (ComparisonOp.GT, (2, 2.0)),
+        ],
+        ids=["int-then-bool", "bool-then-int", "float-then-int", "int-then-float"],
+    )
+    def test_compiled_message_names_the_terms_own_constant(self, op, constants):
+        from repro.relational.predicates import _compile_term_cached, compile_term
+
+        _compile_term_cached.cache_clear()  # the compile order is the point
+        terms = [Term("t.v", op, constant) for constant in constants]
+        assert terms[0] == terms[1]
+        compiled = [compile_term(term) for term in terms]
+        for term, test in zip(terms, compiled):
+            with pytest.raises(EvaluationError) as interpreted:
+                term.evaluate_value("x")
+            assert self._message(test, "x") == str(interpreted.value)
+            assert repr(term.constant) in str(interpreted.value)

@@ -52,10 +52,11 @@ class TestCheckpointFormat:
         blob = capture_checkpoint(mid_session, session_id="abc123")
         header_line, _, body = blob.partition(b"\n")
         header = json.loads(header_line)
-        # A newer version, version 2 (its state and pickled config carry a
-        # worker count) and version 1 (no payload checksum either).
-        assert CHECKPOINT_VERSION == 3
-        for version in (CHECKPOINT_VERSION + 1, 2, 1):
+        # A newer version, version 3 (its pickled config carries the key and
+        # validation flags, its round statistics three modification counts),
+        # version 2 (a worker count too) and version 1 (no payload checksum).
+        assert CHECKPOINT_VERSION == 4
+        for version in (CHECKPOINT_VERSION + 1, 3, 2, 1):
             header["version"] = version
             tampered = json.dumps(header).encode() + b"\n" + body
             with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
@@ -82,6 +83,14 @@ class TestCheckpointFormat:
         payload = pickle.loads(blob.partition(b"\n")[2])
         assert "workers" not in payload["state"]
         assert not hasattr(payload["state"]["config"], "workers")
+
+    def test_state_carries_no_key_flags_or_round_counts(self, mid_session):
+        blob = capture_checkpoint(mid_session, session_id="abc123")
+        state = pickle.loads(blob.partition(b"\n")[2])["state"]
+        for flag in ("protect_key_columns", "validate_constraints"):
+            assert not hasattr(state["config"], flag)
+        for count in ("modification_count", "modified_relation_count", "modified_tuple_count"):
+            assert not hasattr(state["pending"].stats, count)
 
     def test_garbage_is_refused(self):
         with pytest.raises(CheckpointError):
