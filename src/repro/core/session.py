@@ -239,11 +239,12 @@ class QFESession:
         self._provided_candidates = list(candidates) if candidates is not None else None
         # One join cache for the whole session: the original database's
         # foreign-key join (and its columnar term masks) is built once and
-        # reused by every iteration's round planning and by candidate
-        # replenishment. Each iteration's modified database D' is evaluated
-        # through a *delta-derived* entry patched out of that base entry
-        # (``JoinCache.derive``), so no iteration after the first pays a cold
-        # join or term-mask build. The session never mutates ``self.database``.
+        # reused by candidate generation, every iteration's round planning
+        # and candidate replenishment. Each iteration's modified database D'
+        # is evaluated through a *delta-derived* entry patched out of that
+        # base entry (``JoinCache.derive``), so no iteration after the first
+        # pays a cold join or term-mask build. The session never mutates
+        # ``self.database``.
         # A shared cache (service mode) extends the same property across
         # sessions over the same base database.
         self._owns_join_cache = join_cache is None
@@ -298,8 +299,18 @@ class QFESession:
             session.query_generation_seconds = 0.0
             return list(self._provided_candidates)
         with get_tracer().span("qbo.generate") as span:
-            candidates = QueryGenerator(self.qbo_config).generate(
-                self.database, self.result, set_semantics=self.config.set_semantics
+            generator = QueryGenerator(self.qbo_config)
+            candidates = generator.generate(
+                self.database,
+                self.result,
+                set_semantics=self.config.set_semantics,
+                join_cache=self.join_cache,
+            )
+            report = generator.last_report
+            span.set(
+                join_schemas=report.join_schemas_tried,
+                joins_built=report.joins_built,
+                candidates=len(candidates),
             )
         session.query_generation_seconds = span.duration_s
         return candidates

@@ -102,18 +102,20 @@ def prepare_candidates(
     qbo_config: QBOConfig | None = None,
     candidate_count: int | None = None,
     include_target: bool = True,
+    join_cache=None,
 ) -> tuple[list[SPJQuery], float]:
     """Generate (and optionally resize) the candidate set for an experiment.
 
     Returns the candidate list and the generation time (the duration of its
     ``qbo.generate`` span). When ``candidate_count`` is given the list is
     truncated or expanded (by constant mutation, Section 7.6's device) to
-    that size.
+    that size. ``join_cache`` (shared-not-owned, as in :func:`run_session`)
+    serves generation's joins and the mutants' verification.
     """
     with get_tracer().span("qbo.generate") as span:
         generator = QueryGenerator(qbo_config or _DEFAULT_QBO)
         try:
-            candidates = generator.generate(database, result)
+            candidates = generator.generate(database, result, join_cache=join_cache)
         except NoCandidateQueriesError:
             # The configured search space missed every consistent query
             # (possible at very small dataset scales); fall back to the target
@@ -126,7 +128,7 @@ def prepare_candidates(
             # with zero feedback rounds; pad with result-preserving constant
             # mutants so every experiment actually exercises the winnowing loop.
             candidates = expand_candidate_set(
-                database, result, candidates, max(candidate_count or 0, 10)
+                database, result, candidates, max(candidate_count or 0, 10), join_cache=join_cache
             )
         if candidate_count is not None:
             if len(candidates) > candidate_count:
@@ -135,7 +137,15 @@ def prepare_candidates(
                     kept[-1] = target
                 candidates = kept
             elif len(candidates) < candidate_count:
-                candidates = expand_candidate_set(database, result, candidates, candidate_count)
+                candidates = expand_candidate_set(
+                    database, result, candidates, candidate_count, join_cache=join_cache
+                )
+        report = generator.last_report
+        span.set(
+            join_schemas=report.join_schemas_tried,
+            joins_built=report.joins_built,
+            candidates=len(candidates),
+        )
     return candidates, span.duration_s
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.qbo.config import QBOConfig
+from repro.relational.columnar import positions_mask
 from repro.relational.join import JoinedRelation
 from repro.relational.predicates import ComparisonOp, Term
 from repro.relational.types import value_sort_key
@@ -31,27 +32,14 @@ __all__ = ["Atom", "build_atom_pool"]
 
 @dataclass(frozen=True)
 class Atom:
-    """A candidate term together with the set of rows (positions) it selects."""
+    """A candidate term together with the rows it selects (bit ``i`` = joined row ``i``)."""
 
     term: Term
-    selected: frozenset
-
-    def excludes(self, positions: Sequence[int]) -> frozenset:
-        """The subset of *positions* this atom's term rejects."""
-        return frozenset(p for p in positions if p not in self.selected)
-
-
-def _column_values(joined: JoinedRelation, attribute: str) -> list[Any]:
-    position = joined.relation.schema.index_of(attribute)
-    return [row.values[position] for row in joined.relation.tuples]
+    selected: int
 
 
 def _is_numeric_value(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _selected_rows(values: list[Any], term: Term) -> frozenset:
-    return frozenset(i for i, value in enumerate(values) if term.evaluate_value(value))
 
 
 def _midpoint(low: float, high: float) -> float:
@@ -63,7 +51,7 @@ def _midpoint(low: float, high: float) -> float:
 
 def _numeric_atoms(
     attribute: str,
-    values: list[Any],
+    values: Sequence[Any],
     positive: Sequence[int],
     negative: Sequence[int],
     config: QBOConfig,
@@ -137,7 +125,7 @@ def _clean(value: float) -> Any:
 
 def _categorical_atoms(
     attribute: str,
-    values: list[Any],
+    values: Sequence[Any],
     positive: Sequence[int],
     negative: Sequence[int],
     config: QBOConfig,
@@ -176,26 +164,28 @@ def build_atom_pool(
 
     Every returned atom selects all *positive* rows and rejects at least one
     *negative* row; atoms are deterministically ordered by how many negatives
-    they reject (most useful first) and then by their textual form.
+    they reject (most useful first) and then by their textual form. An
+    atom's rows are its term's mask in the join's columnar view, so the
+    masks are shared with candidate verification over the same join.
     """
+    view = joined.columnar()
+    positive_mask = positions_mask(positive)
+    negative_mask = positions_mask(negative)
     atoms: list[Atom] = []
-    negative_set = list(negative)
-    for attribute in joined.relation.schema.attribute_names:
+    for attribute in view.names:
         if attribute in excluded_attributes:
             continue
-        values = _column_values(joined, attribute)
-        candidate_terms: list[Term] = []
-        candidate_terms.extend(_numeric_atoms(attribute, values, positive, negative_set, config))
-        positive_values = [values[i] for i in positive]
-        if not all(_is_numeric_value(v) or v is None for v in positive_values):
+        values = view.column(attribute)
+        candidate_terms = _numeric_atoms(attribute, values, positive, negative, config)
+        if not all(_is_numeric_value(values[i]) or values[i] is None for i in positive):
             candidate_terms.extend(
-                _categorical_atoms(attribute, values, positive, negative_set, config)
+                _categorical_atoms(attribute, values, positive, negative, config)
             )
         for term in candidate_terms:
-            selected = _selected_rows(values, term)
-            if not all(p in selected for p in positive):
+            selected = view.term_mask(term)
+            if positive_mask & ~selected:
                 continue
-            if all(n in selected for n in negative_set) and negative_set:
+            if negative_mask and not negative_mask & ~selected:
                 continue  # rejects nothing — useless
             atoms.append(Atom(term, selected))
 
@@ -203,8 +193,7 @@ def build_atom_pool(
     for atom in atoms:
         key = (atom.term.attribute, atom.term.op.value, atom.term.constants())
         unique.setdefault(key, atom)
-    ordered = sorted(
+    return sorted(
         unique.values(),
-        key=lambda a: (-len(a.excludes(negative_set)), str(a.term)),
+        key=lambda a: (-(negative_mask & ~a.selected).bit_count(), str(a.term)),
     )
-    return ordered

@@ -5,10 +5,13 @@ reverse-engineers a set of candidate SPJ queries ``QC`` with ``Q(D) = R`` for
 every ``Q ∈ QC``, in the spirit of the QBO system of Tran et al. that the
 paper plugs in. The pipeline per candidate join schema is:
 
-1. materialize the foreign-key join;
+1. join through a :class:`~repro.relational.evaluator.JoinCache` (the
+   caller's, so a session or a service pair shares the joins and their term
+   masks, or a private one);
 2. enumerate plausible projections (:mod:`repro.qbo.projection`);
 3. label joined rows as positive/negative/ambiguous (:mod:`repro.qbo.labeling`);
-4. build the atom pool and search conjunctions / DNF covers
+4. build the atom pool from the join's cached term masks and search
+   conjunctions / DNF covers as bitmask operations
    (:mod:`repro.qbo.atoms`, :mod:`repro.qbo.search`);
 5. verify each assembled query by exact (bag or set) result equality and
    deduplicate.
@@ -29,8 +32,8 @@ from repro.qbo.labeling import label_rows
 from repro.qbo.projection import candidate_projections
 from repro.qbo.search import search_conjunctions, search_dnf_covers
 from repro.relational.database import Database
-from repro.relational.evaluator import evaluate_batch, result_fingerprint
-from repro.relational.join import foreign_key_join
+from repro.relational.evaluator import JoinCache, evaluate_batch, result_fingerprint
+from repro.relational.join import foreign_key_join  # noqa: F401 - perfbench wraps it as qbo.join
 from repro.relational.predicates import DNFPredicate
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
@@ -49,6 +52,8 @@ class GenerationReport:
     predicates_rejected: int = 0
     elapsed_seconds: float = 0.0
     join_schema_sizes: dict[int, int] = field(default_factory=dict)
+    #: Joins built cold during the run; 0 when every schema's join was cached.
+    joins_built: int = 0
 
 
 class QueryGenerator:
@@ -65,14 +70,19 @@ class QueryGenerator:
         result: Relation,
         *,
         set_semantics: bool = False,
+        join_cache: JoinCache | None = None,
     ) -> list[SPJQuery]:
         """All candidate queries consistent with the pair, deterministically ordered.
 
+        Each schema is joined through *join_cache* (a private cache when none
+        is given); a warm cache serves the joins and their term masks.
         Raises :class:`NoCandidateQueriesError` when the search space contains
         no consistent query (e.g. the result references values absent from the
         database).
         """
         config = self.config
+        cache = join_cache if join_cache is not None else JoinCache()
+        built_before = cache.joins_built
         report = GenerationReport()
         started = perf_counter()
         candidates: dict[tuple, SPJQuery] = {}
@@ -84,7 +94,7 @@ class QueryGenerator:
                 report.join_schema_sizes.get(len(join_tables), 0) + 1
             )
             try:
-                joined = foreign_key_join(database, list(join_tables))
+                joined = cache.join_for(database, join_tables)
             except Exception:  # not join-connected in a usable way
                 continue
             if len(joined) == 0:
@@ -108,6 +118,7 @@ class QueryGenerator:
                 break
 
         report.candidate_count = len(candidates)
+        report.joins_built = cache.joins_built - built_before
         report.elapsed_seconds = perf_counter() - started
         self.last_report = report
         if not candidates:

@@ -22,19 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.relational.join import JoinedRelation
 from repro.relational.relation import Relation
 
 __all__ = ["RowLabeling", "label_rows"]
-
-
-def _normalize(values: Sequence[Any]) -> tuple[Any, ...]:
-    return tuple(
-        float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
-        for v in values
-    )
 
 
 @dataclass(frozen=True)
@@ -70,10 +63,12 @@ def label_rows(
     ``projection_positions`` are column positions in the joined relation that
     map (in order) to the result's columns.
     """
-    required: Counter = Counter(_normalize(row) for row in result.rows())
+    # Raw value tuples as keys: ``==`` and ``hash`` already equate 1, 1.0
+    # and True, and stay exact for integers beyond 2^53.
+    required: Counter = Counter(result.rows())
     groups: dict[tuple, list[int]] = {}
     for position, row in enumerate(joined.relation.tuples):
-        key = _normalize([row.values[p] for p in projection_positions])
+        key = tuple([row.values[p] for p in projection_positions])
         groups.setdefault(key, []).append(position)
 
     # Feasibility: every required projected value must be producible, with

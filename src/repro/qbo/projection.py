@@ -10,7 +10,7 @@ row-labeling step runs.
 from __future__ import annotations
 
 from itertools import product
-from typing import Any
+from typing import Any, Iterable
 
 from repro.qbo.config import QBOConfig
 from repro.relational.join import JoinedRelation
@@ -20,16 +20,12 @@ from repro.relational.types import AttributeType, is_numeric
 __all__ = ["candidate_projections"]
 
 
-def _normalize(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    return value
-
-
-def _column_value_set(relation: Relation, attribute: str) -> set:
-    return {_normalize(v) for v in relation.column(attribute) if v is not None}
+def _value_set(values: Iterable[Any]) -> set:
+    # Raw values: ``==`` and ``hash`` already equate 1, 1.0 and True, and
+    # stay exact for integers beyond 2^53.
+    domain = set(values)
+    domain.discard(None)
+    return domain
 
 
 def _types_compatible(result_type: AttributeType, joined_type: AttributeType) -> bool:
@@ -58,21 +54,22 @@ def candidate_projections(
     is capped at ``config.max_projection_mappings``.
     """
     joined_schema = joined.relation.schema
+    view = joined.columnar()
+    domains: dict[str, set] = {}  # joined column -> its non-NULL values, built on demand
     per_column_candidates: list[list[str]] = []
     for result_attribute in result.schema.attributes:
-        needed_values = _column_value_set(result, result_attribute.name)
+        needed_values = _value_set(result.column(result_attribute.name))
         matches: list[str] = []
         for joined_attribute in joined_schema.attributes:
             if not _types_compatible(result_attribute.type, joined_attribute.type):
                 continue
-            available = {
-                _normalize(v)
-                for v in joined.relation.column(joined_attribute.name)
-                if v is not None
-            }
+            name = joined_attribute.name
+            available = domains.get(name)
+            if available is None:
+                available = domains[name] = _value_set(view.column(name))
             if not needed_values <= available:
                 continue
-            matches.append(joined_attribute.name)
+            matches.append(name)
         if config.match_columns_by_name:
             named = [m for m in matches if _name_matches(result_attribute.name, m)]
             if named:

@@ -33,7 +33,7 @@ database copy is modified, the view must be invalidated and rebuilt (see
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.exceptions import EvaluationError
 from repro.obs.registry import RegistryStats
@@ -45,6 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (join imports us lazi
 __all__ = [
     "ColumnarView",
     "pack_bools",
+    "positions_mask",
     "mask_positions",
     "COLUMNAR_STATS",
 ]
@@ -80,6 +81,17 @@ def pack_bools(flags: Sequence[Any]) -> int:
     for i, flag in enumerate(flags):
         if flag:
             buffer[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buffer, "little")
+
+
+def positions_mask(positions: Iterable[int]) -> int:
+    """The bitmask with exactly the bits at *positions* set (inverse of :func:`mask_positions`)."""
+    positions = list(positions)
+    if not positions:
+        return 0
+    buffer = bytearray((max(positions) >> 3) + 1)
+    for position in positions:
+        buffer[position >> 3] |= 1 << (position & 7)
     return int.from_bytes(buffer, "little")
 
 

@@ -303,19 +303,24 @@ class JoinCache:
         self._links: dict[int, tuple[int, weakref.ref, Any]] = {}
         #: base database id -> ids of databases derived from it
         self._children: dict[int, set[int]] = {}
+        #: Entries this cache built cold (a full join, not a delta derivation).
+        self.joins_built = 0
 
     def join_for(self, database: Database, tables: Iterable[str]) -> JoinedRelation:
         """Return (and memoize) the foreign-key join of *tables* on *database*.
 
-        For a database registered through :meth:`derive`, the join is derived
-        incrementally from the base database's cached join instead of being
-        rebuilt cold.
+        An entry is keyed on the sorted table set and built in that sorted
+        order, so its column and row layout never depends on which caller
+        asked first. For a database registered through :meth:`derive`, the
+        join is derived incrementally from the base database's cached join
+        instead of being rebuilt cold.
         """
         key = (id(database), tuple(sorted(tables)))
-        if key not in self._cache:
-            self._cache[key] = self._build_entry(database, tables)
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._cache[key] = self._build_entry(database, key[1])
             self._watch(database)
-        return self._cache[key]
+        return entry
 
     def memo_for(self, database: Database, tables: Iterable[str]) -> OrderedDict:
         """The memo held with the cached join of *tables* on *database*.
@@ -329,14 +334,16 @@ class JoinCache:
         self.join_for(database, tables)
         return self._memos.setdefault(key, OrderedDict())
 
-    def _build_entry(self, database: Database, tables: Iterable[str]) -> JoinedRelation:
+    def _build_entry(self, database: Database, tables: tuple[str, ...]) -> JoinedRelation:
         link = self._links.get(id(database))
         if link is not None:
             _, base_ref, delta = link
             base = base_ref()
             if base is not None:
                 return self.join_for(base, tables).apply_delta(delta, base)
-        return foreign_key_join(database, list(tables))
+        joined = foreign_key_join(database, tables)
+        self.joins_built += 1
+        return joined
 
     def derive(self, base: Database, delta: "TupleDelta", derived: Database) -> None:
         """Register *derived* as the delta-modified copy of *base*.

@@ -9,7 +9,8 @@ track which joined rows are affected when a single base tuple is modified
   qualified ``table.column`` names;
 * per-row *provenance*: for every joined row, the base ``tuple_id`` it took
   from each participating table;
-* the inverse join index: ``(table, tuple_id) → joined row positions``.
+* the inverse join index: ``(table, tuple_id) → joined row positions``,
+  built on first use.
 
 Joins are performed along a spanning tree of the schema's foreign-key graph,
 which is how the paper's workloads (a chain of 2 and a chain/star of 3
@@ -19,7 +20,8 @@ relations) compose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.exceptions import SchemaError
 from repro.obs.registry import RegistryStats
@@ -75,10 +77,9 @@ class JoinedRelation:
     provenance: list[dict[str, int]]
 
     def __post_init__(self) -> None:
-        self._join_index: dict[tuple[str, int], list[int]] = {}
-        for position, row_provenance in enumerate(self.provenance):
-            for table, tuple_id in row_provenance.items():
-                self._join_index.setdefault((table, tuple_id), []).append(position)
+        # The inverse join index is built on first use: candidate generation
+        # reads only rows and columns, never base-tuple positions.
+        self._join_index: dict[tuple[str, int], list[int]] | None = None
         self._columnar = None
         self._base_rows: dict[str, dict[int, tuple[Any, ...]]] = {}
         self._column_offsets: dict[str, int] | None = None
@@ -127,13 +128,23 @@ class JoinedRelation:
         except KeyError:
             raise SchemaError(f"table {table!r} does not participate in this join") from None
 
+    def _positions_index(self) -> dict[tuple[str, int], list[int]]:
+        """``(table, tuple_id) -> joined row positions``, built once from the provenance."""
+        if self._join_index is None:
+            index: dict[tuple[str, int], list[int]] = {}
+            for position, row_provenance in enumerate(self.provenance):
+                for table, tuple_id in row_provenance.items():
+                    index.setdefault((table, tuple_id), []).append(position)
+            self._join_index = index
+        return self._join_index
+
     def joined_positions_of(self, table: str, tuple_id: int) -> tuple[int, ...]:
         """All joined row positions derived from the given base tuple (join index)."""
-        return tuple(self._join_index.get((table, tuple_id), ()))
+        return tuple(self._positions_index().get((table, tuple_id), ()))
 
     def fanout_of(self, table: str, tuple_id: int) -> int:
         """How many joined rows a base tuple contributes to (its side-effect width)."""
-        return len(self._join_index.get((table, tuple_id), ()))
+        return len(self._positions_index().get((table, tuple_id), ()))
 
     def owning_table_of(self, qualified_attribute: str) -> str:
         """The base table owning a qualified joined column."""
@@ -200,6 +211,7 @@ class JoinedRelation:
         :meth:`~repro.relational.columnar.ColumnarView.derive`.
         """
         JOIN_STATS.delta_applies += 1
+        self._positions_index()  # built here so every derived join shares it
         offsets = self._offsets()
         patches: dict[int, dict[int, Any]] = {}
         for table in self.tables:
@@ -267,6 +279,9 @@ def foreign_key_join(database: Database, tables: Sequence[str]) -> JoinedRelatio
     The join follows a spanning tree of foreign keys connecting the tables; a
     single table yields a trivially joined relation. Raises
     :class:`SchemaError` if the tables are not connected by foreign keys.
+    Joined rows are the base rows' value tuples concatenated, so every cell
+    is the base relation's already-coerced value; join keys compare raw
+    values (exact for integers beyond 2^53).
     """
     JOIN_STATS.full_joins += 1
     ordered = list(dict.fromkeys(tables))
@@ -275,55 +290,47 @@ def foreign_key_join(database: Database, tables: Sequence[str]) -> JoinedRelatio
     for table in ordered:
         database.schema.table(table)
     spanning = database.schema.spanning_foreign_keys(ordered)
-    join_name = "_JOIN_".join(ordered)
-    schema = _joined_schema(join_name, database, ordered)
+    schema = _joined_schema("_JOIN_".join(ordered), database, ordered)
 
     # Start with the first table, then repeatedly attach a table connected by
-    # a spanning foreign key to the already-joined set.
-    joined_tables: list[str] = [ordered[0]]
-    rows: list[dict[str, Any]] = []
-    provenance: list[dict[str, int]] = []
+    # a spanning foreign key to the already-joined set. Rows are value tuples
+    # in attach order; ``offsets`` is where each attached table's columns start.
     first_relation = database.relation(ordered[0])
-    for base_tuple in first_relation.tuples:
-        row = {
-            qualify(ordered[0], name): value
-            for name, value in zip(first_relation.schema.attribute_names, base_tuple.values)
-        }
-        rows.append(row)
-        provenance.append({ordered[0]: base_tuple.tuple_id})
-
+    rows: list[tuple[Any, ...]] = [t.values for t in first_relation.tuples]
+    provenance: list[dict[str, int]] = [{ordered[0]: t.tuple_id} for t in first_relation.tuples]
+    offsets = {ordered[0]: 0}
+    width = first_relation.schema.arity
     remaining_fks = list(spanning)
-    while len(joined_tables) < len(ordered):
-        progressed = False
-        for fk in list(remaining_fks):
-            if fk.child_table in joined_tables and fk.parent_table not in joined_tables:
-                new_table, existing_table, pairs = (
-                    fk.parent_table,
-                    fk.child_table,
-                    [(parent, child) for child, parent in fk.column_pairs()],
-                )
-            elif fk.parent_table in joined_tables and fk.child_table not in joined_tables:
-                new_table, existing_table, pairs = (
-                    fk.child_table,
-                    fk.parent_table,
-                    [(child, parent) for child, parent in fk.column_pairs()],
-                )
+    while len(offsets) < len(ordered):
+        for fk in remaining_fks:
+            if fk.child_table in offsets and fk.parent_table not in offsets:
+                new_table, existing_table = fk.parent_table, fk.child_table
+                pairs = [(parent, child) for child, parent in fk.column_pairs()]
+            elif fk.parent_table in offsets and fk.child_table not in offsets:
+                new_table, existing_table = fk.child_table, fk.parent_table
+                pairs = [(child, parent) for child, parent in fk.column_pairs()]
             else:
                 continue
-            rows, provenance = _attach_table(
-                database, rows, provenance, existing_table, new_table, pairs
-            )
-            joined_tables.append(new_table)
-            remaining_fks.remove(fk)
-            progressed = True
             break
-        if not progressed:  # pragma: no cover - guarded by is_join_connected
+        else:  # pragma: no cover - guarded by is_join_connected
             raise SchemaError(f"tables {ordered} are not connected by foreign keys")
+        existing = database.schema.table(existing_table)
+        key_positions = [offsets[existing_table] + existing.index_of(c) for _, c in pairs]
+        new_relation = database.relation(new_table)
+        rows, provenance = _attach_table(
+            rows, provenance, key_positions, new_relation, new_table, [new for new, _ in pairs]
+        )
+        offsets[new_table] = width
+        width += new_relation.schema.arity
+        remaining_fks.remove(fk)
 
+    if list(offsets) != ordered:
+        # Attached in another order than declared: permute every row once.
+        arity = {table: database.schema.table(table).arity for table in ordered}
+        pick = itemgetter(*(offsets[t] + i for t in ordered for i in range(arity[t])))
+        rows = [pick(row) for row in rows]
     relation = Relation(schema)
-    ordered_names = schema.attribute_names
-    for row in rows:
-        relation.insert([row.get(name) for name in ordered_names])
+    relation.extend_raw(rows)
     return JoinedRelation(
         relation=relation,
         tables=tuple(ordered),
@@ -333,54 +340,36 @@ def foreign_key_join(database: Database, tables: Sequence[str]) -> JoinedRelatio
 
 
 def _attach_table(
-    database: Database,
-    rows: list[dict[str, Any]],
+    rows: list[tuple[Any, ...]],
     provenance: list[dict[str, int]],
-    existing_table: str,
+    key_positions: Sequence[int],
+    new_relation: Relation,
     new_table: str,
-    column_pairs: Iterable[tuple[str, str]],
-) -> tuple[list[dict[str, Any]], list[dict[str, int]]]:
-    """Equi-join the accumulated rows with *new_table* along the FK columns.
+    new_columns: Sequence[str],
+) -> tuple[list[tuple[Any, ...]], list[dict[str, int]]]:
+    """Equi-join the accumulated rows with *new_relation* along the FK columns.
 
-    ``column_pairs`` maps new-table columns to existing-table columns.
+    ``row[key_positions[i]]`` must equal the new table's ``new_columns[i]``;
+    a NULL key part matches nothing.
     """
-    new_relation = database.relation(new_table)
-    pairs = list(column_pairs)
-    new_columns = [pair[0] for pair in pairs]
-    existing_qualified = [qualify(existing_table, pair[1]) for pair in pairs]
-
-    index: dict[tuple, list[Tuple]] = {}
-    column_positions = [new_relation.schema.index_of(c) for c in new_columns]
+    new_key = itemgetter(*(new_relation.schema.index_of(c) for c in new_columns))
+    row_key = itemgetter(*key_positions)
+    single = len(key_positions) == 1
+    index: dict[Any, list[Tuple]] = {}
     for base_tuple in new_relation.tuples:
-        key = tuple(_norm(base_tuple.values[p]) for p in column_positions)
-        if any(part is None for part in key):
+        key = new_key(base_tuple.values)
+        if (key is None) if single else (None in key):
             continue
         index.setdefault(key, []).append(base_tuple)
 
-    attribute_names = new_relation.schema.attribute_names
-    joined_rows: list[dict[str, Any]] = []
+    joined_rows: list[tuple[Any, ...]] = []
     joined_provenance: list[dict[str, int]] = []
     for row, row_provenance in zip(rows, provenance):
-        key = tuple(_norm(row.get(name)) for name in existing_qualified)
-        if any(part is None for part in key):
-            continue
-        for match in index.get(key, ()):
-            combined = dict(row)
-            for name, value in zip(attribute_names, match.values):
-                combined[qualify(new_table, name)] = value
-            joined_rows.append(combined)
-            new_provenance = dict(row_provenance)
-            new_provenance[new_table] = match.tuple_id
-            joined_provenance.append(new_provenance)
+        # A key with a NULL part is never indexed, so it finds no match.
+        for match in index.get(row_key(row), ()):
+            joined_rows.append(row + match.values)
+            joined_provenance.append({**row_provenance, new_table: match.tuple_id})
     return joined_rows, joined_provenance
-
-
-def _norm(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return float(value)
-    return value
 
 
 def full_join(database: Database) -> JoinedRelation:

@@ -99,7 +99,7 @@ class _SharedPair:
     result: Relation
     target: SPJQuery | None
     join_cache: JoinCache = field(default_factory=JoinCache)
-    #: Serializes round searches over the pair's shared caches.
+    #: Serializes candidate generation and round searches over the pair's shared caches.
     compute_lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -165,7 +165,7 @@ class _Metrics(RegistryStats):
         )
         self._lock_wait = self.registry.histogram(
             "qfe_service_compute_lock_wait_seconds",
-            "Wait to acquire a shared pair's compute lock (rounds and choices).",
+            "Wait to acquire a shared pair's compute lock (creates, rounds and choices).",
             reservoir=window,
         )
 
@@ -309,13 +309,18 @@ class SessionManager:
             if candidates is None:
                 from repro.experiments.runner import prepare_candidates
 
-                candidates, _ = prepare_candidates(
-                    pair.database,
-                    pair.result,
-                    pair.target,
-                    qbo_config=qbo_config or _SERVICE_QBO,
-                    candidate_count=candidate_count,
-                )
+                # Generation joins through, and writes term masks into, the
+                # pair's shared cache, which rounds read and derive from:
+                # hold the compute lock like a round does.
+                with self._computing(pair):
+                    candidates, _ = prepare_candidates(
+                        pair.database,
+                        pair.result,
+                        pair.target,
+                        qbo_config=qbo_config or _SERVICE_QBO,
+                        candidate_count=candidate_count,
+                        join_cache=pair.join_cache,
+                    )
         else:
             if database is None or result is None:
                 raise ServiceError(

@@ -2,11 +2,18 @@
 
 import pytest
 
+from repro.core.config import QFEConfig
+from repro.core.session import QFESession
 from repro.exceptions import NoCandidateQueriesError
+from repro.experiments.runner import prepare_candidates
+from repro.obs.trace import Tracer, set_tracer
 from repro.qbo.config import QBOConfig
 from repro.qbo.generator import QueryGenerator
-from repro.relational.evaluator import evaluate
+from repro.relational.database import Database
+from repro.relational.evaluator import JoinCache, evaluate
+from repro.relational.join import JOIN_STATS
 from repro.relational.relation import Relation
+from repro.workloads import build_pair
 
 
 class TestGeneratorOnEmployee:
@@ -93,6 +100,64 @@ class TestGeneratorOnJoins:
         for query in candidates:
             produced = evaluate(query, two_table_db)
             assert produced.set_equal(result)
+
+
+class TestExactValues:
+    def test_integers_beyond_2_53_stay_distinct(self):
+        # x = 2^53 and x = 2^53 + 1 share one float: grouped by float they
+        # made every row ambiguous, and no candidate survived.
+        big = 2**53
+        database = Database.from_tables(
+            {"S": (["id", "x", "name"], [[0, big, "a"], [1, big + 1, "b"], [2, 5, "c"]])},
+            primary_keys={"S": ["id"]},
+        )
+        result = Relation.from_rows("R", ["x"], [[big + 1]])
+        candidates = QueryGenerator(QBOConfig()).generate(database, result)
+        assert [str(query.predicate) for query in candidates] == ["S.name = 'b'"]
+        assert evaluate(candidates[0], database).bag_equal(result)
+
+
+class TestSharedJoinCache:
+    def test_a_repeat_generate_over_one_cache_builds_no_join(self, two_table_db):
+        result = Relation.from_rows("R", ["ename", "dname"], [["Ann", "IT"], ["Cy", "IT"]])
+        cache = JoinCache()
+        cold = QueryGenerator(QBOConfig())
+        first = cold.generate(two_table_db, result, join_cache=cache)
+        assert cold.last_report.joins_built == cold.last_report.join_schemas_tried == 3
+        warm = QueryGenerator(QBOConfig())
+        assert warm.generate(two_table_db, result, join_cache=cache) == first
+        assert warm.last_report.joins_built == 0
+
+    def test_a_session_joins_each_schema_once_through_its_first_round(self):
+        database, result, _ = build_pair("Q2", 1.0)
+        before = JOIN_STATS.full_joins
+        session = QFESession(database, result, config=QFEConfig(delta_seconds=1e6))
+        assert session.propose() is not None
+        # QBO joins Q2's three schemas; the planner reuses the two-table one.
+        assert JOIN_STATS.full_joins - before == 3
+
+    def test_both_generate_spans_carry_the_join_counts(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        spans: list = []
+        previous = set_tracer(Tracer(spans))
+        try:
+            session = QFESession(employee_db, employee_result, qbo_config=QBOConfig())
+            session.propose()
+            candidates, _ = prepare_candidates(
+                employee_db,
+                employee_result,
+                employee_candidates[0],
+                join_cache=session.join_cache,
+            )
+        finally:
+            set_tracer(previous)
+        in_session, in_runner = [span["attrs"] for span in spans if span["name"] == "qbo.generate"]
+        assert set(in_session) == set(in_runner) == {"join_schemas", "joins_built", "candidates"}
+        assert in_session["joins_built"] == in_session["join_schemas"] > 0
+        assert in_session["candidates"] == session.outcome.initial_candidate_count
+        assert in_runner["joins_built"] == 0  # the session's cache is warm
+        assert in_runner["candidates"] == len(candidates)
 
 
 class TestGeneratorOnWorkloads:

@@ -54,6 +54,20 @@ class TestForeignKeyJoin:
         )
         assert len(full_join(database)) == 2
 
+    def test_join_keys_compare_exactly_beyond_2_53(self):
+        big = 2**53
+        database = Database.from_tables(
+            {
+                "P": (["id", "name"], [[big, "a"]]),
+                "C": (["cid", "pid"], [[1, big + 1], [2, big]]),
+            },
+            foreign_keys=[ForeignKey("C", ("pid",), "P", ("id",))],
+            primary_keys={"P": ["id"], "C": ["cid"]},
+        )
+        joined = foreign_key_join(database, ["C", "P"])
+        # 2^53 + 1 must not pair with 2^53, which a float() round-trip equates.
+        assert [row["C.cid"] for row in joined.rows_as_mappings()] == [2]
+
 
 class TestProvenanceAndJoinIndex:
     def test_provenance_maps_to_base_tuples(self, two_table_db):

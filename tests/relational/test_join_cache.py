@@ -33,6 +33,24 @@ class TestJoinReuse:
         assert first is second
         assert cache.cached_join_count == 1
 
+    def test_one_layout_per_key_whichever_order_asks_first(self, two_table_db):
+        unsorted_first = JoinCache().join_for(two_table_db, ["Emp", "Dept"])
+        sorted_first = JoinCache().join_for(two_table_db, ["Dept", "Emp"])
+        assert unsorted_first.attribute_names == sorted_first.attribute_names
+        assert unsorted_first.attribute_names[0].startswith("Dept.")
+        assert unsorted_first.relation.rows() == sorted_first.relation.rows()
+
+    def test_cold_builds_are_counted_and_derivations_are_not(self, two_table_db):
+        cache = JoinCache()
+        cache.join_for(two_table_db, ["Emp", "Dept"])
+        cache.join_for(two_table_db, ["Dept", "Emp"])
+        cache.join_for(two_table_db, ["Emp"])
+        assert cache.joins_built == 2
+        modified = two_table_db.copy()
+        cache.derive(two_table_db, TupleDelta(), modified)
+        cache.join_for(modified, ["Emp"])
+        assert cache.joins_built == 2
+
     def test_distinct_table_sets_cached_separately(self, two_table_db):
         cache = JoinCache()
         cache.join_for(two_table_db, ["Emp"])

@@ -248,6 +248,28 @@ class TestMetrics:
         manager.get_round(managed.session_id)  # idempotent replay
         assert manager.metrics()["rounds_served"] == 1
 
+    def test_a_workload_create_generates_under_the_pair_compute_lock(
+        self, manager, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        calls = []
+        generate = runner.prepare_candidates
+
+        def recording(database, result, target, **kwargs):
+            pairs = [p for p in manager._pairs.values() if p.database is database]
+            calls.append((pairs, kwargs["join_cache"], pairs[0].compute_lock.locked()))
+            return generate(database, result, target, **kwargs)
+
+        monkeypatch.setattr(runner, "prepare_candidates", recording)
+        managed = manager.create_session(workload="Q2", scale=0.03, candidate_count=6)
+        ((pairs, join_cache, locked),) = calls
+        assert pairs == [managed.pair]
+        assert join_cache is managed.pair.join_cache
+        assert locked
+        assert not managed.pair.compute_lock.locked()
+        assert manager.metrics()["compute_lock_wait_seconds"]["count"] == 1
+
     def test_a_wait_for_the_pair_compute_lock_is_observed(
         self, manager, employee_db, employee_result, employee_candidates
     ):
