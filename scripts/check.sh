@@ -18,7 +18,7 @@ echo "== differential oracles: columnar + update-only delta maintenance vs row-a
 python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/core/test_presentation_differential.py tests/sql/test_sqlite_backend.py tests/relational/test_null_semantics.py tests/relational/test_numeric_semantics.py tests/qbo/test_qbo_differential.py -m ""
 
 echo
-echo "== differential: round prologue (masks, reactions, Algorithms 3 and 4) vs the per-pair reference =="
+echo "== differential: round prologue (masks, reactions, Algorithms 3 and 4) vs the per-pair reference; domain partitions vs interpreter signatures =="
 python -m pytest -q tests/core/test_prologue_differential.py -m ""
 
 echo

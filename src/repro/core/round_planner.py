@@ -247,7 +247,7 @@ class RoundPlanner:
             span.set(memo_hit=prologue is not None)
         if prologue is not None:
             memo.move_to_end(body)
-            PLAN_MEMO_STATS.memo_hits += 1
+            PLAN_MEMO_STATS.add(memo_hits=1)
         else:
             tracer = get_tracer()
             # Span attributes are set before each span closes: a file sink
@@ -314,7 +314,7 @@ class RoundPlanner:
             )
             prologue = _Prologue(space, skyline, selection, tuple(attempts))
             if memo is not None:
-                PLAN_MEMO_STATS.memo_misses += 1
+                PLAN_MEMO_STATS.add(memo_misses=1)
                 memo[body] = prologue
                 while len(memo) > PLAN_MEMO_LIMIT:
                     memo.popitem(last=False)

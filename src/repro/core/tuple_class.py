@@ -75,43 +75,61 @@ class DomainSubset:
 
 
 class DomainPartition:
-    """The partition ``P_QC(A)`` of one selection attribute's domain."""
+    """The partition ``P_QC(A)`` of one selection attribute's domain.
+
+    A value's *signature* is one verdict per term, from the term's compiled
+    test (:func:`~repro.relational.predicates.compile_term`). The build signs
+    every probe and active value once, through a memo keyed on the exact
+    value: ``==`` and ``hash`` equate ``1``, ``1.0`` and ``True``, exactly as
+    every compiled test does, and keep distinct floats and integers beyond
+    2^53 distinct. After the build the partition keeps each signed value's
+    block index, so :meth:`subset_of_value` signs only values it has not met.
+    """
 
     def __init__(self, attribute: str, terms: Sequence[Term], active_values: Sequence[Any]) -> None:
         self.attribute = attribute
         self.terms = tuple(terms)
-        self.subsets: tuple[DomainSubset, ...] = tuple(
-            self._build_subsets(attribute, self.terms, list(active_values))
+        self._tests = tuple(compile_term(term) for term in self.terms)
+        self._signatures: dict[Any, tuple[bool, ...]] = {}
+        self.subsets: tuple[DomainSubset, ...] = tuple(self._build_subsets(list(active_values)))
+        self._index_of_signature = {subset.signature: subset.index for subset in self.subsets}
+        self._index_of_value = {
+            value: self._index_of_signature[signature]
+            for value, signature in self._signatures.items()
+        }
+        del self._signatures
+        # A value whose signature no block carries (possible for a NULL) goes
+        # to the first all-false block, else to block 0. Either may hold a
+        # candidate the value does not satisfy: a known defect, pinned by
+        # ``TestNullRowClasses`` in the tuple-class tests.
+        self._unseen_index = next(
+            (subset.index for subset in self.subsets if not any(subset.signature)), 0
         )
-        self._subset_of_value_cache: dict[Any, int] = {}
 
     # ------------------------------------------------------------------ build
-    @staticmethod
-    def _signature_of_value(terms: Sequence[Term], value: Any) -> tuple[bool, ...]:
-        return tuple(term.evaluate_value(value) for term in terms)
+    def _sign(self, value: Any) -> tuple[bool, ...]:
+        signature = self._signatures.get(value)
+        if signature is None:
+            signature = tuple(test(value) for test in self._tests)
+            self._signatures[value] = signature
+        return signature
 
-    @classmethod
-    def _build_subsets(
-        cls, attribute: str, terms: Sequence[Term], active_values: list[Any]
-    ) -> list[DomainSubset]:
+    def _build_subsets(self, active_values: list[Any]) -> list[DomainSubset]:
         numeric_active = [
             v for v in active_values if isinstance(v, (int, float)) and not isinstance(v, bool)
         ]
         all_numeric = bool(active_values) and len(numeric_active) == len(active_values)
         numeric_constants = [
             c
-            for term in terms
+            for term in self.terms
             for c in term.constants()
             if isinstance(c, (int, float)) and not isinstance(c, bool)
         ]
         if all_numeric or (not active_values and numeric_constants):
-            return cls._build_numeric_subsets(attribute, terms, numeric_active)
-        return cls._build_categorical_subsets(attribute, terms, active_values)
+            return self._build_numeric_subsets(numeric_active)
+        return self._build_categorical_subsets(active_values)
 
-    @classmethod
-    def _build_numeric_subsets(
-        cls, attribute: str, terms: Sequence[Term], active_values: list[Any]
-    ) -> list[DomainSubset]:
+    def _build_numeric_subsets(self, active_values: list[Any]) -> list[DomainSubset]:
         # Atomic intervals induced by every numeric constant, then merged by
         # term signature so the partition is minimal (Example 5.1). Constants
         # are kept exact (integral floats collapse onto the equal int, large
@@ -119,8 +137,8 @@ class DomainPartition:
         # breakpoints ≥ 2^53 stay distinct.
         breakpoints = sorted(
             {
-                cls._clean_number(c)
-                for term in terms
+                self._clean_number(c)
+                for term in self.terms
                 for c in term.constants()
                 if isinstance(c, (int, float)) and not isinstance(c, bool)
             }
@@ -133,41 +151,33 @@ class DomainPartition:
         else:
             spread = max(breakpoints[-1] - breakpoints[0], 1)
             probes.append(breakpoints[0] - spread)
-            interval_labels.append(f"(-inf, {cls._label(breakpoints[0])})")
+            interval_labels.append(f"(-inf, {self._label(breakpoints[0])})")
             for i, point in enumerate(breakpoints):
                 probes.append(point)
-                interval_labels.append(f"[{cls._label(point)}]")
+                interval_labels.append(f"[{self._label(point)}]")
                 upper = breakpoints[i + 1] if i + 1 < len(breakpoints) else point + spread
-                probes.append(cls._midpoint(point, upper) if i + 1 < len(breakpoints) else point + spread)
+                probes.append(self._midpoint(point, upper) if i + 1 < len(breakpoints) else point + spread)
                 interval_labels.append(
-                    f"({cls._label(point)}, {cls._label(upper)})"
+                    f"({self._label(point)}, {self._label(upper)})"
                     if i + 1 < len(breakpoints)
-                    else f"({cls._label(point)}, +inf)"
+                    else f"({self._label(point)}, +inf)"
                 )
 
         groups: dict[tuple[bool, ...], dict[str, list[Any]]] = {}
-        order: list[tuple[bool, ...]] = []
         for probe, label in zip(probes, interval_labels):
-            signature = cls._signature_of_value(terms, probe)
-            bucket = groups.setdefault(signature, {"labels": [], "synth": [], "active": []})
-            if signature not in order:
-                order.append(signature)
+            bucket = groups.setdefault(self._sign(probe), {"labels": [], "synth": [], "active": []})
             bucket["labels"].append(label)
-            bucket["synth"].append(cls._clean_number(probe))
+            bucket["synth"].append(self._clean_number(probe))
         for value in sorted(set(active_values)):
-            signature = cls._signature_of_value(terms, value)
-            bucket = groups.setdefault(signature, {"labels": [], "synth": [], "active": []})
-            if signature not in order:
-                order.append(signature)
-            bucket["active"].append(cls._clean_number(value))
+            bucket = groups.setdefault(self._sign(value), {"labels": [], "synth": [], "active": []})
+            bucket["active"].append(self._clean_number(value))
 
         subsets: list[DomainSubset] = []
-        for index, signature in enumerate(order):
-            bucket = groups[signature]
+        for index, (signature, bucket) in enumerate(groups.items()):
             representatives = tuple(dict.fromkeys(bucket["active"] + bucket["synth"]))
             description = " ∪ ".join(dict.fromkeys(bucket["labels"])) or "{active}"
             subsets.append(
-                DomainSubset(attribute, index, signature, representatives, description)
+                DomainSubset(self.attribute, index, signature, representatives, description)
             )
         return subsets
 
@@ -213,38 +223,28 @@ class DomainPartition:
             return low + (high - low) // 2
         return (low + high) / 2.0
 
-    @classmethod
-    def _build_categorical_subsets(
-        cls, attribute: str, terms: Sequence[Term], active_values: list[Any]
-    ) -> list[DomainSubset]:
-        constants = [c for term in terms for c in term.constants()]
+    def _build_categorical_subsets(self, active_values: list[Any]) -> list[DomainSubset]:
+        constants = [c for term in self.terms for c in term.constants()]
         universe = list(dict.fromkeys(list(active_values) + constants))
         universe.sort(key=value_sort_key)
         groups: dict[tuple[bool, ...], list[Any]] = {}
-        order: list[tuple[bool, ...]] = []
         for value in universe:
-            signature = cls._signature_of_value(terms, value)
-            if signature not in groups:
-                groups[signature] = []
-                order.append(signature)
-            groups[signature].append(value)
+            groups.setdefault(self._sign(value), []).append(value)
         # A "fresh value" block (satisfying no equality/membership term) exists
         # implicitly; only add it when no existing block has that signature.
         fresh_signature = tuple(
-            term.op.value in ("!=", "NOT IN") for term in terms
+            term.op.value in ("!=", "NOT IN") for term in self.terms
         )
-        if terms and fresh_signature not in groups:
+        if self.terms and fresh_signature not in groups:
             groups[fresh_signature] = []
-            order.append(fresh_signature)
         subsets = []
-        for index, signature in enumerate(order):
-            values = groups[signature]
+        for index, (signature, values) in enumerate(groups.items()):
             description = "{" + ", ".join(str(v) for v in values[:6]) + ("…}" if len(values) > 6 else "}")
             representatives = tuple(values)
             if not representatives:
-                representatives = (cls._fresh_value(universe),)
+                representatives = (self._fresh_value(universe),)
                 description = "{fresh}"
-            subsets.append(DomainSubset(attribute, index, signature, representatives, description))
+            subsets.append(DomainSubset(self.attribute, index, signature, representatives, description))
         return subsets
 
     @staticmethod
@@ -263,22 +263,12 @@ class DomainPartition:
 
     def subset_of_value(self, value: Any) -> int:
         """Index of the subset containing *value* (NULL maps to a no-term block)."""
-        key = value if not isinstance(value, float) else round(value, 12)
-        if key in self._subset_of_value_cache:
-            return self._subset_of_value_cache[key]
-        signature = self._signature_of_value(self.terms, value)
-        for subset in self.subsets:
-            if subset.signature == signature:
-                self._subset_of_value_cache[key] = subset.index
-                return subset.index
-        # A value whose signature was never seen (possible for NULLs): treat it
-        # as belonging to the first all-false block, creating one if needed.
-        for subset in self.subsets:
-            if not any(subset.signature):
-                self._subset_of_value_cache[key] = subset.index
-                return subset.index
-        self._subset_of_value_cache[key] = 0
-        return 0
+        index = self._index_of_value.get(value)
+        if index is None:
+            signature = tuple(test(value) for test in self._tests)
+            index = self._index_of_signature.get(signature, self._unseen_index)
+            self._index_of_value[value] = index
+        return index
 
     def subset(self, index: int) -> DomainSubset:
         """The subset with the given index."""
@@ -325,15 +315,12 @@ class TupleClassSpace:
         self.queries = tuple(queries)
         self.selection_attributes: tuple[str, ...] = self._collect_selection_attributes(queries)
         self.partitions: dict[str, DomainPartition] = {}
+        view = joined.columnar()
         for attribute in self.selection_attributes:
             terms = [
                 term for query in queries for term in query.predicate.terms_on(attribute)
             ]
-            active = [
-                v
-                for v in joined.relation.column(attribute)
-                if v is not None
-            ]
+            active = [v for v in view.column(attribute) if v is not None]
             self.partitions[attribute] = DomainPartition(attribute, terms, active)
         self._row_classes: list[TupleClass] = []
         self._class_rows: dict[TupleClass, list[int]] = {}
@@ -352,7 +339,7 @@ class TupleClassSpace:
 
     def _assign_rows(self) -> None:
         # Column-at-a-time: map each selection attribute's column to subset
-        # indexes through the shared columnar view (one value-cache lookup per
+        # indexes through the shared columnar view (one value-map lookup per
         # cell, no per-row attribute indirection), then zip the index columns
         # back into per-row tuple classes.
         view = self.joined.columnar()

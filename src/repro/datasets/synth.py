@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Sequence
 
 __all__ = [
     "rng_for",
     "identifier",
-    "choice_weighted",
     "clipped_normal",
     "log_fold_change",
     "p_value",
@@ -38,11 +36,6 @@ def identifier(rng: random.Random, prefix: str, width: int = 6) -> str:
     alphabet = string.ascii_lowercase + string.digits
     suffix = "".join(rng.choice(alphabet) for _ in range(width))
     return f"{prefix}_{suffix}"
-
-
-def choice_weighted(rng: random.Random, values: Sequence, weights: Sequence[float]):
-    """One weighted choice (wrapper keeping call sites tidy)."""
-    return rng.choices(list(values), weights=list(weights), k=1)[0]
 
 
 def clipped_normal(

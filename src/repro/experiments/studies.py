@@ -19,8 +19,10 @@ from repro.experiments.report import ExperimentTable
 from repro.experiments.runner import prepare_candidates, run_session
 from repro.experiments.simulated_user import ResponseTimeModel, simulated_oracle_user
 from repro.qbo.config import QBOConfig
+from repro.relational.columnar import mask_positions
 from repro.relational.database import Database
 from repro.relational.evaluator import evaluate
+from repro.relational.join import full_join
 from repro.relational.relation import Relation
 from repro.workloads import build_pair
 
@@ -69,15 +71,11 @@ def initial_pair_size_study(
     """
     database, result, target = build_pair(workload_name, scale)
     # Base tuples participating in the target result must survive subsetting.
-    from repro.relational.join import full_join
-
     joined = full_join(database)
     keep: dict[str, set[int]] = {name: set() for name in database.table_names}
-    rows = joined.rows_as_mappings()
-    for position, row in enumerate(rows):
-        if target.predicate.evaluate_row(row):
-            for table in joined.tables:
-                keep[table].add(joined.base_tuple_of(position, table))
+    for position in mask_positions(joined.columnar().predicate_mask(target.predicate)):
+        for table in joined.tables:
+            keep[table].add(joined.base_tuple_of(position, table))
 
     table = ExperimentTable(
         title=f"Section 7.7: effect of initial database size ({workload_name})",

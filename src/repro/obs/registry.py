@@ -6,7 +6,7 @@ codebase:
 
 * :class:`Counter` — a monotonically *used* cumulative value. (It also
   supports direct assignment, which is what lets the historical stats
-  objects — ``JOIN_STATS.full_joins += 1``, ``stats.reset()`` — keep their
+  objects — ``JOIN_STATS.full_joins``, ``stats.reset()`` — keep their
   exact attribute APIs while being registry-backed underneath.)
 * :class:`Gauge` — a value that goes up and down (live sessions, cached
   joins).
@@ -304,12 +304,12 @@ class RegistryStats:
     """Attribute-API façade over registry counters.
 
     The historical stats objects are plain attribute bags
-    (``JOIN_STATS.full_joins += 1``, ``stats.reset()``,
-    ``stats.snapshot()``). Subclasses declare ``_PREFIX`` and ``_FIELDS``;
-    each field becomes a registry Counter named ``{prefix}_{field}``, and
-    attribute reads/writes pass through to it — so every existing call site
-    and guard keeps working unchanged while the values become visible to the
-    exposition endpoint.
+    (``JOIN_STATS.full_joins``, ``stats.reset()``, ``stats.snapshot()``).
+    Subclasses declare ``_PREFIX`` and ``_FIELDS``; each field becomes a
+    registry Counter named ``{prefix}_{field}``, and attribute reads/writes
+    pass through to it, so the values are visible to the exposition
+    endpoint. Count with :meth:`add`: ``stats.field += 1`` reads, then
+    sets, and loses the increments other threads make in between.
     """
 
     _PREFIX = "qfe"

@@ -59,10 +59,12 @@ def _numeric_atoms(
     positive_values = [values[i] for i in positive if values[i] is not None]
     if not positive_values or not all(_is_numeric_value(v) for v in positive_values):
         return []
-    pos_min = float(min(positive_values))
-    pos_max = float(max(positive_values))
+    # Values stay exact: a float() round-trip would move an integer beyond
+    # 2^53 onto a neighbour, and the tight atoms would then miss the positives.
+    pos_min = min(positive_values)
+    pos_max = max(positive_values)
     negative_values = [
-        float(values[i]) for i in negative if values[i] is not None and _is_numeric_value(values[i])
+        values[i] for i in negative if values[i] is not None and _is_numeric_value(values[i])
     ]
     # Candidate threshold variants that are equivalent *on this database* are
     # exactly what QFE winnows later — but only when a value could ever fall
@@ -70,7 +72,7 @@ def _numeric_atoms(
     # between are the same query, so emitting both would create permanently
     # indistinguishable candidates.
     integer_domain = all(
-        float(v).is_integer() for v in positive_values + negative_values
+        isinstance(v, int) or v.is_integer() for v in positive_values + negative_values
     )
     terms: list[Term] = []
 
@@ -107,7 +109,7 @@ def _numeric_atoms(
         terms.extend(variants)
 
     # Equality atom when all positives share one value.
-    distinct_positive = sorted({float(v) for v in positive_values})
+    distinct_positive = sorted(set(positive_values))
     if len(distinct_positive) == 1:
         terms.append(Term(attribute, ComparisonOp.EQ, _clean(distinct_positive[0])))
     elif config.allow_membership_terms and 1 < len(distinct_positive) <= 6:
@@ -117,10 +119,10 @@ def _numeric_atoms(
     return terms
 
 
-def _clean(value: float) -> Any:
-    if float(value).is_integer():
+def _clean(value: Any) -> Any:
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    return float(value)
+    return value
 
 
 def _categorical_atoms(

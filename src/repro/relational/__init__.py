@@ -38,8 +38,6 @@ from repro.relational.predicates import (
     Conjunct,
     DNFPredicate,
     Term,
-    always_true,
-    compile_predicate,
     compile_term,
 )
 from repro.relational.query import SPJQuery, SPJUQuery
@@ -61,11 +59,9 @@ __all__ = [
     "Term",
     "Conjunct",
     "DNFPredicate",
-    "always_true",
     "SPJQuery",
     "SPJUQuery",
     "compile_term",
-    "compile_predicate",
     "ColumnarView",
     "COLUMNAR_STATS",
     "evaluate",

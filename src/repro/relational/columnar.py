@@ -134,8 +134,9 @@ class ColumnarView:
     observe later modifications of the relation. Callers that mutate a
     database instance whose join/view is cached must invalidate first.
 
-    Error semantics replicate the row-at-a-time interpreter's short-circuit
-    behaviour exactly: a term that cannot be evaluated for some row (e.g. an
+    Error semantics replicate the short-circuit behaviour of the row-at-a-time
+    interpreter (the test oracle in ``tests/oracles/evaluator_reference.py``)
+    exactly: a term that cannot be evaluated for some row (e.g. an
     incomparable value/constant pair, or a missing attribute) only raises if
     that row actually *reaches* the term — i.e. the row passed every earlier
     term of its conjunct and was not already satisfied by an earlier conjunct.

@@ -46,9 +46,10 @@ class JoinMaintenanceStats(RegistryStats):
     behaviour fails a fast test instead of only showing up as a slow bench.
 
     Registry-backed: the values live in ``qfe_join_*`` counters of the
-    process-wide metrics registry, so the Prometheus endpoint sees them —
-    while every historical call site (``JOIN_STATS.full_joins += 1``) keeps
-    working unchanged.
+    process-wide metrics registry, so the Prometheus endpoint sees them.
+    Count with :meth:`~repro.obs.registry.RegistryStats.add`, which is
+    atomic; ``JOIN_STATS.full_joins += 1`` reads, then sets, and loses
+    increments made by other threads in between.
     """
 
     _PREFIX = "qfe_join"
@@ -110,16 +111,6 @@ class JoinedRelation:
 
     def __len__(self) -> int:
         return len(self.relation)
-
-    def row_as_mapping(self, position: int) -> dict[str, Any]:
-        """Joined row at *position* as a mapping from qualified name to value."""
-        names = self.relation.schema.attribute_names
-        return dict(zip(names, self.relation.tuples[position].values))
-
-    def rows_as_mappings(self) -> list[dict[str, Any]]:
-        """All joined rows as mappings (used by predicate evaluation)."""
-        names = self.relation.schema.attribute_names
-        return [dict(zip(names, t.values)) for t in self.relation.tuples]
 
     def base_tuple_of(self, position: int, table: str) -> int:
         """The base ``tuple_id`` in *table* that produced joined row *position*."""
@@ -210,7 +201,7 @@ class JoinedRelation:
         copy-on-write alongside, see
         :meth:`~repro.relational.columnar.ColumnarView.derive`.
         """
-        JOIN_STATS.delta_applies += 1
+        JOIN_STATS.add(delta_applies=1)
         self._positions_index()  # built here so every derived join shares it
         offsets = self._offsets()
         patches: dict[int, dict[int, Any]] = {}
@@ -283,7 +274,7 @@ def foreign_key_join(database: Database, tables: Sequence[str]) -> JoinedRelatio
     is the base relation's already-coerced value; join keys compare raw
     values (exact for integers beyond 2^53).
     """
-    JOIN_STATS.full_joins += 1
+    JOIN_STATS.add(full_joins=1)
     ordered = list(dict.fromkeys(tables))
     if not ordered:
         raise SchemaError("cannot join an empty list of tables")

@@ -12,11 +12,9 @@ This module provides the predicate algebra used across the library:
 * :class:`DNFPredicate` — a disjunction of conjuncts (an empty disjunction is
   the always-true predicate, matching an unrestricted SPJ query).
 
-Terms can be evaluated against a single value, against a named row (a mapping
-from qualified attribute names to values), and — crucially for the tuple-class
-machinery of Section 5.1 — against a *set of values at once* via
-:meth:`Term.satisfied_by_all` / :meth:`Term.satisfied_by_none`, and they can
-report the numeric *breakpoints* they induce on an ordered domain.
+A term is evaluated only through :func:`compile_term`, which turns it into a
+``value -> bool`` closure; the columnar term masks and the tuple-class
+partitions of Section 5.1 both call that closure.
 """
 
 from __future__ import annotations
@@ -24,21 +22,18 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.exceptions import EvaluationError
 from repro.relational.types import float_literal
 
 __all__ = [
     "ComparisonOp",
-    "ORDERING_OPS",
     "MEMBERSHIP_OPS",
     "Term",
     "Conjunct",
     "DNFPredicate",
-    "always_true",
     "compile_term",
-    "compile_predicate",
 ]
 
 
@@ -56,11 +51,6 @@ class ComparisonOp(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-    @property
-    def is_ordering(self) -> bool:
-        """Whether the operator relies on an ordered domain."""
-        return self in ORDERING_OPS
 
     @property
     def is_membership(self) -> bool:
@@ -81,20 +71,8 @@ class ComparisonOp(enum.Enum):
         }[self]
 
 
-#: Operators that rely on an ordered domain — the ones whose compiled tests
-#: may raise on cross-type comparisons.
-ORDERING_OPS = frozenset(
-    {ComparisonOp.LT, ComparisonOp.LE, ComparisonOp.GT, ComparisonOp.GE}
-)
-
 #: Operators that compare against a set of constants.
 MEMBERSHIP_OPS = frozenset({ComparisonOp.IN, ComparisonOp.NOT_IN})
-
-
-# Ordering comparisons use Python's exact cross-type ``<``/``<=`` on raw
-# values: ``int`` vs ``float`` compares true mathematical values, so there is
-# deliberately no ``float()`` normalization step — a round-trip through a
-# double would make ``2**53 + 1 > 2**53`` evaluate False.
 
 
 @dataclass(frozen=True)
@@ -110,84 +88,12 @@ class Term:
             values = tuple(self.constant) if isinstance(self.constant, Iterable) and not isinstance(self.constant, str) else (self.constant,)
             object.__setattr__(self, "constant", tuple(values))
 
-    # ---------------------------------------------------------------- evaluate
-    def evaluate_value(self, value: Any) -> bool:
-        """Evaluate the term against a single attribute value.
-
-        NULL never satisfies any comparison (SQL three-valued logic collapsed
-        to "not selected", which is the behaviour of ``WHERE``).
-        """
-        if value is None:
-            return False
-        if self.op is ComparisonOp.IN:
-            return any(_safe_eq(value, c) for c in self.constant)
-        if self.op is ComparisonOp.NOT_IN:
-            return not any(_safe_eq(value, c) for c in self.constant)
-        if self.op is ComparisonOp.EQ:
-            return _safe_eq(value, self.constant)
-        if self.op is ComparisonOp.NE:
-            return not _safe_eq(value, self.constant)
-        left = value
-        right = self.constant
-        try:
-            if self.op is ComparisonOp.LT:
-                return left < right
-            if self.op is ComparisonOp.LE:
-                return left <= right
-            if self.op is ComparisonOp.GT:
-                return left > right
-            if self.op is ComparisonOp.GE:
-                return left >= right
-        except TypeError as exc:
-            raise EvaluationError(
-                f"cannot compare {value!r} {self.op.value} {self.constant!r}"
-            ) from exc
-        raise EvaluationError(f"unsupported operator {self.op!r}")  # pragma: no cover
-
-    def evaluate_row(self, row: Mapping[str, Any]) -> bool:
-        """Evaluate against a row given as a mapping of attribute name to value."""
-        if self.attribute not in row:
-            raise EvaluationError(f"row has no attribute {self.attribute!r}")
-        return self.evaluate_value(row[self.attribute])
-
-    def satisfied_by_all(self, values: Iterable[Any]) -> bool:
-        """Whether every value in *values* satisfies the term."""
-        return all(self.evaluate_value(v) for v in values)
-
-    def satisfied_by_none(self, values: Iterable[Any]) -> bool:
-        """Whether no value in *values* satisfies the term."""
-        return not any(self.evaluate_value(v) for v in values)
-
     # ------------------------------------------------------------- structure
     def constants(self) -> tuple[Any, ...]:
         """All constants mentioned by the term."""
         if self.op.is_membership:
             return tuple(self.constant)
         return (self.constant,)
-
-    def numeric_breakpoints(self) -> list[tuple[float, bool]]:
-        """Breakpoints this term induces on an ordered domain.
-
-        Each breakpoint is ``(value, boundary_belongs_to_lower_side)``: the
-        domain is cut *after* ``value`` when the flag is true (as for ``<=``
-        and ``>``), and *before* ``value`` when false (as for ``<`` and
-        ``>=``). Equality terms induce cuts on both sides of the constant.
-        """
-        cuts: list[tuple[float, bool]] = []
-        for constant in self.constants():
-            if isinstance(constant, bool) or not isinstance(constant, (int, float)):
-                continue
-            # Keep integer constants exact: converting to float here would
-            # merge breakpoints at neighbouring integers ≥ 2^53.
-            value = constant
-            if self.op in (ComparisonOp.LE, ComparisonOp.GT):
-                cuts.append((value, True))
-            elif self.op in (ComparisonOp.LT, ComparisonOp.GE):
-                cuts.append((value, False))
-            else:  # EQ / NE / IN / NOT IN isolate the exact value
-                cuts.append((value, False))
-                cuts.append((value, True))
-        return cuts
 
     def with_constant(self, constant: Any) -> "Term":
         """A copy of the term with a different constant (used by mutation)."""
@@ -215,15 +121,6 @@ class Term:
         return f"{self.attribute} {self.op.value} {_format_constant(self.constant)}"
 
 
-def _safe_eq(left: Any, right: Any) -> bool:
-    # Python's ``==`` already compares int/float by exact mathematical value
-    # and never equates numbers with strings; routing numerics through
-    # ``float()`` (as earlier versions did) corrupted integers ≥ 2^53, making
-    # distinct large constants compare equal. Booleans compare by their
-    # numeric value (``True == 1``), matching SQLite's integer encoding.
-    return left == right
-
-
 def _format_constant(constant: Any) -> str:
     if isinstance(constant, str):
         escaped = constant.replace("'", "''")
@@ -248,10 +145,6 @@ class Conjunct:
 
     def __init__(self, terms: Iterable[Term]) -> None:
         object.__setattr__(self, "terms", tuple(terms))
-
-    def evaluate_row(self, row: Mapping[str, Any]) -> bool:
-        """True when every term is satisfied (an empty conjunct is true)."""
-        return all(term.evaluate_row(row) for term in self.terms)
 
     def attributes(self) -> tuple[str, ...]:
         """Attributes mentioned, in first-appearance order."""
@@ -288,13 +181,6 @@ class DNFPredicate:
     def true(cls) -> "DNFPredicate":
         """The always-true predicate."""
         return cls(())
-
-    # --------------------------------------------------------------- evaluate
-    def evaluate_row(self, row: Mapping[str, Any]) -> bool:
-        """True when any conjunct is satisfied (or there are no conjuncts)."""
-        if not self.conjuncts:
-            return True
-        return any(conjunct.evaluate_row(row) for conjunct in self.conjuncts)
 
     # -------------------------------------------------------------- structure
     @property
@@ -353,21 +239,16 @@ class DNFPredicate:
         return " OR ".join(f"({conjunct})" for conjunct in self.conjuncts)
 
 
-def always_true() -> DNFPredicate:
-    """Convenience constructor for the unrestricted predicate."""
-    return DNFPredicate.true()
-
-
 # ------------------------------------------------------------------ compilation
 #
 # The QFE inner loops evaluate the same small set of terms against thousands of
-# rows (and the same rows against dozens of candidate predicates). Compiling a
-# term into a single-argument closure hoists every constant-side type check out
-# of the per-value hot path; compiling a predicate against a name→position map
-# removes the per-row dict construction the row-at-a-time evaluator needed.
-# Compiled forms are behaviourally identical to ``Term.evaluate_value`` /
-# ``DNFPredicate.evaluate_row`` (NULL never satisfies a comparison, numeric
-# values compare as floats, incomparable values raise ``EvaluationError``).
+# values. Compiling a term into a single-argument closure hoists every
+# constant-side check out of the per-value hot path. The closures define the
+# term semantics: NULL never satisfies a comparison, values compare exactly
+# with Python's ``==`` and ``<`` (``int`` against ``float`` by mathematical
+# value, with no ``float()`` round-trip that would make ``2**53 + 1 > 2**53``
+# false; ``True == 1``, as in SQLite's integer encoding), and an ordering
+# between incomparable values raises ``EvaluationError``.
 
 
 def _normalize_constant(constant: Any) -> Any:
@@ -385,22 +266,29 @@ def _normalize_constant(constant: Any) -> Any:
 
 
 def _compile_membership(term: Term) -> Callable[[Any], bool]:
-    constants = tuple(term.constant)
+    # Verdicts equal ``any(value == c)``: a NaN constant equals nothing, so it
+    # is dropped; ``in`` tests identity before equality, and identity implies
+    # equality for every constant kept; equal values hash equal.
+    kept = tuple(c for c in term.constant if c == c)
     negate = term.op is ComparisonOp.NOT_IN
+    try:
+        lookup: frozenset[Any] | tuple[Any, ...] = frozenset(kept)
+    except TypeError:  # an unhashable constant
+        lookup = kept
 
     def member(value: Any) -> bool:
         if value is None:
             return False
-        hit = any(_safe_eq(value, c) for c in constants)
+        try:
+            hit = value in lookup
+        except TypeError:  # an unhashable value
+            hit = value in kept
         return (not hit) if negate else hit
 
     return member
 
 
 def _compile_equality(term: Term) -> Callable[[Any], bool]:
-    # ``==`` on raw values is already exact across int/float (and bools
-    # compare by numeric value, as in SQLite); the old ``float()`` fast path
-    # silently equated distinct integers ≥ 2^53.
     constant = term.constant
     negate = term.op is ComparisonOp.NE
 
@@ -459,44 +347,9 @@ def compile_term(term: Term) -> Callable[[Any], bool]:
     term once per process. The memo key includes the types of the term's
     constants: ``v < 1`` and ``v < True`` are equal terms, but their closures
     name their own constant in an evaluation error. Terms with unhashable
-    constants — which the row-at-a-time interpreter accepted — compile
-    uncached.
+    constants compile uncached.
     """
     try:
         return _compile_term_cached(term, tuple(type(c) for c in term.constants()))
     except TypeError:
         return _compile_term(term)
-
-
-def compile_predicate(
-    predicate: DNFPredicate, index_of: Mapping[str, int]
-) -> Callable[[Sequence[Any]], bool]:
-    """Compile a DNF predicate into a positional ``row values -> bool`` closure.
-
-    *index_of* maps qualified attribute names to positions in the row value
-    sequence the closure will be applied to. Unknown attributes raise
-    :class:`EvaluationError` at compile time rather than per row.
-    """
-    if predicate.is_true:
-        return lambda values: True
-    compiled_conjuncts: list[tuple[tuple[int, Callable[[Any], bool]], ...]] = []
-    for conjunct in predicate.conjuncts:
-        compiled_terms = []
-        for term in conjunct.terms:
-            try:
-                position = index_of[term.attribute]
-            except KeyError:
-                raise EvaluationError(f"row has no attribute {term.attribute!r}") from None
-            compiled_terms.append((position, compile_term(term)))
-        compiled_conjuncts.append(tuple(compiled_terms))
-
-    def evaluate_positional(values: Sequence[Any]) -> bool:
-        for terms in compiled_conjuncts:
-            for position, test in terms:
-                if not test(values[position]):
-                    break
-            else:
-                return True
-        return False
-
-    return evaluate_positional

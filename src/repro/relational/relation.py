@@ -239,11 +239,6 @@ class Relation:
         """All tuples in insertion order."""
         return tuple(self._tuples)
 
-    @property
-    def next_tuple_id(self) -> int:
-        """The id the next inserted tuple will receive (ids are never reused)."""
-        return self._next_id
-
     def tuple_by_id(self, tuple_id: int) -> Tuple:
         """The tuple with the given id (raises :class:`SchemaError` if absent)."""
         for existing in self._tuples:

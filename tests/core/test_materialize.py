@@ -12,6 +12,7 @@ from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
 from tests.oracles.constraints_reference import modification_is_valid
+from tests.oracles.evaluator_reference import evaluate_row_reference
 from tests.oracles.presentation_reference import database_delta_reference
 
 
@@ -60,8 +61,9 @@ class TestMaterialization:
         assert positions
         for query_index in range(len(employee_space.queries)):
             expected = employee_space.matches(query_index, pairs[0].destination)
-            row = joined.rows_as_mappings()[positions[0]]
-            assert employee_space.queries[query_index].predicate.evaluate_row(row) == expected
+            row = joined.relation.to_dicts()[positions[0]]
+            predicate = employee_space.queries[query_index].predicate
+            assert evaluate_row_reference(predicate, row) == expected
 
     def test_constraints_preserved(self, employee_db, employee_space):
         pairs = _skyline_pairs(employee_space)[:3]

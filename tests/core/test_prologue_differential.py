@@ -7,8 +7,10 @@ representative values and regroups the candidates for every pair. On
 round-1 spaces (δ off) of the paper workloads and the scenario presets the
 two must agree field for field: the skyline at the default cap and at a cap
 of 5, every single pair's effect, a seeded sample of 2–4-pair sets, and
-Algorithm 4's choice. The light cases run in tier-1; the heavier ones are
-marked ``slow``.
+Algorithm 4's choice. Underneath, every domain partition must file each
+active value and each row's cell in the block whose signature the term
+interpreter (:mod:`tests.oracles.evaluator_reference`) computes. The light
+cases run in tier-1; the heavier ones are marked ``slow``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery
 from repro.workloads import build_pair
+from tests.oracles.evaluator_reference import evaluate_value_reference
 from tests.oracles.prologue_reference import (
     ReferencePairSetSimulator,
     destination_classes,
@@ -98,6 +101,27 @@ def _skyline_cases():
             marks = [pytest.mark.slow] if slow else []
             params.append(pytest.param(case, cap, id=f"{case[0]}-{cap}", marks=marks))
     return params
+
+
+# ---------------------------------------------------------------- partitions
+@pytest.mark.parametrize("case", _cases(_LIGHT, slow=False) + _cases(_HEAVY, slow=True))
+def test_domain_partitions_match_interpreter_signatures(case):
+    space, _ = _round_one(*case)
+    for slot, attribute in enumerate(space.selection_attributes):
+        partition = space.partitions[attribute]
+        block_of = {subset.signature: subset.index for subset in partition.subsets}
+
+        def expected(value):
+            return block_of[tuple(evaluate_value_reference(t, value) for t in partition.terms)]
+
+        column = space.joined.relation.column(attribute)
+        for value in {value for value in column if value is not None}:
+            assert partition.subset_of_value(value) == expected(value), (attribute, value)
+        # A NULL cell's block is the known defect TestNullRowClasses pins.
+        for position, value in enumerate(column):
+            if value is not None:
+                index = space.class_of_row(position).subset_indexes[slot]
+                assert index == expected(value), (attribute, position)
 
 
 # ------------------------------------------------------------------ skyline

@@ -24,6 +24,7 @@ from repro.relational.database import Database
 from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from tests.oracles.evaluator_reference import evaluate_row_reference
 
 _SETTINGS = settings(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -79,11 +80,12 @@ class TestTupleClassProperties:
     @given(_rows, _queries)
     def test_queries_constant_on_classes(self, rows, queries):
         space = _space(rows, queries)
-        mappings = space.joined.rows_as_mappings()
+        mappings = space.joined.relation.to_dicts()
         for position, row in enumerate(mappings):
             tuple_class = space.class_of_row(position)
             for query_index, query in enumerate(queries):
-                assert space.matches(query_index, tuple_class) == query.predicate.evaluate_row(row)
+                expected = evaluate_row_reference(query.predicate, row)
+                assert space.matches(query_index, tuple_class) == expected
 
 
 class TestSimulationProperties:

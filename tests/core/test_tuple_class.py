@@ -9,6 +9,7 @@ from repro.relational.database import Database
 from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from tests.oracles.evaluator_reference import evaluate_row_reference, evaluate_value_reference
 
 
 def _query(table, projection, terms):
@@ -36,7 +37,7 @@ class TestDomainPartitionNumeric:
         partition = DomainPartition("T.A", terms, [0, 1, 3, 6, 9])
         for subset in partition.subsets:
             for representative in subset.representatives:
-                signature = tuple(t.evaluate_value(representative) for t in terms)
+                signature = tuple(evaluate_value_reference(t, representative) for t in terms)
                 assert signature == subset.signature
 
     def test_no_terms_single_block(self):
@@ -121,11 +122,11 @@ class TestTupleClassSpace:
             ),
         ]
         space = self._space(two_table_db, queries)
-        rows = space.joined.rows_as_mappings()
+        rows = space.joined.relation.to_dicts()
         for position, row in enumerate(rows):
             tuple_class = space.class_of_row(position)
             for query_index, query in enumerate(queries):
-                expected = query.predicate.evaluate_row(row)
+                expected = evaluate_row_reference(query.predicate, row)
                 assert space.matches(query_index, tuple_class) == expected
 
     def test_destination_classes_edit_distance(self, two_table_db):
@@ -202,10 +203,10 @@ class TestNullRowClasses:
         )
         space = TupleClassSpace(full_join(database), queries)
         mismatches = []
-        for position, row in enumerate(space.joined.rows_as_mappings()):
+        for position, row in enumerate(space.joined.relation.to_dicts()):
             tuple_class = space.class_of_row(position)
             for index, query in enumerate(queries):
-                if space.matches(index, tuple_class) != query.predicate.evaluate_row(row):
+                if space.matches(index, tuple_class) != evaluate_row_reference(query.predicate, row):
                     mismatches.append((row, str(query.predicate)))
         return mismatches
 
@@ -224,3 +225,17 @@ class TestNullRowClasses:
             _query("T", ["T.id"], [Term("T.b", ComparisonOp.EQ, "B")]),
         ]
         assert self._mismatches(queries, "b", ["B", "C", None]) == []
+
+
+class TestFloatRowClasses:
+    """The same invariant for floats that differ below the 12th digit."""
+
+    def test_floats_within_1e_12_keep_their_own_classes(self):
+        # 0.1 and 0.1 + 1e-13 differ, and ``x > 0.1`` tells them apart: each
+        # value is looked up exactly, not rounded to 12 digits.
+        queries = [
+            _query("T", ["T.id"], [Term("T.x", ComparisonOp.GT, 0.1)]),
+            _query("T", ["T.id"], [Term("T.x", ComparisonOp.LT, 1.0)]),
+        ]
+        mismatches = TestNullRowClasses._mismatches(queries, "x", [0.1, 0.1 + 1e-13, 5.0])
+        assert mismatches == []

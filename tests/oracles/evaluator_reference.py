@@ -1,24 +1,89 @@
-"""Row-at-a-time evaluation: the oracle for the columnar engine.
+"""Row-at-a-time evaluation: the oracle for the compiled terms and the columnar engine.
 
-:func:`evaluate_on_join_reference` interprets the DNF predicate on a
-``name -> value`` mapping per joined row, exactly as the original evaluator
-did; :func:`term_entry_reference` applies one compiled term to a column row
-by row; :func:`pack_bools_reference` packs flags with per-chunk shifts.
+:func:`evaluate_value_reference` and :func:`evaluate_row_reference` are the
+term interpreter the library evaluated predicates with before every term went
+through :func:`~repro.relational.predicates.compile_term`: one verdict per
+value, and a DNF predicate interpreted on a ``name -> value`` mapping per
+row. :func:`evaluate_on_join_reference` runs that interpreter over every
+joined row; :func:`term_entry_reference` applies one compiled term to a
+column row by row; :func:`pack_bools_reference` packs flags with per-chunk
+shifts.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.exceptions import EvaluationError
 from repro.relational.database import Database
 from repro.relational.evaluator import _check_join_covers, _normalize, result_schema
 from repro.relational.join import JoinedRelation
-from repro.relational.predicates import Term, compile_term
+from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term, compile_term
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 
-__all__ = ["evaluate_on_join_reference", "term_entry_reference", "pack_bools_reference"]
+__all__ = [
+    "evaluate_value_reference",
+    "evaluate_row_reference",
+    "evaluate_on_join_reference",
+    "term_entry_reference",
+    "pack_bools_reference",
+]
+
+
+def evaluate_value_reference(term: Term, value: Any) -> bool:
+    """Whether *term* holds for one attribute value.
+
+    NULL never satisfies any comparison (SQL three-valued logic collapsed
+    to "not selected", which is the behaviour of ``WHERE``).
+    """
+    if value is None:
+        return False
+    if term.op is ComparisonOp.IN:
+        return any(value == c for c in term.constant)
+    if term.op is ComparisonOp.NOT_IN:
+        return not any(value == c for c in term.constant)
+    if term.op is ComparisonOp.EQ:
+        return value == term.constant
+    if term.op is ComparisonOp.NE:
+        return not value == term.constant
+    left = value
+    right = term.constant
+    try:
+        if term.op is ComparisonOp.LT:
+            return left < right
+        if term.op is ComparisonOp.LE:
+            return left <= right
+        if term.op is ComparisonOp.GT:
+            return left > right
+        if term.op is ComparisonOp.GE:
+            return left >= right
+    except TypeError as exc:
+        raise EvaluationError(
+            f"cannot compare {value!r} {term.op.value} {term.constant!r}"
+        ) from exc
+    raise EvaluationError(f"unsupported operator {term.op!r}")  # pragma: no cover
+
+
+def _evaluate_term_row(term: Term, row: Mapping[str, Any]) -> bool:
+    if term.attribute not in row:
+        raise EvaluationError(f"row has no attribute {term.attribute!r}")
+    return evaluate_value_reference(term, row[term.attribute])
+
+
+def evaluate_row_reference(predicate: DNFPredicate | Conjunct, row: Mapping[str, Any]) -> bool:
+    """Whether a predicate (or one conjunct) holds for a ``name -> value`` row.
+
+    A conjunct holds when every term does (an empty one always holds); a
+    predicate when any conjunct does (the empty disjunction always holds).
+    Terms and conjuncts are tried left to right and stop at the first
+    verdict, so an evaluation error surfaces only where it is reached.
+    """
+    if isinstance(predicate, Conjunct):
+        return all(_evaluate_term_row(term, row) for term in predicate.terms)
+    if not predicate.conjuncts:
+        return True
+    return any(evaluate_row_reference(conjunct, row) for conjunct in predicate.conjuncts)
 
 
 def evaluate_on_join_reference(
@@ -31,7 +96,7 @@ def evaluate_on_join_reference(
     projection_positions = [joined.relation.schema.index_of(a) for a in query.projection]
     seen: set[tuple] = set()
     for row_tuple in joined.relation.tuples:
-        if not query.predicate.evaluate_row(dict(zip(names, row_tuple.values))):
+        if not evaluate_row_reference(query.predicate, dict(zip(names, row_tuple.values))):
             continue
         projected = tuple(row_tuple.values[p] for p in projection_positions)
         if query.distinct:

@@ -5,8 +5,8 @@ prologue (:mod:`repro.core.tuple_class`, :mod:`repro.core.modification`,
 :mod:`repro.core.skyline`, :mod:`repro.core.subset_selection`) must agree
 with field for field:
 
-* :func:`match_vector` evaluates every candidate's compiled predicate on a
-  class's representative values;
+* :func:`match_vector` evaluates every candidate's predicate, compiled by
+  :func:`compile_predicate`, on a class's representative values;
 * :func:`destination_classes` enumerates DTCs with
   :func:`itertools.combinations` and :func:`itertools.product`;
 * :class:`ReferencePairSetSimulator` derives every pair's per-query Lemma 5.1
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.cost_model import CostBreakdown, cost_of_effect
@@ -30,15 +30,51 @@ from repro.core.modification import ClassPair, PairSetEffect, balance_score
 from repro.core.skyline import SkylineResult
 from repro.core.subset_selection import SubsetSelectionResult
 from repro.core.tuple_class import TupleClass, TupleClassSpace
-from repro.relational.predicates import compile_predicate
+from repro.exceptions import EvaluationError
+from repro.relational.predicates import DNFPredicate, compile_term
 
 __all__ = [
     "ReferencePairSetSimulator",
+    "compile_predicate",
     "destination_classes",
     "match_vector",
     "reference_pick_subset",
     "reference_skyline",
 ]
+
+
+def compile_predicate(
+    predicate: DNFPredicate, index_of: Mapping[str, int]
+) -> Callable[[Sequence[Any]], bool]:
+    """Compile a DNF predicate into a positional ``row values -> bool`` closure.
+
+    *index_of* maps qualified attribute names to positions in the row value
+    sequence the closure will be applied to. Unknown attributes raise
+    :class:`EvaluationError` at compile time rather than per row.
+    """
+    if predicate.is_true:
+        return lambda values: True
+    compiled_conjuncts: list[tuple[tuple[int, Callable[[Any], bool]], ...]] = []
+    for conjunct in predicate.conjuncts:
+        compiled_terms = []
+        for term in conjunct.terms:
+            try:
+                position = index_of[term.attribute]
+            except KeyError:
+                raise EvaluationError(f"row has no attribute {term.attribute!r}") from None
+            compiled_terms.append((position, compile_term(term)))
+        compiled_conjuncts.append(tuple(compiled_terms))
+
+    def evaluate_positional(values: Sequence[Any]) -> bool:
+        for terms in compiled_conjuncts:
+            for position, test in terms:
+                if not test(values[position]):
+                    break
+            else:
+                return True
+        return False
+
+    return evaluate_positional
 
 
 def match_vector(space: TupleClassSpace, tuple_class: TupleClass) -> tuple[bool, ...]:

@@ -8,8 +8,9 @@ raw values, so distinct integers beyond 2^53 stay distinct.
   inserts it through ``Relation.insert`` (per-cell coercion).
 * :func:`candidate_projections_reference` scans a joined column once per
   (result column, joined column) pair.
-* :func:`build_atom_pool_reference` selects rows with ``Term.evaluate_value``
-  into position sets.
+* :func:`build_atom_pool_reference` selects rows with the term interpreter
+  (:func:`~tests.oracles.evaluator_reference.evaluate_value_reference`) into
+  position sets.
 * :func:`search_conjunctions_reference` and :func:`search_dnf_covers_reference`
   combine those sets with fresh Python sets per combination.
 * :func:`generate_reference` is the generator loop over these pieces, joining
@@ -34,6 +35,7 @@ from repro.relational.predicates import Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import qualify
+from tests.oracles.evaluator_reference import evaluate_value_reference
 
 
 # ------------------------------------------------------------------- the join
@@ -164,7 +166,9 @@ def build_atom_pool_reference(
         if not all(_is_numeric_value(values[i]) or values[i] is None for i in positive):
             terms.extend(_categorical_atoms(attribute, values, positive, negatives, config))
         for term in terms:
-            selected = frozenset(i for i, v in enumerate(values) if term.evaluate_value(v))
+            selected = frozenset(
+                i for i, v in enumerate(values) if evaluate_value_reference(term, v)
+            )
             if not all(p in selected for p in positive):
                 continue
             if negatives and all(n in selected for n in negatives):

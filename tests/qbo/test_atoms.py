@@ -3,6 +3,7 @@
 from repro.qbo.atoms import build_atom_pool
 from repro.qbo.config import QBOConfig
 from repro.relational.columnar import mask_positions
+from repro.relational.database import Database
 from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp
 
@@ -68,6 +69,15 @@ class TestNumericAtoms:
         _, pool = _pool(two_table_db, positive=[0], negative=[1, 2, 3, 4])
         equals = [a for a in pool if a.term.attribute == "Emp.salary" and a.term.op is ComparisonOp.EQ]
         assert equals and equals[0].term.constant == 90
+
+    def test_tight_atoms_keep_integers_beyond_2_53_exact(self):
+        # 2^53 + 1 and 2^53 + 3 have no double of their own; through float()
+        # the tight atoms named 2^53 and missed the positive row.
+        big = 2**53
+        database = Database.from_tables({"S": (["id", "x"], [[0, big + 1], [1, big + 3], [2, 5]])})
+        _, pool = _pool(database, positive=[0], negative=[1, 2], threshold_variants=3)
+        terms = {str(atom.term) for atom in pool if atom.term.attribute == "S.x"}
+        assert {f"S.x <= {big + 1}", f"S.x >= {big + 1}", f"S.x = {big + 1}"} <= terms
 
 
 class TestCategoricalAtoms:

@@ -105,7 +105,8 @@ class TestGeneratorOnJoins:
 class TestExactValues:
     def test_integers_beyond_2_53_stay_distinct(self):
         # x = 2^53 and x = 2^53 + 1 share one float: grouped by float they
-        # made every row ambiguous, and no candidate survived.
+        # made every row ambiguous, and no candidate survived; rounded into
+        # atoms they named 2^53 and selected the wrong row.
         big = 2**53
         database = Database.from_tables(
             {"S": (["id", "x", "name"], [[0, big, "a"], [1, big + 1, "b"], [2, 5, "c"]])},
@@ -113,8 +114,13 @@ class TestExactValues:
         )
         result = Relation.from_rows("R", ["x"], [[big + 1]])
         candidates = QueryGenerator(QBOConfig()).generate(database, result)
-        assert [str(query.predicate) for query in candidates] == ["S.name = 'b'"]
-        assert evaluate(candidates[0], database).bag_equal(result)
+        assert [str(query.predicate) for query in candidates] == [
+            "S.name = 'b'",
+            f"S.x = {big + 1}",
+            f"S.x >= {big + 1}",
+        ]
+        for candidate in candidates:
+            assert evaluate(candidate, database).bag_equal(result)
 
 
 class TestSharedJoinCache:

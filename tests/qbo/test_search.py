@@ -4,6 +4,7 @@ from repro.qbo.atoms import build_atom_pool
 from repro.qbo.config import QBOConfig
 from repro.qbo.search import search_conjunctions, search_dnf_covers
 from repro.relational.join import full_join
+from tests.oracles.evaluator_reference import evaluate_row_reference
 
 
 def _atoms(db, positive, negative, config=None):
@@ -23,12 +24,12 @@ class TestSearchConjunctions:
         positive, negative = [0, 2], [1, 3, 4]
         joined, atoms = _atoms(two_table_db, positive, negative)
         config = QBOConfig()
-        rows = joined.rows_as_mappings()
+        rows = joined.relation.to_dicts()
         for conjunct in search_conjunctions(atoms, positive, negative, config):
             for p in positive:
-                assert conjunct.evaluate_row(rows[p])
+                assert evaluate_row_reference(conjunct, rows[p])
             for n in negative:
-                assert not conjunct.evaluate_row(rows[n])
+                assert not evaluate_row_reference(conjunct, rows[n])
 
     def test_irredundant_results(self, two_table_db):
         positive, negative = [0], [1, 2, 3, 4]
@@ -64,12 +65,12 @@ class TestSearchDNFCovers:
         config = QBOConfig(max_conjuncts=2)
         covers = search_dnf_covers(joined, positive, negative, config)
         assert covers
-        rows = joined.rows_as_mappings()
+        rows = joined.relation.to_dicts()
         for predicate in covers:
             for p in positive:
-                assert predicate.evaluate_row(rows[p])
+                assert evaluate_row_reference(predicate, rows[p])
             for n in negative:
-                assert not predicate.evaluate_row(rows[n])
+                assert not evaluate_row_reference(predicate, rows[n])
 
     def test_cover_respects_max_conjuncts(self, two_table_db):
         positive, negative = [1, 3], [0, 2, 4]
@@ -86,7 +87,7 @@ class TestSearchDNFCovers:
         joined, _ = _atoms(two_table_db, positive, negative)
         config = QBOConfig(max_conjuncts=2, max_terms_per_conjunct=1, allow_membership_terms=False)
         covers = search_dnf_covers(joined, positive, negative, config)
-        rows = joined.rows_as_mappings()
+        rows = joined.relation.to_dicts()
         for predicate in covers:
             for n in negative:
-                assert not predicate.evaluate_row(rows[n])
+                assert not evaluate_row_reference(predicate, rows[n])

@@ -30,7 +30,6 @@ from repro.relational.predicates import (
     Conjunct,
     DNFPredicate,
     Term,
-    compile_predicate,
     compile_term,
 )
 from repro.relational.query import SPJQuery
@@ -38,9 +37,12 @@ from repro.relational.relation import Relation
 from repro.workloads import WORKLOADS, build_pair
 from tests.oracles.evaluator_reference import (
     evaluate_on_join_reference,
+    evaluate_row_reference,
+    evaluate_value_reference,
     pack_bools_reference,
     term_entry_reference,
 )
+from tests.oracles.prologue_reference import compile_predicate
 
 #: Tiny scale keeps the six workload pairs fast while exercising real data.
 _SCALE = 0.03
@@ -128,7 +130,7 @@ class TestCompiledTerms:
                 compiled = compile_term(term)
                 for value in _VALUES:
                     try:
-                        expected = term.evaluate_value(value)
+                        expected = evaluate_value_reference(term, value)
                     except EvaluationError:
                         with pytest.raises(EvaluationError):
                             compiled(value)
@@ -141,7 +143,11 @@ class TestCompiledTerms:
                 term = Term("T.a", op, constants)
                 compiled = compile_term(term)
                 for value in _VALUES:
-                    assert compiled(value) == term.evaluate_value(value), (op, constants, value)
+                    assert compiled(value) == evaluate_value_reference(term, value), (
+                        op,
+                        constants,
+                        value,
+                    )
 
     def test_numeric_constants_share_mask_key(self):
         assert Term("T.a", ComparisonOp.GT, 60).mask_key() == Term(
@@ -151,7 +157,7 @@ class TestCompiledTerms:
             "T.a", ComparisonOp.GE, 60
         ).mask_key()
         # Boolean constants never alias numeric ones in cache keys (even
-        # though ``_safe_eq`` gives EQ True and EQ 1.0 identical row-level
+        # though ``==`` gives EQ True and EQ 1.0 identical row-level
         # semantics today): cache identity must stay conservative.
         assert Term("T.a", ComparisonOp.EQ, True).mask_key() != Term(
             "T.a", ComparisonOp.EQ, 1.0
@@ -160,10 +166,12 @@ class TestCompiledTerms:
             "T.a", ComparisonOp.EQ, 1
         ).mask_key()
         for value in [None, True, False, 0, 1, 1.0, 2, "1", ""]:
-            assert Term("T.a", ComparisonOp.EQ, True).evaluate_value(value) == Term(
-                "T.a", ComparisonOp.EQ, 1.0
-            ).evaluate_value(value)
+            assert compile_term(Term("T.a", ComparisonOp.EQ, True))(value) == compile_term(
+                Term("T.a", ComparisonOp.EQ, 1.0)
+            )(value)
 
+    # The prologue oracle's positional predicate compiler against the
+    # interpreter oracle.
     def test_compile_predicate_matches_evaluate_row(self):
         predicate = DNFPredicate(
             (
@@ -176,7 +184,7 @@ class TestCompiledTerms:
         for a in [None, -5, -1, 0, 10, 11, 2.5]:
             for b in [None, "x", "y"]:
                 row = {"a": a, "b": b}
-                assert compiled((a, b)) == predicate.evaluate_row(row), row
+                assert compiled((a, b)) == evaluate_row_reference(predicate, row), row
 
     def test_compile_predicate_unknown_attribute(self):
         predicate = DNFPredicate.from_terms([Term("missing", ComparisonOp.EQ, 1)])

@@ -1,10 +1,13 @@
 """Unit tests for foreign-key joins, provenance and join indexes."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.exceptions import SchemaError
 from repro.relational.database import Database
-from repro.relational.join import foreign_key_join, full_join
+from repro.relational.join import JOIN_STATS, foreign_key_join, full_join
 from repro.relational.schema import ForeignKey
 
 
@@ -22,7 +25,7 @@ class TestForeignKeyJoin:
 
     def test_join_values_line_up(self, two_table_db):
         joined = foreign_key_join(two_table_db, ["Emp", "Dept"])
-        for row in joined.rows_as_mappings():
+        for row in joined.relation.to_dicts():
             assert row["Emp.did"] == row["Dept.did"]
 
     def test_empty_table_list_rejected(self, two_table_db):
@@ -66,7 +69,7 @@ class TestForeignKeyJoin:
         )
         joined = foreign_key_join(database, ["C", "P"])
         # 2^53 + 1 must not pair with 2^53, which a float() round-trip equates.
-        assert [row["C.cid"] for row in joined.rows_as_mappings()] == [2]
+        assert [row["C.cid"] for row in joined.relation.to_dicts()] == [2]
 
 
 class TestProvenanceAndJoinIndex:
@@ -107,11 +110,6 @@ class TestProvenanceAndJoinIndex:
         with pytest.raises(SchemaError):
             joined.owning_table_of("Nope.x")
 
-    def test_row_as_mapping(self, two_table_db):
-        joined = foreign_key_join(two_table_db, ["Emp", "Dept"])
-        row = joined.row_as_mapping(0)
-        assert set(row) == set(joined.attribute_names)
-
 
 class TestDatasetJoins:
     def test_scientific_join_smaller_than_side_table(self, scientific_db):
@@ -127,3 +125,29 @@ class TestDatasetJoins:
         # but it never doubles it
         assert len(joined) >= batting_rows * 0.5
         assert len(joined) <= batting_rows * 2
+
+
+class TestJoinCounters:
+    def test_full_joins_counted_exactly_under_threads(self):
+        # Rounds of different pairs join in different threads; a read-then-set
+        # increment loses counts when a thread switch lands in between.
+        database = Database.from_tables({"T": (["id"], [[1]])})
+        threads, joins = 4, 5_000
+
+        def work():
+            for _ in range(joins):
+                foreign_key_join(database, ["T"])
+
+        interval = sys.getswitchinterval()
+        before = JOIN_STATS.full_joins
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert JOIN_STATS.full_joins - before == threads * joins

@@ -2,8 +2,9 @@
 
 One property drives three implementations of the same comparison over
 columns containing NULLs and constants that are NULL, NaN or
-type-incomparable — the row-at-a-time interpreter (``Term.evaluate_value``),
-the compiled term closures, and the columnar batch masks — and demands they
+type-incomparable — the row-at-a-time interpreter (the oracle
+:func:`~tests.oracles.evaluator_reference.evaluate_value_reference`), the
+compiled term closures, and the columnar batch masks — and demands they
 all agree. The evaluator's semantics are *not* SQL's: ``NULL`` values fail
 every predicate outright (no three-valued ``UNKNOWN`` propagation), ``NOT
 IN`` with a NULL in the list still selects rows, and ordering a value
@@ -20,6 +21,7 @@ from repro.exceptions import EvaluationError
 from repro.relational.columnar import ColumnarView, pack_bools
 from repro.relational.database import Database
 from repro.relational.predicates import ComparisonOp, Term, compile_term
+from tests.oracles.evaluator_reference import evaluate_value_reference
 
 _SETTINGS = settings(
     max_examples=80,
@@ -70,6 +72,16 @@ _term_spec = st.tuples(
 
 _COLUMNS = ["i", "f", "b", "s"]
 
+#: IN/NOT IN lists mixing one number in three types, the 2^53 neighbourhood,
+#: NaN and NULL: the hashed membership lookup must give the verdicts of
+#: ``any(value == c)``.
+_MEMBERS = [True, 1, 1.0, BIG - 1, BIG, BIG + 1, NAN, None, "x"]
+_membership_spec = st.tuples(
+    st.sampled_from(_COLUMNS),
+    st.sampled_from([ComparisonOp.IN, ComparisonOp.NOT_IN]),
+    st.lists(st.sampled_from(_MEMBERS), max_size=5),
+)
+
 
 def _ids(relation):
     return [t.tuple_id for t in relation.tuples]
@@ -86,7 +98,7 @@ def _interpret(term: Term, values):
     errored = False
     for value in values:
         try:
-            verdicts.append(term.evaluate_value(value))
+            verdicts.append(evaluate_value_reference(term, value))
         except EvaluationError:
             verdicts.append(None)
             errored = True
@@ -115,6 +127,22 @@ class TestThreePathNullConsistency:
         # Path 3: the columnar term mask, bit for bit.
         view = ColumnarView(relation)
         assert view.term_mask(Term(column, op, constant)) == pack_bools(verdicts)
+
+    @_SETTINGS
+    @given(rows=st.lists(_row, min_size=0, max_size=8), spec=_membership_spec)
+    def test_membership_lists_agree(self, rows, spec):
+        column, op, constants = spec
+        qualified = Term(f"T.{column}", op, tuple(constants))
+        relation = _database(rows).relation("T")
+        values = relation.column(column)
+        verdicts, errored = _interpret(qualified, values)
+        assert not errored
+
+        compiled = compile_term(qualified)
+        assert [compiled(v) for v in values] == verdicts
+
+        view = ColumnarView(relation)
+        assert view.term_mask(Term(column, op, tuple(constants))) == pack_bools(verdicts)
 
 
 class TestPinnedNullCases:
@@ -161,7 +189,7 @@ class TestPinnedNullCases:
 
     def test_ordering_against_null_constant_is_an_error(self):
         with pytest.raises(EvaluationError):
-            Term("T.i", ComparisonOp.LT, None).evaluate_value(1)
+            compile_term(Term("T.i", ComparisonOp.LT, None))(1)
 
     def test_string_literal_never_matches_integers(self):
         # Unlike SQLite's affinity coercion ('1' = 1 on a TEXT column), the
@@ -199,8 +227,18 @@ class TestPinnedNullCases:
         # ``"x" < nan`` is a cross-type ordering *error*, not a benign False;
         # over numeric columns every ordering against NaN is just False.
         with pytest.raises(EvaluationError):
-            Term("T.s", ComparisonOp.LT, NAN).evaluate_value("x")
-        assert Term("T.f", ComparisonOp.LT, NAN).evaluate_value(0.0) is False
+            compile_term(Term("T.s", ComparisonOp.LT, NAN))("x")
+        assert compile_term(Term("T.f", ComparisonOp.LT, NAN))(0.0) is False
+
+    def test_nan_value_never_matches_a_nan_member(self):
+        # Relations hold no NaN, but a compiled test may meet one. It is the
+        # same object as the member, and ``nan == nan`` is False: a lookup
+        # that matched by identity would say it is a member.
+        for constants in [(NAN,), (NAN, 1.0), (1.0, NAN, None)]:
+            for op in (ComparisonOp.IN, ComparisonOp.NOT_IN):
+                term = Term("T.f", op, constants)
+                assert compile_term(term)(NAN) is (op is ComparisonOp.NOT_IN)
+                assert compile_term(term)(NAN) == evaluate_value_reference(term, NAN)
 
     def test_huge_int_neighbours_stay_exact(self):
         # 2^53 and 2^53 + 1 collapse after a float() round-trip; every path

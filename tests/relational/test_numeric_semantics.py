@@ -1,8 +1,9 @@
 """Cross-engine numeric/type-semantics consistency.
 
 One property drives four implementations of the same comparison — the
-row-at-a-time interpreter (``Term.evaluate_value``), the compiled term
-closures, the columnar batch masks, and the SQLite oracle — over mixed
+row-at-a-time interpreter (the oracle
+:func:`~tests.oracles.evaluator_reference.evaluate_value_reference`), the
+compiled term closures, the columnar batch masks, and the SQLite oracle — over mixed
 ``True/1/1.0`` domains and integers straddling 2^53, and demands they all
 agree. This is the contract the scenario engine leans on: a single wrong
 comparison silently corrupts partition signatures and with them the whole
@@ -28,7 +29,7 @@ from repro.relational.evaluator import evaluate
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term, compile_term
 from repro.relational.query import SPJQuery
 from repro.sql.sqlite_backend import SQLiteBackend
-from tests.oracles.evaluator_reference import term_entry_reference
+from tests.oracles.evaluator_reference import evaluate_value_reference, term_entry_reference
 
 _SETTINGS = settings(
     max_examples=60,
@@ -88,6 +89,18 @@ def _database(rows) -> Database:
     return Database.from_tables({"T": (["i", "f", "b", "s"], [list(r) for r in rows])})
 
 
+#: IN/NOT IN lists mixing one number in three types, the 2^53 neighbourhood,
+#: NaN and NULL. SQL gives NULL and NaN members other semantics, so lists
+#: holding them skip the SQLite path. No list is empty: SQL's ``NULL NOT IN
+#: ()`` holds, and the NULL suite covers empty lists.
+_MEMBERS = [True, 1, 1.0, BIG - 1, BIG, BIG + 1, float(BIG), math.nan, None]
+_membership_spec = st.tuples(
+    st.sampled_from(["i", "f", "b"]),
+    st.sampled_from([ComparisonOp.IN, ComparisonOp.NOT_IN]),
+    st.lists(st.sampled_from(_MEMBERS), min_size=1, max_size=5),
+)
+
+
 class TestFourPathConsistency:
     @_SETTINGS
     @given(rows=st.lists(_row, min_size=1, max_size=10), spec=_term_spec)
@@ -102,7 +115,7 @@ class TestFourPathConsistency:
 
         # Path 1 vs 2: interpreter vs compiled closure, value by value.
         compiled = compile_term(qualified)
-        interpreted = [qualified.evaluate_value(v) for v in values]
+        interpreted = [evaluate_value_reference(qualified, v) for v in values]
         assert [compiled(v) for v in values] == interpreted
 
         # Path 3: the columnar term mask, bit for bit.
@@ -118,6 +131,31 @@ class TestFourPathConsistency:
         with SQLiteBackend(database) as backend:
             theirs = backend.execute(query)
         assert ours.bag_equal(theirs), (op, constant)
+
+    @_SETTINGS
+    @given(rows=st.lists(_row, min_size=1, max_size=10), spec=_membership_spec)
+    def test_membership_lists_agree_on_every_path(self, rows, spec):
+        column, op, constants = spec
+        qualified = Term(f"T.{column}", op, tuple(constants))
+        database = _database(rows)
+        relation = database.relation("T")
+        values = relation.column(column)
+
+        compiled = compile_term(qualified)
+        interpreted = [evaluate_value_reference(qualified, v) for v in values]
+        assert [compiled(v) for v in values] == interpreted
+
+        view = ColumnarView(relation)
+        assert view.term_mask(Term(column, op, tuple(constants))) == pack_bools(interpreted)
+
+        if any(c is None or c != c for c in constants):
+            return
+        query = SPJQuery(
+            ["T"], ["T.i", "T.f", "T.b", "T.s"], DNFPredicate.from_terms([qualified])
+        )
+        with SQLiteBackend(database) as backend:
+            theirs = backend.execute(query)
+        assert evaluate(query, database).bag_equal(theirs), (op, constants)
 
     @_SETTINGS
     @given(rows=st.lists(_row, min_size=1, max_size=8))

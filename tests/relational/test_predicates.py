@@ -1,9 +1,30 @@
-"""Unit tests for terms, conjuncts and DNF predicates."""
+"""Unit tests for terms, conjuncts and DNF predicates.
+
+A term's semantics are its compiled test (``compile_term(term)(value)``), the
+only term evaluator the library has; conjuncts and predicates are evaluated
+through the columnar engine's masks. The interpreter they replaced is the
+oracle in :mod:`tests.oracles.evaluator_reference`.
+"""
 
 import pytest
 
 from repro.exceptions import EvaluationError
-from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term, always_true
+from repro.relational.columnar import ColumnarView, mask_positions
+from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term, compile_term
+from repro.relational.relation import Relation
+from tests.oracles.evaluator_reference import evaluate_value_reference
+
+
+def _holds(term, value):
+    return compile_term(term)(value)
+
+
+def _selected(predicate, rows):
+    """Positions of the ``(a, b)`` rows the predicate (or conjunct) selects."""
+    view = ColumnarView(Relation.from_rows("T", ["a", "b"], rows))
+    if isinstance(predicate, Conjunct):
+        return mask_positions(view.conjunct_mask(predicate))
+    return mask_positions(view.predicate_mask(predicate))
 
 
 class TestComparisonOp:
@@ -12,58 +33,58 @@ class TestComparisonOp:
             assert op.negate().negate() is op
 
     def test_categories(self):
-        assert ComparisonOp.LT.is_ordering
-        assert not ComparisonOp.EQ.is_ordering
         assert ComparisonOp.IN.is_membership
         assert not ComparisonOp.GT.is_membership
 
 
 class TestTermEvaluation:
     def test_equality_and_inequality(self):
-        assert Term("a", ComparisonOp.EQ, 5).evaluate_value(5)
-        assert Term("a", ComparisonOp.EQ, 5).evaluate_value(5.0)
-        assert not Term("a", ComparisonOp.EQ, 5).evaluate_value(6)
-        assert Term("a", ComparisonOp.NE, 5).evaluate_value(6)
+        assert _holds(Term("a", ComparisonOp.EQ, 5), 5)
+        assert _holds(Term("a", ComparisonOp.EQ, 5), 5.0)
+        assert not _holds(Term("a", ComparisonOp.EQ, 5), 6)
+        assert _holds(Term("a", ComparisonOp.NE, 5), 6)
 
     def test_orderings(self):
-        assert Term("a", ComparisonOp.LT, 5).evaluate_value(4)
-        assert not Term("a", ComparisonOp.LT, 5).evaluate_value(5)
-        assert Term("a", ComparisonOp.LE, 5).evaluate_value(5)
-        assert Term("a", ComparisonOp.GT, 5).evaluate_value(6)
-        assert Term("a", ComparisonOp.GE, 5).evaluate_value(5)
+        assert _holds(Term("a", ComparisonOp.LT, 5), 4)
+        assert not _holds(Term("a", ComparisonOp.LT, 5), 5)
+        assert _holds(Term("a", ComparisonOp.LE, 5), 5)
+        assert _holds(Term("a", ComparisonOp.GT, 5), 6)
+        assert _holds(Term("a", ComparisonOp.GE, 5), 5)
 
     def test_membership(self):
         term = Term("a", ComparisonOp.IN, ("x", "y"))
-        assert term.evaluate_value("x")
-        assert not term.evaluate_value("z")
+        assert _holds(term, "x")
+        assert not _holds(term, "z")
         negated = Term("a", ComparisonOp.NOT_IN, ("x", "y"))
-        assert negated.evaluate_value("z")
-        assert not negated.evaluate_value("x")
+        assert _holds(negated, "z")
+        assert not _holds(negated, "x")
+
+    def test_membership_with_unhashable_constants_or_values(self):
+        # The hashed lookup falls back to scanning with ``==``.
+        term = Term("a", ComparisonOp.IN, ([1], 2))
+        assert _holds(term, [1]) and _holds(term, 2) and not _holds(term, 3)
+        assert not _holds(Term("a", ComparisonOp.IN, (1, 2)), [1])
+        assert _holds(Term("a", ComparisonOp.NOT_IN, (1, 2)), [1])
+        # An unhashable value can still equal a hashable constant.
+        assert _holds(Term("a", ComparisonOp.IN, (b"a", 2)), bytearray(b"a"))
+        assert not _holds(Term("a", ComparisonOp.NOT_IN, (b"a", 2)), bytearray(b"a"))
 
     def test_null_never_matches(self):
         for op in ComparisonOp:
             constant = ("x",) if op.is_membership else "x"
-            assert not Term("a", op, constant).evaluate_value(None)
+            assert not _holds(Term("a", op, constant), None)
 
     def test_string_ordering(self):
-        assert Term("a", ComparisonOp.LT, "m").evaluate_value("a")
+        assert _holds(Term("a", ComparisonOp.LT, "m"), "a")
 
     def test_mixed_type_comparison_raises(self):
         with pytest.raises(EvaluationError):
-            Term("a", ComparisonOp.LT, "x").evaluate_value(5)
+            _holds(Term("a", ComparisonOp.LT, "x"), 5)
 
-    def test_evaluate_row_requires_attribute(self):
-        term = Term("T.a", ComparisonOp.EQ, 1)
-        assert term.evaluate_row({"T.a": 1})
-        with pytest.raises(EvaluationError):
-            term.evaluate_row({"T.b": 1})
-
-    def test_satisfied_by_all_and_none(self):
-        term = Term("a", ComparisonOp.GT, 3)
-        assert term.satisfied_by_all([4, 5])
-        assert not term.satisfied_by_all([4, 2])
-        assert term.satisfied_by_none([1, 2])
-        assert not term.satisfied_by_none([1, 4])
+    def test_predicate_requires_attribute(self):
+        predicate = DNFPredicate.from_terms([Term("c", ComparisonOp.EQ, 1)])
+        with pytest.raises(EvaluationError, match="no attribute 'c'"):
+            _selected(predicate, [[1, "x"]])
 
 
 class TestTermStructure:
@@ -76,12 +97,6 @@ class TestTermStructure:
         assert term.with_constant(2).constant == 2
         assert term.constant == 1
 
-    def test_numeric_breakpoints_direction(self):
-        assert (5.0, True) in Term("a", ComparisonOp.LE, 5).numeric_breakpoints()
-        assert (5.0, False) in Term("a", ComparisonOp.LT, 5).numeric_breakpoints()
-        assert len(Term("a", ComparisonOp.EQ, 5).numeric_breakpoints()) == 2
-        assert Term("a", ComparisonOp.EQ, "x").numeric_breakpoints() == []
-
     def test_str_rendering(self):
         assert str(Term("a", ComparisonOp.EQ, "it's")) == "a = 'it''s'"
         assert str(Term("a", ComparisonOp.IN, (1, 2))) == "a IN (1, 2)"
@@ -90,12 +105,11 @@ class TestTermStructure:
 
 class TestConjunct:
     def test_empty_conjunct_is_true(self):
-        assert Conjunct(()).evaluate_row({"a": 1})
+        assert _selected(Conjunct(()), [[1, "x"]]) == [0]
 
     def test_all_terms_must_hold(self):
         conjunct = Conjunct((Term("a", ComparisonOp.GT, 1), Term("b", ComparisonOp.EQ, "x")))
-        assert conjunct.evaluate_row({"a": 2, "b": "x"})
-        assert not conjunct.evaluate_row({"a": 2, "b": "y"})
+        assert _selected(conjunct, [[2, "x"], [2, "y"]]) == [0]
 
     def test_attributes_and_terms_on(self):
         conjunct = Conjunct((Term("a", ComparisonOp.GT, 1), Term("b", ComparisonOp.EQ, 2),
@@ -111,14 +125,13 @@ class TestConjunct:
 
 class TestDNFPredicate:
     def test_true_predicate(self):
-        assert always_true().is_true
-        assert always_true().evaluate_row({"anything": 1})
-        assert str(always_true()) == "TRUE"
+        assert DNFPredicate.true().is_true
+        assert _selected(DNFPredicate.true(), [[1, "x"]]) == [0]
+        assert str(DNFPredicate.true()) == "TRUE"
 
     def test_single_conjunct(self):
         predicate = DNFPredicate.from_terms([Term("a", ComparisonOp.GT, 1)])
-        assert predicate.evaluate_row({"a": 2})
-        assert not predicate.evaluate_row({"a": 0})
+        assert _selected(predicate, [[2, "x"], [0, "x"]]) == [0]
 
     def test_disjunction(self):
         predicate = DNFPredicate(
@@ -127,9 +140,7 @@ class TestDNFPredicate:
                 Conjunct((Term("b", ComparisonOp.EQ, 2),)),
             )
         )
-        assert predicate.evaluate_row({"a": 1, "b": 0})
-        assert predicate.evaluate_row({"a": 0, "b": 2})
-        assert not predicate.evaluate_row({"a": 0, "b": 0})
+        assert _selected(predicate, [[1, 0], [0, 2], [0, 0]]) == [0, 1]
         assert "OR" in str(predicate)
 
     def test_attributes_and_term_count(self):
@@ -167,37 +178,35 @@ class TestLargeIntegerExactness:
 
     def test_equality_is_exact_at_2_pow_53(self):
         term = Term("a", ComparisonOp.EQ, self.BIG)
-        assert term.evaluate_value(self.BIG)
-        assert not term.evaluate_value(self.BIG + 1)
-        assert not term.evaluate_value(self.BIG - 1)
+        assert _holds(term, self.BIG)
+        assert not _holds(term, self.BIG + 1)
+        assert not _holds(term, self.BIG - 1)
         neighbour = Term("a", ComparisonOp.EQ, self.BIG + 1)
-        assert neighbour.evaluate_value(self.BIG + 1)
-        assert not neighbour.evaluate_value(self.BIG)
+        assert _holds(neighbour, self.BIG + 1)
+        assert not _holds(neighbour, self.BIG)
 
     def test_ordering_is_exact_at_2_pow_53(self):
         # float-normalized: 2^53 + 1 > 2^53 evaluated False.
-        assert Term("a", ComparisonOp.GT, self.BIG).evaluate_value(self.BIG + 1)
-        assert not Term("a", ComparisonOp.GT, self.BIG).evaluate_value(self.BIG)
-        assert Term("a", ComparisonOp.LT, self.BIG + 1).evaluate_value(self.BIG)
-        assert Term("a", ComparisonOp.LE, self.BIG).evaluate_value(self.BIG)
-        assert not Term("a", ComparisonOp.LE, self.BIG).evaluate_value(self.BIG + 1)
+        assert _holds(Term("a", ComparisonOp.GT, self.BIG), self.BIG + 1)
+        assert not _holds(Term("a", ComparisonOp.GT, self.BIG), self.BIG)
+        assert _holds(Term("a", ComparisonOp.LT, self.BIG + 1), self.BIG)
+        assert _holds(Term("a", ComparisonOp.LE, self.BIG), self.BIG)
+        assert not _holds(Term("a", ComparisonOp.LE, self.BIG), self.BIG + 1)
 
     def test_membership_is_exact_at_2_pow_53(self):
         term = Term("a", ComparisonOp.IN, (self.BIG, self.BIG + 2))
-        assert term.evaluate_value(self.BIG)
-        assert not term.evaluate_value(self.BIG + 1)
-        assert Term("a", ComparisonOp.NOT_IN, (self.BIG,)).evaluate_value(self.BIG + 1)
+        assert _holds(term, self.BIG)
+        assert not _holds(term, self.BIG + 1)
+        assert _holds(Term("a", ComparisonOp.NOT_IN, (self.BIG,)), self.BIG + 1)
 
     def test_compiled_terms_agree_with_interpreter(self):
-        from repro.relational.predicates import compile_term
-
         values = [self.BIG - 1, self.BIG, self.BIG + 1, float(self.BIG), None]
         for op in ComparisonOp:
             constant = (self.BIG, self.BIG + 1) if op.is_membership else self.BIG
             term = Term("a", op, constant)
             compiled = compile_term(term)
             for value in values:
-                assert compiled(value) == term.evaluate_value(value), (op, value)
+                assert compiled(value) == evaluate_value_reference(term, value), (op, value)
 
     def test_mask_keys_distinguish_neighbouring_big_ints(self):
         # Distinct constants must never share a term-mask cache entry.
@@ -213,13 +222,8 @@ class TestLargeIntegerExactness:
         # float(2^53 + 1) literally IS 2^53, so an EQ against it matches the
         # int 2^53 (exact mathematical equality) and not 2^53 + 1.
         term = Term("a", ComparisonOp.EQ, float(self.BIG + 1))
-        assert term.evaluate_value(self.BIG)
-        assert not term.evaluate_value(self.BIG + 1)
-
-    def test_numeric_breakpoints_stay_distinct(self):
-        low = Term("a", ComparisonOp.LE, self.BIG).numeric_breakpoints()
-        high = Term("a", ComparisonOp.LE, self.BIG + 1).numeric_breakpoints()
-        assert {v for v, _ in low} != {v for v, _ in high}
+        assert _holds(term, self.BIG)
+        assert not _holds(term, self.BIG + 1)
 
 
 class TestCompiledTermMemo:
@@ -242,7 +246,7 @@ class TestCompiledTermMemo:
         ids=["int-then-bool", "bool-then-int", "float-then-int", "int-then-float"],
     )
     def test_compiled_message_names_the_terms_own_constant(self, op, constants):
-        from repro.relational.predicates import _compile_term_cached, compile_term
+        from repro.relational.predicates import _compile_term_cached
 
         _compile_term_cached.cache_clear()  # the compile order is the point
         terms = [Term("t.v", op, constant) for constant in constants]
@@ -250,6 +254,6 @@ class TestCompiledTermMemo:
         compiled = [compile_term(term) for term in terms]
         for term, test in zip(terms, compiled):
             with pytest.raises(EvaluationError) as interpreted:
-                term.evaluate_value("x")
+                evaluate_value_reference(term, "x")
             assert self._message(test, "x") == str(interpreted.value)
             assert repr(term.constant) in str(interpreted.value)
