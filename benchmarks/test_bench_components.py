@@ -9,6 +9,8 @@ substrate show up even without rerunning the full experiments.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import QFEConfig
@@ -31,6 +33,7 @@ from repro.relational.evaluator import (
 )
 from repro.relational.join import JOIN_STATS, full_join
 from repro.workloads import build_pair
+from tests.columns import joined_rows
 from tests.oracles.evaluator_reference import evaluate_on_join_reference
 
 _QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candidates=25)
@@ -82,10 +85,12 @@ def test_bench_all_candidates_rowwise_reference(benchmark, scientific_setup):
 @pytest.mark.benchmark(group="candidate-batch")
 def test_bench_all_candidates_batch_cold(benchmark, scientific_setup):
     database, _, _, candidates, joined, _ = scientific_setup
+    rows = joined_rows(joined)
 
     def run():
-        view = ColumnarView(joined.relation)  # fresh view: no cached masks
-        return evaluate_batch(candidates, joined, database, columnar=view)
+        # The same join over a fresh view: no cached masks.
+        cold = dataclasses.replace(joined, view=ColumnarView(joined.attribute_names, rows))
+        return evaluate_batch(candidates, cold, database)
 
     batch = benchmark(run)
     assert len(batch) == len(candidates)
@@ -94,7 +99,6 @@ def test_bench_all_candidates_batch_cold(benchmark, scientific_setup):
 @pytest.mark.benchmark(group="candidate-batch")
 def test_bench_all_candidates_batch_warm(benchmark, scientific_setup):
     database, _, _, candidates, joined, _ = scientific_setup
-    joined.columnar()  # ensure the shared view exists
 
     def run():
         return evaluate_batch(candidates, joined, database)
@@ -114,7 +118,6 @@ def test_bench_all_candidates_batch_warm(benchmark, scientific_setup):
 @pytest.fixture(scope="module")
 def delta_setup(scientific_setup):
     database, _, _, candidates, joined, _ = scientific_setup
-    joined.columnar()
     evaluate_batch(candidates, joined, database)  # warm base masks, as a session would
     derived_db = database.copy()
     table = derived_db.table_names[0]
@@ -139,9 +142,8 @@ def test_bench_candidate_evaluation_rebuild(benchmark, delta_setup):
     _, derived_db, _, candidates, _ = delta_setup
 
     def run():
-        joined = full_join(derived_db)
-        view = ColumnarView(joined.relation)  # cold: no shared masks
-        return evaluate_batch(candidates, joined, derived_db, columnar=view)
+        # A fresh join builds a fresh view: no shared masks.
+        return evaluate_batch(candidates, full_join(derived_db), derived_db)
 
     batch = benchmark(run)
     assert len(batch) == len(candidates)

@@ -107,7 +107,7 @@ class SerialBackend:
         # every term a view already caches), so each attempt below derives
         # its masks in O(|Δ|).
         for query in plan.queries:
-            join_cache.columnar_for(plan.original, query.join_signature).predicate_mask(
+            join_cache.join_for(plan.original, query.join_signature).columnar().predicate_mask(
                 query.predicate
             )
         outcomes: list[AttemptOutcome] = []

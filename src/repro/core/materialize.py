@@ -2,9 +2,10 @@
 
 A class pair ``(s, d)`` is abstract: "move some tuple from class ``s`` to
 class ``d``". Materialization picks a concrete joined row in ``s``, maps each
-changed selection attribute back to the owning base relation through the join
-provenance, chooses a concrete destination value from the destination domain
-subset, and applies the change to a copy of the original database.
+changed selection attribute back to the owning base relation through the
+join's base-tuple ids, chooses a concrete destination value from the
+destination domain subset, and applies the change to a copy of the original
+database.
 
 Concrete choices follow the paper's preferences:
 

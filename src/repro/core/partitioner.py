@@ -80,13 +80,6 @@ class QueryPartition:
         """The group with the most queries (worst-case user feedback picks this)."""
         return max(self.groups, key=lambda group: (len(group), -self.groups.index(group)))
 
-    def group_containing(self, query: SPJQuery) -> QueryGroup | None:
-        """The group containing *query* (by query equality), if any."""
-        for group in self.groups:
-            if any(candidate == query for candidate in group.queries):
-                return group
-        return None
-
 
 def partition_queries(
     queries: Sequence[SPJQuery],

@@ -434,12 +434,6 @@ class TupleClassSpace:
         """The tuple class of the joined row at *position*."""
         return self._row_classes[position]
 
-    def max_subsets_per_attribute(self) -> int:
-        """``k = max_i |P_QC(A_i)|`` — drives Algorithm 3's complexity bound."""
-        if not self.partitions:
-            return 1
-        return max(len(partition) for partition in self.partitions.values())
-
     # --------------------------------------------------------------- matching
     def queries_of_conjuncts(self, conjunct_mask: int) -> int:
         """The query mask (bit ``i`` = candidate ``i`` matches) of a conjunct mask.

@@ -162,7 +162,7 @@ class QueryGenerator:
         report: GenerationReport,
     ) -> None:
         config = self.config
-        projection_positions = [joined.relation.schema.index_of(a) for a in projection]
+        projection_positions = [joined.schema.index_of(a) for a in projection]
         labeling = label_rows(joined, projection_positions, result, set_semantics=set_semantics)
         if not labeling.feasible:
             return

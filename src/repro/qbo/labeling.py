@@ -66,9 +66,10 @@ def label_rows(
     # Raw value tuples as keys: ``==`` and ``hash`` already equate 1, 1.0
     # and True, and stay exact for integers beyond 2^53.
     required: Counter = Counter(result.rows())
+    view = joined.columnar()
+    projected = [view.column(view.names[p]) for p in projection_positions]
     groups: dict[tuple, list[int]] = {}
-    for position, row in enumerate(joined.relation.tuples):
-        key = tuple([row.values[p] for p in projection_positions])
+    for position, key in enumerate(zip(*projected)):
         groups.setdefault(key, []).append(position)
 
     # Feasibility: every required projected value must be producible, with

@@ -53,14 +53,13 @@ def candidate_projections(
     users who keep column names). The cartesian product across result columns
     is capped at ``config.max_projection_mappings``.
     """
-    joined_schema = joined.relation.schema
     view = joined.columnar()
     domains: dict[str, set] = {}  # joined column -> its non-NULL values, built on demand
     per_column_candidates: list[list[str]] = []
     for result_attribute in result.schema.attributes:
         needed_values = _value_set(result.column(result_attribute.name))
         matches: list[str] = []
-        for joined_attribute in joined_schema.attributes:
+        for joined_attribute in joined.schema.attributes:
             if not _types_compatible(result_attribute.type, joined_attribute.type):
                 continue
             name = joined_attribute.name

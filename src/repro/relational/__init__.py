@@ -2,8 +2,8 @@
 
 This package implements everything the QFE algorithms assume from an RDBMS:
 typed schemas with primary/foreign keys, bag-semantics relations, foreign-key
-joins with join indexes and provenance, SPJ/SPJU query evaluation, the Section
-3 edit model (``minEdit``), the recorded tuple delta and delta
+joins with base-tuple ids and join indexes, SPJ/SPJU query evaluation, the
+Section 3 edit model (``minEdit``), the recorded tuple delta and delta
 presentation.
 """
 

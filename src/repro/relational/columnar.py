@@ -1,4 +1,4 @@
-"""Columnar, late-materialized views of relations and joins.
+"""Columnar, late-materialized views of joins.
 
 The QFE inner loop evaluates every surviving candidate query on every freshly
 generated modified database. All candidates share one foreign-key join, and
@@ -17,30 +17,29 @@ Storage layout
 --------------
 
 Each column is the tuple ``zip(*rows)`` builds: references to the values the
-joined relation's tuples already hold, so a column costs one pointer per
-cell and every value keeps its exact Python identity and type (NULLs, ints
-beyond 2^53 or 2^63, NaN, mixed types). What makes the inner loop cheap is
-the term-mask cache, not the cell encoding: :class:`ColumnarView` keys it on
+base relations' tuples already hold, so a column costs one pointer per cell
+and every value keeps its exact Python identity and type (NULLs, ints beyond
+2^53 or 2^63, NaN, mixed types). A join keeps no other copy of its rows: a
+:class:`~repro.relational.join.JoinedRelation` is this view plus one base
+``tuple_id`` column per table. What makes the inner loop cheap is the
+term-mask cache, not the cell encoding: :class:`ColumnarView` keys it on
 ``Term.mask_key()`` — ``(attribute, op, normalized constant)`` — so the many
 QBO-generated candidates that share terms evaluate each distinct term exactly
 once per join, and :meth:`ColumnarView.derive` patches cached masks in
 O(|Δ|) for a modified database.
 
-Views are built from an immutable snapshot of a relation: if the underlying
-database copy is modified, the view must be invalidated and rebuilt (see
-``JoinedRelation.invalidate_columnar`` and ``JoinCache.invalidate``).
+A view is immutable: a modified database gets a new view, either a cold join
+or one derived from its base's view (``JoinCache.invalidate`` drops the
+cached joins of a database modified in place).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.exceptions import EvaluationError
 from repro.obs.registry import RegistryStats
 from repro.relational.predicates import Conjunct, DNFPredicate, Term, compile_term
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (join imports us lazily)
-    from repro.relational.relation import Relation
 
 __all__ = [
     "ColumnarView",
@@ -128,11 +127,10 @@ def _evaluate_guarded(test: Callable[[Any], bool], value: Any) -> tuple[bool, Ev
 
 
 class ColumnarView:
-    """Column-major view of a relation plus the shared term-mask cache.
+    """Column-major rows plus the shared term-mask cache.
 
-    The view snapshots the relation's tuples at construction time; it does not
-    observe later modifications of the relation. Callers that mutate a
-    database instance whose join/view is cached must invalidate first.
+    The view is immutable: its columns are built once from the rows it is
+    given, and :meth:`derive` returns a new view instead of patching this one.
 
     Error semantics replicate the short-circuit behaviour of the row-at-a-time
     interpreter (the test oracle in ``tests/oracles/evaluator_reference.py``)
@@ -154,13 +152,12 @@ class ColumnarView:
         "_all_rows_mask",
     )
 
-    def __init__(self, relation: "Relation") -> None:
-        self.names: tuple[str, ...] = relation.schema.attribute_names
+    def __init__(self, names: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+        self.names: tuple[str, ...] = tuple(names)
         self._index = {name: position for position, name in enumerate(self.names)}
-        tuples = relation.tuples
-        self.row_count = len(tuples)
-        if tuples:
-            self._columns: list[tuple[Any, ...]] = list(zip(*(t.values for t in tuples)))
+        self.row_count = len(rows)
+        if rows:
+            self._columns: list[tuple[Any, ...]] = list(zip(*rows))
         else:
             self._columns = [() for _ in self.names]
         self._term_masks: dict[tuple, tuple[int, int, EvaluationError | None]] = {}

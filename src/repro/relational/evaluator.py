@@ -23,13 +23,13 @@ Section 5 assumption; ``distinct=True`` on a query switches to set semantics
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.exceptions import UnsupportedQueryError
 from repro.obs.trace import get_tracer
-from repro.relational.columnar import ColumnarView, mask_positions
+from repro.relational.columnar import ColumnarView
 from repro.relational.database import Database
 from repro.relational.join import JoinedRelation, foreign_key_join
 from repro.relational.query import SPJQuery, SPJUQuery
@@ -85,7 +85,6 @@ def evaluate_on_join(
     database: Database,
     *,
     name: str = "Result",
-    columnar: ColumnarView | None = None,
 ) -> Relation:
     """Execute an SPJ query against a pre-materialized join of its tables.
 
@@ -98,8 +97,8 @@ def evaluate_on_join(
     """
     _check_join_covers(query, joined)
     schema = result_schema(query, database, name=name)
-    projection_positions = [joined.relation.schema.index_of(a) for a in query.projection]
-    view = columnar if columnar is not None else joined.columnar()
+    projection_positions = [joined.schema.index_of(a) for a in query.projection]
+    view = joined.columnar()
     mask = view.predicate_mask(query.predicate)
     return _materialize_selection(view, mask, projection_positions, schema, query.distinct)
 
@@ -123,7 +122,7 @@ def _materialize_selection(
 
 @dataclass(frozen=True)
 class BatchEvaluation:
-    """Results (and optional fingerprints) of evaluating many candidates at once.
+    """Results and fingerprints of evaluating many candidates at once.
 
     ``results[i]`` / ``fingerprints[i]`` correspond to the *i*-th query passed
     to :func:`evaluate_batch`. Candidates that select identical rows under the
@@ -132,7 +131,7 @@ class BatchEvaluation:
     """
 
     results: tuple[Relation, ...]
-    fingerprints: tuple[Any, ...] | None
+    fingerprints: tuple[frozenset, ...]
 
     def __len__(self) -> int:
         return len(self.results)
@@ -145,8 +144,6 @@ def evaluate_batch(
     *,
     set_semantics: bool = False,
     name: str = "Result",
-    with_fingerprints: bool = True,
-    columnar: ColumnarView | None = None,
 ) -> BatchEvaluation:
     """Evaluate all *queries* over one pre-materialized join in a single pass.
 
@@ -156,14 +153,13 @@ def evaluate_batch(
     with ``t`` distinct terms and ``g`` distinct results costs ``O(t)`` column
     scans plus ``O(g)`` result materializations, not ``O(q)`` of each.
     """
-    view = columnar if columnar is not None else joined.columnar()
-    join_schema = joined.relation.schema
+    view = joined.columnar()
     results: list[Relation] = []
-    fingerprints: list[Any] = []
-    shared: dict[tuple, tuple[Relation, Any]] = {}
+    fingerprints: list[frozenset] = []
+    shared: dict[tuple, tuple[Relation, frozenset]] = {}
     for query in queries:
         _check_join_covers(query, joined)
-        projection_positions = tuple(join_schema.index_of(a) for a in query.projection)
+        projection_positions = tuple(joined.schema.index_of(a) for a in query.projection)
         mask = view.predicate_mask(query.predicate)
         key = (mask, projection_positions, query.distinct)
         cached = shared.get(key)
@@ -175,19 +171,11 @@ def evaluate_batch(
                 result_schema(query, database, name=name),
                 query.distinct,
             )
-            fingerprint = (
-                result_fingerprint(result, set_semantics=set_semantics)
-                if with_fingerprints
-                else None
-            )
-            cached = (result, fingerprint)
+            cached = (result, result_fingerprint(result, set_semantics=set_semantics))
             shared[key] = cached
         results.append(cached[0])
         fingerprints.append(cached[1])
-    return BatchEvaluation(
-        results=tuple(results),
-        fingerprints=tuple(fingerprints) if with_fingerprints else None,
-    )
+    return BatchEvaluation(results=tuple(results), fingerprints=tuple(fingerprints))
 
 
 def _evaluate_union(query: SPJUQuery, database: Database, *, name: str) -> Relation:
@@ -233,43 +221,29 @@ def results_equal(left: Relation, right: Relation, *, set_semantics: bool = Fals
     return left.bag_equal(right)
 
 
-def result_fingerprint(result: Relation, *, set_semantics: bool = False) -> frozenset | tuple:
+def result_fingerprint(result: Relation, *, set_semantics: bool = False) -> frozenset:
     """A hashable fingerprint of a result used to group equivalent candidate queries.
 
     Fingerprint equality is exactly bag (resp. set) equality of the results:
-    the bag fingerprint is the multiset of normalized rows under a total,
-    content-only ordering, so equal bags always produce equal fingerprints
-    regardless of row order.
+    the bag fingerprint is the frozen multiset of raw rows, ``(row, count)``
+    pairs, and the set fingerprint the frozen set of rows. Python's ``==``
+    and ``hash`` already equate 1, 1.0 and True and stay exact for integers
+    of any size, so no row needs normalizing or ordering.
     """
     if set_semantics:
-        return result.set_of_rows()
-    return tuple(
-        sorted(
-            result.bag_of_rows().items(),
-            key=lambda item: (tuple(map(_sort_key, item[0])), repr(item[0])),
-        )
-    )
-
-
-def _sort_key(value: Any) -> tuple:
-    if value is None:
-        return (0, "")
-    if isinstance(value, bool):
-        return (1, str(int(value)))
-    if isinstance(value, (int, float)):
-        return (2, f"{float(value):030.10f}")
-    return (3, str(value))
+        return frozenset(result.rows())
+    return frozenset(Counter(result.rows()).items())
 
 
 class JoinCache:
-    """Caches materialized joins — and their columnar views — per database.
+    """Caches materialized joins per database.
 
     QFE evaluates every surviving candidate on each newly generated modified
     database; candidates share at most a handful of distinct join schemas, so
     caching the join per database instance removes the dominant recomputation.
-    Each cached :class:`JoinedRelation` lazily carries a
-    :class:`~repro.relational.columnar.ColumnarView` whose term-mask cache is
-    shared by every candidate evaluated through the cache.
+    A cached :class:`JoinedRelation` is its columns: its
+    :class:`~repro.relational.columnar.ColumnarView` carries the term-mask
+    cache shared by every candidate evaluated through the cache.
 
     The cache is keyed on ``id(database)``. A weakref finalizer evicts all of
     a database's entries the moment the instance is garbage-collected, so a
@@ -277,14 +251,15 @@ class JoinCache:
     (e.g. on a reused :class:`~repro.core.round_planner.RoundPlanner`) stays
     correct across many database instances. What the cache cannot see
     is *in-place modification* of a live database it holds joins for; call
-    :meth:`invalidate` in that case and the stale join and its columnar view
-    are dropped together (QFE itself always works on fresh copies).
+    :meth:`invalidate` in that case and the stale join, columns and masks
+    included, is dropped (QFE itself always works on fresh copies).
 
     **Delta derivation.** :meth:`derive` registers a modified copy ``D'`` as
     a delta-derived child of its base ``D``. Any join subsequently requested
     for ``D'`` is produced by patching the base's cached join through
-    :meth:`JoinedRelation.apply_delta` — sharing unmodified tuples, columns
-    and term masks copy-on-write — instead of re-joining ``D'`` from scratch.
+    :meth:`JoinedRelation.apply_delta` — sharing the id columns, unmodified
+    columns and term masks copy-on-write — instead of re-joining ``D'`` from
+    scratch.
     Derived entries are evicted together with their base: invalidating or
     garbage-collecting ``D`` drops every entry derived from it (the derived
     state was patched out of the base entry, so it must not outlive it).
@@ -396,12 +371,8 @@ class JoinCache:
             self._drop(child_id)
         stale = [key for key in self._cache if key[0] == database_id]
         for key in stale:
-            self._cache.pop(key).invalidate_columnar()
+            del self._cache[key]
             self._memos.pop(key, None)
-
-    def columnar_for(self, database: Database, tables: Iterable[str]) -> ColumnarView:
-        """The columnar view (with shared term-mask cache) of a cached join."""
-        return self.join_for(database, tables).columnar()
 
     def evaluate(self, query: SPJQuery, database: Database, *, name: str = "Result") -> Relation:
         """Evaluate an SPJ query using the cached join for its table set."""
@@ -416,7 +387,6 @@ class JoinCache:
         *,
         set_semantics: bool = False,
         name: str = "Result",
-        with_fingerprints: bool = True,
     ) -> BatchEvaluation:
         """Evaluate all *queries* on *database*, one shared pass per join schema.
 
@@ -426,7 +396,7 @@ class JoinCache:
         Results come back in the order of *queries*.
         """
         results: list[Relation | None] = [None] * len(queries)
-        fingerprints: list[Any] = [None] * len(queries)
+        fingerprints: list[frozenset | None] = [None] * len(queries)
         by_signature: dict[tuple[str, ...], list[int]] = {}
         for index, query in enumerate(queries):
             query.validate(database.schema)
@@ -439,19 +409,17 @@ class JoinCache:
                 database,
                 set_semantics=set_semantics,
                 name=name,
-                with_fingerprints=with_fingerprints,
             )
             for local, index in enumerate(indexes):
                 results[index] = batch.results[local]
-                if with_fingerprints:
-                    fingerprints[index] = batch.fingerprints[local]
+                fingerprints[index] = batch.fingerprints[local]
         return BatchEvaluation(
             results=tuple(results),  # type: ignore[arg-type]
-            fingerprints=tuple(fingerprints) if with_fingerprints else None,
+            fingerprints=tuple(fingerprints),  # type: ignore[arg-type]
         )
 
     def invalidate(self, database: Database) -> None:
-        """Drop every cached join (and columnar view) of *database*.
+        """Drop every cached join of *database*.
 
         Must be called when a database instance that joins were cached for is
         modified in place, so later evaluations rebuild from the new contents.

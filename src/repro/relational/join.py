@@ -1,14 +1,15 @@
-"""Foreign-key joins with provenance and join indexes.
+"""Foreign-key joins: columns, base-tuple ids and join indexes.
 
 The QFE Database Generator operates over ``T``, the foreign-key join of the
 database's relations (Section 5), and uses a *join index* per foreign key to
 track which joined rows are affected when a single base tuple is modified
 (Section 5.4.1). :class:`JoinedRelation` bundles:
 
-* the joined :class:`~repro.relational.relation.Relation` whose columns carry
-  qualified ``table.column`` names;
-* per-row *provenance*: for every joined row, the base ``tuple_id`` it took
-  from each participating table;
+* the joined schema, whose columns carry qualified ``table.column`` names;
+* the joined rows, stored once, column by column, in a
+  :class:`~repro.relational.columnar.ColumnarView`;
+* one id column per table: ``tuple_ids[table][i]`` is the base ``tuple_id``
+  joined row ``i`` took from ``table``;
 * the inverse join index: ``(table, tuple_id) → joined row positions``,
   built on first use.
 
@@ -25,6 +26,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.exceptions import SchemaError
 from repro.obs.registry import RegistryStats
+from repro.relational.columnar import ColumnarView
 from repro.relational.database import Database
 from repro.relational.relation import Relation, Tuple
 from repro.relational.schema import Attribute, ForeignKey, TableSchema, qualify
@@ -70,61 +72,46 @@ JOIN_STATS = JoinMaintenanceStats()
 
 @dataclass
 class JoinedRelation:
-    """A materialized foreign-key join with provenance and a join index."""
+    """A materialized foreign-key join: its columns, base-tuple ids and join index."""
 
-    relation: Relation
+    schema: TableSchema
     tables: tuple[str, ...]
     foreign_keys: tuple[ForeignKey, ...]
-    provenance: list[dict[str, int]]
+    tuple_ids: dict[str, tuple[int, ...]]
+    view: ColumnarView
 
     def __post_init__(self) -> None:
         # The inverse join index is built on first use: candidate generation
-        # reads only rows and columns, never base-tuple positions.
+        # reads only columns, never base-tuple positions.
         self._join_index: dict[tuple[str, int], list[int]] | None = None
-        self._columnar = None
         self._base_rows: dict[str, dict[int, tuple[Any, ...]]] = {}
-        self._column_offsets: dict[str, int] | None = None
-
-    # --------------------------------------------------------------- columnar
-    def columnar(self):
-        """The (lazily built, memoized) columnar view of the joined relation.
-
-        The view snapshots the joined tuples and carries the shared term-mask
-        cache; call :meth:`invalidate_columnar` if the joined relation is ever
-        mutated after the view was built.
-        """
-        if self._columnar is None:
-            from repro.relational.columnar import ColumnarView  # avoid import cycle
-
-            self._columnar = ColumnarView(self.relation)
-        return self._columnar
-
-    def invalidate_columnar(self) -> None:
-        """Drop the memoized columnar view (and its term-mask cache)."""
-        self._columnar = None
 
     # ----------------------------------------------------------------- access
+    def columnar(self) -> ColumnarView:
+        """The join's columns and their shared term-mask cache."""
+        return self.view
+
     @property
     def attribute_names(self) -> tuple[str, ...]:
         """Qualified column names of the joined relation."""
-        return self.relation.schema.attribute_names
+        return self.schema.attribute_names
 
     def __len__(self) -> int:
-        return len(self.relation)
+        return self.view.row_count
 
     def base_tuple_of(self, position: int, table: str) -> int:
         """The base ``tuple_id`` in *table* that produced joined row *position*."""
         try:
-            return self.provenance[position][table]
+            return self.tuple_ids[table][position]
         except KeyError:
             raise SchemaError(f"table {table!r} does not participate in this join") from None
 
     def _positions_index(self) -> dict[tuple[str, int], list[int]]:
-        """``(table, tuple_id) -> joined row positions``, built once from the provenance."""
+        """``(table, tuple_id) -> joined row positions``, built once from the id columns."""
         if self._join_index is None:
             index: dict[tuple[str, int], list[int]] = {}
-            for position, row_provenance in enumerate(self.provenance):
-                for table, tuple_id in row_provenance.items():
+            for table, ids in self.tuple_ids.items():
+                for position, tuple_id in enumerate(ids):
                     index.setdefault((table, tuple_id), []).append(position)
             self._join_index = index
         return self._join_index
@@ -137,26 +124,7 @@ class JoinedRelation:
         """How many joined rows a base tuple contributes to (its side-effect width)."""
         return len(self._positions_index().get((table, tuple_id), ()))
 
-    def owning_table_of(self, qualified_attribute: str) -> str:
-        """The base table owning a qualified joined column."""
-        table, _, _ = qualified_attribute.partition(".")
-        if table not in self.tables:
-            raise SchemaError(f"attribute {qualified_attribute!r} is not part of this join")
-        return table
-
     # ---------------------------------------------------------- delta support
-    def _offsets(self) -> dict[str, int]:
-        """Start position of each table's columns within the joined schema."""
-        if self._column_offsets is None:
-            offsets: dict[str, int] = {}
-            position = 0
-            for table in self.tables:
-                offsets[table] = position
-                prefix = f"{table}."
-                position += sum(1 for name in self.attribute_names if name.startswith(prefix))
-            self._column_offsets = offsets
-        return self._column_offsets
-
     def _join_column_positions(self, database: Database, table: str) -> tuple[int, ...]:
         """Positions (within *table*'s own schema) of its spanning-FK join columns."""
         schema = database.schema.table(table)
@@ -188,71 +156,52 @@ class JoinedRelation:
         *database* must be the **base** instance this join was materialized
         from; *delta* describes how the derived database differs from it. The
         result equals ``foreign_key_join(derived_database, self.tables)``,
-        row for row: each update patches the joined rows the join index
-        attributes to its tuple in place, and the derived join shares every
-        untouched tuple, the provenance and the join index with this one.
+        row for row: each update patches the cells of the joined rows the join
+        index attributes to its tuple, and the derived join shares its schema,
+        id columns and join index with this one.
 
         A delta only ever changes non-key cells, so no joined row appears or
         disappears; an update that changes a spanning foreign-key join column
         is refused with :class:`SchemaError`. Updates of tables outside this
         join cannot affect it and are ignored.
 
-        The columnar view (columns and cached term masks) is derived
-        copy-on-write alongside, see
+        The derived view (columns and cached term masks) is patched
+        copy-on-write, see
         :meth:`~repro.relational.columnar.ColumnarView.derive`.
         """
         JOIN_STATS.add(delta_applies=1)
         self._positions_index()  # built here so every derived join shares it
-        offsets = self._offsets()
         patches: dict[int, dict[int, Any]] = {}
+        end = 0  # each table's columns start where the previous table's end
         for table in self.tables:
+            start, end = end, end + database.schema.table(table).arity
             updates = delta.updates_for(table)
             if not updates:
                 continue
             base_rows = self._base_row_map(database, table)
             join_positions = self._join_column_positions(database, table)
-            offset = offsets[table]
             for tuple_id, new_values in updates.items():
                 old_values = base_rows.get(tuple_id)
                 if old_values is None:
                     raise SchemaError(f"delta updates unknown tuple {tuple_id} of {table!r}")
                 changed_cells = {
-                    offset + index: new
+                    start + index: new
                     for index, (old, new) in enumerate(zip(old_values, new_values))
                     if not values_equal(old, new)
                 }
                 if not changed_cells:
                     continue  # no-op update
-                if any(offset + p in changed_cells for p in join_positions):
+                if any(start + p in changed_cells for p in join_positions):
                     raise SchemaError(
                         f"delta changes a join column of tuple {tuple_id} of {table!r}; "
                         "only non-key cells may change"
                     )
                 for position in self.joined_positions_of(table, tuple_id):
                     patches.setdefault(position, {}).update(changed_cells)
-        return self._build_derived(patches)
-
-    def _build_derived(self, patches: dict[int, dict[int, Any]]) -> "JoinedRelation":
-        new_tuples = list(self.relation.tuples)
-        for position, cells in patches.items():
-            values = list(new_tuples[position].values)
-            for index, value in cells.items():
-                values[index] = value
-            new_tuples[position] = Tuple(values, new_tuples[position].tuple_id)
-
-        derived = JoinedRelation.__new__(JoinedRelation)
-        derived.relation = Relation.adopt_tuples(self.relation.schema, new_tuples)
-        derived.tables = self.tables
-        derived.foreign_keys = self.foreign_keys
-        derived.provenance = self.provenance
+        derived = JoinedRelation(
+            self.schema, self.tables, self.foreign_keys, self.tuple_ids, self.view.derive(patches)
+        )
         derived._join_index = self._join_index
-        derived._base_rows = {}
-        derived._column_offsets = self._column_offsets
-
-        # Derive the columnar view copy-on-write from the base view; building
-        # the base view here is amortized — the cache shares it across every
-        # delta derived from this join.
-        derived._columnar = self.columnar().derive(patches)
         return derived
 
 
@@ -285,10 +234,11 @@ def foreign_key_join(database: Database, tables: Sequence[str]) -> JoinedRelatio
 
     # Start with the first table, then repeatedly attach a table connected by
     # a spanning foreign key to the already-joined set. Rows are value tuples
-    # in attach order; ``offsets`` is where each attached table's columns start.
+    # in attach order, and so are their base-tuple ids; ``offsets`` is where
+    # each attached table's columns start.
     first_relation = database.relation(ordered[0])
     rows: list[tuple[Any, ...]] = [t.values for t in first_relation.tuples]
-    provenance: list[dict[str, int]] = [{ordered[0]: t.tuple_id} for t in first_relation.tuples]
+    row_ids: list[tuple[int, ...]] = [(t.tuple_id,) for t in first_relation.tuples]
     offsets = {ordered[0]: 0}
     width = first_relation.schema.arity
     remaining_fks = list(spanning)
@@ -308,40 +258,41 @@ def foreign_key_join(database: Database, tables: Sequence[str]) -> JoinedRelatio
         existing = database.schema.table(existing_table)
         key_positions = [offsets[existing_table] + existing.index_of(c) for _, c in pairs]
         new_relation = database.relation(new_table)
-        rows, provenance = _attach_table(
-            rows, provenance, key_positions, new_relation, new_table, [new for new, _ in pairs]
+        rows, row_ids = _attach_table(
+            rows, row_ids, key_positions, new_relation, [new for new, _ in pairs]
         )
         offsets[new_table] = width
         width += new_relation.schema.arity
         remaining_fks.remove(fk)
 
-    if list(offsets) != ordered:
+    attached = list(offsets)
+    if attached != ordered:
         # Attached in another order than declared: permute every row once.
         arity = {table: database.schema.table(table).arity for table in ordered}
         pick = itemgetter(*(offsets[t] + i for t in ordered for i in range(arity[t])))
         rows = [pick(row) for row in rows]
-    relation = Relation(schema)
-    relation.extend_raw(rows)
+    id_columns = dict(zip(attached, zip(*row_ids))) if row_ids else dict.fromkeys(attached, ())
     return JoinedRelation(
-        relation=relation,
+        schema=schema,
         tables=tuple(ordered),
         foreign_keys=tuple(spanning),
-        provenance=provenance,
+        tuple_ids={table: id_columns[table] for table in ordered},
+        view=ColumnarView(schema.attribute_names, rows),
     )
 
 
 def _attach_table(
     rows: list[tuple[Any, ...]],
-    provenance: list[dict[str, int]],
+    row_ids: list[tuple[int, ...]],
     key_positions: Sequence[int],
     new_relation: Relation,
-    new_table: str,
     new_columns: Sequence[str],
-) -> tuple[list[tuple[Any, ...]], list[dict[str, int]]]:
+) -> tuple[list[tuple[Any, ...]], list[tuple[int, ...]]]:
     """Equi-join the accumulated rows with *new_relation* along the FK columns.
 
     ``row[key_positions[i]]`` must equal the new table's ``new_columns[i]``;
-    a NULL key part matches nothing.
+    a NULL key part matches nothing. Each joined row's id tuple is extended
+    by the matched base tuple's ``tuple_id``.
     """
     new_key = itemgetter(*(new_relation.schema.index_of(c) for c in new_columns))
     row_key = itemgetter(*key_positions)
@@ -354,13 +305,13 @@ def _attach_table(
         index.setdefault(key, []).append(base_tuple)
 
     joined_rows: list[tuple[Any, ...]] = []
-    joined_provenance: list[dict[str, int]] = []
-    for row, row_provenance in zip(rows, provenance):
+    joined_ids: list[tuple[int, ...]] = []
+    for row, ids in zip(rows, row_ids):
         # A key with a NULL part is never indexed, so it finds no match.
         for match in index.get(row_key(row), ()):
             joined_rows.append(row + match.values)
-            joined_provenance.append({**row_provenance, new_table: match.tuple_id})
-    return joined_rows, joined_provenance
+            joined_ids.append(ids + (match.tuple_id,))
+    return joined_rows, joined_ids
 
 
 def full_join(database: Database) -> JoinedRelation:

@@ -20,6 +20,7 @@ partitions of Section 5.1 both call that closure.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterable
@@ -301,23 +302,25 @@ def _compile_equality(term: Term) -> Callable[[Any], bool]:
     return equal
 
 
+#: The comparison each ordering operator applies, bound once per compiled term.
+_ORDERINGS = {
+    ComparisonOp.LT: operator.lt,
+    ComparisonOp.LE: operator.le,
+    ComparisonOp.GT: operator.gt,
+    ComparisonOp.GE: operator.ge,
+}
+
+
 def _compile_ordering(term: Term) -> Callable[[Any], bool]:
     op = term.op
     constant = term.constant
-    right = constant
+    holds = _ORDERINGS[op]
 
     def compare(value: Any) -> bool:
         if value is None:
             return False
-        left = value
         try:
-            if op is ComparisonOp.LT:
-                return left < right
-            if op is ComparisonOp.LE:
-                return left <= right
-            if op is ComparisonOp.GT:
-                return left > right
-            return left >= right
+            return holds(value, constant)
         except TypeError as exc:
             raise EvaluationError(
                 f"cannot compare {value!r} {op.value} {constant!r}"

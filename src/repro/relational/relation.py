@@ -129,24 +129,6 @@ class Relation:
         raw_rows = [[row.get(column) for column in columns] for row in rows]
         return cls.from_rows(name, columns, raw_rows, primary_key=primary_key)
 
-    @classmethod
-    def adopt_tuples(cls, schema: TableSchema, tuples: Iterable[Tuple]) -> "Relation":
-        """Internal fast constructor: adopt pre-built :class:`Tuple` objects verbatim.
-
-        Used by the incremental join-maintenance layer, which patches a few
-        tuples of a materialized join and *shares* the rest with the base
-        instance. Callers must guarantee the tuples conform to *schema* and
-        carry unique ids; ids may be non-contiguous.
-        """
-        relation = cls(schema)
-        relation._tuples = list(tuples)
-        relation._next_id = 1 + max((t.tuple_id for t in relation._tuples if t.tuple_id is not None), default=-1)
-        return relation
-
-    def empty_like(self) -> "Relation":
-        """A new, empty relation with the same schema."""
-        return Relation(self.schema)
-
     def copy(self) -> "Relation":
         """A deep copy preserving tuple ids."""
         clone = Relation(self.schema)

@@ -241,14 +241,6 @@ class DatabaseSchema:
         """Whether a table with this name exists."""
         return name in self.tables
 
-    def foreign_keys_of(self, table_name: str) -> tuple[ForeignKey, ...]:
-        """Foreign keys whose child *or* parent is *table_name*."""
-        return tuple(
-            fk
-            for fk in self.foreign_keys
-            if fk.child_table == table_name or fk.parent_table == table_name
-        )
-
     def foreign_keys_between(self, left: str, right: str) -> tuple[ForeignKey, ...]:
         """Foreign keys connecting the two tables, in either direction."""
         return tuple(

@@ -38,7 +38,6 @@ from repro.core.round_planner import PLAN_MEMO_STATS
 from repro.exceptions import EvaluationError
 from repro.obs.machine import machine_stamp
 from repro.qbo.mutation import expand_candidate_set
-from repro.relational.columnar import ColumnarView
 from repro.relational.delta import TupleDelta
 from repro.relational.evaluator import JoinCache, evaluate_batch
 from repro.relational.join import foreign_key_join
@@ -84,9 +83,7 @@ def _point_setup(
     database = generated.database
     cache = JoinCache()
     joined = cache.join_for(database, tuple(generated.target.tables))
-    batch = evaluate_batch(
-        list(generated.queries), joined, database, with_fingerprints=False, name="R"
-    )
+    batch = evaluate_batch(list(generated.queries), joined, database, name="R")
     oracle_checked = None
     if verify_oracle:
         with SQLiteBackend(database) as backend:
@@ -133,7 +130,6 @@ def _measure_eval_paths(generated: GeneratedScenario, candidates, joined) -> dic
     """
     database = generated.database
     tables = tuple(generated.target.tables)
-    joined.columnar()
     evaluate_batch(candidates, joined, database)  # warm masks, as a session would
 
     derived_db = database.copy()
@@ -151,7 +147,7 @@ def _measure_eval_paths(generated: GeneratedScenario, candidates, joined) -> dic
 
     started = perf_counter()
     cold_joined = foreign_key_join(derived_db, tables)
-    evaluate_batch(candidates, cold_joined, derived_db, columnar=ColumnarView(cold_joined.relation))
+    evaluate_batch(candidates, cold_joined, derived_db)
     cold_seconds = perf_counter() - started
 
     started = perf_counter()

@@ -102,6 +102,32 @@ def two_table_db() -> Database:
     )
 
 
+@pytest.fixture(scope="session")
+def chain_db() -> Database:
+    """A three-table chain ``Match → Player → Team`` with fan-out and dangling rows.
+
+    Player 1 plays two matches, players 2 and 4 none, and match 4 has a NULL
+    player, so the full join holds three rows.
+    """
+    return Database.from_tables(
+        {
+            "Team": (["tid", "city"], [[1, "Oslo"], [2, "Lima"], [3, "Pune"]]),
+            "Player": (["pid", "tid", "rating"], [
+                [1, 1, 7.5],
+                [2, 1, 6.0],
+                [3, 2, 8.5],
+                [4, 3, 5.0],
+            ]),
+            "Match": (["mid", "pid", "score"], [[1, 1, 3], [2, 1, 1], [3, 3, 2], [4, None, 0]]),
+        },
+        foreign_keys=[
+            ForeignKey("Player", ("tid",), "Team", ("tid",)),
+            ForeignKey("Match", ("pid",), "Player", ("pid",)),
+        ],
+        primary_keys={"Team": ["tid"], "Player": ["pid"], "Match": ["mid"]},
+    )
+
+
 @pytest.fixture()
 def salary_query() -> SPJQuery:
     """``SELECT Emp.ename FROM Emp WHERE Emp.salary > 60`` (single table)."""

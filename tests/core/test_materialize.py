@@ -11,6 +11,7 @@ from repro.relational.delta import database_delta
 from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from tests.columns import joined_dicts
 from tests.oracles.constraints_reference import modification_is_valid
 from tests.oracles.evaluator_reference import evaluate_row_reference
 from tests.oracles.presentation_reference import database_delta_reference
@@ -61,7 +62,7 @@ class TestMaterialization:
         assert positions
         for query_index in range(len(employee_space.queries)):
             expected = employee_space.matches(query_index, pairs[0].destination)
-            row = joined.relation.to_dicts()[positions[0]]
+            row = joined_dicts(joined)[positions[0]]
             predicate = employee_space.queries[query_index].predicate
             assert evaluate_row_reference(predicate, row) == expected
 

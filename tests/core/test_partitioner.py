@@ -29,17 +29,6 @@ class TestPartitionQueries:
             for query in group.queries:
                 assert evaluate(query, modified).bag_equal(group.result)
 
-    def test_group_containing(self, employee_db, employee_candidates):
-        modified = employee_db.copy()
-        modified.relation("Employee").update_value(1, "salary", 3900)
-        partition = partition_queries(employee_candidates, modified)
-        target = employee_candidates[1]  # salary > 4000
-        group = partition.group_containing(target)
-        assert group is not None and len(group) == 1
-        unknown = SPJQuery(["Employee"], ["Employee.name"],
-                           DNFPredicate.from_terms([Term("Employee.salary", ComparisonOp.LT, 100)]))
-        assert partition.group_containing(unknown) is None
-
     def test_groups_ordered_largest_first(self, employee_db, employee_candidates):
         modified = employee_db.copy()
         modified.relation("Employee").update_value(1, "salary", 3900)

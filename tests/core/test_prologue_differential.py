@@ -114,7 +114,7 @@ def test_domain_partitions_match_interpreter_signatures(case):
         def expected(value):
             return block_of[tuple(evaluate_value_reference(t, value) for t in partition.terms)]
 
-        column = space.joined.relation.column(attribute)
+        column = space.joined.columnar().column(attribute)
         for value in {value for value in column if value is not None}:
             assert partition.subset_of_value(value) == expected(value), (attribute, value)
         # A NULL cell's block is the known defect TestNullRowClasses pins.

@@ -24,6 +24,7 @@ from repro.relational.database import Database
 from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from tests.columns import joined_dicts
 from tests.oracles.evaluator_reference import evaluate_row_reference
 
 _SETTINGS = settings(max_examples=25, deadline=None,
@@ -80,7 +81,7 @@ class TestTupleClassProperties:
     @given(_rows, _queries)
     def test_queries_constant_on_classes(self, rows, queries):
         space = _space(rows, queries)
-        mappings = space.joined.relation.to_dicts()
+        mappings = joined_dicts(space.joined)
         for position, row in enumerate(mappings):
             tuple_class = space.class_of_row(position)
             for query_index, query in enumerate(queries):

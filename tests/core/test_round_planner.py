@@ -17,6 +17,7 @@ from repro.obs.trace import Tracer, set_tracer
 from repro.relational.delta import database_delta
 from repro.relational.evaluator import JoinCache
 from repro.relational.join import JOIN_STATS
+from tests.columns import joined_rows
 
 
 def _search(planner, plan) -> list:
@@ -122,20 +123,20 @@ class TestRoundPlanner:
         plan = planner.prepare_round(database, employee_result, employee_candidates)
         _search(planner, plan)
         referenced = plan.referenced
-        assert planner.join_cache.columnar_for(database, referenced).cached_term_count > 0
+        assert planner.join_cache.join_for(database, referenced).columnar().cached_term_count > 0
         # In-place mutation + the documented invalidate contract: the cache
         # rebuilds a cold join, and the search must warm it again.
         planner.join_cache.invalidate(database)
         plan = planner.prepare_round(database, employee_result, employee_candidates)
         _search(planner, plan)
-        assert planner.join_cache.columnar_for(database, referenced).cached_term_count > 0
+        assert planner.join_cache.join_for(database, referenced).columnar().cached_term_count > 0
 
     def test_the_base_warm_up_is_idempotent(
         self, employee_db, employee_result, employee_candidates
     ):
         planner = RoundPlanner(QFEConfig(), join_cache=JoinCache())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        view = planner.join_cache.columnar_for(employee_db, plan.referenced)
+        view = planner.join_cache.join_for(employee_db, plan.referenced).columnar()
         assert view.cached_term_count == 0
         first = [_scored(o) for o in _search(planner, plan)]
         warmed = view.cached_term_count
@@ -268,7 +269,7 @@ class TestRoundPlanner:
             tables = {
                 name: employee_db.relation(name).rows() for name in employee_db.table_names
             }
-            joined = planner.join_cache.join_for(employee_db, referenced).relation.rows()
+            joined = joined_rows(planner.join_cache.join_for(employee_db, referenced))
             fingerprints = planner.join_cache.evaluate_batch(queries, employee_db).fingerprints
             return tables, joined, fingerprints
 

@@ -9,6 +9,7 @@ from repro.relational.database import Database
 from repro.relational.join import full_join
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from tests.columns import joined_dicts
 from tests.oracles.evaluator_reference import evaluate_row_reference, evaluate_value_reference
 
 
@@ -122,7 +123,7 @@ class TestTupleClassSpace:
             ),
         ]
         space = self._space(two_table_db, queries)
-        rows = space.joined.relation.to_dicts()
+        rows = joined_dicts(space.joined)
         for position, row in enumerate(rows):
             tuple_class = space.class_of_row(position)
             for query_index, query in enumerate(queries):
@@ -176,13 +177,6 @@ class TestTupleClassSpace:
         assert space.query_mask(TupleClass((fresh,))) == 0
         assert skyline_stc_dtc_pairs(space, QFEConfig(), result_arity=1).pair_count >= 1
 
-    def test_max_subsets_per_attribute(self, two_table_db):
-        queries = [_query("Emp", ["Emp.ename"], [Term("Emp.salary", ComparisonOp.GT, 60)])]
-        space = self._space(two_table_db, queries)
-        assert space.max_subsets_per_attribute() >= 2
-        empty_space = TupleClassSpace(full_join(two_table_db), [])
-        assert empty_space.max_subsets_per_attribute() == 1
-
 
 class TestNullRowClasses:
     """Section 5.1's invariant for rows with a NULL selection cell.
@@ -203,7 +197,7 @@ class TestNullRowClasses:
         )
         space = TupleClassSpace(full_join(database), queries)
         mismatches = []
-        for position, row in enumerate(space.joined.relation.to_dicts()):
+        for position, row in enumerate(joined_dicts(space.joined)):
             tuple_class = space.class_of_row(position)
             for index, query in enumerate(queries):
                 if space.matches(index, tuple_class) != evaluate_row_reference(query.predicate, row):

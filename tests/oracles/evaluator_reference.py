@@ -21,6 +21,7 @@ from repro.relational.join import JoinedRelation
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term, compile_term
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
+from tests.columns import joined_rows
 
 __all__ = [
     "evaluate_value_reference",
@@ -92,13 +93,13 @@ def evaluate_on_join_reference(
     """What :func:`~repro.relational.evaluator.evaluate_on_join` must return."""
     _check_join_covers(query, joined)
     output = Relation(result_schema(query, database, name=name))
-    names = joined.relation.schema.attribute_names
-    projection_positions = [joined.relation.schema.index_of(a) for a in query.projection]
+    names = joined.attribute_names
+    projection_positions = [joined.schema.index_of(a) for a in query.projection]
     seen: set[tuple] = set()
-    for row_tuple in joined.relation.tuples:
-        if not evaluate_row_reference(query.predicate, dict(zip(names, row_tuple.values))):
+    for values in joined_rows(joined):
+        if not evaluate_row_reference(query.predicate, dict(zip(names, values))):
             continue
-        projected = tuple(row_tuple.values[p] for p in projection_positions)
+        projected = tuple(values[p] for p in projection_positions)
         if query.distinct:
             key = _normalize(projected)
             if key in seen:

@@ -4,8 +4,11 @@ The pieces candidate generation used before it ran on the shared join
 engine, with one correction: join keys, value domains and row groups compare
 raw values, so distinct integers beyond 2^53 stay distinct.
 
-* :func:`foreign_key_join_reference` builds each joined row as a dict and
-  inserts it through ``Relation.insert`` (per-cell coercion).
+* :func:`foreign_key_join_reference` builds each joined row as a dict,
+  inserts it through ``Relation.insert`` (per-cell coercion) and keeps a
+  per-row provenance dict: a :class:`ReferenceJoin`. It becomes the engine's
+  :class:`~repro.relational.join.JoinedRelation` only where the reference
+  calls into the engine (labeling and result verification).
 * :func:`candidate_projections_reference` scans a joined column once per
   (result column, joined column) pair.
 * :func:`build_atom_pool_reference` selects rows with the term interpreter
@@ -19,6 +22,8 @@ raw values, so distinct integers beyond 2^53 stay distinct.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Any, Sequence
 
@@ -28,18 +33,44 @@ from repro.qbo.config import QBOConfig
 from repro.qbo.join_enumeration import enumerate_join_schemas
 from repro.qbo.labeling import label_rows
 from repro.qbo.projection import _name_matches, _types_compatible
+from repro.relational.columnar import ColumnarView
 from repro.relational.database import Database
 from repro.relational.evaluator import evaluate_batch, result_fingerprint
 from repro.relational.join import JoinedRelation, _joined_schema
 from repro.relational.predicates import Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
-from repro.relational.schema import qualify
+from repro.relational.schema import ForeignKey, qualify
 from tests.oracles.evaluator_reference import evaluate_value_reference
 
 
 # ------------------------------------------------------------------- the join
-def foreign_key_join_reference(database: Database, tables: Sequence[str]) -> JoinedRelation:
+@dataclass
+class ReferenceJoin:
+    """The dict-row join: its rows, coerced cell by cell, and per-row provenance."""
+
+    relation: Relation
+    tables: tuple[str, ...]
+    foreign_keys: tuple[ForeignKey, ...]
+    provenance: list[dict[str, int]]
+
+    def __len__(self) -> int:
+        return len(self.relation)
+
+    @cached_property
+    def engine(self) -> JoinedRelation:
+        """These rows and ids as the engine's join, for calls into the engine."""
+        schema = self.relation.schema
+        return JoinedRelation(
+            schema=schema,
+            tables=self.tables,
+            foreign_keys=self.foreign_keys,
+            tuple_ids={t: tuple(ids[t] for ids in self.provenance) for t in self.tables},
+            view=ColumnarView(schema.attribute_names, self.relation.rows()),
+        )
+
+
+def foreign_key_join_reference(database: Database, tables: Sequence[str]) -> ReferenceJoin:
     """The foreign-key join of *tables*, one dict per joined row."""
     ordered = list(dict.fromkeys(tables))
     spanning = database.schema.spanning_foreign_keys(ordered)
@@ -77,12 +108,7 @@ def foreign_key_join_reference(database: Database, tables: Sequence[str]) -> Joi
     names = schema.attribute_names
     for row in rows:
         relation.insert([row.get(name) for name in names])
-    return JoinedRelation(
-        relation=relation,
-        tables=tuple(ordered),
-        foreign_keys=tuple(spanning),
-        provenance=provenance,
-    )
+    return ReferenceJoin(relation, tuple(ordered), tuple(spanning), provenance)
 
 
 def _attach_reference(database, rows, provenance, existing_table, new_table, pairs):
@@ -114,7 +140,7 @@ def _attach_reference(database, rows, provenance, existing_table, new_table, pai
 
 # ------------------------------------------------------------- projections
 def candidate_projections_reference(
-    joined: JoinedRelation, result: Relation, config: QBOConfig
+    joined: ReferenceJoin, result: Relation, config: QBOConfig
 ) -> list[tuple[str, ...]]:
     """Projection lists, scanning each joined column per result column."""
     per_column: list[list[str]] = []
@@ -148,7 +174,7 @@ def candidate_projections_reference(
 
 # ------------------------------------------------------------------- atoms
 def build_atom_pool_reference(
-    joined: JoinedRelation,
+    joined: ReferenceJoin,
     positive: Sequence[int],
     negative: Sequence[int],
     config: QBOConfig,
@@ -248,7 +274,7 @@ def _grow_reference(joined, seed, positives, negatives, config, excluded_attribu
 
 
 def search_dnf_covers_reference(
-    joined: JoinedRelation,
+    joined: ReferenceJoin,
     positive: Sequence[int],
     negative: Sequence[int],
     config: QBOConfig,
@@ -334,7 +360,7 @@ def _candidates_for_projection(
     database, result, joined, tables, projection, set_semantics, target, candidates, config
 ) -> None:
     positions = [joined.relation.schema.index_of(a) for a in projection]
-    labeling = label_rows(joined, positions, result, set_semantics=set_semantics)
+    labeling = label_rows(joined.engine, positions, result, set_semantics=set_semantics)
     if not labeling.feasible:
         return
     predicates: list[DNFPredicate] = []
@@ -382,7 +408,7 @@ def _candidates_for_projection(
         return
     batch = evaluate_batch(
         [query for _, query in pending],
-        joined,
+        joined.engine,
         database,
         set_semantics=set_semantics,
         name=result.schema.name,
@@ -392,7 +418,9 @@ def _candidates_for_projection(
             candidates[key] = query
             if config.include_distinct_variants and not set_semantics:
                 distinct = query.with_distinct(True)
-                check = evaluate_batch([distinct], joined, database, name=result.schema.name)
+                check = evaluate_batch(
+                    [distinct], joined.engine, database, name=result.schema.name
+                )
                 if check.fingerprints[0] == target:
                     candidates[distinct.canonical_key()] = distinct
         if len(candidates) >= config.max_candidates:

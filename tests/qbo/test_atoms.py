@@ -88,9 +88,8 @@ class TestCategoricalAtoms:
 
     def test_membership_for_multiple_values(self, two_table_db):
         joined, pool = _pool(two_table_db, positive=[0, 2], negative=[1, 3])
-        position = joined.relation.schema.index_of("Emp.ename")
-        expected = {joined.relation.tuples[0].values[position],
-                    joined.relation.tuples[2].values[position]}
+        enames = joined.columnar().column("Emp.ename")
+        expected = {enames[0], enames[2]}
         names = [a for a in pool if a.term.attribute == "Emp.ename"]
         assert any(a.term.op is ComparisonOp.IN and set(a.term.constant) == expected for a in names)
 

@@ -7,7 +7,7 @@ from repro.relational.relation import Relation
 
 def _labeling(db, result_rows, columns, *, set_semantics=False):
     joined = full_join(db)
-    positions = [joined.relation.schema.index_of(c) for c in columns]
+    positions = [joined.schema.index_of(c) for c in columns]
     result = Relation.from_rows("R", list(columns), result_rows)
     return joined, label_rows(joined, positions, result, set_semantics=set_semantics)
 

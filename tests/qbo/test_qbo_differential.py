@@ -6,9 +6,10 @@ The reference (:mod:`tests.oracles.qbo_reference`) joins every schema cold
 with dict rows, scans columns per (result column, joined column) pair and
 selects rows into Python sets. On the paper workloads and the scenario
 presets the service uses, both must return the same candidate list — over a
-fresh cache and again over the same, now warm, cache — and the tuple join
-must equal the dict-row join for every schema QBO enumerates, in both table
-orders. The light cases run in tier-1; Q4–Q6 are marked ``slow``.
+fresh cache and again over the same, now warm, cache — and the columnar join
+(its columns and base-tuple id columns) must equal the dict-row join for
+every schema QBO enumerates, in both table orders. The light cases run in
+tier-1; Q4–Q6 are marked ``slow``.
 """
 
 from __future__ import annotations
@@ -98,25 +99,37 @@ def test_generation_matches_the_reference_beyond_2_53():
 
 
 def _layout(joined) -> tuple:
-    """Everything a join exposes: schema, ids, typed values, provenance."""
-    relation = joined.relation
+    """Everything the engine's join exposes: schema, typed cells by column, id columns."""
+    view = joined.columnar()
     return (
-        relation.schema.attributes,
+        joined.schema.attributes,
         joined.tables,
         joined.foreign_keys,
-        [t.tuple_id for t in relation.tuples],
-        [tuple((type(v), v) for v in t.values) for t in relation.tuples],
-        [list(provenance.items()) for provenance in joined.provenance],
+        [[(type(v), v) for v in view.column(name)] for name in view.names],
+        list(joined.tuple_ids.items()),
+    )
+
+
+def _reference_layout(reference) -> tuple:
+    """The same of the dict-row join, its provenance transposed into id columns."""
+    relation = reference.relation
+    names = relation.schema.attribute_names
+    return (
+        relation.schema.attributes,
+        reference.tables,
+        reference.foreign_keys,
+        [[(type(v), v) for v in relation.column(name)] for name in names],
+        [(t, tuple(ids[t] for ids in reference.provenance)) for t in reference.tables],
     )
 
 
 @pytest.mark.parametrize("name, scale, config", _CASES)
-def test_tuple_join_equals_the_dict_row_join(name, scale, config):
+def test_columnar_join_equals_the_dict_row_join(name, scale, config):
     database, _ = _pair(name, scale)
     schemas = enumerate_join_schemas(database.schema, config)
     assert schemas
     for tables in schemas:
         for order in (list(tables), list(reversed(tables))):
-            assert _layout(foreign_key_join(database, order)) == _layout(
+            assert _layout(foreign_key_join(database, order)) == _reference_layout(
                 foreign_key_join_reference(database, order)
             ), (name, order)

@@ -4,6 +4,7 @@ from repro.qbo.atoms import build_atom_pool
 from repro.qbo.config import QBOConfig
 from repro.qbo.search import search_conjunctions, search_dnf_covers
 from repro.relational.join import full_join
+from tests.columns import joined_dicts
 from tests.oracles.evaluator_reference import evaluate_row_reference
 
 
@@ -24,7 +25,7 @@ class TestSearchConjunctions:
         positive, negative = [0, 2], [1, 3, 4]
         joined, atoms = _atoms(two_table_db, positive, negative)
         config = QBOConfig()
-        rows = joined.relation.to_dicts()
+        rows = joined_dicts(joined)
         for conjunct in search_conjunctions(atoms, positive, negative, config):
             for p in positive:
                 assert evaluate_row_reference(conjunct, rows[p])
@@ -65,7 +66,7 @@ class TestSearchDNFCovers:
         config = QBOConfig(max_conjuncts=2)
         covers = search_dnf_covers(joined, positive, negative, config)
         assert covers
-        rows = joined.relation.to_dicts()
+        rows = joined_dicts(joined)
         for predicate in covers:
             for p in positive:
                 assert evaluate_row_reference(predicate, rows[p])
@@ -87,7 +88,7 @@ class TestSearchDNFCovers:
         joined, _ = _atoms(two_table_db, positive, negative)
         config = QBOConfig(max_conjuncts=2, max_terms_per_conjunct=1, allow_membership_terms=False)
         covers = search_dnf_covers(joined, positive, negative, config)
-        rows = joined.relation.to_dicts()
+        rows = joined_dicts(joined)
         for predicate in covers:
             for n in negative:
                 assert not evaluate_row_reference(predicate, rows[n])

@@ -35,6 +35,7 @@ from repro.relational.predicates import (
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.workloads import WORKLOADS, build_pair
+from tests.columns import view_of
 from tests.oracles.evaluator_reference import (
     evaluate_on_join_reference,
     evaluate_row_reference,
@@ -199,16 +200,24 @@ class TestCompiledTerms:
 class TestColumnarView:
     def test_view_snapshots_columns(self, two_table_db):
         joined = full_join(two_table_db)
-        view = ColumnarView(joined.relation)
+        view = joined.columnar()
         assert view.row_count == len(joined)
         assert view.column("Emp.ename")[0] == "Ann"
         assert view.has_attribute("Dept.budget")
         assert not view.has_attribute("Dept.nope")
 
+    def test_view_of_no_rows_has_one_empty_column_per_name(self):
+        view = ColumnarView(["a", "b"], [])
+        assert view.row_count == 0
+        assert view.all_rows_mask == 0
+        assert [view.column("a"), view.column("b")] == [(), ()]
+        assert view.term_mask(Term("a", ComparisonOp.GT, 1)) == 0
+        assert view.gather(view.all_rows_mask, [0, 1]) == []
+
     def test_term_masks_are_cached_and_shared(self, two_table_db):
         joined = full_join(two_table_db)
         view = joined.columnar()
-        assert view is joined.columnar()  # memoized on the join
+        assert view is joined.columnar()  # the join's one view
         term_int = Term("Emp.salary", ComparisonOp.GT, 60)
         term_float = Term("Emp.salary", ComparisonOp.GT, 60.0)
         mask = view.term_mask(term_int)
@@ -216,12 +225,6 @@ class TestColumnarView:
         assert view.term_mask(term_float) == mask  # normalized key: cache hit
         assert view.cached_term_count == 1
         assert mask.bit_count() == 3  # Ann 90, Cy 70, Ed 65
-
-    def test_invalidate_columnar_rebuilds(self, two_table_db):
-        joined = full_join(two_table_db)
-        view = joined.columnar()
-        joined.invalidate_columnar()
-        assert joined.columnar() is not view
 
     def test_columnar_stats_keep_only_the_two_benchmark_fields(self, two_table_db):
         query = SPJQuery(
@@ -248,7 +251,7 @@ def _entry_signature(view, term):
 
 def _assert_view_matches_interpreter(values, constants):
     relation = Relation.from_rows("T", ["v"], [[v] for v in values])
-    view = ColumnarView(relation)
+    view = view_of(relation)
     # A column holds the relation's own value objects: exact, one pointer each.
     assert all(
         cell is row.values[0] for cell, row in zip(view.column("v"), relation.tuples)
@@ -283,8 +286,7 @@ class TestTermEntriesMatchInterpreter:
         _assert_view_matches_interpreter(values, constants)
 
     def test_two_pow_53_neighbours_stay_distinct(self):
-        relation = Relation.from_rows("T", ["v"], [[2**53], [2**53 + 1], [2**53 - 1], [0]])
-        view = ColumnarView(relation)
+        view = view_of(Relation.from_rows("T", ["v"], [[2**53], [2**53 + 1], [2**53 - 1], [0]]))
         eq = Term("v", ComparisonOp.EQ, 2**53 + 1)
         assert mask_positions(view.term_mask(eq)) == [1]
         # The float 2.0**53 equals the int 2**53 exactly — and only it.
@@ -292,7 +294,7 @@ class TestTermEntriesMatchInterpreter:
         assert mask_positions(view.term_mask(eq_float)) == [0]
 
     def test_error_message_is_the_first_erroring_rows(self, two_table_db):
-        view = ColumnarView(full_join(two_table_db).relation)
+        view = full_join(two_table_db).columnar()
         term = Term("Emp.salary", ComparisonOp.LT, "high")
         assert _entry_signature(view, term) == (
             0,
@@ -304,7 +306,7 @@ class TestTermEntriesMatchInterpreter:
 class TestGather:
     def _view(self):
         rows = [[i, f"r{i}", i % 2 == 0] for i in range(6)]
-        return rows, ColumnarView(Relation.from_rows("T", ["a", "b", "c"], rows))
+        return rows, view_of(Relation.from_rows("T", ["a", "b", "c"], rows))
 
     def test_gather_projects_the_selected_rows(self):
         rows, view = self._view()
@@ -323,13 +325,13 @@ class TestGather:
 class TestDerivedViews:
     def _view(self):
         rows = [[i, float(i) / 2, f"s{i % 5}", i % 2 == 0] for i in range(40)]
-        return ColumnarView(Relation.from_rows("T", ["i", "f", "s", "b"], rows))
+        return view_of(Relation.from_rows("T", ["i", "f", "s", "b"], rows))
 
     @staticmethod
     def _cold(view):
         """A view built from scratch over the rows *view* holds."""
         rows = [tuple(view.column(n)[i] for n in view.names) for i in range(view.row_count)]
-        return ColumnarView(Relation.from_rows("T", list(view.names), rows))
+        return view_of(Relation.from_rows("T", list(view.names), rows))
 
     def test_untouched_columns_shared_by_reference(self):
         view = self._view()

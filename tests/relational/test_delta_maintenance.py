@@ -6,11 +6,11 @@ deltas here are exactly that: attribute updates of non-key columns
 paper datasets. The incrementally maintained state is held against a cold
 rebuild from the modified database:
 
-* ``JoinedRelation.apply_delta`` must equal ``foreign_key_join(D', ...)`` as a
-  bag of joined rows, with a consistent join index;
-* the copy-on-write ``ColumnarView.derive`` must be *bit-identical* to a view
-  built fresh from the derived joined relation (same columns, same predicate
-  masks);
+* ``JoinedRelation.apply_delta`` must equal ``foreign_key_join(D', ...)``
+  column for column, with the same base-tuple ids and a consistent join
+  index;
+* the copy-on-write ``ColumnarView.derive`` must be *bit-identical* to the
+  cold rebuild's view (same columns, same predicate masks);
 * ``evaluate`` / ``evaluate_batch`` results and fingerprints on the derived
   state must equal the cold rebuild — and the row-at-a-time reference — for
   the paper workload queries Q1–Q6 and their mutated candidate variants.
@@ -24,7 +24,6 @@ import pytest
 
 from repro.exceptions import EvaluationError, SchemaError
 from repro.qbo.mutation import mutate_candidates
-from repro.relational.columnar import ColumnarView
 from repro.relational.database import Database
 from repro.relational.delta import TupleDelta
 from repro.relational.evaluator import JoinCache, evaluate_batch, evaluate_on_join
@@ -33,6 +32,7 @@ from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Te
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.workloads import build_pair
+from tests.columns import view_of
 from tests.oracles.evaluator_reference import evaluate_on_join_reference
 
 #: Tiny scale keeps the six workload pairs fast while exercising real data.
@@ -129,28 +129,28 @@ def test_apply_delta_matches_cold_rebuild_on_paper_workloads(name, seed):
     derived = joined.apply_delta(delta, database)
     cold = full_join(derived_db)
 
-    # Joined rows agree with the cold rebuild as bags.
-    assert derived.relation.bag_equal(cold.relation), f"{name}/seed {seed}: joined rows differ"
-    assert len(derived) == len(cold)
+    # The copy-on-write view holds the cold rebuild's columns, cell for cell,
+    # and the derived join its base-tuple ids.
+    view, cold_view = derived.columnar(), cold.columnar()
+    assert view.row_count == cold_view.row_count == len(derived)
+    assert view.names == cold_view.names
+    for attribute in cold_view.names:
+        assert list(view.column(attribute)) == list(cold_view.column(attribute)), (
+            f"{name}/seed {seed}: column {attribute} differs from the cold rebuild"
+        )
+    assert derived.tuple_ids == cold.tuple_ids, f"{name}/seed {seed}: ids differ"
 
-    # The join index is consistent with the provenance it was derived from.
-    for position, row_provenance in enumerate(derived.provenance):
-        for table, tuple_id in row_provenance.items():
+    # The join index is consistent with the id columns.
+    for table, ids in derived.tuple_ids.items():
+        for position, tuple_id in enumerate(ids):
             assert position in derived.joined_positions_of(table, tuple_id)
             assert derived.fanout_of(table, tuple_id) >= 1
 
-    # The copy-on-write columnar view is bit-identical to a fresh build.
-    view = derived.columnar()
-    fresh = ColumnarView(derived.relation)
-    assert view.row_count == fresh.row_count == len(derived)
-    for attribute in fresh.names:
-        assert list(view.column(attribute)) == list(fresh.column(attribute)), (
-            f"{name}/seed {seed}: column {attribute} differs from fresh build"
-        )
+    # Patched masks equal the cold rebuild's.
     for query in queries:
-        assert view.predicate_mask(query.predicate) == fresh.predicate_mask(query.predicate), (
-            f"{name}/seed {seed}: patched mask differs for {query}"
-        )
+        assert view.predicate_mask(query.predicate) == cold_view.predicate_mask(
+            query.predicate
+        ), f"{name}/seed {seed}: patched mask differs for {query}"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -291,11 +291,11 @@ class TestDeltaErrorSemantics:
     def _derived_and_cold(self, values, patches):
         """The ``v < 10`` entry of the patched view and of a cold view of the same rows."""
         term = self._STRING_LT_INT
-        view = ColumnarView(Relation.from_rows("T", ["v"], [[v] for v in values]))
+        view = view_of(Relation.from_rows("T", ["v"], [[v] for v in values]))
         view._term_entry(term)  # cache the entry derive patches
         derived = view.derive({position: {0: value} for position, value in patches.items()})
         patched = [patches.get(position, value) for position, value in enumerate(values)]
-        cold = ColumnarView(Relation.from_rows("T", ["v"], [[v] for v in patched]))
+        cold = view_of(Relation.from_rows("T", ["v"], [[v] for v in patched]))
         return [
             (mask, errors, None if error is None else str(error))
             for mask, errors, error in (derived._term_entry(term), cold._term_entry(term))
@@ -342,5 +342,44 @@ class TestColumnSharing:
         assert derived_view.column("Emp.salary") is not base_view.column("Emp.salary")
         assert derived_view.term_mask(budget_term) == base_view.term_mask(budget_term)
         assert derived_view.term_mask(salary_term) != base_view.term_mask(salary_term)
-        # Provenance and join index are shared wholesale on the update-only path.
-        assert derived.provenance is joined.provenance
+        # The id columns and join index are shared wholesale on the update-only path.
+        assert derived.tuple_ids is joined.tuple_ids
+
+    def test_updates_patch_only_their_own_tables_columns(self, chain_db):
+        # Player's columns start after Team's two and Match's after Player's
+        # three: each update must land in its own table's column.
+        joined = full_join(chain_db)
+        assert joined.tables == ("Team", "Player", "Match")
+        base_view = joined.columnar()
+        derived_db = chain_db.copy()
+        delta = TupleDelta()
+        derived_db.relation("Player").update_value(0, "rating", 9.0)  # two matches
+        delta.record_update("Player", 0, derived_db.relation("Player").tuple_by_id(0).values)
+        derived_db.relation("Match").update_value(2, "score", 5)
+        delta.record_update("Match", 2, derived_db.relation("Match").tuple_by_id(2).values)
+        derived_view = joined.apply_delta(delta, chain_db).columnar()
+
+        patched = {
+            name for name in base_view.names
+            if derived_view.column(name) is not base_view.column(name)
+        }
+        assert patched == {"Player.rating", "Match.score"}
+        assert derived_view.column("Player.rating") == (9.0, 9.0, 8.5)
+        assert derived_view.column("Match.score") == (3, 1, 5)
+        cold_view = full_join(derived_db).columnar()
+        for name in cold_view.names:
+            assert derived_view.column(name) == cold_view.column(name), name
+
+    def test_derived_join_shares_schema_ids_and_join_index(self, chain_db):
+        joined = full_join(chain_db)
+        derived_db = chain_db.copy()
+        delta = TupleDelta()
+        derived_db.relation("Team").update_value(0, "city", "Bergen")
+        delta.record_update("Team", 0, derived_db.relation("Team").tuple_by_id(0).values)
+        derived = joined.apply_delta(delta, chain_db)
+
+        assert derived.schema is joined.schema
+        assert derived.tuple_ids is joined.tuple_ids
+        assert derived._join_index is joined._join_index is not None
+        assert derived.joined_positions_of("Team", 0) == (0, 1)
+        assert derived.columnar().column("Team.city") == ("Bergen", "Bergen", "Lima")

@@ -1,6 +1,8 @@
 """Unit tests for SPJ/SPJU evaluation, result schemas and the join cache."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import SchemaError, UnsupportedQueryError
 from repro.relational.database import Database
@@ -15,6 +17,7 @@ from repro.relational.evaluator import (
 from repro.relational.join import foreign_key_join, full_join
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.relation import Relation
 
 
 class TestSingleTableEvaluation:
@@ -123,6 +126,47 @@ class TestResultHelpers:
         database.relation("Dept").insert([4, "Extra", 100])
         after = result_fingerprint(evaluate(query, database), set_semantics=True)
         assert before == after  # 100 already existed
+
+    def test_result_fingerprint_of_integers_beyond_the_float_range(self):
+        huge = Relation.from_rows("R", ["x"], [[10**400], [1]])
+        reordered = Relation.from_rows("R", ["x"], [[1], [10**400]])
+        neighbour = Relation.from_rows("R", ["x"], [[10**400 + 1], [1]])
+        for set_semantics in (False, True):
+            fingerprint = result_fingerprint(huge, set_semantics=set_semantics)
+            assert fingerprint == result_fingerprint(reordered, set_semantics=set_semantics)
+            assert fingerprint != result_fingerprint(neighbour, set_semantics=set_semantics)
+
+    def test_result_fingerprint_equates_equal_numbers_across_types(self):
+        ints = Relation.from_rows("R", ["x"], [[1], [2], [2]])
+        floats = Relation.from_rows("R", ["x"], [[2.0], [1.0], [2.0]])
+        fewer = Relation.from_rows("R", ["x"], [[1.0], [2.0]])
+        assert ints.bag_equal(floats)
+        assert result_fingerprint(ints) == result_fingerprint(floats)
+        assert result_fingerprint(ints) != result_fingerprint(fewer)
+        assert result_fingerprint(ints, set_semantics=True) == result_fingerprint(
+            fewer, set_semantics=True
+        )
+
+
+#: Cells around the float range's edges: NULL, 2^53 neighbours and 10^400.
+_CELLS = st.sampled_from([None, 0, 1, -1, 2**53, 2**53 + 1, 10**400])
+_ROWS = st.lists(st.tuples(_CELLS, st.sampled_from(["a", "b", None])), max_size=6)
+
+
+class TestFingerprintProperties:
+    @given(st.data())
+    def test_fingerprint_equality_is_bag_and_set_equality(self, data):
+        left_rows = data.draw(_ROWS)
+        right_rows = data.draw(
+            st.one_of(st.permutations(left_rows), st.just(left_rows + left_rows[:1]), _ROWS)
+        )
+        left = Relation.from_rows("R", ["x", "s"], left_rows)
+        right = Relation.from_rows("R", ["x", "s"], right_rows)
+        assert (result_fingerprint(left) == result_fingerprint(right)) == left.bag_equal(right)
+        assert (
+            result_fingerprint(left, set_semantics=True)
+            == result_fingerprint(right, set_semantics=True)
+        ) == left.set_equal(right)
 
 
 class TestUnionQueries:

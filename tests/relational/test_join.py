@@ -1,4 +1,4 @@
-"""Unit tests for foreign-key joins, provenance and join indexes."""
+"""Unit tests for foreign-key joins, base-tuple ids and join indexes."""
 
 import sys
 import threading
@@ -7,8 +7,11 @@ import pytest
 
 from repro.exceptions import SchemaError
 from repro.relational.database import Database
+from repro.relational.evaluator import evaluate_on_join
 from repro.relational.join import JOIN_STATS, foreign_key_join, full_join
-from repro.relational.schema import ForeignKey
+from repro.relational.query import SPJQuery
+from repro.relational.schema import ForeignKey, qualify
+from tests.columns import joined_dicts
 
 
 class TestForeignKeyJoin:
@@ -25,7 +28,7 @@ class TestForeignKeyJoin:
 
     def test_join_values_line_up(self, two_table_db):
         joined = foreign_key_join(two_table_db, ["Emp", "Dept"])
-        for row in joined.relation.to_dicts():
+        for row in joined_dicts(joined):
             assert row["Emp.did"] == row["Dept.did"]
 
     def test_empty_table_list_rejected(self, two_table_db):
@@ -69,7 +72,7 @@ class TestForeignKeyJoin:
         )
         joined = foreign_key_join(database, ["C", "P"])
         # 2^53 + 1 must not pair with 2^53, which a float() round-trip equates.
-        assert [row["C.cid"] for row in joined.relation.to_dicts()] == [2]
+        assert [row["C.cid"] for row in joined_dicts(joined)] == [2]
 
 
 class TestProvenanceAndJoinIndex:
@@ -104,11 +107,51 @@ class TestProvenanceAndJoinIndex:
                 positions = joined.joined_positions_of(table, row.tuple_id)
                 assert len(positions) == joined.fanout_of(table, row.tuple_id)
 
-    def test_owning_table_of(self, two_table_db):
+    def test_id_columns_line_up_with_each_tables_columns(self, two_table_db):
         joined = foreign_key_join(two_table_db, ["Emp", "Dept"])
-        assert joined.owning_table_of("Dept.dname") == "Dept"
-        with pytest.raises(SchemaError):
-            joined.owning_table_of("Nope.x")
+        _assert_id_columns_line_up(joined, two_table_db)
+
+    def test_declared_order_permutes_columns_and_id_columns_together(self, chain_db):
+        # Match attaches last (through Player), but is declared second.
+        joined = foreign_key_join(chain_db, ["Team", "Match", "Player"])
+        assert joined.tables == ("Team", "Match", "Player")
+        assert tuple(joined.tuple_ids) == joined.tables
+        assert joined.attribute_names[2:5] == ("Match.mid", "Match.pid", "Match.score")
+        assert len(joined) == 3
+        _assert_id_columns_line_up(joined, chain_db)
+
+    def test_join_without_matches_keeps_its_columns_and_id_columns(self):
+        database = Database.from_tables(
+            {
+                "Parent": (["pid"], [[1], [2]]),
+                "Child": (["cid", "pid"], [[1, None], [2, None]]),
+            },
+            foreign_keys=[ForeignKey("Child", ("pid",), "Parent", ("pid",))],
+            primary_keys={"Parent": ["pid"], "Child": ["cid"]},
+        )
+        joined = full_join(database)
+        assert len(joined) == 0
+        view = joined.columnar()
+        assert view.names == joined.attribute_names == ("Parent.pid", "Child.cid", "Child.pid")
+        assert [view.column(name) for name in view.names] == [(), (), ()]
+        assert joined.tuple_ids == {"Parent": (), "Child": ()}
+        assert joined.fanout_of("Parent", 0) == 0
+        query = SPJQuery(["Child"], ["Child.cid"])
+        assert len(evaluate_on_join(query, joined, database)) == 0
+
+
+def _assert_id_columns_line_up(joined, database):
+    """Row *i* of each table's columns is the base tuple ``tuple_ids[table][i]``."""
+    view = joined.columnar()
+    for table in joined.tables:
+        relation = database.relation(table)
+        ids = joined.tuple_ids[table]
+        assert len(ids) == len(joined)
+        columns = [view.column(qualify(table, name)) for name in relation.schema.attribute_names]
+        for position, tuple_id in enumerate(ids):
+            cells = tuple(column[position] for column in columns)
+            assert cells == relation.tuple_by_id(tuple_id).values, (table, position)
+            assert joined.base_tuple_of(position, table) == tuple_id
 
 
 class TestDatasetJoins:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from repro.relational.database import Database
 from repro.relational.delta import TupleDelta
-from repro.relational.evaluator import JoinCache, evaluate
+from repro.relational.evaluator import JoinCache, evaluate, result_fingerprint
 from repro.relational.join import JOIN_STATS
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
+from tests.columns import joined_rows
 
 
 def _salary_query(threshold):
@@ -38,7 +39,7 @@ class TestJoinReuse:
         sorted_first = JoinCache().join_for(two_table_db, ["Dept", "Emp"])
         assert unsorted_first.attribute_names == sorted_first.attribute_names
         assert unsorted_first.attribute_names[0].startswith("Dept.")
-        assert unsorted_first.relation.rows() == sorted_first.relation.rows()
+        assert joined_rows(unsorted_first) == joined_rows(sorted_first)
 
     def test_cold_builds_are_counted_and_derivations_are_not(self, two_table_db):
         cache = JoinCache()
@@ -68,14 +69,13 @@ class TestJoinReuse:
 class TestColumnarLifecycle:
     def test_columnar_view_rides_with_cached_join(self, two_table_db):
         cache = JoinCache()
-        view = cache.columnar_for(two_table_db, ["Emp", "Dept"])
-        assert view is cache.columnar_for(two_table_db, ["Dept", "Emp"])
-        assert view is cache.join_for(two_table_db, ["Emp", "Dept"]).columnar()
+        view = cache.join_for(two_table_db, ["Emp", "Dept"]).columnar()
+        assert view is cache.join_for(two_table_db, ["Dept", "Emp"]).columnar()
 
     def test_term_masks_accumulate_across_evaluations(self, two_table_db):
         cache = JoinCache()
         cache.evaluate(_salary_query(60), two_table_db)
-        view = cache.columnar_for(two_table_db, ["Emp"])
+        view = cache.join_for(two_table_db, ["Emp"]).columnar()
         assert view.cached_term_count == 1
         cache.evaluate(_salary_query(60), two_table_db)  # cache hit
         assert view.cached_term_count == 1
@@ -98,13 +98,6 @@ class TestBatchThroughCache:
             assert result.bag_equal(evaluate(query, two_table_db))
         # one join per distinct signature
         assert cache.cached_join_count == 2
-
-    def test_fingerprints_optional(self, two_table_db):
-        cache = JoinCache()
-        batch = cache.evaluate_batch(
-            [_salary_query(60)], two_table_db, with_fingerprints=False
-        )
-        assert batch.fingerprints is None
 
     def test_fingerprint_equality_matches_bag_equality(self):
         database, queries = _fingerprint_round()
@@ -131,6 +124,14 @@ class TestBatchThroughCache:
         assert batch.fingerprints[6] == batch.fingerprints[7]
         assert batch.fingerprints[9] == batch.fingerprints[10]
 
+    def test_every_query_carries_its_results_fingerprint(self):
+        database, queries = _fingerprint_round()
+        for set_semantics in (False, True):
+            batch = JoinCache().evaluate_batch(queries, database, set_semantics=set_semantics)
+            assert len(batch.fingerprints) == len(batch.results) == len(queries)
+            for result, fingerprint in zip(batch.results, batch.fingerprints):
+                assert fingerprint == result_fingerprint(result, set_semantics=set_semantics)
+
     def test_distinct_query_fingerprints_collapse_duplicates(self):
         database, queries = _fingerprint_round()
         # Same mask and projection, different DISTINCT flag: the batch must
@@ -143,14 +144,15 @@ class TestBatchThroughCache:
 
 
 def _fingerprint_round():
-    """One table with NULLs, duplicates and 2^53 neighbours, plus a candidate
-    batch whose results coincide in some pairs and differ in others."""
+    """One table with NULLs, duplicates, 2^53 neighbours and an integer beyond
+    the float range, plus a candidate batch whose results coincide in some
+    pairs and differ in others."""
     big = 2**53
     database = Database.from_tables({
         "T": (
             ["i", "f", "s"],
             [[1, 1.5, "a"], [2, 2.5, "b"], [3, None, "a"],
-             [big, 2.5, "c"], [big + 1, None, "c"]],
+             [big, 2.5, "c"], [big + 1, None, "c"], [2**1024, None, "d"]],
         )
     })
 
@@ -162,14 +164,14 @@ def _fingerprint_round():
         query("T.i", Term("T.f", ComparisonOp.GT, 1.0)),        # 0: 1, 2, big
         query("T.i", Term("T.s", ComparisonOp.EQ, "a")),        # 1: 1, 3
         query("T.i", Term("T.i", ComparisonOp.IN, (1, 3))),     # 2: 1, 3
-        query("T.i", Term("T.i", ComparisonOp.GE, big + 1)),    # 3: big + 1
+        query("T.i", Term("T.i", ComparisonOp.GE, big + 1)),    # 3: big + 1, 2^1024
         query("T.i", Term("T.i", ComparisonOp.EQ, big)),        # 4: big
         query("T.f", Term("T.s", ComparisonOp.EQ, "c")),        # 5: 2.5, NULL
         query("T.f", Term("T.f", ComparisonOp.GT, 2.0)),        # 6: 2.5, 2.5
         query("T.f", Term("T.s", ComparisonOp.EQ, "b")),        # 7: 2.5
         query("T.f", Term("T.f", ComparisonOp.GT, 2.0), True),  # 8: 2.5
-        query("T.s"),                                           # 9: a, b, a, c, c
-        query("T.s", distinct=True),                            # 10: a, b, c
+        query("T.s"),                                           # 9: a, b, a, c, c, d
+        query("T.s", distinct=True),                            # 10: a, b, c, d
     ]
     return database, queries
 

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.exceptions import EvaluationError
-from repro.relational.columnar import ColumnarView, pack_bools
+from repro.relational.columnar import pack_bools
 from repro.relational.database import Database
 from repro.relational.predicates import ComparisonOp, Term, compile_term
+from tests.columns import view_of
 from tests.oracles.evaluator_reference import evaluate_value_reference
 
 _SETTINGS = settings(
@@ -125,7 +126,7 @@ class TestThreePathNullConsistency:
         assert [compiled(v) for v in values] == verdicts
 
         # Path 3: the columnar term mask, bit for bit.
-        view = ColumnarView(relation)
+        view = view_of(relation)
         assert view.term_mask(Term(column, op, constant)) == pack_bools(verdicts)
 
     @_SETTINGS
@@ -141,7 +142,7 @@ class TestThreePathNullConsistency:
         compiled = compile_term(qualified)
         assert [compiled(v) for v in values] == verdicts
 
-        view = ColumnarView(relation)
+        view = view_of(relation)
         assert view.term_mask(Term(column, op, tuple(constants))) == pack_bools(verdicts)
 
 
@@ -153,7 +154,7 @@ class TestPinnedNullCases:
         column = term.attribute.split(".", 1)[1]
         verdicts, errored = _interpret(term, relation.column(column))
         assert not errored, term
-        mask = ColumnarView(relation).term_mask(Term(column, term.op, term.constant))
+        mask = view_of(relation).term_mask(Term(column, term.op, term.constant))
         assert mask == pack_bools(verdicts), term
         return {
             tuple_id for tuple_id, verdict in zip(_ids(relation), verdicts) if verdict

@@ -23,12 +23,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.relational.columnar import ColumnarView, pack_bools
+from repro.relational.columnar import pack_bools
 from repro.relational.database import Database
 from repro.relational.evaluator import evaluate
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term, compile_term
 from repro.relational.query import SPJQuery
 from repro.sql.sqlite_backend import SQLiteBackend
+from tests.columns import view_of
 from tests.oracles.evaluator_reference import evaluate_value_reference, term_entry_reference
 
 _SETTINGS = settings(
@@ -120,7 +121,7 @@ class TestFourPathConsistency:
 
         # Path 3: the columnar term mask, bit for bit.
         bare = Term(column, op, constant)
-        view = ColumnarView(relation)
+        view = view_of(relation)
         assert view.term_mask(bare) == pack_bools(interpreted)
 
         # Path 4: the SQLite oracle on the rendered SQL.
@@ -145,7 +146,7 @@ class TestFourPathConsistency:
         interpreted = [evaluate_value_reference(qualified, v) for v in values]
         assert [compiled(v) for v in values] == interpreted
 
-        view = ColumnarView(relation)
+        view = view_of(relation)
         assert view.term_mask(Term(column, op, tuple(constants))) == pack_bools(interpreted)
 
         if any(c is None or c != c for c in constants):
@@ -211,7 +212,7 @@ class TestViewVsInterpreterExtremes:
             {"T": (["i", "s"], [list(r) for r in rows])}
         ).relation("T")
         term = Term(column, op, constant)
-        mask, errors, error = ColumnarView(relation)._term_entry(term)
+        mask, errors, error = view_of(relation)._term_entry(term)
         expected_mask, expected_errors, message = term_entry_reference(relation.column(column), term)
         assert (mask, errors) == (expected_mask, expected_errors)
         # The representative error is the first erroring row's, verbatim.
@@ -222,7 +223,7 @@ class TestViewVsInterpreterExtremes:
         relation = Database.from_tables(
             {"T": (["i"], [[v] for v in values])}
         ).relation("T")
-        view = ColumnarView(relation)
+        view = view_of(relation)
         assert view.term_mask(Term("i", ComparisonOp.EQ, 2**63)) == 1 << 8
         assert view.term_mask(Term("i", ComparisonOp.GT, BIG + 1)) == 1 << 8
         assert view.term_mask(Term("i", ComparisonOp.LT, 0)) == 1 << 9
@@ -238,7 +239,7 @@ class TestViewVsInterpreterExtremes:
         relation = Database.from_tables(
             {"T": (["f"], [[0.0], [1.5], [None], [-2.0]])}
         ).relation("T")
-        view = ColumnarView(relation)
+        view = view_of(relation)
         for op in _SCALAR_OPS:
             term = Term("f", op, math.nan)
             # NaN compares False to everything and never errors; NULLs stay

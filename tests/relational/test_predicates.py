@@ -9,9 +9,10 @@ oracle in :mod:`tests.oracles.evaluator_reference`.
 import pytest
 
 from repro.exceptions import EvaluationError
-from repro.relational.columnar import ColumnarView, mask_positions
+from repro.relational.columnar import mask_positions
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term, compile_term
 from repro.relational.relation import Relation
+from tests.columns import view_of
 from tests.oracles.evaluator_reference import evaluate_value_reference
 
 
@@ -21,7 +22,7 @@ def _holds(term, value):
 
 def _selected(predicate, rows):
     """Positions of the ``(a, b)`` rows the predicate (or conjunct) selects."""
-    view = ColumnarView(Relation.from_rows("T", ["a", "b"], rows))
+    view = view_of(Relation.from_rows("T", ["a", "b"], rows))
     if isinstance(predicate, Conjunct):
         return mask_positions(view.conjunct_mask(predicate))
     return mask_positions(view.predicate_mask(predicate))

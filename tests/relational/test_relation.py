@@ -65,10 +65,6 @@ class TestRelationConstruction:
         assert relation.rows() == [(1,), (2,)]
         assert clone.rows() == [(99,), (2,)]
 
-    def test_empty_like(self):
-        relation = Relation.from_rows("T", ["a"], [[1]])
-        assert len(relation.empty_like()) == 0
-
 
 class TestRelationModification:
     def test_update_value(self):
