@@ -29,6 +29,8 @@ Algorithm 3 enumerates DTCs without calling a predicate.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -39,6 +41,19 @@ from repro.relational.query import SPJQuery
 from repro.relational.types import value_sort_key
 
 __all__ = ["DomainSubset", "DomainPartition", "TupleClass", "TupleClassSpace"]
+
+
+def _beyond_float(value: Any) -> bool:
+    """Whether *value* is an int no double can hold (mixing it with a float raises)."""
+    return isinstance(value, int) and not -sys.float_info.max <= value <= sys.float_info.max
+
+
+def _double_lies_beyond(probe: Any, end: Any, direction: int) -> bool:
+    """Whether *probe*, stored as a double, lies strictly below (-1) or above (+1) *end*."""
+    return (
+        -sys.float_info.max <= probe <= sys.float_info.max
+        and direction * float(probe) > direction * end
+    )
 
 
 # --------------------------------------------------------------------- subsets
@@ -143,25 +158,25 @@ class DomainPartition:
                 if isinstance(c, (int, float)) and not isinstance(c, bool)
             }
         )
-        probes: list[float] = []
+        probes: list[Any] = []
         interval_labels: list[str] = []
         if not breakpoints:
             probes = [0.0]
             interval_labels = ["(-inf, +inf)"]
         else:
-            spread = max(breakpoints[-1] - breakpoints[0], 1)
-            probes.append(breakpoints[0] - spread)
+            below, above = self._outer_probes(breakpoints[0], breakpoints[-1])
+            probes.append(below)
             interval_labels.append(f"(-inf, {self._label(breakpoints[0])})")
-            for i, point in enumerate(breakpoints):
+            for point, upper in zip(breakpoints, breakpoints[1:]):
                 probes.append(point)
                 interval_labels.append(f"[{self._label(point)}]")
-                upper = breakpoints[i + 1] if i + 1 < len(breakpoints) else point + spread
-                probes.append(self._midpoint(point, upper) if i + 1 < len(breakpoints) else point + spread)
-                interval_labels.append(
-                    f"({self._label(point)}, {self._label(upper)})"
-                    if i + 1 < len(breakpoints)
-                    else f"({self._label(point)}, +inf)"
-                )
+                middle = self._midpoint(point, upper)
+                if middle is not None:
+                    probes.append(middle)
+                    interval_labels.append(f"({self._label(point)}, {self._label(upper)})")
+            last = breakpoints[-1]
+            probes.extend((last, above))
+            interval_labels.extend((f"[{self._label(last)}]", f"({self._label(last)}, +inf)"))
 
         groups: dict[tuple[bool, ...], dict[str, list[Any]]] = {}
         for probe, label in zip(probes, interval_labels):
@@ -209,19 +224,65 @@ class DomainPartition:
         return f"{value:g}"
 
     @staticmethod
-    def _midpoint(low: Any, high: Any) -> Any:
-        """A probe value strictly between two breakpoints (exact for ints).
+    def _outer_probes(first: Any, last: Any) -> tuple[Any, Any]:
+        """Probes strictly below the first and above the last breakpoint.
 
-        ``(low + high) / 2.0`` on huge integers rounds to a double and can
-        land *on* a breakpoint; the integer midpoint stays exact. For
-        adjacent integers the open interval contains no integers at all, so
-        the (collapsing) float midpoint merely merges the empty interval with
-        its lower breakpoint's signature group — which is harmless, since
-        subsets are keyed by term signature.
+        Each lies one spread (the breakpoints' range, at least 1) out when a
+        double holds it and, stored as a double, it stays outside its
+        breakpoint. Otherwise (an int beyond the float range, whose mixed
+        arithmetic with a float raises OverflowError; a sum past the largest
+        double; an end ≥ 2^53 whose spacing swallows the spread) the end
+        steps out on its own (:meth:`_step_out`).
         """
+        if _beyond_float(first) or _beyond_float(last):
+            return DomainPartition._step_out(first, -1), DomainPartition._step_out(last, 1)
+        spread = max(last - first, 1)
+        below, above = first - spread, last + spread
+        if not _double_lies_beyond(below, first, -1):
+            below = DomainPartition._step_out(first, -1)
+        if not _double_lies_beyond(above, last, 1):
+            above = DomainPartition._step_out(last, 1)
+        return below, above
+
+    @staticmethod
+    def _step_out(end: Any, direction: int) -> Any:
+        """A probe strictly below (*direction* -1) or above (+1) the breakpoint *end*.
+
+        The nearest int beyond *end*, exact in ints where a double cannot hold
+        *end*; where a double holds *end*, that int only if it still lies
+        beyond *end* as a double (a FLOAT column stores it so), else the next
+        double out. Nothing lies beyond an infinite end, so it stays put.
+        """
+        if _beyond_float(end):
+            return end + direction
+        if math.isfinite(end):
+            step = math.floor(end) + 1 if direction > 0 else math.ceil(end) - 1
+            if _double_lies_beyond(step, end, direction):
+                return step
+        return math.nextafter(float(end), direction * math.inf)
+
+    @staticmethod
+    def _midpoint(low: Any, high: Any) -> Any:
+        """A probe strictly between two breakpoints, or ``None`` where none fits.
+
+        Ints stay exact: the integer midpoint when an integer lies strictly
+        between (``(low + high) / 2.0`` on huge integers rounds to a double
+        and can land *on* a breakpoint, or outside the interval). Where an
+        int is beyond the float range the probe is the integer midpoint of
+        the ints strictly between. Otherwise it is the double
+        ``low / 2 + high / 2``, which, unlike ``(low + high) / 2``, cannot
+        overflow; an infinite end reads as the largest double. ``None`` means
+        no value a column can store lies strictly between.
+        """
+        low = -sys.float_info.max if low == -math.inf else low
+        high = sys.float_info.max if high == math.inf else high
+        if _beyond_float(low) or _beyond_float(high):
+            low, high = math.floor(low) + 1, math.ceil(high) - 1
+            return low + (high - low) // 2 if low <= high else None
         if isinstance(low, int) and isinstance(high, int) and high - low > 1:
             return low + (high - low) // 2
-        return (low + high) / 2.0
+        middle = low / 2 + high / 2
+        return middle if low < middle < high else None
 
     def _build_categorical_subsets(self, active_values: list[Any]) -> list[DomainSubset]:
         constants = [c for term in self.terms for c in term.constants()]

@@ -2,15 +2,13 @@
 
 Candidate queries join a *connected* subset of the database's relations along
 foreign keys (Section 4). This module enumerates those subsets in increasing
-size up to the configured maximum, deterministically ordered, using the
-schema's join graph.
+size up to the configured maximum, deterministically ordered, keeping those
+:meth:`DatabaseSchema.is_join_connected` accepts.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import networkx as nx
 
 from repro.qbo.config import QBOConfig
 from repro.relational.schema import DatabaseSchema
@@ -24,16 +22,11 @@ def enumerate_join_schemas(schema: DatabaseSchema, config: QBOConfig) -> list[tu
     Subsets are returned smallest-first (cheaper joins are tried before wider
     ones) and alphabetically within a size for determinism.
     """
-    graph = nx.Graph(schema.join_graph())
     tables = sorted(schema.table_names)
-    schemas: list[tuple[str, ...]] = []
     max_size = min(config.max_join_relations, len(tables))
-    for size in range(1, max_size + 1):
-        for subset in combinations(tables, size):
-            if size == 1:
-                schemas.append(subset)
-                continue
-            subgraph = graph.subgraph(subset)
-            if len(subgraph) == size and nx.is_connected(subgraph):
-                schemas.append(subset)
-    return schemas
+    return [
+        subset
+        for size in range(1, max_size + 1)
+        for subset in combinations(tables, size)
+        if schema.is_join_connected(subset)
+    ]

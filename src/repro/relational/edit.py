@@ -10,8 +10,10 @@ the minimum cost of transforming one into the other using three operations:
 ``minEdit(T, T')`` is therefore a minimum-cost assignment problem: each tuple
 of ``T`` is either matched to a tuple of ``T'`` (paying one per differing
 attribute) or deleted; unmatched tuples of ``T'`` are inserted. We solve it
-exactly with the Hungarian algorithm (``scipy.optimize.linear_sum_assignment``)
-on a square cost matrix padded with delete/insert costs.
+exactly on a square cost matrix padded with delete/insert costs, with
+:func:`min_cost_assignment`: a pure-Python port of the shortest augmenting
+path solver behind ``scipy.optimize.linear_sum_assignment`` (Crouse's LAPJV
+variant), tie rule included, so it picks the same optimal assignment.
 
 ``minEdit(D, D')`` over whole databases is the sum over modified relations
 (Section 3). The Result Feedback module presents ``Δ(R, R_i)`` as the
@@ -23,11 +25,9 @@ as the same :class:`EditOperation` values.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Any
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from typing import Any, Sequence
 
 from repro.relational.relation import Relation, Tuple
 from repro.relational.types import values_equal
@@ -37,6 +37,7 @@ __all__ = [
     "EditOperation",
     "EditScript",
     "tuple_distance",
+    "min_cost_assignment",
     "cell_edits",
     "min_edit_relation",
     "min_edit_script",
@@ -109,6 +110,76 @@ def tuple_distance(left: Tuple | tuple, right: Tuple | tuple) -> int:
     return sum(0 if values_equal(a, b) else 1 for a, b in zip(left_values, right_values))
 
 
+def min_cost_assignment(cost: Sequence[Sequence[int]]) -> list[int]:
+    """A minimum-cost perfect matching of a square cost matrix: each row's column.
+
+    A port of the shortest augmenting path algorithm that
+    ``scipy.optimize.linear_sum_assignment`` runs (D. F. Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016): rows
+    are added one at a time, each by a Dijkstra search over reduced costs
+    from that row to an unassigned column, followed by a dual update and the
+    augmentation. The column scan order and the tie rule are scipy's: columns
+    are scanned from the last one down, and on an equal reduced cost an
+    unassigned column wins, so equal-cost optima resolve the same way. On
+    integer costs both compute exactly (scipy's doubles hold them exactly),
+    so both take the same steps.
+    """
+    size = len(cost)
+    row_potential = [0] * size
+    column_potential = [0] * size
+    column_of_row = [-1] * size
+    row_of_column = [-1] * size
+    path = [-1] * size
+    for current_row in range(size):
+        shortest = [math.inf] * size
+        row_seen = [False] * size
+        column_seen = [False] * size
+        remaining = list(range(size - 1, -1, -1))
+        min_value = 0
+        row = current_row
+        sink = -1
+        while sink == -1:
+            row_seen[row] = True
+            costs, potential = cost[row], row_potential[row]
+            index, lowest = -1, math.inf
+            for position, column in enumerate(remaining):
+                reduced = min_value + costs[column] - potential - column_potential[column]
+                if reduced < shortest[column]:
+                    path[column] = row
+                    shortest[column] = reduced
+                if shortest[column] < lowest or (
+                    shortest[column] == lowest and row_of_column[column] == -1
+                ):
+                    lowest = shortest[column]
+                    index = position
+            min_value = lowest
+            column = remaining[index]
+            if row_of_column[column] == -1:
+                sink = column
+            else:
+                row = row_of_column[column]
+            column_seen[column] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        row_potential[current_row] += min_value
+        for row in range(size):
+            if row_seen[row] and row != current_row:
+                row_potential[row] += min_value - shortest[column_of_row[row]]
+        for column in range(size):
+            if column_seen[column]:
+                column_potential[column] -= min_value - shortest[column]
+
+        column = sink
+        while True:
+            row = path[column]
+            row_of_column[column] = row
+            column_of_row[row], column = column, column_of_row[row]
+            if row == current_row:
+                break
+    return column_of_row
+
+
 def _assignment(source: Relation, target: Relation) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Solve the minimum-cost matching between source and target tuples.
 
@@ -116,9 +187,9 @@ def _assignment(source: Relation, target: Relation) -> tuple[list[tuple[int, int
     where matched pairs are index pairs into the relations' tuple lists.
 
     Identical rows are matched greedily at zero cost first (always part of an
-    optimal solution for this cost structure), so the cubic Hungarian step only
-    runs on the usually tiny symmetric difference — QFE's modified databases
-    differ from the original in a handful of tuples.
+    optimal solution for this cost structure), so the cubic assignment step
+    only runs on the usually tiny symmetric difference — QFE's modified
+    databases differ from the original in a handful of tuples.
     """
     matched, source_indexes, target_indexes = _match_identical_rows(source, target)
 
@@ -129,25 +200,22 @@ def _assignment(source: Relation, target: Relation) -> tuple[list[tuple[int, int
     if n_source == 0 and n_target == 0:
         return matched, [], []
 
-    size = n_source + n_target
     # Padded square matrix: matching a source row to a "phantom" column means
     # deleting it (cost = arity); matching a phantom row to a target column
     # means inserting it (cost = arity); phantom-to-phantom costs nothing.
-    cost = np.zeros((size, size), dtype=float)
-    cost[:n_source, n_target:] = arity
-    cost[n_source:, :n_target] = arity
-    for i, source_row in enumerate(source_rows):
-        for j, target_row in enumerate(target_rows):
-            cost[i, j] = tuple_distance(source_row, target_row)
-    row_indexes, column_indexes = linear_sum_assignment(cost)
+    cost = [
+        [tuple_distance(source_row, target_row) for target_row in target_rows] + [arity] * n_source
+        for source_row in source_rows
+    ]
+    cost += [[arity] * n_target + [0] * n_source for _ in range(n_target)]
 
     deleted: list[int] = []
     inserted: list[int] = []
-    for i, j in zip(row_indexes, column_indexes):
+    for i, j in enumerate(min_cost_assignment(cost)):
         if i < n_source and j < n_target:
             # Matching at a cost >= arity is never cheaper than delete+insert,
             # and delete+insert is the more faithful description of the change.
-            if cost[i, j] >= 2 * arity:
+            if cost[i][j] >= 2 * arity:
                 deleted.append(source_indexes[i])
                 inserted.append(target_indexes[j])
             else:

@@ -11,8 +11,8 @@ tuple modifications (Section 5.4.1). The schema layer therefore models:
 * :class:`ForeignKey` — a (child table, child columns) → (parent table,
   parent columns) reference;
 * :class:`DatabaseSchema` — the collection of table schemas and foreign keys,
-  exposing the foreign-key *join graph* used by the QBO join enumerator and
-  the QFE database generator.
+  answering the foreign-key *join graph* questions (connectivity, a spanning
+  tree) that the QBO join enumerator and the foreign-key join ask.
 
 Qualified attribute names use the ``table.column`` convention, which is also
 how joined relations name their columns.
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-
-import networkx as nx
 
 from repro.exceptions import SchemaError
 from repro.relational.types import AttributeType
@@ -187,10 +185,14 @@ class ForeignKey:
 class DatabaseSchema:
     """The schema of a database: tables and foreign keys.
 
-    The schema exposes the *foreign-key join graph*: an undirected multigraph
-    whose nodes are table names and whose edges are foreign keys. Both the
-    QBO join enumerator (Section 4) and the QFE full foreign-key join
-    (Section 5) traverse this graph.
+    The *foreign-key join graph* is undirected: its nodes are table names and
+    its edges are foreign keys. Both the QBO join enumerator (Section 4) and
+    the QFE full foreign-key join (Section 5) traverse it, through
+    :meth:`is_join_connected` (a breadth-first search) and
+    :meth:`spanning_foreign_keys` (a union-find Kruskal): plain Python ports
+    of networkx's ``is_connected`` and Kruskal ``minimum_spanning_tree``,
+    edge order included. The spanning tree's order sets the foreign-key
+    join's attach order, and with it the joined row order.
     """
 
     def __init__(
@@ -269,45 +271,65 @@ class DatabaseSchema:
         return owners[0], column
 
     # ------------------------------------------------------------- join graph
-    def join_graph(self) -> nx.MultiGraph:
-        """The undirected foreign-key join graph (nodes = tables, edges = FKs)."""
-        graph = nx.MultiGraph()
-        graph.add_nodes_from(self.tables)
-        for fk in self.foreign_keys:
-            graph.add_edge(fk.child_table, fk.parent_table, foreign_key=fk)
-        return graph
-
     def is_join_connected(self, table_names: Iterable[str]) -> bool:
-        """Whether the given tables form a connected subgraph of the join graph."""
+        """Whether the given tables form a connected subgraph of the join graph.
+
+        The names must be distinct known tables: a repeated or unknown name
+        makes the answer ``False``, as does an empty list.
+        """
         names = list(table_names)
-        if not names:
+        nodes = set(names)
+        if not names or len(nodes) != len(names) or not nodes <= self.tables.keys():
             return False
-        if len(names) == 1:
-            return self.has_table(names[0])
-        subgraph = self.join_graph().subgraph(names)
-        return len(subgraph) == len(names) and nx.is_connected(nx.Graph(subgraph))
+        neighbours: dict[str, set[str]] = {name: set() for name in names}
+        for fk in self.foreign_keys:
+            if fk.child_table in nodes and fk.parent_table in nodes:
+                neighbours[fk.child_table].add(fk.parent_table)
+                neighbours[fk.parent_table].add(fk.child_table)
+        reached = [names[0]]
+        for table in reached:  # a breadth-first search: the list is its queue
+            for neighbour in neighbours[table].difference(reached):
+                reached.append(neighbour)
+        return len(reached) == len(nodes)
 
     def spanning_foreign_keys(self, table_names: Iterable[str]) -> tuple[ForeignKey, ...]:
         """A set of foreign keys forming a spanning tree over *table_names*.
 
-        Raises :class:`SchemaError` when the tables are not join-connected.
+        Kruskal's algorithm with unit weights walks the tables' adjacency
+        edges in ``networkx.Graph.edges()`` order (each table in first-seen
+        order, its neighbours in the order their edges were added) and keeps
+        an edge that joins two components. The tree's edges come back in the
+        same walk order over the tree, and each edge stands for the first
+        schema foreign key between its two tables. Raises
+        :class:`SchemaError` when the tables are not join-connected.
         """
         names = list(dict.fromkeys(table_names))
         if not self.is_join_connected(names):
             raise SchemaError(f"tables {names} are not connected by foreign keys")
         if len(names) <= 1:
             return ()
-        subgraph = nx.Graph()
+        adjacency: dict[str, list[str]] = {}
         for left in names:
             for right in names:
                 if left < right and self.foreign_keys_between(left, right):
-                    subgraph.add_edge(left, right)
-        subgraph.add_nodes_from(names)
-        tree = nx.minimum_spanning_tree(subgraph)
-        picked: list[ForeignKey] = []
-        for left, right in tree.edges():
-            picked.append(self.foreign_keys_between(left, right)[0])
-        return tuple(picked)
+                    adjacency.setdefault(left, []).append(right)
+                    adjacency.setdefault(right, []).append(left)
+        component = {name: name for name in names}
+
+        def find(name: str) -> str:
+            while component[name] != name:
+                component[name] = component[component[name]]
+                name = component[name]
+            return name
+
+        tree: dict[str, list[str]] = {name: [] for name in adjacency}
+        for left, right in _edges(adjacency):
+            left_root, right_root = find(left), find(right)
+            if left_root != right_root:
+                component[left_root] = right_root
+                tree[left].append(right)
+                tree[right].append(left)
+        return tuple(self.foreign_keys_between(left, right)[0] for left, right in _edges(tree))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DatabaseSchema):
@@ -316,3 +338,17 @@ class DatabaseSchema:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DatabaseSchema(tables={list(self.tables)}, foreign_keys={len(self.foreign_keys)})"
+
+
+def _edges(adjacency: dict[str, list[str]]) -> Iterator[tuple[str, str]]:
+    """Each undirected edge once, in ``networkx.Graph.edges()`` order.
+
+    Nodes are walked in insertion order and each yields its neighbours in
+    insertion order, skipping the nodes already walked.
+    """
+    walked: set[str] = set()
+    for node, neighbours in adjacency.items():
+        for neighbour in neighbours:
+            if neighbour not in walked:
+                yield node, neighbour
+        walked.add(node)

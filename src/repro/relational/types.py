@@ -109,9 +109,10 @@ def coerce_value(value: Any, attribute_type: AttributeType, *, nullable: bool = 
     """Validate *value* against *attribute_type* and return the stored form.
 
     Raises :class:`TypeMismatchError` when the value cannot be represented by
-    the type. Integers are accepted for ``FLOAT`` attributes (and converted);
-    booleans are only accepted for ``BOOLEAN`` attributes to avoid the classic
-    ``bool``-is-an-``int`` surprise.
+    the type. Integers are accepted for ``FLOAT`` attributes (and converted)
+    unless they lie beyond the float range; booleans are only accepted for
+    ``BOOLEAN`` attributes to avoid the classic ``bool``-is-an-``int``
+    surprise.
     """
     if value is None:
         if not nullable:
@@ -139,7 +140,10 @@ def coerce_value(value: Any, attribute_type: AttributeType, *, nullable: bool = 
 
     if attribute_type is AttributeType.FLOAT:
         if isinstance(value, (int, float)):
-            as_float = float(value)
+            try:
+                as_float = float(value)
+            except OverflowError:
+                raise TypeMismatchError("integer is beyond the float range") from None
             if math.isnan(as_float):
                 raise TypeMismatchError("NaN is not a valid attribute value")
             return as_float

@@ -1,5 +1,8 @@
 """Unit tests for domain partitioning and tuple classes (Section 5.1)."""
 
+import math
+import sys
+
 import pytest
 
 from repro.core.config import QFEConfig
@@ -11,6 +14,21 @@ from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Te
 from repro.relational.query import SPJQuery
 from tests.columns import joined_dicts
 from tests.oracles.evaluator_reference import evaluate_row_reference, evaluate_value_reference
+
+HUGE = 10**400  # an int no double can hold
+NEAR_MAX = int(1.7e308)  # an int a double holds, but not twice over
+
+
+def _number_id(value):
+    """A short test id for the named numbers above; ``None`` keeps pytest's own."""
+    names = {
+        HUGE: "HUGE",
+        -HUGE: "-HUGE",
+        HUGE + 1: "HUGE+1",
+        NEAR_MAX: "NEAR_MAX",
+        -NEAR_MAX: "-NEAR_MAX",
+    }
+    return names.get(value) if isinstance(value, int) else None
 
 
 def _query(table, projection, terms):
@@ -33,9 +51,25 @@ class TestDomainPartitionNumeric:
         assert partition.subset_of_value(60) != partition.subset_of_value(45)
         assert partition.subset_of_value(90) != partition.subset_of_value(60)
 
-    def test_terms_constant_on_each_block(self):
-        terms = [Term("T.A", ComparisonOp.LT, 5), Term("T.A", ComparisonOp.GE, 2)]
-        partition = DomainPartition("T.A", terms, [0, 1, 3, 6, 9])
+    @pytest.mark.parametrize(
+        "bounds, values",
+        [
+            ([(ComparisonOp.LT, 5), (ComparisonOp.GE, 2)], [0, 1, 3, 6, 9]),
+            # Floats next to ints beyond the float range.
+            (
+                [
+                    (ComparisonOp.GT, 6.5),
+                    (ComparisonOp.GE, 8),
+                    (ComparisonOp.GE, HUGE),
+                    (ComparisonOp.LT, -HUGE),
+                ],
+                [HUGE, 5, 8, 12],
+            ),
+        ],
+    )
+    def test_terms_constant_on_each_block(self, bounds, values):
+        terms = [Term("T.A", op, constant) for op, constant in bounds]
+        partition = DomainPartition("T.A", terms, values)
         for subset in partition.subsets:
             for representative in subset.representatives:
                 signature = tuple(evaluate_value_reference(t, representative) for t in terms)
@@ -222,14 +256,156 @@ class TestNullRowClasses:
 
 
 class TestFloatRowClasses:
-    """The same invariant for floats that differ below the 12th digit."""
+    """The same invariant for numeric values at the edges of exact comparison."""
 
-    def test_floats_within_1e_12_keep_their_own_classes(self):
-        # 0.1 and 0.1 + 1e-13 differ, and ``x > 0.1`` tells them apart: each
-        # value is looked up exactly, not rounded to 12 digits.
-        queries = [
-            _query("T", ["T.id"], [Term("T.x", ComparisonOp.GT, 0.1)]),
-            _query("T", ["T.id"], [Term("T.x", ComparisonOp.LT, 1.0)]),
-        ]
-        mismatches = TestNullRowClasses._mismatches(queries, "x", [0.1, 0.1 + 1e-13, 5.0])
-        assert mismatches == []
+    @pytest.mark.parametrize(
+        "bounds, values",
+        [
+            # 0.1 and 0.1 + 1e-13 differ, and ``x > 0.1`` tells them apart:
+            # each value is looked up exactly, not rounded to 12 digits.
+            pytest.param(
+                [(ComparisonOp.GT, 0.1), (ComparisonOp.LT, 1.0)],
+                [0.1, 0.1 + 1e-13, 5.0],
+                id="floats-within-1e-12",
+            ),
+            # Floats next to ints beyond the float range (an INTEGER column).
+            pytest.param(
+                [(ComparisonOp.GT, 6.5), (ComparisonOp.GE, 8), (ComparisonOp.GE, HUGE)],
+                [HUGE, 5, 8, 12],
+                id="float-beside-huge-int",
+            ),
+            pytest.param(
+                [(ComparisonOp.GT, 0.5), (ComparisonOp.LE, -HUGE), (ComparisonOp.GT, HUGE)],
+                [-HUGE, 5, HUGE + 1, 12, 0],
+                id="float-between-huge-ints",
+            ),
+            pytest.param(
+                [(ComparisonOp.GE, HUGE), (ComparisonOp.GT, HUGE), (ComparisonOp.LT, 2.5)],
+                [HUGE, HUGE + 1, 2, 3],
+                id="adjacent-huge-ints",
+            ),
+            # A FLOAT column holding both infinities.
+            pytest.param(
+                [(ComparisonOp.GT, 6.5), (ComparisonOp.LE, math.inf)],
+                [5.5, 8.0, 12.5, math.inf, -math.inf],
+                id="infinite-bound",
+            ),
+            pytest.param(
+                [(ComparisonOp.GT, 6.5), (ComparisonOp.LT, math.inf), (ComparisonOp.GT, -math.inf)],
+                [5.5, 8.0, 12.5, math.inf, -math.inf],
+                id="infinite-bounds-exclusive",
+            ),
+        ],
+    )
+    def test_classes_agree_with_row_evaluation(self, bounds, values):
+        queries = [_query("T", ["T.id"], [Term("T.x", op, constant)]) for op, constant in bounds]
+        assert TestNullRowClasses._mismatches(queries, "x", values) == []
+
+
+class TestBeyondFloatBreakpoints:
+    """Breakpoints at the edges of the double range: ints beyond it, floats
+    next to them, ends near the largest double, and the infinities.
+
+    Probe arithmetic must not raise ``OverflowError``, and every probe must
+    lie strictly inside its interval.
+    """
+
+    @pytest.mark.parametrize(
+        "bounds, values",
+        [
+            (
+                [(ComparisonOp.GT, 6.5), (ComparisonOp.GE, 8), (ComparisonOp.GE, HUGE)],
+                [HUGE, 5, 8, 12],
+            ),
+            # In the float range, but a probe one spread above it is not.
+            ([(ComparisonOp.GT, 6.5), (ComparisonOp.GT, NEAR_MAX)], [7, 5, 8, 12]),
+            # A FLOAT column holding both infinities.
+            (
+                [(ComparisonOp.GT, 6.5), (ComparisonOp.LE, math.inf)],
+                [5.5, 8.0, 12.5, math.inf, -math.inf],
+            ),
+            (
+                [(ComparisonOp.GT, 6.5), (ComparisonOp.LT, math.inf), (ComparisonOp.GT, -math.inf)],
+                [5.5, 8.0, 12.5, math.inf, -math.inf],
+            ),
+        ],
+    )
+    def test_worst_case_session_completes(self, bounds, values):
+        from repro.core.feedback import WorstCaseSelector
+        from repro.core.session import QFESession
+        from repro.relational.evaluator import evaluate
+
+        database = Database.from_tables(
+            {"T": (["id", "x"], [[index, value] for index, value in enumerate(values)])}
+        )
+        candidates = [_query("T", ["T.id"], [Term("T.x", op, constant)]) for op, constant in bounds]
+        result = evaluate(candidates[0], database)
+        outcome = QFESession(database, result, candidates=candidates).run(WorstCaseSelector())
+        assert outcome.converged
+        assert outcome.iterations
+
+    @pytest.mark.parametrize(
+        "first, last",
+        [
+            (6.5, HUGE),
+            (-HUGE, 0.5),
+            (-HUGE, HUGE),
+            (0.5, NEAR_MAX),
+            (-NEAR_MAX, 0.5),
+            (1, 1),
+            (1e20, 1e20),
+            (-1e308, 1.7e308),
+            (6.5, math.inf),
+            (-math.inf, 5),
+            (math.inf, math.inf),
+            (-math.inf, -math.inf),
+        ],
+        ids=_number_id,
+    )
+    def test_outer_probes_lie_strictly_outside(self, first, last):
+        below, above = DomainPartition._outer_probes(first, last)
+        # Nothing lies beyond an infinite end, so its probe stays on it.
+        assert below < first or below == first == -math.inf
+        assert above > last or above == last == math.inf
+        # Where a double holds the end, a FLOAT column storing the probe keeps
+        # it outside the end.
+        if -sys.float_info.max <= first <= sys.float_info.max:
+            assert float(below) < first
+        if -sys.float_info.max <= last <= sys.float_info.max:
+            assert float(above) > last
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (8, HUGE),
+            (6.5, HUGE),
+            (-HUGE, 0.5),
+            (-HUGE, HUGE),
+            (7, 8),
+            (0.25, 0.75),
+            (5, 2**60),
+            (1.5e308, 1.7e308),
+            (6.5, math.inf),
+            (-math.inf, 5),
+            (-math.inf, math.inf),
+        ],
+        ids=_number_id,
+    )
+    def test_midpoint_lies_strictly_inside(self, low, high):
+        middle = DomainPartition._midpoint(low, high)
+        assert low < middle < high
+        assert -math.inf < middle < math.inf
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (HUGE, HUGE + 1),
+            (2**53, 2**53 + 1),
+            (0.1, math.nextafter(0.1, 1.0)),
+            (sys.float_info.max, math.inf),
+        ],
+        ids=_number_id,
+    )
+    def test_no_midpoint_where_no_value_fits(self, low, high):
+        # No int and no finite double lies strictly between these breakpoints.
+        assert DomainPartition._midpoint(low, high) is None

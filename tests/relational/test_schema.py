@@ -137,14 +137,16 @@ class TestDatabaseSchema:
         assert schema.is_join_connected(["A"])
         assert not schema.is_join_connected([])
 
+    def test_repeated_or_unknown_names_are_not_connected(self):
+        schema = self._schema()
+        assert schema.is_join_connected(["A", "A"]) is False
+        assert schema.is_join_connected(["A", "B", "A"]) is False
+        assert schema.is_join_connected(["Z"]) is False
+        assert schema.is_join_connected(["A", "Z"]) is False
+
     def test_spanning_foreign_keys(self):
         schema = self._schema()
         assert len(schema.spanning_foreign_keys(["A", "B"])) == 1
         assert schema.spanning_foreign_keys(["A"]) == ()
         with pytest.raises(SchemaError):
             schema.spanning_foreign_keys(["A", "C"])
-
-    def test_join_graph_shape(self):
-        graph = self._schema().join_graph()
-        assert set(graph.nodes) == {"A", "B", "C"}
-        assert graph.number_of_edges() == 1

@@ -74,6 +74,19 @@ class TestCoerceValue:
         with pytest.raises(TypeMismatchError):
             coerce_value(math.nan, AttributeType.FLOAT)
 
+    def test_float_rejects_an_int_beyond_the_float_range(self):
+        with pytest.raises(TypeMismatchError, match="beyond the float range"):
+            coerce_value(10**400, AttributeType.FLOAT)
+        with pytest.raises(TypeMismatchError):
+            coerce_value(-(10**400), AttributeType.FLOAT)
+
+    def test_an_inferred_float_column_rejects_it_by_name(self):
+        from repro.relational.database import Database
+
+        rows = [[0, 10**400, "a"], [1, 5, "b"], [2, 7.5, "c"]]
+        with pytest.raises(TypeMismatchError, match=r"^T\.x: "):
+            Database.from_tables({"T": (["id", "x", "name"], rows)})
+
     def test_boolean_not_accepted_as_integer(self):
         with pytest.raises(TypeMismatchError):
             coerce_value(True, AttributeType.INTEGER)
