@@ -175,14 +175,14 @@ def test_delta_derive_path_never_rebuilds_the_join(delta_setup):
     assert JOIN_STATS.delta_applies == 1
 
     # Same guarantee through the cache front door used by the QFE loop: once
-    # the base signatures are warm, serving D' performs no full join at all.
+    # the base signatures are warm, evaluating on D' (the base plus its
+    # delta) performs no full join at all.
     cache = JoinCache()
     for signature in {query.join_signature for query in candidates}:
         cache.join_for(database, signature)
     JOIN_STATS.reset()
-    cache.derive(database, delta, derived_db)
-    through_cache = cache.evaluate_batch(candidates, derived_db)
-    assert JOIN_STATS.full_joins == 0, "JoinCache.derive fell back to a full join rebuild"
+    through_cache = cache.evaluate_batch(candidates, database, delta=delta)
+    assert JOIN_STATS.full_joins == 0, "evaluate_batch(delta=) fell back to a full join rebuild"
 
     # And the derived state is exactly the cold rebuild, fingerprint for
     # fingerprint (the guard must not pass by skipping work).

@@ -22,7 +22,7 @@ echo "== differential: round prologue (masks, reactions, Algorithms 3 and 4) vs 
 python -m pytest -q tests/core/test_prologue_differential.py -m ""
 
 echo
-echo "== regression guard: the delta-derive path performs no full join rebuild =="
+echo "== regression guard: evaluating a modified database as its base join plus TupleDelta performs no full join rebuild =="
 python -m pytest -q benchmarks/test_bench_components.py -k delta_derive_path --benchmark-disable
 
 echo

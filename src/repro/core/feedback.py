@@ -36,7 +36,13 @@ from repro.core.partitioner import QueryPartition
 from repro.exceptions import FeedbackError
 from repro.obs.trace import get_tracer
 from repro.relational.database import Database
-from repro.relational.delta import DatabaseDelta, ResultDelta, database_delta, result_delta
+from repro.relational.delta import (
+    DatabaseDelta,
+    ResultDelta,
+    TupleDelta,
+    database_delta,
+    result_delta,
+)
 from repro.relational.evaluator import JoinCache, result_fingerprint
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
@@ -75,10 +81,15 @@ class ResultOption:
 
 @dataclass(frozen=True)
 class FeedbackRound:
-    """Everything presented to the user in one QFE iteration."""
+    """Everything presented to the user in one QFE iteration.
+
+    The round's ``D'`` is ``database``, the session's base ``D`` (shared,
+    never copied), plus ``delta``; the user sees it as ``database_delta``.
+    """
 
     iteration: int
-    modified_database: Database
+    database: Database
+    delta: TupleDelta
     database_delta: DatabaseDelta
     options: tuple[ResultOption, ...]
 
@@ -106,8 +117,8 @@ def build_feedback_round(
 ) -> FeedbackRound:
     """Assemble the deltas shown to the user for one iteration.
 
-    *materialization* is the round's winning attempt: its ``D'`` is kept on
-    the round, and ``Δ(D, D')`` is read off its recorded delta.
+    *materialization* is the round's winning attempt: the round keeps its
+    recorded delta, and ``Δ(D, D')`` is read off it.
     """
     with get_tracer().span("present.database_delta"):
         db_delta = database_delta(original_database, materialization.delta)
@@ -121,7 +132,9 @@ def build_feedback_round(
                 query_count=len(group),
             )
         )
-    return FeedbackRound(iteration, materialization.database, db_delta, tuple(options))
+    return FeedbackRound(
+        iteration, original_database, materialization.delta, db_delta, tuple(options)
+    )
 
 
 class ResultSelector(Protocol):
@@ -153,7 +166,8 @@ class OracleSelector:
     """Choose the option whose result equals the target query's result on ``D'``.
 
     This models a user who can recognize the correct output of their intended
-    query — exactly the paper's minimal requirement on users.
+    query — exactly the paper's minimal requirement on users. The target runs
+    on the selector's own cached base join, patched by the round's delta.
     """
 
     def __init__(self, target_query: SPJQuery, *, set_semantics: bool = False) -> None:
@@ -162,7 +176,7 @@ class OracleSelector:
         self._cache = JoinCache()
 
     def select(self, round_: FeedbackRound, partition: QueryPartition) -> int:
-        expected = self._cache.evaluate(self.target_query, round_.modified_database)
+        expected = self._cache.evaluate(self.target_query, round_.database, delta=round_.delta)
         expected_fingerprint = result_fingerprint(expected, set_semantics=self.set_semantics)
         for option in round_.options:
             fingerprint = result_fingerprint(option.result, set_semantics=self.set_semantics)

@@ -1,11 +1,12 @@
-"""Materialize class-pair modifications into a concrete modified database ``D'``.
+"""Materialize class-pair modifications into the ``TupleDelta`` of ``D'``.
 
 A class pair ``(s, d)`` is abstract: "move some tuple from class ``s`` to
 class ``d``". Materialization picks a concrete joined row in ``s``, maps each
 changed selection attribute back to the owning base relation through the
 join's base-tuple ids, chooses a concrete destination value from the
-destination domain subset, and applies the change to a copy of the original
-database.
+destination domain subset, and stages the change as an update of that base
+tuple. The original database is only read: ``D'`` is ``D`` plus the recorded
+:class:`~repro.relational.delta.TupleDelta`, and nothing copies ``D``.
 
 Concrete choices follow the paper's preferences:
 
@@ -22,7 +23,7 @@ Concrete choices follow the paper's preferences:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Container, Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.modification import ClassPair
@@ -30,14 +31,18 @@ from repro.core.tuple_class import TupleClassSpace
 from repro.exceptions import TypeMismatchError
 from repro.relational.database import Database
 from repro.relational.delta import TupleDelta
-from repro.relational.types import AttributeType, values_equal
+from repro.relational.types import AttributeType, coerce_value, values_equal
 
 __all__ = ["AppliedModification", "MaterializationResult", "materialize_pairs"]
 
 
 @dataclass(frozen=True)
 class AppliedModification:
-    """One concrete base-table cell change applied to the modified database."""
+    """One concrete base-table cell change of ``D'``.
+
+    ``new_value`` is the chosen value; the delta's row holds it coerced to
+    the column's type.
+    """
 
     table: str
     tuple_id: int
@@ -61,18 +66,16 @@ class AppliedModification:
 
 @dataclass
 class MaterializationResult:
-    """The modified database plus a record of every applied / skipped change.
+    """``D'`` as its :class:`~repro.relational.delta.TupleDelta` over ``D``,
+    plus a record of every applied / skipped change.
 
-    ``delta`` is the :class:`~repro.relational.delta.TupleDelta` recorded
-    while ``D'`` was constructed: one update of non-key cells per modified
-    base tuple. The Database Generator hands it to
-    :meth:`~repro.relational.evaluator.JoinCache.derive`, so candidate
-    evaluation on ``D'`` patches the original database's cached join instead
-    of rebuilding it, and the Result Feedback module presents ``Δ(D, D')``
-    from it (:func:`~repro.relational.delta.database_delta`).
+    ``delta`` holds one update of non-key cells per modified base tuple.
+    Candidate evaluation on ``D'`` patches the original database's cached
+    join with it (``JoinCache.evaluate_batch(..., delta=...)``) and the
+    Result Feedback module presents ``Δ(D, D')`` from it
+    (:func:`~repro.relational.delta.database_delta`).
     """
 
-    database: Database
     applied: list[AppliedModification] = field(default_factory=list)
     skipped_pairs: list[ClassPair] = field(default_factory=list)
     delta: TupleDelta = field(default_factory=TupleDelta)
@@ -92,7 +95,7 @@ def _protected_columns(database: Database, table: str) -> set[str]:
 def _candidate_rows_for_pair(
     space: TupleClassSpace,
     pair: ClassPair,
-    used_base_tuples: set[tuple[str, int]],
+    used_base_tuples: Container[tuple[str, int]],
     prefer_no_side_effects: bool,
 ) -> list[int]:
     """Joined-row positions that could realize the pair, best candidates first."""
@@ -163,19 +166,19 @@ def materialize_pairs(
     original: Database,
     config: QFEConfig,
 ) -> MaterializationResult:
-    """Apply a set of class pairs to a copy of *original*, returning ``D'``.
+    """Stage a set of class pairs as the ``TupleDelta`` that turns *original* into ``D'``.
 
-    Pairs that cannot be realized (a changed key column, no available source
-    row, no type-correct destination value) are recorded in ``skipped_pairs``
-    rather than failing the whole materialization.
+    *original* is only read. Pairs that cannot be realized (a changed key
+    column, no available source row, no type-correct destination value) are
+    recorded in ``skipped_pairs`` rather than failing the whole
+    materialization.
     """
-    modified = original.copy()
-    result = MaterializationResult(database=modified)
-    used_base_tuples: set[tuple[str, int]] = set()
-    joined = space.joined
+    result = MaterializationResult()
+    # (table, tuple_id) -> the tuple's row in D', in first-change order. A
+    # staged tuple is never chosen again, so every other row is the base row.
+    staged: dict[tuple[str, int], list[Any]] = {}
 
     for pair in pairs:
-        changed_slots = pair.changed_slots()
         changed_attributes = space.changed_attributes(pair.source, pair.destination)
         # A pair that changes a key column is unrealizable.
         if any(
@@ -185,83 +188,58 @@ def materialize_pairs(
             result.skipped_pairs.append(pair)
             continue
 
-        applied_for_pair = _try_materialize_single_pair(
-            space, pair, changed_slots, modified, used_base_tuples, config, joined
-        )
+        applied_for_pair = _try_materialize_single_pair(space, pair, original, staged, config)
         if applied_for_pair is None:
             result.skipped_pairs.append(pair)
             continue
-        for modification in applied_for_pair:
-            result.applied.append(modification)
-            used_base_tuples.add((modification.table, modification.tuple_id))
+        result.applied.extend(applied_for_pair)
 
-    # Record the structured tuple delta of everything that stuck (rolled-back
-    # attempts never reach ``result.applied``): one update per distinct
-    # modified base tuple, carrying its final value row in ``D'``.
-    for table, tuple_id in dict.fromkeys((m.table, m.tuple_id) for m in result.applied):
-        result.delta.record_update(
-            table, tuple_id, modified.relation(table).tuple_by_id(tuple_id).values
-        )
+    for (table, tuple_id), row in staged.items():
+        result.delta.record_update(table, tuple_id, row)
     return result
 
 
 def _try_materialize_single_pair(
     space: TupleClassSpace,
     pair: ClassPair,
-    changed_slots: tuple[int, ...],
-    modified: Database,
-    used_base_tuples: set[tuple[str, int]],
+    original: Database,
+    staged: dict[tuple[str, int], list[Any]],
     config: QFEConfig,
-    joined,
 ) -> list[AppliedModification] | None:
-    """Try candidate rows/values for one pair; mutate *modified* on success."""
-    candidate_rows = _candidate_rows_for_pair(
-        space, pair, used_base_tuples, config.prefer_no_side_effects
-    )
+    """Try candidate rows/values for one pair; stage its changes on success."""
+    joined = space.joined
+    candidate_rows = _candidate_rows_for_pair(space, pair, staged, config.prefer_no_side_effects)
     for position in candidate_rows:
         planned: list[AppliedModification] = []
-        feasible = True
-        for slot in changed_slots:
+        rows: dict[tuple[str, int], list[Any]] = {}
+        for slot in pair.changed_slots():
             attribute = space.selection_attributes[slot]
             table, _, column = attribute.partition(".")
             tuple_id = joined.base_tuple_of(position, table)
-            relation = modified.relation(table)
-            current_value = relation.value_of(relation.tuple_by_id(tuple_id), column)
-            column_type = relation.schema.attribute(column).type
-            values = _destination_values(space, pair, current_value, slot, column_type)
+            relation = original.relation(table)
+            row = relation.tuple_by_id(tuple_id).values
+            index = relation.schema.index_of(column)
+            declared = relation.schema.attributes[index]
+            values = _destination_values(space, pair, row[index], slot, declared.type)
             if not values:
-                feasible = False
+                break
+            # A value that does not fit its column's type skips this row.
+            try:
+                stored = coerce_value(values[0], declared.type, nullable=declared.nullable)
+            except TypeMismatchError:
                 break
             planned.append(
                 AppliedModification(
                     table=table,
                     tuple_id=tuple_id,
                     column=column,
-                    old_value=current_value,
+                    old_value=row[index],
                     new_value=values[0],
                     joined_positions=joined.joined_positions_of(table, tuple_id),
                 )
             )
-        if not feasible:
-            continue
-
-        # Apply, rolling back if a value does not fit its column's type.
-        applied_so_far: list[AppliedModification] = []
-        type_error = False
-        for modification in planned:
-            try:
-                modified.relation(modification.table).update_value(
-                    modification.tuple_id, modification.column, modification.new_value
-                )
-            except TypeMismatchError:
-                type_error = True
-                break
-            applied_so_far.append(modification)
-        if type_error:
-            for modification in applied_so_far:
-                modified.relation(modification.table).update_value(
-                    modification.tuple_id, modification.column, modification.old_value
-                )
-            continue
-        return planned
+            rows.setdefault((table, tuple_id), list(row))[index] = stored
+        else:
+            staged.update(rows)
+            return planned
     return None

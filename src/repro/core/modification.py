@@ -43,10 +43,11 @@ class ClassPair:
 
     A class pair is always realized as E1 modifications of non-key cells of
     existing tuples — never tuple insertions or deletions — which is the only
-    change a :class:`~repro.relational.delta.TupleDelta` records. The
-    delta-derived evaluation path (:meth:`JoinCache.derive
-    <repro.relational.evaluator.JoinCache.derive>`) patches the cached join
-    in place for every candidate ``D'`` instead of rebuilding it.
+    change a :class:`~repro.relational.delta.TupleDelta` records. Candidate
+    evaluation on ``D'`` (:meth:`JoinCache.evaluate_batch
+    <repro.relational.evaluator.JoinCache.evaluate_batch>` with ``delta=``)
+    patches the cached base join for every candidate ``D'`` instead of
+    rebuilding it.
 
     Class pairs are plain frozen dataclasses over tuples of ints, and their
     materialization is a deterministic function of ``(tuple-class space,

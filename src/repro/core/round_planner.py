@@ -14,7 +14,8 @@ is the only path a round takes, in three phases:
    :class:`~repro.relational.evaluator.JoinCache` entry.
 2. **Candidate-modification search.** Score attempts in order, in process
    (:class:`~repro.core.execution_backend.SerialBackend`), by concrete
-   materialization + delta-derived partitioning until one distinguishes.
+   materialization into a ``TupleDelta`` and partitioning on the base join
+   patched by it, until one distinguishes.
 3. **Finalize.** Build the full partition with result relations for the
    feedback round from the winner's batch evaluation, which the winning
    outcome carries with its materialization.
@@ -22,10 +23,10 @@ is the only path a round takes, in three phases:
 Every timing the round reports is a span duration (:mod:`repro.obs.trace`):
 Algorithm 3 is ``round.skyline`` and Algorithm 4 ``round.subset``, both
 inside ``round.prepare`` next to the tuple-class space's ``round.space``;
-the database-modification step is ``round.search`` plus
-``round.materialize``. A computed prologue tags those spans with its
-figures and adds them to the ``qfe_prologue_*`` counters and
-``qfe_skyline_truncations``, once per round.
+the database-modification step is ``round.search`` (one ``round.attempt``
+per scored attempt) plus ``round.materialize``. A computed prologue tags
+those spans with its figures and adds them to the ``qfe_prologue_*``
+counters and ``qfe_skyline_truncations``, once per round.
 """
 
 from __future__ import annotations
@@ -120,9 +121,11 @@ class _Prologue(NamedTuple):
 
 @dataclass
 class DatabaseGenerationResult:
-    """The modified database of one iteration plus all per-step diagnostics."""
+    """One iteration's modification plus all per-step diagnostics.
 
-    database: Database
+    ``D'`` is the base database plus ``materialization.delta``.
+    """
+
     partition: QueryPartition
     materialization: MaterializationResult
     skyline: SkylineResult
@@ -226,9 +229,8 @@ class RoundPlanner:
         try:
             joined = self.join_cache.join_for(original, referenced)
             # Pre-warm the per-query signatures too: partitioning groups
-            # candidates by their own join signature, and
-            # a warm base entry is what keeps every candidate evaluation on
-            # the O(|Δ|) delta-derived path.
+            # candidates by their own join signature, and a warm base entry
+            # is what keeps every attempt's evaluation an O(|Δ|) patch.
             for query in queries:
                 self.join_cache.join_for(original, query.join_signature)
         except DatabaseGenerationError:
@@ -340,7 +342,8 @@ class RoundPlanner:
         result: Relation,
         queries: Sequence[SPJQuery],
     ) -> DatabaseGenerationResult:
-        """Produce ``D'`` distinguishing *queries*; raises if no modification helps."""
+        """Produce the ``D'`` (as a delta over *original*) distinguishing *queries*;
+        raises if no modification helps."""
         plan = self.prepare_round(original, result, queries)
         tracer = get_tracer()
         with tracer.span("round.search", attempts=len(plan.attempts)) as search_span:
@@ -355,17 +358,14 @@ class RoundPlanner:
                 f"after {len(outcomes)} attempts"
             )
 
-        # The winner carries its materialization and batch evaluation (with
-        # the derived cache entry still registered), so it is built and
-        # evaluated exactly once.
+        # The winner carries its materialization and batch evaluation, so it
+        # is built and evaluated exactly once.
         with tracer.span("round.materialize", attempt=winner.attempt_index) as finalize_span:
             partition = partition_from_batch(plan.queries, winner.batch)
-        materialization = winner.materialization
         chosen_pairs = tuple(winner.pairs)
         return DatabaseGenerationResult(
-            database=materialization.database,
             partition=partition,
-            materialization=materialization,
+            materialization=winner.materialization,
             skyline=plan.skyline,
             selection=plan.selection,
             chosen_pairs=chosen_pairs,

@@ -240,11 +240,10 @@ class QFESession:
         # One join cache for the whole session: the original database's
         # foreign-key join (and its columnar term masks) is built once and
         # reused by candidate generation, every iteration's round planning
-        # and candidate replenishment. Each iteration's modified database D'
-        # is evaluated through a *delta-derived* entry patched out of that
-        # base entry (``JoinCache.derive``), so no iteration after the first
-        # pays a cold join or term-mask build. The session never mutates
-        # ``self.database``.
+        # and candidate replenishment. Each iteration's D' is that base plus
+        # a TupleDelta, evaluated on the cached join patched by the delta, so
+        # no iteration after the first pays a cold join or term-mask build.
+        # The session never mutates or copies ``self.database``.
         # A shared cache (service mode) extends the same property across
         # sessions over the same base database.
         self._owns_join_cache = join_cache is None
@@ -387,11 +386,6 @@ class QFESession:
                     generation.partition,
                 )
             self.last_rounds.append(round_)
-            # The round's presentation data (results, deltas) is fully
-            # materialized; release D' from the join cache so a session that
-            # keeps every round alive does not also pin one derived join per
-            # iteration. The base entry stays warm for the next round.
-            self.join_cache.invalidate(generation.database)
         self._pending = PendingRound(
             iteration=self._iteration,
             candidate_count=len(candidates),
@@ -519,8 +513,9 @@ class QFESession:
         process *except* the example pair itself (``database``/``result``)
         and process-local resources (join cache, score function), which
         the resuming side re-binds. The returned dict references the live
-        objects — serialize it promptly (see
-        :mod:`repro.service.checkpoint`).
+        objects — every feedback round references ``database`` itself, which
+        :mod:`repro.service.checkpoint` writes as a reference and binds
+        again on restore — so serialize it promptly.
         """
         return {
             "config": self.config,

@@ -217,10 +217,15 @@ class DomainPartition:
 
         Integers print exactly ("{:g}" would show 2^53 and 2^53 + 1 as the
         same '9.0072e+15', giving distinct subsets identical user-facing
-        labels); floats keep the compact "{:g}" form.
+        labels); floats keep the compact "{:g}" form. An integer with more
+        decimal digits than ``sys.get_int_max_str_digits()`` allows ``str()``
+        to write prints in hex, which is exact at any size.
         """
         if isinstance(value, int):
-            return str(value)
+            try:
+                return str(value)
+            except ValueError:
+                return hex(value)
         return f"{value:g}"
 
     @staticmethod

@@ -6,9 +6,9 @@ one update per modified base tuple, keyed by ``tuple_id`` and carrying the
 tuple's full new value row. Every consumer reads that record:
 
 * the incremental view-maintenance layer
-  (:meth:`~repro.relational.join.JoinedRelation.apply_delta`,
-  :meth:`~repro.relational.evaluator.JoinCache.derive`) patches a cached join
-  and its columnar term masks in place instead of rebuilding them from ``D'``.
+  (:meth:`~repro.relational.join.JoinedRelation.apply_delta`, reached through
+  ``JoinCache.evaluate``/``evaluate_batch`` with ``delta=``) patches a cached
+  join and its columnar term masks instead of building a join of ``D'``.
   The copy-on-write contract is column-deep: an untouched column of the
   derived view *is* the base column tuple, and its cached masks are shared
   with it; only the columns a delta touches are copied and their masks
@@ -125,12 +125,11 @@ class ResultDelta:
 
 # --------------------------------------------------------------- TupleDelta
 class TupleDelta:
-    """The recorded change from a base database ``D`` to its modified copy ``D'``.
+    """The recorded change from a base database ``D`` to a modified ``D'``.
 
-    ``D'`` is always built from ``D.copy()``, which preserves tuple ids, and
-    differs from ``D`` only in non-key cells of existing tuples. The delta
-    holds one update per modified tuple: its full new value row, so a
-    consumer can patch a materialized join without consulting ``D'`` itself.
+    ``D'`` is ``D`` plus this delta: it differs from ``D`` only in non-key
+    cells of existing tuples, addressed by ``tuple_id``. The delta holds one update per modified tuple: its full
+    new value row, so a consumer can patch a materialized join of ``D``.
     Recording the same tuple again replaces its row.
     """
 

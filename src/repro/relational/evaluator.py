@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.exceptions import UnsupportedQueryError
-from repro.obs.trace import get_tracer
 from repro.relational.columnar import ColumnarView
 from repro.relational.database import Database
 from repro.relational.join import JoinedRelation, foreign_key_join
@@ -252,17 +251,15 @@ class JoinCache:
     correct across many database instances. What the cache cannot see
     is *in-place modification* of a live database it holds joins for; call
     :meth:`invalidate` in that case and the stale join, columns and masks
-    included, is dropped (QFE itself always works on fresh copies).
+    included, is dropped (QFE itself never modifies a database).
 
-    **Delta derivation.** :meth:`derive` registers a modified copy ``D'`` as
-    a delta-derived child of its base ``D``. Any join subsequently requested
-    for ``D'`` is produced by patching the base's cached join through
-    :meth:`JoinedRelation.apply_delta` — sharing the id columns, unmodified
-    columns and term masks copy-on-write — instead of re-joining ``D'`` from
-    scratch.
-    Derived entries are evicted together with their base: invalidating or
-    garbage-collecting ``D`` drops every entry derived from it (the derived
-    state was patched out of the base entry, so it must not outlive it).
+    **Modified databases.** A modified database ``D'`` is its base ``D``
+    plus a :class:`~repro.relational.delta.TupleDelta`. :meth:`evaluate` and
+    :meth:`evaluate_batch` take it as ``delta=``: each join signature is the
+    base's cached join patched by :meth:`JoinedRelation.apply_delta`, which
+    shares the id columns, unmodified columns and term masks copy-on-write.
+    The patched join lives only for that call; nothing about ``D'`` is
+    cached.
 
     **Memos.** :meth:`memo_for` hands out a small store held with one join
     entry; the round planner keeps its prologue memo there. It lives exactly
@@ -274,11 +271,7 @@ class JoinCache:
         self._cache: dict[tuple[int, tuple[str, ...]], JoinedRelation] = {}
         self._memos: dict[tuple[int, tuple[str, ...]], OrderedDict] = {}
         self._finalizers: dict[int, weakref.finalize] = {}
-        #: derived database id -> (base database id, weakref to base, delta)
-        self._links: dict[int, tuple[int, weakref.ref, Any]] = {}
-        #: base database id -> ids of databases derived from it
-        self._children: dict[int, set[int]] = {}
-        #: Entries this cache built cold (a full join, not a delta derivation).
+        #: Entries this cache built (every entry is a full join).
         self.joins_built = 0
 
     def join_for(self, database: Database, tables: Iterable[str]) -> JoinedRelation:
@@ -286,14 +279,13 @@ class JoinCache:
 
         An entry is keyed on the sorted table set and built in that sorted
         order, so its column and row layout never depends on which caller
-        asked first. For a database registered through :meth:`derive`, the
-        join is derived incrementally from the base database's cached join
-        instead of being rebuilt cold.
+        asked first.
         """
         key = (id(database), tuple(sorted(tables)))
         entry = self._cache.get(key)
         if entry is None:
-            entry = self._cache[key] = self._build_entry(database, key[1])
+            entry = self._cache[key] = foreign_key_join(database, key[1])
+            self.joins_built += 1
             self._watch(database)
         return entry
 
@@ -308,36 +300,6 @@ class JoinCache:
         key = (id(database), tuple(sorted(tables)))
         self.join_for(database, tables)
         return self._memos.setdefault(key, OrderedDict())
-
-    def _build_entry(self, database: Database, tables: tuple[str, ...]) -> JoinedRelation:
-        link = self._links.get(id(database))
-        if link is not None:
-            _, base_ref, delta = link
-            base = base_ref()
-            if base is not None:
-                return self.join_for(base, tables).apply_delta(delta, base)
-        joined = foreign_key_join(database, tables)
-        self.joins_built += 1
-        return joined
-
-    def derive(self, base: Database, delta: "TupleDelta", derived: Database) -> None:
-        """Register *derived* as the delta-modified copy of *base*.
-
-        Every join the cache later serves for *derived* is patched out of the
-        corresponding (cached, possibly warm) join of *base* via
-        :meth:`JoinedRelation.apply_delta`, per join signature on demand.
-        The lifetime of derived entries is tied to the base:
-        :meth:`invalidate` on (or garbage collection of) *base* evicts them,
-        and the link itself dies with either database.
-        """
-        base_id, derived_id = id(base), id(derived)
-        if base_id == derived_id:
-            raise ValueError("cannot derive a database from itself")
-        with get_tracer().span("join.derive"):
-            self._links[derived_id] = (base_id, weakref.ref(base), delta)
-            self._children.setdefault(base_id, set()).add(derived_id)
-            self._watch(base)
-            self._watch(derived)
 
     def _watch(self, database: Database) -> None:
         """Evict the database's entries when it is deallocated (id-reuse guard)."""
@@ -357,27 +319,33 @@ class JoinCache:
         finalizer = self._finalizers.pop(database_id, None)
         if finalizer is not None:
             finalizer.detach()
-        # Sever the derived-from link if this database was itself derived.
-        link = self._links.pop(database_id, None)
-        if link is not None:
-            siblings = self._children.get(link[0])
-            if siblings is not None:
-                siblings.discard(database_id)
-                if not siblings:
-                    del self._children[link[0]]
-        # Derived entries were patched out of this database's entries (sharing
-        # columns and masks copy-on-write); evict them alongside their base.
-        for child_id in self._children.pop(database_id, ()):
-            self._drop(child_id)
         stale = [key for key in self._cache if key[0] == database_id]
         for key in stale:
             del self._cache[key]
             self._memos.pop(key, None)
 
-    def evaluate(self, query: SPJQuery, database: Database, *, name: str = "Result") -> Relation:
-        """Evaluate an SPJ query using the cached join for its table set."""
+    def _join(
+        self, database: Database, tables: Iterable[str], delta: "TupleDelta | None"
+    ) -> JoinedRelation:
+        """The join of *tables* on *database*, or on ``D'`` when *delta* is given."""
+        joined = self.join_for(database, tables)
+        return joined if delta is None else joined.apply_delta(delta, database)
+
+    def evaluate(
+        self,
+        query: SPJQuery,
+        database: Database,
+        *,
+        delta: "TupleDelta | None" = None,
+        name: str = "Result",
+    ) -> Relation:
+        """Evaluate an SPJ query using the cached join for its table set.
+
+        With *delta*, the query runs on the database *delta* turns *database*
+        into.
+        """
         query.validate(database.schema)
-        joined = self.join_for(database, query.tables)
+        joined = self._join(database, query.tables, delta)
         return evaluate_on_join(query, joined, database, name=name)
 
     def evaluate_batch(
@@ -385,6 +353,7 @@ class JoinCache:
         queries: Sequence[SPJQuery],
         database: Database,
         *,
+        delta: "TupleDelta | None" = None,
         set_semantics: bool = False,
         name: str = "Result",
     ) -> BatchEvaluation:
@@ -393,7 +362,9 @@ class JoinCache:
         Queries are grouped by their join signature; each group is evaluated
         through :func:`evaluate_batch` over the cached join, so term masks,
         result materialization and fingerprints are shared within each group.
-        Results come back in the order of *queries*.
+        With *delta*, each group's join is the cached base join patched once
+        by the delta, so the queries run on ``D'``. Results come back in the
+        order of *queries*.
         """
         results: list[Relation | None] = [None] * len(queries)
         fingerprints: list[frozenset | None] = [None] * len(queries)
@@ -402,10 +373,9 @@ class JoinCache:
             query.validate(database.schema)
             by_signature.setdefault(query.join_signature, []).append(index)
         for signature, indexes in by_signature.items():
-            joined = self.join_for(database, signature)
             batch = evaluate_batch(
                 [queries[i] for i in indexes],
-                joined,
+                self._join(database, signature, delta),
                 database,
                 set_semantics=set_semantics,
                 name=name,
@@ -423,8 +393,6 @@ class JoinCache:
 
         Must be called when a database instance that joins were cached for is
         modified in place, so later evaluations rebuild from the new contents.
-        Entries delta-derived *from* this database are evicted with it — they
-        share patched state with the base entries and must not outlive them.
         (Deallocation is handled automatically by a weakref finalizer.)
         """
         self._drop(id(database))
@@ -434,17 +402,10 @@ class JoinCache:
         """Number of joins currently cached (diagnostics and tests)."""
         return len(self._cache)
 
-    @property
-    def derived_link_count(self) -> int:
-        """Number of live delta-derivation links (diagnostics and tests)."""
-        return len(self._links)
-
     def clear(self) -> None:
-        """Drop all cached joins and delta-derivation links."""
+        """Drop all cached joins and their memos."""
         for finalizer in self._finalizers.values():
             finalizer.detach()
         self._finalizers.clear()
         self._cache.clear()
         self._memos.clear()
-        self._links.clear()
-        self._children.clear()

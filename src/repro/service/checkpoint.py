@@ -13,9 +13,13 @@ The on-wire format is a hybrid designed for both inspectability and fidelity:
   status, iteration, the *base-database reference* (see below) and the
   ``payload_sha256`` of the payload. Tools can read it without unpickling
   anything.
-* the rest — a pickle **payload** of the session state
-  (:meth:`QFESession.capture_state`), plus the example pair when it is
-  embedded inline.
+* the rest — the **payload**, two pickles back to back: the example pair
+  when it is embedded inline (else ``None``), then the session state
+  (:meth:`QFESession.capture_state`). The state refers to the session's
+  ``database`` and ``result`` only through pickle persistent ids — every
+  feedback round references the base ``D`` plus its ``TupleDelta``, and
+  ``D`` is never copied into the state — and restoring binds those ids to
+  the pair the session resumes over.
 
 :func:`restore_checkpoint` checks the payload against ``payload_sha256``
 before unpickling it, so a torn or bit-flipped file is refused with
@@ -26,7 +30,7 @@ The base database is stored by **reference** whenever possible: sessions
 created from a named paper workload record ``{"kind": "workload", "name",
 "scale"}`` and the resuming side rebuilds the (deterministic, seeded) dataset
 — keeping checkpoints small and letting many resumed sessions share one live
-base instance. Sessions over ad-hoc databases embed the pair inline
+base instance. Sessions over ad-hoc databases embed the pair inline, once
 (``{"kind": "inline"}``).
 
 Version policy: :data:`CHECKPOINT_VERSION` bumps on any incompatible change
@@ -35,7 +39,9 @@ version with :class:`~repro.exceptions.CheckpointError` instead of guessing.
 (Version 2 added ``payload_sha256``; version 3 dropped the worker count
 from the captured state and from the pickled config; version 4 dropped the
 two key/validation flags from the pickled config and the three
-modification counts from the pickled round statistics. Older files are
+modification counts from the pickled round statistics; version 5 replaced
+each feedback round's copy of ``D'`` with the base and its ``TupleDelta``
+and split the payload into the inline pair and the state. Older files are
 refused.)
 
 A note on randomness: the interaction loop is deterministic end to end —
@@ -56,6 +62,7 @@ adds the wall-clock fields for human consumption.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import pickle
 from dataclasses import dataclass
@@ -82,7 +89,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "qfe-session-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -150,15 +157,11 @@ def capture_checkpoint(
 
     With a ``workload`` *database_ref* the example pair is stored by
     reference; otherwise (``None`` or :meth:`DatabaseRef.inline`) the live
-    ``database``/``result`` objects are pickled into the payload.
+    ``database``/``result`` objects are pickled into the payload, once.
     """
     with get_tracer().span("checkpoint.write", session_id=session_id):
         ref = database_ref if database_ref is not None else DatabaseRef.inline()
         state = session.capture_state()
-        payload: dict[str, Any] = {"state": state}
-        if ref.kind == "inline":
-            payload["database"] = session.database
-            payload["result"] = session.result
         header = {
             "magic": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
@@ -172,7 +175,16 @@ def capture_checkpoint(
             "metadata": metadata or {},
         }
         try:
-            body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            buffer = io.BytesIO()
+            inline = (session.database, session.result) if ref.kind == "inline" else None
+            pickle.dump(inline, buffer, protocol=pickle.HIGHEST_PROTOCOL)
+            # The state names the example pair by the persistent ids
+            # "database" and "result"; restore binds them again.
+            pair_ids = {id(session.database): "database", id(session.result): "result"}
+            pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+            pickler.persistent_id = lambda obj: pair_ids.get(id(obj))
+            pickler.dump(state)
+            body = buffer.getvalue()
             header["payload_sha256"] = hashlib.sha256(body).hexdigest()
             header_line = json.dumps(header, sort_keys=True).encode("utf-8")
         except (TypeError, ValueError, pickle.PicklingError) as exc:
@@ -213,8 +225,9 @@ def restore_checkpoint(
     The example pair binds in precedence order: explicit ``database``/
     ``result`` arguments (the service passes its shared live instances), the
     inline pair embedded in the payload, then a ``workload`` reference
-    rebuild. Process-local resources (score function, join cache) are never
-    checkpointed and always come from the caller.
+    rebuild. Every feedback round of the restored session references that
+    bound ``database``. Process-local resources (score function, join
+    cache) are never checkpointed and always come from the caller.
     """
     with get_tracer().span("checkpoint.restore"):
         header = read_checkpoint_header(blob)
@@ -224,15 +237,14 @@ def restore_checkpoint(
                 "checkpoint payload is corrupt: its sha256 does not match the "
                 "header (truncated or altered file)"
             )
+        stream = io.BytesIO(body)
         try:
-            payload = pickle.loads(body)
-            state = payload["state"]
+            inline = pickle.load(stream)
         except Exception as exc:
             raise CheckpointError(f"checkpoint payload is corrupt: {exc}") from exc
         if database is None or result is None:
-            if payload.get("database") is not None:
-                database = payload["database"]
-                result = payload["result"]
+            if inline is not None:
+                database, result = inline
             else:
                 ref = DatabaseRef.from_json(header.get("database_ref") or {})
                 if ref.kind != "workload":
@@ -241,6 +253,12 @@ def restore_checkpoint(
                         "reference; pass database= and result= explicitly"
                     )
                 database, result = ref.build()
+        unpickler = pickle.Unpickler(stream)
+        unpickler.persistent_load = {"database": database, "result": result}.__getitem__
+        try:
+            state = unpickler.load()
+        except Exception as exc:
+            raise CheckpointError(f"checkpoint payload is corrupt: {exc}") from exc
         session = QFESession.from_state(
             database,
             result,

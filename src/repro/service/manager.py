@@ -310,7 +310,7 @@ class SessionManager:
                 from repro.experiments.runner import prepare_candidates
 
                 # Generation joins through, and writes term masks into, the
-                # pair's shared cache, which rounds read and derive from:
+                # pair's shared cache, which rounds read and patch:
                 # hold the compute lock like a round does.
                 with self._computing(pair):
                     candidates, _ = prepare_candidates(

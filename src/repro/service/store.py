@@ -187,6 +187,8 @@ class FileSessionStore(SessionStore):
         return entries
 
     def _expire(self) -> None:
+        if self.ttl_seconds is None and self.max_sessions is None:
+            return  # unbounded: nothing can expire, so never list the directory
         entries = self._entries()
         if self.ttl_seconds is not None:
             deadline_ns = int((self._clock() - self.ttl_seconds) * 1_000_000_000)

@@ -55,12 +55,12 @@ def employee_candidates() -> list[SPJQuery]:
 @pytest.fixture()
 def bob_below_4000(employee_db) -> MaterializationResult:
     """Example 1.1's D with Bob's salary lowered to 3900, as a round records it:
-    the modified copy plus the one-tuple update that produced it."""
-    modified = employee_db.copy()
-    employees = modified.relation("Employee")
-    employees.update_value(1, "salary", 3900)
-    materialization = MaterializationResult(database=modified)
-    materialization.delta.record_update("Employee", 1, employees.tuple_by_id(1).values)
+    the one-tuple update over the unchanged base."""
+    employees = employee_db.relation("Employee")
+    row = list(employees.tuple_by_id(1).values)
+    row[employees.schema.index_of("salary")] = 3900
+    materialization = MaterializationResult()
+    materialization.delta.record_update("Employee", 1, row)
     return materialization
 
 

@@ -10,7 +10,13 @@ from repro.relational.evaluator import evaluate
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
 from tests.oracles.constraints_reference import modification_is_valid
+from tests.oracles.delta_reference import apply_tuple_delta
 from tests.oracles.presentation_reference import database_delta_reference
+
+
+def _modified(database, generation):
+    """The generation's ``D'``: *database* plus the winner's recorded delta."""
+    return apply_tuple_delta(database, generation.materialization.delta)
 
 
 class TestDatabaseGenerator:
@@ -21,13 +27,13 @@ class TestDatabaseGenerator:
         )
         assert generation.partition.distinguishes
         assert generation.materialization.applied
-        assert database_delta_reference(employee_db, generation.database).cost >= 1
+        assert database_delta_reference(employee_db, _modified(employee_db, generation)).cost >= 1
 
     def test_generated_database_is_valid(self, employee_db, employee_result, employee_candidates):
         generation = RoundPlanner(QFEConfig()).plan_round(
             employee_db, employee_result, employee_candidates
         )
-        assert modification_is_valid(generation.database)
+        assert modification_is_valid(_modified(employee_db, generation))
 
     def test_partition_covers_all_candidates(self, employee_db, employee_result,
                                               employee_candidates):
@@ -42,9 +48,10 @@ class TestDatabaseGenerator:
         generation = RoundPlanner(QFEConfig()).plan_round(
             employee_db, employee_result, employee_candidates
         )
+        modified = _modified(employee_db, generation)
         for group in generation.partition.groups:
             for query in group.queries:
-                assert evaluate(query, generation.database).bag_equal(group.result)
+                assert evaluate(query, modified).bag_equal(group.result)
 
     def test_timings_recorded(self, employee_db, employee_result, employee_candidates):
         generation = RoundPlanner(QFEConfig()).plan_round(
@@ -107,4 +114,4 @@ class TestDatabaseGenerator:
             scientific_db, result, candidates
         )
         assert generation.partition.distinguishes
-        assert modification_is_valid(generation.database)
+        assert modification_is_valid(_modified(scientific_db, generation))

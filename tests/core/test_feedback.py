@@ -13,21 +13,29 @@ from repro.core.feedback import (
 from repro.core.materialize import MaterializationResult
 from repro.core.partitioner import partition_queries
 from repro.exceptions import FeedbackError
+from tests.oracles.delta_reference import apply_tuple_delta
+
+
+def _bob_below_4000_database(employee_db, bob_below_4000):
+    return apply_tuple_delta(employee_db, bob_below_4000.delta)
 
 
 @pytest.fixture()
 def modified_round(employee_db, employee_result, employee_candidates, bob_below_4000):
-    partition = partition_queries(employee_candidates, bob_below_4000.database)
+    partition = partition_queries(
+        employee_candidates, _bob_below_4000_database(employee_db, bob_below_4000)
+    )
     round_ = build_feedback_round(1, employee_db, employee_result, bob_below_4000, partition)
     return round_, partition
 
 
 class TestFeedbackRound:
-    def test_round_structure(self, modified_round, bob_below_4000):
+    def test_round_structure(self, modified_round, employee_db, bob_below_4000):
         round_, partition = modified_round
         assert round_.iteration == 1
         assert round_.option_count == partition.group_count
-        assert round_.modified_database is bob_below_4000.database
+        assert round_.database is employee_db
+        assert round_.delta is bob_below_4000.delta
         assert round_.database_delta.cost == 1
         assert round_.database_delta.describe() == [
             "Employee: change salary from 4200 to 3900 in row (2, 'Bob', 'M', 'IT', 4200)"
@@ -61,11 +69,27 @@ class TestSelectors:
         chosen_group = partition.groups[choice]
         assert target in chosen_group.queries
 
+    def test_oracle_evaluates_on_its_cached_base_join_patched_by_the_delta(
+        self, modified_round, employee_candidates
+    ):
+        from repro.relational.join import JOIN_STATS
+
+        round_, partition = modified_round
+        selector = OracleSelector(employee_candidates[1])
+        first = selector.select(round_, partition)
+        JOIN_STATS.reset()
+        # Every later round patches the join the selector built once; no
+        # round's D' is joined cold.
+        assert selector.select(round_, partition) == first
+        assert JOIN_STATS.full_joins == 0 and JOIN_STATS.delta_applies == 1
+
     def test_oracle_rejects_when_no_option_matches(self, employee_db, employee_result,
                                                    employee_candidates, bob_below_4000):
         # present a partition built from only two candidates; the oracle's
         # target produces a different result on the modified database
-        partition = partition_queries(employee_candidates[:1], bob_below_4000.database)
+        partition = partition_queries(
+            employee_candidates[:1], _bob_below_4000_database(employee_db, bob_below_4000)
+        )
         round_ = build_feedback_round(1, employee_db, employee_result, bob_below_4000, partition)
         target = employee_candidates[1]
         assert OracleSelector(target).select(round_, partition) == NONE_OF_THE_ABOVE
@@ -96,7 +120,9 @@ class TestSelectors:
 @pytest.fixture()
 def single_group_round(employee_db, employee_result, employee_candidates, bob_below_4000):
     """A round whose partition has exactly one group (nothing distinguished)."""
-    partition = partition_queries(employee_candidates[:1], bob_below_4000.database)
+    partition = partition_queries(
+        employee_candidates[:1], _bob_below_4000_database(employee_db, bob_below_4000)
+    )
     round_ = build_feedback_round(1, employee_db, employee_result, bob_below_4000, partition)
     assert partition.group_count == 1
     return round_, partition
@@ -150,8 +176,8 @@ class TestEmptyDeltaRound:
         # D' == D: the delta presentation must degrade to explicit
         # "(no changes)" text, with zero costs, for every option whose result
         # matches the original.
-        unmodified = MaterializationResult(database=employee_db.copy())
-        partition = partition_queries(employee_candidates, unmodified.database)
+        unmodified = MaterializationResult()
+        partition = partition_queries(employee_candidates, employee_db)
         round_ = build_feedback_round(
             1, employee_db, employee_result, unmodified, partition
         )

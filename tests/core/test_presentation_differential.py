@@ -22,6 +22,7 @@ from repro.core.session import QFESession
 from repro.experiments.runner import prepare_candidates
 from repro.relational.delta import TupleDelta, database_delta
 from repro.workloads import build_pair
+from tests.oracles.delta_reference import apply_tuple_delta
 from tests.oracles.presentation_reference import database_delta_reference
 
 _DELTA_OFF = QFEConfig(delta_seconds=1e6)
@@ -67,7 +68,8 @@ def _assert_rounds_agree(monkeypatch, name, scale, count, user):
     for round_, winner in zip(session.last_rounds, winners):
         context = f"{name}@{scale}/{user} round {round_.iteration}"
         presented = round_.database_delta
-        reference = database_delta_reference(database, round_.modified_database)
+        assert round_.database is database and round_.delta is winner.delta, context
+        reference = database_delta_reference(database, apply_tuple_delta(database, winner.delta))
         assert presented.cost == reference.cost, context
         assert presented.modified_relation_count == reference.modified_relation_count, context
         assert presented.modified_tuple_count == reference.modified_tuple_count, context

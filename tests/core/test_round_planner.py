@@ -18,6 +18,7 @@ from repro.relational.delta import database_delta
 from repro.relational.evaluator import JoinCache
 from repro.relational.join import JOIN_STATS
 from tests.columns import joined_rows
+from tests.oracles.delta_reference import apply_tuple_delta
 
 
 def _search(planner, plan) -> list:
@@ -43,8 +44,7 @@ def _scored(outcome, signature=None) -> _Scored:
 def _score_every_attempt(planner, plan) -> list[_Scored]:
     """Score every attempt as the search does, past the winner too.
 
-    Records each applied attempt's partition signature on the way, and drops
-    every distinguishing attempt's derived entry as soon as it is scored.
+    Records each applied attempt's partition signature on the way.
     """
     recorded: list = []
     original = execution_backend.partition_signature
@@ -59,8 +59,6 @@ def _score_every_attempt(planner, plan) -> list[_Scored]:
         for index, pairs in enumerate(plan.attempts):
             recorded.clear()
             outcome = evaluate_attempt(plan, planner.join_cache, index, pairs)
-            if outcome.distinguishes:
-                planner.join_cache.invalidate(outcome.materialization.database)
             rows.append(_scored(outcome, recorded[0] if recorded else None))
     finally:
         execution_backend.partition_signature = original
@@ -106,12 +104,10 @@ class TestRoundPlanner:
         outcomes = _search(planner, plan)
         winner = outcomes[-1]
         # The winning outcome carries its materialization and batch evaluation
-        # so plan_round never builds the winner twice; the derived cache entry
-        # stays registered for the finalize partition. Losers carry neither.
+        # so plan_round never builds the winner twice. Losers carry neither.
         assert all(o.materialization is None and o.batch is None for o in outcomes[:-1])
         assert len(set(partition_signature(winner.batch.fingerprints))) > 1
         assert tuple(winner.materialization.delta.relations)
-        assert planner.join_cache.derived_link_count == 1
 
     def test_serial_backend_rewarms_after_base_invalidation(
         self, employee_result, employee_candidates
@@ -190,28 +186,24 @@ class TestRoundPlanner:
         assert len(calls) == generation.fallback_attempts + 1
         assert tuple(calls[-1]) == generation.chosen_pairs
 
-    def test_only_the_winner_keeps_its_derived_entry(
+    def test_no_attempt_leaves_a_cache_entry(
         self, employee_db, employee_result, employee_candidates
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        _search(planner, plan)
+        entries = planner.join_cache.cached_join_count
         outcomes = [
             evaluate_attempt(plan, planner.join_cache, index, pairs)
             for index, pairs in enumerate(plan.attempts)
         ]
-        # Every losing attempt released its derived entry; each distinguishing
-        # one keeps its own until released.
-        distinguishing = sum(o.distinguishes for o in outcomes)
-        assert distinguishing > 1
-        assert planner.join_cache.derived_link_count == distinguishing
-        del outcomes
-        planner.join_cache.clear()
-        # The search stops at the first winner, so it pins that one only.
-        plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
-        winner = _search(planner, plan)[-1]
-        assert planner.join_cache.derived_link_count == 1
-        planner.join_cache.invalidate(winner.materialization.database)
-        assert planner.join_cache.derived_link_count == 0
+        # Each attempt's D' is a delta over the base: its patched joins live
+        # only for its own evaluation, so however many attempts distinguish
+        # the candidates, the cache holds the base entries alone.
+        assert sum(o.distinguishes for o in outcomes) > 1
+        assert planner.join_cache.cached_join_count == entries
+        planner.plan_round(employee_db, employee_result, employee_candidates)
+        assert planner.join_cache.cached_join_count == entries
 
     def test_the_round_spans_time_the_generation(
         self, employee_db, employee_result, employee_candidates
@@ -277,8 +269,9 @@ class TestRoundPlanner:
         _search(planner, plan)
         outcomes = _score_every_attempt(planner, plan)
         assert any(o.applied for o in outcomes)
-        # Every attempt modified a copy: the base tables, its cached join and
-        # the masks the candidates evaluate through are exactly as before.
+        # Every attempt only recorded a delta: the base tables, its cached
+        # join and the masks the candidates evaluate through are exactly as
+        # before.
         assert observe() == before
 
 
@@ -336,14 +329,15 @@ class TestInProcessSearch:
         outcomes = [o for o in _score_every_attempt(planner, plan) if o.applied]
         assert len(outcomes) > 1
         for outcome in outcomes:
-            # Re-materialize the attempt and evaluate it over a fresh cache,
-            # which joins D' from scratch instead of patching the base join.
+            # Re-materialize the attempt, build its D' by copy and evaluate it
+            # over a fresh cache, which joins D' from scratch instead of
+            # patching the base join.
             materialization = materialize_pairs(
                 plan.space, outcome.pairs, employee_db, plan.config
             )
             batch = JoinCache().evaluate_batch(
                 plan.queries,
-                materialization.database,
+                apply_tuple_delta(employee_db, materialization.delta),
                 set_semantics=plan.config.set_semantics,
                 name=plan.result_name,
             )
@@ -378,10 +372,11 @@ class TestInProcessSearch:
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        entries = planner.join_cache.cached_join_count
         outcome = evaluate_attempt(plan, planner.join_cache, 0, ())
         assert not outcome.applied and not outcome.distinguishes
         assert (outcome.materialization, outcome.batch) == (None, None)
-        assert planner.join_cache.derived_link_count == 0
+        assert planner.join_cache.cached_join_count == entries
 
     def test_a_mutated_base_scores_like_a_fresh_planner(
         self, employee_result, employee_candidates
@@ -425,21 +420,20 @@ class TestInProcessSearch:
         assert generation.chosen_pairs == plan.attempts[1]
         assert generation.chosen_cost is None
         assert len(generation.partition.groups) > 1
-        # Only the winner's derived join stays registered.
-        assert planner.join_cache.derived_link_count == 1
 
     def test_no_splitting_attempt_raises_and_pins_nothing(
         self, employee_db, employee_result, employee_candidates, monkeypatch
     ):
         planner = RoundPlanner(QFEConfig())
         plan = planner.prepare_round(employee_db, employee_result, employee_candidates)
+        entries = planner.join_cache.cached_join_count
         _force_no_split(monkeypatch)
         with pytest.raises(
             DatabaseGenerationError,
             match=f"did not distinguish any candidates after {len(plan.attempts)} attempts",
         ):
             planner.plan_round(employee_db, employee_result, employee_candidates)
-        assert planner.join_cache.derived_link_count == 0
+        assert planner.join_cache.cached_join_count == entries
 
 
 # ------------------------------------------------------------ prologue memo

@@ -7,6 +7,7 @@ from repro.core.feedback import NONE_OF_THE_ABOVE, OracleSelector, ScriptedSelec
 from repro.core.session import QFESession
 from repro.exceptions import FeedbackError, QFESessionError
 from repro.relational.evaluator import evaluate
+from tests.oracles.delta_reference import apply_tuple_delta
 
 
 class TestSessionWithProvidedCandidates:
@@ -50,6 +51,27 @@ class TestSessionWithProvidedCandidates:
         outcome = session.run(WorstCaseSelector())
         counts = [record.candidate_count for record in outcome.iterations]
         assert counts == sorted(counts, reverse=True)
+
+    @pytest.mark.parametrize("selector", ["worst-case", "oracle"])
+    def test_no_round_copies_the_database(
+        self, employee_db, employee_result, employee_candidates, monkeypatch, selector
+    ):
+        from repro.relational.database import Database
+
+        def refuse(self):
+            raise AssertionError("a round copied the database")
+
+        # D' is the base plus its TupleDelta: materialization, evaluation,
+        # presentation and the simulated user all read the one base.
+        monkeypatch.setattr(Database, "copy", refuse)
+        user = (
+            WorstCaseSelector() if selector == "worst-case"
+            else OracleSelector(employee_candidates[1])
+        )
+        session = QFESession(employee_db, employee_result, candidates=employee_candidates)
+        outcome = session.run(user)
+        assert outcome.converged
+        assert all(round_.database is employee_db for round_ in session.last_rounds)
 
     def test_rounds_are_exposed(self, employee_db, employee_result, employee_candidates):
         session = QFESession(employee_db, employee_result, candidates=employee_candidates)
@@ -141,5 +163,6 @@ class TestInvalidOriginalDatabase:
                 for op in relation_delta.script.operations
             }
             assert changed and "Eid" not in changed
-            eids = [t.values[0] for t in round_.modified_database.relation("Employee").tuples]
+            modified = apply_tuple_delta(round_.database, round_.delta)
+            eids = [t.values[0] for t in modified.relation("Employee").tuples]
             assert eids == [1, 2, 3, 4, 1]

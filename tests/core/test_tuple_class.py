@@ -344,6 +344,19 @@ class TestBeyondFloatBreakpoints:
         assert outcome.converged
         assert outcome.iterations
 
+    def test_an_int_past_the_str_digit_limit_labels_its_blocks(self):
+        beyond = 10**5000  # more decimal digits than str() writes by default
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            partition = DomainPartition("T.x", [Term("T.x", ComparisonOp.GE, beyond)], [1, 2])
+            labels = [str(subset) for subset in partition.subsets]
+        finally:
+            sys.set_int_max_str_digits(previous)
+        # Hex is exact at any size and is not subject to the digit limit.
+        exact = hex(beyond)
+        assert labels == [f"T.x∈(-inf, {exact})", f"T.x∈[{exact}] ∪ ({exact}, +inf)"]
+
     @pytest.mark.parametrize(
         "first, last",
         [

@@ -12,11 +12,14 @@ from repro.experiments.simulated_user import (
     simulated_oracle_user,
     simulated_worst_case_user,
 )
+from tests.oracles.delta_reference import apply_tuple_delta
 
 
 @pytest.fixture()
 def bob_round(employee_db, employee_result, employee_candidates, bob_below_4000):
-    partition = partition_queries(employee_candidates, bob_below_4000.database)
+    partition = partition_queries(
+        employee_candidates, apply_tuple_delta(employee_db, bob_below_4000.delta)
+    )
     round_ = build_feedback_round(1, employee_db, employee_result, bob_below_4000, partition)
     return round_, partition
 

@@ -15,6 +15,7 @@ from repro.relational.evaluator import evaluate
 from repro.sql.sqlite_backend import SQLiteBackend
 from repro.workloads import build_pair
 from tests.oracles.constraints_reference import modification_is_valid
+from tests.oracles.delta_reference import apply_tuple_delta
 
 _FAST_QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candidates=20)
 _FAST_CONFIG = QFEConfig(delta_seconds=0.3)
@@ -33,8 +34,9 @@ class TestOracleSessions:
         assert evaluate(identified, database).bag_equal(result)
         # …and on every modified database the session presented
         for round_ in session.last_rounds:
-            ours = evaluate(identified, round_.modified_database)
-            target_result = evaluate(target, round_.modified_database)
+            modified = apply_tuple_delta(round_.database, round_.delta)
+            ours = evaluate(identified, modified)
+            target_result = evaluate(target, modified)
             assert ours.bag_equal(target_result)
 
     def test_every_presented_database_is_valid(self, workload_name):
@@ -43,7 +45,7 @@ class TestOracleSessions:
         session = QFESession(database, result, candidates=candidates, config=_FAST_CONFIG)
         session.run(OracleSelector(target))
         for round_ in session.last_rounds:
-            assert modification_is_valid(round_.modified_database)
+            assert modification_is_valid(apply_tuple_delta(round_.database, round_.delta))
             assert round_.database_delta.cost >= 1
 
 

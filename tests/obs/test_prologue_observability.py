@@ -5,7 +5,8 @@ Each computed prologue opens ``round.space`` (tuple-class space) under
 Algorithm 3's and 4's results, and adds its work to the ``qfe_prologue_*``
 counters and ``qfe_skyline_truncations{by}`` once. A round replayed from the
 prologue memo adds nothing. Every round's presentation opens
-``present.database_delta`` under ``round.present``.
+``present.database_delta`` under ``round.present``, and its search opens one
+``round.attempt`` per attempt it scores.
 """
 
 from __future__ import annotations
@@ -155,3 +156,52 @@ def test_the_new_spans_nest_once_per_round_and_the_trace_checks(q2, tmp_path):
         ("round.subset", {"sets_evaluated", "effects_built"}),
     ):
         assert [set(span["attrs"]) for span in _named(spans, name)] == [keys] * rounds
+
+
+def test_one_attempt_span_per_attempt_tried(q2, monkeypatch):
+    from repro.core import execution_backend
+
+    searched: list = []
+    run_attempts = execution_backend.SerialBackend.run_attempts
+
+    def recording(self, plan, join_cache):
+        searched.append(run_attempts(self, plan, join_cache))
+        return searched[-1]
+
+    monkeypatch.setattr(execution_backend.SerialBackend, "run_attempts", recording)
+    # The first scored attempt splits nothing, so round 1 falls back at least
+    # once: a fallback changes the transcript and must show in the trace.
+    signature = execution_backend.partition_signature
+    scored: list = []
+
+    def first_splits_nothing(fingerprints):
+        scored.append(1)
+        groups = signature(fingerprints)
+        return (0,) * len(groups) if len(scored) == 1 else groups
+
+    monkeypatch.setattr(execution_backend, "partition_signature", first_splits_nothing)
+    spans: list = []
+    set_tracer(Tracer(spans))
+    run = _run(q2)
+    set_tracer(None)
+
+    assert len(searched) == run.session.iteration_count
+    assert len(searched[0]) >= 2
+    outcomes = [outcome for round_outcomes in searched for outcome in round_outcomes]
+    attempts = _named(spans, "round.attempt")
+    assert [span["attrs"] for span in attempts] == [
+        {
+            "attempt": outcome.attempt_index,
+            "pairs": len(outcome.pairs),
+            "applied": outcome.applied,
+            "distinguishes": outcome.distinguishes,
+        }
+        for outcome in outcomes
+    ]
+    # Each round's attempts are children of that round's search span.
+    searches = _named(spans, "round.search")
+    children = [
+        [span for span in attempts if span["parent_id"] == search["span_id"]]
+        for search in searches
+    ]
+    assert [len(round_attempts) for round_attempts in children] == [len(o) for o in searched]

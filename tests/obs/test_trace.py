@@ -139,7 +139,7 @@ def _round_spans(tracer):
         with tracer.span("round.prepare"):
             pass
         with tracer.span("round.search", attempts=2):
-            with tracer.span("join.derive"):
+            with tracer.span("round.attempt", attempt=0, pairs=1):
                 pass
         with tracer.span("round.materialize"):
             pass
@@ -187,7 +187,7 @@ class TestSummary:
         }
         durations = {span["name"]: span["duration_s"] for span in spans}
         assert entry["phases"]["prepare"] == durations["round.prepare"]
-        # The search span is evaluation, its join.derive child included.
+        # The search span is evaluation, its round.attempt child included.
         assert entry["phases"]["evaluate"] == durations["round.search"]
         assert entry["phases"]["materialize"] == durations["round.materialize"]
         assert entry["phases"]["present"] == durations["round.present"]
@@ -274,13 +274,13 @@ class TestCheckTraceScript:
         assert self._run(path).returncode == 0
         # A child that ends after its parent: its window is not nested.
         search = by_name["round.search"]
-        by_name["join.derive"]["t_start"] = search["t_start"] + search["duration_s"]
-        by_name["join.derive"]["duration_s"] = 0.5
+        by_name["round.attempt"]["t_start"] = search["t_start"] + search["duration_s"]
+        by_name["round.attempt"]["duration_s"] = 0.5
         path.write_text("".join(json.dumps(span) + "\n" for span in spans))
         result = self._run(path)
         assert result.returncode == 1
         assert "not inside its parent" in result.stderr
-        assert "join.derive" in result.stderr
+        assert "round.attempt" in result.stderr
 
     def test_dangling_parent_fails(self, tmp_path):
         spans: list = []

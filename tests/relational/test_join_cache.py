@@ -2,10 +2,10 @@
 
 Covers superset-join reuse, the columnar view / term-mask cache riding along
 with cached joins, batch evaluation through the cache, the id-keyed
-invalidation contract for modified database copies, and the lifetime of
-delta-derived entries — which must never outlive the base entry they were
-patched out of (neither on explicit invalidation nor when the base database
-is garbage-collected).
+invalidation contract for modified database copies, and evaluation on a
+modified database given as its base plus a ``TupleDelta`` (``delta=``),
+which patches the cached base join, caches nothing for the modified
+database and equals a cold join of a copy the delta was applied to.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.relational.join import JOIN_STATS
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
 from repro.relational.query import SPJQuery
 from tests.columns import joined_rows
+from tests.oracles.delta_reference import apply_tuple_delta
 
 
 def _salary_query(threshold):
@@ -41,15 +42,14 @@ class TestJoinReuse:
         assert unsorted_first.attribute_names[0].startswith("Dept.")
         assert joined_rows(unsorted_first) == joined_rows(sorted_first)
 
-    def test_cold_builds_are_counted_and_derivations_are_not(self, two_table_db):
+    def test_cold_builds_are_counted_and_delta_evaluations_are_not(self, two_table_db):
         cache = JoinCache()
         cache.join_for(two_table_db, ["Emp", "Dept"])
         cache.join_for(two_table_db, ["Dept", "Emp"])
         cache.join_for(two_table_db, ["Emp"])
         assert cache.joins_built == 2
-        modified = two_table_db.copy()
-        cache.derive(two_table_db, TupleDelta(), modified)
-        cache.join_for(modified, ["Emp"])
+        _, delta = _raise_salary(two_table_db)
+        cache.evaluate(_salary_query(60), two_table_db, delta=delta)
         assert cache.joins_built == 2
 
     def test_distinct_table_sets_cached_separately(self, two_table_db):
@@ -221,100 +221,41 @@ class TestInvalidation:
 
 
 def _raise_salary(base, tuple_id=3, salary=99):
-    """A modified copy of *base* plus the update-only delta describing it."""
-    derived = base.copy()
-    derived.relation("Emp").update_value(tuple_id, "salary", salary)
+    """The update-only delta raising one salary of *base*, and its ``D'`` by copy."""
     delta = TupleDelta()
-    delta.record_update(
-        "Emp", tuple_id, derived.relation("Emp").tuple_by_id(tuple_id).values
-    )
-    return derived, delta
+    row = list(base.relation("Emp").tuple_by_id(tuple_id).values)
+    row[base.relation("Emp").schema.index_of("salary")] = salary
+    delta.record_update("Emp", tuple_id, row)
+    return apply_tuple_delta(base, delta), delta
 
 
-class TestDerivedEntries:
-    def test_derive_patches_instead_of_rejoining(self, two_table_db):
-        cache = JoinCache()
-        base_join = cache.join_for(two_table_db, ["Emp", "Dept"])
-        derived_db, delta = _raise_salary(two_table_db)
-        JOIN_STATS.reset()
-        assert cache.derive(two_table_db, delta, derived_db) is None
-        derived_join = cache.join_for(derived_db, ["Emp", "Dept"])
-        assert JOIN_STATS.full_joins == 0 and JOIN_STATS.delta_applies == 1
-        assert derived_join is cache.join_for(derived_db, ["Dept", "Emp"])  # memoized
-        assert derived_join is not base_join
-        result = cache.evaluate(_salary_query(60), derived_db)
-        assert sorted(r[0] for r in result.rows()) == ["Ann", "Cy", "Di", "Ed"]
-        # the base entry still serves the unmodified database
-        unchanged = cache.evaluate(_salary_query(60), two_table_db)
-        assert sorted(r[0] for r in unchanged.rows()) == ["Ann", "Cy", "Ed"]
-
-    def test_signatures_derive_on_demand(self, two_table_db):
-        cache = JoinCache()
-        derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db)
-        assert cache.derived_link_count == 1
-        JOIN_STATS.reset()
-        cache.join_for(derived_db, ["Emp"])
-        # only the (cold) base join of the signature is built; the derived
-        # entry itself is patched out of it
-        assert JOIN_STATS.full_joins == 1 and JOIN_STATS.delta_applies == 1
-        assert cache.cached_join_count == 2
-
-    def test_invalidate_base_evicts_derived_entries(self, two_table_db):
+class TestDeltaEvaluation:
+    def test_a_delta_patches_the_base_join_instead_of_rejoining(self, two_table_db):
         cache = JoinCache()
         cache.join_for(two_table_db, ["Emp"])
         derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db)
-        cache.join_for(derived_db, ["Emp"])
-        assert cache.cached_join_count == 2
-        cache.invalidate(two_table_db)
-        # base gone -> derived entries (patched out of it) are gone too
-        assert cache.cached_join_count == 0
-        assert cache.derived_link_count == 0
-
-    def test_invalidate_derived_keeps_base(self, two_table_db):
-        cache = JoinCache()
-        base_join = cache.join_for(two_table_db, ["Emp"])
-        derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db)
-        cache.join_for(derived_db, ["Emp"])
-        cache.invalidate(derived_db)
-        assert cache.cached_join_count == 1
-        assert cache.derived_link_count == 0
-        assert cache.join_for(two_table_db, ["Emp"]) is base_join
-
-    def test_base_garbage_collection_evicts_derived_entries(self, two_table_db):
-        cache = JoinCache()
-        base = two_table_db.copy()
-        derived_db, delta = _raise_salary(base)
-        cache.derive(base, delta, derived_db)
-        cache.join_for(derived_db, ["Emp"])
-        assert cache.cached_join_count == 2  # base signature + derived entry
-        del base  # finalizer fires: base entries AND derived children evicted
-        assert cache.cached_join_count == 0
-        assert cache.derived_link_count == 0
-        # the derived database remains usable — it just rebuilds cold now
         JOIN_STATS.reset()
-        result = cache.evaluate(_salary_query(60), derived_db)
-        assert JOIN_STATS.full_joins == 1
+        result = cache.evaluate(_salary_query(60), two_table_db, delta=delta)
+        assert JOIN_STATS.full_joins == 0 and JOIN_STATS.delta_applies == 1
         assert sorted(r[0] for r in result.rows()) == ["Ann", "Cy", "Di", "Ed"]
-
-    def test_derived_garbage_collection_severs_link_only(self, two_table_db):
-        cache = JoinCache()
-        base_join = cache.join_for(two_table_db, ["Emp"])
-        derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db)
-        cache.join_for(derived_db, ["Emp"])
-        del derived_db
-        assert cache.derived_link_count == 0
+        assert result.bag_equal(evaluate(_salary_query(60), derived_db))  # cold join of D'
+        # nothing is cached for D', and the base entry still serves D
         assert cache.cached_join_count == 1
-        assert cache.join_for(two_table_db, ["Emp"]) is base_join
+        unchanged = cache.evaluate(_salary_query(60), two_table_db)
+        assert sorted(r[0] for r in unchanged.rows()) == ["Ann", "Cy", "Ed"]
 
-    def test_clear_resets_links(self, two_table_db):
+    def test_each_signature_patches_its_own_base_join(self, two_table_db):
         cache = JoinCache()
         derived_db, delta = _raise_salary(two_table_db)
-        cache.derive(two_table_db, delta, derived_db)
-        cache.join_for(derived_db, ["Emp"])
-        cache.clear()
-        assert cache.cached_join_count == 0
-        assert cache.derived_link_count == 0
+        joined = SPJQuery(
+            ["Emp", "Dept"], ["Emp.ename"],
+            DNFPredicate.from_terms([Term("Emp.salary", ComparisonOp.GT, 60)]),
+        )
+        queries = [_salary_query(60), joined]
+        JOIN_STATS.reset()
+        batch = cache.evaluate_batch(queries, two_table_db, delta=delta)
+        # one cold base join per signature, each patched once by the delta
+        assert JOIN_STATS.full_joins == 2 and JOIN_STATS.delta_applies == 2
+        assert cache.cached_join_count == 2
+        cold = JoinCache().evaluate_batch(queries, derived_db)
+        assert batch.fingerprints == cold.fingerprints

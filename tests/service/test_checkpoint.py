@@ -1,5 +1,6 @@
 """Unit tests for the versioned checkpoint and transcript serializers."""
 
+import io
 import json
 import pickle
 
@@ -29,6 +30,16 @@ def _drive(session, selector, rounds=None):
         taken += 1
 
 
+def _payload(blob):
+    """A checkpoint's inline pair and its session state, with the state's
+    references to the example pair left as their bare persistent ids."""
+    stream = io.BytesIO(blob.partition(b"\n")[2])
+    inline = pickle.load(stream)
+    unpickler = pickle.Unpickler(stream)
+    unpickler.persistent_load = lambda pid: pid
+    return inline, unpickler.load()
+
+
 @pytest.fixture()
 def mid_session(employee_db, employee_result, employee_candidates):
     session = QFESession(employee_db, employee_result, candidates=employee_candidates)
@@ -52,11 +63,12 @@ class TestCheckpointFormat:
         blob = capture_checkpoint(mid_session, session_id="abc123")
         header_line, _, body = blob.partition(b"\n")
         header = json.loads(header_line)
-        # A newer version, version 3 (its pickled config carries the key and
+        # A newer version, version 4 (each pickled feedback round carries a
+        # copy of D'), version 3 (its pickled config carries the key and
         # validation flags, its round statistics three modification counts),
         # version 2 (a worker count too) and version 1 (no payload checksum).
-        assert CHECKPOINT_VERSION == 4
-        for version in (CHECKPOINT_VERSION + 1, 3, 2, 1):
+        assert CHECKPOINT_VERSION == 5
+        for version in (CHECKPOINT_VERSION + 1, 4, 3, 2, 1):
             header["version"] = version
             tampered = json.dumps(header).encode() + b"\n" + body
             with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
@@ -80,13 +92,13 @@ class TestCheckpointFormat:
 
     def test_state_carries_no_worker_count(self, mid_session):
         blob = capture_checkpoint(mid_session, session_id="abc123")
-        payload = pickle.loads(blob.partition(b"\n")[2])
-        assert "workers" not in payload["state"]
-        assert not hasattr(payload["state"]["config"], "workers")
+        _, state = _payload(blob)
+        assert "workers" not in state
+        assert not hasattr(state["config"], "workers")
 
     def test_state_carries_no_key_flags_or_round_counts(self, mid_session):
         blob = capture_checkpoint(mid_session, session_id="abc123")
-        state = pickle.loads(blob.partition(b"\n")[2])["state"]
+        _, state = _payload(blob)
         for flag in ("protect_key_columns", "validate_constraints"):
             assert not hasattr(state["config"], flag)
         for count in ("modification_count", "modified_relation_count", "modified_tuple_count"):
@@ -131,9 +143,10 @@ class TestCheckpointFormat:
             # restore_checkpoint wraps unpickling errors, so record the call
             # instead of relying on the exception to escape.
             reached.append(True)
-            raise AssertionError("a damaged payload reached pickle.loads")
+            raise AssertionError("a damaged payload reached the unpickler")
 
-        monkeypatch.setattr(pickle, "loads", unreachable)
+        for name in ("load", "loads"):
+            monkeypatch.setattr(pickle, name, unreachable)
         with pytest.raises(CheckpointError, match="sha256 does not match"):
             restore_checkpoint(bytes(blob))
         assert not reached
@@ -201,6 +214,69 @@ class TestRestore:
         resumed, _ = restore_checkpoint(by_ref)  # rebuilds D from the workload
         assert resumed.database.table_names == database.table_names
         assert resumed.status == "awaiting-choice"
+
+
+def _q2_session():
+    """A Q2@0.03 session over its workload pair, not yet started."""
+    from repro.service.manager import workload_session_inputs
+
+    database, result, _, candidates = workload_session_inputs("Q2", 0.03, candidate_count=6)
+    return QFESession(database, result, candidates=candidates)
+
+
+_Q2_REF = DatabaseRef.workload("Q2", 0.03)
+
+
+class TestThePairIsNeverCopied:
+    """Every feedback round refers to the base ``D`` and records its delta;
+    a checkpoint writes ``D`` and ``R`` as references, never as copies."""
+
+    def test_a_workload_checkpoint_holds_no_database(self):
+        session = _q2_session()
+        _drive(session, WorstCaseSelector(), rounds=1)
+        session.propose()
+        blob = capture_checkpoint(session, session_id="x", database_ref=_Q2_REF)
+        assert b"repro.relational.database" not in blob  # no Database is pickled
+        inline, state = _payload(blob)
+        assert inline is None
+        assert len(state["rounds"]) == 2
+        assert all(round_.database == "database" for round_ in state["rounds"])
+
+        restored, _ = restore_checkpoint(
+            blob, database=session.database, result=session.result
+        )
+        assert all(round_.database is session.database for round_ in restored.last_rounds)
+        assert restored.pending_round.round.database is session.database
+        _drive(restored, WorstCaseSelector())
+        _drive(session, WorstCaseSelector())
+        assert transcript_json(session_transcript(restored)) == transcript_json(
+            session_transcript(session)
+        )
+
+    def test_a_round_does_not_grow_the_checkpoint_by_a_database(self):
+        session = _q2_session()
+        database_bytes = len(pickle.dumps(session.database, protocol=pickle.HIGHEST_PROTOCOL))
+        sizes = []
+        while (pending := session.propose()) is not None:
+            sizes.append(len(capture_checkpoint(session, session_id="x", database_ref=_Q2_REF)))
+            session.submit(WorstCaseSelector().select(pending.round, pending.partition))
+        assert len(sizes) >= 2
+        assert all(0 < later - earlier < database_bytes for earlier, later in zip(sizes, sizes[1:]))
+
+    def test_an_inline_pair_is_embedded_once(self):
+        session = _q2_session()
+        _drive(session, WorstCaseSelector(), rounds=1)
+        session.propose()
+        by_ref = capture_checkpoint(session, session_id="x", database_ref=_Q2_REF)
+        inline = capture_checkpoint(session, session_id="x")
+        pair = pickle.dumps((session.database, session.result), protocol=pickle.HIGHEST_PROTOCOL)
+        none = pickle.dumps(None, protocol=pickle.HIGHEST_PROTOCOL)
+        embedded = len(inline.partition(b"\n")[2]) - len(by_ref.partition(b"\n")[2])
+        assert embedded == len(pair) - len(none)
+
+        resumed, _ = restore_checkpoint(inline)
+        assert resumed.database is not session.database
+        assert all(round_.database is resumed.database for round_ in resumed.last_rounds)
 
 
 class TestTranscript:

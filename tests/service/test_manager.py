@@ -154,6 +154,25 @@ class TestPassivationAndResume:
             assert resumed.pair is a.pair
             assert resumed.session.join_cache is a.pair.join_cache
 
+    def test_restored_rounds_refer_to_the_pairs_live_database(self):
+        store = InMemorySessionStore()
+        selector = WorstCaseSelector()
+        with SessionManager(store=store, max_live_sessions=1) as manager:
+            manager.create_session(workload="Q2", scale=0.03, candidate_count=6, session_id="a")
+            _, pending = manager.get_round("a")
+            manager.submit_choice("a", selector.select(pending.round, pending.partition))
+            manager.get_round("a")
+            manager.create_session(workload="Q2", scale=0.03, candidate_count=6, session_id="b")
+            assert manager.session_ids() == ["b"]  # "a" passivated with two rounds
+            manager.get_round("a")  # resumes "a" from its checkpoint
+            resumed = manager._sessions["a"]
+            rounds = resumed.session.last_rounds
+            # The checkpoint held references, not copies: every restored round's
+            # base is the one live database the pair shares.
+            assert len(rounds) == 2
+            assert all(round_.database is resumed.pair.database for round_ in rounds)
+            assert resumed.session.database is resumed.pair.database
+
     def test_capacity_without_store_is_refused(self, employee_db, employee_result,
                                                employee_candidates):
         with SessionManager(max_live_sessions=1) as manager:

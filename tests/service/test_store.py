@@ -124,6 +124,20 @@ class TestFileStore:
         assert store.get("a") == b"1"  # get() runs the expiry sweep too
         assert sorted(store.ids()) == ["a", "b", "c"]
 
+    def test_an_unbounded_store_never_scans_its_directory(self, tmp_path, monkeypatch):
+        def scan(self):
+            raise AssertionError("an unbounded store listed its checkpoints")
+
+        monkeypatch.setattr(FileSessionStore, "_entries", scan)
+        store = FileSessionStore(tmp_path)  # neither max_sessions nor ttl_seconds
+        store.put("a", b"1")
+        store.put("b", b"2")
+        assert store.get("a") == b"1"
+        assert store.ids() == ["a", "b"]
+        # A bound makes the expiry sweep list the directory again.
+        with pytest.raises(AssertionError, match="listed its checkpoints"):
+            FileSessionStore(tmp_path, max_sessions=4).put("c", b"3")
+
     def test_lru_eviction_by_mtime(self, tmp_path):
         store = FileSessionStore(tmp_path, max_sessions=2)
         store.put("old", b"1")
