@@ -203,16 +203,18 @@ _SERVICE_USERS = 8
 
 
 @pytest.fixture(scope="module")
-def service_round_setup(scientific_setup):
+def service_round_setup(scientific_setup, bench_scale):
     from repro.service.manager import SessionManager
 
-    database, result, _, candidates, _, _ = scientific_setup
+    candidates = scientific_setup[3]
     # ONE manager (and thus one per-pair join cache) across every measured
     # run: the base join is built once per service lifetime, never inside
     # the timed region. Finished sessions are kept (not deleted) so the
     # shared pair — and with it the warm join — always stays referenced.
+    # Sessions run over the manager's Q2 pair at the scale of
+    # ``scientific_setup``, with its candidates.
     manager = SessionManager(max_live_sessions=1024)
-    inputs = (database, result, tuple(candidates))
+    inputs = ("Q2", min(bench_scale, 0.12), tuple(candidates))
     _drive_service_users(manager, inputs, 1)  # warm: base join + memo
     yield manager, inputs
     manager.close()
@@ -224,12 +226,12 @@ def _drive_service_users(manager, inputs, users: int) -> int:
 
     from repro.core.feedback import WorstCaseSelector
 
-    database, result, candidates = inputs
+    workload, scale, candidates = inputs
     rounds_before = manager.metrics()["rounds_served"]
     ids = [
         manager.create_session(
-            database=database,
-            result=result,
+            workload=workload,
+            scale=scale,
             candidates=list(candidates),
             config=QFEConfig(delta_seconds=0.25),
         ).session_id

@@ -30,7 +30,7 @@ echo "== differential: tracing on vs off is bit-identical (Q1-Q6) =="
 python -m pytest -q tests/integration/test_trace_differential.py -m ""
 
 echo
-echo "== differential: checkpoint/resume at every round is bit-identical to uninterrupted runs (Q1-Q6) =="
+echo "== differential: resume by verified replay at every round is bit-identical to uninterrupted runs (Q1-Q6); clock-cut rounds replay by their logged pair counts =="
 python -m pytest -q tests/integration/test_service_differential.py -m ""
 
 echo
@@ -38,7 +38,7 @@ echo "== differential: scenario engine — cold vs steady repeats, resume, hash 
 python -m pytest -q tests/integration/test_scenario_differential.py -k "fast_guard or checkpoint_resumes or hash_seed"
 
 echo
-echo "== service smoke: HTTP session, checkpoint -> kill -9 -> resume -> finish, bit-identical transcript =="
+echo "== service smoke: kill -9 -> resume by replay -> finish; two sessions under --max-live-sessions 1 passivated and replayed every step; bit-identical transcripts =="
 python scripts/service_smoke.py
 
 echo

@@ -1,13 +1,19 @@
 #!/usr/bin/env python
-"""Service smoke test: checkpoint → kill -9 → resume → finish, bit-identical.
+"""Service smoke test: every resume over HTTP is a replay, bit-identical.
 
-Boots ``qfe-serve`` as a real subprocess with an on-disk checkpoint store,
-drives a full Q2 session through the HTTP client, hard-kills the server
-(SIGKILL — no graceful shutdown, the on-disk checkpoints are all that
-survives) after the first submitted choice, reboots it on the same store,
-finishes the session, and asserts the resumed session's canonical transcript
-is **byte-identical** to an uninterrupted in-process ``SerialBackend`` run of
-the same session spec.
+Two legs, each against ``qfe-serve`` booted as a real subprocess with an
+on-disk checkpoint store:
+
+1. **kill -9.** Drives a Q2 session through the HTTP client, hard-kills the
+   server (SIGKILL — no graceful shutdown, the on-disk checkpoints are all
+   that survives) after the first submitted choice, reboots it on the same
+   store and finishes the session.
+2. **Passivation.** With ``--max-live-sessions 1``, drives two sessions in
+   turn, one step each: after the first request every step passivates one
+   session and resumes the other by replaying its checkpoint.
+
+Each session's canonical transcript must be **byte-identical** to an
+uninterrupted in-process run of the same session spec.
 
 Run from the repository root (CI does)::
 
@@ -41,24 +47,23 @@ DELTA_SECONDS = 30.0
 PORT = int(os.environ.get("QFE_SMOKE_PORT", "8655"))
 
 
-def reference_transcript() -> str:
-    """The uninterrupted SerialBackend run of the same session spec."""
+def reference_transcript(candidate_count: int = CANDIDATES, config: dict | None = None) -> str:
+    """The uninterrupted in-process run of the same session spec."""
     database, result, _, candidates = workload_session_inputs(
-        WORKLOAD, SCALE, candidate_count=CANDIDATES
+        WORKLOAD, SCALE, candidate_count=candidate_count
     )
     session = QFESession(
-        database, result, candidates=candidates,
-        config=QFEConfig(delta_seconds=DELTA_SECONDS),
+        database, result, candidates=candidates, config=QFEConfig(**(config or {}))
     )
     session.run(WorstCaseSelector())
     return transcript_json(session_transcript(session, workload=WORKLOAD))
 
 
-def boot_server(store_dir: str) -> subprocess.Popen:
+def boot_server(store_dir: str, *extra: str) -> subprocess.Popen:
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.service",
-            "--port", str(PORT), "--store-dir", store_dir,
+            "--port", str(PORT), "--store-dir", store_dir, *extra,
         ],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         stdout=subprocess.PIPE,
@@ -90,9 +95,63 @@ def drive_round(client: ServiceClient, session_id: str) -> bool:
     return True
 
 
+def stop(server: subprocess.Popen) -> None:
+    if server.poll() is None:
+        server.terminate()
+        try:
+            server.wait(timeout=30)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            server.kill()
+
+
+def passivation_leg() -> int:
+    """Two sessions under ``--max-live-sessions 1``, one step each in turn."""
+    # The second session keeps the default config: every service session
+    # created without delta_seconds runs under the wall-clock δ.
+    specs = {
+        "a": (CANDIDATES, {"delta_seconds": DELTA_SECONDS}),
+        "b": (CANDIDATES - 2, None),
+    }
+    references = {name: reference_transcript(*spec) for name, spec in specs.items()}
+    with tempfile.TemporaryDirectory(prefix="qfe-smoke-") as store_dir:
+        print("[smoke] booting qfe-serve --max-live-sessions 1 ...", flush=True)
+        server = boot_server(store_dir, "--max-live-sessions", "1")
+        client = ServiceClient(f"http://127.0.0.1:{PORT}", timeout=120.0)
+        try:
+            ids = {
+                name: client.create_session(
+                    WORKLOAD, scale=SCALE, candidate_count=count,
+                    **({"config": config} if config else {}),
+                )["session_id"]
+                for name, (count, config) in specs.items()
+            }
+            running = dict(ids)
+            while running:
+                for name in list(running):
+                    if not drive_round(client, running[name]):
+                        del running[name]
+            metrics = client.metrics()
+            for name, session_id in ids.items():
+                transcript = transcript_json(client.transcript(session_id))
+                if transcript != references[name]:
+                    print(f"[smoke] FAIL: session {name} differs from its reference")
+                    return 1
+            if metrics["sessions_resumed"] < metrics["rounds_served"]:
+                print(f"[smoke] FAIL: too few resumes: {metrics}")
+                return 1
+            print(
+                f"[smoke] OK: both transcripts bit-identical after "
+                f"{metrics['sessions_resumed']} resumes by replay",
+                flush=True,
+            )
+            return 0
+        finally:
+            stop(server)
+
+
 def main() -> int:
     print(f"[smoke] reference: uninterrupted in-process {WORKLOAD} run ...", flush=True)
-    reference = reference_transcript()
+    reference = reference_transcript(config={"delta_seconds": DELTA_SECONDS})
 
     with tempfile.TemporaryDirectory(prefix="qfe-smoke-") as store_dir:
         print(f"[smoke] booting qfe-serve (store={store_dir}) ...", flush=True)
@@ -133,14 +192,9 @@ def main() -> int:
                 "by the resumed server)",
                 flush=True,
             )
-            return 0
         finally:
-            if server.poll() is None:
-                server.terminate()
-                try:
-                    server.wait(timeout=30)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    server.kill()
+            stop(server)
+    return passivation_leg()
 
 
 if __name__ == "__main__":

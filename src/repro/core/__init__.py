@@ -37,7 +37,6 @@ from repro.core.session import (
     IterationRecord,
     PendingRound,
     QFESession,
-    RoundStats,
     SessionResult,
     StepResult,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "SessionResult",
     "IterationRecord",
     "PendingRound",
-    "RoundStats",
     "StepResult",
     "DatabaseGenerationResult",
     "DomainSubset",

@@ -18,18 +18,17 @@ presented result matches the intended query, which makes the session trigger
 another round of candidate generation (Section 2's "not shown in Algorithm 1"
 escape hatch).
 
-Serialization contract: a :class:`FeedbackRound` (with its options and
-deltas) travels inside the session's pending-round state when a suspended
-session is checkpointed (:mod:`repro.service.checkpoint`), so everything it
-transitively references must stay picklable; selectors, by contrast, are
-process-local and are never checkpointed — a resumed session is re-driven by
-whatever selector (or HTTP user) the resuming side supplies.
+:func:`feedback_round_dict` is a round's canonical presentation: the form
+transcripts and the HTTP API carry, and whose sha256
+(:attr:`FeedbackRound.sha256`) a checkpoint records to verify its replay.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from functools import cached_property
+from typing import Any, Callable, Protocol, Sequence
 
 from repro.core.materialize import MaterializationResult
 from repro.core.partitioner import QueryPartition
@@ -46,12 +45,14 @@ from repro.relational.delta import (
 from repro.relational.evaluator import JoinCache, result_fingerprint
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
+from repro.relational.types import exact_repr, long_int_hex
 
 __all__ = [
     "NONE_OF_THE_ABOVE",
     "ResultOption",
     "FeedbackRound",
     "build_feedback_round",
+    "feedback_round_dict",
     "ResultSelector",
     "WorstCaseSelector",
     "OracleSelector",
@@ -106,6 +107,49 @@ class FeedbackRound:
             lines.append("")
             lines.append(option.pretty())
         return "\n".join(lines)
+
+    @cached_property
+    def sha256(self) -> str:
+        """sha256 of the canonical presentation, computed once per round."""
+        import hashlib  # only checkpoints digest rounds: a cold session never loads it
+
+        text = json.dumps(feedback_round_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _json_value(value: Any) -> Any:
+    """A cell value in JSON: NaN, and an int too long for ``str``, as text."""
+    if isinstance(value, float) and value != value:
+        return "NaN"
+    return long_int_hex(value) or value
+
+
+def _rows_payload(relation: Relation) -> list:
+    """A relation's bag of rows in canonical (content-sorted) order."""
+    items = sorted(relation.bag_of_rows().items(), key=exact_repr)
+    return [[[_json_value(v) for v in row], count] for row, count in items]
+
+
+def feedback_round_dict(round_: FeedbackRound) -> dict:
+    """One :class:`FeedbackRound` presentation as a JSON-able dict."""
+    return {
+        "iteration": round_.iteration,
+        "database_delta": {
+            "cost": round_.database_delta.cost,
+            "modified_relation_count": round_.database_delta.modified_relation_count,
+            "lines": round_.database_delta.describe(),
+        },
+        "options": [
+            {
+                "index": option.index,
+                "query_count": option.query_count,
+                "delta_cost": option.delta.cost,
+                "delta_lines": option.delta.describe(),
+                "rows": _rows_payload(option.result),
+            }
+            for option in round_.options
+        ],
+    }
 
 
 def build_feedback_round(

@@ -27,11 +27,12 @@ the database-modification step is ``round.search`` (one ``round.attempt``
 per scored attempt) plus ``round.materialize``. A computed prologue tags
 those spans with its figures and adds them to the ``qfe_prologue_*``
 counters and ``qfe_skyline_truncations``, once per round.
+A replayed round passes ``pair_budget``, the (STC, DTC) pairs its skyline
+enumerated when it first ran, and its ``round.skyline`` span carries it.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -51,6 +52,7 @@ from repro.relational.database import Database
 from repro.relational.evaluator import JoinCache
 from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
+from repro.relational.types import exact_repr
 
 # Module attributes this module does not call: the per-layer benchmark
 # (perfbench/layers.py) wraps ``round_planner.materialize_pairs`` and
@@ -147,16 +149,16 @@ class DatabaseGenerationResult:
 class RoundPlan:
     """The prologue's output: everything the search phase needs, plus diagnostics.
 
-    ``body`` is the pickle of the round's queries, config, referenced tables
-    and result name and arity — made once per round, it keys the prologue
-    memo.
+    ``body`` is an exact text of the round's queries, config, referenced
+    tables and result name and arity — made once per round, it keys the
+    prologue memo.
     """
 
     queries: tuple[SPJQuery, ...]
     config: QFEConfig
     referenced: tuple[str, ...]
     result_name: str
-    body: bytes
+    body: str
     original: Database
     space: TupleClassSpace
     skyline: SkylineResult
@@ -184,6 +186,9 @@ class RoundPlanner:
         self.config = config or QFEConfig()
         self.score = score
         self.join_cache = join_cache if join_cache is not None else JoinCache()
+        #: (STC, DTC) pairs Algorithm 3 enumerated for the last round
+        #: prepared, memoized or not (0 when the round failed before it).
+        self.enumerated_pairs = 0
 
     # ---------------------------------------------------------------- prologue
     def prepare_round(
@@ -191,6 +196,8 @@ class RoundPlanner:
         original: Database,
         result: Relation,
         queries: Sequence[SPJQuery],
+        *,
+        pair_budget: int | None = None,
     ) -> RoundPlan:
         """Plan one round: join → tuple-class space → skyline → subset → attempts.
 
@@ -198,17 +205,22 @@ class RoundPlanner:
         function of the base join it reads and the round body, so a memo
         held with that join's :class:`JoinCache` entry
         replays a repeated body — a second user of a service pair, a re-run
-        session — without re-running Algorithms 3 and 4. Bodies match only
-        when their pickles are byte-identical. A replayed round opens neither
+        session, a resumed one — without re-running Algorithms 3 and 4.
+        Bodies match only when their texts are identical, which keeps ``1``,
+        ``1.0`` and ``True`` apart. A replayed round opens neither
         the ``round.skyline`` nor the ``round.subset`` span, so it reports
         0.0 s for both algorithms (the time actually spent), and sets
         ``memo_hit`` on its ``round.prepare`` span. A planner with a custom
-        ``score`` neither reads nor writes the memo.
+        ``score`` neither reads nor writes the memo. With a ``pair_budget``
+        the skyline enumerates exactly that many pairs, a memo entry is used
+        only when it enumerated that many (else the round is planned anew and
+        the entry stays), and a new prologue is kept only where it evicts none.
         """
         if len(queries) < 2:
             raise DatabaseGenerationError("need at least two candidate queries to distinguish")
+        self.enumerated_pairs = 0
         with get_tracer().span("round.prepare", candidates=len(queries)) as span:
-            return self._prepare_round(original, result, tuple(queries), span)
+            return self._prepare_round(original, result, tuple(queries), span, pair_budget)
 
     def _prepare_round(
         self,
@@ -216,16 +228,24 @@ class RoundPlanner:
         result: Relation,
         queries: tuple[SPJQuery, ...],
         span,
+        pair_budget: int | None,
     ) -> RoundPlan:
         # Join only the relations the candidates actually reference (Section 5
         # assumes a shared join schema; this also keeps databases with
         # unrelated extra tables usable).
         referenced = tuple(sorted({table for query in queries for table in query.tables}))
         result_name, result_arity = result.schema.name, result.schema.arity
-        body = pickle.dumps(
-            (queries, self.config, referenced, result_name, result_arity),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        # An exact text of the round's inputs: equal for equal values, whichever
+        # objects they share (candidates decoded from a checkpoint match).
+        shapes = tuple(
+            (query.tables, query.projection, query.distinct)
+            + tuple(
+                tuple((term.attribute, term.op.value, term.constant) for term in conjunct.terms)
+                for conjunct in query.predicate.conjuncts
+            )
+            for query in queries
         )
+        body = exact_repr((shapes, repr(self.config), referenced, result_name, result_arity))
         try:
             joined = self.join_cache.join_for(original, referenced)
             # Pre-warm the per-query signatures too: partitioning groups
@@ -244,12 +264,15 @@ class RoundPlanner:
         # prologue is neither replayed nor kept.
         memo = self.join_cache.memo_for(original, referenced) if self.score is None else None
         prologue = memo.get(body) if memo is not None else None
+        if prologue is not None and pair_budget not in (None, prologue.skyline.enumerated_pairs):
+            prologue = None  # a replay reuses only a prologue of its budget
         skyline_seconds = selection_seconds = 0.0
         if memo is not None:
             span.set(memo_hit=prologue is not None)
         if prologue is not None:
             memo.move_to_end(body)
             PLAN_MEMO_STATS.add(memo_hits=1)
+            self.enumerated_pairs = prologue.skyline.enumerated_pairs
         else:
             tracer = get_tracer()
             # Span attributes are set before each span closes: a file sink
@@ -267,7 +290,11 @@ class RoundPlanner:
 
             with tracer.span("round.skyline") as skyline_span:
                 skyline = skyline_stc_dtc_pairs(
-                    space, self.config, result_arity=result_arity, simulator=simulator
+                    space,
+                    self.config,
+                    result_arity=result_arity,
+                    simulator=simulator,
+                    pair_budget=pair_budget,
                 )
                 skyline_span.set(
                     enumerated_pairs=skyline.enumerated_pairs,
@@ -275,7 +302,10 @@ class RoundPlanner:
                     pairs=skyline.pair_count,
                     truncated_by=skyline.truncated_by,
                 )
+                if pair_budget is not None:
+                    skyline_span.set(pair_budget=pair_budget)
             skyline_seconds = skyline_span.duration_s
+            self.enumerated_pairs = skyline.enumerated_pairs
             PROLOGUE_STATS.add(
                 enumerated_pairs=skyline.enumerated_pairs, reaction_keys=skyline.reaction_keys
             )
@@ -317,7 +347,8 @@ class RoundPlanner:
             prologue = _Prologue(space, skyline, selection, tuple(attempts))
             if memo is not None:
                 PLAN_MEMO_STATS.add(memo_misses=1)
-                memo[body] = prologue
+                if memo.setdefault(body, prologue) is prologue and pair_budget is not None:
+                    memo.move_to_end(body, last=False)  # a replay only fills free room
                 while len(memo) > PLAN_MEMO_LIMIT:
                     memo.popitem(last=False)
         return RoundPlan(
@@ -341,10 +372,12 @@ class RoundPlanner:
         original: Database,
         result: Relation,
         queries: Sequence[SPJQuery],
+        *,
+        pair_budget: int | None = None,
     ) -> DatabaseGenerationResult:
         """Produce the ``D'`` (as a delta over *original*) distinguishing *queries*;
         raises if no modification helps."""
-        plan = self.prepare_round(original, result, queries)
+        plan = self.prepare_round(original, result, queries, pair_budget=pair_budget)
         tracer = get_tracer()
         with tracer.span("round.search", attempts=len(plan.attempts)) as search_span:
             outcomes = SerialBackend().run_attempts(plan, self.join_cache)

@@ -16,13 +16,12 @@ session exposes two explicit steps:
   :class:`IterationRecord` and shrinking the surviving candidate set (or
   replenishing it on :data:`~repro.core.feedback.NONE_OF_THE_ABOVE`).
 
-Between the two calls the session is *suspended*: its entire interaction
-state (config, surviving candidates, transcript, pending round) is exposed by
-:meth:`QFESession.capture_state` / :meth:`QFESession.from_state`, which the
-service layer's checkpoint serializers (:mod:`repro.service.checkpoint`) use
-to persist and resume sessions across processes. The classic blocking
-:meth:`QFESession.run` remains as a thin wrapper over propose/submit with
-identical semantics and transcripts.
+Between the two calls the session is *suspended*, and its inputs plus
+:attr:`QFESession.log`, the calls that changed it, are all it is:
+:meth:`QFESession.replay` re-applies a log to a fresh session (each round
+enumerating the (STC, DTC) pairs it enumerated the first time), which is how
+:mod:`repro.service.checkpoint` resumes sessions. The blocking
+:meth:`QFESession.run` wraps propose/submit with identical transcripts.
 
 Every iteration is recorded as an :class:`IterationRecord` carrying exactly
 the quantities the paper's Table 1 reports (candidate count, subset count,
@@ -56,7 +55,6 @@ from repro.relational.relation import Relation
 __all__ = [
     "IterationRecord",
     "SessionResult",
-    "RoundStats",
     "PendingRound",
     "StepResult",
     "QFESession",
@@ -143,49 +141,20 @@ class SessionResult:
         return sum(record.result_cost for record in self.iterations)
 
 
-@dataclass(frozen=True)
-class RoundStats:
-    """The scalar Database Generator diagnostics of one proposed round.
-
-    Exactly what :class:`IterationRecord` needs beyond the feedback round
-    itself — kept as plain numbers (never the heavyweight
-    :class:`~repro.core.round_planner.DatabaseGenerationResult`) so a pending
-    round checkpoints compactly.
-    """
-
-    skyline_pair_count: int
-    skyline_seconds: float
-    selection_seconds: float
-    materialize_seconds: float
-
-    @classmethod
-    def from_generation(cls, generation: DatabaseGenerationResult) -> "RoundStats":
-        return cls(
-            skyline_pair_count=generation.skyline.pair_count,
-            skyline_seconds=generation.skyline_seconds,
-            selection_seconds=generation.selection_seconds,
-            materialize_seconds=generation.materialize_seconds,
-        )
-
-
 @dataclass
 class PendingRound:
     """One proposed feedback round awaiting the user's choice.
 
-    Fully self-contained and picklable: the presentation
-    (:class:`~repro.core.feedback.FeedbackRound`), the candidate partition
-    the choice indexes into, and the scalar diagnostics for the eventual
-    :class:`IterationRecord`. A session suspended between
-    :meth:`QFESession.propose` and :meth:`QFESession.submit` carries its
-    pending round inside its checkpoint, so resuming never re-runs the round
-    search.
+    The presentation (:class:`~repro.core.feedback.FeedbackRound`), the
+    candidate partition the choice indexes into, and the Database
+    Generator's result behind the eventual :class:`IterationRecord`.
     """
 
     iteration: int
     candidate_count: int
     round: FeedbackRound
     partition: QueryPartition
-    stats: RoundStats
+    generation: DatabaseGenerationResult
     execution_seconds: float
 
     @property
@@ -210,8 +179,8 @@ class QFESession:
     The session is a resumable state machine: :meth:`propose` produces the
     next :class:`PendingRound` (or ``None`` when finished), :meth:`submit`
     applies a choice. :meth:`run` wraps the two into the classic blocking
-    loop. :meth:`capture_state`/:meth:`from_state` expose the full
-    interaction state for checkpointing.
+    loop. :attr:`log` records every call that changed the session, and
+    :meth:`replay` re-applies such a log to a fresh session.
 
     Resource ownership: by default the session owns its
     :class:`~repro.relational.evaluator.JoinCache` and clears it in
@@ -237,6 +206,8 @@ class QFESession:
         self.config = config or QFEConfig()
         self.qbo_config = qbo_config or QBOConfig()
         self._provided_candidates = list(candidates) if candidates is not None else None
+        #: The given candidates, else the generated ones once the session starts.
+        self.initial_candidates = self._provided_candidates
         # One join cache for the whole session: the original database's
         # foreign-key join (and its columnar term masks) is built once and
         # reused by candidate generation, every iteration's round planning
@@ -255,6 +226,11 @@ class QFESession:
         self._iteration = 0
         self._pending: PendingRound | None = None
         self._done = False
+        #: Every call that changed the session, in order: ``("round", n)`` for
+        #: a planned round (one that exhausts the session included) whose
+        #: Algorithm 3 enumerated *n* (STC, DTC) pairs, ``("finish",)`` for a
+        #: propose that finished without planning, ``("choose", c)`` for a choice.
+        self.log: list[tuple] = []
 
     # ----------------------------------------------------------------- status
     @property
@@ -286,6 +262,11 @@ class QFESession:
     def pending_round(self) -> PendingRound | None:
         """The proposed round awaiting a choice, if any."""
         return self._pending
+
+    @property
+    def candidates(self) -> list[SPJQuery] | None:
+        """The surviving candidate queries (``None`` before the session starts)."""
+        return self._candidates
 
     @property
     def remaining_candidates(self) -> int:
@@ -332,6 +313,7 @@ class QFESession:
             if not candidates:
                 raise QFESessionError("no candidate queries available for the example pair")
             self._result.initial_candidate_count = len(candidates)
+            self.initial_candidates = list(candidates)
             self._candidates = list(candidates)
         return self._candidates
 
@@ -354,14 +336,20 @@ class QFESession:
         surviving candidates cannot be distinguished (``exhausted``), or the
         iteration budget ran out — at which point :attr:`outcome` is final.
         """
+        return self._propose(None)
+
+    def _propose(self, pair_budget: int | None, *, plan: bool = True) -> PendingRound | None:
         if self._pending is not None:
             return self._pending
         if self._done:
             return None
         candidates = self._ensure_started()
         if len(candidates) <= 1 or self._iteration >= self.config.max_iterations:
+            self.log.append(("finish",))
             self._finalize()
             return None
+        if not plan:
+            raise QFESessionError("the session would plan a round, not finish")
 
         self._iteration += 1
         tracer = get_tracer()
@@ -369,8 +357,13 @@ class QFESession:
             "session.propose", iteration=self._iteration, candidates=len(candidates)
         ) as propose_span:
             try:
-                generation = self._planner.plan_round(self.database, self.result, candidates)
+                generation = self._planner.plan_round(
+                    self.database, self.result, candidates, pair_budget=pair_budget
+                )
             except DatabaseGenerationError:
+                generation = None
+            self.log.append(("round", self._planner.enumerated_pairs))
+            if generation is None:
                 # The remaining candidates cannot be distinguished by any
                 # modification within budget; report them all.
                 self._result.exhausted = True
@@ -391,7 +384,7 @@ class QFESession:
             candidate_count=len(candidates),
             round=round_,
             partition=generation.partition,
-            stats=RoundStats.from_generation(generation),
+            generation=generation,
             execution_seconds=propose_span.duration_s,
         )
         return self._pending
@@ -425,6 +418,7 @@ class QFESession:
                     )
                 self._candidates = replenished
                 self._pending = None
+                self.log.append(("choose", choice))
                 return StepResult(
                     status="replenished",
                     record=None,
@@ -440,6 +434,7 @@ class QFESession:
             self._result.iterations.append(record)
             self._candidates = list(chosen_group.queries)
             self._pending = None
+            self.log.append(("choose", choice))
             if len(self._candidates) == 1:
                 self._finalize()
                 return StepResult(
@@ -460,6 +455,27 @@ class QFESession:
         self._pending = None
         self._done = False
         self.last_rounds = []
+        self.log = []
+
+    def replay(self, log: Sequence[Sequence]) -> None:
+        """Re-apply a recorded :attr:`log` to this fresh session.
+
+        A round enumerates exactly its logged number of (STC, DTC) pairs and
+        never reads the clock, so a round that ``δ`` cut replays exactly.
+        Raises :class:`~repro.exceptions.QFESessionError` at the first entry
+        the calls do not reproduce.
+        """
+        for position, entry in enumerate(map(tuple, log)):
+            kind, *args = entry
+            count = args[0] if len(args) == 1 and type(args[0]) is int else None
+            if kind == "round" and count is not None and count >= 0:
+                self._propose(count)
+            elif kind == "choose" and count is not None:
+                self.submit(count)
+            elif entry == ("finish",):
+                self._propose(None, plan=False)
+            if self.log[position:] != [entry]:
+                raise QFESessionError(f"log entry {position}, {entry!r}, does not replay")
 
     # --------------------------------------------------------------------- run
     def run(self, selector: ResultSelector) -> SessionResult:
@@ -505,69 +521,6 @@ class QFESession:
         except Exception:
             pass
 
-    # ------------------------------------------------------------ checkpointing
-    def capture_state(self) -> dict:
-        """The session's full interaction state as one picklable dict.
-
-        Everything :meth:`from_state` needs to resume the session in another
-        process *except* the example pair itself (``database``/``result``)
-        and process-local resources (join cache, score function), which
-        the resuming side re-binds. The returned dict references the live
-        objects — every feedback round references ``database`` itself, which
-        :mod:`repro.service.checkpoint` writes as a reference and binds
-        again on restore — so serialize it promptly.
-        """
-        return {
-            "config": self.config,
-            "qbo_config": self.qbo_config,
-            "provided_candidates": (
-                list(self._provided_candidates)
-                if self._provided_candidates is not None
-                else None
-            ),
-            "candidates": list(self._candidates) if self._candidates is not None else None,
-            "iteration": self._iteration,
-            "pending": self._pending,
-            "result": self._result,
-            "rounds": list(self.last_rounds),
-            "done": self._done,
-        }
-
-    @classmethod
-    def from_state(
-        cls,
-        database: Database,
-        result: Relation,
-        state: dict,
-        *,
-        score: ScoreFunction | None = None,
-        join_cache: JoinCache | None = None,
-    ) -> "QFESession":
-        """Rebuild a session from :meth:`capture_state` output.
-
-        The caller re-binds the example pair and any process-local resources;
-        the restored session continues exactly where the captured one stopped
-        (pending round included), producing a bit-identical transcript.
-        """
-        session = cls(
-            database,
-            result,
-            candidates=state["provided_candidates"],
-            config=state["config"],
-            qbo_config=state["qbo_config"],
-            score=score,
-            join_cache=join_cache,
-        )
-        session._candidates = (
-            list(state["candidates"]) if state["candidates"] is not None else None
-        )
-        session._iteration = state["iteration"]
-        session._pending = state["pending"]
-        session._result = state["result"]
-        session.last_rounds = list(state["rounds"])
-        session._done = state["done"]
-        return session
-
     # ------------------------------------------------------------------ stats
     def _record_iteration(
         self,
@@ -576,7 +529,7 @@ class QFESession:
         chosen_queries: Sequence[SPJQuery],
     ) -> IterationRecord:
         round_ = pending.round
-        stats = pending.stats
+        generation = pending.generation
         db_delta = round_.database_delta
         db_cost = db_delta.cost + self.config.beta * db_delta.modified_relation_count
         result_cost = float(sum(option.delta.cost for option in round_.options))
@@ -584,11 +537,11 @@ class QFESession:
             iteration=pending.iteration,
             candidate_count=pending.candidate_count,
             subset_count=pending.partition.group_count,
-            skyline_pair_count=stats.skyline_pair_count,
+            skyline_pair_count=generation.skyline.pair_count,
             execution_seconds=pending.execution_seconds,
-            skyline_seconds=stats.skyline_seconds,
-            selection_seconds=stats.selection_seconds,
-            materialize_seconds=stats.materialize_seconds,
+            skyline_seconds=generation.skyline_seconds,
+            selection_seconds=generation.selection_seconds,
+            materialize_seconds=generation.materialize_seconds,
             db_cost=float(db_cost),
             result_cost=result_cost,
             modified_attribute_count=sum(

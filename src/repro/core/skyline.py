@@ -19,7 +19,9 @@ The enumeration is bounded by the wall-clock threshold ``δ``
 (``config.delta_seconds``) exactly as in the paper — when the budget is
 exhausted the pairs found so far are returned — plus a hard cap on the number
 of returned pairs (``config.max_skyline_pairs``) that Table 5 shows is
-harmless for partitioning quality.
+harmless for partitioning quality. A replayed round passes the number of
+pairs the round it replays enumerated instead (``pair_budget``): the
+enumeration then stops at exactly that count and never reads the clock.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ def skyline_stc_dtc_pairs(
     *,
     result_arity: int,
     simulator: PairSetSimulator | None = None,
+    pair_budget: int | None = None,
 ) -> SkylineResult:
     """Run Algorithm 3 over the tuple-class space of the current iteration."""
     simulator = simulator or PairSetSimulator(space, result_arity=result_arity)
@@ -96,7 +99,10 @@ def skyline_stc_dtc_pairs(
     balances: dict[ClassPair, float] = {}
     min_balance = float("inf")
     enumerated = 0
-    truncated_time = False
+    # The enumeration stops when ``enumerated`` reaches ``check_at``: at the
+    # budget, or else at a multiple of 64 once the clock passed the deadline.
+    check_at = 64 if pair_budget is None else pair_budget
+    stopped = False
     truncated_cap = False
     projected = simulator.projected_slots
     queries_of_conjuncts = space.queries_of_conjuncts
@@ -132,12 +138,14 @@ def skyline_stc_dtc_pairs(
                         min_balance = balance
                     elif balance == min_balance and balance != float("inf"):
                         level.append((source, slots, choice))
-                    if not enumerated % 64 and perf_counter() > deadline:
-                        truncated_time = True
-                        break
-                if truncated_time:
+                    if enumerated >= check_at:
+                        if pair_budget is not None or perf_counter() > deadline:
+                            stopped = True
+                            break
+                        check_at += 64
+                if stopped:
                     break
-            if truncated_time:
+            if stopped:
                 break
         for source, slots, choice in level:
             pair = ClassPair(source, space.destination(source, slots, choice))
@@ -147,10 +155,10 @@ def skyline_stc_dtc_pairs(
             truncated_cap = True
             pairs = pairs[: config.max_skyline_pairs]
             break
-        if truncated_time:
+        if stopped or enumerated == pair_budget:
             break
-        if perf_counter() > deadline:
-            truncated_time = True
+        if pair_budget is None and perf_counter() > deadline:
+            stopped = True
             break
 
     # The most balanced *binary* partitioning any enumerated pair makes
@@ -169,7 +177,7 @@ def skyline_stc_dtc_pairs(
         pair_balances={p: balances[p] for p in pairs},
         enumerated_pairs=enumerated,
         elapsed_seconds=elapsed,
-        truncated_by_time=truncated_time,
+        truncated_by_time=stopped and pair_budget is None,
         truncated_by_cap=truncated_cap,
         most_balanced_binary_x=best_binary_x,
         reaction_keys=len(reactions_seen),

@@ -38,7 +38,7 @@ from repro.relational.join import JoinedRelation
 from repro.exceptions import EvaluationError
 from repro.relational.predicates import Conjunct, Term, compile_term
 from repro.relational.query import SPJQuery
-from repro.relational.types import value_sort_key
+from repro.relational.types import exact_repr, value_sort_key
 
 __all__ = ["DomainSubset", "DomainPartition", "TupleClass", "TupleClassSpace"]
 
@@ -218,15 +218,10 @@ class DomainPartition:
         Integers print exactly ("{:g}" would show 2^53 and 2^53 + 1 as the
         same '9.0072e+15', giving distinct subsets identical user-facing
         labels); floats keep the compact "{:g}" form. An integer with more
-        decimal digits than ``sys.get_int_max_str_digits()`` allows ``str()``
-        to write prints in hex, which is exact at any size.
+        decimal digits than ``sys.get_int_max_str_digits()`` allows prints in
+        hex (:func:`~repro.relational.types.exact_repr`).
         """
-        if isinstance(value, int):
-            try:
-                return str(value)
-            except ValueError:
-                return hex(value)
-        return f"{value:g}"
+        return exact_repr(value) if isinstance(value, int) else f"{value:g}"
 
     @staticmethod
     def _outer_probes(first: Any, last: Any) -> tuple[Any, Any]:

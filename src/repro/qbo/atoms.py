@@ -49,6 +49,15 @@ def _midpoint(low: float, high: float) -> float:
     return middle
 
 
+def _integer_cut(value: Any, step: float) -> Any:
+    """``value + step`` for a ±1.5 cut on an integer column; beyond the float
+    range the exact cut selecting the same integers (``x > p - 2``)."""
+    try:
+        return value + step
+    except OverflowError:
+        return value + (2 if step > 0 else -2)
+
+
 def _numeric_atoms(
     attribute: str,
     values: Sequence[Any],
@@ -85,7 +94,7 @@ def _numeric_atoms(
         if config.threshold_variants >= 2 and gap_has_value:
             # On integer columns the cut sits just above the next representable
             # value so it stays distinguishable from the tight LE variant.
-            midpoint = pos_max + 1.5 if integer_domain else _midpoint(pos_max, nearest)
+            midpoint = _integer_cut(pos_max, 1.5) if integer_domain else _midpoint(pos_max, nearest)
             variants.append(Term(attribute, ComparisonOp.LT, _clean(midpoint)))
         if config.threshold_variants >= 3 and (
             (nearest - pos_max) > 2 if integer_domain else True
@@ -100,7 +109,9 @@ def _numeric_atoms(
         variants = [Term(attribute, ComparisonOp.GE, _clean(pos_min))]
         gap_has_value = (pos_min - nearest) > 1 if integer_domain else True
         if config.threshold_variants >= 2 and gap_has_value:
-            midpoint = pos_min - 1.5 if integer_domain else _midpoint(nearest, pos_min)
+            midpoint = (
+                _integer_cut(pos_min, -1.5) if integer_domain else _midpoint(nearest, pos_min)
+            )
             variants.append(Term(attribute, ComparisonOp.GT, _clean(midpoint)))
         if config.threshold_variants >= 3 and (
             (pos_min - nearest) > 2 if integer_domain else True

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.relational.relation import Relation, Tuple
-from repro.relational.types import values_equal
+from repro.relational.types import exact_repr, values_equal
 
 __all__ = [
     "EditKind",
@@ -70,11 +70,12 @@ class EditOperation:
         if self.kind is EditKind.MODIFY:
             return (
                 f"{self.relation}: change {self.attribute} from "
-                f"{self.old_value!r} to {self.new_value!r} in row {self.source_row!r}"
+                f"{exact_repr(self.old_value)} to {exact_repr(self.new_value)} "
+                f"in row {exact_repr(self.source_row)}"
             )
         if self.kind is EditKind.INSERT:
-            return f"{self.relation}: insert row {self.target_row!r}"
-        return f"{self.relation}: delete row {self.source_row!r}"
+            return f"{self.relation}: insert row {exact_repr(self.target_row)}"
+        return f"{self.relation}: delete row {exact_repr(self.source_row)}"
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterable
 
 from repro.exceptions import EvaluationError
-from repro.relational.types import float_literal
+from repro.relational.types import exact_repr, float_literal
 
 __all__ = [
     "ComparisonOp",
@@ -135,7 +135,7 @@ def _format_constant(constant: Any) -> str:
         # predicate printed and re-parsed (or shipped to a SQL oracle) would
         # select different rows than the in-memory term.
         return float_literal(constant)
-    return str(constant)
+    return exact_repr(constant) if isinstance(constant, int) else str(constant)
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ class DNFPredicate:
         conjunct_keys = []
         for conjunct in self.conjuncts:
             term_keys = tuple(
-                sorted(repr((t.attribute, t.op.value, t.constants())) for t in conjunct.terms)
+                sorted(exact_repr((t.attribute, t.op.value, t.constants())) for t in conjunct.terms)
             )
             conjunct_keys.append(term_keys)
         return tuple(sorted(conjunct_keys))

@@ -32,6 +32,8 @@ __all__ = [
     "values_equal",
     "canonical_value",
     "float_literal",
+    "long_int_hex",
+    "exact_repr",
 ]
 
 
@@ -197,6 +199,29 @@ def float_literal(value: float) -> str:
     if math.isinf(value):
         return "9e999" if value > 0 else "-9e999"
     return repr(value)
+
+
+def long_int_hex(value: Any) -> str | None:
+    """``hex(value)`` (exact at any size) for an int with more decimal digits
+    than ``sys.get_int_max_str_digits()`` lets ``str`` write, else ``None``."""
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            return hex(value)
+    return None
+
+
+def exact_repr(value: Any) -> str:
+    """``repr(value)``, exact at any size: an int :func:`long_int_hex`
+    writes, alone or inside a tuple, renders in hex."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            inner = ", ".join(map(exact_repr, value))
+            return f"({inner},)" if len(value) == 1 else f"({inner})"
+        return long_int_hex(value) or repr(value)
 
 
 def value_sort_key(value: Any) -> tuple:

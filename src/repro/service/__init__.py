@@ -6,8 +6,8 @@ means never blocking on a user. This package builds that serving story on the
 resumable :class:`~repro.core.session.QFESession` state machine:
 
 * :mod:`repro.service.checkpoint` — versioned checkpoint and transcript
-  serializers (suspend a session to bytes, resume it bit-identically, in the
-  same process or another one);
+  serializers (suspend a session to its inputs and choices, resume it by a
+  verified replay, in the same process or another one);
 * :mod:`repro.service.store` — checkpoint persistence: in-memory and on-disk
   backends with atomic writes and LRU/TTL eviction;
 * :mod:`repro.service.manager` — :class:`SessionManager` multiplexing many

@@ -1,79 +1,67 @@
 """Versioned session checkpoints and machine-readable transcripts.
 
-A **checkpoint** is the full state of one :class:`~repro.core.session.QFESession`
-— config, surviving candidates, transcript, pending round — serialized so the
-session can be suspended (between :meth:`~repro.core.session.QFESession.propose`
-and :meth:`~repro.core.session.QFESession.submit`, where sessions spend almost
-all of their wall clock) and resumed later, in the same process or another
-one, with a bit-identical continuation.
+A **checkpoint** holds what a :class:`~repro.core.session.QFESession` cannot
+rebuild: its inputs and its choices. Algorithm 1 is a deterministic state
+machine over ``(D, R, candidates, config, choices)``, so a suspended session
+resumes, in this process or another one, by replaying its call log
+(:meth:`~repro.core.session.QFESession.replay`).
 
-The on-wire format is a hybrid designed for both inspectability and fidelity:
+The blob is UTF-8 JSON. Line 1 is the **header**: magic, version, session
+id, status, iteration, remaining candidates, the example pair's workload
+reference (or ``null``), metadata and the body's ``payload_sha256``. The
+**body** holds the ``QFEConfig`` and ``QBOConfig`` fields, the initial
+candidates, the :attr:`~repro.core.session.QFESession.log` (each round with
+the (STC, DTC) pairs Algorithm 3 enumerated, each accepted choice), the
+sha256 of each presented round (:attr:`~repro.core.feedback.FeedbackRound.sha256`)
+and ``state_sha256``, a digest of the surviving candidates and canonical
+iteration records the last call left. Candidates are written structurally,
+not as SQL: plain JSON is exact for strings, bools, floats (NaN, ±infinity
+and −0.0 included) and ints up to ``sys.get_int_max_str_digits()`` digits;
+a longer int is ``{"hex": ...}``.
 
-* line 1 — a UTF-8 JSON **header**: format magic, version, session id,
-  status, iteration, the *base-database reference* (see below) and the
-  ``payload_sha256`` of the payload. Tools can read it without unpickling
-  anything.
-* the rest — the **payload**, two pickles back to back: the example pair
-  when it is embedded inline (else ``None``), then the session state
-  (:meth:`QFESession.capture_state`). The state refers to the session's
-  ``database`` and ``result`` only through pickle persistent ids — every
-  feedback round references the base ``D`` plus its ``TupleDelta``, and
-  ``D`` is never copied into the state — and restoring binds those ids to
-  the pair the session resumes over.
+:func:`restore_checkpoint` checks ``payload_sha256`` before parsing the
+body, builds a fresh session from the logged inputs (the config
+constructors validate every field), replays the log — each round enumerates
+exactly its logged pair count and never reads the clock, so a round that
+``δ`` cut replays exactly — and compares the digests. Anything else is
+refused with :class:`~repro.exceptions.CheckpointError`; nothing is
+unpickled. Replayed rounds re-measure their timing fields, which the
+canonical transcript excludes.
 
-:func:`restore_checkpoint` checks the payload against ``payload_sha256``
-before unpickling it, so a torn or bit-flipped file is refused with
-:class:`~repro.exceptions.CheckpointError` instead of resuming a silently
-different session.
-
-The base database is stored by **reference** whenever possible: sessions
-created from a named paper workload record ``{"kind": "workload", "name",
-"scale"}`` and the resuming side rebuilds the (deterministic, seeded) dataset
-— keeping checkpoints small and letting many resumed sessions share one live
-base instance. Sessions over ad-hoc databases embed the pair inline, once
-(``{"kind": "inline"}``).
-
-Version policy: :data:`CHECKPOINT_VERSION` bumps on any incompatible change
-to the header or payload layout; :func:`restore_checkpoint` refuses any other
-version with :class:`~repro.exceptions.CheckpointError` instead of guessing.
-(Version 2 added ``payload_sha256``; version 3 dropped the worker count
-from the captured state and from the pickled config; version 4 dropped the
-two key/validation flags from the pickled config and the three
-modification counts from the pickled round statistics; version 5 replaced
-each feedback round's copy of ``D'`` with the base and its ``TupleDelta``
-and split the payload into the inline pair and the state. Older files are
-refused.)
-
-A note on randomness: the interaction loop is deterministic end to end —
-dataset builders draw from per-dataset seeded generators at *construction*
-time, and round planning/materialization/partitioning contain no randomness
-— so there is no live RNG state to capture, and resuming from a rebuilt
-base database is exact rather than approximate.
+The example pair is stored by **reference** (a workload name and scale,
+rebuilt from its seeded generator) unless the caller passes the live pair
+(``database=``/``result=``), as the service does; a checkpoint without a
+reference restores only with the pair passed in. :data:`CHECKPOINT_VERSION`
+bumps on any incompatible layout change, and other versions are refused
+(versions 1 to 5 pickled the session's object graph).
 
 The **transcript** serializers at the bottom render a session's interaction
 history as plain JSON-able dicts. The *canonical* form
 (``include_timings=False``) contains only deterministic quantities — choices,
 partitions, deltas, costs, counts, the identified SQL — so two runs of the
-same session spec can be compared byte-for-byte (the checkpoint/resume and
-serial-vs-service differential harnesses do exactly that); ``include_timings``
-adds the wall-clock fields for human consumption.
+same session spec can be compared byte-for-byte; ``include_timings`` adds
+the wall-clock fields for human consumption.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import io
 import json
-import pickle
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
-from repro.core.feedback import FeedbackRound
+from repro.core.config import IterationEstimator, QFEConfig
+from repro.core.feedback import feedback_round_dict
 from repro.core.session import IterationRecord, QFESession, SessionResult
 from repro.exceptions import CheckpointError
 from repro.obs.trace import get_tracer
+from repro.qbo.config import QBOConfig
 from repro.relational.database import Database
+from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
+from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
+from repro.relational.types import long_int_hex
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -89,56 +77,38 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "qfe-session-checkpoint"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)
 class DatabaseRef:
-    """How a checkpoint refers to its base example pair ``(D, R)``.
+    """A checkpoint's reference to its example pair ``(D, R)``: a named
+    workload at a scale, rebuilt deterministically from its seeded
+    generator at resume time."""
 
-    ``workload`` references a named paper workload (rebuilt deterministically
-    at resume time from its seeded generator); ``inline`` means the pair is
-    embedded in the checkpoint payload itself.
-    """
-
-    kind: str  # "workload" | "inline"
-    name: str | None = None
+    name: str
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("workload", "inline"):
-            raise CheckpointError(f"unknown database reference kind {self.kind!r}")
-        if self.kind == "workload" and not self.name:
-            raise CheckpointError("workload database reference requires a name")
+        if not isinstance(self.name, str) or not self.name:
+            raise CheckpointError("a workload reference requires a name")
 
     @classmethod
     def workload(cls, name: str, scale: float = 1.0) -> "DatabaseRef":
-        return cls(kind="workload", name=name, scale=scale)
-
-    @classmethod
-    def inline(cls) -> "DatabaseRef":
-        return cls(kind="inline")
+        return cls(name, scale)
 
     def to_json(self) -> dict:
-        if self.kind == "workload":
-            return {"kind": self.kind, "name": self.name, "scale": self.scale}
-        return {"kind": self.kind}
+        return {"name": self.name, "scale": self.scale}
 
     @classmethod
     def from_json(cls, payload: dict) -> "DatabaseRef":
         try:
-            return cls(
-                kind=payload["kind"],
-                name=payload.get("name"),
-                scale=float(payload.get("scale", 1.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(name=payload["name"], scale=float(payload.get("scale", 1.0)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed database reference {payload!r}") from exc
 
     def build(self) -> tuple[Database, Relation]:
-        """Rebuild the referenced example pair (workload references only)."""
-        if self.kind != "workload":
-            raise CheckpointError("only workload references can rebuild their pair")
+        """Rebuild the referenced example pair."""
         from repro.workloads import build_pair
 
         database, result, _ = build_pair(self.name, self.scale)
@@ -146,6 +116,62 @@ class DatabaseRef:
 
 
 # ------------------------------------------------------------------ checkpoint
+def _constant_json(value: Any) -> Any:
+    if isinstance(value, tuple):
+        return [_constant_json(item) for item in value]
+    hexed = long_int_hex(value)
+    return value if hexed is None else {"hex": hexed}
+
+
+def _constant_from_json(value: Any) -> Any:
+    if isinstance(value, list):
+        return tuple(_constant_from_json(item) for item in value)
+    if isinstance(value, dict):
+        return int(value["hex"], 16)
+    return value
+
+
+def _query_json(query: SPJQuery) -> list:
+    conjuncts = [
+        [[term.attribute, term.op.value, _constant_json(term.constant)] for term in conjunct.terms]
+        for conjunct in query.predicate.conjuncts
+    ]
+    return [list(query.tables), list(query.projection), conjuncts, query.distinct]
+
+
+def _query_from_json(payload: list) -> SPJQuery:
+    tables, projection, conjuncts, distinct = payload
+    predicate = DNFPredicate(
+        Conjunct(Term(a, ComparisonOp(op), _constant_from_json(c)) for a, op, c in terms)
+        for terms in conjuncts
+    )
+    return SPJQuery(tables, projection, predicate, distinct=distinct)
+
+
+def _config_json(config) -> dict:
+    fields = {field.name: getattr(config, field.name) for field in dataclasses.fields(config)}
+    if isinstance(config, QFEConfig):
+        fields["iteration_estimator"] = config.iteration_estimator.value
+    return fields
+
+
+def _state_sha256(session: QFESession) -> str:
+    """sha256 of what the calls left that no round digest covers: the
+    surviving candidates, the canonical iteration records and the status."""
+    candidates = session.candidates
+    state = {
+        "candidates": None if candidates is None else [_query_json(q) for q in candidates],
+        "iterations": [iteration_record_dict(record) for record in session.outcome.iterations],
+        "status": session.status,
+    }
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _rounds(session: QFESession) -> int:
+    """Rounds the session planned, a round that exhausted it included."""
+    return sum(1 for entry in session.log if entry[0] == "round")
+
+
 def capture_checkpoint(
     session: QFESession,
     *,
@@ -153,47 +179,43 @@ def capture_checkpoint(
     database_ref: DatabaseRef | None = None,
     metadata: dict | None = None,
 ) -> bytes:
-    """Serialize *session* into one self-describing checkpoint blob.
+    """Serialize *session*'s inputs and call log into one checkpoint blob.
 
-    With a ``workload`` *database_ref* the example pair is stored by
-    reference; otherwise (``None`` or :meth:`DatabaseRef.inline`) the live
-    ``database``/``result`` objects are pickled into the payload, once.
+    With a *database_ref* the resuming side can rebuild the example pair;
+    without one, restoring needs the pair passed in.
     """
     with get_tracer().span("checkpoint.write", session_id=session_id):
-        ref = database_ref if database_ref is not None else DatabaseRef.inline()
-        state = session.capture_state()
+        candidates = session.initial_candidates
+        state = {
+            "config": _config_json(session.config),
+            "qbo_config": _config_json(session.qbo_config),
+            "candidates": None if candidates is None else [_query_json(q) for q in candidates],
+            "log": session.log,
+            "round_sha256": [round_.sha256 for round_ in session.last_rounds],
+            "state_sha256": _state_sha256(session),
+        }
+        try:
+            body = json.dumps(state, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"session cannot be serialized: {exc}") from exc
         header = {
             "magic": CHECKPOINT_MAGIC,
             "version": CHECKPOINT_VERSION,
             "session_id": session_id,
             "status": session.status,
-            "iteration": state["iteration"],
+            "iteration": _rounds(session),
             "remaining_candidates": (
-                len(state["candidates"]) if state["candidates"] is not None else None
+                session.remaining_candidates if session.status != "new" else None
             ),
-            "database_ref": ref.to_json(),
+            "database_ref": database_ref.to_json() if database_ref is not None else None,
             "metadata": metadata or {},
+            "payload_sha256": hashlib.sha256(body).hexdigest(),
         }
-        try:
-            buffer = io.BytesIO()
-            inline = (session.database, session.result) if ref.kind == "inline" else None
-            pickle.dump(inline, buffer, protocol=pickle.HIGHEST_PROTOCOL)
-            # The state names the example pair by the persistent ids
-            # "database" and "result"; restore binds them again.
-            pair_ids = {id(session.database): "database", id(session.result): "result"}
-            pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-            pickler.persistent_id = lambda obj: pair_ids.get(id(obj))
-            pickler.dump(state)
-            body = buffer.getvalue()
-            header["payload_sha256"] = hashlib.sha256(body).hexdigest()
-            header_line = json.dumps(header, sort_keys=True).encode("utf-8")
-        except (TypeError, ValueError, pickle.PicklingError) as exc:
-            raise CheckpointError(f"session state cannot be serialized: {exc}") from exc
-        return header_line + b"\n" + body
+        return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + body
 
 
 def read_checkpoint_header(blob: bytes) -> dict:
-    """Parse and validate a checkpoint's JSON header without unpickling."""
+    """Parse and validate a checkpoint's JSON header without reading the body."""
     newline = blob.find(b"\n")
     if newline < 0:
         raise CheckpointError("not a QFE checkpoint: missing header line")
@@ -220,16 +242,15 @@ def restore_checkpoint(
     score=None,
     join_cache=None,
 ) -> tuple[QFESession, dict]:
-    """Rebuild the checkpointed session; returns ``(session, header)``.
+    """Rebuild the checkpointed session by a verified replay; returns ``(session, header)``.
 
     The example pair binds in precedence order: explicit ``database``/
-    ``result`` arguments (the service passes its shared live instances), the
-    inline pair embedded in the payload, then a ``workload`` reference
-    rebuild. Every feedback round of the restored session references that
-    bound ``database``. Process-local resources (score function, join
-    cache) are never checkpointed and always come from the caller.
+    ``result`` arguments (the service passes its shared live instances),
+    then a rebuild from the workload reference. Process-local resources
+    (score function, join cache) are never checkpointed and always come
+    from the caller; the replay plans its rounds over ``join_cache``.
     """
-    with get_tracer().span("checkpoint.restore"):
+    with get_tracer().span("checkpoint.restore") as span:
         header = read_checkpoint_header(blob)
         body = blob[blob.find(b"\n") + 1 :]
         if hashlib.sha256(body).hexdigest() != header.get("payload_sha256"):
@@ -237,52 +258,39 @@ def restore_checkpoint(
                 "checkpoint payload is corrupt: its sha256 does not match the "
                 "header (truncated or altered file)"
             )
-        stream = io.BytesIO(body)
+        if (database is None or result is None) and header.get("database_ref") is None:
+            raise CheckpointError(
+                "checkpoint has no workload reference; pass database= and result= explicitly"
+            )
         try:
-            inline = pickle.load(stream)
-        except Exception as exc:
-            raise CheckpointError(f"checkpoint payload is corrupt: {exc}") from exc
-        if database is None or result is None:
-            if inline is not None:
-                database, result = inline
-            else:
-                ref = DatabaseRef.from_json(header.get("database_ref") or {})
-                if ref.kind != "workload":
-                    raise CheckpointError(
-                        "checkpoint embeds no example pair and has no workload "
-                        "reference; pass database= and result= explicitly"
-                    )
-                database, result = ref.build()
-        unpickler = pickle.Unpickler(stream)
-        unpickler.persistent_load = {"database": database, "result": result}.__getitem__
-        try:
-            state = unpickler.load()
-        except Exception as exc:
-            raise CheckpointError(f"checkpoint payload is corrupt: {exc}") from exc
-        session = QFESession.from_state(
-            database,
-            result,
-            state,
-            score=score,
-            join_cache=join_cache,
-        )
+            if database is None or result is None:
+                database, result = DatabaseRef.from_json(header["database_ref"]).build()
+            state = json.loads(body)
+            config = dict(state["config"])
+            config["iteration_estimator"] = IterationEstimator(config["iteration_estimator"])
+            candidates = state["candidates"]
+            if candidates is not None:
+                candidates = [_query_from_json(query) for query in candidates]
+            session = QFESession(
+                database,
+                result,
+                candidates=candidates,
+                config=QFEConfig(**config),
+                qbo_config=QBOConfig(**state["qbo_config"]),
+                score=score,
+                join_cache=join_cache,
+            )
+            session.replay(state["log"])
+            logged = (state["round_sha256"], state["state_sha256"])
+        except Exception as exc:  # everything read from the store is untrusted
+            raise CheckpointError(f"checkpoint does not replay: {exc}") from exc
+        if ([r.sha256 for r in session.last_rounds], _state_sha256(session)) != logged:
+            raise CheckpointError("the replayed session differs from the checkpointed one")
+        span.set(rounds_replayed=_rounds(session))
         return session, header
 
 
 # ------------------------------------------------------------------ transcript
-def _json_value(value: Any) -> Any:
-    """Coerce a stored cell value into a JSON-stable representation."""
-    if isinstance(value, float) and value != value:  # NaN has no JSON form
-        return "NaN"
-    return value
-
-
-def _rows_payload(relation: Relation) -> list:
-    """A relation's bag of rows in canonical (content-sorted) order."""
-    items = sorted(relation.bag_of_rows().items(), key=repr)
-    return [[[_json_value(v) for v in row], count] for row, count in items]
-
-
 def iteration_record_dict(record: IterationRecord, *, include_timings: bool = False) -> dict:
     """One :class:`IterationRecord` as a JSON-able dict."""
     payload = {
@@ -304,28 +312,6 @@ def iteration_record_dict(record: IterationRecord, *, include_timings: bool = Fa
         payload["selection_seconds"] = record.selection_seconds
         payload["materialize_seconds"] = record.materialize_seconds
     return payload
-
-
-def feedback_round_dict(round_: FeedbackRound) -> dict:
-    """One :class:`FeedbackRound` presentation as a JSON-able dict."""
-    return {
-        "iteration": round_.iteration,
-        "database_delta": {
-            "cost": round_.database_delta.cost,
-            "modified_relation_count": round_.database_delta.modified_relation_count,
-            "lines": round_.database_delta.describe(),
-        },
-        "options": [
-            {
-                "index": option.index,
-                "query_count": option.query_count,
-                "delta_cost": option.delta.cost,
-                "delta_lines": option.delta.describe(),
-                "rows": _rows_payload(option.result),
-            }
-            for option in round_.options
-        ],
-    }
 
 
 def session_transcript(

@@ -24,7 +24,8 @@ Persistence: with a :class:`~repro.service.store.SessionStore` attached, the
 manager checkpoints a session after every state change, evicts
 least-recently-used live sessions to the store when ``max_live_sessions`` is
 exceeded (passivation), and transparently resumes any checkpointed session —
-including after a process kill — on its next request.
+including after a process kill — on its next request, by replaying its
+checkpointed calls over the pair's shared caches.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class _SharedPair:
     key: tuple
     database: Database
     result: Relation
-    target: SPJQuery | None
+    target: SPJQuery
     join_cache: JoinCache = field(default_factory=JoinCache)
     #: Serializes candidate generation and round searches over the pair's shared caches.
     compute_lock: threading.Lock = field(default_factory=threading.Lock)
@@ -110,7 +111,7 @@ class ManagedSession:
     session_id: str
     session: QFESession
     pair: _SharedPair
-    workload: str | None
+    workload: str
     scale: float
     created_at: float
     last_used: float
@@ -120,9 +121,7 @@ class ManagedSession:
 
     @property
     def database_ref(self) -> DatabaseRef:
-        if self.workload is not None:
-            return DatabaseRef.workload(self.workload, self.scale)
-        return DatabaseRef.inline()
+        return DatabaseRef.workload(self.workload, self.scale)
 
 
 class _Metrics(RegistryStats):
@@ -246,42 +245,22 @@ class SessionManager:
                 self._pairs[key] = pair
             return pair
 
-    def _pair_for_inline(self, database: Database, result: Relation) -> _SharedPair:
-        key = ("inline", id(database))
-        with self._lock:
-            pair = self._pairs.get(key)
-            if pair is None or pair.database is not database:
-                pair = _SharedPair(key=key, database=database, result=result, target=None)
-                self._pairs[key] = pair
-            return pair
-
     def _prune_pairs_locked(self) -> None:
         """Drop shared pairs no live session references.
 
         Each pair pins a full live database, and clients choose the
         ``(workload, scale)`` key — left unchecked, organic traffic over many
-        scales would accumulate datasets forever. Inline pairs die as soon as
-        their sessions are gone (a resumed inline session re-registers
-        through its embedded pair); workload pairs stay warm up to
-        ``max_warm_pairs`` (a later session or resume rebuilds them
-        deterministically, so eviction costs time, never correctness).
+        scales would accumulate datasets forever. Unreferenced pairs stay
+        warm up to ``max_warm_pairs`` (a later session or resume rebuilds
+        them deterministically, so eviction costs time, never correctness).
         """
         referenced = {id(m.pair) for m in self._sessions.values()}
         unreferenced = [
             key for key, pair in self._pairs.items() if id(pair) not in referenced
         ]
-
-        for key in unreferenced:
-            if key[0] == "inline":
-                del self._pairs[key]
         overflow = len(self._pairs) - self.max_warm_pairs
-        if overflow > 0:
-            for key in unreferenced:
-                if overflow <= 0:
-                    break
-                if key in self._pairs:
-                    del self._pairs[key]
-                    overflow -= 1
+        for key in unreferenced[: max(overflow, 0)]:
+            del self._pairs[key]
 
     # ----------------------------------------------------------------- create
     def create_session(
@@ -291,42 +270,35 @@ class SessionManager:
         scale: float = 1.0,
         candidate_count: int | None = None,
         candidates: Sequence[SPJQuery] | None = None,
-        database: Database | None = None,
-        result: Relation | None = None,
         config: QFEConfig | None = None,
         qbo_config: QBOConfig | None = None,
         session_id: str | None = None,
     ) -> ManagedSession:
-        """Create (and register) a session from a workload name or an explicit pair.
+        """Create (and register) a session over a workload's shared pair.
 
-        Workload sessions share the manager's per-pair base state; explicit
-        ``database``/``result`` sessions get their own. Candidates are built
-        deterministically from the pair unless supplied.
+        Sessions of one ``(workload, scale)`` share the manager's per-pair
+        base state. Candidates are built deterministically from the pair
+        unless supplied.
         """
         self._check_open()
-        if workload is not None:
-            pair = self._pair_for_workload(workload, scale)
-            if candidates is None:
-                from repro.experiments.runner import prepare_candidates
+        if workload is None:
+            raise ServiceError("create_session needs a workload=")
+        pair = self._pair_for_workload(workload, scale)
+        if candidates is None:
+            from repro.experiments.runner import prepare_candidates
 
-                # Generation joins through, and writes term masks into, the
-                # pair's shared cache, which rounds read and patch:
-                # hold the compute lock like a round does.
-                with self._computing(pair):
-                    candidates, _ = prepare_candidates(
-                        pair.database,
-                        pair.result,
-                        pair.target,
-                        qbo_config=qbo_config or _SERVICE_QBO,
-                        candidate_count=candidate_count,
-                        join_cache=pair.join_cache,
-                    )
-        else:
-            if database is None or result is None:
-                raise ServiceError(
-                    "create_session needs either workload= or database= and result="
+            # Generation joins through, and writes term masks into, the
+            # pair's shared cache, which rounds read and patch:
+            # hold the compute lock like a round does.
+            with self._computing(pair):
+                candidates, _ = prepare_candidates(
+                    pair.database,
+                    pair.result,
+                    pair.target,
+                    qbo_config=qbo_config or _SERVICE_QBO,
+                    candidate_count=candidate_count,
+                    join_cache=pair.join_cache,
                 )
-            pair = self._pair_for_inline(database, result)
         session = QFESession(
             pair.database,
             pair.result,
@@ -365,8 +337,8 @@ class SessionManager:
     def _resolve(self, session_id: str) -> ManagedSession:
         """The live session for *session_id*, resuming from the store if needed.
 
-        The restore itself — store read, unpickle, possibly a full dataset
-        rebuild from a workload reference — runs *outside* the manager-wide
+        The restore itself — store read, possibly a full dataset rebuild
+        from a workload reference, the replay — runs *outside* the manager-wide
         lock so one slow resume never blocks other sessions' requests or the
         health endpoints; only the registry insert is serialized (and a
         concurrent resume of the same id keeps the first winner).
@@ -393,30 +365,22 @@ class SessionManager:
 
         header = read_checkpoint_header(blob)
         ref = DatabaseRef.from_json(header.get("database_ref") or {})
-        if ref.kind == "workload":
-            pair = self._pair_for_workload(ref.name, ref.scale)
+        pair = self._pair_for_workload(ref.name, ref.scale)
+        # The replay plans its rounds over the pair's shared caches.
+        with self._computing(pair):
             session, _ = restore_checkpoint(
-                blob,
-                database=pair.database,
-                result=pair.result,
-                join_cache=pair.join_cache,
+                blob, database=pair.database, result=pair.result, join_cache=pair.join_cache
             )
-            workload, scale = ref.name, ref.scale
-        else:
-            session, _ = restore_checkpoint(blob)
-            pair = self._pair_for_inline(session.database, session.result)
-            workload, scale = None, 1.0
         now = self._clock()
-        managed = ManagedSession(
+        return ManagedSession(
             session_id=session_id,
             session=session,
             pair=pair,
-            workload=workload,
-            scale=float(scale),
+            workload=ref.name,
+            scale=float(ref.scale),
             created_at=now,
             last_used=now,
         )
-        return managed
 
     def _passivate_overflow_locked(self, *, keep: str) -> None:
         overflow = len(self._sessions) - self.max_live_sessions

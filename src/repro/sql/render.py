@@ -16,7 +16,7 @@ from typing import Any, Sequence
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
 from repro.relational.query import SPJQuery, SPJUQuery
 from repro.relational.schema import DatabaseSchema, qualify
-from repro.relational.types import float_literal
+from repro.relational.types import exact_repr, float_literal
 
 __all__ = [
     "render_query",
@@ -47,7 +47,7 @@ def render_value(value: Any) -> str:
         return f"'{escaped}'"
     if isinstance(value, float):
         return float_literal(value)
-    return str(value)
+    return exact_repr(value) if isinstance(value, int) else str(value)
 
 
 def render_identifier(name: str) -> str:

@@ -1,13 +1,12 @@
 """Tests for the resumable QFESession state machine (propose/submit/close)."""
 
-import pickle
-
 import pytest
 
 from repro.core.config import QFEConfig
 from repro.core.feedback import NONE_OF_THE_ABOVE, OracleSelector, WorstCaseSelector
 from repro.core.session import QFESession
 from repro.exceptions import FeedbackError, QFESessionError
+from repro.service.checkpoint import capture_checkpoint, restore_checkpoint
 
 
 def _manual_run(session, selector):
@@ -131,9 +130,17 @@ class TestProposeSubmit:
         assert outcome.initial_candidate_count == len(employee_candidates)
 
 
+def _resumed(session, database, result):
+    """*session* checkpointed and restored over the given example pair."""
+    blob = capture_checkpoint(session, session_id="resumable")
+    restored, _ = restore_checkpoint(blob, database=database, result=result)
+    return restored
+
+
 class TestStateCapture:
-    def test_state_roundtrips_through_pickle_mid_session(self, employee_db, employee_result,
-                                                         employee_candidates):
+    def test_state_roundtrips_through_a_checkpoint_mid_session(
+        self, employee_db, employee_result, employee_candidates
+    ):
         reference = QFESession(employee_db, employee_result, candidates=employee_candidates)
         _manual_run(reference, WorstCaseSelector())
 
@@ -142,8 +149,7 @@ class TestStateCapture:
         while True:
             # Suspend with a round pending, resume in a "new process".
             session.propose()
-            state = pickle.loads(pickle.dumps(session.capture_state()))
-            session = QFESession.from_state(employee_db, employee_result, state)
+            session = _resumed(session, employee_db, employee_result)
             pending = session.propose()
             if pending is None:
                 break
@@ -155,8 +161,7 @@ class TestStateCapture:
                                              employee_candidates):
         session = QFESession(employee_db, employee_result, candidates=employee_candidates)
         pending = session.propose()
-        state = pickle.loads(pickle.dumps(session.capture_state()))
-        restored = QFESession.from_state(employee_db, employee_result, state)
+        restored = _resumed(session, employee_db, employee_result)
         assert restored.status == "awaiting-choice"
         replayed = restored.propose()
         assert replayed.iteration == pending.iteration

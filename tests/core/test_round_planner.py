@@ -522,7 +522,7 @@ class TestPrologueMemo:
         assert PLAN_MEMO_LIMIT == 8
         join_cache = JoinCache()
         # Configs that differ only outside the prologue still make distinct
-        # bodies: bodies match only when their pickles are byte-identical.
+        # bodies: bodies match only when their texts are identical.
         planners = [
             RoundPlanner(QFEConfig(max_iterations=10 + index), join_cache=join_cache)
             for index in range(PLAN_MEMO_LIMIT + 1)
@@ -537,6 +537,39 @@ class TestPrologueMemo:
         planners[0].prepare_round(employee_db, employee_result, employee_candidates)
         assert PLAN_MEMO_STATS.memo_hits == 1
         assert PLAN_MEMO_STATS.memo_misses == PLAN_MEMO_LIMIT + 2
+
+    def test_a_replayed_prologue_only_fills_free_room(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        # Resumed sessions of one pair replay their rounds in turn: were a
+        # replayed miss inserted as the newest entry, the replays would evict
+        # each other's entries until every replayed round missed.
+        budget = RoundPlanner(QFEConfig()).prepare_round(
+            employee_db, employee_result, employee_candidates
+        ).skyline.enumerated_pairs
+        join_cache = JoinCache()
+        replayer = RoundPlanner(QFEConfig(), join_cache=join_cache)
+
+        def replay():
+            replayer.prepare_round(
+                employee_db, employee_result, employee_candidates, pair_budget=budget
+            )
+
+        misses = PLAN_MEMO_STATS.memo_misses
+        replay()
+        replay()  # kept in free room: the second replay hits
+        assert (PLAN_MEMO_STATS.memo_misses, PLAN_MEMO_STATS.memo_hits) == (misses + 1, 1)
+        for index in range(PLAN_MEMO_LIMIT):
+            RoundPlanner(QFEConfig(max_iterations=10 + index), join_cache=join_cache).prepare_round(
+                employee_db, employee_result, employee_candidates
+            )
+        referenced = tuple(sorted({t for q in employee_candidates for t in q.tables}))
+        memo = join_cache.memo_for(employee_db, referenced)
+        live = list(memo)
+        assert len(live) == PLAN_MEMO_LIMIT
+        replay()  # a miss over a full memo evicts no live entry
+        assert PLAN_MEMO_STATS.memo_misses == misses + PLAN_MEMO_LIMIT + 2
+        assert list(memo) == live
 
     def test_the_memo_does_not_pin_the_base(self, employee_result, employee_candidates):
         from repro.core.feedback import WorstCaseSelector

@@ -153,6 +153,6 @@ def test_a_truthful_user_never_loses_the_target(workload, script):
         else:
             with pytest.raises(FeedbackError):
                 session.submit(pending.partition.group_count)
-        assert target in session.capture_state()["candidates"]
+        assert target in session.candidates
     if session.outcome.converged:
         assert session.outcome.identified_query == target

@@ -53,6 +53,29 @@ class TestSkyline:
         # still returns whatever it found so far without crashing.
         assert result.truncated_by_time or result.pair_count >= 0
 
+    def test_a_pair_budget_stops_at_it_and_not_at_the_clock(self, employee_space):
+        natural = skyline_stc_dtc_pairs(employee_space, QFEConfig(), result_arity=1)
+        rushed = QFEConfig(delta_seconds=1e-9)
+        assert natural.enumerated_pairs >= 2
+        for budget in (1, natural.enumerated_pairs // 2, natural.enumerated_pairs):
+            result = skyline_stc_dtc_pairs(
+                employee_space, rushed, result_arity=1, pair_budget=budget
+            )
+            assert result.enumerated_pairs == budget
+            assert not result.truncated_by_time
+        full = skyline_stc_dtc_pairs(employee_space, rushed, result_arity=1,
+                                     pair_budget=natural.enumerated_pairs)
+        assert full.pairs == natural.pairs
+        # A budget the enumeration never reaches ends where it ends; a budget
+        # of 0 stops at the first pair.
+        beyond = natural.enumerated_pairs + 10**9
+        assert skyline_stc_dtc_pairs(
+            employee_space, rushed, result_arity=1, pair_budget=beyond
+        ).enumerated_pairs == natural.enumerated_pairs
+        assert skyline_stc_dtc_pairs(
+            employee_space, rushed, result_arity=1, pair_budget=0
+        ).enumerated_pairs == 1
+
     def test_most_balanced_binary_x(self, employee_space, employee_candidates):
         result = skyline_stc_dtc_pairs(employee_space, QFEConfig(), result_arity=1)
         if result.most_balanced_binary_x is not None:

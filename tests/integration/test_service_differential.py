@@ -2,10 +2,12 @@
 
 The service layer must never change what QFE computes:
 
-* a session **checkpointed and resumed at every round** — crossing a pickle
-  boundary each time, with the base database rebuilt from its workload
-  reference or re-bound to the shared live one — produces a canonical
-  transcript *byte-identical* to an uninterrupted run;
+* a session **checkpointed and resumed at every round** — each resume a
+  verified replay of its logged calls, with the base database rebuilt from
+  its workload reference or re-bound to the shared live one — produces a
+  canonical transcript *byte-identical* to an uninterrupted run, also when
+  the clock cut its rounds (a replay enumerates each round's logged pair
+  count);
 * **many concurrent sessions** multiplexed over one manager's shared base
   state finish with transcripts identical to the same sessions run
   sequentially.
@@ -122,6 +124,130 @@ def test_resume_every_round_over_the_shared_base(workload_setup_for):
     setup = workload_setup_for("Q2")
     reference = _uninterrupted_transcript(setup, "Q2")
     assert _resumed_transcript(setup, "Q2", rebuild_base=False) == reference
+
+
+class _SteppingClock:
+    """The skyline's clock, advancing *step* seconds at every read.
+
+    Algorithm 3 reads its clock every 64 pairs and at each level's end, so
+    under ``δ`` = 1 s (the default config) a round is cut after a fixed
+    number of reads: a reproducible stand-in for a loaded machine, whose
+    cuts no resume can reproduce by reading the clock again. A step is a
+    power of two, so the sums stay exact and the cut never depends on the
+    clock's earlier reads.
+    """
+
+    def __init__(self, step: float) -> None:
+        self.now = 0.0
+        self.step = step
+
+    def __call__(self) -> float:
+        self.now += self.step
+        return self.now
+
+
+def _clock_cut_session(workload, scale, step, join_cache, monkeypatch):
+    """A worst-case session under the default config and a stepping clock;
+    returns its pair, a checkpoint after every call, the canonical
+    transcript and how many rounds the clock cut."""
+    from repro.core import skyline
+
+    database, result, _, candidates = _clock_cut_inputs(workload, scale)
+    monkeypatch.setattr(skyline, "perf_counter", _SteppingClock(step))
+    session = QFESession(database, result, candidates=candidates, join_cache=join_cache)
+    selector = WorstCaseSelector()
+    blobs, cut = [], 0
+    while True:
+        pending = session.propose()
+        blobs.append(capture_checkpoint(session, session_id="cut"))
+        if pending is None:
+            break
+        cut += pending.generation.skyline.truncated_by == "time"
+        session.submit(selector.select(pending.round, pending.partition))
+        blobs.append(capture_checkpoint(session, session_id="cut"))
+    return (database, result), blobs, transcript_json(session_transcript(session)), cut
+
+
+_CLOCK_CUT_INPUTS: dict[tuple, tuple] = {}
+
+
+def _clock_cut_inputs(workload, scale):
+    if (workload, scale) not in _CLOCK_CUT_INPUTS:
+        _CLOCK_CUT_INPUTS[workload, scale] = workload_session_inputs(workload, scale)
+    return _CLOCK_CUT_INPUTS[workload, scale]
+
+
+def _assert_clock_cut_replays(workload, scale, step, monkeypatch, *, every_blob_cold):
+    """Every checkpoint of a clock-cut session replays to its own rounds.
+
+    Restores read a differently stepping clock, so a replay that consulted
+    the clock instead of each round's logged pair count would cut its
+    rounds elsewhere and be refused. Each checkpoint is restored over the
+    original cache (whose memo serves the replayed rounds), the last (or
+    every) one over a fresh cache, and the last one over a cache whose memo
+    holds another cut's prologues of the same round bodies; every restored
+    session, finished under the original clock, reproduces the transcript.
+    """
+    from repro.core import skyline
+    from repro.core.round_planner import PLAN_MEMO_STATS
+    from repro.relational.evaluator import JoinCache
+
+    original = JoinCache()
+    (database, result), blobs, transcript, cut = _clock_cut_session(
+        workload, scale, step, original, monkeypatch
+    )
+    other_cut = JoinCache()
+    _clock_cut_session(workload, scale, step * 4, other_cut, monkeypatch)
+
+    def resumed(blob, join_cache):
+        monkeypatch.setattr(skyline, "perf_counter", _SteppingClock(step * 4))
+        session, _ = restore_checkpoint(
+            blob, database=database, result=result, join_cache=join_cache
+        )
+        monkeypatch.setattr(skyline, "perf_counter", _SteppingClock(step))
+        _drive(session, WorstCaseSelector())
+        return transcript_json(session_transcript(session))
+
+    for index, blob in enumerate(blobs):
+        assert resumed(blob, original) == transcript
+        if every_blob_cold or index == len(blobs) - 1:
+            assert resumed(blob, JoinCache()) == transcript
+    misses = PLAN_MEMO_STATS.memo_misses
+    assert resumed(blobs[-1], other_cut) == transcript
+    if cut:  # another cut's prologue of the same round is not reused
+        assert PLAN_MEMO_STATS.memo_misses > misses
+    return cut
+
+
+def _drive(session, selector):
+    while (pending := session.propose()) is not None:
+        session.submit(selector.select(pending.round, pending.partition))
+
+
+def test_clock_cut_rounds_replay_exactly(monkeypatch):
+    """Tier-1 guard: one coarse cut of ``scenario:chain@29`` at 1.0."""
+    assert _assert_clock_cut_replays(
+        "scenario:chain@29", 1.0, 2**-4, monkeypatch, every_blob_cold=False
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "workload, scale, step, cuts",
+    [
+        ("Q2", 1.0, 2**-7, True),
+        ("Q2", 1.0, 2**-9, True),
+        ("scenario:chain@29", 1.0, 2**-7, True),
+        ("scenario:chain@29", 1.0, 2**-9, True),
+        # Rounds too small for the clock to cut, and a session that
+        # ends exhausted in round 1.
+        ("scenario:mixed@2", 1.0, 2**-2, False),
+        ("Q4", 0.3, 2**-2, False),
+    ],
+)
+def test_finer_clock_cut_rounds_replay_exactly(workload, scale, step, cuts, monkeypatch):
+    cut = _assert_clock_cut_replays(workload, scale, step, monkeypatch, every_blob_cold=True)
+    assert bool(cut) == cuts
 
 
 def _drive_managed_with_oracle(manager, session_id, target):

@@ -205,3 +205,37 @@ def test_one_attempt_span_per_attempt_tried(q2, monkeypatch):
         for search in searches
     ]
     assert [len(round_attempts) for round_attempts in children] == [len(o) for o in searched]
+
+
+def test_a_replay_shows_in_the_trace(q2, tmp_path):
+    """A restore replays its log: ``checkpoint.restore`` counts the rounds
+    it replayed, each replayed ``round.skyline`` carries its ``pair_budget``,
+    and a round no memo entry serves counts as a memo miss."""
+    from repro.core import OracleSelector, QFESession
+    from repro.service.checkpoint import capture_checkpoint, restore_checkpoint
+
+    database, result, target, candidates = q2
+    session = QFESession(database, result, candidates=candidates, config=_CONFIG)
+    session.run(OracleSelector(target))
+    blob = capture_checkpoint(session, session_id="traced")
+    budgets = [entry[1] for entry in session.log if entry[0] == "round"]
+    assert len(budgets) == session.outcome.iteration_count >= 1
+    misses = PLAN_MEMO_STATS.memo_misses
+    path = tmp_path / "trace_replay.jsonl"
+    start_tracing(path)
+    try:
+        restore_checkpoint(blob, database=database, result=result, join_cache=JoinCache())
+    finally:
+        stop_tracing()
+    checked = subprocess.run(
+        [sys.executable, str(_REPO_ROOT / "scripts" / "check_trace.py"), str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert checked.returncode == 0, checked.stderr
+
+    spans = load_spans(str(path))
+    (restore,) = _named(spans, "checkpoint.restore")
+    assert restore["attrs"]["rounds_replayed"] == len(budgets)
+    assert [span["attrs"]["pair_budget"] for span in _named(spans, "round.skyline")] == budgets
+    assert PLAN_MEMO_STATS.memo_misses == misses + len(budgets)

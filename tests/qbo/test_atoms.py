@@ -1,5 +1,7 @@
 """Unit tests for candidate atom generation."""
 
+import pytest
+
 from repro.qbo.atoms import build_atom_pool
 from repro.qbo.config import QBOConfig
 from repro.relational.columnar import mask_positions
@@ -78,6 +80,40 @@ class TestNumericAtoms:
         _, pool = _pool(database, positive=[0], negative=[1, 2], threshold_variants=3)
         terms = {str(atom.term) for atom in pool if atom.term.attribute == "S.x"}
         assert {f"S.x <= {big + 1}", f"S.x >= {big + 1}", f"S.x = {big + 1}"} <= terms
+
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+    def test_integer_cuts_beyond_the_float_range_are_exact(self, sign):
+        # p ± 1.5 overflowed for an int beyond the float range; on an integer
+        # column x > p - 1.5 is x > p - 2 (and x < p + 1.5 is x < p + 2).
+        huge = sign * 10**400
+        rows = [[0, huge, "a"], [1, 5, "b"], [2, 8, "c"], [3, 12, "d"], [4, huge + sign, "e"]]
+        database = Database.from_tables({"T": (["id", "x", "name"], rows)})
+        _, pool = _pool(database, positive=[0, 4], negative=[1, 2, 3])
+        terms = {str(atom.term) for atom in pool if atom.term.attribute == "T.x"}
+        if sign > 0:
+            tight, cut = f"T.x >= {huge}", f"T.x > {huge - 2}"
+        else:
+            tight, cut = f"T.x <= {huge}", f"T.x < {huge + 2}"
+        assert {tight, cut} <= terms
+
+    @pytest.mark.parametrize(
+        "target", [f"T.x >= {10**400}", f"T.x <= {-10**400}"], ids=["above", "below"]
+    )
+    def test_generation_over_integers_beyond_the_float_range(self, target):
+        from repro.qbo.generator import QueryGenerator
+        from repro.relational.evaluator import evaluate
+        from repro.sql.parser import parse_query
+
+        huge = 10**400 if ">" in target else -(10**400)
+        step = 1 if huge > 0 else -1
+        rows = [[0, huge, "a"], [1, 5, "b"], [2, 8, "c"], [3, 12, "d"], [4, huge + step, "e"]]
+        database = Database.from_tables({"T": (["id", "x", "name"], rows)})
+        result = evaluate(parse_query(f"SELECT T.name FROM T WHERE {target}"), database)
+        candidates = QueryGenerator().generate(database, result)
+        assert candidates
+        assert all(evaluate(query, database).bag_equal(result) for query in candidates)
+        assert target in {str(query.predicate) for query in candidates}
 
 
 class TestCategoricalAtoms:

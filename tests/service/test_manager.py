@@ -9,8 +9,11 @@ from repro.core.feedback import WorstCaseSelector
 from repro.core.session import QFESession
 from repro.exceptions import ServiceError, SessionNotFound
 from repro.service.checkpoint import session_transcript, transcript_json
-from repro.service.manager import SessionManager
+from repro.service.manager import SessionManager, workload_session_inputs
 from repro.service.store import InMemorySessionStore
+
+#: Every session of these tests runs over the shared Q2@0.03 pair.
+_Q2 = {"workload": "Q2", "scale": 0.03}
 
 
 def _drive_managed(manager, session_id):
@@ -31,30 +34,32 @@ def manager():
         yield m
 
 
-class TestLifecycle:
-    def test_session_matches_direct_run_bit_identically(
-        self, manager, employee_db, employee_result, employee_candidates
-    ):
-        reference = QFESession(employee_db, employee_result, candidates=employee_candidates)
-        reference.run(WorstCaseSelector())
-        expected = transcript_json(session_transcript(reference))
+@pytest.fixture(scope="module")
+def q2_inputs():
+    """``(D, R, target, candidates)`` of the Q2@0.03 pair, six candidates."""
+    return workload_session_inputs("Q2", 0.03, candidate_count=6)
 
-        managed = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
+
+@pytest.fixture()
+def q2_candidates(q2_inputs):
+    return q2_inputs[3]
+
+
+class TestLifecycle:
+    def test_session_matches_direct_run_bit_identically(self, manager, q2_inputs):
+        database, result, _, candidates = q2_inputs
+        reference = QFESession(database, result, candidates=candidates)
+        reference.run(WorstCaseSelector())
+        expected = transcript_json(session_transcript(reference, workload="Q2"))
+
+        managed = manager.create_session(**_Q2, candidates=candidates)
         _drive_managed(manager, managed.session_id)
         actual = transcript_json(manager.transcript(managed.session_id))
         assert actual == expected
 
-    def test_sessions_on_one_pair_share_base_state(
-        self, manager, employee_db, employee_result, employee_candidates
-    ):
-        a = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
-        b = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
+    def test_sessions_on_one_pair_share_base_state(self, manager, q2_candidates):
+        a = manager.create_session(**_Q2, candidates=q2_candidates)
+        b = manager.create_session(**_Q2, candidates=q2_candidates)
         assert a.pair is b.pair
         assert a.session.join_cache is b.session.join_cache
         assert a.session.database is b.session.database
@@ -66,27 +71,17 @@ class TestLifecycle:
         with pytest.raises(SessionNotFound):
             manager.submit_choice("s-doesnotexist", 0)
 
-    def test_delete_session(self, manager, employee_db, employee_result,
-                            employee_candidates):
-        managed = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
+    def test_delete_session(self, manager, q2_candidates):
+        managed = manager.create_session(**_Q2, candidates=q2_candidates)
         assert manager.delete_session(managed.session_id) is True
         assert manager.delete_session(managed.session_id) is False
         with pytest.raises(SessionNotFound):
             manager.get_round(managed.session_id)
 
-    def test_duplicate_session_id_rejected(self, manager, employee_db, employee_result,
-                                           employee_candidates):
-        manager.create_session(
-            database=employee_db, result=employee_result,
-            candidates=employee_candidates, session_id="fixed",
-        )
+    def test_duplicate_session_id_rejected(self, manager, q2_candidates):
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="fixed")
         with pytest.raises(ServiceError):
-            manager.create_session(
-                database=employee_db, result=employee_result,
-                candidates=employee_candidates, session_id="fixed",
-            )
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="fixed")
 
     def test_create_requires_workload_or_pair(self, manager):
         with pytest.raises(ServiceError):
@@ -98,33 +93,21 @@ class TestLifecycle:
         # Nothing was built or registered for the bad name.
         assert manager.metrics()["shared_pairs"] == 0
 
-    def test_closed_manager_refuses_new_sessions(self, employee_db, employee_result,
-                                                 employee_candidates):
+    def test_closed_manager_refuses_new_sessions(self, q2_candidates):
         manager = SessionManager()
         manager.close()
         with pytest.raises(ServiceError):
-            manager.create_session(
-                database=employee_db, result=employee_result,
-                candidates=employee_candidates,
-            )
+            manager.create_session(**_Q2, candidates=q2_candidates)
 
 
 class TestPassivationAndResume:
-    def test_lru_passivation_to_store_and_transparent_resume(
-        self, employee_db, employee_result, employee_candidates
-    ):
+    def test_lru_passivation_to_store_and_transparent_resume(self, q2_candidates):
         store = InMemorySessionStore()
         with SessionManager(store=store, max_live_sessions=1) as manager:
-            a = manager.create_session(
-                database=employee_db, result=employee_result,
-                candidates=employee_candidates, session_id="a",
-            )
+            a = manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
             manager.get_round("a")
             # Creating "b" exceeds the live cap: "a" passivates to the store.
-            manager.create_session(
-                database=employee_db, result=employee_result,
-                candidates=employee_candidates, session_id="b",
-            )
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
             assert manager.session_ids() == ["b"]
             assert "a" in store
             assert manager.metrics()["sessions_passivated"] == 1
@@ -173,18 +156,11 @@ class TestPassivationAndResume:
             assert all(round_.database is resumed.pair.database for round_ in rounds)
             assert resumed.session.database is resumed.pair.database
 
-    def test_capacity_without_store_is_refused(self, employee_db, employee_result,
-                                               employee_candidates):
+    def test_capacity_without_store_is_refused(self, q2_candidates):
         with SessionManager(max_live_sessions=1) as manager:
-            manager.create_session(
-                database=employee_db, result=employee_result,
-                candidates=employee_candidates, session_id="a",
-            )
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
             with pytest.raises(ServiceError, match="capacity"):
-                manager.create_session(
-                    database=employee_db, result=employee_result,
-                    candidates=employee_candidates, session_id="b",
-                )
+                manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
             # The refused session is not half-registered.
             assert manager.session_ids() == ["a"]
 
@@ -208,20 +184,6 @@ class TestPassivationAndResume:
 
 
 class TestPairPruning:
-    def test_inline_pair_dies_with_its_last_session(self, manager, employee_db,
-                                                    employee_result, employee_candidates):
-        a = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
-        b = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
-        assert manager.metrics()["shared_pairs"] == 1
-        manager.delete_session(a.session_id)
-        assert manager.metrics()["shared_pairs"] == 1  # b still references it
-        manager.delete_session(b.session_id)
-        assert manager.metrics()["shared_pairs"] == 0
-
     def test_unreferenced_workload_pairs_bounded_by_max_warm_pairs(
         self, employee_db, employee_result, employee_candidates
     ):
@@ -238,11 +200,8 @@ class TestPairPruning:
 
 
 class TestMetrics:
-    def test_metrics_shape_and_counters(self, manager, employee_db, employee_result,
-                                        employee_candidates):
-        managed = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
+    def test_metrics_shape_and_counters(self, manager, q2_candidates):
+        managed = manager.create_session(**_Q2, candidates=q2_candidates)
         _drive_managed(manager, managed.session_id)
         metrics = manager.metrics()
         assert metrics["sessions_created"] == 1
@@ -258,11 +217,8 @@ class TestMetrics:
         # Rounds run in process: neither payload names a backend or workers.
         assert not {"backend", "workers"} & (set(metrics) | set(manager.healthz()))
 
-    def test_round_replay_is_not_double_counted(self, manager, employee_db,
-                                                employee_result, employee_candidates):
-        managed = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
+    def test_round_replay_is_not_double_counted(self, manager, q2_candidates):
+        managed = manager.create_session(**_Q2, candidates=q2_candidates)
         manager.get_round(managed.session_id)
         manager.get_round(managed.session_id)  # idempotent replay
         assert manager.metrics()["rounds_served"] == 1
@@ -289,12 +245,8 @@ class TestMetrics:
         assert not managed.pair.compute_lock.locked()
         assert manager.metrics()["compute_lock_wait_seconds"]["count"] == 1
 
-    def test_a_wait_for_the_pair_compute_lock_is_observed(
-        self, manager, employee_db, employee_result, employee_candidates
-    ):
-        managed = manager.create_session(
-            database=employee_db, result=employee_result, candidates=employee_candidates
-        )
+    def test_a_wait_for_the_pair_compute_lock_is_observed(self, manager, q2_candidates):
+        managed = manager.create_session(**_Q2, candidates=q2_candidates)
         assert manager.metrics()["compute_lock_wait_seconds"]["count"] == 0
         held = threading.Event()
 
