@@ -38,7 +38,7 @@ echo "== differential: scenario engine — cold vs steady repeats, resume, hash 
 python -m pytest -q tests/integration/test_scenario_differential.py -k "fast_guard or checkpoint_resumes or hash_seed"
 
 echo
-echo "== service smoke: kill -9 -> resume by replay -> finish; two sessions under --max-live-sessions 1 passivated and replayed every step; bit-identical transcripts =="
+echo "== service smoke: kill -9 -> resume by replay -> finish; two sessions under --max-live-sessions 1 passivated and replayed every step, from an on-disk and from the in-memory store; bit-identical transcripts =="
 python scripts/service_smoke.py
 
 echo

@@ -1,16 +1,19 @@
 #!/usr/bin/env python
 """Service smoke test: every resume over HTTP is a replay, bit-identical.
 
-Two legs, each against ``qfe-serve`` booted as a real subprocess with an
-on-disk checkpoint store:
+Three legs, each against ``qfe-serve`` booted as a real subprocess:
 
 1. **kill -9.** Drives a Q2 session through the HTTP client, hard-kills the
    server (SIGKILL — no graceful shutdown, the on-disk checkpoints are all
    that survives) after the first submitted choice, reboots it on the same
-   store and finishes the session.
-2. **Passivation.** With ``--max-live-sessions 1``, drives two sessions in
-   turn, one step each: after the first request every step passivates one
-   session and resumes the other by replaying its checkpoint.
+   ``--store-dir`` and finishes the session.
+2. **Passivation, on disk.** With ``--max-live-sessions 1`` and a
+   ``--store-dir``, drives two sessions in turn, one step each: after the
+   first request every step passivates one session and resumes the other by
+   replaying its checkpoint.
+3. **Passivation, in memory.** The same two sessions with
+   ``--max-live-sessions 1`` and no ``--store-dir``: every step's checkpoint
+   goes to the in-memory store, and every resume replays it from there.
 
 Each session's canonical transcript must be **byte-identical** to an
 uninterrupted in-process run of the same session spec.
@@ -59,12 +62,9 @@ def reference_transcript(candidate_count: int = CANDIDATES, config: dict | None 
     return transcript_json(session_transcript(session, workload=WORKLOAD))
 
 
-def boot_server(store_dir: str, *extra: str) -> subprocess.Popen:
+def boot_server(*flags: str) -> subprocess.Popen:
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.service",
-            "--port", str(PORT), "--store-dir", store_dir, *extra,
-        ],
+        [sys.executable, "-m", "repro.service", "--port", str(PORT), *flags],
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -104,7 +104,7 @@ def stop(server: subprocess.Popen) -> None:
             server.kill()
 
 
-def passivation_leg() -> int:
+def passivation_leg(*store_flags: str) -> int:
     """Two sessions under ``--max-live-sessions 1``, one step each in turn."""
     # The second session keeps the default config: every service session
     # created without delta_seconds runs under the wall-clock δ.
@@ -113,40 +113,40 @@ def passivation_leg() -> int:
         "b": (CANDIDATES - 2, None),
     }
     references = {name: reference_transcript(*spec) for name, spec in specs.items()}
-    with tempfile.TemporaryDirectory(prefix="qfe-smoke-") as store_dir:
-        print("[smoke] booting qfe-serve --max-live-sessions 1 ...", flush=True)
-        server = boot_server(store_dir, "--max-live-sessions", "1")
-        client = ServiceClient(f"http://127.0.0.1:{PORT}", timeout=120.0)
-        try:
-            ids = {
-                name: client.create_session(
-                    WORKLOAD, scale=SCALE, candidate_count=count,
-                    **({"config": config} if config else {}),
-                )["session_id"]
-                for name, (count, config) in specs.items()
-            }
-            running = dict(ids)
-            while running:
-                for name in list(running):
-                    if not drive_round(client, running[name]):
-                        del running[name]
-            metrics = client.metrics()
-            for name, session_id in ids.items():
-                transcript = transcript_json(client.transcript(session_id))
-                if transcript != references[name]:
-                    print(f"[smoke] FAIL: session {name} differs from its reference")
-                    return 1
-            if metrics["sessions_resumed"] < metrics["rounds_served"]:
-                print(f"[smoke] FAIL: too few resumes: {metrics}")
+    flags = ("--max-live-sessions", "1", *store_flags)
+    print(f"[smoke] booting qfe-serve {' '.join(flags)} ...", flush=True)
+    server = boot_server(*flags)
+    client = ServiceClient(f"http://127.0.0.1:{PORT}", timeout=120.0)
+    try:
+        ids = {
+            name: client.create_session(
+                WORKLOAD, scale=SCALE, candidate_count=count,
+                **({"config": config} if config else {}),
+            )["session_id"]
+            for name, (count, config) in specs.items()
+        }
+        running = dict(ids)
+        while running:
+            for name in list(running):
+                if not drive_round(client, running[name]):
+                    del running[name]
+        metrics = client.metrics()
+        for name, session_id in ids.items():
+            transcript = transcript_json(client.transcript(session_id))
+            if transcript != references[name]:
+                print(f"[smoke] FAIL: session {name} differs from its reference")
                 return 1
-            print(
-                f"[smoke] OK: both transcripts bit-identical after "
-                f"{metrics['sessions_resumed']} resumes by replay",
-                flush=True,
-            )
-            return 0
-        finally:
-            stop(server)
+        if metrics["sessions_resumed"] < metrics["rounds_served"]:
+            print(f"[smoke] FAIL: too few resumes: {metrics}")
+            return 1
+        print(
+            f"[smoke] OK: both transcripts bit-identical after "
+            f"{metrics['sessions_resumed']} resumes by replay",
+            flush=True,
+        )
+        return 0
+    finally:
+        stop(server)
 
 
 def main() -> int:
@@ -155,7 +155,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory(prefix="qfe-smoke-") as store_dir:
         print(f"[smoke] booting qfe-serve (store={store_dir}) ...", flush=True)
-        server = boot_server(store_dir)
+        server = boot_server("--store-dir", store_dir)
         client = ServiceClient(f"http://127.0.0.1:{PORT}", timeout=120.0)
         try:
             created = client.create_session(
@@ -173,7 +173,7 @@ def main() -> int:
             server.wait(timeout=30)
 
             print("[smoke] rebooting on the same checkpoint store ...", flush=True)
-            server = boot_server(store_dir)
+            server = boot_server("--store-dir", store_dir)
             rounds = 1
             while drive_round(client, session_id):
                 rounds += 1
@@ -194,6 +194,9 @@ def main() -> int:
             )
         finally:
             stop(server)
+    with tempfile.TemporaryDirectory(prefix="qfe-smoke-") as store_dir:
+        if passivation_leg("--store-dir", store_dir):
+            return 1
     return passivation_leg()
 
 

@@ -44,7 +44,6 @@ class SkylineResult:
     pairs: list[ClassPair]
     pair_balances: dict[ClassPair, float]
     enumerated_pairs: int
-    elapsed_seconds: float
     truncated_by_time: bool
     truncated_by_cap: bool
     most_balanced_binary_x: int | None
@@ -93,8 +92,7 @@ def skyline_stc_dtc_pairs(
 ) -> SkylineResult:
     """Run Algorithm 3 over the tuple-class space of the current iteration."""
     simulator = simulator or PairSetSimulator(space, result_arity=result_arity)
-    started = perf_counter()
-    deadline = started + config.delta_seconds
+    deadline = perf_counter() + config.delta_seconds
     pairs: list[ClassPair] = []
     balances: dict[ClassPair, float] = {}
     min_balance = float("inf")
@@ -171,12 +169,10 @@ def skyline_stc_dtc_pairs(
         ),
         default=None,
     )
-    elapsed = perf_counter() - started
     return SkylineResult(
         pairs=pairs,
         pair_balances={p: balances[p] for p in pairs},
         enumerated_pairs=enumerated,
-        elapsed_seconds=elapsed,
         truncated_by_time=stopped and pair_budget is None,
         truncated_by_cap=truncated_cap,
         most_balanced_binary_x=best_binary_x,

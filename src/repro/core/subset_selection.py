@@ -15,7 +15,6 @@ pruning keeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Sequence
 
 from repro.core.config import QFEConfig
@@ -43,7 +42,6 @@ class SubsetSelectionResult:
     chosen_effect: PairSetEffect | None
     chosen_cost: CostBreakdown | None
     sets_evaluated: int
-    elapsed_seconds: float
     #: Pair sets that got a :class:`PairSetEffect`: every single, and each
     #: grown set the balance pruning kept.
     effects_built: int = 0
@@ -63,7 +61,6 @@ def pick_stc_dtc_subset(
     most_balanced_binary_x: int | None = None,
     score: ScoreFunction | None = None,
     simulator: PairSetSimulator | None = None,
-    max_sets_per_level: int | None = None,
 ) -> SubsetSelectionResult:
     """Run Algorithm 4 and return the best pair subset under the scoring function.
 
@@ -73,10 +70,8 @@ def pick_stc_dtc_subset(
     the ``config.growth_pool_size`` best-balanced skyline pairs are eligible to
     extend existing sets. Every single skyline pair is still scored on its own.
     """
-    started = perf_counter()
     scorer = score or _default_score
     simulator = simulator or PairSetSimulator(space, result_arity=result_arity)
-    max_sets_per_level = max_sets_per_level or config.max_sets_per_level
     pairs = list(skyline_pairs)
     reactions = [simulator.reaction_of(pair) for pair in pairs]
     sets_evaluated = 0
@@ -140,19 +135,18 @@ def pick_stc_dtc_subset(
                     consider(grown, grown_effect, grown_cost)
         if not next_frontier:
             break
-        if len(next_frontier) > max_sets_per_level:
+        if len(next_frontier) > config.max_sets_per_level:
             next_frontier.sort(key=lambda item: item[1].balance)
-            next_frontier = next_frontier[:max_sets_per_level]
+            next_frontier = next_frontier[: config.max_sets_per_level]
         frontier = next_frontier
 
-    elapsed = perf_counter() - started
     if not best_sets:
-        return SubsetSelectionResult((), None, None, sets_evaluated, elapsed, effects_built)
+        return SubsetSelectionResult((), None, None, sets_evaluated, effects_built)
 
     # Tie-break (step 22): among minimum-cost sets pick the lowest balance.
     best_sets.sort(key=lambda item: (item[1].balance, sorted(item[0])))
     chosen_indexes, chosen_effect, chosen_cost = best_sets[0]
     chosen_pairs = tuple(pairs[i] for i in sorted(chosen_indexes))
     return SubsetSelectionResult(
-        chosen_pairs, chosen_effect, chosen_cost, sets_evaluated, elapsed, effects_built
+        chosen_pairs, chosen_effect, chosen_cost, sets_evaluated, effects_built
     )

@@ -38,7 +38,7 @@ class EvaluationError(ReproError):
 
 
 class UnsupportedQueryError(EvaluationError):
-    """Raised when a query uses features outside the supported SPJ/SPJU subset."""
+    """Raised when a query uses features outside the supported SPJ subset."""
 
 
 class SQLSyntaxError(ReproError):

@@ -22,7 +22,6 @@ The generator is deterministic for a given configuration and input pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro.exceptions import NoCandidateQueriesError
 from repro.qbo.atoms import build_atom_pool
@@ -50,7 +49,6 @@ class GenerationReport:
     projections_tried: int = 0
     predicates_verified: int = 0
     predicates_rejected: int = 0
-    elapsed_seconds: float = 0.0
     join_schema_sizes: dict[int, int] = field(default_factory=dict)
     #: Joins built cold during the run; 0 when every schema's join was cached.
     joins_built: int = 0
@@ -84,7 +82,6 @@ class QueryGenerator:
         cache = join_cache if join_cache is not None else JoinCache()
         built_before = cache.joins_built
         report = GenerationReport()
-        started = perf_counter()
         candidates: dict[tuple, SPJQuery] = {}
         target_fingerprint = result_fingerprint(result, set_semantics=set_semantics)
 
@@ -119,7 +116,6 @@ class QueryGenerator:
 
         report.candidate_count = len(candidates)
         report.joins_built = cache.joins_built - built_before
-        report.elapsed_seconds = perf_counter() - started
         self.last_report = report
         if not candidates:
             raise NoCandidateQueriesError(

@@ -2,7 +2,7 @@
 
 This package implements everything the QFE algorithms assume from an RDBMS:
 typed schemas with primary/foreign keys, bag-semantics relations, foreign-key
-joins with base-tuple ids and join indexes, SPJ/SPJU query evaluation, the
+joins with base-tuple ids and join indexes, SPJ query evaluation, the
 Section 3 edit model (``minEdit``), the recorded tuple delta and delta
 presentation.
 """
@@ -40,7 +40,7 @@ from repro.relational.predicates import (
     Term,
     compile_term,
 )
-from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation, Tuple
 from repro.relational.schema import Attribute, DatabaseSchema, ForeignKey, TableSchema, qualify
 from repro.relational.types import AttributeType
@@ -60,7 +60,6 @@ __all__ = [
     "Conjunct",
     "DNFPredicate",
     "SPJQuery",
-    "SPJUQuery",
     "compile_term",
     "ColumnarView",
     "COLUMNAR_STATS",

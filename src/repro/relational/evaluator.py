@@ -1,4 +1,4 @@
-"""Query evaluation for SPJ and SPJU queries.
+"""Query evaluation for SPJ queries.
 
 The evaluator executes queries against a :class:`~repro.relational.database.Database`
 by materializing the foreign-key join of the query's tables and then applying
@@ -31,7 +31,7 @@ from repro.exceptions import UnsupportedQueryError
 from repro.relational.columnar import ColumnarView
 from repro.relational.database import Database
 from repro.relational.join import JoinedRelation, foreign_key_join
-from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, TableSchema
 from repro.relational.types import canonical_value
@@ -61,10 +61,8 @@ def result_schema(query: SPJQuery, database: Database, *, name: str = "Result") 
     return TableSchema(name, attributes)
 
 
-def evaluate(query: SPJQuery | SPJUQuery, database: Database, *, name: str = "Result") -> Relation:
+def evaluate(query: SPJQuery, database: Database, *, name: str = "Result") -> Relation:
     """Execute *query* on *database* and return its result relation."""
-    if isinstance(query, SPJUQuery):
-        return _evaluate_union(query, database, name=name)
     query.validate(database.schema)
     joined = foreign_key_join(database, query.tables)
     return evaluate_on_join(query, joined, database, name=name)
@@ -175,23 +173,6 @@ def evaluate_batch(
         results.append(cached[0])
         fingerprints.append(cached[1])
     return BatchEvaluation(results=tuple(results), fingerprints=tuple(fingerprints))
-
-
-def _evaluate_union(query: SPJUQuery, database: Database, *, name: str) -> Relation:
-    query.validate(database.schema)
-    first = evaluate(query.branches[0], database, name=name)
-    output = Relation(first.schema)
-    seen: set[tuple] = set()
-    for branch in query.branches:
-        branch_result = evaluate(branch, database, name=name)
-        for row in branch_result.rows():
-            if query.distinct:
-                key = _normalize(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-            output.insert(row)
-    return output
 
 
 def _normalize(row: Iterable[Any]) -> tuple:

@@ -1,10 +1,9 @@
-"""Query objects: select-project-join (SPJ) and SPJ-union (SPJU) queries.
+"""Query objects: select-project-join (SPJ) queries.
 
 The paper's candidate queries are SPJ queries ``π_ℓ(σ_p(J))`` where ``J`` is
 a foreign-key join of a subset of the database relations, ``ℓ`` a projection
 list over ``J``'s qualified attributes and ``p`` a DNF selection predicate
-(Section 4). Section 6.4 sketches an extension to SPJ-union queries, which is
-modelled by :class:`SPJUQuery`.
+(Section 4).
 
 Queries are immutable value objects. They do not evaluate themselves — the
 :mod:`repro.relational.evaluator` module executes them on a
@@ -21,7 +20,7 @@ from repro.exceptions import SchemaError, UnsupportedQueryError
 from repro.relational.predicates import DNFPredicate
 from repro.relational.schema import DatabaseSchema
 
-__all__ = ["SPJQuery", "SPJUQuery"]
+__all__ = ["SPJQuery"]
 
 
 @dataclass(frozen=True)
@@ -131,46 +130,3 @@ class SPJQuery:
             f"predicate={self.predicate}, distinct={self.distinct})"
         )
 
-
-@dataclass(frozen=True)
-class SPJUQuery:
-    """A union of SPJ queries (Section 6.4 extension).
-
-    All branches must share the same output arity; bag semantics corresponds
-    to SQL ``UNION ALL`` and set semantics to ``UNION``.
-    """
-
-    branches: tuple[SPJQuery, ...]
-    distinct: bool = False
-
-    def __init__(self, branches: Iterable[SPJQuery], *, distinct: bool = False) -> None:
-        object.__setattr__(self, "branches", tuple(branches))
-        object.__setattr__(self, "distinct", distinct)
-        if not self.branches:
-            raise SchemaError("an SPJU query must have at least one branch")
-        arities = {len(branch.projection) for branch in self.branches}
-        if len(arities) != 1:
-            raise UnsupportedQueryError("all branches of a union must have the same arity")
-
-    def validate(self, schema: DatabaseSchema) -> None:
-        """Validate every branch against the schema."""
-        for branch in self.branches:
-            branch.validate(schema)
-
-    def canonical_key(self) -> tuple:
-        """A hashable identity used to deduplicate candidate queries."""
-        branch_keys = tuple(sorted((repr(b.canonical_key()) for b in self.branches)))
-        return (branch_keys, self.distinct)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SPJUQuery):
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_key())
-
-    def __str__(self) -> str:
-        from repro.sql.render import render_union  # local import to avoid a cycle
-
-        return render_union(self)

@@ -6,11 +6,16 @@ Installed as the ``qfe-serve`` console script (also ``python -m repro.service``)
     qfe-serve --port 8642                       # another port
     qfe-serve --store-dir ./checkpoints         # durable: kill/restart resumes
 
-With ``--store-dir`` every session is checkpointed after each step, so a
-killed or restarted server picks sessions up exactly where they were (the
-client just keeps using the same session id). ``--session-ttl`` and
-``--max-stored-sessions`` bound the checkpoint store; ``--max-live-sessions``
-bounds resident sessions (least-recently-used ones passivate to the store).
+Every session is checkpointed after each step: its create, each round
+planned and each choice accepted. Without ``--store-dir`` the checkpoints
+live in memory; with it they are files, so a killed or restarted server picks
+sessions up exactly where they were (the client just keeps using the same
+session id). ``--max-live-sessions`` bounds resident sessions: the
+least-recently-used ones passivate, that is, leave memory without a write
+and resume from their checkpoints on their next request. Shutdown drops live
+sessions the same way. ``--session-ttl`` and ``--max-stored-sessions`` bound
+whichever store is built, so they also decide which passivated sessions
+survive.
 
 Every round scores its attempts in process. ``--backend serial`` and
 ``--workers 0``/``1`` are accepted for compatibility and mean exactly that;
@@ -81,11 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--store-dir", default=None,
-        help="directory for on-disk session checkpoints (enables kill/restart resume)",
+        help="directory for on-disk session checkpoints (enables kill/restart resume; "
+             "default: an in-memory store)",
     )
     parser.add_argument(
         "--max-live-sessions", type=_positive_int, default=64,
-        help="resident session cap; least-recently-used sessions passivate to the store",
+        help="resident session cap; least-recently-used sessions leave memory and "
+             "resume from their stored checkpoints",
     )
     parser.add_argument(
         "--max-stored-sessions", type=_positive_int, default=None,
@@ -94,10 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--session-ttl", type=_positive_float, default=None,
         help="seconds of inactivity after which stored checkpoints expire",
-    )
-    parser.add_argument(
-        "--no-checkpoint", action="store_true",
-        help="with --store-dir: do not checkpoint after every step (only on shutdown)",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -117,25 +120,19 @@ def main(argv: Sequence[str] | None = None, *, output=None) -> int:
 
     from repro.service.manager import SessionManager
     from repro.service.server import make_server
-    from repro.service.store import FileSessionStore
+    from repro.service.store import FileSessionStore, InMemorySessionStore
 
-    store = None
+    bounds = {"max_sessions": args.max_stored_sessions, "ttl_seconds": args.session_ttl}
     if args.store_dir:
-        store = FileSessionStore(
-            args.store_dir,
-            max_sessions=args.max_stored_sessions,
-            ttl_seconds=args.session_ttl,
-        )
-    manager = SessionManager(
-        store=store,
-        checkpoint_each_step=not args.no_checkpoint,
-        max_live_sessions=args.max_live_sessions,
-    )
+        store = FileSessionStore(args.store_dir, **bounds)
+    else:
+        store = InMemorySessionStore(**bounds)
+    manager = SessionManager(store=store, max_live_sessions=args.max_live_sessions)
     server = make_server(manager, args.host, args.port, verbose=args.verbose)
     host, port = server.server_address[:2]
     print(
         f"qfe-serve listening on http://{host}:{port} "
-        f"(store={'disk:' + str(args.store_dir) if store is not None else 'memory'})",
+        f"(store={'disk:' + str(args.store_dir) if args.store_dir else 'memory'})",
         file=output,
         flush=True,
     )
@@ -147,7 +144,11 @@ def main(argv: Sequence[str] | None = None, *, output=None) -> int:
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        print("shutting down (checkpointing live sessions)", file=output, flush=True)
+        print(
+            "shutting down (live sessions dropped; each is stored as of its last step)",
+            file=output,
+            flush=True,
+        )
     finally:
         try:
             server.shutdown()

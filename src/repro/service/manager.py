@@ -20,12 +20,18 @@ a time per pair, in process, while any number of sessions sit suspended
 awaiting a user, which is where interactive sessions spend almost all of
 their time.
 
-Persistence: with a :class:`~repro.service.store.SessionStore` attached, the
-manager checkpoints a session after every state change, evicts
-least-recently-used live sessions to the store when ``max_live_sessions`` is
-exceeded (passivation), and transparently resumes any checkpointed session —
-including after a process kill — on its next request, by replaying its
-checkpointed calls over the pair's shared caches.
+Persistence has one rule: the store (an
+:class:`~repro.service.store.InMemorySessionStore` unless one is given) holds
+each session as of its last completed step, and only that step writes it. A
+create, a round that is planned or that finishes the session, and an accepted
+choice each write the session's checkpoint under its step lock. Passivation
+(dropping least-recently-used live sessions when ``max_live_sessions`` is
+exceeded) and :meth:`SessionManager.close` therefore drop live sessions
+without writing. Any session the store holds — including after a process
+kill, with an on-disk store — resumes on its next request by replaying its
+checkpointed calls over the pair's shared caches. The store's own bounds
+(``ttl_seconds``, ``max_sessions``) decide which sessions survive passivation.
+A delete waits for a step in flight and is final.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from repro.service.checkpoint import (
     restore_checkpoint,
     session_transcript,
 )
-from repro.service.store import SessionStore
+from repro.service.store import InMemorySessionStore, SessionStore
 
 __all__ = ["SessionManager", "ManagedSession", "workload_session_inputs"]
 
@@ -113,11 +119,8 @@ class ManagedSession:
     pair: _SharedPair
     workload: str
     scale: float
-    created_at: float
     last_used: float
     lock: threading.RLock = field(default_factory=threading.RLock)
-    rounds_served: int = 0
-    choices_submitted: int = 0
 
     @property
     def database_ref(self) -> DatabaseRef:
@@ -149,10 +152,10 @@ class _Metrics(RegistryStats):
         "sessions_created": "Sessions created from scratch.",
         "sessions_resumed": "Sessions restored from a checkpoint.",
         "sessions_deleted": "Sessions deleted by request.",
-        "sessions_passivated": "Live sessions evicted to the store.",
+        "sessions_passivated": "Live sessions dropped from memory (their checkpoints stay stored).",
         "rounds_served": "Feedback rounds proposed to users.",
         "choices_submitted": "User choices applied to pending rounds.",
-        "checkpoints_written": "Session checkpoints written to the store.",
+        "checkpoints_written": "Session checkpoints written to the store, one per completed step.",
     }
 
     def __init__(self, window: int = 512) -> None:
@@ -203,7 +206,6 @@ class SessionManager:
         self,
         *,
         store: SessionStore | None = None,
-        checkpoint_each_step: bool = True,
         max_live_sessions: int = 64,
         max_warm_pairs: int = 8,
         clock=time.time,
@@ -212,8 +214,7 @@ class SessionManager:
             raise ValueError("max_live_sessions must be at least 1")
         if max_warm_pairs < 1:
             raise ValueError("max_warm_pairs must be at least 1")
-        self.store = store
-        self.checkpoint_each_step = checkpoint_each_step and store is not None
+        self.store = store if store is not None else InMemorySessionStore()
         self.max_live_sessions = max_live_sessions
         self.max_warm_pairs = max_warm_pairs
         self._clock = clock
@@ -308,29 +309,32 @@ class SessionManager:
             join_cache=pair.join_cache,
         )
         sid = session_id or f"s-{uuid.uuid4().hex[:12]}"
-        now = self._clock()
         managed = ManagedSession(
             session_id=sid,
             session=session,
             pair=pair,
             workload=workload,
             scale=float(scale),
-            created_at=now,
-            last_used=now,
+            last_used=self._clock(),
         )
-        with self._lock:
-            if sid in self._sessions:
-                raise ServiceError(f"session id {sid!r} already exists")
-            self._sessions[sid] = managed
-            try:
+        # The step lock is held from registration until the first checkpoint
+        # is stored: passivation must not drop a session the store lacks.
+        with managed.lock:
+            with self._lock:
+                # A passivated session is not live, but its id is taken.
+                if sid in self._sessions or sid in self.store:
+                    raise ServiceError(f"session id {sid!r} already exists")
+                self._sessions[sid] = managed
                 self._passivate_overflow_locked(keep=sid)
-            except ServiceError:
-                # No store to passivate into: refuse the new session instead
-                # of silently exceeding the live-session capacity.
-                del self._sessions[sid]
+            try:
+                self._checkpoint(managed)
+            except BaseException:
+                # A create the store refused (an id it rejects, a failed
+                # write) did not happen: no live session without a checkpoint.
+                with self._lock:
+                    self._sessions.pop(sid, None)
                 raise
-            self._metrics.bump("sessions_created")
-        self._checkpoint(managed)
+        self._metrics.bump("sessions_created")
         return managed
 
     # ----------------------------------------------------------------- lookup
@@ -341,20 +345,23 @@ class SessionManager:
         from a workload reference, the replay — runs *outside* the manager-wide
         lock so one slow resume never blocks other sessions' requests or the
         health endpoints; only the registry insert is serialized (and a
-        concurrent resume of the same id keeps the first winner).
+        concurrent resume of the same id keeps the first winner). The insert
+        happens only while the store still holds the checkpoint:
+        :meth:`delete_session` removes it under the same lock, so a session
+        deleted during its replay stays deleted.
         """
         with self._lock:
             managed = self._sessions.get(session_id)
-            if managed is not None:
-                return managed
-            if self.store is None:
-                raise SessionNotFound(f"unknown session {session_id!r}")
+        if managed is not None:
+            return managed
         blob = self.store.get(session_id)  # raises SessionNotFound when absent
         managed = self._restore(session_id, blob)
         with self._lock:
             existing = self._sessions.get(session_id)
             if existing is not None:  # another thread resumed it first
                 return existing
+            if session_id not in self.store:
+                raise SessionNotFound(f"unknown session {session_id!r}")
             self._sessions[session_id] = managed
             self._metrics.bump("sessions_resumed")
             self._passivate_overflow_locked(keep=session_id)
@@ -371,61 +378,45 @@ class SessionManager:
             session, _ = restore_checkpoint(
                 blob, database=pair.database, result=pair.result, join_cache=pair.join_cache
             )
-        now = self._clock()
         return ManagedSession(
             session_id=session_id,
             session=session,
             pair=pair,
             workload=ref.name,
             scale=float(ref.scale),
-            created_at=now,
-            last_used=now,
+            last_used=self._clock(),
         )
 
     def _passivate_overflow_locked(self, *, keep: str) -> None:
+        """Drop the coldest live sessions beyond ``max_live_sessions``.
+
+        Nothing is written: each victim's last completed step already stored
+        its checkpoint. A victim whose step lock another thread holds is
+        mid-step, so it is skipped this time (the overflow clears on a later
+        call). ``keep`` is the session the current request is about.
+        """
         overflow = len(self._sessions) - self.max_live_sessions
         if overflow <= 0:
             return
-        if self.store is None:
-            raise ServiceError(
-                f"live session capacity ({self.max_live_sessions}) reached "
-                "and no session store is attached for passivation"
-            )
-        # Coldest first; a victim whose lock another thread holds is mid-step
-        # and must not be checkpointed under it — skip it this time (the
-        # overflow clears on a later call). ``keep`` is the session the
-        # current request is about.
         candidates = sorted(
             (sid for sid in self._sessions if sid != keep),
             key=lambda sid: self._sessions[sid].last_used,
         )
         for victim_id in candidates:
             if overflow <= 0:
-                return
+                break
             victim = self._sessions[victim_id]
             if not victim.lock.acquire(blocking=False):
                 continue
-            try:
-                self.store.put(
-                    victim_id,
-                    capture_checkpoint(
-                        victim.session,
-                        session_id=victim_id,
-                        database_ref=victim.database_ref,
-                    ),
-                )
-                del self._sessions[victim_id]
-            finally:
-                victim.lock.release()
+            del self._sessions[victim_id]
+            victim.lock.release()
             overflow -= 1
             self._metrics.bump("sessions_passivated")
-            self._metrics.bump("checkpoints_written")
         self._prune_pairs_locked()
 
     # ------------------------------------------------------------------ steps
     def _checkpoint(self, managed: ManagedSession) -> None:
-        if not self.checkpoint_each_step:
-            return
+        """Store the session as of the step just completed (step lock held)."""
         self.store.put(
             managed.session_id,
             capture_checkpoint(
@@ -449,8 +440,8 @@ class SessionManager:
         """Resolve the session and hold its step lock, passivation-proof.
 
         Between :meth:`_resolve` handing out a live session and the caller
-        acquiring its lock, a concurrent overflow passivation could have
-        checkpointed and evicted it — stepping the orphaned instance while a
+        acquiring its lock, a concurrent overflow passivation (or a delete)
+        could have dropped it — stepping the orphaned instance while a
         later request resumes a second one would fork the session's state.
         So after acquiring the lock, re-check the instance is still the
         registered one and re-resolve if not; once the lock is held *and*
@@ -486,7 +477,6 @@ class SessionManager:
             with self._computing(managed.pair):
                 pending = managed.session.propose()
             if pending is not None and not had_pending:
-                managed.rounds_served += 1
                 self._metrics.bump("rounds_served")
                 self._metrics.observe_round_latency(time.perf_counter() - started)
                 self._checkpoint(managed)
@@ -504,7 +494,6 @@ class SessionManager:
                 # Replenishment (NONE_OF_THE_ABOVE) evaluates candidates over
                 # the shared caches, hence the compute lock.
                 step = managed.session.submit(choice)
-            managed.choices_submitted += 1
             self._metrics.bump("choices_submitted")
             self._checkpoint(managed)
             return managed, step
@@ -519,16 +508,27 @@ class SessionManager:
             )
 
     def delete_session(self, session_id: str) -> bool:
-        """Drop the live session and its stored checkpoint; returns existence."""
-        with self._lock:
-            managed = self._sessions.pop(session_id, None)
-            if managed is not None:
+        """Drop the session and its stored checkpoint; returns existence.
+
+        A live session's step lock is taken first, then the manager lock (the
+        order :meth:`_locked` uses), so a step in flight finishes — and writes
+        its checkpoint — before the delete removes it. The checkpoint is
+        removed under the manager lock, which stops a resume in flight from
+        registering the session again (see :meth:`_resolve`).
+        """
+        while True:
+            with self._lock:
+                managed = self._sessions.get(session_id)
+                if managed is None:
+                    return self.store.delete(session_id)
+            with managed.lock, self._lock:
+                if self._sessions.get(session_id) is not managed:
+                    continue  # passivated while the delete waited for its step
+                del self._sessions[session_id]
                 self._prune_pairs_locked()
-        stored = self.store.delete(session_id) if self.store is not None else False
-        if managed is not None:
-            managed.session.close()
+                self.store.delete(session_id)
             self._metrics.bump("sessions_deleted")
-        return managed is not None or stored
+            return True
 
     # ------------------------------------------------------------- observability
     def session_ids(self) -> list[str]:
@@ -555,7 +555,7 @@ class SessionManager:
             {
                 "active_sessions": active,
                 "shared_pairs": shared_pairs,
-                "stored_checkpoints": len(self.store) if self.store is not None else 0,
+                "stored_checkpoints": len(self.store),
             }
         )
         return payload
@@ -580,7 +580,7 @@ class SessionManager:
         )
         live.gauge(
             "qfe_service_stored_checkpoints", "Checkpoints held by the store."
-        ).set(len(self.store) if self.store is not None else 0)
+        ).set(len(self.store))
         return render_prometheus(self._metrics.registry, live, REGISTRY)
 
     # ------------------------------------------------------------------- close
@@ -589,29 +589,17 @@ class SessionManager:
             raise ServiceError("the session manager is closed")
 
     def close(self) -> None:
-        """Checkpoint every live session (when a store is attached) and shut down."""
+        """Shut down: drop every live session without writing, close the store.
+
+        Each session's last completed step already stored its checkpoint, so
+        a manager opened later on the same store resumes them all.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            sessions = list(self._sessions.values())
             self._sessions.clear()
-        for managed in sessions:
-            if self.store is not None:
-                try:
-                    self.store.put(
-                        managed.session_id,
-                        capture_checkpoint(
-                            managed.session,
-                            session_id=managed.session_id,
-                            database_ref=managed.database_ref,
-                        ),
-                    )
-                except Exception:  # pragma: no cover - best-effort persistence
-                    pass
-            managed.session.close()
-        if self.store is not None:
-            self.store.close()
+        self.store.close()
 
     def __enter__(self) -> "SessionManager":
         return self

@@ -349,7 +349,7 @@ class QFEServiceServer(ThreadingHTTPServer):
         return thread
 
     def close(self) -> None:
-        """Stop serving and close the manager (checkpointing live sessions)."""
+        """Stop serving and close the manager (live sessions drop without a write)."""
         self.shutdown()
         self.server_close()
         self.manager.close()

@@ -236,6 +236,10 @@ class FileSessionStore(SessionStore):
         os.utime(path)  # refresh recency for LRU eviction
         return blob
 
+    def __contains__(self, session_id: str) -> bool:
+        self._expire()
+        return self._path(session_id).exists()
+
     def delete(self, session_id: str) -> bool:
         path = self._path(session_id)
         try:

@@ -14,13 +14,12 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
-from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.query import SPJQuery
 from repro.relational.schema import DatabaseSchema, qualify
 from repro.relational.types import exact_repr, float_literal
 
 __all__ = [
     "render_query",
-    "render_union",
     "render_predicate",
     "render_value",
     "render_identifier",
@@ -147,9 +146,3 @@ def render_query(query: SPJQuery, schema: DatabaseSchema | None = None) -> str:
         lines.append("WHERE " + render_predicate(query.predicate))
     return "\n".join(lines)
 
-
-def render_union(query: SPJUQuery, schema: DatabaseSchema | None = None) -> str:
-    """Render an SPJU query as a SQL UNION [ALL] of SELECT statements."""
-    keyword = "UNION" if query.distinct else "UNION ALL"
-    rendered = [render_query(branch, schema) for branch in query.branches]
-    return f"\n{keyword}\n".join(rendered)

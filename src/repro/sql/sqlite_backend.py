@@ -18,11 +18,11 @@ from typing import Any, Iterable
 from repro.exceptions import EvaluationError
 from repro.relational.database import Database
 from repro.relational.evaluator import result_schema
-from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 from repro.relational.schema import TableSchema
 from repro.relational.types import AttributeType
-from repro.sql.render import render_query, render_union
+from repro.sql.render import render_query
 
 __all__ = ["SQLiteBackend", "cross_check"]
 
@@ -65,17 +65,11 @@ class SQLiteBackend:
             raise EvaluationError(f"SQLite rejected the query: {exc}\n{sql}") from exc
         return [tuple(row) for row in cursor.fetchall()]
 
-    def execute(self, query: SPJQuery | SPJUQuery, *, name: str = "Result") -> Relation:
+    def execute(self, query: SPJQuery, *, name: str = "Result") -> Relation:
         """Execute a query object and return its result as a :class:`Relation`."""
-        if isinstance(query, SPJUQuery):
-            sql = render_union(query, self._database.schema)
-            schema = result_schema(query.branches[0], self._database, name=name)
-            column_types = [a.type for a in schema.attributes]
-        else:
-            sql = render_query(query, self._database.schema)
-            schema = result_schema(query, self._database, name=name)
-            column_types = [a.type for a in schema.attributes]
-        rows = self.execute_sql(sql)
+        schema = result_schema(query, self._database, name=name)
+        column_types = [a.type for a in schema.attributes]
+        rows = self.execute_sql(render_query(query, self._database.schema))
         result = Relation(schema)
         for row in rows:
             result.insert([self._decode_value(v, t) for v, t in zip(row, column_types)])
@@ -105,7 +99,7 @@ class SQLiteBackend:
 
 
 def cross_check(
-    query: SPJQuery | SPJUQuery,
+    query: SPJQuery,
     database: Database,
     *,
     backend: SQLiteBackend | None = None,

@@ -82,12 +82,6 @@ def _round_one(name: str, scale: float, count: int | None) -> tuple[TupleClassSp
     return _ROUND_ONE[name]
 
 
-def _skyline_fields(result) -> dict:
-    fields = dict(vars(result))
-    fields.pop("elapsed_seconds")
-    return fields
-
-
 def _cases(cases, *, slow: bool):
     marks = [pytest.mark.slow] if slow else []
     return [pytest.param(case, id=case[0], marks=marks) for case in cases]
@@ -131,8 +125,7 @@ def test_skyline_matches_reference(case, cap):
     config = _CAPS[cap]
     engine = skyline_stc_dtc_pairs(space, config, result_arity=arity)
     reference = reference_skyline(space, config, result_arity=arity)
-    assert _skyline_fields(engine) == _skyline_fields(reference)
-    assert engine.truncated_by == reference.truncated_by
+    assert engine == reference
 
 
 # ------------------------------------------------------------------ effects
@@ -245,9 +238,7 @@ def test_fresh_block_dnf_and_true_predicates_match_reference(drawn):
 
     config = _CAPS["default"]
     skyline = skyline_stc_dtc_pairs(space, config, result_arity=arity)
-    assert _skyline_fields(skyline) == _skyline_fields(
-        reference_skyline(space, config, result_arity=arity)
-    )
+    assert skyline == reference_skyline(space, config, result_arity=arity)
     engine = PairSetSimulator(space, result_arity=arity)
     for size in (1, 2):
         for pairs in itertools.combinations(skyline.pairs[:8], size):

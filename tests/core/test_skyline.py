@@ -19,7 +19,6 @@ class TestSkyline:
         result = skyline_stc_dtc_pairs(employee_space, QFEConfig(), result_arity=1)
         assert result.pair_count >= 1
         assert result.enumerated_pairs >= result.pair_count
-        assert result.elapsed_seconds >= 0
 
     def test_pairs_have_minimum_balance(self, employee_space):
         result = skyline_stc_dtc_pairs(employee_space, QFEConfig(), result_arity=1)

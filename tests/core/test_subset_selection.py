@@ -54,7 +54,6 @@ class TestPickSubset:
         space, skyline = employee_setup
         selection = pick_stc_dtc_subset(space, skyline.pairs, QFEConfig(), result_arity=1)
         assert selection.sets_evaluated >= len(skyline.pairs)
-        assert selection.elapsed_seconds >= 0
 
     def test_alternative_score_prefers_more_subsets(self, employee_setup):
         space, skyline = employee_setup

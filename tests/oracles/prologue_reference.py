@@ -204,8 +204,7 @@ def reference_skyline(
 ) -> SkylineResult:
     """Algorithm 3 with one simulated effect per enumerated pair."""
     simulator = ReferencePairSetSimulator(space, result_arity=result_arity)
-    started = perf_counter()
-    deadline = started + config.delta_seconds
+    deadline = perf_counter() + config.delta_seconds
     pairs: list[ClassPair] = []
     balances: dict[ClassPair, float] = {}
     min_balance = float("inf")
@@ -251,7 +250,6 @@ def reference_skyline(
         pairs=pairs,
         pair_balances={p: balances[p] for p in pairs},
         enumerated_pairs=enumerated,
-        elapsed_seconds=perf_counter() - started,
         truncated_by_time=truncated_time,
         truncated_by_cap=truncated_cap,
         most_balanced_binary_x=best_binary_x,
@@ -269,7 +267,6 @@ def reference_pick_subset(
 ) -> SubsetSelectionResult:
     """Algorithm 4 with one simulated effect and cost per evaluated pair set."""
     simulator = ReferencePairSetSimulator(space, result_arity=result_arity)
-    started = perf_counter()
     pairs = list(skyline_pairs)
     sets_evaluated = 0
     best_sets: list[tuple[frozenset[int], PairSetEffect, CostBreakdown]] = []
@@ -314,9 +311,8 @@ def reference_pick_subset(
             next_frontier.sort(key=lambda item: item[1].balance)
             next_frontier = next_frontier[: config.max_sets_per_level]
         frontier = next_frontier
-    elapsed = perf_counter() - started
     if not best_sets:
-        return SubsetSelectionResult((), None, None, sets_evaluated, elapsed)
+        return SubsetSelectionResult((), None, None, sets_evaluated)
     best_sets.sort(key=lambda item: (item[1].balance, sorted(item[0])))
     chosen_indexes, chosen_effect, chosen_cost = best_sets[0]
     return SubsetSelectionResult(
@@ -324,5 +320,4 @@ def reference_pick_subset(
         chosen_effect,
         chosen_cost,
         sets_evaluated,
-        elapsed,
     )

@@ -55,7 +55,6 @@ class TestGeneratorOnEmployee:
         assert report is not None
         assert report.candidate_count > 0
         assert report.join_schemas_tried >= 1
-        assert report.elapsed_seconds >= 0
 
     def test_impossible_result_raises(self, employee_db):
         impossible = Relation.from_rows("R", ["Employee.name"], [["Nobody"]])

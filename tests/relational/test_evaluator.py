@@ -1,4 +1,4 @@
-"""Unit tests for SPJ/SPJU evaluation, result schemas and the join cache."""
+"""Unit tests for SPJ evaluation, result schemas and the join cache."""
 
 import pytest
 from hypothesis import given
@@ -16,7 +16,7 @@ from repro.relational.evaluator import (
 )
 from repro.relational.join import foreign_key_join, full_join
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
-from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.query import SPJQuery
 from repro.relational.relation import Relation
 
 
@@ -167,24 +167,6 @@ class TestFingerprintProperties:
             result_fingerprint(left, set_semantics=True)
             == result_fingerprint(right, set_semantics=True)
         ) == left.set_equal(right)
-
-
-class TestUnionQueries:
-    def test_union_all_concatenates(self, two_table_db):
-        branch = SPJQuery(["Dept"], ["Dept.dname"])
-        union = SPJUQuery([branch, branch])
-        assert len(evaluate(union, two_table_db)) == 6
-
-    def test_union_distinct(self, two_table_db):
-        branch = SPJQuery(["Dept"], ["Dept.dname"])
-        union = SPJUQuery([branch, branch], distinct=True)
-        assert len(evaluate(union, two_table_db)) == 3
-
-    def test_union_arity_mismatch_rejected(self, two_table_db):
-        with pytest.raises(UnsupportedQueryError):
-            SPJUQuery(
-                [SPJQuery(["Dept"], ["Dept.dname"]), SPJQuery(["Dept"], ["Dept.dname", "Dept.budget"])]
-            )
 
 
 class TestJoinCache:

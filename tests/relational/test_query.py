@@ -1,10 +1,10 @@
-"""Unit tests for SPJQuery / SPJUQuery value objects."""
+"""Unit tests for SPJQuery value objects."""
 
 import pytest
 
-from repro.exceptions import SchemaError, UnsupportedQueryError
+from repro.exceptions import SchemaError
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
-from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.query import SPJQuery
 
 
 class TestSPJQueryConstruction:
@@ -80,28 +80,3 @@ class TestSPJQueryValidation:
         assert text.startswith("SELECT")
         assert "WHERE" in text
 
-
-class TestSPJUQuery:
-    def test_requires_branches(self):
-        with pytest.raises(SchemaError):
-            SPJUQuery([])
-
-    def test_arity_must_match(self):
-        with pytest.raises(UnsupportedQueryError):
-            SPJUQuery([SPJQuery(["T"], ["T.a"]), SPJQuery(["T"], ["T.a", "T.b"])])
-
-    def test_equality_ignores_branch_order(self):
-        a = SPJQuery(["T"], ["T.a"], DNFPredicate.from_terms([Term("T.a", ComparisonOp.EQ, 1)]))
-        b = SPJQuery(["T"], ["T.a"], DNFPredicate.from_terms([Term("T.a", ComparisonOp.EQ, 2)]))
-        assert SPJUQuery([a, b]) == SPJUQuery([b, a])
-
-    def test_validate_branches(self, two_table_db):
-        good = SPJQuery(["Emp"], ["Emp.ename"])
-        bad = SPJQuery(["Emp"], ["Emp.nope"])
-        SPJUQuery([good]).validate(two_table_db.schema)
-        with pytest.raises(SchemaError):
-            SPJUQuery([good, bad]).validate(two_table_db.schema)
-
-    def test_str_mentions_union(self, two_table_db):
-        branch = SPJQuery(["Emp"], ["Emp.ename"])
-        assert "UNION" in str(SPJUQuery([branch, branch]))

@@ -3,6 +3,7 @@
 import http.client
 import socket
 import statistics
+import threading
 import time
 
 import pytest
@@ -162,6 +163,28 @@ class TestPlumbing:
         assert service.delete_session(sid) == {"deleted": sid}
         with pytest.raises(ServiceClientError) as excinfo:
             service.delete_session(sid)
+        assert excinfo.value.status == 404
+
+    def test_a_delete_waits_for_the_round_in_flight(self, service, monkeypatch):
+        sid = service.create_session("Q2", **_SPEC)["session_id"]
+        entered = threading.Event()
+        propose = QFESession.propose
+
+        def slow_propose(session):
+            entered.set()
+            time.sleep(0.3)
+            return propose(session)
+
+        monkeypatch.setattr(QFESession, "propose", slow_propose)
+        proposing = threading.Thread(target=service.get_round, args=(sid,))
+        proposing.start()
+        assert entered.wait(timeout=30)
+        assert service.delete_session(sid) == {"deleted": sid}
+        proposing.join(timeout=30)
+        assert not proposing.is_alive()
+        # The round's checkpoint landed before the delete: nothing resumes it.
+        with pytest.raises(ServiceClientError) as excinfo:
+            service.get_round(sid)
         assert excinfo.value.status == 404
 
 

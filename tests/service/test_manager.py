@@ -1,5 +1,6 @@
 """Unit tests for the SessionManager: multiplexing, passivation, metrics."""
 
+import sys
 import threading
 import time
 
@@ -7,7 +8,8 @@ import pytest
 
 from repro.core.feedback import WorstCaseSelector
 from repro.core.session import QFESession
-from repro.exceptions import ServiceError, SessionNotFound
+from repro.exceptions import CheckpointError, ServiceError, SessionNotFound
+from repro.service import manager as manager_module
 from repro.service.checkpoint import session_transcript, transcript_json
 from repro.service.manager import SessionManager, workload_session_inputs
 from repro.service.store import InMemorySessionStore
@@ -18,14 +20,49 @@ _Q2 = {"workload": "Q2", "scale": 0.03}
 
 def _drive_managed(manager, session_id):
     """Drive a managed session to completion with worst-case choices."""
-    selector = WorstCaseSelector()
-    while True:
-        _, pending = manager.get_round(session_id)
-        if pending is None:
-            return
-        manager.submit_choice(
-            session_id, selector.select(pending.round, pending.partition)
-        )
+    while _step_managed(manager, session_id):
+        pass
+
+
+def _step_managed(manager, session_id) -> bool:
+    """One round with a worst-case choice; False once the session has finished."""
+    _, pending = manager.get_round(session_id)
+    if pending is None:
+        return False
+    choice = WorstCaseSelector().select(pending.round, pending.partition)
+    manager.submit_choice(session_id, choice)
+    return True
+
+
+def _reference_transcript(q2_inputs, candidates) -> str:
+    """The transcript of an uninterrupted in-process run over *candidates*."""
+    database, result, _, _ = q2_inputs
+    reference = QFESession(database, result, candidates=candidates)
+    reference.run(WorstCaseSelector())
+    return transcript_json(session_transcript(reference, workload="Q2"))
+
+
+class _CountingStore(InMemorySessionStore):
+    """An in-memory store that records the session id of every put."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.puts: list[str] = []
+
+    def put(self, session_id: str, blob: bytes) -> None:
+        self.puts.append(session_id)
+        super().put(session_id, blob)
+
+
+def _slowed(function, entered: threading.Event, seconds: float = 0.3):
+    """*function*, delayed by *seconds* after setting *entered*."""
+
+    def slow(*args, **kwargs):
+        entered.set()
+        time.sleep(seconds)
+        return function(*args, **kwargs)
+
+    return slow
 
 
 @pytest.fixture()
@@ -47,10 +84,8 @@ def q2_candidates(q2_inputs):
 
 class TestLifecycle:
     def test_session_matches_direct_run_bit_identically(self, manager, q2_inputs):
-        database, result, _, candidates = q2_inputs
-        reference = QFESession(database, result, candidates=candidates)
-        reference.run(WorstCaseSelector())
-        expected = transcript_json(session_transcript(reference, workload="Q2"))
+        candidates = q2_inputs[3]
+        expected = _reference_transcript(q2_inputs, candidates)
 
         managed = manager.create_session(**_Q2, candidates=candidates)
         _drive_managed(manager, managed.session_id)
@@ -82,6 +117,12 @@ class TestLifecycle:
         manager.create_session(**_Q2, candidates=q2_candidates, session_id="fixed")
         with pytest.raises(ServiceError):
             manager.create_session(**_Q2, candidates=q2_candidates, session_id="fixed")
+
+    def test_a_create_the_store_refuses_registers_nothing(self, manager, q2_candidates):
+        with pytest.raises(CheckpointError, match="invalid session id"):
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="no spaces")
+        assert manager.session_ids() == []
+        assert manager.metrics()["sessions_created"] == 0
 
     def test_create_requires_workload_or_pair(self, manager):
         with pytest.raises(ServiceError):
@@ -117,6 +158,20 @@ class TestPassivationAndResume:
             assert manager.metrics()["sessions_resumed"] == 1
             _drive_managed(manager, "a")
             assert manager.transcript("a")["status"] == "converged"
+
+    def test_the_id_of_a_passivated_session_stays_taken(self, q2_inputs):
+        candidates = q2_inputs[3]
+        with SessionManager(max_live_sessions=1) as manager:
+            manager.create_session(**_Q2, candidates=candidates, session_id="a")
+            _step_managed(manager, "a")
+            manager.create_session(**_Q2, candidates=candidates, session_id="b")
+            assert manager.session_ids() == ["b"]  # "a" lives only in the store
+            with pytest.raises(ServiceError, match="already exists"):
+                manager.create_session(**_Q2, candidates=candidates[:3], session_id="a")
+            # "a"'s checkpoint was not overwritten: it resumes where it was.
+            _drive_managed(manager, "a")
+            expected = _reference_transcript(q2_inputs, candidates)
+            assert transcript_json(manager.transcript("a")) == expected
 
     def test_a_resumed_session_rejoins_its_pair_join_cache(self):
         store = InMemorySessionStore()
@@ -156,13 +211,43 @@ class TestPassivationAndResume:
             assert all(round_.database is resumed.pair.database for round_ in rounds)
             assert resumed.session.database is resumed.pair.database
 
-    def test_capacity_without_store_is_refused(self, q2_candidates):
+    def test_without_a_store_sessions_passivate_into_memory(self, q2_inputs):
+        candidates = q2_inputs[3]
+        specs = {"a": candidates, "b": candidates[:4]}
+        references = {name: _reference_transcript(q2_inputs, c) for name, c in specs.items()}
         with SessionManager(max_live_sessions=1) as manager:
+            for name, session_candidates in specs.items():
+                manager.create_session(**_Q2, candidates=session_candidates, session_id=name)
+            # One step each in turn: every request on the other session
+            # resumes it from the in-memory store and passivates this one.
+            running = list(specs)
+            while running:
+                running = [name for name in running if _step_managed(manager, name)]
+            for name in specs:
+                assert transcript_json(manager.transcript(name)) == references[name]
+            metrics = manager.metrics()
+        assert metrics["sessions_resumed"] >= metrics["rounds_served"] - 1
+        assert (
+            metrics["sessions_created"] + metrics["sessions_resumed"]
+            - metrics["sessions_passivated"]
+        ) == metrics["active_sessions"] == 1
+
+    @pytest.mark.parametrize("bound", ["max_sessions", "ttl_seconds"])
+    def test_a_session_the_store_dropped_is_gone_once_it_passivates(
+        self, q2_candidates, bound
+    ):
+        now = [0.0]
+        store = InMemorySessionStore(**{bound: 1}, clock=lambda: now[0])
+        with SessionManager(store=store, max_live_sessions=1) as manager:
             manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
-            with pytest.raises(ServiceError, match="capacity"):
-                manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
-            # The refused session is not half-registered.
-            assert manager.session_ids() == ["a"]
+            now[0] = 2.0  # past the TTL of "a"'s only checkpoint
+            # "b" passivates "a" without a write, and "b"'s checkpoint evicts
+            # (or outlives) "a"'s: the store's bounds decide who survives.
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
+            assert manager.session_ids() == ["b"]
+            assert store.ids() == ["b"]
+            with pytest.raises(SessionNotFound):
+                manager.get_round("a")
 
     def test_manager_restart_resumes_workload_sessions(self):
         store = InMemorySessionStore()
@@ -171,8 +256,9 @@ class TestPassivationAndResume:
                 workload="Q2", scale=0.03, candidate_count=6, session_id="q2s"
             )
             manager.get_round("q2s")
-        # close() checkpointed the live session; a fresh manager (fresh
-        # process, conceptually) resumes it from the workload reference.
+        # The round's step stored the session and close() wrote nothing; a
+        # fresh manager (fresh process, conceptually) resumes it from the
+        # workload reference.
         with SessionManager(store=store) as manager2:
             assert manager2.session_ids() == []
             _, pending = manager2.get_round("q2s")
@@ -181,6 +267,133 @@ class TestPassivationAndResume:
             transcript = manager2.transcript("q2s")
             assert transcript["status"] in ("converged", "exhausted", "stalled")
             assert transcript["workload"] == "Q2"
+
+
+class TestSingleWriter:
+    def test_only_completed_steps_write_checkpoints(self, q2_candidates):
+        store = _CountingStore()
+        manager = SessionManager(store=store, max_live_sessions=1)
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
+        assert store.puts == ["a", "b"]  # two creates; "a" passivated unwritten
+        _, pending = manager.get_round("a")  # resume "a", passivate "b"
+        manager.get_round("a")  # the same pending round: no step
+        manager.transcript("a")  # a read: no step
+        manager.submit_choice("a", WorstCaseSelector().select(pending.round, pending.partition))
+        manager.get_round("b")  # resume "b", passivate "a"
+        assert store.puts == ["a", "b", "a", "a", "b"]
+        metrics = manager.metrics()
+        assert metrics["checkpoints_written"] == len(store.puts)
+        assert metrics["sessions_passivated"] == 3
+        manager.close()
+        assert len(store.puts) == 5  # shutdown drops "b" without a write
+
+    def test_a_delete_waits_for_the_step_in_flight(self, manager, q2_candidates, monkeypatch):
+        managed = manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
+        _, pending = manager.get_round("a")
+        choice = WorstCaseSelector().select(pending.round, pending.partition)
+        entered = threading.Event()
+        monkeypatch.setattr(managed.session, "submit", _slowed(managed.session.submit, entered))
+        stepping = threading.Thread(target=manager.submit_choice, args=("a", choice))
+        stepping.start()
+        assert entered.wait(timeout=30)
+        assert manager.delete_session("a") is True
+        stepping.join(timeout=30)
+        assert not stepping.is_alive()
+        # The step's checkpoint landed before the delete removed it.
+        assert "a" not in manager.store
+        with pytest.raises(SessionNotFound):
+            manager.get_round("a")
+        assert manager.delete_session("a") is False
+
+    def test_deleting_a_passivated_session_removes_its_checkpoint(self, q2_candidates):
+        with SessionManager(max_live_sessions=1) as manager:
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
+            assert manager.session_ids() == ["b"]  # "a" lives only in the store
+            assert manager.delete_session("a") is True
+            assert manager.store.ids() == ["b"]
+            with pytest.raises(SessionNotFound):
+                manager.get_round("a")
+            assert manager.delete_session("a") is False
+
+    def test_a_delete_during_a_resume_is_final(self, q2_candidates, monkeypatch):
+        with SessionManager(store=InMemorySessionStore(), max_live_sessions=1) as manager:
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
+            manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
+            entered = threading.Event()
+            monkeypatch.setattr(
+                manager_module,
+                "restore_checkpoint",
+                _slowed(manager_module.restore_checkpoint, entered),
+            )
+            outcomes = []
+
+            def resume() -> None:
+                try:
+                    manager.get_round("a")
+                    outcomes.append("served")
+                except SessionNotFound:
+                    outcomes.append("not found")
+
+            resuming = threading.Thread(target=resume)
+            resuming.start()
+            assert entered.wait(timeout=30)
+            assert manager.delete_session("a") is True
+            resuming.join(timeout=30)
+            assert not resuming.is_alive()
+            assert outcomes == ["not found"]
+            assert manager.session_ids() == ["b"]
+            with pytest.raises(SessionNotFound):
+                manager.get_round("a")
+
+    def test_racing_steps_passivations_and_deletes_keep_the_store_exact(self, q2_inputs):
+        candidates = q2_inputs[3]
+        reference = _reference_transcript(q2_inputs, candidates)
+        ids = [f"u{index}" for index in range(6)]
+        doomed = set(ids[::2])
+        stepped = {sid: threading.Event() for sid in ids}
+        errors: list[BaseException] = []
+
+        def drive(sid: str) -> None:
+            try:
+                while _step_managed(manager, sid):
+                    stepped[sid].set()
+            except SessionNotFound:
+                if sid not in doomed:
+                    raise
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+            finally:
+                stepped[sid].set()
+
+        def delete(sid: str) -> None:
+            stepped[sid].wait(timeout=30)
+            manager.delete_session(sid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SessionManager(max_live_sessions=2) as manager:
+                for sid in ids:
+                    manager.create_session(**_Q2, candidates=candidates, session_id=sid)
+                threads = [threading.Thread(target=drive, args=(sid,)) for sid in ids]
+                threads += [threading.Thread(target=delete, args=(sid,)) for sid in doomed]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+                survivors = sorted(set(ids) - doomed)
+                assert sorted(manager.store.ids()) == survivors
+                for sid in doomed:
+                    with pytest.raises(SessionNotFound):
+                        manager.get_round(sid)
+                for sid in survivors:
+                    assert transcript_json(manager.transcript(sid)) == reference
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPairPruning:

@@ -158,6 +158,17 @@ class TestFileStore:
         assert store.ids() == []
         assert not stale.exists()
 
+    def test_membership_reads_one_file_and_honours_the_ttl(self, tmp_path, monkeypatch):
+        clock = FakeClock(now=1_000_000.0)
+        store = FileSessionStore(tmp_path, ttl_seconds=60.0, clock=clock)
+        store.put("s1", b"1")
+        monkeypatch.setattr(FileSessionStore, "ids", lambda self: pytest.fail("listed ids"))
+        assert "s1" in store
+        assert "s2" not in store
+        stale = tmp_path / f"s1{CHECKPOINT_SUFFIX}"
+        os.utime(stale, (clock.now - 120, clock.now - 120))
+        assert "s1" not in store
+
     def test_get_refreshes_recency(self, tmp_path):
         store = FileSessionStore(tmp_path, max_sessions=2)
         store.put("a", b"1")

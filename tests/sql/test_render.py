@@ -1,9 +1,9 @@
 """Unit tests for SQL rendering (and parse → render → parse round trips)."""
 
 from repro.relational.predicates import ComparisonOp, Conjunct, DNFPredicate, Term
-from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.query import SPJQuery
 from repro.sql.parser import parse_query
-from repro.sql.render import render_predicate, render_query, render_union, render_value
+from repro.sql.render import render_predicate, render_query, render_value
 
 
 class TestRenderValue:
@@ -111,11 +111,6 @@ class TestRenderQuery:
     def test_no_where_clause_for_true_predicate(self):
         sql = render_query(SPJQuery(["T"], ["T.a"]))
         assert "WHERE" not in sql
-
-    def test_union_rendering(self):
-        branch = SPJQuery(["T"], ["T.a"])
-        assert "UNION ALL" in render_union(SPJUQuery([branch, branch]))
-        assert "UNION ALL" not in render_union(SPJUQuery([branch, branch], distinct=True))
 
 
 class TestRoundTrip:

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import EvaluationError
 from repro.relational.evaluator import evaluate
 from repro.relational.predicates import ComparisonOp, DNFPredicate, Term
-from repro.relational.query import SPJQuery, SPJUQuery
+from repro.relational.query import SPJQuery
 from repro.sql.sqlite_backend import SQLiteBackend, cross_check
 from repro.workloads import scientific_queries
 
@@ -29,12 +29,6 @@ class TestSQLiteBackend:
         with SQLiteBackend(two_table_db) as backend:
             values = {row[0] for row in backend.execute(query).rows()}
         assert values == {True}
-
-    def test_union_execution(self, two_table_db):
-        branch = SPJQuery(["Dept"], ["Dept.dname"])
-        union = SPJUQuery([branch, branch])
-        with SQLiteBackend(two_table_db) as backend:
-            assert len(backend.execute(union)) == 6
 
     def test_invalid_sql_raises(self, two_table_db):
         with SQLiteBackend(two_table_db) as backend:
