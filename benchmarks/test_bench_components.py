@@ -302,9 +302,9 @@ def test_bench_min_edit_on_modified_relation(benchmark, scientific_setup):
     assert cost == 1
 
 
-# δ is off in both prologue benchmarks, so they time the enumeration's work
-# rather than the clock: a clock-stopped skyline would end after about δ
-# seconds however fast each pair is.
+# δ is off in both prologue benchmarks (a budget of 10^12 pairs), so they
+# time the whole enumeration: a budget-cut skyline would stop at a fixed
+# pair count however the rest of the round grew.
 _DELTA_OFF = QFEConfig(delta_seconds=1e6)
 
 

@@ -30,7 +30,7 @@ echo "== differential: tracing on vs off is bit-identical (Q1-Q6) =="
 python -m pytest -q tests/integration/test_trace_differential.py -m ""
 
 echo
-echo "== differential: resume by verified replay at every round is bit-identical to uninterrupted runs (Q1-Q6); clock-cut rounds replay by their logged pair counts =="
+echo "== differential: resume by verified replay at every round is bit-identical to uninterrupted runs (Q1-Q6); a budget-cut round replays exactly; a fast clock changes no transcript =="
 python -m pytest -q tests/integration/test_service_differential.py -m ""
 
 echo

@@ -44,8 +44,8 @@ from repro.service.manager import workload_session_inputs  # noqa: E402
 WORKLOAD = "Q2"
 SCALE = 0.03
 CANDIDATES = 8
-# A generous Algorithm 3 budget so skyline enumeration never truncates on
-# wall-clock time — the one legitimately nondeterministic input.
+# The δ a client sends: a 30,000,000-pair Algorithm 3 budget, which no
+# round of these sessions reaches.
 DELTA_SECONDS = 30.0
 PORT = int(os.environ.get("QFE_SMOKE_PORT", "8655"))
 
@@ -106,8 +106,8 @@ def stop(server: subprocess.Popen) -> None:
 
 def passivation_leg(*store_flags: str) -> int:
     """Two sessions under ``--max-live-sessions 1``, one step each in turn."""
-    # The second session keeps the default config: every service session
-    # created without delta_seconds runs under the wall-clock δ.
+    # The second session keeps the default config (δ = 1 s, a 1,000,000-pair
+    # budget), so a sent config and the default one both resume by replay.
     specs = {
         "a": (CANDIDATES, {"delta_seconds": DELTA_SECONDS}),
         "b": (CANDIDATES - 2, None),

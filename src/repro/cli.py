@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scale", type=float, default=0.1, help="scale for built-in datasets")
     parser.add_argument("--max-candidates", type=int, default=40, help="candidate-set size cap")
-    parser.add_argument("--delta", type=float, default=1.0, help="Algorithm 3 time threshold (s)")
+    parser.add_argument(
+        "--delta", type=float, default=1.0,
+        help="Algorithm 3 budget in reference seconds (1 s = 1,000,000 enumerated pairs)",
+    )
     parser.add_argument("--beta", type=float, default=1.0, help="relation-count scale factor β")
     parser.add_argument(
         "--transcript-out", type=str, default=None, metavar="PATH",

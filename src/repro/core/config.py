@@ -1,7 +1,8 @@
 """Configuration of the QFE interaction loop and Database Generator.
 
 The paper exposes two tunables — the relation-count scale factor ``β`` of
-Equation (3) and the time threshold ``δ`` bounding Algorithm 3 — and fixes a
+Equation (3) and the threshold ``δ`` bounding Algorithm 3, which here buys a
+fixed number of enumerated pairs instead of wall-clock time — and fixes a
 number of behavioural choices (worst-case automated feedback, refined
 iteration estimate, side-effect-aware costing). :class:`QFEConfig` captures
 all of them so experiments can vary each independently.
@@ -69,8 +70,10 @@ class QFEConfig:
         modifications one additional modified *relation* is worth. The paper's
         default is 1.
     delta_seconds:
-        The time threshold ``δ`` bounding Algorithm 3 (skyline enumeration).
-        The paper's default is 1 second.
+        The threshold ``δ`` bounding Algorithm 3 (skyline enumeration) in
+        reference seconds: each buys 1,000,000 enumerated (STC, DTC) pairs
+        (:data:`repro.core.skyline.PAIRS_PER_DELTA_SECOND`), and no clock is
+        read. The paper's default is 1 second, of wall-clock time there.
     iteration_estimator:
         Whether the cost model uses the naive Equation (6) or the refined
         Equations (7)–(9) estimate of remaining iterations.
@@ -126,8 +129,8 @@ class QFEConfig:
             if isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be a number, not a bool")
         # Both meet float arithmetic in every round (Equation 3's cost, the
-        # skyline deadline), so NaN, infinity and an integer beyond the float
-        # range are refused here rather than failing or leaking there.
+        # skyline's pair budget), so NaN, infinity and an integer beyond the
+        # float range are refused here rather than failing or leaking there.
         if not (_is_finite(self.beta) and self.beta >= 0):
             raise ValueError("beta must be a finite non-negative number")
         if not (_is_finite(self.delta_seconds) and self.delta_seconds > 0):

@@ -26,9 +26,8 @@ inside ``round.prepare`` next to the tuple-class space's ``round.space``;
 the database-modification step is ``round.search`` (one ``round.attempt``
 per scored attempt) plus ``round.materialize``. A computed prologue tags
 those spans with its figures and adds them to the ``qfe_prologue_*``
-counters and ``qfe_skyline_truncations``, once per round.
-A replayed round passes ``pair_budget``, the (STC, DTC) pairs its skyline
-enumerated when it first ran, and its ``round.skyline`` span carries it.
+counters and ``qfe_skyline_truncations``, once per round. ``round.prepare``
+carries ``replay``: whether a resumed session is re-planning the round.
 """
 
 from __future__ import annotations
@@ -104,10 +103,10 @@ class PrologueStats(RegistryStats):
 PROLOGUE_STATS = PrologueStats()
 
 #: Skyline enumerations that ended early, labelled by what ended them
-#: (``SkylineResult.truncated_by``: ``time`` or ``cap``).
+#: (``SkylineResult.truncated_by``: ``time``, δ's pair budget, or ``cap``).
 SKYLINE_TRUNCATIONS = REGISTRY.counter(
     "qfe_skyline_truncations",
-    "Skyline enumerations ended early, by what ended them (time or cap).",
+    "Skyline enumerations ended early, by what ended them (time: delta's pair budget; cap).",
     labels=("by",),
 )
 
@@ -197,7 +196,7 @@ class RoundPlanner:
         result: Relation,
         queries: Sequence[SPJQuery],
         *,
-        pair_budget: int | None = None,
+        replay: bool = False,
     ) -> RoundPlan:
         """Plan one round: join → tuple-class space → skyline → subset → attempts.
 
@@ -211,16 +210,16 @@ class RoundPlanner:
         the ``round.skyline`` nor the ``round.subset`` span, so it reports
         0.0 s for both algorithms (the time actually spent), and sets
         ``memo_hit`` on its ``round.prepare`` span. A planner with a custom
-        ``score`` neither reads nor writes the memo. With a ``pair_budget``
-        the skyline enumerates exactly that many pairs, a memo entry is used
-        only when it enumerated that many (else the round is planned anew and
-        the entry stays), and a new prologue is kept only where it evicts none.
+        ``score`` neither reads nor writes the memo. A ``replay`` (a resumed
+        session re-planning a round it planned before) is planned exactly like
+        a live round, but a prologue it computes is kept only where it evicts
+        no entry, and its ``round.prepare`` span carries ``replay=True``.
         """
         if len(queries) < 2:
             raise DatabaseGenerationError("need at least two candidate queries to distinguish")
         self.enumerated_pairs = 0
-        with get_tracer().span("round.prepare", candidates=len(queries)) as span:
-            return self._prepare_round(original, result, tuple(queries), span, pair_budget)
+        with get_tracer().span("round.prepare", candidates=len(queries), replay=replay) as span:
+            return self._prepare_round(original, result, tuple(queries), span, replay)
 
     def _prepare_round(
         self,
@@ -228,7 +227,7 @@ class RoundPlanner:
         result: Relation,
         queries: tuple[SPJQuery, ...],
         span,
-        pair_budget: int | None,
+        replay: bool,
     ) -> RoundPlan:
         # Join only the relations the candidates actually reference (Section 5
         # assumes a shared join schema; this also keeps databases with
@@ -264,8 +263,6 @@ class RoundPlanner:
         # prologue is neither replayed nor kept.
         memo = self.join_cache.memo_for(original, referenced) if self.score is None else None
         prologue = memo.get(body) if memo is not None else None
-        if prologue is not None and pair_budget not in (None, prologue.skyline.enumerated_pairs):
-            prologue = None  # a replay reuses only a prologue of its budget
         skyline_seconds = selection_seconds = 0.0
         if memo is not None:
             span.set(memo_hit=prologue is not None)
@@ -294,7 +291,6 @@ class RoundPlanner:
                     self.config,
                     result_arity=result_arity,
                     simulator=simulator,
-                    pair_budget=pair_budget,
                 )
                 skyline_span.set(
                     enumerated_pairs=skyline.enumerated_pairs,
@@ -302,8 +298,6 @@ class RoundPlanner:
                     pairs=skyline.pair_count,
                     truncated_by=skyline.truncated_by,
                 )
-                if pair_budget is not None:
-                    skyline_span.set(pair_budget=pair_budget)
             skyline_seconds = skyline_span.duration_s
             self.enumerated_pairs = skyline.enumerated_pairs
             PROLOGUE_STATS.add(
@@ -347,7 +341,7 @@ class RoundPlanner:
             prologue = _Prologue(space, skyline, selection, tuple(attempts))
             if memo is not None:
                 PLAN_MEMO_STATS.add(memo_misses=1)
-                if memo.setdefault(body, prologue) is prologue and pair_budget is not None:
+                if memo.setdefault(body, prologue) is prologue and replay:
                     memo.move_to_end(body, last=False)  # a replay only fills free room
                 while len(memo) > PLAN_MEMO_LIMIT:
                     memo.popitem(last=False)
@@ -373,11 +367,11 @@ class RoundPlanner:
         result: Relation,
         queries: Sequence[SPJQuery],
         *,
-        pair_budget: int | None = None,
+        replay: bool = False,
     ) -> DatabaseGenerationResult:
         """Produce the ``D'`` (as a delta over *original*) distinguishing *queries*;
         raises if no modification helps."""
-        plan = self.prepare_round(original, result, queries, pair_budget=pair_budget)
+        plan = self.prepare_round(original, result, queries, replay=replay)
         tracer = get_tracer()
         with tracer.span("round.search", attempts=len(plan.attempts)) as search_span:
             outcomes = SerialBackend().run_attempts(plan, self.join_cache)

@@ -18,8 +18,8 @@ session exposes two explicit steps:
 
 Between the two calls the session is *suspended*, and its inputs plus
 :attr:`QFESession.log`, the calls that changed it, are all it is:
-:meth:`QFESession.replay` re-applies a log to a fresh session (each round
-enumerating the (STC, DTC) pairs it enumerated the first time), which is how
+:meth:`QFESession.replay` re-applies a log to a fresh session, checking
+that each call reproduces its entry, which is how
 :mod:`repro.service.checkpoint` resumes sessions. The blocking
 :meth:`QFESession.run` wraps propose/submit with identical transcripts.
 
@@ -336,9 +336,9 @@ class QFESession:
         surviving candidates cannot be distinguished (``exhausted``), or the
         iteration budget ran out — at which point :attr:`outcome` is final.
         """
-        return self._propose(None)
+        return self._propose()
 
-    def _propose(self, pair_budget: int | None, *, plan: bool = True) -> PendingRound | None:
+    def _propose(self, *, replay: bool = False, plan: bool = True) -> PendingRound | None:
         if self._pending is not None:
             return self._pending
         if self._done:
@@ -358,7 +358,7 @@ class QFESession:
         ) as propose_span:
             try:
                 generation = self._planner.plan_round(
-                    self.database, self.result, candidates, pair_budget=pair_budget
+                    self.database, self.result, candidates, replay=replay
                 )
             except DatabaseGenerationError:
                 generation = None
@@ -460,20 +460,20 @@ class QFESession:
     def replay(self, log: Sequence[Sequence]) -> None:
         """Re-apply a recorded :attr:`log` to this fresh session.
 
-        A round enumerates exactly its logged number of (STC, DTC) pairs and
-        never reads the clock, so a round that ``δ`` cut replays exactly.
-        Raises :class:`~repro.exceptions.QFESessionError` at the first entry
-        the calls do not reproduce.
+        A round is planned exactly as it was live (Algorithm 3 reads no
+        clock), so its logged pair count is checked, not obeyed. Raises
+        :class:`~repro.exceptions.QFESessionError` at the first entry the
+        calls do not reproduce.
         """
         for position, entry in enumerate(map(tuple, log)):
             kind, *args = entry
             count = args[0] if len(args) == 1 and type(args[0]) is int else None
-            if kind == "round" and count is not None and count >= 0:
-                self._propose(count)
+            if kind == "round" and count is not None:
+                self._propose(replay=True)
             elif kind == "choose" and count is not None:
                 self.submit(count)
             elif entry == ("finish",):
-                self._propose(None, plan=False)
+                self._propose(plan=False)
             if self.log[position:] != [entry]:
                 raise QFESessionError(f"log entry {position}, {entry!r}, does not replay")
 

@@ -15,26 +15,32 @@ each pair's balance is its interned reaction's
 (:meth:`PairSetSimulator.reaction`), so the enumeration calls no predicate
 and builds a :class:`ClassPair` only for the pairs a level keeps.
 
-The enumeration is bounded by the wall-clock threshold ``δ``
-(``config.delta_seconds``) exactly as in the paper — when the budget is
-exhausted the pairs found so far are returned — plus a hard cap on the number
-of returned pairs (``config.max_skyline_pairs``) that Table 5 shows is
-harmless for partitioning quality. A replayed round passes the number of
-pairs the round it replays enumerated instead (``pair_budget``): the
-enumeration then stops at exactly that count and never reads the clock.
+The paper bounds the enumeration by a wall-clock threshold ``δ``
+(``config.delta_seconds``); here ``δ`` buys a fixed amount of work instead:
+at most ``max(1, round(δ · PAIRS_PER_DELTA_SECOND))`` enumerated pairs, the
+pairs found so far being returned once the budget is spent. No clock is read,
+so a round's enumeration depends only on its tuple-class space and config,
+on any machine and under any load. A hard cap on the number of returned pairs
+(``config.max_skyline_pairs``), which Table 5 shows is harmless for
+partitioning quality, bounds the output as well.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
-from time import perf_counter
 
 from repro.core.config import QFEConfig
 from repro.core.modification import ClassPair, PairSetSimulator, Reaction
 from repro.core.tuple_class import TupleClassSpace
 
-__all__ = ["SkylineResult", "skyline_stc_dtc_pairs"]
+__all__ = ["PAIRS_PER_DELTA_SECOND", "SkylineResult", "skyline_stc_dtc_pairs"]
+
+#: Enumerated pairs one second of ``δ`` buys: the rate Algorithm 3's largest
+#: rounds run at on an idle 2-vCPU machine (0.7–1.6 M pairs/s), so the
+#: default ``δ`` = 1 s takes about a second there and longer on a slower one.
+PAIRS_PER_DELTA_SECOND = 1_000_000
 
 
 @dataclass
@@ -54,7 +60,8 @@ class SkylineResult:
     def truncated_by(self) -> str | None:
         """What ended the enumeration early: ``"time"``, ``"cap"`` or ``None``.
 
-        The clock takes precedence: a level the clock cut short may still
+        ``"time"`` means ``δ``'s pair budget ended it: a pair beyond the budget
+        existed. It takes precedence: a level the budget cut short may still
         exceed the cap.
         """
         if self.truncated_by_time:
@@ -88,18 +95,15 @@ def skyline_stc_dtc_pairs(
     *,
     result_arity: int,
     simulator: PairSetSimulator | None = None,
-    pair_budget: int | None = None,
 ) -> SkylineResult:
     """Run Algorithm 3 over the tuple-class space of the current iteration."""
     simulator = simulator or PairSetSimulator(space, result_arity=result_arity)
-    deadline = perf_counter() + config.delta_seconds
+    # δ's pair budget: at least one pair, and sys.maxsize where the product overflows.
+    budget = max(1, round(min(config.delta_seconds * PAIRS_PER_DELTA_SECOND, sys.maxsize)))
     pairs: list[ClassPair] = []
     balances: dict[ClassPair, float] = {}
     min_balance = float("inf")
     enumerated = 0
-    # The enumeration stops when ``enumerated`` reaches ``check_at``: at the
-    # budget, or else at a multiple of 64 once the clock passed the deadline.
-    check_at = 64 if pair_budget is None else pair_budget
     stopped = False
     truncated_cap = False
     projected = simulator.projected_slots
@@ -120,6 +124,9 @@ def skyline_stc_dtc_pairs(
                 changed_projected = sum(1 for slot in slots if slot in projected)
                 table = tables.setdefault((source_queries, changed_projected), {})
                 for choice in itertools.product(*alternatives):
+                    if enumerated == budget:  # a pair beyond the budget exists
+                        stopped = True
+                        break
                     mask = base
                     for _, slot_mask in choice:
                         mask &= slot_mask
@@ -136,11 +143,6 @@ def skyline_stc_dtc_pairs(
                         min_balance = balance
                     elif balance == min_balance and balance != float("inf"):
                         level.append((source, slots, choice))
-                    if enumerated >= check_at:
-                        if pair_budget is not None or perf_counter() > deadline:
-                            stopped = True
-                            break
-                        check_at += 64
                 if stopped:
                     break
             if stopped:
@@ -153,10 +155,7 @@ def skyline_stc_dtc_pairs(
             truncated_cap = True
             pairs = pairs[: config.max_skyline_pairs]
             break
-        if stopped or enumerated == pair_budget:
-            break
-        if pair_budget is None and perf_counter() > deadline:
-            stopped = True
+        if stopped:
             break
 
     # The most balanced *binary* partitioning any enumerated pair makes
@@ -173,7 +172,7 @@ def skyline_stc_dtc_pairs(
         pairs=pairs,
         pair_balances={p: balances[p] for p in pairs},
         enumerated_pairs=enumerated,
-        truncated_by_time=stopped and pair_budget is None,
+        truncated_by_time=stopped,
         truncated_by_cap=truncated_cap,
         most_balanced_binary_x=best_binary_x,
         reaction_keys=len(reactions_seen),

@@ -33,7 +33,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import Sequence
 
-from repro.core.config import QFEConfig
 from repro.core.round_planner import PLAN_MEMO_STATS
 from repro.exceptions import EvaluationError
 from repro.obs.machine import machine_stamp
@@ -56,11 +55,6 @@ __all__ = [
 #: Default output location, resolved against the working directory (the CLI
 #: and CI run from the repository root).
 DEFAULT_BENCH_PATH = Path("benchmarks") / "BENCH_scenarios.json"
-
-#: A generous Algorithm-3 budget: wall-clock truncation of the skyline
-#: enumeration is the one legitimately nondeterministic input, and it is
-#: orthogonal to everything the sweep verifies.
-_SWEEP_CONFIG = QFEConfig(delta_seconds=30.0)
 
 
 class ScenarioDivergenceError(EvaluationError):
@@ -187,7 +181,6 @@ def _session_point(generated, result, candidates, *, workload_name, join_cache):
             result,
             generated.target,
             candidates=candidates,
-            config=_SWEEP_CONFIG,
             feedback="worst",
             workload_name=workload_name,
             scale=generated.scale,

@@ -11,8 +11,9 @@ id, status, iteration, remaining candidates, the example pair's workload
 reference (or ``null``), metadata and the body's ``payload_sha256``. The
 **body** holds the ``QFEConfig`` and ``QBOConfig`` fields, the initial
 candidates, the :attr:`~repro.core.session.QFESession.log` (each round with
-the (STC, DTC) pairs Algorithm 3 enumerated, each accepted choice), the
-sha256 of each presented round (:attr:`~repro.core.feedback.FeedbackRound.sha256`)
+the number of (STC, DTC) pairs Algorithm 3 enumerated, each accepted
+choice), the sha256 of each presented round
+(:attr:`~repro.core.feedback.FeedbackRound.sha256`)
 and ``state_sha256``, a digest of the surviving candidates and canonical
 iteration records the last call left. Candidates are written structurally,
 not as SQL: plain JSON is exact for strings, bools, floats (NaN, ±infinity
@@ -21,10 +22,10 @@ a longer int is ``{"hex": ...}``.
 
 :func:`restore_checkpoint` checks ``payload_sha256`` before parsing the
 body, builds a fresh session from the logged inputs (the config
-constructors validate every field), replays the log — each round enumerates
-exactly its logged pair count and never reads the clock, so a round that
-``δ`` cut replays exactly — and compares the digests. Anything else is
-refused with :class:`~repro.exceptions.CheckpointError`; nothing is
+constructors validate every field), replays the log — each round is planned
+exactly as it was live, since ``δ`` is a pair budget and no clock is read, and
+must reproduce its logged pair count — and compares the digests. Anything
+else is refused with :class:`~repro.exceptions.CheckpointError`; nothing is
 unpickled. Replayed rounds re-measure their timing fields, which the
 canonical transcript excludes.
 

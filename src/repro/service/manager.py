@@ -121,6 +121,8 @@ class ManagedSession:
     scale: float
     last_used: float
     lock: threading.RLock = field(default_factory=threading.RLock)
+    #: Length of the session's log as of its stored checkpoint.
+    stored_log_length: int = 0
 
     @property
     def database_ref(self) -> DatabaseRef:
@@ -348,8 +350,9 @@ class SessionManager:
         concurrent resume of the same id keeps the first winner). The insert
         happens only while the store still holds the checkpoint:
         :meth:`delete_session` removes it under the same lock, so a session
-        deleted during its replay stays deleted.
+        deleted during its replay stays deleted. A closed manager resumes nothing.
         """
+        self._check_open()
         with self._lock:
             managed = self._sessions.get(session_id)
         if managed is not None:
@@ -357,6 +360,7 @@ class SessionManager:
         blob = self.store.get(session_id)  # raises SessionNotFound when absent
         managed = self._restore(session_id, blob)
         with self._lock:
+            self._check_open()
             existing = self._sessions.get(session_id)
             if existing is not None:  # another thread resumed it first
                 return existing
@@ -385,6 +389,7 @@ class SessionManager:
             workload=ref.name,
             scale=float(ref.scale),
             last_used=self._clock(),
+            stored_log_length=len(session.log),
         )
 
     def _passivate_overflow_locked(self, *, keep: str) -> None:
@@ -425,6 +430,7 @@ class SessionManager:
                 database_ref=managed.database_ref,
             ),
         )
+        managed.stored_log_length = len(managed.session.log)
         self._metrics.bump("checkpoints_written")
 
     @contextmanager
@@ -472,17 +478,15 @@ class SessionManager:
         with self._locked(session_id) as managed:
             managed.last_used = self._clock()
             had_pending = managed.session.pending_round is not None
-            was_done = managed.session.done
             started = time.perf_counter()
             with self._computing(managed.pair):
                 pending = managed.session.propose()
             if pending is not None and not had_pending:
                 self._metrics.bump("rounds_served")
                 self._metrics.observe_round_latency(time.perf_counter() - started)
-                self._checkpoint(managed)
-            elif pending is None and not was_done:
-                # The propose itself finished the session (converged on a
-                # single candidate, exhausted, or out of iterations).
+            if len(managed.session.log) > managed.stored_log_length:
+                # A planned round, a propose that finished the session, or a
+                # step whose write failed: the store must hold what was served.
                 self._checkpoint(managed)
             return managed, pending
 

@@ -471,6 +471,7 @@ class TestPrologueMemo:
         assert second.skyline_seconds == second.selection_seconds == 0.0
         prepares = [span for span in spans if span["name"] == "round.prepare"]
         assert [span["attrs"]["memo_hit"] for span in prepares] == [False, True]
+        assert [span["attrs"]["replay"] for span in prepares] == [False, False]
 
     def test_a_planner_with_a_custom_score_bypasses_the_memo(
         self, employee_db, employee_result, employee_candidates, monkeypatch
@@ -544,15 +545,12 @@ class TestPrologueMemo:
         # Resumed sessions of one pair replay their rounds in turn: were a
         # replayed miss inserted as the newest entry, the replays would evict
         # each other's entries until every replayed round missed.
-        budget = RoundPlanner(QFEConfig()).prepare_round(
-            employee_db, employee_result, employee_candidates
-        ).skyline.enumerated_pairs
         join_cache = JoinCache()
         replayer = RoundPlanner(QFEConfig(), join_cache=join_cache)
 
         def replay():
             replayer.prepare_round(
-                employee_db, employee_result, employee_candidates, pair_budget=budget
+                employee_db, employee_result, employee_candidates, replay=True
             )
 
         misses = PLAN_MEMO_STATS.memo_misses

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import QFEConfig
 from repro.core.modification import PairSetSimulator, simulate_pair_set
-from repro.core.skyline import skyline_stc_dtc_pairs
+from repro.core.skyline import PAIRS_PER_DELTA_SECOND, skyline_stc_dtc_pairs
 from repro.core.tuple_class import TupleClassSpace
 from repro.relational.join import full_join
 
@@ -48,32 +48,28 @@ class TestSkyline:
     def test_time_budget_truncates(self, employee_space):
         config = QFEConfig(delta_seconds=1e-6)
         result = skyline_stc_dtc_pairs(employee_space, config, result_arity=1)
-        # With an (effectively) zero budget the enumeration stops early but
-        # still returns whatever it found so far without crashing.
-        assert result.truncated_by_time or result.pair_count >= 0
+        # A one-pair budget stops the enumeration early; it still returns
+        # whatever it found so far.
+        assert result.truncated_by == "time"
+        assert result.enumerated_pairs == 1
 
-    def test_a_pair_budget_stops_at_it_and_not_at_the_clock(self, employee_space):
+    def test_delta_buys_a_fixed_number_of_pairs(self, employee_space):
         natural = skyline_stc_dtc_pairs(employee_space, QFEConfig(), result_arity=1)
-        rushed = QFEConfig(delta_seconds=1e-9)
-        assert natural.enumerated_pairs >= 2
-        for budget in (1, natural.enumerated_pairs // 2, natural.enumerated_pairs):
-            result = skyline_stc_dtc_pairs(
-                employee_space, rushed, result_arity=1, pair_budget=budget
-            )
+        total = natural.enumerated_pairs
+        assert total >= 3 and natural.truncated_by is None
+        for budget in (1, total // 2, total - 1, total):
+            config = QFEConfig(delta_seconds=budget / PAIRS_PER_DELTA_SECOND)
+            result = skyline_stc_dtc_pairs(employee_space, config, result_arity=1)
             assert result.enumerated_pairs == budget
-            assert not result.truncated_by_time
-        full = skyline_stc_dtc_pairs(employee_space, rushed, result_arity=1,
-                                     pair_budget=natural.enumerated_pairs)
-        assert full.pairs == natural.pairs
-        # A budget the enumeration never reaches ends where it ends; a budget
-        # of 0 stops at the first pair.
-        beyond = natural.enumerated_pairs + 10**9
-        assert skyline_stc_dtc_pairs(
-            employee_space, rushed, result_arity=1, pair_budget=beyond
-        ).enumerated_pairs == natural.enumerated_pairs
-        assert skyline_stc_dtc_pairs(
-            employee_space, rushed, result_arity=1, pair_budget=0
-        ).enumerated_pairs == 1
+            # "time" only when a pair beyond the budget exists.
+            assert result.truncated_by_time == (budget < total)
+        assert result == natural
+        # δ buys at least one pair, and a δ whose pair count overflows a
+        # float buys them all.
+        for delta, enumerated in ((1e-300, 1), (1e300, total), (1.7e308, total)):
+            config = QFEConfig(delta_seconds=delta)
+            result = skyline_stc_dtc_pairs(employee_space, config, result_arity=1)
+            assert result.enumerated_pairs == enumerated
 
     def test_most_balanced_binary_x(self, employee_space, employee_candidates):
         result = skyline_stc_dtc_pairs(employee_space, QFEConfig(), result_arity=1)

@@ -6,8 +6,10 @@ The service layer must never change what QFE computes:
   verified replay of its logged calls, with the base database rebuilt from
   its workload reference or re-bound to the shared live one — produces a
   canonical transcript *byte-identical* to an uninterrupted run, also when
-  the clock cut its rounds (a replay enumerates each round's logged pair
-  count);
+  ``δ``'s pair budget cut its rounds, and a checkpoint claiming another pair
+  count is refused;
+* a transcript is the same under a clock running 10× fast: Algorithm 3's
+  ``δ`` is a pair budget, and nothing that decides a round reads a clock;
 * **many concurrent sessions** multiplexed over one manager's shared base
   state finish with transcripts identical to the same sessions run
   sequentially.
@@ -20,12 +22,20 @@ with ``-m ""``.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core import OracleSelector, QFEConfig, QFESession
 from repro.core.feedback import WorstCaseSelector
+from repro.core.round_planner import PROLOGUE_STATS
+from repro.exceptions import CheckpointError
+from repro.experiments.runner import prepare_candidates
+from repro.relational.evaluator import JoinCache
 from repro.service.checkpoint import (
     DatabaseRef,
     capture_checkpoint,
@@ -34,12 +44,12 @@ from repro.service.checkpoint import (
     transcript_json,
 )
 from repro.service.manager import SessionManager, workload_session_inputs
+from repro.workloads import build_pair
 
 _SCALE = 0.03
 _CANDIDATES = 10
-# A generous Algorithm 3 budget so skyline enumeration never truncates on
-# wall-clock time — time truncation is the one legitimately nondeterministic
-# input, and it is orthogonal to what this suite verifies.
+# A 30,000,000-pair Algorithm 3 budget, which no round of these sessions
+# reaches; the budget-cut tests below cut rounds on purpose.
 _CONFIG = QFEConfig(delta_seconds=30.0)
 
 _WORKLOADS = [
@@ -126,128 +136,137 @@ def test_resume_every_round_over_the_shared_base(workload_setup_for):
     assert _resumed_transcript(setup, "Q2", rebuild_base=False) == reference
 
 
-class _SteppingClock:
-    """The skyline's clock, advancing *step* seconds at every read.
-
-    Algorithm 3 reads its clock every 64 pairs and at each level's end, so
-    under ``δ`` = 1 s (the default config) a round is cut after a fixed
-    number of reads: a reproducible stand-in for a loaded machine, whose
-    cuts no resume can reproduce by reading the clock again. A step is a
-    power of two, so the sums stay exact and the cut never depends on the
-    clock's earlier reads.
-    """
-
-    def __init__(self, step: float) -> None:
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
-
-
-def _clock_cut_session(workload, scale, step, join_cache, monkeypatch):
-    """A worst-case session under the default config and a stepping clock;
-    returns its pair, a checkpoint after every call, the canonical
-    transcript and how many rounds the clock cut."""
-    from repro.core import skyline
-
-    database, result, _, candidates = _clock_cut_inputs(workload, scale)
-    monkeypatch.setattr(skyline, "perf_counter", _SteppingClock(step))
-    session = QFESession(database, result, candidates=candidates, join_cache=join_cache)
-    selector = WorstCaseSelector()
-    blobs, cut = [], 0
-    while True:
-        pending = session.propose()
-        blobs.append(capture_checkpoint(session, session_id="cut"))
-        if pending is None:
-            break
-        cut += pending.generation.skyline.truncated_by == "time"
-        session.submit(selector.select(pending.round, pending.partition))
-        blobs.append(capture_checkpoint(session, session_id="cut"))
-    return (database, result), blobs, transcript_json(session_transcript(session)), cut
-
-
-_CLOCK_CUT_INPUTS: dict[tuple, tuple] = {}
-
-
-def _clock_cut_inputs(workload, scale):
-    if (workload, scale) not in _CLOCK_CUT_INPUTS:
-        _CLOCK_CUT_INPUTS[workload, scale] = workload_session_inputs(workload, scale)
-    return _CLOCK_CUT_INPUTS[workload, scale]
-
-
-def _assert_clock_cut_replays(workload, scale, step, monkeypatch, *, every_blob_cold):
-    """Every checkpoint of a clock-cut session replays to its own rounds.
-
-    Restores read a differently stepping clock, so a replay that consulted
-    the clock instead of each round's logged pair count would cut its
-    rounds elsewhere and be refused. Each checkpoint is restored over the
-    original cache (whose memo serves the replayed rounds), the last (or
-    every) one over a fresh cache, and the last one over a cache whose memo
-    holds another cut's prologues of the same round bodies; every restored
-    session, finished under the original clock, reproduces the transcript.
-    """
-    from repro.core import skyline
-    from repro.core.round_planner import PLAN_MEMO_STATS
-    from repro.relational.evaluator import JoinCache
-
-    original = JoinCache()
-    (database, result), blobs, transcript, cut = _clock_cut_session(
-        workload, scale, step, original, monkeypatch
-    )
-    other_cut = JoinCache()
-    _clock_cut_session(workload, scale, step * 4, other_cut, monkeypatch)
-
-    def resumed(blob, join_cache):
-        monkeypatch.setattr(skyline, "perf_counter", _SteppingClock(step * 4))
-        session, _ = restore_checkpoint(
-            blob, database=database, result=result, join_cache=join_cache
-        )
-        monkeypatch.setattr(skyline, "perf_counter", _SteppingClock(step))
-        _drive(session, WorstCaseSelector())
-        return transcript_json(session_transcript(session))
-
-    for index, blob in enumerate(blobs):
-        assert resumed(blob, original) == transcript
-        if every_blob_cold or index == len(blobs) - 1:
-            assert resumed(blob, JoinCache()) == transcript
-    misses = PLAN_MEMO_STATS.memo_misses
-    assert resumed(blobs[-1], other_cut) == transcript
-    if cut:  # another cut's prologue of the same round is not reused
-        assert PLAN_MEMO_STATS.memo_misses > misses
-    return cut
-
-
 def _drive(session, selector):
     while (pending := session.propose()) is not None:
         session.submit(selector.select(pending.round, pending.partition))
 
 
-def test_clock_cut_rounds_replay_exactly(monkeypatch):
-    """Tier-1 guard: one coarse cut of ``scenario:chain@29`` at 1.0."""
-    assert _assert_clock_cut_replays(
-        "scenario:chain@29", 1.0, 2**-4, monkeypatch, every_blob_cold=False
-    )
+_INPUTS: dict[tuple, tuple] = {}
 
 
-@pytest.mark.slow
+def _inputs(workload, scale, count=None):
+    """``(D, R, candidates)``: the service's candidates (*count* of them when
+    given), or with ``count="qbo"`` every candidate of the default QBO config."""
+    key = (workload, scale, count)
+    if key not in _INPUTS:
+        if count == "qbo":
+            database, result, target = build_pair(workload, scale)
+            candidates, _ = prepare_candidates(database, result, target)
+        else:
+            database, result, _, candidates = workload_session_inputs(
+                workload, scale, candidate_count=count
+            )
+        _INPUTS[key] = (database, result, candidates)
+    return _INPUTS[key]
+
+
+class _FastClock:
+    """``perf_counter`` running *factor* times fast: a stand-in for a machine
+    that much slower, or that loaded."""
+
+    def __init__(self, factor: float) -> None:
+        self.factor = factor
+        self.start = time.perf_counter()
+
+    def __call__(self) -> float:
+        return self.start + (time.perf_counter() - self.start) * self.factor
+
+
+def test_a_fast_clock_changes_no_transcript(monkeypatch):
+    """Q2@1.0 with every QBO candidate (61), the default config and the
+    worst-case user: ``δ`` = 1 s cuts round 1 at exactly 1,000,000 pairs, and
+    a clock running 10× fast in every module that reads one changes nothing."""
+    database, result, candidates = _inputs("Q2", 1.0, "qbo")
+    assert len(candidates) == 61
+
+    def worst_case_run():
+        session = QFESession(database, result, candidates=candidates)
+        _drive(session, WorstCaseSelector())
+        return session.log, transcript_json(session_transcript(session))
+
+    log, transcript = worst_case_run()
+    assert log[0] == ("round", 1_000_000)
+    clocked = [
+        module
+        for name, module in sorted(sys.modules.items())
+        if name.partition(".")[0] == "repro" and hasattr(module, "perf_counter")
+    ]
+    assert "repro.obs.trace" in {module.__name__ for module in clocked}
+    fast = _FastClock(10.0)
+    for module in clocked:
+        monkeypatch.setattr(module, "perf_counter", fast)
+    assert worst_case_run() == (log, transcript)
+
+
+def _signed(blob: bytes, body: dict) -> bytes:
+    """*blob*'s header over *body*, with the body's sha256 recomputed."""
+    header = json.loads(blob.partition(b"\n")[0])
+    encoded = json.dumps(body).encode()
+    header["payload_sha256"] = hashlib.sha256(encoded).hexdigest()
+    return json.dumps(header).encode() + b"\n" + encoded
+
+
 @pytest.mark.parametrize(
-    "workload, scale, step, cuts",
+    "workload, scale, count, delta, cut",
     [
-        ("Q2", 1.0, 2**-7, True),
-        ("Q2", 1.0, 2**-9, True),
-        ("scenario:chain@29", 1.0, 2**-7, True),
-        ("scenario:chain@29", 1.0, 2**-9, True),
-        # Rounds too small for the clock to cut, and a session that
-        # ends exhausted in round 1.
-        ("scenario:mixed@2", 1.0, 2**-2, False),
-        ("Q4", 0.3, 2**-2, False),
+        ("Q2", 1.0, 10, 0.002, True),
+        pytest.param("Q2", 1.0, "qbo", 1.0, True, marks=pytest.mark.slow),
+        pytest.param("scenario:chain@29", 1.0, None, 0.01, True, marks=pytest.mark.slow),
+        # Rounds within their budget, and a session that ends exhausted in
+        # round 1.
+        pytest.param("scenario:mixed@2", 1.0, None, 1.0, False, marks=pytest.mark.slow),
+        pytest.param("Q4", 0.3, None, 1.0, False, marks=pytest.mark.slow),
     ],
 )
-def test_finer_clock_cut_rounds_replay_exactly(workload, scale, step, cuts, monkeypatch):
-    cut = _assert_clock_cut_replays(workload, scale, step, monkeypatch, every_blob_cold=True)
-    assert bool(cut) == cuts
+def test_budget_cut_rounds_replay_exactly(workload, scale, count, delta, cut):
+    """Every checkpoint of a worst-case session restores over the live join
+    cache (whose memo serves the replayed rounds) and over a fresh one, and
+    the restored session finishes to the uninterrupted transcript."""
+    database, result, candidates = _inputs(workload, scale, count)
+    config = QFEConfig(delta_seconds=delta)
+    live = JoinCache()
+    session = QFESession(database, result, candidates=candidates, config=config, join_cache=live)
+    selector = WorstCaseSelector()
+    blobs, cuts = [], 0
+    while True:
+        pending = session.propose()
+        blobs.append(capture_checkpoint(session, session_id="cut"))
+        if pending is None:
+            break
+        cuts += pending.generation.skyline.truncated_by == "time"
+        session.submit(selector.select(pending.round, pending.partition))
+        blobs.append(capture_checkpoint(session, session_id="cut"))
+    transcript = transcript_json(session_transcript(session))
+    assert bool(cuts) == cut
+    for blob in blobs:
+        for join_cache in (live, JoinCache()):
+            restored, _ = restore_checkpoint(
+                blob, database=database, result=result, join_cache=join_cache
+            )
+            _drive(restored, selector)
+            assert transcript_json(session_transcript(restored)) == transcript
+
+
+@pytest.mark.parametrize("raised_by", [1, 10**12])
+def test_a_raised_round_count_is_refused_within_the_budget(raised_by):
+    """A re-signed checkpoint whose round claims more pairs than its budget
+    buys is refused, and the replay enumerates no more than that budget."""
+    database, result, candidates = _inputs("Q2", 1.0, 10)
+    session = QFESession(
+        database, result, candidates=candidates, config=QFEConfig(delta_seconds=0.002)
+    )
+    session.propose()
+    assert session.pending_round.generation.skyline.truncated_by == "time"
+    blob = capture_checkpoint(session, session_id="raised")
+    body = json.loads(blob.partition(b"\n")[2])
+    assert body["log"] == [["round", 2_000]]
+    body["log"][0][1] += raised_by
+    enumerated = PROLOGUE_STATS.enumerated_pairs
+    with pytest.raises(CheckpointError, match="log entry 0, "):
+        restore_checkpoint(
+            _signed(blob, body), database=database, result=result, join_cache=JoinCache()
+        )
+    assert PROLOGUE_STATS.enumerated_pairs - enumerated == 2_000
 
 
 def _drive_managed_with_oracle(manager, session_id, target):

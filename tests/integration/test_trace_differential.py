@@ -28,9 +28,8 @@ from repro.workloads import build_pair
 
 _SCALE = 0.03
 _FAST_QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candidates=16)
-# A generous Algorithm 3 budget so skyline enumeration never truncates on
-# wall-clock time — time truncation is the one legitimately nondeterministic
-# input, and it is orthogonal to what this suite verifies.
+# A 30,000,000-pair Algorithm 3 budget, which no round of these sessions
+# reaches: the suite compares tracing on and off, not budget cuts.
 _CONFIG = QFEConfig(delta_seconds=30.0)
 
 # Heavier workloads carry the ``slow`` marker: tier-1 still runs the traced

@@ -209,8 +209,9 @@ def test_one_attempt_span_per_attempt_tried(q2, monkeypatch):
 
 def test_a_replay_shows_in_the_trace(q2, tmp_path):
     """A restore replays its log: ``checkpoint.restore`` counts the rounds
-    it replayed, each replayed ``round.skyline`` carries its ``pair_budget``,
-    and a round no memo entry serves counts as a memo miss."""
+    it replayed, each replayed ``round.prepare`` carries ``replay=True``, each
+    replayed ``round.skyline`` enumerates its logged pair count, and a round
+    no memo entry serves counts as a memo miss."""
     from repro.core import OracleSelector, QFESession
     from repro.service.checkpoint import capture_checkpoint, restore_checkpoint
 
@@ -218,8 +219,8 @@ def test_a_replay_shows_in_the_trace(q2, tmp_path):
     session = QFESession(database, result, candidates=candidates, config=_CONFIG)
     session.run(OracleSelector(target))
     blob = capture_checkpoint(session, session_id="traced")
-    budgets = [entry[1] for entry in session.log if entry[0] == "round"]
-    assert len(budgets) == session.outcome.iteration_count >= 1
+    counts = [entry[1] for entry in session.log if entry[0] == "round"]
+    assert len(counts) == session.outcome.iteration_count >= 1
     misses = PLAN_MEMO_STATS.memo_misses
     path = tmp_path / "trace_replay.jsonl"
     start_tracing(path)
@@ -236,6 +237,9 @@ def test_a_replay_shows_in_the_trace(q2, tmp_path):
 
     spans = load_spans(str(path))
     (restore,) = _named(spans, "checkpoint.restore")
-    assert restore["attrs"]["rounds_replayed"] == len(budgets)
-    assert [span["attrs"]["pair_budget"] for span in _named(spans, "round.skyline")] == budgets
-    assert PLAN_MEMO_STATS.memo_misses == misses + len(budgets)
+    assert restore["attrs"]["rounds_replayed"] == len(counts)
+    prepares = _named(spans, "round.prepare")
+    assert [span["attrs"]["replay"] for span in prepares] == [True] * len(counts)
+    skylines = _named(spans, "round.skyline")
+    assert [span["attrs"]["enumerated_pairs"] for span in skylines] == counts
+    assert PLAN_MEMO_STATS.memo_misses == misses + len(counts)

@@ -21,13 +21,12 @@ grouping.
 from __future__ import annotations
 
 import itertools
-from time import perf_counter
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.config import QFEConfig
 from repro.core.cost_model import CostBreakdown, cost_of_effect
 from repro.core.modification import ClassPair, PairSetEffect, balance_score
-from repro.core.skyline import SkylineResult
+from repro.core.skyline import PAIRS_PER_DELTA_SECOND, SkylineResult
 from repro.core.subset_selection import SubsetSelectionResult
 from repro.core.tuple_class import TupleClass, TupleClassSpace
 from repro.exceptions import EvaluationError
@@ -204,7 +203,7 @@ def reference_skyline(
 ) -> SkylineResult:
     """Algorithm 3 with one simulated effect per enumerated pair."""
     simulator = ReferencePairSetSimulator(space, result_arity=result_arity)
-    deadline = perf_counter() + config.delta_seconds
+    budget = max(1, round(config.delta_seconds * PAIRS_PER_DELTA_SECOND))
     pairs: list[ClassPair] = []
     balances: dict[ClassPair, float] = {}
     min_balance = float("inf")
@@ -217,6 +216,9 @@ def reference_skyline(
         level_pairs: list[ClassPair] = []
         for source in space.source_tuple_classes():
             for destination in destination_classes(space, source, modified_slots):
+                if enumerated == budget:  # the next pair is beyond δ's budget
+                    truncated_time = True
+                    break
                 enumerated += 1
                 pair = ClassPair(source, destination)
                 reaction_keys.add(simulator.reaction_key(pair))
@@ -231,9 +233,6 @@ def reference_skyline(
                     min_balance = effect.balance
                 elif effect.balance == min_balance and effect.balance != float("inf"):
                     level_pairs.append(pair)
-                if enumerated % 64 == 0 and perf_counter() > deadline:
-                    truncated_time = True
-                    break
             if truncated_time:
                 break
         pairs.extend(level_pairs)
@@ -242,9 +241,6 @@ def reference_skyline(
             pairs = pairs[: config.max_skyline_pairs]
             break
         if truncated_time:
-            break
-        if perf_counter() > deadline:
-            truncated_time = True
             break
     return SkylineResult(
         pairs=pairs,

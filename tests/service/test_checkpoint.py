@@ -238,8 +238,8 @@ class TestCraftedCheckpoints:
 
     @pytest.mark.parametrize("count", [0, -1, 10**12, True, "64", None])
     def test_a_pair_count_that_is_not_the_rounds_is_refused(self, after_one_choice, count):
-        # A count beyond the round's own ends the enumeration where the round
-        # ends; the replay stops at that first entry.
+        # The round is planned as it was live and logs its own count, which
+        # no edited count matches; the replay stops at that first entry.
         def edit(body):
             body["log"][0][1] = count
 

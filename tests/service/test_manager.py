@@ -10,7 +10,7 @@ from repro.core.feedback import WorstCaseSelector
 from repro.core.session import QFESession
 from repro.exceptions import CheckpointError, ServiceError, SessionNotFound
 from repro.service import manager as manager_module
-from repro.service.checkpoint import session_transcript, transcript_json
+from repro.service.checkpoint import read_checkpoint_header, session_transcript, transcript_json
 from repro.service.manager import SessionManager, workload_session_inputs
 from repro.service.store import InMemorySessionStore
 
@@ -139,6 +139,16 @@ class TestLifecycle:
         manager.close()
         with pytest.raises(ServiceError):
             manager.create_session(**_Q2, candidates=q2_candidates)
+
+    def test_a_closed_manager_resumes_nothing(self, q2_candidates):
+        manager = SessionManager()
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
+        manager.close()
+        assert "a" in manager.store  # stored, but the manager is closed
+        for step in (manager.get_round, manager.transcript):
+            with pytest.raises(ServiceError, match="closed"):
+                step("a")
+        assert manager.healthz() == {"status": "closed", "active_sessions": 0}
 
 
 class TestPassivationAndResume:
@@ -288,6 +298,34 @@ class TestSingleWriter:
         manager.close()
         assert len(store.puts) == 5  # shutdown drops "b" without a write
 
+    def test_a_round_served_after_a_failed_write_is_stored(self, q2_inputs):
+        class FailingOnce(InMemorySessionStore):
+            fail = False
+
+            def put(self, session_id, blob):
+                if self.fail:
+                    self.fail = False
+                    raise OSError("disk full")
+                super().put(session_id, blob)
+
+        q2_candidates = q2_inputs[3]
+        store = FailingOnce()
+        manager = SessionManager(store=store, max_live_sessions=1)
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
+        store.fail = True
+        with pytest.raises(OSError):
+            manager.get_round("a")  # round 1 is planned, its write fails
+        _, pending = manager.get_round("a")  # the retry serves round 1 ...
+        assert read_checkpoint_header(store.get("a"))["status"] == "awaiting-choice"
+        assert manager.metrics()["checkpoints_written"] == 2  # ... and stores it
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
+        assert manager.session_ids() == ["b"]  # "a" passivated
+        choice = WorstCaseSelector().select(pending.round, pending.partition)
+        manager.submit_choice("a", choice)  # the round the user was shown
+        _drive_managed(manager, "a")
+        expected = _reference_transcript(q2_inputs, q2_candidates)
+        assert transcript_json(manager.transcript("a")) == expected
+
     def test_a_delete_waits_for_the_step_in_flight(self, manager, q2_candidates, monkeypatch):
         managed = manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
         _, pending = manager.get_round("a")
@@ -346,6 +384,34 @@ class TestSingleWriter:
             assert manager.session_ids() == ["b"]
             with pytest.raises(SessionNotFound):
                 manager.get_round("a")
+
+    def test_a_close_during_a_resume_registers_nothing(self, q2_candidates, monkeypatch):
+        manager = SessionManager(max_live_sessions=1)
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="a")
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="b")
+        entered = threading.Event()
+        monkeypatch.setattr(
+            manager_module,
+            "restore_checkpoint",
+            _slowed(manager_module.restore_checkpoint, entered),
+        )
+        outcomes = []
+
+        def resume() -> None:
+            try:
+                manager.get_round("a")
+                outcomes.append("served")
+            except ServiceError as exc:
+                outcomes.append(str(exc))
+
+        resuming = threading.Thread(target=resume)
+        resuming.start()
+        assert entered.wait(timeout=30)
+        manager.close()
+        resuming.join(timeout=30)
+        assert not resuming.is_alive()
+        assert outcomes == ["the session manager is closed"]
+        assert manager.healthz() == {"status": "closed", "active_sessions": 0}
 
     def test_racing_steps_passivations_and_deletes_keep_the_store_exact(self, q2_inputs):
         candidates = q2_inputs[3]
