@@ -14,8 +14,8 @@ echo "== tier-1 test suite =="
 python -m pytest -x -q
 
 echo
-echo "== differential oracles: columnar + update-only delta maintenance vs row-at-a-time reference and SQLite, presented delta vs min-edit diff, NULL and numeric semantics vs interpreter and SQLite, QBO generation vs per-row reference, columnar join (columns and id columns) vs dict-row reference, minEdit assignment vs scipy, foreign-key graph vs networkx =="
-python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/core/test_presentation_differential.py tests/sql/test_sqlite_backend.py tests/relational/test_null_semantics.py tests/relational/test_numeric_semantics.py tests/qbo/test_qbo_differential.py tests/relational/test_assignment_differential.py tests/relational/test_fk_graph_differential.py -m ""
+echo "== differential oracles: columnar + update-only delta maintenance vs row-at-a-time reference and SQLite, presented delta vs min-edit diff, NULL and numeric semantics vs interpreter and SQLite, QBO generation vs per-row reference, columnar join (columns and id columns) vs dict-row reference, minEdit assignment vs scipy, minEdit identical-row matching on stored rows vs canonical keys, foreign-key graph vs networkx =="
+python -m pytest -q tests/relational/test_columnar.py tests/relational/test_delta_maintenance.py tests/core/test_presentation_differential.py tests/sql/test_sqlite_backend.py tests/relational/test_null_semantics.py tests/relational/test_numeric_semantics.py tests/qbo/test_qbo_differential.py tests/relational/test_assignment_differential.py tests/relational/test_fk_graph_differential.py tests/relational/test_edit_matching_differential.py -m ""
 
 echo
 echo "== differential: round prologue (masks, reactions, Algorithms 3 and 4) vs the per-pair reference; domain partitions vs interpreter signatures =="
@@ -38,7 +38,7 @@ echo "== differential: scenario engine — cold vs steady repeats, resume, hash 
 python -m pytest -q tests/integration/test_scenario_differential.py -k "fast_guard or checkpoint_resumes or hash_seed"
 
 echo
-echo "== service smoke: kill -9 -> resume by replay -> finish; two sessions under --max-live-sessions 1 passivated and replayed every step, from an on-disk and from the in-memory store; bit-identical transcripts =="
+echo "== service smoke: kill -9 -> resume by replay -> finish; two sessions under --max-live-sessions 1 passivated and replayed every step, from an on-disk and from the in-memory store; two sessions on one pair read one candidate generation and one memo hit; bit-identical transcripts =="
 python scripts/service_smoke.py
 
 echo

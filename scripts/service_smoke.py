@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Service smoke test: every resume over HTTP is a replay, bit-identical.
+"""Service smoke test: every resume over HTTP is a replay, bit-identical, and a
+warm pair generates its candidates once.
 
-Three legs, each against ``qfe-serve`` booted as a real subprocess:
+Four legs, each against ``qfe-serve`` booted as a real subprocess:
 
 1. **kill -9.** Drives a Q2 session through the HTTP client, hard-kills the
    server (SIGKILL — no graceful shutdown, the on-disk checkpoints are all
@@ -14,6 +15,8 @@ Three legs, each against ``qfe-serve`` booted as a real subprocess:
 3. **Passivation, in memory.** The same two sessions with
    ``--max-live-sessions 1`` and no ``--store-dir``: every step's checkpoint
    goes to the in-memory store, and every resume replays it from there.
+4. **A warm pair.** Two sessions of one spec on one pair: ``/metrics`` must
+   read one candidate generation and one candidate-memo hit.
 
 Each session's canonical transcript must be **byte-identical** to an
 uninterrupted in-process run of the same session spec.
@@ -149,6 +152,41 @@ def passivation_leg(*store_flags: str) -> int:
         stop(server)
 
 
+def warm_pair_leg(reference: str) -> int:
+    """Two sessions of one spec on one pair: one generation, one memo hit."""
+    print("[smoke] booting qfe-serve for two sessions on one pair ...", flush=True)
+    server = boot_server()
+    client = ServiceClient(f"http://127.0.0.1:{PORT}", timeout=120.0)
+    try:
+        ids = [
+            client.create_session(
+                WORKLOAD, scale=SCALE, candidate_count=CANDIDATES,
+                config={"delta_seconds": DELTA_SECONDS},
+            )["session_id"]
+            for _ in range(2)
+        ]
+        for session_id in ids:
+            while drive_round(client, session_id):
+                pass
+        metrics = client.metrics()
+        memo = (metrics["candidate_memo_misses"], metrics["candidate_memo_hits"])
+        if memo != (1, 1):
+            print(f"[smoke] FAIL: expected 1 generation and 1 memo hit, got {memo}")
+            return 1
+        for session_id in ids:
+            if transcript_json(client.transcript(session_id)) != reference:
+                print(f"[smoke] FAIL: session {session_id} differs from its reference")
+                return 1
+        print(
+            "[smoke] OK: one candidate generation, one memo hit, "
+            "both transcripts bit-identical",
+            flush=True,
+        )
+        return 0
+    finally:
+        stop(server)
+
+
 def main() -> int:
     print(f"[smoke] reference: uninterrupted in-process {WORKLOAD} run ...", flush=True)
     reference = reference_transcript(config={"delta_seconds": DELTA_SECONDS})
@@ -197,7 +235,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="qfe-smoke-") as store_dir:
         if passivation_leg("--store-dir", store_dir):
             return 1
-    return passivation_leg()
+    if passivation_leg():
+        return 1
+    return warm_pair_leg(reference)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,9 @@ escape hatch).
 :func:`feedback_round_dict` is a round's canonical presentation: the form
 transcripts and the HTTP API carry, and whose sha256
 (:attr:`FeedbackRound.sha256`) a checkpoint records to verify its replay.
+A round builds it once, on first use, and keeps it as JSON text
+(:attr:`FeedbackRound.presentation_json`): the digest, every HTTP round body
+and the transcript decode that one build instead of presenting the round again.
 """
 
 from __future__ import annotations
@@ -109,6 +112,15 @@ class FeedbackRound:
         return "\n".join(lines)
 
     @cached_property
+    def presentation_json(self) -> str:
+        """The canonical presentation as JSON text, built on first use and kept.
+
+        The digest, the HTTP round body and the transcript all read this one
+        build (:func:`feedback_round_dict` decodes a fresh copy of it).
+        """
+        return json.dumps(_presentation(self))
+
+    @cached_property
     def sha256(self) -> str:
         """sha256 of the canonical presentation, computed once per round."""
         import hashlib  # only checkpoints digest rounds: a cold session never loads it
@@ -131,7 +143,18 @@ def _rows_payload(relation: Relation) -> list:
 
 
 def feedback_round_dict(round_: FeedbackRound) -> dict:
-    """One :class:`FeedbackRound` presentation as a JSON-able dict."""
+    """One :class:`FeedbackRound` presentation as a JSON-able dict.
+
+    The round builds its presentation once (:attr:`FeedbackRound.presentation_json`);
+    each call decodes a fresh copy of it, so a caller may add to or change
+    what it gets without touching the round's digest or a later response.
+    JSON holds every value the presentation carries exactly, in its key order.
+    """
+    return json.loads(round_.presentation_json)
+
+
+def _presentation(round_: FeedbackRound) -> dict:
+    """Build a round's canonical presentation (once per round)."""
     return {
         "iteration": round_.iteration,
         "database_delta": {

@@ -231,16 +231,23 @@ def _assignment(source: Relation, target: Relation) -> tuple[list[tuple[int, int
 def _match_identical_rows(
     source: Relation, target: Relation
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Greedily pair up identical rows; return the pairs and the leftover indexes."""
+    """Greedily pair up identical rows; return the pairs and the leftover indexes.
+
+    Rows are bucketed by their stored value tuples. Python's ``==`` and
+    ``hash`` already treat ``1``, ``1.0`` and ``True`` (and ``-0.0`` and
+    ``0``) as one key and keep integers beyond 2^53 apart from the floats
+    near them, exactly as :func:`~repro.relational.types.canonical_value`
+    keys do, so no cell needs canonicalizing to find its match.
+    """
     target_buckets: dict[tuple, list[int]] = {}
     for j, row in enumerate(target.tuples):
-        target_buckets.setdefault(Relation._normalize_row(row.values), []).append(j)
+        target_buckets.setdefault(row.values, []).append(j)
 
     matched: list[tuple[int, int]] = []
     leftover_source: list[int] = []
     consumed_targets: set[int] = set()
     for i, row in enumerate(source.tuples):
-        bucket = target_buckets.get(Relation._normalize_row(row.values))
+        bucket = target_buckets.get(row.values)
         if bucket:
             j = bucket.pop()
             matched.append((i, j))

@@ -325,7 +325,10 @@ def session_transcript(
 
     The default (no timings) is the **canonical transcript**: a pure function
     of the session spec and the submitted choices, identical byte-for-byte
-    across processes and checkpoint/resume boundaries.
+    across processes and checkpoint/resume boundaries. Each round enters as a
+    fresh copy of the presentation the round built once (the one its
+    checkpoint digest and its HTTP body read), so changing the dict changes
+    neither.
     """
     outcome: SessionResult = session.outcome
     identified_sql = None

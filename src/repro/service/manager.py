@@ -11,14 +11,22 @@ database share the base state that makes rounds cheap:
   foreign-key join and its columnar term masks are built once for *all*
   sessions, not once per session — and the round planner's prologue memo,
   held with that join, replays a round body another session already
-  planned.
+  planned;
+* one candidate memo per pair: candidate generation is deterministic, so
+  the list generated for a ``(QBO config, candidate count)`` serves every
+  later create with that key, which runs no QBO and takes no lock (at most
+  :data:`CANDIDATE_MEMO_LIMIT` keys per pair, counted in ``/metrics`` as
+  ``candidate_memo_hits`` and ``candidate_memo_misses``). Like the prologue
+  memo this is a cache effect of a warm pair, not a cold-session gain.
 
 Concurrency model: each session has its own lock (a session's propose/submit
 steps are serialized), and each shared pair has a compute lock serializing
 rounds that touch the pair's shared caches. Rounds therefore execute one at
 a time per pair, in process, while any number of sessions sit suspended
 awaiting a user, which is where interactive sessions spend almost all of
-their time.
+their time. A pair is built outside the manager-wide lock, so a slow build
+delays no other request, and a scale above :data:`MAX_PAIR_SCALE` is refused
+before anything is built, on a create and on a resume alike.
 
 Persistence has one rule: the store (an
 :class:`~repro.service.store.InMemorySessionStore` unless one is given) holds
@@ -61,11 +69,26 @@ from repro.service.checkpoint import (
 )
 from repro.service.store import InMemorySessionStore, SessionStore
 
-__all__ = ["SessionManager", "ManagedSession", "workload_session_inputs"]
+__all__ = [
+    "CANDIDATE_MEMO_LIMIT",
+    "MAX_PAIR_SCALE",
+    "SessionManager",
+    "ManagedSession",
+    "workload_session_inputs",
+]
 
 #: Candidate generation defaults for workload-backed service sessions; small
 #: enough for interactive latency, rich enough to need several rounds.
 _SERVICE_QBO = QBOConfig(threshold_variants=2, max_terms_per_conjunct=3, max_candidates=16)
+
+#: Candidate lists one shared pair keeps, one per ``(QBO config,
+#: candidate count)``; the oldest goes first.
+CANDIDATE_MEMO_LIMIT = 8
+
+#: Largest ``scale`` a workload pair is built at. A pair's background rows
+#: grow linearly with the scale (Q2 at 1e6 asks for about 3.9e9 of them),
+#: and 10 is the largest scale any sweep or CI step runs.
+MAX_PAIR_SCALE = 10.0
 
 
 def workload_session_inputs(
@@ -108,6 +131,9 @@ class _SharedPair:
     join_cache: JoinCache = field(default_factory=JoinCache)
     #: Serializes candidate generation and round searches over the pair's shared caches.
     compute_lock: threading.Lock = field(default_factory=threading.Lock)
+    #: ``(qbo_config, candidate_count) -> candidates`` generated over this
+    #: pair, at most :data:`CANDIDATE_MEMO_LIMIT`, oldest first.
+    candidate_memo: dict[tuple, tuple[SPJQuery, ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -149,6 +175,8 @@ class _Metrics(RegistryStats):
         "rounds_served",
         "choices_submitted",
         "checkpoints_written",
+        "candidate_memo_hits",
+        "candidate_memo_misses",
     )
     _HELP = {
         "sessions_created": "Sessions created from scratch.",
@@ -158,6 +186,8 @@ class _Metrics(RegistryStats):
         "rounds_served": "Feedback rounds proposed to users.",
         "choices_submitted": "User choices applied to pending rounds.",
         "checkpoints_written": "Session checkpoints written to the store, one per completed step.",
+        "candidate_memo_hits": "Creates served a candidate list their pair already generated.",
+        "candidate_memo_misses": "Creates that generated their candidate list (QBO ran).",
     }
 
     def __init__(self, window: int = 512) -> None:
@@ -228,20 +258,37 @@ class SessionManager:
 
     # ------------------------------------------------------------------ pairs
     def _pair_for_workload(self, workload: str, scale: float) -> _SharedPair:
-        key = ("workload", workload, float(scale))
+        """The shared pair of ``(workload, scale)``, built on first use.
+
+        Creates and resumes both come here, so a scale that is not finite,
+        not positive or above :data:`MAX_PAIR_SCALE` is refused before
+        anything is built. The build runs outside the manager lock, so a slow
+        one delays no other request; of two racing builds the first insert wins.
+        """
+        scale = float(scale)
+        if not 0 < scale <= MAX_PAIR_SCALE:  # NaN fails both comparisons
+            raise ServiceError(
+                f"scale must be a positive finite number no larger than "
+                f"{MAX_PAIR_SCALE:g}, got {scale!r}"
+            )
+        key = ("workload", workload, scale)
+        with self._lock:
+            pair = self._pairs.get(key)
+        if pair is not None:
+            return pair
+        from repro.workloads import workload as lookup_workload
+
+        try:
+            entry = lookup_workload(workload)
+        except KeyError as exc:  # the message names the known workloads
+            raise ServiceError(exc.args[0]) from None
+        database, result = entry.build_pair(scale)
         with self._lock:
             pair = self._pairs.get(key)
             if pair is None:
-                from repro.workloads import workload as lookup_workload
-
-                try:
-                    entry = lookup_workload(workload)
-                except KeyError as exc:  # the message names the known workloads
-                    raise ServiceError(exc.args[0]) from None
                 # Prune before inserting: the fresh pair has no session yet
                 # and must not be eligible for its own eviction sweep.
                 self._prune_pairs_locked()
-                database, result = entry.build_pair(scale)
                 pair = _SharedPair(
                     key=key, database=database, result=result, target=entry.target_query
                 )
@@ -280,28 +327,16 @@ class SessionManager:
         """Create (and register) a session over a workload's shared pair.
 
         Sessions of one ``(workload, scale)`` share the manager's per-pair
-        base state. Candidates are built deterministically from the pair
-        unless supplied.
+        base state. Unless supplied, candidates come from the pair's memo,
+        generated on the first create of their ``(qbo_config,
+        candidate_count)`` key (see :meth:`_pair_candidates`).
         """
         self._check_open()
         if workload is None:
             raise ServiceError("create_session needs a workload=")
         pair = self._pair_for_workload(workload, scale)
         if candidates is None:
-            from repro.experiments.runner import prepare_candidates
-
-            # Generation joins through, and writes term masks into, the
-            # pair's shared cache, which rounds read and patch:
-            # hold the compute lock like a round does.
-            with self._computing(pair):
-                candidates, _ = prepare_candidates(
-                    pair.database,
-                    pair.result,
-                    pair.target,
-                    qbo_config=qbo_config or _SERVICE_QBO,
-                    candidate_count=candidate_count,
-                    join_cache=pair.join_cache,
-                )
+            candidates = self._pair_candidates(pair, qbo_config or _SERVICE_QBO, candidate_count)
         session = QFESession(
             pair.database,
             pair.result,
@@ -338,6 +373,43 @@ class SessionManager:
                 raise
         self._metrics.bump("sessions_created")
         return managed
+
+    def _pair_candidates(
+        self, pair: _SharedPair, qbo_config: QBOConfig, candidate_count: int | None
+    ) -> tuple[SPJQuery, ...]:
+        """The pair's candidates for ``(qbo_config, candidate_count)``, generated once.
+
+        Generation is deterministic, so every create with the same key gets
+        the same list from the pair's memo, without taking a lock. A miss
+        generates under the pair's compute lock (generation joins through,
+        and writes term masks into, the shared cache that rounds read and
+        patch) and looks again once the lock is held, so racing first
+        creates generate once.
+        """
+        key = (qbo_config, candidate_count)
+        memo = pair.candidate_memo
+        candidates = memo.get(key)
+        if candidates is None:
+            with self._computing(pair):
+                candidates = memo.get(key)
+                if candidates is None:
+                    from repro.experiments.runner import prepare_candidates
+
+                    generated, _ = prepare_candidates(
+                        pair.database,
+                        pair.result,
+                        pair.target,
+                        qbo_config=qbo_config,
+                        candidate_count=candidate_count,
+                        join_cache=pair.join_cache,
+                    )
+                    candidates = memo[key] = tuple(generated)
+                    while len(memo) > CANDIDATE_MEMO_LIMIT:
+                        del memo[next(iter(memo))]
+                    self._metrics.bump("candidate_memo_misses")
+                    return candidates
+        self._metrics.bump("candidate_memo_hits")
+        return candidates
 
     # ----------------------------------------------------------------- lookup
     def _resolve(self, session_id: str) -> ManagedSession:

@@ -21,7 +21,8 @@ GET       ``/metrics``                    service metrics (JSON)
 ========  ==============================  ========================================
 
 Errors map onto conventional statuses: unknown session → 404, malformed
-request (an unknown workload or a non-finite number included) or invalid
+request (an unknown workload, a non-finite number or a scale above
+:data:`~repro.service.manager.MAX_PAIR_SCALE` included) or invalid
 choice → 400, a body over :data:`MAX_BODY_BYTES` → 413
 (refused unread), stepping a finished session → 409, anything unexpected →
 500; every error body is ``{"error": message}``. A connection that stalls
@@ -101,6 +102,7 @@ def _session_payload(managed: ManagedSession) -> dict:
 
 
 def _round_payload(managed: ManagedSession, pending: PendingRound | None) -> dict:
+    """The ``GET round`` body: the round's one presentation, decoded afresh, plus counts."""
     payload = _session_payload(managed)
     if pending is None:
         outcome = managed.session.outcome

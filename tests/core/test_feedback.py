@@ -9,6 +9,7 @@ from repro.core.feedback import (
     ScriptedSelector,
     WorstCaseSelector,
     build_feedback_round,
+    feedback_round_dict,
 )
 from repro.core.materialize import MaterializationResult
 from repro.core.partitioner import partition_queries
@@ -189,3 +190,78 @@ class TestEmptyDeltaRound:
         assert matching[0].delta.describe() == ["(result unchanged)"]
         text = round_.pretty()
         assert "(no database changes)" in text
+
+
+def _digest(presentation: dict) -> str:
+    import hashlib
+    import json
+
+    text = json.dumps(presentation, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPresentation:
+    def test_each_round_builds_its_presentation_once(self, modified_round, monkeypatch):
+        from repro.core import feedback
+
+        round_, _ = modified_round
+        built = []
+        present = feedback._presentation
+        monkeypatch.setattr(feedback, "_presentation", lambda r: built.append(r) or present(r))
+        first = feedback.feedback_round_dict(round_)
+        assert round_.sha256 == _digest(first)
+        assert feedback.feedback_round_dict(round_) == first
+        assert built == [round_]
+
+    def test_what_a_caller_changes_reaches_no_digest_and_no_later_copy(
+        self, employee_db, employee_result, employee_candidates
+    ):
+        from repro.core import feedback
+        from repro.core.session import QFESession
+        from repro.service.checkpoint import session_transcript
+
+        session = QFESession(employee_db, employee_result, candidates=employee_candidates)
+        round_ = session.propose().round
+        fresh = feedback._presentation(round_)  # an independent build
+        handed = feedback.feedback_round_dict(round_)
+        handed["iteration"] = 99
+        handed["database_delta"]["lines"].append("forged")
+        handed["options"][0]["rows"][0][0][0] = "forged"
+        handed["options"].pop()
+        transcript = session_transcript(session)
+        transcript["rounds"][0]["options"][0]["delta_lines"].clear()
+        transcript["rounds"].clear()
+        assert feedback.feedback_round_dict(round_) == fresh
+        assert round_.sha256 == _digest(fresh)
+        assert session_transcript(session)["rounds"] == [fresh]
+
+    def test_the_decoded_presentation_equals_the_build_exactly(self):
+        import json
+
+        from repro.core.feedback import FeedbackRound, ResultOption, _presentation
+        from repro.relational.delta import DatabaseDelta, ResultDelta, TupleDelta
+        from repro.relational.edit import EditScript
+        from repro.relational.relation import Relation, Tuple
+
+        # Stored rows as the presentation can meet them, beyond what a typed
+        # column coerces to: every value JSON must carry exactly.
+        rows = [
+            (-0.0, float("inf"), 2**53 + 1, "é \"", None),
+            (1e-320, float("-inf"), 10**5000, "", True),
+            (0.1, float("nan"), 2.0**53, "NaN", False),
+            (1, 1.0, -(2**64), "x", 1e308),
+        ]
+        result = Relation.from_rows("R", ["a", "b", "c", "d", "e"], [])
+        result._tuples = [Tuple(row, index) for index, row in enumerate(rows)]
+        option = ResultOption(0, result, ResultDelta(EditScript(())), 3)
+        round_ = FeedbackRound(2, None, TupleDelta(), DatabaseDelta(()), (option,))
+        built = _presentation(round_)
+        decoded = feedback_round_dict(round_)
+        assert decoded == built
+        assert json.dumps(decoded) == json.dumps(built)
+        assert round_.sha256 == _digest(built)
+        for row, expected in zip(
+            (row for row, _ in decoded["options"][0]["rows"]),
+            (row for row, _ in built["options"][0]["rows"]),
+        ):
+            assert [type(value) for value in row] == [type(value) for value in expected]

@@ -503,3 +503,100 @@ class TestCorruptCheckpointOverHttp:
         assert excinfo.value.status == 400
         assert "corrupt" in str(excinfo.value)
         _assert_healthy(address)
+
+
+# ------------------------------------------------------------- warm serving
+@pytest.fixture()
+def fresh_service():
+    """A server of its own, so its memo and counters start empty."""
+    server = make_server(SessionManager(store=InMemorySessionStore()))
+    server.serve_background()
+    host, port = server.server_address[:2]
+    yield ServiceClient(f"http://{host}:{port}"), (host, port)
+    server.close()
+
+
+def _raw_get(address, path: str) -> bytes:
+    connection = http.client.HTTPConnection(*address, timeout=30)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        assert response.status == 200
+        return response.read()
+    finally:
+        connection.close()
+
+
+class TestWarmServing:
+    def test_a_warm_create_generates_nothing(self, fresh_service):
+        client, address = fresh_service
+        database, result, _, candidates = workload_session_inputs("Q2", 0.03, candidate_count=8)
+        reference = QFESession(
+            database, result, candidates=candidates, config=QFEConfig(delta_seconds=30.0)
+        )
+        reference.run(WorstCaseSelector())
+        expected = transcript_json(session_transcript(reference, workload="Q2"))
+        ids = [client.create_session("Q2", **_SPEC)["session_id"] for _ in range(2)]
+        metrics = client.metrics()
+        assert (metrics["candidate_memo_misses"], metrics["candidate_memo_hits"]) == (1, 1)
+        exposition = _raw_get(address, "/metrics?format=prometheus").decode()
+        assert "qfe_service_candidate_memo_misses 1" in exposition
+        assert "qfe_service_candidate_memo_hits 1" in exposition
+        for sid in ids:
+            _drive_http(client, sid)
+            assert transcript_json(client.transcript(sid)) == expected
+
+    def test_a_scale_beyond_the_bound_is_a_400_unbuilt(self, fresh_service, monkeypatch):
+        from repro.workloads.paper_queries import Workload
+
+        client, address = fresh_service
+        built = []
+        monkeypatch.setattr(Workload, "build_pair", lambda self, s=1.0: built.append(s))
+        with pytest.raises(ServiceClientError) as excinfo:
+            client._request("POST", "/sessions", {"workload": "Q2", "scale": 1e6})
+        assert excinfo.value.status == 400
+        assert "scale" in str(excinfo.value)
+        assert built == []
+        _assert_healthy(address)
+
+    def test_each_round_is_presented_once(self, fresh_service, monkeypatch):
+        import json
+
+        from repro.core import feedback
+
+        client, address = fresh_service
+        built = []
+        present = feedback._presentation
+        monkeypatch.setattr(
+            feedback, "_presentation", lambda r: built.append(r.iteration) or present(r)
+        )
+        sid = client.create_session("Q2", **_SPEC)["session_id"]
+        rounds = 0
+        while True:
+            body = _raw_get(address, f"/sessions/{sid}/round")
+            payload = json.loads(body)
+            if payload["round"] is None:
+                break
+            rounds += 1
+            # A second GET while the round is pending: the same bytes, no build.
+            assert _raw_get(address, f"/sessions/{sid}/round") == body
+            client.submit_choice(sid, ServiceClient.worst_case_choice(payload))
+        client.transcript(sid)
+        assert rounds >= 2
+        assert built == list(range(1, rounds + 1))
+
+    def test_a_changed_round_payload_reaches_no_later_response(self):
+        import json
+
+        from repro.service.server import _round_payload
+
+        with SessionManager() as manager:
+            managed = manager.create_session(workload="Q2", scale=0.03, candidate_count=8)
+            managed, pending = manager.get_round(managed.session_id)
+            payload = _round_payload(managed, pending)
+            body = json.dumps(payload)
+            payload["round"]["options"][0]["rows"].clear()
+            payload["round"]["database_delta"]["lines"][0] = "forged"
+            payload["round"]["iteration"] = 99
+            managed, again = manager.get_round(managed.session_id)
+            assert json.dumps(_round_payload(managed, again)) == body

@@ -543,3 +543,225 @@ class TestMetrics:
         assert wait["count"] == 1
         assert wait["p50"] >= 0.15
         assert "qfe_service_compute_lock_wait_seconds_count 1" in manager.prometheus_metrics()
+
+
+def _recording_generator(monkeypatch, *, slow: float = 0.0):
+    """Count the candidate generations a manager runs, optionally slowed."""
+    from repro.experiments import runner
+
+    calls = []
+    generate = runner.prepare_candidates
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["candidate_count"])
+        time.sleep(slow)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "prepare_candidates", recording)
+    return calls
+
+
+class TestCandidateMemo:
+    def test_a_warm_create_generates_nothing(self, manager, q2_inputs, monkeypatch):
+        calls = _recording_generator(monkeypatch)
+        manager.create_session(workload="Q2", scale=0.03, candidate_count=6)
+        assert calls == [6]
+        waits = manager.metrics()["compute_lock_wait_seconds"]["count"]
+        second = manager.create_session(workload="Q2", scale=0.03, candidate_count=6)
+        assert calls == [6]  # the memo served it: no QBO run ...
+        metrics = manager.metrics()
+        assert metrics["compute_lock_wait_seconds"]["count"] == waits  # ... and no lock
+        assert (metrics["candidate_memo_misses"], metrics["candidate_memo_hits"]) == (1, 1)
+        exposition = manager.prometheus_metrics()
+        assert "qfe_service_candidate_memo_misses 1" in exposition
+        assert "qfe_service_candidate_memo_hits 1" in exposition
+        _drive_managed(manager, second.session_id)
+        expected = _reference_transcript(q2_inputs, q2_inputs[3])
+        assert transcript_json(manager.transcript(second.session_id)) == expected
+
+    def test_another_count_or_config_generates_anew(self, manager, monkeypatch):
+        from repro.qbo.config import QBOConfig
+
+        calls = _recording_generator(monkeypatch)
+        manager.create_session(workload="Q2", scale=0.03, candidate_count=6)
+        manager.create_session(workload="Q2", scale=0.03, candidate_count=5)
+        manager.create_session(workload="Q2", scale=0.03, candidate_count=6,
+                               qbo_config=QBOConfig(max_candidates=8))
+        # The service default, spelled out, is the same key as no config.
+        manager.create_session(workload="Q2", scale=0.03, candidate_count=6,
+                               qbo_config=manager_module._SERVICE_QBO)
+        assert calls == [6, 5, 6]
+        assert manager.metrics()["candidate_memo_hits"] == 1
+
+    def test_explicit_candidates_bypass_the_memo(self, manager, q2_candidates, monkeypatch):
+        calls = _recording_generator(monkeypatch)
+        managed = manager.create_session(**_Q2, candidates=q2_candidates)
+        assert calls == [] and managed.pair.candidate_memo == {}
+        metrics = manager.metrics()
+        assert (metrics["candidate_memo_misses"], metrics["candidate_memo_hits"]) == (0, 0)
+
+    def test_one_key_past_the_limit_evicts_the_oldest(self, manager, q2_candidates, monkeypatch):
+        from repro.experiments import runner
+
+        monkeypatch.setattr(
+            runner, "prepare_candidates", lambda *args, **kwargs: (list(q2_candidates), 0.0)
+        )
+        limit = manager_module.CANDIDATE_MEMO_LIMIT
+        counts = range(2, limit + 3)  # limit + 1 keys
+        for count in counts:
+            managed = manager.create_session(workload="Q2", scale=0.03, candidate_count=count)
+        memo = managed.pair.candidate_memo
+        assert [key[1] for key in memo] == list(counts)[1:]
+        assert all(value == tuple(q2_candidates) for value in memo.values())
+        manager.create_session(workload="Q2", scale=0.03, candidate_count=2)
+        assert manager.metrics()["candidate_memo_misses"] == limit + 2
+
+    def test_a_pruned_pair_drops_its_memo(self, monkeypatch):
+        calls = _recording_generator(monkeypatch)
+        with SessionManager(max_warm_pairs=1) as manager:
+            first = manager.create_session(workload="Q2", scale=0.03, candidate_count=6)
+            manager.delete_session(first.session_id)
+            other = manager.create_session(workload="Q2", scale=0.02, candidate_count=6)
+            manager.delete_session(other.session_id)  # prunes the Q2@0.03 pair
+            assert manager.metrics()["shared_pairs"] == 1
+            again = manager.create_session(workload="Q2", scale=0.03, candidate_count=6)
+            assert again.pair is not first.pair
+            assert calls == [6, 6, 6]
+            assert manager.metrics()["candidate_memo_hits"] == 0
+
+    def test_racing_creates_on_a_cold_pair_generate_once(self, manager, monkeypatch):
+        calls = _recording_generator(monkeypatch, slow=0.3)
+        start = threading.Barrier(2)
+        created = []
+
+        def create() -> None:
+            start.wait()
+            created.append(manager.create_session(workload="Q2", scale=0.03, candidate_count=6))
+
+        threads = [threading.Thread(target=create) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert calls == [6]
+        assert created[0].pair is created[1].pair
+        assert created[0].session.initial_candidates == created[1].session.initial_candidates
+        metrics = manager.metrics()
+        assert (metrics["candidate_memo_misses"], metrics["candidate_memo_hits"]) == (1, 1)
+
+    def test_racing_creates_over_evicting_keys_keep_the_memo_exact(self, q2_candidates, monkeypatch):
+        from repro.experiments import runner
+
+        limit = manager_module.CANDIDATE_MEMO_LIMIT
+        counts = list(range(2, limit + 5))  # more keys than the memo holds
+
+        def expected(count):
+            return tuple(q2_candidates[: 2 + count % (len(q2_candidates) - 1)])
+
+        generated = []
+
+        def generate(*args, candidate_count, **kwargs):
+            generated.append(candidate_count)
+            return list(expected(candidate_count)), 0.0
+
+        monkeypatch.setattr(runner, "prepare_candidates", generate)
+        errors: list[BaseException] = []
+
+        def create(offset: int) -> None:
+            try:
+                for step in range(3 * len(counts)):
+                    count = counts[(offset + step) % len(counts)]
+                    managed = manager.create_session(
+                        workload="Q2", scale=0.03, candidate_count=count
+                    )
+                    assert tuple(managed.session.initial_candidates) == expected(count)
+                    manager.delete_session(managed.session_id)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SessionManager() as manager:
+                threads = [threading.Thread(target=create, args=(k,)) for k in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors
+                metrics = manager.metrics()
+                (pair,) = manager._pairs.values()
+        finally:
+            sys.setswitchinterval(interval)
+        assert metrics["candidate_memo_misses"] == len(generated)
+        assert metrics["candidate_memo_hits"] + len(generated) == 4 * 3 * len(counts)
+        assert len(pair.candidate_memo) == limit
+        assert all(value == expected(key[1]) for key, value in pair.candidate_memo.items())
+
+
+class TestPairBuild:
+    @pytest.mark.parametrize(
+        "scale", [1e6, manager_module.MAX_PAIR_SCALE * 1.01, float("inf"), float("nan"), 0.0, -1.0]
+    )
+    def test_a_scale_out_of_bounds_is_refused_unbuilt(self, manager, monkeypatch, scale):
+        from repro.workloads.paper_queries import Workload
+
+        built = []
+        monkeypatch.setattr(Workload, "build_pair", lambda self, s=1.0: built.append(s))
+        with pytest.raises(ServiceError, match="scale"):
+            manager.create_session(workload="Q2", scale=scale)
+        assert built == []
+        assert manager.metrics()["shared_pairs"] == 0
+
+    def test_a_resume_at_a_scale_out_of_bounds_is_refused_unbuilt(
+        self, manager, q2_candidates, monkeypatch
+    ):
+        import json
+
+        from repro.workloads.paper_queries import Workload
+
+        manager.create_session(**_Q2, candidates=q2_candidates, session_id="big")
+        header_line, _, body = manager.store.get("big").partition(b"\n")
+        header = json.loads(header_line)
+        header["database_ref"]["scale"] = 1e6  # outside the body's checksum
+        manager.store.put("big", json.dumps(header).encode() + b"\n" + body)
+        manager._sessions.clear()  # as if passivated
+        built = []
+        monkeypatch.setattr(Workload, "build_pair", lambda self, s=1.0: built.append(s))
+        with pytest.raises(ServiceError, match="scale"):
+            manager.get_round("big")
+        assert built == []
+
+    def test_a_slow_pair_build_blocks_no_other_request(self, manager, q2_candidates, monkeypatch):
+        from repro.workloads.paper_queries import Workload
+
+        warm = manager.create_session(**_Q2, candidates=q2_candidates)
+        entered, release = threading.Event(), threading.Event()
+        build = Workload.build_pair
+
+        def slow_build(self, scale=1.0):
+            entered.set()
+            release.wait(timeout=5.0)
+            return build(self, scale)
+
+        monkeypatch.setattr(Workload, "build_pair", slow_build)
+        cold = threading.Thread(
+            target=manager.create_session,
+            kwargs=dict(workload="Q2", scale=0.02, candidates=q2_candidates),
+        )
+        cold.start()
+        try:
+            assert entered.wait(timeout=5.0)
+            started = time.perf_counter()
+            assert manager.healthz()["status"] == "ok"
+            _, pending = manager.get_round(warm.session_id)
+            waited = time.perf_counter() - started
+            still_building = not release.is_set() and cold.is_alive()
+        finally:
+            release.set()
+            cold.join()
+        assert pending is not None
+        assert still_building and waited < 2.0
+        assert manager.metrics()["shared_pairs"] == 2
